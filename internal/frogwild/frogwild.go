@@ -30,8 +30,8 @@ import (
 	"repro/internal/gas"
 	"repro/internal/graph"
 	"repro/internal/pagerank"
-	"repro/internal/parallel"
 	"repro/internal/rng"
+	"repro/internal/walk"
 )
 
 // Erasure selects which of the paper's two edge-erasure models
@@ -427,43 +427,18 @@ func Estimate(counts []int64, total int64) []float64 {
 // (Process 15 in the paper), with no engine, no partitioning and no
 // partial synchronization. It returns the per-vertex tally; the sum is
 // exactly walkers. Used to cross-validate the distributed
-// implementation.
+// implementation. It is SerialWalkParallel on one goroutine.
 func SerialWalk(g *graph.Graph, walkers, iterations int, pT float64, seed uint64) ([]int64, error) {
-	n := g.NumVertices()
-	if n == 0 {
-		return nil, errors.New("frogwild: empty graph")
-	}
-	if pT <= 0 || pT > 1 {
-		return nil, fmt.Errorf("frogwild: teleport %v out of (0,1]", pT)
-	}
-	counts := make([]int64, n)
-	r := rng.Derive(seed, 0x5E4)
-	for i := 0; i < walkers; i++ {
-		v := graph.VertexID(r.Intn(n))
-		for hop := 0; hop < iterations; hop++ {
-			if r.Bernoulli(pT) {
-				break // the frog dies (teleportation boundary)
-			}
-			outs := g.OutNeighbors(v)
-			if len(outs) == 0 {
-				break
-			}
-			v = outs[r.Intn(len(outs))]
-		}
-		counts[v]++
-	}
-	return counts, nil
+	return SerialWalkParallel(g, walkers, iterations, pT, seed, 1)
 }
 
 // SerialWalkParallel is SerialWalk with the walkers sharded across
-// workers goroutines (0 = GOMAXPROCS, 1 = one goroutine). Walkers are
-// split into fixed chunks whose boundaries depend only on the walker
-// count; each chunk draws from its own derived rng.Stream and tallies
-// into a per-worker array merged at the end, so the result is
-// bit-identical for every workers value. Because the chunked streams
-// differ from SerialWalk's single stream, the tallies for a given seed
-// differ from SerialWalk's — both are exact samples of the same
-// truncated-geometric walk process (Process 15).
+// workers goroutines (0 = GOMAXPROCS, 1 = one goroutine): a thin
+// configuration of the walk kernel (internal/walk). Walker i starts
+// uniformly, takes min(Geometric(pT), iterations) steps — both drawn
+// from its own stream derived from (seed, i) — stops at a dangling
+// vertex and tallies its endpoint, so the result is bit-identical for
+// every workers value.
 func SerialWalkParallel(g *graph.Graph, walkers, iterations int, pT float64, seed uint64, workers int) ([]int64, error) {
 	n := g.NumVertices()
 	if n == 0 {
@@ -475,37 +450,11 @@ func SerialWalkParallel(g *graph.Graph, walkers, iterations int, pT float64, see
 	if walkers < 0 {
 		return nil, fmt.Errorf("frogwild: negative walker count %d", walkers)
 	}
-	chunks := parallel.Chunks(walkers)
-	streams := rng.Shards(seed, 0x5E4, len(chunks))
-	pool := parallel.NewPool(workers)
-	defer pool.Close()
-	workerCounts := make([][]int64, pool.NumWorkers())
-	for w := range workerCounts {
-		workerCounts[w] = make([]int64, n)
-	}
-	pool.Run(len(chunks), func(c, worker int) {
-		r := streams[c]
-		counts := workerCounts[worker]
-		for i := chunks[c].Lo; i < chunks[c].Hi; i++ {
-			v := graph.VertexID(r.Intn(n))
-			for hop := 0; hop < iterations; hop++ {
-				if r.Bernoulli(pT) {
-					break
-				}
-				outs := g.OutNeighbors(v)
-				if len(outs) == 0 {
-					break
-				}
-				v = outs[r.Intn(len(outs))]
-			}
-			counts[v]++
-		}
+	counts, _ := walk.Tally(g, walkers, workers, false, func(s *walk.Scratch, i int) {
+		stream := rng.DeriveValue(seed, 0x5E4, uint64(i))
+		start := graph.VertexID(stream.Intn(n))
+		left := walk.Length(&stream, pT, iterations)
+		s.Add(stream, start, left, 0)
 	})
-	counts := workerCounts[0]
-	for w := 1; w < len(workerCounts); w++ {
-		for v, c := range workerCounts[w] {
-			counts[v] += c
-		}
-	}
 	return counts, nil
 }

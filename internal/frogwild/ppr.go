@@ -87,13 +87,15 @@ func ExactPPR(g *graph.Graph, sources []graph.VertexID, teleport float64, tol fl
 	}
 	cur := append([]float64(nil), restart...)
 	next := make([]float64, n)
+	r := g.NewAdjReader() // one cursor and row buffer for the whole solve on a paged graph
+	defer r.Release()
 	for iter := 0; iter < maxIter; iter++ {
 		for i := range next {
 			next[i] = 0
 		}
 		dangling := 0.0
 		for v := 0; v < n; v++ {
-			outs := g.OutNeighbors(graph.VertexID(v))
+			outs := r.OutNeighbors(graph.VertexID(v))
 			if len(outs) == 0 {
 				dangling += cur[v]
 				continue

@@ -36,8 +36,9 @@ type PageCacheStats struct {
 // I/O failures surface as panics: a paged read that fails mid-walk has
 // the same character as a SIGBUS on an mmap'd graph — the storage
 // under an open graph went away — and threading an error return
-// through every adjacency access would tax the resident fast path for
-// a case no caller can meaningfully handle.
+// through every adjacency access would tax the resident fast path. A
+// failed read leaves the cursor unpinned and usable; the serving layer
+// recovers at its one walk-kernel call site (serve's pprWalk).
 type AdjCursor interface {
 	// Out returns logical outAdj[i].
 	Out(i int64) VertexID
@@ -237,6 +238,10 @@ func (r *AdjReader) OutPageAt(v VertexID, i int) int64 {
 	if r.cur == nil {
 		return 0
 	}
+	return r.outPageAt(v, i) // out of line, so the resident case inlines to a constant
+}
+
+func (r *AdjReader) outPageAt(v VertexID, i int) int64 {
 	return r.cur.OutPage(r.g.outOff[r.g.rowOf(v)] + int64(i))
 }
 

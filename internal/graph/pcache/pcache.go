@@ -14,6 +14,12 @@
 // every frame is pinned the pool admits overflow frames beyond the
 // budget rather than deadlock; the overflow drains on the next misses
 // once pins release.
+//
+// An evicted frame's buffer is the next miss's buffer (Pool.free): a
+// pool under memory pressure misses on most page changes, and a fresh
+// 64 KiB allocation per miss is gigabytes of garbage a second under a
+// walk — hundreds of collections a second, and a resident set that
+// follows the collector's timing instead of the budget.
 package pcache
 
 import (
@@ -63,7 +69,8 @@ type Pool struct {
 	frames map[int64]*frame
 	clock  []*frame // resident ring; hand sweeps for victims
 	hand   int
-	pinned int // frames with pins > 0
+	pinned int      // frames with pins > 0
+	free   [][]byte // full-page buffers of evicted frames, at most minFrames
 }
 
 // frame is one resident page. pins, ref and the clock membership are
@@ -141,14 +148,20 @@ func (p *Pool) pin(page int64) (*frame, error) {
 	p.clock = append(p.clock, f)
 	p.pinned++
 	p.evictLocked()
-	p.mu.Unlock()
-
-	p.misses.Add(1)
 	n := PageSize
 	if rest := p.size - page*PageSize; rest < int64(n) {
 		n = int(rest)
 	}
-	buf := alignedBytes(n)
+	var buf []byte
+	if last := len(p.free) - 1; last >= 0 && n == PageSize {
+		buf, p.free = p.free[last], p.free[:last]
+	}
+	p.mu.Unlock()
+
+	p.misses.Add(1)
+	if buf == nil {
+		buf = alignedBytes(n)
+	}
 	_, err := io.ReadFull(io.NewSectionReader(p.src, page*PageSize, int64(n)), buf)
 	if err != nil {
 		f.err = fmt.Errorf("pcache: reading page %d: %w", page, err)
@@ -223,6 +236,10 @@ func (p *Pool) evictLocked() {
 					f.ref = false
 				} else {
 					p.dropLocked(f)
+					// Unpinned, so no cursor still views the buffer.
+					if len(f.data) == PageSize && len(p.free) < minFrames {
+						p.free = append(p.free, f.data)
+					}
 					p.evictions.Add(1)
 					evicted = true
 					break

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -113,6 +114,39 @@ func TestEvictionBoundsResidency(t *testing.T) {
 	}
 	if s.Misses <= uint64(pages) {
 		t.Fatalf("misses = %d; re-sweeps over an evicting pool should re-miss", s.Misses)
+	}
+}
+
+func TestEvictedBufferServesNextMiss(t *testing.T) {
+	// A pool sweeping a file four times its budget misses on every
+	// View. Each miss must read into the buffer the eviction it caused
+	// freed — not a fresh 64 KiB — and still show the right bytes.
+	pages := int64(4 * minFrames)
+	size := pages * PageSize
+	data, src := testFile(size)
+	p := New(src, size, minFrames*PageSize)
+	c := p.NewCursor()
+	defer c.Release()
+	page := int64(0)
+	sweep := func() {
+		for i := int64(0); i < pages; i++ {
+			page = (page + 1) % pages
+			got, err := c.View(page)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, data[page*PageSize:(page+1)*PageSize]) {
+				t.Fatalf("page %d shows another page's bytes", page)
+			}
+		}
+	}
+	sweep() // fill the pool
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	sweep()
+	runtime.ReadMemStats(&after)
+	if perMiss := (after.TotalAlloc - before.TotalAlloc) / uint64(pages); perMiss >= PageSize/8 {
+		t.Fatalf("a steady-state miss allocates %d bytes; the evicted frame's buffer should be reused", perMiss)
 	}
 }
 

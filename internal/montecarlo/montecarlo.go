@@ -19,8 +19,8 @@ import (
 	"fmt"
 
 	"repro/internal/graph"
-	"repro/internal/parallel"
 	"repro/internal/rng"
+	"repro/internal/walk"
 )
 
 // Estimator selects the Monte Carlo estimator variant.
@@ -59,10 +59,8 @@ type Config struct {
 	// Seed drives the walks.
 	Seed uint64
 	// Workers is the number of goroutines sharding the walks: 0 selects
-	// GOMAXPROCS, 1 runs single-threaded. Start vertices are split into
-	// fixed chunks (a function of the graph size only), each chunk walks
-	// its own derived rng.Stream, and per-worker integer tallies are
-	// merged at the end — so the result is bit-identical for every
+	// GOMAXPROCS, 1 runs single-threaded. Every walk draws from its own
+	// derived rng.Stream, so the result is bit-identical for every
 	// Workers value.
 	Workers int
 }
@@ -79,12 +77,10 @@ type Result struct {
 }
 
 // Run performs R walks from every vertex, sharded across cfg.Workers
-// goroutines. For a fixed Config the result is a deterministic function
-// of the graph and seed, independent of Workers. Note: the sharded
-// per-chunk streams consume randomness differently than the single
-// stream the pre-parallel implementation used, so tallies for a given
-// seed differ from versions predating the Workers knob — both are
-// exact samples of the same walk process.
+// goroutines: a thin configuration of the walk kernel (internal/walk)
+// that starts at every vertex, stops at a dangling vertex and tallies
+// endpoints or complete paths. For a fixed Config the result is a
+// deterministic function of the graph and seed, independent of Workers.
 func Run(g *graph.Graph, cfg Config) (*Result, error) {
 	if g == nil || g.NumVertices() == 0 {
 		return nil, errors.New("montecarlo: empty graph")
@@ -108,71 +104,21 @@ func Run(g *graph.Graph, cfg Config) (*Result, error) {
 		maxSteps = 1000
 	}
 	n := g.NumVertices()
-	res := &Result{Walks: r * n}
 
-	// Start vertices are sharded into chunks whose boundaries depend
-	// only on n, each chunk walking its own derived stream, so the
-	// tallies below are the same for any worker count (integer
-	// increments commute; each chunk's walk sequence is fixed).
-	chunks := parallel.Chunks(n)
-	streams := rng.Shards(cfg.Seed, 0x3C4, len(chunks))
-	pool := parallel.NewPool(cfg.Workers)
-	defer pool.Close()
-	workerCounts := make([][]int64, pool.NumWorkers())
-	for w := range workerCounts {
-		workerCounts[w] = make([]int64, n)
-	}
-	workerSteps := make([]int64, pool.NumWorkers())
-	pool.Run(len(chunks), func(c, worker int) {
-		rs := streams[c]
-		counts := workerCounts[worker]
-		var steps int64
-		for start := chunks[c].Lo; start < chunks[c].Hi; start++ {
-			for w := 0; w < r; w++ {
-				v := graph.VertexID(start)
-				if cfg.Estimator == CompletePath {
-					counts[v]++
-				}
-				for step := 0; step < maxSteps; step++ {
-					if rs.Bernoulli(pT) {
-						break
-					}
-					outs := g.OutNeighbors(v)
-					if len(outs) == 0 {
-						break
-					}
-					v = outs[rs.Intn(len(outs))]
-					steps++
-					if cfg.Estimator == CompletePath {
-						counts[v]++
-					}
-				}
-				if cfg.Estimator == EndPoint {
-					counts[v]++
-				}
-			}
-		}
-		workerSteps[worker] += steps
+	// Walk i starts at vertex i/r and takes min(Geometric(pT), maxSteps)
+	// steps, drawn from its own stream derived from (seed, i).
+	counts, steps := walk.Tally(g, r*n, cfg.Workers, cfg.Estimator == CompletePath, func(s *walk.Scratch, i int) {
+		stream := rng.DeriveValue(cfg.Seed, 0x3C4, uint64(i))
+		left := walk.Length(&stream, pT, maxSteps)
+		s.Add(stream, graph.VertexID(i/r), left, 0)
 	})
-	counts := workerCounts[0]
-	for w := 1; w < len(workerCounts); w++ {
-		for v, c := range workerCounts[w] {
-			counts[v] += c
-		}
+	res := &Result{Walks: r * n, TotalSteps: int64(steps), Estimate: make([]float64, n)}
+	total := float64(res.Walks) // every walk tallies its endpoint
+	if cfg.Estimator == CompletePath {
+		total += float64(steps) // and every vertex it moved off
 	}
-	for _, s := range workerSteps {
-		res.TotalSteps += s
-	}
-
-	var total int64
-	for _, c := range counts {
-		total += c
-	}
-	res.Estimate = make([]float64, n)
-	if total > 0 {
-		for v, c := range counts {
-			res.Estimate[v] = float64(c) / float64(total)
-		}
+	for v, c := range counts {
+		res.Estimate[v] = float64(c) / total
 	}
 	return res, nil
 }

@@ -121,10 +121,12 @@ func Exact(g *graph.Graph, opts Options) (*Result, error) {
 		// there are no write races, and each next[v] accumulates its
 		// in-neighbor contributions in the fixed CSR order.
 		pool.Run(len(chunks), func(c, _ int) {
+			r := g.NewAdjReader() // one cursor and row buffer per chunk on a paged graph
+			defer r.Release()
 			delta := 0.0
 			for v := chunks[c].Lo; v < chunks[c].Hi; v++ {
 				sum := 0.0
-				for _, s := range g.InNeighbors(graph.VertexID(v)) {
+				for _, s := range r.InNeighbors(graph.VertexID(v)) {
 					sum += contrib[s]
 				}
 				x := (1-pT)*sum + base

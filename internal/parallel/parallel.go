@@ -8,9 +8,9 @@
 //
 //   - Chunk boundaries are a function of the problem size only, never
 //     of the worker count (Chunks). A per-chunk computation — a
-//     partial floating-point sum, or a walk sequence driven by a
-//     per-chunk rng.Stream — is therefore the same no matter how many
-//     workers execute the chunks or in what order.
+//     partial floating-point sum, or a kernel call over walks that
+//     each draw from their own rng.Stream — is therefore the same no
+//     matter how many workers execute the chunks or in what order.
 //   - Cross-chunk reduction happens after the pool drains, in chunk
 //     index order, on the caller's goroutine. Floating-point partial
 //     sums are combined in a fixed order; integer tallies may be
@@ -47,7 +47,7 @@ func (r Range) Len() int { return r.Hi - r.Lo }
 
 const (
 	// minChunkSize is the smallest unit of work worth scheduling (and,
-	// for the random-walk paths, worth deriving an rng.Stream for).
+	// for the random-walk paths, worth one walk-kernel call).
 	minChunkSize = 64
 	// maxChunkCount bounds scheduling overhead and the size of
 	// per-chunk partial-result arrays while still giving dynamic

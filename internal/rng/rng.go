@@ -33,13 +33,17 @@ func splitmix64(state *uint64) uint64 {
 
 // New returns a Stream seeded from the given 64-bit seed.
 func New(seed uint64) *Stream {
-	var st Stream
+	st := seeded(seed)
+	return &st
+}
+
+func seeded(seed uint64) (st Stream) {
 	sm := seed
 	st.s0 = splitmix64(&sm)
 	st.s1 = splitmix64(&sm)
 	st.s2 = splitmix64(&sm)
 	st.s3 = splitmix64(&sm)
-	return &st
+	return st
 }
 
 // Derive returns an independent Stream keyed by the given labels. It is
@@ -47,6 +51,14 @@ func New(seed uint64) *Stream {
 // that does not correlate with any other stream derived from the same
 // seed with different labels.
 func Derive(seed uint64, labels ...uint64) *Stream {
+	st := DeriveValue(seed, labels...)
+	return &st
+}
+
+// DeriveValue is Derive returning the Stream by value: no heap
+// allocation, for callers that derive one stream per walk and keep it
+// in a slab (package walk).
+func DeriveValue(seed uint64, labels ...uint64) Stream {
 	// Mix each label through splitmix64 so that adjacent label values
 	// yield uncorrelated states.
 	sm := seed ^ 0x6a09e667f3bcc909
@@ -55,7 +67,7 @@ func Derive(seed uint64, labels ...uint64) *Stream {
 		sm ^= l * 0x9e3779b97f4a7c15
 		acc ^= splitmix64(&sm)
 	}
-	return New(acc)
+	return seeded(acc)
 }
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }

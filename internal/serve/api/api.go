@@ -111,10 +111,10 @@ type ServeStats struct {
 	PPRQueries   uint64 `json:"pprQueries,omitempty"`
 	PPRCacheHits uint64 `json:"pprCacheHits,omitempty"`
 	PPRWalks     uint64 `json:"pprWalks,omitempty"`
-	// PPRWalkSteps counts individual walk steps on paged graphs;
-	// PPRPageLocalSteps of those reused the page the previous step
-	// touched — the batched scheduler's locality win. Both are zero
-	// (and absent) on fully resident graphs.
+	// PPRWalkSteps counts individual walk steps, on any graph;
+	// PPRPageLocalSteps of those, on a paged graph, reused the page the
+	// previous step touched — the page-ordered kernel's locality win
+	// (zero, and absent, on fully resident graphs).
 	PPRWalkSteps      uint64 `json:"pprWalkSteps,omitempty"`
 	PPRPageLocalSteps uint64 `json:"pprPageLocalSteps,omitempty"`
 }
@@ -248,7 +248,8 @@ const (
 	CodeNoSnapshot = "no_snapshot"
 	// CodeInternal: marshal or compute failure inside the server.
 	CodeInternal = "internal"
-	// CodeUnavailable: shards unreachable and no fallback answer held.
+	// CodeUnavailable: shards unreachable and no fallback answer held,
+	// or a graph read failed under a PPR walk (503, retryable).
 	CodeUnavailable = "unavailable"
 	// CodeUnsupported: the endpoint exists but not on this deployment
 	// (e.g. /v1/compare on the stateless router).

@@ -8,13 +8,11 @@ package serve
 // graph — no precomputation per source, so any of the n vertices can
 // be a source — under a hard per-request walk budget.
 //
-// Determinism is the contract, like everywhere else in the repo: the
-// walks for one (epoch, source) pair are drawn from a stream derived
-// from (snapshot seed, epoch, source) and consumed sequentially, so a
-// walk's randomness is a pure function of (epoch, source, sequence).
-// Identical requests within one epoch are therefore bit-identical —
-// regardless of executor worker count, batching, cache state, or how
-// requests interleave.
+// Determinism is the contract, like everywhere else in the repo: each
+// walk draws from its own stream derived from (snapshot seed, epoch,
+// source, walk) — see pprWalk — so identical requests in an epoch
+// are bit-identical, regardless of executor worker count, batching,
+// cache state, or how requests interleave.
 //
 // Three layers amortize the work under hot traffic:
 //
@@ -25,21 +23,24 @@ package serve
 //     requests share one execution.
 //   - A batching executor: concurrent requests enqueue per-source walk
 //     tasks, and one drainer sweeps all pending tasks in a combined
-//     multi-source pass across a worker pool, so CSR traversal is
-//     amortized across requests and overlapping source sets share
-//     per-source walk results.
+//     multi-source pass across a worker pool — each worker advances
+//     its whole share in one page-ordered walk-kernel call — so CSR
+//     traversal is amortized across requests and overlapping source
+//     sets share per-source walk results.
 
 import (
 	"container/list"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"log"
 	"net/http"
 	"runtime"
+	"runtime/debug"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/graph"
@@ -48,6 +49,7 @@ import (
 	"repro/internal/rng"
 	"repro/internal/serve/api"
 	"repro/internal/topk"
+	"repro/internal/walk"
 )
 
 // pprPurpose labels the rng stream domain for PPR walks, so they can
@@ -84,7 +86,7 @@ type PPROptions struct {
 	CacheTTL time.Duration
 	// Workers is the batch executor's worker pool size (0 =
 	// GOMAXPROCS). Results are bit-identical for any worker count: each
-	// per-source task consumes only its own derived stream.
+	// walk consumes only its own derived stream.
 	Workers int
 }
 
@@ -137,7 +139,7 @@ type pprEngine struct {
 func newPPREngine(opts PPROptions, reg *obs.Registry) *pprEngine {
 	e := &pprEngine{opts: opts.withDefaults()}
 	e.cache = newPPRCache(e.opts.CacheSize, e.opts.CacheTTL)
-	e.batcher = &pprBatcher{tasks: make(map[pprTaskKey]*pprTask), workers: e.opts.Workers}
+	e.batcher = newPPRBatcher(e.opts.Workers)
 	reg.RegisterCounter("ppr_requests_total",
 		"Personalized PageRank queries (method-allowed GETs on /v1/ppr).", nil, &e.queries)
 	reg.RegisterCounter("ppr_cache_hits_total",
@@ -151,9 +153,11 @@ func newPPREngine(opts PPROptions, reg *obs.Registry) *pprEngine {
 	reg.RegisterCounter("ppr_batches_total",
 		"Combined multi-source walk passes executed by the batcher.", nil, &e.batcher.batches)
 	reg.RegisterCounter("ppr_walk_steps_total",
-		"Individual walk steps executed on paged graphs (restarts included).", nil, &e.batcher.steps)
+		"Individual walk steps executed for PPR queries on any graph (dangling restarts included).", nil, &e.batcher.steps)
 	reg.RegisterCounter("ppr_walk_page_local_steps_total",
-		"Paged walk steps whose adjacency read hit the same cache page as the previous step.", nil, &e.batcher.local)
+		"Walk steps on paged graphs whose adjacency read hit the same cache page as the previous step (0 on resident graphs).", nil, &e.batcher.local)
+	reg.RegisterCounter("ppr_walk_faults_total",
+		"Walk-kernel calls aborted by a failed adjacency read; every request with walks in the call answers 503 unavailable.", nil, &e.batcher.faults)
 	e.lat = reg.Latency("ppr_request_seconds",
 		"PPR request handling latency, cache hits included.", nil)
 	return e
@@ -247,16 +251,17 @@ type pprTaskKey struct {
 }
 
 // pprTask is one scheduled per-source walk job: the snapshot to walk
-// over and, once done is closed, the endpoint tally of its walks.
-// counts maps vertex → visits; walks ≤ budget keeps it small relative
-// to the graph, so the tally stays sparse (the NeedleTail-style
-// density argument: a per-source top-k cut never needs a dense
-// n-length vector).
+// over and, once done is closed, the endpoint tally of its walks or the
+// fault that aborted them. counts maps vertex → visits; walks ≤ budget
+// keeps it small relative to the graph, so the tally stays sparse (the
+// NeedleTail-style density argument: a per-source top-k cut never needs
+// a dense n-length vector).
 type pprTask struct {
 	key    pprTaskKey
 	snap   *Snapshot
 	done   chan struct{}
 	counts map[graph.VertexID]int32
+	err    error
 }
 
 // pprBatcher collects concurrent per-source walk tasks and executes
@@ -276,23 +281,26 @@ type pprBatcher struct {
 	batches obs.Counter
 	steps   obs.Counter
 	local   obs.Counter
+	faults  obs.Counter
 }
 
-// run schedules walk tasks for every key (joining identical in-flight
-// ones), drives execution if no drainer is active, and blocks until
-// all of this request's tasks are done. Returned tasks parallel keys.
-func (b *pprBatcher) run(snap *Snapshot, opts PPROptions, keys []pprTaskKey) []*pprTask {
-	mine := make([]*pprTask, len(keys))
+func newPPRBatcher(workers int) *pprBatcher {
+	return &pprBatcher{tasks: make(map[pprTaskKey]*pprTask), workers: workers}
+}
+
+// run schedules every task (replacing it in place by an identical
+// in-flight one when there is one to join), drives execution if no
+// drainer is active, and blocks until all of them are done.
+func (b *pprBatcher) run(opts PPROptions, mine []*pprTask) {
 	b.mu.Lock()
-	for i, k := range keys {
-		if t, ok := b.tasks[k]; ok {
-			mine[i] = t
+	for i, t := range mine {
+		if joined, ok := b.tasks[t.key]; ok {
+			mine[i] = joined
 			continue
 		}
-		t := &pprTask{key: k, snap: snap, done: make(chan struct{})}
-		b.tasks[k] = t
+		t.done = make(chan struct{})
+		b.tasks[t.key] = t
 		b.pending = append(b.pending, t)
-		mine[i] = t
 	}
 	drain := !b.running && len(b.pending) > 0
 	if drain {
@@ -305,16 +313,24 @@ func (b *pprBatcher) run(snap *Snapshot, opts PPROptions, keys []pprTaskKey) []*
 	for _, t := range mine {
 		<-t.done
 	}
-	return mine
 }
 
-// drain sweeps pending tasks in combined passes until none remain.
+// drain sweeps pending tasks in combined passes until none remain. A
+// pass covers one graph (pending spans graphs only across a snapshot
+// swap), so each worker can advance its whole share in one kernel call.
 func (b *pprBatcher) drain(opts PPROptions) {
 	for {
 		b.mu.Lock()
-		batch := b.pending
-		b.pending = nil
-		if len(batch) == 0 {
+		n := 0
+		for n < len(b.pending) && b.pending[n].snap.Graph == b.pending[0].snap.Graph {
+			n++
+		}
+		batch := b.pending[:n]
+		// The rest moves to a fresh slice: a finished batch (tallies,
+		// snapshot, graph) must not stay reachable through pending's
+		// backing array once traffic stops.
+		b.pending = append([]*pprTask(nil), b.pending[n:]...)
+		if n == 0 {
 			b.running = false
 			b.mu.Unlock()
 			return
@@ -322,168 +338,100 @@ func (b *pprBatcher) drain(opts PPROptions) {
 		b.mu.Unlock()
 		b.batches.Inc()
 
-		// One multi-source pass: workers pull tasks from a shared
-		// cursor. Each task consumes only its own derived stream, so
-		// the tally is bit-identical for any worker count or order.
-		workers := min(b.workers, len(batch))
-		var cursor atomic.Int64
+		// Each worker owns a contiguous share of the batch (the drainer
+		// itself takes the first). Every walk consumes only its own
+		// derived stream, so the tallies are bit-identical for any
+		// worker count or ownership.
+		work := func(share []*pprTask) {
+			st, err := pprWalk(share, opts)
+			b.steps.Add(st.Steps)
+			if share[0].snap.Graph.Paged() {
+				b.local.Add(st.PageLocal) // a resident graph has no pages to be local to
+			}
+			if err != nil {
+				b.faults.Inc()
+			}
+		}
+		workers := min(b.workers, n)
 		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
+		for w := 1; w < workers; w++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				for {
-					i := int(cursor.Add(1)) - 1
-					if i >= len(batch) {
-						return
-					}
-					var m pprWalkMetrics
-					batch[i].counts, m = pprWalkSource(batch[i].snap, batch[i].key, opts)
-					if m.steps > 0 {
-						b.steps.Add(m.steps)
-						b.local.Add(m.local)
-					}
-				}
+				work(batch[w*n/workers : (w+1)*n/workers])
 			}()
 		}
+		work(batch[:n/workers])
 		wg.Wait()
 
 		b.mu.Lock()
 		for _, t := range batch {
 			delete(b.tasks, t.key)
-		}
-		b.mu.Unlock()
-		for _, t := range batch {
 			close(t.done)
 		}
+		b.mu.Unlock()
 	}
 }
 
-// pprWalkMetrics counts a task's walk steps and how many of them hit
-// the same cache page as the step processed just before — the
-// page-locality signal the batched scheduler exists to maximize. Only
-// the paged executor fills it in; resident graphs have no pages to be
-// local to.
-type pprWalkMetrics struct {
-	steps uint64
-	local uint64
-}
+// errPPRWalkFault marks a kernel call aborted by a failed adjacency read.
+var errPPRWalkFault = errors.New("ppr walk fault")
 
-// pprWalkSource runs key.walks truncated-geometric walks from
-// key.source over snap's graph and tallies walk endpoints — the
+// pprWalk runs the walks of every task — all over one graph — in one
+// call of the walk kernel and fills in each task's endpoint tally: the
 // endpoint of a geometric-length walk samples the personalized
 // invariant distribution (the paper's Lemma 16 equivalence, restart
-// distribution concentrated on the source). A walk stuck on a
+// distribution concentrated on the source), and a walk stuck on a
 // dangling vertex restarts at the source, matching ExactPPR's
-// dangling-mass treatment. Walk w's randomness is its own stream
-// derived from (snapshot seed, epoch, source, w), consumed in step
-// order: every draw is a pure function of (epoch, source, walk,
-// step), so the tally is bit-identical whether the walks run
-// sequentially (here) or interleaved by the page-batched executor —
-// paging and relabeling can never change a served body.
-func pprWalkSource(snap *Snapshot, key pprTaskKey, opts PPROptions) (map[graph.VertexID]int32, pprWalkMetrics) {
-	if snap.Graph.Paged() {
-		return pprWalkSourcePaged(snap, key, opts)
-	}
-	g := snap.Graph
-	counts := make(map[graph.VertexID]int32, min(key.walks, 1024))
-	for w := 0; w < key.walks; w++ {
-		stream := rng.Derive(snap.Seed, pprPurpose, key.epoch, uint64(key.source), uint64(w))
-		steps := stream.Geometric(opts.Teleport)
-		if steps > opts.MaxWalkLen {
-			steps = opts.MaxWalkLen
-		}
-		cur := key.source
-		for s := 0; s < steps; s++ {
-			outs := g.OutNeighbors(cur)
-			if len(outs) == 0 {
-				cur = key.source
-				continue
-			}
-			cur = outs[stream.Intn(len(outs))]
-		}
-		counts[cur]++
-	}
-	return counts, pprWalkMetrics{}
-}
-
-// pprWalkSourcePaged is pprWalkSource for paged graphs: all the
-// task's walks advance in lockstep rounds, and within a round the
-// pending steps are sorted by the cache page their next adjacency
-// read will touch, so the pool serves near-sequential page sweeps
-// instead of key.walks independent random accesses. Each walk draws
-// from its own stream in step order — the same draws, in the same
-// per-walk order, as the sequential executor — so the tally is
-// bit-identical to the resident path's.
-func pprWalkSourcePaged(snap *Snapshot, key pprTaskKey, opts PPROptions) (map[graph.VertexID]int32, pprWalkMetrics) {
-	r := snap.Graph.NewAdjReader()
+// dangling-mass treatment. Walk w draws only from its own stream
+// derived from (snapshot seed, epoch, source, w) — length first, then
+// one draw per edge move — so the tally is bit-identical however walks
+// are grouped into calls or page-ordered: batching, paging and
+// relabeling can never change a served body.
+//
+// This is the one place a paged read can fail under a walk (the
+// pager's cursor panics with the I/O error, see graph.AdjCursor), so it
+// is the one place that recovers, and only from that: the fault is
+// logged with its stack, every task of the call — a batch worker's
+// whole share, other requests' tasks included — carries the error
+// instead of a tally, and the process and the batcher carry on. Any
+// other panic (a runtime error: corrupt adjacency, a kernel bug) is not
+// a storage fault and propagates.
+func pprWalk(tasks []*pprTask, opts PPROptions) (st walk.Stats, err error) {
+	g := tasks[0].snap.Graph
+	s := walk.Get()
+	defer s.Put()
+	r := g.NewAdjReader()
 	defer r.Release()
-	counts := make(map[graph.VertexID]int32, min(key.walks, 1024))
-
-	type walker struct {
-		stream *rng.Stream
-		cur    graph.VertexID
-		left   int
+	defer func() {
+		p := recover()
+		if p == nil {
+			return
+		}
+		cause, ok := p.(error)
+		if _, bug := p.(runtime.Error); bug || !ok {
+			panic(p)
+		}
+		log.Printf("serve: ppr walk fault over %d tasks: %v\n%s", len(tasks), cause, debug.Stack())
+		err = fmt.Errorf("%w: %w", errPPRWalkFault, cause)
+		for _, t := range tasks {
+			t.counts, t.err = nil, err
+		}
+	}()
+	for i, t := range tasks {
+		for w := 0; w < t.key.walks; w++ {
+			stream := rng.DeriveValue(t.snap.Seed, pprPurpose, t.key.epoch, uint64(t.key.source), uint64(w))
+			left := min(stream.Geometric(opts.Teleport), opts.MaxWalkLen)
+			s.Add(stream, t.key.source, left, i)
+		}
 	}
-	active := make([]*walker, 0, key.walks)
-	for w := 0; w < key.walks; w++ {
-		stream := rng.Derive(snap.Seed, pprPurpose, key.epoch, uint64(key.source), uint64(w))
-		steps := stream.Geometric(opts.Teleport)
-		if steps > opts.MaxWalkLen {
-			steps = opts.MaxWalkLen
-		}
-		if steps == 0 {
-			counts[key.source]++
-			continue
-		}
-		active = append(active, &walker{stream: stream, cur: key.source, left: steps})
+	st = s.Run(r, true, nil)
+	for _, t := range tasks {
+		t.counts = make(map[graph.VertexID]int32, min(t.key.walks, 1024))
 	}
-
-	type pending struct {
-		wk   *walker
-		idx  int32
-		page int64
+	for _, w := range s.Walkers {
+		tasks[w.Tag].counts[w.Cur]++
 	}
-	var m pprWalkMetrics
-	batch := make([]pending, 0, len(active))
-	lastPage := int64(-1)
-	for len(active) > 0 {
-		// Draw each walker's next neighbor index now (its own stream,
-		// step order preserved), so the step's exact page is known
-		// before any page is touched.
-		batch = batch[:0]
-		for _, wk := range active {
-			deg := r.OutDegree(wk.cur)
-			if deg == 0 {
-				wk.cur = key.source // dangling restart: a step, no read
-				m.steps++
-				continue
-			}
-			idx := wk.stream.Intn(deg)
-			batch = append(batch, pending{wk: wk, idx: int32(idx), page: r.OutPageAt(wk.cur, idx)})
-		}
-		sort.Slice(batch, func(i, j int) bool { return batch[i].page < batch[j].page })
-		for _, p := range batch {
-			m.steps++
-			if p.page == lastPage {
-				m.local++
-			} else {
-				lastPage = p.page
-			}
-			p.wk.cur = r.OutAt(p.wk.cur, int(p.idx))
-		}
-		retained := active[:0]
-		for _, wk := range active {
-			wk.left--
-			if wk.left > 0 {
-				retained = append(retained, wk)
-			} else {
-				counts[wk.cur]++
-			}
-		}
-		active = retained
-	}
-	return counts, m
+	return st, nil
 }
 
 // --- request handling -----------------------------------------------
@@ -501,17 +449,16 @@ func pprKey(epoch uint64, sources []graph.VertexID, k int) string {
 	return b.String()
 }
 
-// parsePPRSources parses the source/sources parameters into a
-// canonical (sorted, deduplicated) source set. Validation errors carry
-// the status and code the error envelope table pins.
-func (s *Server) parsePPRSources(r *http.Request, n int, opts PPROptions) ([]graph.VertexID, int, string, error) {
+// parsePPRSources parses the source/sources parameters into the
+// requested source list (planPPR canonicalizes and bounds it).
+func parsePPRSources(r *http.Request) ([]graph.VertexID, error) {
 	q := r.URL.Query()
 	raw := q.Get("sources")
 	if raw == "" {
 		raw = q.Get("source")
 	}
 	if !q.Has("sources") && !q.Has("source") {
-		return nil, http.StatusBadRequest, api.CodeBadRequest, fmt.Errorf("missing source parameter (source=u or sources=a,b,c)")
+		return nil, fmt.Errorf("missing source parameter (source=u or sources=a,b,c)")
 	}
 	parts := strings.Split(raw, ",")
 	sources := make([]graph.VertexID, 0, len(parts))
@@ -522,27 +469,11 @@ func (s *Server) parsePPRSources(r *http.Request, n int, opts PPROptions) ([]gra
 		}
 		v, err := strconv.ParseUint(p, 10, 32)
 		if err != nil {
-			return nil, http.StatusBadRequest, api.CodeBadRequest, fmt.Errorf("bad source %q: %v", p, err)
-		}
-		if int(v) >= n {
-			return nil, http.StatusNotFound, api.CodeNotFound, fmt.Errorf("source %d not in graph (n=%d)", v, n)
+			return nil, fmt.Errorf("bad source %q: %v", p, err)
 		}
 		sources = append(sources, graph.VertexID(v))
 	}
-	if len(sources) == 0 {
-		return nil, http.StatusBadRequest, api.CodeBadRequest, fmt.Errorf("empty source set")
-	}
-	sort.Slice(sources, func(i, j int) bool { return sources[i] < sources[j] })
-	sources = dedupeSorted(sources)
-	if len(sources) > opts.MaxSources {
-		return nil, http.StatusBadRequest, api.CodeBadRequest,
-			fmt.Errorf("%d sources exceed the limit of %d", len(sources), opts.MaxSources)
-	}
-	if opts.WalkBudget/len(sources) == 0 {
-		return nil, http.StatusBadRequest, api.CodeBadRequest,
-			fmt.Errorf("walk budget %d cannot cover %d sources", opts.WalkBudget, len(sources))
-	}
-	return sources, 0, "", nil
+	return sources, nil
 }
 
 // dedupeSorted removes adjacent duplicates in place.
@@ -556,6 +487,84 @@ func dedupeSorted(xs []graph.VertexID) []graph.VertexID {
 	return out
 }
 
+// pprPlan is a validated request: the canonical (sorted, deduplicated)
+// source set, k, and the walk budget's split across the sources. The
+// HTTP handler and the PPRTopK facade both plan, walk and cut through
+// it, so they cannot drift.
+type pprPlan struct {
+	sources   []graph.VertexID
+	k         int
+	walksPer  int
+	truncated bool
+}
+
+// planPPR validates a request against a graph of n vertices; a
+// rejection carries the status and code the error-envelope table pins.
+// The k ceiling (MaxK) is an HTTP limit and stays in the handler.
+func planPPR(sources []graph.VertexID, k, n int, opts PPROptions) (pprPlan, int, string, error) {
+	for _, s := range sources {
+		if int(s) >= n {
+			return pprPlan{}, http.StatusNotFound, api.CodeNotFound, fmt.Errorf("source %d not in graph (n=%d)", s, n)
+		}
+	}
+	srcs := append([]graph.VertexID(nil), sources...)
+	sort.Slice(srcs, func(i, j int) bool { return srcs[i] < srcs[j] })
+	srcs = dedupeSorted(srcs)
+	var err error
+	switch {
+	case len(srcs) == 0:
+		err = errors.New("empty source set")
+	case len(srcs) > opts.MaxSources:
+		err = fmt.Errorf("%d sources exceed the limit of %d", len(srcs), opts.MaxSources)
+	case opts.WalkBudget/len(srcs) == 0:
+		err = fmt.Errorf("walk budget %d cannot cover %d sources", opts.WalkBudget, len(srcs))
+	case k <= 0:
+		err = fmt.Errorf("k must be positive, got %d", k)
+	}
+	if err != nil {
+		return pprPlan{}, http.StatusBadRequest, api.CodeBadRequest, err
+	}
+	walksPer := min(opts.WalksPerSource, opts.WalkBudget/len(srcs))
+	return pprPlan{sources: srcs, k: k, walksPer: walksPer, truncated: walksPer < opts.WalksPerSource}, 0, "", nil
+}
+
+// walks is the number of walks the plan runs in total.
+func (p pprPlan) walks() int { return p.walksPer * len(p.sources) }
+
+// tasks returns the plan's per-source walk jobs over snap, unscheduled.
+func (p pprPlan) tasks(snap *Snapshot) []*pprTask {
+	tasks := make([]*pprTask, len(p.sources))
+	for i, src := range p.sources {
+		tasks[i] = &pprTask{key: pprTaskKey{epoch: snap.Epoch, source: src, walks: p.walksPer}, snap: snap}
+	}
+	return tasks
+}
+
+// cut merges the finished tasks' endpoint tallies — the source set's
+// PPR is the uniform mixture of the per-source PPR vectors, and every
+// source ran the same walk count — and returns the top-k entries in
+// the topk package's total order (score descending, vertex ascending on
+// ties), so the result is deterministic and consistent with /v1/topk
+// semantics. A faulted task fails the whole request.
+func (p pprPlan) cut(tasks []*pprTask) ([]topk.Entry, error) {
+	merged := make(map[graph.VertexID]int32, len(tasks)*8)
+	for _, t := range tasks {
+		if t.err != nil {
+			return nil, t.err
+		}
+		for v, c := range t.counts {
+			merged[v] += c
+		}
+	}
+	entries := make([]topk.Entry, 0, len(merged))
+	inv := 1 / float64(p.walks())
+	for v, c := range merged {
+		entries = append(entries, topk.Entry{Vertex: v, Score: float64(c) * inv})
+	}
+	sort.Slice(entries, func(i, j int) bool { return topk.Less(entries[j], entries[i]) })
+	return entries[:min(p.k, len(entries))], nil
+}
+
 // handlePPR answers GET /v1/ppr?source=u&k= (or sources=a,b,c): the
 // top-k personalized PageRank of the source set, estimated by
 // request-time walks under the configured budget.
@@ -567,30 +576,34 @@ func (s *Server) handlePPR(w http.ResponseWriter, r *http.Request) {
 	if snap == nil {
 		return
 	}
-	opts := s.ppr.opts
 	k, err := parsePositiveInt(r.URL.Query().Get("k"), 20)
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, api.CodeBadRequest, "bad k: %v", err)
 		return
 	}
-	if k > opts.MaxK {
-		s.fail(w, http.StatusBadRequest, api.CodeBadRequest, "k %d exceeds the limit of %d", k, opts.MaxK)
+	if k > s.ppr.opts.MaxK {
+		s.fail(w, http.StatusBadRequest, api.CodeBadRequest, "k %d exceeds the limit of %d", k, s.ppr.opts.MaxK)
 		return
 	}
-	sources, status, code, err := s.parsePPRSources(r, snap.Graph.NumVertices(), opts)
+	sources, err := parsePPRSources(r)
+	if err != nil {
+		s.fail(w, http.StatusBadRequest, api.CodeBadRequest, "%v", err)
+		return
+	}
+	plan, status, code, err := planPPR(sources, k, snap.Graph.NumVertices(), s.ppr.opts)
 	if err != nil {
 		s.fail(w, status, code, "%v", err)
 		return
 	}
 
-	key := pprKey(snap.Epoch, sources, k)
+	key := pprKey(snap.Epoch, plan.sources, k)
 	if body, ok := s.ppr.cache.Get(key, start); ok {
 		s.ppr.cacheHits.Inc()
 		s.reply(w, body)
 		return
 	}
 	body, err, shared := s.ppr.flights.Do(key, func() ([]byte, error) {
-		body, err := s.pprCompute(snap, sources, k)
+		body, err := s.pprCompute(snap, plan)
 		if err == nil {
 			s.ppr.cache.Put(key, body, time.Now())
 		}
@@ -599,28 +612,14 @@ func (s *Server) handlePPR(w http.ResponseWriter, r *http.Request) {
 	if shared {
 		s.coalesced.Inc()
 	}
-	if err != nil {
+	switch {
+	case errors.Is(err, errPPRWalkFault): // the cause is in the server's log, not the client's body
+		s.fail(w, http.StatusServiceUnavailable, api.CodeUnavailable, "walks aborted by a failed graph read; retry")
+	case err != nil:
 		s.fail(w, http.StatusInternalServerError, api.CodeInternal, "%v", err)
-		return
+	default:
+		s.reply(w, body)
 	}
-	s.reply(w, body)
-}
-
-// pprCut converts a merged endpoint tally into the top-k entries, in
-// the topk package's total order (score descending, vertex ascending
-// on ties) so the result is deterministic and consistent with /v1/topk
-// semantics.
-func pprCut(merged map[graph.VertexID]int32, totalWalks, k int) []topk.Entry {
-	entries := make([]topk.Entry, 0, len(merged))
-	inv := 1 / float64(totalWalks)
-	for v, c := range merged {
-		entries = append(entries, topk.Entry{Vertex: v, Score: float64(c) * inv})
-	}
-	sort.Slice(entries, func(i, j int) bool { return topk.Less(entries[j], entries[i]) })
-	if k < len(entries) {
-		entries = entries[:k]
-	}
-	return entries
 }
 
 // PPRTopK estimates the top-k personalized PageRank of the source set
@@ -632,85 +631,42 @@ func pprCut(merged map[graph.VertexID]int32, totalWalks, k int) []topk.Entry {
 // for the same snapshot, sources, k and options.
 func PPRTopK(snap *Snapshot, sources []graph.VertexID, k int, opts PPROptions) ([]topk.Entry, bool, error) {
 	opts = opts.withDefaults()
-	srcs := append([]graph.VertexID(nil), sources...)
-	sort.Slice(srcs, func(i, j int) bool { return srcs[i] < srcs[j] })
-	srcs = dedupeSorted(srcs)
-	n := snap.Graph.NumVertices()
-	switch {
-	case len(srcs) == 0:
-		return nil, false, fmt.Errorf("serve: ppr needs at least one source")
-	case len(srcs) > opts.MaxSources:
-		return nil, false, fmt.Errorf("serve: %d sources exceed the limit of %d", len(srcs), opts.MaxSources)
-	case opts.WalkBudget/len(srcs) == 0:
-		return nil, false, fmt.Errorf("serve: walk budget %d cannot cover %d sources", opts.WalkBudget, len(srcs))
-	case k <= 0:
-		return nil, false, fmt.Errorf("serve: k must be positive, got %d", k)
+	plan, _, _, err := planPPR(sources, k, snap.Graph.NumVertices(), opts)
+	if err != nil {
+		return nil, false, fmt.Errorf("serve: %w", err)
 	}
-	for _, s := range srcs {
-		if int(s) >= n {
-			return nil, false, fmt.Errorf("serve: source %d not in graph (n=%d)", s, n)
-		}
-	}
-	walksPer := opts.WalksPerSource
-	truncated := false
-	if walksPer*len(srcs) > opts.WalkBudget {
-		walksPer = opts.WalkBudget / len(srcs)
-		truncated = true
-	}
-	merged := make(map[graph.VertexID]int32, len(srcs)*8)
-	for _, src := range srcs {
-		counts, _ := pprWalkSource(snap, pprTaskKey{epoch: snap.Epoch, source: src, walks: walksPer}, opts)
-		for v, c := range counts {
-			merged[v] += c
-		}
-	}
-	return pprCut(merged, walksPer*len(srcs), k), truncated, nil
+	tasks := plan.tasks(snap)
+	pprWalk(tasks, opts) // one kernel call on this goroutine: no batcher, nothing to join
+	entries, err := plan.cut(tasks)
+	return entries, plan.truncated, err
 }
 
-// pprCompute runs the walks through the batcher and marshals the
-// response body. Bit-identical for identical (snapshot, sources, k).
-func (s *Server) pprCompute(snap *Snapshot, sources []graph.VertexID, k int) ([]byte, error) {
-	opts := s.ppr.opts
-	walksPer := opts.WalksPerSource
-	truncated := false
-	if walksPer*len(sources) > opts.WalkBudget {
-		walksPer = opts.WalkBudget / len(sources)
-		truncated = true
+// pprCompute runs the plan's walks through the batcher and marshals
+// the response body. Bit-identical for identical (snapshot, plan).
+func (s *Server) pprCompute(snap *Snapshot, plan pprPlan) ([]byte, error) {
+	if plan.truncated {
 		s.ppr.truncated.Inc()
 	}
-	keys := make([]pprTaskKey, len(sources))
-	for i, src := range sources {
-		keys[i] = pprTaskKey{epoch: snap.Epoch, source: src, walks: walksPer}
+	tasks := plan.tasks(snap)
+	s.ppr.batcher.run(s.ppr.opts, tasks)
+	s.ppr.walks.Add(uint64(plan.walks()))
+	entries, err := plan.cut(tasks)
+	if err != nil {
+		return nil, err
 	}
-	tasks := s.ppr.batcher.run(snap, opts, keys)
-	s.ppr.walks.Add(uint64(walksPer * len(sources)))
-
-	// Merge the per-source endpoint tallies; the source set's PPR is
-	// the uniform mixture of the per-source PPR vectors, and every
-	// source ran the same walk count.
-	merged := make(map[graph.VertexID]int32, len(tasks)*8)
-	for _, t := range tasks {
-		for v, c := range t.counts {
-			merged[v] += c
-		}
-	}
-	totalWalks := walksPer * len(sources)
-	entries := pprCut(merged, totalWalks, k)
 
 	rows := make([]api.TopKEntry, len(entries))
 	for i, e := range entries {
 		rows[i] = api.TopKEntry{Vertex: e.Vertex, Score: e.Score}
 	}
-	srcIDs := make([]uint32, len(sources))
-	copy(srcIDs, sources)
 	body, err := json.Marshal(api.PPRResponse{
 		Epoch:     snap.Epoch,
 		Engine:    snap.Engine,
 		Seed:      snap.Seed,
-		Sources:   srcIDs,
+		Sources:   plan.sources,
 		K:         len(rows),
-		Walks:     totalWalks,
-		Truncated: truncated,
+		Walks:     plan.walks(),
+		Truncated: plan.truncated,
 		Entries:   rows,
 	})
 	if err != nil {

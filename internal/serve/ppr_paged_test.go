@@ -13,12 +13,12 @@ import (
 	"repro/internal/graph/gstore"
 )
 
-// pagedVariants serves one snapshot over three storage layouts of the
-// same logical graph — heap-resident, degree-relabeled, and relabeled
-// + paged at a one-byte budget (the pool floors that to its minimum
-// frame count, so every walk step contends for a handful of pages) —
-// and returns a server per variant. Closers run on test cleanup.
-func pagedVariants(t *testing.T, workers int) map[string]*Server {
+// pagedGraphs returns three storage layouts of the same logical graph
+// — heap-resident, degree-relabeled, and relabeled + paged at a
+// one-byte budget (the pool floors that to its minimum frame count, so
+// every walk step contends for a handful of pages) — and one snapshot
+// built on the resident one. Closers run on test cleanup.
+func pagedGraphs(t *testing.T) (map[string]*graph.Graph, *Snapshot) {
 	t.Helper()
 	// Big enough that the out-adjacency alone spans more pages than the
 	// pool's minimum frame count, so the tiny budget really evicts.
@@ -42,25 +42,34 @@ func pagedVariants(t *testing.T, workers int) map[string]*Server {
 	if !pg.Paged() {
 		t.Fatal("Mem: 1 open is not paged")
 	}
-
-	// One engine run on the resident graph; each variant serves a
-	// shallow copy of the snapshot with its own Graph, exactly like a
-	// warm start from -snapshot-dir onto a paged open.
 	base, err := Build(g, BuildConfig{Engine: EngineFrogWild, Machines: 4, Seed: 11, WorkersPerMachine: 1, MaxK: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return map[string]*graph.Graph{"plain": g, "relabeled": rg, "paged": pg}, base
+}
+
+// serveVariants returns one server per layout, each serving a shallow
+// copy of base with its own Graph — exactly like a warm start from
+// -snapshot-dir onto a paged open.
+func serveVariants(graphs map[string]*graph.Graph, base *Snapshot, ppr PPROptions) map[string]*Server {
 	servers := make(map[string]*Server)
-	for name, vg := range map[string]*graph.Graph{"plain": g, "relabeled": rg, "paged": pg} {
+	for name, vg := range graphs {
 		snap := *base
 		snap.Graph = vg
 		store := NewStore()
 		store.Publish(&snap)
-		servers[name] = NewServer(store, ServerOptions{
-			PPR: PPROptions{Workers: workers, CacheSize: -1},
-		})
+		servers[name] = NewServer(store, ServerOptions{PPR: ppr})
 	}
 	return servers
+}
+
+// pagedVariants is one engine run served over the three layouts of
+// pagedGraphs with the given executor worker count.
+func pagedVariants(t *testing.T, workers int) map[string]*Server {
+	t.Helper()
+	graphs, base := pagedGraphs(t)
+	return serveVariants(graphs, base, PPROptions{Workers: workers, CacheSize: -1})
 }
 
 func body(t *testing.T, srv *Server, url string) string {

@@ -24,8 +24,10 @@ import (
 func stepP(g *graph.Graph, x []float64) []float64 {
 	n := g.NumVertices()
 	next := make([]float64, n)
+	r := g.NewAdjReader() // one cursor and row buffer per step on a paged graph
+	defer r.Release()
 	for v := 0; v < n; v++ {
-		outs := g.OutNeighbors(graph.VertexID(v))
+		outs := r.OutNeighbors(graph.VertexID(v))
 		if len(outs) == 0 {
 			next[v] += x[v]
 			continue

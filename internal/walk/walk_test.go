@@ -1,0 +1,305 @@
+package walk_test
+
+import (
+	"math"
+	"path/filepath"
+	"reflect"
+	"testing"
+
+	"repro/internal/frogwild"
+	"repro/internal/graph"
+	"repro/internal/graph/gen"
+	"repro/internal/graph/gstore"
+	"repro/internal/rng"
+	"repro/internal/theory"
+	"repro/internal/walk"
+)
+
+const pT = 0.15
+
+// danglingGraph is a power-law graph with every seventh vertex's
+// out-edges removed, so both dangling policies are exercised.
+func danglingGraph(t testing.TB, n int) *graph.Graph {
+	t.Helper()
+	g, err := gen.PowerLaw(gen.PowerLawConfig{N: n, MeanOutDeg: 5, DegExponent: 2.1, PrefExponent: 1, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := graph.NewBuilder(n).AllowDangling()
+	g.Edges(func(e graph.Edge) bool {
+		if e.Src%7 != 3 {
+			b.AddEdge(e.Src, e.Dst)
+		}
+		return true
+	})
+	dg, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dg
+}
+
+// chiSquare is Pearson's statistic of counts against total·want, with
+// cells expecting fewer than five pooled into one; it returns the
+// statistic and the degrees of freedom.
+func chiSquare(counts []int64, want []float64, total int64) (chi2 float64, dof int) {
+	var poolGot, poolWant float64
+	cell := func(got, expected float64) {
+		d := got - expected
+		chi2 += d * d / expected
+		dof++
+	}
+	for v, c := range counts {
+		expected := want[v] * float64(total)
+		if expected < 5 {
+			poolGot += float64(c)
+			poolWant += expected
+			continue
+		}
+		cell(float64(c), expected)
+	}
+	if poolWant > 0 {
+		cell(poolGot, poolWant)
+	}
+	return chi2, dof - 1
+}
+
+// checkLaw fails unless counts is a plausible sample of want: the
+// statistic must stay within five standard deviations of its mean
+// (seeds are fixed, so this is a regression bound, not a coin flip).
+func checkLaw(t *testing.T, name string, counts []int64, want []float64) {
+	t.Helper()
+	var total int64
+	for _, c := range counts {
+		total += c
+	}
+	chi2, dof := chiSquare(counts, want, total)
+	if limit := float64(dof) + 5*math.Sqrt(2*float64(dof)); chi2 > limit {
+		t.Errorf("%s: χ² = %.1f over %d walks, want ≤ %.1f (dof %d)", name, chi2, total, limit, dof)
+	}
+}
+
+// TestUniformStopCutoffLaw: uniform start, stop at dangling, length
+// min(Geometric(pT), t) — the serial FrogWild configuration — samples
+// the paper's Process 15 distribution (equation (5)), whichever of the
+// two draws of that length the caller uses.
+func TestUniformStopCutoffLaw(t *testing.T) {
+	g := danglingGraph(t, 120)
+	n := g.NumVertices()
+	const walkers, cutoff = 300000, 5
+	want, err := theory.TruncatedGeometricDistribution(g, cutoff, pT)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lengths := map[string]func(*rng.Stream) int{
+		"Geometric": func(st *rng.Stream) int { return min(st.Geometric(pT), cutoff) },
+		"Length":    func(st *rng.Stream) int { return walk.Length(st, pT, cutoff) },
+	}
+	for name, length := range lengths {
+		for seed := uint64(1); seed <= 3; seed++ {
+			counts, _ := walk.Tally(g, walkers, 0, false, func(s *walk.Scratch, i int) {
+				st := rng.DeriveValue(seed, uint64(i))
+				start := graph.VertexID(st.Intn(n))
+				left := length(&st)
+				s.Add(st, start, left, 0)
+			})
+			checkLaw(t, "uniform/stop/cutoff by "+name, counts, want)
+		}
+	}
+}
+
+// pprTally runs walks walks from each source under the restart policy
+// — the personalized PageRank configuration — and returns the dense
+// endpoint tally.
+func pprTally(g *graph.Graph, sources []graph.VertexID, walks int, seed uint64) []int64 {
+	s := walk.Get()
+	defer s.Put()
+	for tag, src := range sources {
+		for w := 0; w < walks; w++ {
+			st := rng.DeriveValue(seed, uint64(src), uint64(w))
+			left := min(st.Geometric(pT), 64)
+			s.Add(st, src, left, tag)
+		}
+	}
+	r := g.NewAdjReader()
+	defer r.Release()
+	s.Run(r, true, nil)
+	counts := make([]int64, g.NumVertices())
+	for i := range s.Walkers {
+		counts[s.Walkers[i].Cur]++
+	}
+	return counts
+}
+
+// TestSourceRestartLaw: start at the source, restart there from a
+// dangling vertex, geometric length — the endpoint samples the
+// source's exact personalized PageRank, and equal walk counts per
+// source sample the uniform mixture of the per-source vectors. A
+// budget-truncated run (an eighth of the walks) samples the same
+// distribution: truncating the budget costs variance, never bias.
+func TestSourceRestartLaw(t *testing.T) {
+	g := danglingGraph(t, 120)
+	sources := []graph.VertexID{3, 10, 57} // 3 and 10 are dangling
+	want := make([]float64, g.NumVertices())
+	for _, src := range sources {
+		exact, err := frogwild.ExactPPR(g, []graph.VertexID{src}, pT, 1e-14, 2000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for v, p := range exact {
+			want[v] += p / float64(len(sources))
+		}
+	}
+	for seed := uint64(1); seed <= 5; seed++ {
+		checkLaw(t, "source/restart", pprTally(g, sources, 80000, seed), want)
+		checkLaw(t, "source/restart truncated", pprTally(g, sources, 10000, seed), want)
+	}
+}
+
+// TestCompletePathCountsEveryVisit: the visit tally holds each walk's
+// start plus one visit per step taken.
+func TestCompletePathCountsEveryVisit(t *testing.T) {
+	g := danglingGraph(t, 200)
+	const walks = 5000
+	seed := func(s *walk.Scratch, i int) {
+		st := rng.DeriveValue(9, uint64(i))
+		left := min(st.Geometric(pT), 1000)
+		s.Add(st, graph.VertexID(i%g.NumVertices()), left, 0)
+	}
+	visits, steps := walk.Tally(g, walks, 1, true, seed)
+	var total int64
+	for _, c := range visits {
+		total += c
+	}
+	if want := walks + int64(steps); total != want {
+		t.Fatalf("complete-path tally sums to %d, want walks + steps = %d", total, want)
+	}
+	ends, endSteps := walk.Tally(g, walks, 1, false, seed)
+	total = 0
+	for _, c := range ends {
+		total += c
+	}
+	if total != walks || endSteps != steps {
+		t.Fatalf("endpoint tally sums to %d in %d steps, want %d in %d", total, endSteps, walks, steps)
+	}
+}
+
+// TestTallyBitIdenticalAcrossWorkers: the worker count is a throughput
+// knob only.
+func TestTallyBitIdenticalAcrossWorkers(t *testing.T) {
+	g := danglingGraph(t, 500)
+	n := g.NumVertices()
+	for _, completePath := range []bool{false, true} {
+		run := func(workers int) ([]int64, uint64) {
+			return walk.Tally(g, 20000, workers, completePath, func(s *walk.Scratch, i int) {
+				st := rng.DeriveValue(4, uint64(i))
+				start := graph.VertexID(st.Intn(n))
+				left := min(st.Geometric(pT), 8)
+				s.Add(st, start, left, 0)
+			})
+		}
+		ref, refSteps := run(1)
+		for _, workers := range []int{2, 4, 7} {
+			got, steps := run(workers)
+			if !reflect.DeepEqual(got, ref) || steps != refSteps {
+				t.Errorf("completePath=%v workers=%d: tally differs from workers=1", completePath, workers)
+			}
+		}
+	}
+}
+
+// TestGroupingAndPagingInvariant: the per-task endpoint tallies of a
+// fixed set of walkers do not depend on how the walkers are grouped
+// into Run calls (all in one, one per task, uneven splits), nor on
+// whether the graph is resident or paged at the smallest budget — a
+// walker's draws are a pure function of its own stream.
+func TestGroupingAndPagingInvariant(t *testing.T) {
+	g, err := gen.PowerLaw(gen.PowerLawConfig{N: 25000, MeanOutDeg: 8, DegExponent: 2.1, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "g.csr")
+	if err := gstore.Save(path, g); err != nil {
+		t.Fatal(err)
+	}
+	pg, err := gstore.Open(path, gstore.OpenOptions{Mem: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pg.Close()
+
+	sources := []graph.VertexID{1, 700, 24999, 12, 4242}
+	const walks = 400
+	// tallies runs the tasks grouped as given (each group one Run) and
+	// returns task → vertex → endpoint count.
+	tallies := func(g *graph.Graph, groups [][]int) ([]map[graph.VertexID]int, walk.Stats) {
+		out := make([]map[graph.VertexID]int, len(sources))
+		for i := range out {
+			out[i] = make(map[graph.VertexID]int)
+		}
+		var total walk.Stats
+		r := g.NewAdjReader()
+		defer r.Release()
+		for _, group := range groups {
+			s := walk.Get()
+			for _, task := range group {
+				for w := 0; w < walks; w++ {
+					st := rng.DeriveValue(77, uint64(sources[task]), uint64(w))
+					left := min(st.Geometric(pT), 64)
+					s.Add(st, sources[task], left, task)
+				}
+			}
+			st := s.Run(r, true, nil)
+			total.Steps += st.Steps
+			total.PageLocal += st.PageLocal
+			for i := range s.Walkers {
+				out[s.Walkers[i].Tag][s.Walkers[i].Cur]++
+			}
+			s.Put()
+		}
+		return out, total
+	}
+
+	ref, refStats := tallies(g, [][]int{{0, 1, 2, 3, 4}})
+	groupings := map[string][][]int{
+		"one per task": {{0}, {1}, {2}, {3}, {4}},
+		"uneven":       {{4, 0}, {2}, {1, 3}},
+	}
+	for name, groups := range groupings {
+		for layout, vg := range map[string]*graph.Graph{"resident": g, "paged": pg} {
+			got, stats := tallies(vg, groups)
+			if !reflect.DeepEqual(got, ref) || stats.Steps != refStats.Steps {
+				t.Errorf("%s on %s graph: tallies differ from one resident call", name, layout)
+			}
+		}
+	}
+	_, paged := tallies(pg, [][]int{{0, 1, 2, 3, 4}})
+	if refStats.PageLocal != refStats.Steps-1 {
+		t.Errorf("resident run: %d of %d steps page-local, want all but the first (one page)", refStats.PageLocal, refStats.Steps)
+	}
+	if paged.PageLocal == 0 || paged.PageLocal >= paged.Steps {
+		t.Errorf("paged run: %d of %d steps page-local, want some but not all", paged.PageLocal, paged.Steps)
+	}
+}
+
+// BenchmarkRun is the kernel's cost per walk on a resident graph: 2000
+// geometric walks from one source per op, seeding included.
+func BenchmarkRun(b *testing.B) {
+	g, err := gen.PowerLaw(gen.TwitterLike(50000, 1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := g.NewAdjReader()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		s := walk.Get()
+		src := graph.VertexID(i % g.NumVertices())
+		for w := 0; w < 2000; w++ {
+			st := rng.DeriveValue(1, uint64(src), uint64(w))
+			left := min(st.Geometric(pT), 64)
+			s.Add(st, src, left, 0)
+		}
+		s.Run(r, true, nil)
+		s.Put()
+	}
+}

@@ -265,9 +265,9 @@ func SerialFrogWalk(g *Graph, walkers, iterations int, pT float64, seed uint64) 
 }
 
 // SerialFrogWalkParallel is SerialFrogWalk sharded across workers
-// goroutines (0 = GOMAXPROCS, 1 = single-threaded). Walkers are split
-// into fixed chunks with one derived RNG stream each, so the tallies
-// are bit-identical for every workers value.
+// goroutines (0 = GOMAXPROCS, 1 = single-threaded). Every walker draws
+// from its own derived RNG stream, so the tallies are bit-identical for
+// every workers value; SerialFrogWalk is the one-worker case.
 func SerialFrogWalkParallel(g *Graph, walkers, iterations int, pT float64, seed uint64, workers int) ([]int64, error) {
 	return frogwild.SerialWalkParallel(g, walkers, iterations, pT, seed, workers)
 }
