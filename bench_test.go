@@ -11,6 +11,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -22,6 +23,7 @@ import (
 
 	"repro"
 	"repro/internal/harness"
+	"repro/internal/router"
 	"repro/internal/serve"
 )
 
@@ -387,10 +389,9 @@ func BenchmarkFrogWildEngineWorkers(b *testing.B) {
 
 // --- Serving-path benchmarks (internal/serve) ---
 
-// benchServe caches one query service over the 50k twitter-like graph:
-// a FrogWild snapshot published to a store, served by the HTTP API over
-// a real listener. Building it is setup, not the thing measured.
-var benchServe = sync.OnceValue(func() *httptest.Server {
+// benchStore caches one FrogWild snapshot of the 50k twitter-like graph,
+// published to a store. Building it is setup, not the thing measured.
+var benchStore = sync.OnceValue(func() *serve.Store {
 	snap, err := repro.NewSnapshot(benchGraph50k(), repro.SnapshotConfig{
 		Engine:   repro.ServeEngineFrogWild,
 		Machines: 4,
@@ -401,7 +402,13 @@ var benchServe = sync.OnceValue(func() *httptest.Server {
 	}
 	store := serve.NewStore()
 	store.Publish(snap)
-	srv := serve.NewServer(store, serve.ServerOptions{})
+	return store
+})
+
+// benchServe caches one query service over benchStore: the HTTP API
+// over a real listener.
+var benchServe = sync.OnceValue(func() *httptest.Server {
+	srv := serve.NewServer(benchStore(), serve.ServerOptions{})
 	return httptest.NewServer(srv.Handler())
 })
 
@@ -556,6 +563,79 @@ func BenchmarkSnapshotTopK(b *testing.B) {
 	if sec := b.Elapsed().Seconds(); sec > 0 {
 		b.ReportMetric(float64(b.N)/sec, "queries/s")
 	}
+}
+
+// --- Sharded-plane benchmarks (internal/router) ---
+
+// benchRouter caches a router over four shards of benchStore, each
+// behind its own TCP loopback listener: the path the repo benchmark's
+// sharded_tcp workload drives, without the HTTP front.
+var benchRouter = sync.OnceValue(func() *router.Router {
+	const shards = 4
+	clients := make([]*router.ShardClient, shards)
+	for i := range clients {
+		owned, err := router.OwnedVertices(benchGraph50k(), shards, i, 7)
+		if err != nil {
+			panic(err)
+		}
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			panic(err)
+		}
+		go router.NewShardServer(i, shards, owned, benchStore()).Serve(context.Background(), ln) //nolint:errcheck // lives as long as the process
+		addr := ln.Addr().String()
+		clients[i] = router.NewShardClient(i, addr, router.DialTCP(addr), time.Second)
+	}
+	return router.New(clients, router.Options{})
+})
+
+// discardWriter is a ResponseWriter that keeps the status only, so a
+// handler benchmark counts the handler's allocations, not a recorder's.
+type discardWriter struct {
+	header http.Header
+	status int
+}
+
+func (w *discardWriter) Header() http.Header         { return w.header }
+func (w *discardWriter) Write(p []byte) (int, error) { return len(p), nil }
+func (w *discardWriter) WriteHeader(status int)      { w.status = status }
+
+// benchRoute times Router.ServeHTTP on one URL: fan-out to four shards
+// over loopback, merge, marshal.
+func benchRoute(b *testing.B, url string) {
+	rt := benchRouter()
+	req := httptest.NewRequest(http.MethodGet, url, nil)
+	w := &discardWriter{header: make(http.Header)}
+	rt.ServeHTTP(w, req) // dial the pooled connections outside the timed loop
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w.status = http.StatusOK
+		rt.ServeHTTP(w, req)
+		if w.status != http.StatusOK {
+			b.Fatalf("status %d", w.status)
+		}
+	}
+	if sec := b.Elapsed().Seconds(); sec > 0 {
+		b.ReportMetric(float64(b.N)/sec, "queries/s")
+	}
+}
+
+// BenchmarkRouterTopK measures a sharded /v1/topk at the three sizes
+// that separate its costs: k=1 is the fan-out floor, k=100 is dominated
+// by frames and the merge.
+func BenchmarkRouterTopK(b *testing.B) {
+	for _, k := range []int{1, 10, 100} {
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			benchRoute(b, fmt.Sprintf("/v1/topk?k=%d", k))
+		})
+	}
+}
+
+// BenchmarkRouterRank measures a sharded point query: the same fan-out
+// with no entries in any frame.
+func BenchmarkRouterRank(b *testing.B) {
+	benchRoute(b, "/v1/rank?vertex=7")
 }
 
 // --- Storage-backend benchmarks (PR 5: gstore + snapshot persistence) ---

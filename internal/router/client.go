@@ -40,6 +40,15 @@ func PipeDialer(srv *ShardServer) DialFunc {
 // connections close instead of accumulating.
 const maxIdleConns = 16
 
+// clientConn is one pooled shard connection together with its read
+// buffer and frame buffer, so an RPC on a warm connection allocates
+// neither.
+type clientConn struct {
+	net.Conn
+	br    *bufio.Reader
+	frame frameBuf
+}
+
 // ShardClient is the router's handle on one shard: a small pool of
 // persistent connections, a per-request deadline, one retry on a fresh
 // connection after a transport error, and byte counters for every
@@ -50,7 +59,7 @@ type ShardClient struct {
 	dial    DialFunc
 	timeout time.Duration
 
-	idle chan net.Conn
+	idle chan *clientConn
 
 	// Free-standing obs instruments; Router.New registers them on its
 	// registry via Instrument, so the stats body (which reads the same
@@ -72,7 +81,7 @@ func NewShardClient(id int, addr string, dial DialFunc, timeout time.Duration) *
 	}
 	return &ShardClient{
 		id: id, addr: addr, dial: dial, timeout: timeout,
-		idle: make(chan net.Conn, maxIdleConns),
+		idle: make(chan *clientConn, maxIdleConns),
 	}
 }
 
@@ -123,18 +132,22 @@ func (c *ShardClient) Close() {
 }
 
 // get checks out an idle connection or dials a fresh one.
-func (c *ShardClient) get() (net.Conn, error) {
+func (c *ShardClient) get() (*clientConn, error) {
 	select {
 	case conn := <-c.idle:
 		return conn, nil
 	default:
-		return c.dial()
+		conn, err := c.dial()
+		if err != nil {
+			return nil, err
+		}
+		return &clientConn{Conn: conn, br: bufio.NewReader(conn)}, nil
 	}
 }
 
 // put returns a healthy connection to the pool (or closes it when the
 // pool is full).
-func (c *ShardClient) put(conn net.Conn) {
+func (c *ShardClient) put(conn *clientConn) {
 	select {
 	case c.idle <- conn:
 	default:
@@ -146,7 +159,7 @@ func (c *ShardClient) put(conn net.Conn) {
 // with one retry on a fresh connection after any transport error (a
 // pooled connection may have died while idle, so the first failure is
 // ambiguous; the second is real).
-func (c *ShardClient) call(req request) (response, error) {
+func (c *ShardClient) call(req *request) (response, error) {
 	c.calls.Inc()
 	start := time.Now()
 	defer func() { c.rpcLat.Observe(time.Since(start)) }()
@@ -177,22 +190,20 @@ func (c *ShardClient) call(req request) (response, error) {
 }
 
 // roundTrip runs one request/response exchange on conn under the
-// client deadline, metering both directions.
-func (c *ShardClient) roundTrip(conn net.Conn, req request) (response, error) {
+// client deadline, metering both directions. On any error the caller
+// closes conn: a frame that failed to decode may have left bytes
+// unread, so the connection is never pooled again.
+func (c *ShardClient) roundTrip(conn *clientConn, req *request) (response, error) {
 	if err := conn.SetDeadline(time.Now().Add(c.timeout)); err != nil {
 		return response{}, err
 	}
-	bw := bufio.NewWriter(conn)
-	n, err := writeFrame(bw, req)
-	if err == nil {
-		err = bw.Flush()
-	}
+	n, err := conn.frame.writeRequest(conn, req)
 	c.sent.Add(uint64(n))
 	if err != nil {
 		return response{}, err
 	}
 	var resp response
-	n, err = readFrame(bufio.NewReader(conn), &resp)
+	n, err = conn.frame.readResponse(conn.br, &resp)
 	c.recv.Add(uint64(n))
 	if err != nil {
 		return response{}, err

@@ -247,7 +247,7 @@ func (r shardResult) ok() bool { return r.err == nil && r.resp.Code == "" }
 
 // fanout sends req to every shard concurrently and collects all
 // answers, indexed by shard position.
-func (rt *Router) fanout(req request) []shardResult {
+func (rt *Router) fanout(req *request) []shardResult {
 	results := make([]shardResult, len(rt.clients))
 	var wg sync.WaitGroup
 	for i, c := range rt.clients {
@@ -280,7 +280,7 @@ func shardErr(results []shardResult) error {
 // the merged exact response, or an error when any shard cannot
 // contribute.
 func (rt *Router) consistentTopK(k int, rid string) (api.TopKResponse, error) {
-	results := rt.fanout(request{V: api.Version, Op: opTopK, K: k, Rid: rid})
+	results := rt.fanout(&request{V: api.Version, Op: opTopK, K: k, Rid: rid})
 	for _, r := range results {
 		if !r.ok() {
 			return api.TopKResponse{}, shardErr(results)
@@ -301,7 +301,7 @@ func (rt *Router) consistentTopK(k int, rid string) (api.TopKResponse, error) {
 	}
 	if mixed {
 		rt.epochFallbacks.Inc()
-		pinned := request{V: api.Version, Op: opTopK, K: k, Epoch: target, Rid: rid}
+		pinned := &request{V: api.Version, Op: opTopK, K: k, Epoch: target, Rid: rid}
 		for i := range results {
 			if results[i].resp.Epoch == target {
 				continue
@@ -317,11 +317,7 @@ func (rt *Router) consistentTopK(k int, rid string) (api.TopKResponse, error) {
 	}
 	lists := make([][]topk.Entry, len(results))
 	for i, r := range results {
-		entries := make([]topk.Entry, len(r.resp.Entries))
-		for j, e := range r.resp.Entries {
-			entries[j] = topk.Entry{Vertex: e.Vertex, Score: e.Score}
-		}
-		lists[i] = entries
+		lists[i] = r.resp.Entries
 	}
 	merged := topk.Merge(lists, k)
 	rows := make([]api.TopKEntry, len(merged))
@@ -380,7 +376,7 @@ func (rt *Router) handleRank(w http.ResponseWriter, r *http.Request, rid string)
 		return
 	}
 	v := uint32(v64)
-	results := rt.fanout(request{V: api.Version, Op: opRank, Vertex: v, Rid: rid})
+	results := rt.fanout(&request{V: api.Version, Op: opRank, Vertex: v, Rid: rid})
 	allOK := true
 	var maxEpoch uint64
 	for _, res := range results {
@@ -452,7 +448,7 @@ func (rt *Router) handleCompare(w http.ResponseWriter, r *http.Request, rid stri
 // stats and health: per-shard rows, the freshest epoch anywhere, and
 // the oldest epoch among live shards (the consistent serving floor).
 func (rt *Router) probe(rid string) (rows []api.ShardStatus, maxEpoch, minEpoch uint64, engine api.Engine, seed uint64, healthy bool) {
-	results := rt.fanout(request{V: api.Version, Op: opStatus, Rid: rid})
+	results := rt.fanout(&request{V: api.Version, Op: opStatus, Rid: rid})
 	rows = make([]api.ShardStatus, len(results))
 	healthy = true
 	first := true

@@ -121,7 +121,11 @@ func TestShardedBitIdenticalToSingleNode(t *testing.T) {
 			}
 			rt := newRouter(newShards(t, g, stores), Options{})
 
-			for _, k := range []int{1, 3, 10, 63, 500, n, n + 9} {
+			// 50 is the snapshots' MaxK: the last k answered as a prefix of
+			// each shard's index, 51 the first that selects per query;
+			// n-1 exceeds every shard's owned count once there are two
+			// shards, n+9 the graph.
+			for _, k := range []int{1, 3, 10, 50, 51, 63, 500, n - 1, n, n + 9} {
 				url := fmt.Sprintf("/v1/topk?k=%d", k)
 				sc, sb := get(t, single, url)
 				rc, rb := get(t, rt, url)

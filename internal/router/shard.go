@@ -6,7 +6,7 @@ import (
 	"errors"
 	"io"
 	"net"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -45,8 +45,18 @@ func OwnedVertices(g *graph.Graph, shards, id int, seed uint64) ([]uint32, error
 			owned = append(owned, uint32(v))
 		}
 	}
-	sort.Slice(owned, func(i, j int) bool { return owned[i] < owned[j] })
+	slices.Sort(owned)
 	return owned, nil
+}
+
+// epochIndex is one retained snapshot with this shard's top index over
+// it: topk.Subset(snap.Ranks, owned, snap.MaxK), built once when track
+// first sees the snapshot. The order is total, so any shorter partial
+// top-k is a prefix of it — the property Snapshot.TopK rests on, per
+// partition.
+type epochIndex struct {
+	snap *serve.Snapshot
+	top  []topk.Entry
 }
 
 // ShardServer answers partial queries over the vertices it owns, from
@@ -63,8 +73,8 @@ type ShardServer struct {
 	// mu guards the cur/prev retention ring, updated lazily as the
 	// store publishes new snapshots.
 	mu   sync.Mutex
-	cur  *serve.Snapshot
-	prev *serve.Snapshot
+	cur  epochIndex
+	prev epochIndex
 
 	// Free-standing obs instruments, live from construction and
 	// exposed on a registry via Instrument. opsByName maps RPC op
@@ -141,42 +151,57 @@ func (s *ShardServer) Instrument(reg *obs.Registry) {
 }
 
 // track refreshes the retention ring against the store and returns the
-// current and previous snapshots.
-func (s *ShardServer) track() (cur, prev *serve.Snapshot) {
+// current and previous snapshots with their indexes. The index is built
+// under mu, so each snapshot is indexed exactly once however many RPCs
+// first see it together.
+func (s *ShardServer) track() (cur, prev epochIndex) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if c := s.store.Current(); c != s.cur {
-		s.prev, s.cur = s.cur, c
+	if c := s.store.Current(); c != s.cur.snap {
+		s.prev, s.cur = s.cur, epochIndex{snap: c}
+		if c != nil {
+			s.cur.top = topk.Subset(c.Ranks, s.owned, c.MaxK)
+		}
 	}
 	return s.cur, s.prev
 }
 
 // snapshotFor resolves the requested epoch: 0 means current, the
 // previous epoch is served from the retention ring, anything else is
-// gone (nil).
-func (s *ShardServer) snapshotFor(epoch uint64) *serve.Snapshot {
+// gone (a nil snap).
+func (s *ShardServer) snapshotFor(epoch uint64) epochIndex {
 	cur, prev := s.track()
 	switch {
-	case cur == nil:
-		return nil
-	case epoch == 0 || epoch == cur.Epoch:
+	case cur.snap == nil:
+	case epoch == 0 || epoch == cur.snap.Epoch:
 		return cur
-	case prev != nil && epoch == prev.Epoch:
+	case prev.snap != nil && epoch == prev.snap.Epoch:
 		return prev
 	}
-	return nil
+	return epochIndex{}
+}
+
+// topK returns the partial top-k over the owned vertices: a prefix of
+// the index when it reaches k or already holds the whole partition, a
+// fresh selection otherwise (mirroring Snapshot.TopK's fallback). The
+// result is read-only.
+func (s *ShardServer) topK(idx epochIndex, k int) []topk.Entry {
+	if k <= idx.snap.MaxK || len(idx.top) < idx.snap.MaxK {
+		return idx.top[:min(k, len(idx.top))]
+	}
+	return topk.Subset(idx.snap.Ranks, s.owned, k)
 }
 
 // owns reports whether vertex v is mastered by this shard.
 func (s *ShardServer) owns(v uint32) bool {
-	i := sort.Search(len(s.owned), func(i int) bool { return s.owned[i] >= v })
-	return i < len(s.owned) && s.owned[i] == v
+	_, ok := slices.BinarySearch(s.owned, v)
+	return ok
 }
 
 // handle instruments one RPC: op counters, handling latency, and —
 // when a request log is set — one JSON line carrying the propagated
 // request id.
-func (s *ShardServer) handle(req request) response {
+func (s *ShardServer) handle(req *request) response {
 	start := time.Now()
 	resp := s.answer(req)
 	dur := time.Since(start)
@@ -209,7 +234,7 @@ func (s *ShardServer) handle(req request) response {
 }
 
 // answer computes one RPC response.
-func (s *ShardServer) answer(req request) response {
+func (s *ShardServer) answer(req *request) response {
 	if req.V != api.Version {
 		return errResponse(s.id, api.CodeVersionMismatch,
 			"shard speaks wire version %d, router sent %d", api.Version, req.V)
@@ -220,22 +245,17 @@ func (s *ShardServer) answer(req request) response {
 		if req.K <= 0 {
 			return errResponse(s.id, api.CodeBadRequest, "k must be positive, got %d", req.K)
 		}
-		snap := s.snapshotFor(req.Epoch)
-		if snap == nil {
+		idx := s.snapshotFor(req.Epoch)
+		if idx.snap == nil {
 			return errResponse(s.id, api.CodeNoSnapshot, "no snapshot for epoch %d", req.Epoch)
-		}
-		part := topk.Subset(snap.Ranks, s.owned, req.K)
-		entries := make([]api.TopKEntry, len(part))
-		for i, e := range part {
-			entries[i] = api.TopKEntry{Vertex: e.Vertex, Score: e.Score}
 		}
 		return response{
 			V: api.Version, Shard: s.id,
-			Epoch: snap.Epoch, Engine: snap.Engine, Seed: snap.Seed,
-			Entries: entries,
+			Epoch: idx.snap.Epoch, Engine: idx.snap.Engine, Seed: idx.snap.Seed,
+			Entries: s.topK(idx, req.K),
 		}
 	case opRank:
-		snap := s.snapshotFor(req.Epoch)
+		snap := s.snapshotFor(req.Epoch).snap
 		if snap == nil {
 			return errResponse(s.id, api.CodeNoSnapshot, "no snapshot for epoch %d", req.Epoch)
 		}
@@ -249,12 +269,12 @@ func (s *ShardServer) answer(req request) response {
 		}
 		return resp
 	case opStatus:
-		cur, _ := s.track()
+		idx, _ := s.track()
 		resp := response{
 			V: api.Version, Shard: s.id,
 			OwnedCount: len(s.owned), Queries: s.queries.Value(),
 		}
-		if cur != nil {
+		if cur := idx.snap; cur != nil {
 			resp.Epoch, resp.Engine, resp.Seed = cur.Epoch, cur.Engine, cur.Seed
 			resp.SnapshotAge = time.Since(cur.BuiltAt).Seconds()
 		}
@@ -269,10 +289,10 @@ func (s *ShardServer) answer(req request) response {
 // desynchronized frame stream.
 func (s *ShardServer) ServeConn(conn net.Conn) error {
 	br := bufio.NewReader(conn)
-	bw := bufio.NewWriter(conn)
+	var frame frameBuf
+	var req request
 	for {
-		var req request
-		n, err := readFrame(br, &req)
+		n, err := frame.readRequest(br, &req)
 		s.bytesRead.Add(uint64(n))
 		if err != nil {
 			if errors.Is(err, io.EOF) {
@@ -280,12 +300,10 @@ func (s *ShardServer) ServeConn(conn net.Conn) error {
 			}
 			return err
 		}
-		n, err = writeFrame(bw, s.handle(req))
+		resp := s.handle(&req)
+		n, err = frame.writeResponse(conn, &resp)
 		s.bytesWrite.Add(uint64(n))
 		if err != nil {
-			return err
-		}
-		if err := bw.Flush(); err != nil {
 			return err
 		}
 	}

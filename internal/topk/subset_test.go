@@ -3,6 +3,7 @@ package topk
 import (
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 )
 
@@ -108,6 +109,67 @@ func TestLessMatchesOrdering(t *testing.T) {
 		}
 		if !Less(top[i], top[i-1]) {
 			t.Fatalf("total order violated: adjacent entries equal at %d", i)
+		}
+	}
+}
+
+// mergeBySort is Merge as first defined — concatenate, sort descending
+// in the total order, cut at k — kept as the reference the k-way merge
+// is held to.
+func mergeBySort(lists [][]Entry, k int) []Entry {
+	if k <= 0 {
+		return nil
+	}
+	all := []Entry{}
+	for _, l := range lists {
+		all = append(all, l...)
+	}
+	sort.Slice(all, func(i, j int) bool { return entryLess(all[j], all[i]) })
+	return all[:min(k, len(all))]
+}
+
+// TestMergeMatchesSortDefinition holds the k-way merge to the sort-based
+// definition on random tie-heavy inputs: no lists, empty lists, a single
+// list, k = 0, k past the total, and the same vertex in several lists
+// (kept, as before). The second half keeps Merge(Subset parts) == Top
+// for random partitions of the vertex space.
+func TestMergeMatchesSortDefinition(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 2000; trial++ {
+		lists := make([][]Entry, r.Intn(7))
+		total := 0
+		for i := range lists {
+			l := make([]Entry, r.Intn(4)*r.Intn(9))
+			for j := range l {
+				// Three scores and thirty vertices: ties inside and across
+				// lists, and duplicates of whole entries.
+				l[j] = Entry{Vertex: uint32(r.Intn(30)), Score: float64(r.Intn(3)) / 4}
+			}
+			sort.Slice(l, func(a, b int) bool { return entryLess(l[b], l[a]) })
+			lists[i] = l
+			total += len(l)
+		}
+		for _, k := range []int{-1, 0, 1, r.Intn(total + 1), total, total + 3} {
+			if got, want := Merge(lists, k), mergeBySort(lists, k); !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d k=%d lists=%v\n got %v\nwant %v", trial, k, lists, got, want)
+			}
+		}
+	}
+
+	scores := tieScores(300)
+	for trial := 0; trial < 50; trial++ {
+		sets := make([][]uint32, 1+r.Intn(8))
+		for v := range scores {
+			p := r.Intn(len(sets))
+			sets[p] = append(sets[p], uint32(v))
+		}
+		k := 1 + r.Intn(len(scores)+10)
+		lists := make([][]Entry, len(sets))
+		for i, set := range sets {
+			lists[i] = Subset(scores, set, k)
+		}
+		if got, want := Merge(lists, k), Top(scores, k); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: %d random parts, k=%d: merge diverged from Top", trial, len(sets), k)
 		}
 	}
 }

@@ -149,6 +149,11 @@ func (h entryHeap) drain() []Entry {
 // tie-breaking freedom for shards to disagree on. Duplicate vertices
 // across lists are kept; callers partition the vertex space so they
 // cannot occur.
+//
+// It is a k-way merge that stops after k outputs: each output takes
+// the strongest of the lists' heads, so the cost is k comparisons per
+// list — never more than reading the input once — and entries past
+// the cut are not touched.
 func Merge(lists [][]Entry, k int) []Entry {
 	if k <= 0 {
 		return nil
@@ -157,16 +162,22 @@ func Merge(lists [][]Entry, k int) []Entry {
 	for _, l := range lists {
 		total += len(l)
 	}
-	all := make([]Entry, 0, total)
-	for _, l := range lists {
-		all = append(all, l...)
+	if k > total {
+		k = total
 	}
-	// Descending: b < a in the total order.
-	sort.Slice(all, func(i, j int) bool { return entryLess(all[j], all[i]) })
-	if k > len(all) {
-		k = len(all)
+	out := make([]Entry, 0, k)
+	heads := make([]int, len(lists))
+	for len(out) < k {
+		best := -1
+		for i, l := range lists {
+			if heads[i] < len(l) && (best < 0 || entryLess(lists[best][heads[best]], l[heads[i]])) {
+				best = i
+			}
+		}
+		out = append(out, lists[best][heads[best]])
+		heads[best]++
 	}
-	return all[:k:k]
+	return out
 }
 
 // Vertices extracts the vertex ids from entries, preserving order.
