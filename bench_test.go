@@ -572,17 +572,17 @@ func BenchmarkSnapshotTopK(b *testing.B) {
 // sharded_tcp workload drives, without the HTTP front.
 var benchRouter = sync.OnceValue(func() *router.Router {
 	const shards = 4
+	owned, err := router.Partition(benchGraph50k(), shards, 7)
+	if err != nil {
+		panic(err)
+	}
 	clients := make([]*router.ShardClient, shards)
 	for i := range clients {
-		owned, err := router.OwnedVertices(benchGraph50k(), shards, i, 7)
-		if err != nil {
-			panic(err)
-		}
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			panic(err)
 		}
-		go router.NewShardServer(i, shards, owned, benchStore()).Serve(context.Background(), ln) //nolint:errcheck // lives as long as the process
+		go router.NewShardServer(i, shards, owned[i], benchStore()).Serve(context.Background(), ln) //nolint:errcheck // lives as long as the process
 		addr := ln.Addr().String()
 		clients[i] = router.NewShardClient(i, addr, router.DialTCP(addr), time.Second)
 	}

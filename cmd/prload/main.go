@@ -399,13 +399,13 @@ func buildSharded(ctx context.Context, path, cache, genType string, n int, engin
 	store := serve.NewStore()
 	store.Publish(snap)
 
+	owned, err := router.Partition(g, shards, seed)
+	if err != nil {
+		return nil, 0, err
+	}
 	clients := make([]*router.ShardClient, shards)
 	for i := 0; i < shards; i++ {
-		owned, err := router.OwnedVertices(g, shards, i, seed)
-		if err != nil {
-			return nil, 0, err
-		}
-		srv := router.NewShardServer(i, shards, owned, store)
+		srv := router.NewShardServer(i, shards, owned[i], store)
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			return nil, 0, err

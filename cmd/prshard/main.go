@@ -130,14 +130,16 @@ func run(ctx context.Context, args []string, stderr io.Writer, onReady, onMetric
 		return 1
 	}
 	defer g.Close()
+	loadSeconds := time.Since(loadStart).Seconds()
 
+	partStart := time.Now()
 	owned, err := router.OwnedVertices(g, *shards, *shard, *seed)
 	if err != nil {
 		fmt.Fprintf(stderr, "prshard: %v\n", err)
 		return 1
 	}
-	log.Printf("prshard: shard %d/%d owns %d of %d vertices (graph ready in %.3fs)",
-		*shard, *shards, len(owned), g.NumVertices(), time.Since(loadStart).Seconds())
+	log.Printf("prshard: shard %d/%d owns %d of %d vertices (graph ready in %.3fs, partition in %.3fs)",
+		*shard, *shards, len(owned), g.NumVertices(), loadSeconds, time.Since(partStart).Seconds())
 
 	reg := obs.NewRegistry()
 	store := serve.NewStore()

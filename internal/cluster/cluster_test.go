@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
@@ -318,15 +320,26 @@ func TestZeroBandwidthMeansFreeNetwork(t *testing.T) {
 	}
 }
 
-func BenchmarkLayoutRandom(b *testing.B) {
-	g := testGraph(b, 20000, 1)
+// benchLayout times a full NewLayout on the graph the repo benchmark
+// serves (gen.TwitterLike, 50k vertices, 1.38M edges), so these numbers
+// line up with cluster.layout_s in the bench/ ledger.
+func benchLayout(b *testing.B, machines int, p Partitioner) {
+	g, err := gen.PowerLaw(gen.TwitterLike(50000, 1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := NewLayout(g, 16, Random{}, 1); err != nil {
+		if _, err := NewLayout(g, machines, p, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
+
+func BenchmarkLayoutRandom(b *testing.B) { benchLayout(b, 16, Random{}) }
+
+func BenchmarkLayoutHDRF(b *testing.B) { benchLayout(b, 4, HDRF{}) }
 
 func BenchmarkLayoutOblivious(b *testing.B) {
 	g := testGraph(b, 20000, 1)
@@ -394,6 +407,76 @@ func TestLayoutBeyond64Machines(t *testing.T) {
 		}
 		if rf := lay.ReplicationFactor(); rf < 1 || rf > 100 {
 			t.Fatalf("%s: replication %v out of range", p.Name(), rf)
+		}
+	}
+}
+
+// strayPartitioner places every edge on machine 0 except one, which it
+// puts on a machine the cluster does not have.
+type strayPartitioner struct{ stray uint16 }
+
+func (strayPartitioner) Name() string { return "stray" }
+
+func (p strayPartitioner) Place(g *graph.Graph, machines int, seed uint64) []uint16 {
+	out := make([]uint16, g.NumEdges())
+	out[len(out)/2] = p.stray
+	return out
+}
+
+func TestOutOfRangePlacementIsAnError(t *testing.T) {
+	g := testGraph(t, 100, 14)
+	for _, stray := range []uint16{4, 65, 9999} {
+		_, err := NewLayout(g, 4, strayPartitioner{stray}, 1)
+		if err == nil {
+			t.Fatalf("placement on machine %d of 4 was accepted", stray)
+		}
+		for _, want := range []string{"stray", fmt.Sprint(stray)} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("error %q does not mention %q", err, want)
+			}
+		}
+		if _, _, err := MasterLists(g, 4, strayPartitioner{stray}, 1); err == nil {
+			t.Errorf("MasterLists accepted a placement on machine %d of 4", stray)
+		}
+	}
+	if _, err := NewLayout(g, 4, strayPartitioner{3}, 1); err != nil {
+		t.Errorf("in-range placement rejected: %v", err)
+	}
+}
+
+// TestLocalIndexMatchesVertsSearch is the property LocalIndex rests on
+// now that no map backs it: on every machine, for every vertex of the
+// graph — hosted there or not, isolated or not — it answers exactly
+// what a search of the machine's ascending Verts() answers, with one
+// presence word per vertex (<= 64 machines) and beyond.
+func TestLocalIndexMatchesVertsSearch(t *testing.T) {
+	graphs := map[string]*graph.Graph{
+		"powerlaw": testGraph(t, 700, 15),
+		"sparse":   sparseGraph(),
+	}
+	for name, g := range graphs {
+		for _, p := range []Partitioner{Random{}, Grid{}, HDRF{}} {
+			for _, machines := range []int{1, 3, 64, 65, 130} {
+				lay, err := NewLayout(g, machines, p, 5)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for m := 0; m < machines; m++ {
+					view := lay.View(m)
+					at := map[uint32]int32{} // the brute-force inverse of Verts()
+					for li, v := range view.Verts() {
+						at[v] = int32(li)
+					}
+					for v := 0; v < g.NumVertices(); v++ {
+						want, wantOK := at[uint32(v)]
+						got, ok := view.LocalIndex(uint32(v))
+						if ok != wantOK || (ok && got != want) {
+							t.Fatalf("%s/%s/%d machines: LocalIndex(%d) on machine %d = %d,%v; Verts() says %d,%v",
+								name, p.Name(), machines, v, m, got, ok, want, wantOK)
+						}
+					}
+				}
+			}
 		}
 	}
 }

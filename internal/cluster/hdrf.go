@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"repro/internal/graph"
-	"repro/internal/rng"
 )
 
 // HDRF implements the High-Degree (are) Replicated First streaming
@@ -31,50 +30,21 @@ func (h HDRF) Place(g *graph.Graph, machines int, seed uint64) []uint16 {
 		lambda = 1.1
 	}
 	n := g.NumVertices()
-	edges := g.EdgeSlice()
-	order := make([]int, len(edges))
-	r := rng.Derive(seed, 0x1D2F)
-	r.Perm(order)
+	stream, pos := streamOrder(g, seed, 0x1D2F)
 
 	// Partial degrees (observed so far in the stream, per HDRF).
 	pdeg := make([]int32, n)
-	// presence bitsets (<=64 machines fast path, like Oblivious).
-	usesBitset := machines <= 64
-	var presence []uint64
-	var presenceBig [][]uint64
-	words := (machines + 63) / 64
-	if usesBitset {
-		presence = make([]uint64, n)
-	} else {
-		presenceBig = make([][]uint64, n)
-	}
-	has := func(v graph.VertexID, m int) bool {
-		if usesBitset {
-			return presence[v]&(1<<uint(m)) != 0
-		}
-		b := presenceBig[v]
-		return b != nil && b[m/64]&(1<<uint(m%64)) != 0
-	}
-	set := func(v graph.VertexID, m int) {
-		if usesBitset {
-			presence[v] |= 1 << uint(m)
-			return
-		}
-		if presenceBig[v] == nil {
-			presenceBig[v] = make([]uint64, words)
-		}
-		presenceBig[v][m/64] |= 1 << uint(m%64)
-	}
+	pres := newPresenceSet(n, machines)
 
 	load := make([]int64, machines)
 	var maxLoad, minLoad int64
-	out := make([]uint16, len(edges))
+	choice := make([]uint16, len(stream))
 
-	for _, idx := range order {
-		e := edges[idx]
-		pdeg[e.Src]++
-		pdeg[e.Dst]++
-		du, dv := float64(pdeg[e.Src]), float64(pdeg[e.Dst])
+	for i, e := range stream {
+		u, v := e.Src, e.Dst
+		pdeg[u]++
+		pdeg[v]++
+		du, dv := float64(pdeg[u]), float64(pdeg[v])
 		// Normalized degrees θ: the lower-degree endpoint gets the
 		// larger θ, steering its replica credit higher so the
 		// low-degree vertex is kept intact and the hub is replicated.
@@ -84,10 +54,10 @@ func (h HDRF) Place(g *graph.Graph, machines int, seed uint64) []uint16 {
 		best, bestScore := 0, math.Inf(-1)
 		for m := 0; m < machines; m++ {
 			rep := 0.0
-			if has(e.Src, m) {
+			if pres.has(u, m) {
 				rep += 1 + (1 - thetaU)
 			}
-			if has(e.Dst, m) {
+			if pres.has(v, m) {
 				rep += 1 + (1 - thetaV)
 			}
 			denom := float64(maxLoad-minLoad) + 1
@@ -96,9 +66,9 @@ func (h HDRF) Place(g *graph.Graph, machines int, seed uint64) []uint16 {
 				best, bestScore = m, score
 			}
 		}
-		out[idx] = uint16(best)
-		set(e.Src, best)
-		set(e.Dst, best)
+		choice[i] = uint16(best)
+		pres.set(u, best)
+		pres.set(v, best)
 		load[best]++
 		if load[best] > maxLoad {
 			maxLoad = load[best]
@@ -110,5 +80,5 @@ func (h HDRF) Place(g *graph.Graph, machines int, seed uint64) []uint16 {
 			}
 		}
 	}
-	return out
+	return csrOrder(choice, pos)
 }

@@ -3,7 +3,7 @@ package cluster
 import (
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"repro/internal/graph"
 )
@@ -20,9 +20,17 @@ type Layout struct {
 	master []uint16 // master machine per vertex
 
 	// presence lists: machines hosting v are
-	// presList[presOff[v]:presOff[v+1]], master first.
-	presOff  []int64
-	presList []uint16
+	// presList[presOff[v]:presOff[v+1]], master first. presLocal is
+	// aligned with presList: presLocal[j] is v's dense local index on
+	// machine presList[j].
+	presOff   []int64
+	presList  []uint16
+	presLocal []int32
+
+	// presWord[v] is v's host set as one bitmask, kept for clusters of
+	// at most 64 machines (nil beyond): the rank of a machine's bit in
+	// it locates that machine's entry in v's presence list.
+	presWord []uint64
 
 	views []MachineView
 }
@@ -32,12 +40,11 @@ type Layout struct {
 // form. Engine goroutines operate on views concurrently; views are
 // read-only after construction.
 type MachineView struct {
-	id int
+	id  int
+	lay *Layout // LocalIndex answers from its presence lists
 
-	// verts lists present vertices in ascending order; localIdx inverts
-	// it.
-	verts    []uint32
-	localIdx map[uint32]int32
+	// verts lists present vertices in ascending order.
+	verts []uint32
 
 	outOff []int64
 	outAdj []uint32
@@ -50,139 +57,250 @@ type MachineView struct {
 // NewLayout partitions g across the given number of machines using the
 // partitioner and returns the realized layout. The seed feeds both the
 // partitioner and the master-selection hash.
+//
+// Vertex ids are dense, so every step is a counting pass over the CSR
+// (count, prefix-sum, fill) rather than a hash-map build.
 func NewLayout(g *graph.Graph, machines int, p Partitioner, seed uint64) (*Layout, error) {
+	lay, placement, err := ingress(g, machines, p, seed)
+	if err != nil {
+		return nil, err
+	}
+	n := g.NumVertices()
+
+	// Local indices: v's index on machine m is the number of
+	// lower-numbered vertices m hosts, so one ascending sweep of the
+	// presence lists assigns them and writes every view's verts.
+	present := make([]int, machines)
+	for _, m := range lay.presList {
+		present[m]++
+	}
+	lay.views = make([]MachineView, machines)
+	for m := range lay.views {
+		lay.views[m] = MachineView{
+			id:     m,
+			lay:    lay,
+			verts:  make([]uint32, present[m]),
+			outOff: make([]int64, present[m]+1),
+			inOff:  make([]int64, present[m]+1),
+		}
+	}
+	lay.presLocal = make([]int32, len(lay.presList))
+	next := make([]int32, machines)
+	for v := 0; v < n; v++ {
+		for j := lay.presOff[v]; j < lay.presOff[v+1]; j++ {
+			m := lay.presList[j]
+			lay.presLocal[j] = next[m]
+			lay.views[m].verts[next[m]] = uint32(v)
+			next[m]++
+		}
+	}
+
+	// Local CSRs. local[i] is the local index of edge i's destination
+	// on the edge's machine; the source's comes from srcLocal, refilled
+	// from each source's presence entries before its edges are read.
+	// Degrees are counted into off[li+1]; after the prefix sum off[li]
+	// is li's write cursor, which the fill leaves at li's end.
+	r := g.NewAdjReader()
+	defer r.Release()
+	local := make([]int32, len(placement))
+	srcLocal := make([]int32, machines)
+	i := 0
+	for v := 0; v < n; v++ {
+		for j := lay.presOff[v]; j < lay.presOff[v+1]; j++ {
+			srcLocal[lay.presList[j]] = lay.presLocal[j]
+		}
+		for _, d := range r.OutNeighbors(graph.VertexID(v)) {
+			m := int(placement[i])
+			ld, _ := lay.localIndex(d, m)
+			local[i] = ld
+			lay.views[m].outOff[srcLocal[m]+1]++
+			lay.views[m].inOff[ld+1]++
+			i++
+		}
+	}
+	for m := range lay.views {
+		view := &lay.views[m]
+		for li := range view.verts {
+			view.outOff[li+1] += view.outOff[li]
+			view.inOff[li+1] += view.inOff[li]
+		}
+		view.outAdj = make([]uint32, view.outOff[len(view.verts)])
+		view.inAdj = make([]uint32, view.inOff[len(view.verts)])
+	}
+	i = 0
+	for v := 0; v < n; v++ {
+		for j := lay.presOff[v]; j < lay.presOff[v+1]; j++ {
+			srcLocal[lay.presList[j]] = lay.presLocal[j]
+		}
+		for _, d := range r.OutNeighbors(graph.VertexID(v)) {
+			m := placement[i]
+			view := &lay.views[m]
+			ls, ld := srcLocal[m], local[i]
+			view.outAdj[view.outOff[ls]] = d
+			view.outOff[ls]++
+			view.inAdj[view.inOff[ld]] = uint32(v)
+			view.inOff[ld]++
+			i++
+		}
+	}
+	masters, _ := lay.masterLists()
+	for m := range lay.views {
+		view := &lay.views[m]
+		// Every cursor now holds its vertex's end, i.e. the next
+		// vertex's start: shift them back into place.
+		copy(view.outOff[1:], view.outOff)
+		copy(view.inOff[1:], view.inOff)
+		view.outOff[0], view.inOff[0] = 0, 0
+		view.masters = masters[m]
+	}
+	return lay, nil
+}
+
+// MasterLists runs the ingress half of NewLayout only — placement,
+// presence, master selection — and returns what a caller that wants
+// vertex ownership needs: masters[m] equals
+// NewLayout(...).View(m).Masters(), and isolated lists, ascending, the
+// vertices no machine hosts. No local CSR is built: beyond what the
+// partitioner itself keeps, the graph's edges are read in one sweep
+// (paged or resident) and never copied.
+func MasterLists(g *graph.Graph, machines int, p Partitioner, seed uint64) (masters [][]uint32, isolated []uint32, err error) {
+	lay, _, err := ingress(g, machines, p, seed)
+	if err != nil {
+		return nil, nil, err
+	}
+	masters, isolated = lay.masterLists()
+	return masters, isolated, nil
+}
+
+// ingress decides where everything lives: it runs the partitioner,
+// derives each vertex's presence set from the placement and picks the
+// masters. The returned layout has no views yet.
+func ingress(g *graph.Graph, machines int, p Partitioner, seed uint64) (*Layout, []uint16, error) {
 	if machines < 1 || machines > MaxMachines {
-		return nil, fmt.Errorf("cluster: machine count %d out of range", machines)
+		return nil, nil, fmt.Errorf("cluster: machine count %d out of range", machines)
 	}
 	if g.NumVertices() == 0 {
-		return nil, fmt.Errorf("cluster: empty graph")
+		return nil, nil, fmt.Errorf("cluster: empty graph")
 	}
 	if p == nil {
 		p = Random{}
 	}
 	placement := p.Place(g, machines, seed)
 	if int64(len(placement)) != g.NumEdges() {
-		return nil, fmt.Errorf("cluster: partitioner %s returned %d placements for %d edges",
+		return nil, nil, fmt.Errorf("cluster: partitioner %s returned %d placements for %d edges",
 			p.Name(), len(placement), g.NumEdges())
 	}
 
 	n := g.NumVertices()
-	lay := &Layout{g: g, machines: machines, partitioner: p.Name()}
-
-	// Pass 1: per-machine edge counts and per-(vertex,machine) presence.
-	perMachineEdges := make([]int64, machines)
-	presBits := newPresenceSet(n, machines)
-	{
-		i := 0
-		g.Edges(func(e graph.Edge) bool {
+	pres := newPresenceSet(n, machines)
+	r := g.NewAdjReader()
+	defer r.Release()
+	i := 0
+	for v := 0; v < n; v++ {
+		for _, d := range r.OutNeighbors(graph.VertexID(v)) {
 			m := int(placement[i])
 			if m >= machines {
-				panic(fmt.Sprintf("cluster: placement %d out of range", m))
+				return nil, nil, fmt.Errorf("cluster: partitioner %s placed edge %d on machine %d of %d",
+					p.Name(), i, m, machines)
 			}
-			perMachineEdges[m]++
-			presBits.set(e.Src, m)
-			presBits.set(e.Dst, m)
+			pres.set(graph.VertexID(v), m)
+			pres.set(d, m)
 			i++
-			return true
-		})
+		}
 	}
 
 	// Presence lists and master selection. The master is a hash-chosen
 	// member of the presence set, mirroring PowerGraph (the master is
-	// always co-located with at least one edge of the vertex).
+	// always co-located with at least one edge of the vertex). A vertex
+	// with no edges at all — possible only when dangling vertices are
+	// allowed — is hosted nowhere: its presence list stays empty and no
+	// master is chosen for it (see MasterOf).
+	lay := &Layout{g: g, machines: machines, partitioner: p.Name(), presWord: pres.small}
 	lay.presOff = make([]int64, n+1)
 	for v := 0; v < n; v++ {
-		lay.presOff[v+1] = lay.presOff[v] + int64(presBits.count(graph.VertexID(v)))
+		lay.presOff[v+1] = lay.presOff[v] + int64(pres.count(graph.VertexID(v)))
 	}
 	lay.presList = make([]uint16, lay.presOff[n])
 	lay.master = make([]uint16, n)
 	for v := 0; v < n; v++ {
 		span := lay.presList[lay.presOff[v]:lay.presOff[v+1]]
-		presBits.collect(graph.VertexID(v), span)
 		if len(span) == 0 {
-			// Isolated vertex (possible only when dangling vertices are
-			// allowed and the vertex has no edges at all): master it by
-			// hash on an arbitrary machine with no mirrors.
 			continue
 		}
+		pres.collect(graph.VertexID(v), span)
+		// collect wrote the hosts ascending; rotating the master to
+		// the front leaves the mirrors ascending behind it.
 		pick := int(hash64(uint64(v)^(seed*0x2545f4914f6cdd1d)) % uint64(len(span)))
-		span[0], span[pick] = span[pick], span[0]
-		// Keep mirrors in ascending order after the master for
-		// deterministic iteration.
-		sort.Slice(span[1:], func(i, j int) bool { return span[1+i] < span[1+j] })
-		lay.master[v] = span[0]
+		mst := span[pick]
+		copy(span[1:pick+1], span[:pick])
+		span[0] = mst
+		lay.master[v] = mst
 	}
+	return lay, placement, nil
+}
 
-	// Pass 2: build per-machine local CSRs.
-	lay.views = make([]MachineView, machines)
-	type mb struct {
-		outCnt map[uint32]int64
-		inCnt  map[uint32]int64
-	}
-	builders := make([]mb, machines)
-	for m := range builders {
-		builders[m] = mb{outCnt: map[uint32]int64{}, inCnt: map[uint32]int64{}}
-	}
-	{
-		i := 0
-		g.Edges(func(e graph.Edge) bool {
-			b := &builders[placement[i]]
-			b.outCnt[e.Src]++
-			b.inCnt[e.Dst]++
-			i++
-			return true
-		})
-	}
-	for m := 0; m < machines; m++ {
-		view := &lay.views[m]
-		view.id = m
-		// Present vertices on m, ascending.
-		view.verts = presBits.machineVerts(m)
-		view.localIdx = make(map[uint32]int32, len(view.verts))
-		view.outOff = make([]int64, len(view.verts)+1)
-		view.inOff = make([]int64, len(view.verts)+1)
-		for li, v := range view.verts {
-			view.localIdx[v] = int32(li)
-			view.outOff[li+1] = view.outOff[li] + builders[m].outCnt[v]
-			view.inOff[li+1] = view.inOff[li] + builders[m].inCnt[v]
+// masterLists returns the vertices mastered on each machine, ascending,
+// and the isolated vertices no machine hosts.
+func (l *Layout) masterLists() (masters [][]uint32, isolated []uint32) {
+	count := make([]int, l.machines)
+	for v, m := range l.master {
+		if l.presOff[v+1] > l.presOff[v] {
+			count[m]++
 		}
-		view.outAdj = make([]uint32, view.outOff[len(view.verts)])
-		view.inAdj = make([]uint32, view.inOff[len(view.verts)])
 	}
-	outPos := make([][]int64, machines)
-	inPos := make([][]int64, machines)
-	for m := 0; m < machines; m++ {
-		outPos[m] = append([]int64(nil), lay.views[m].outOff[:len(lay.views[m].verts)]...)
-		inPos[m] = append([]int64(nil), lay.views[m].inOff[:len(lay.views[m].verts)]...)
+	masters = make([][]uint32, l.machines)
+	for m := range masters {
+		masters[m] = make([]uint32, 0, count[m])
 	}
-	{
-		i := 0
-		g.Edges(func(e graph.Edge) bool {
-			m := int(placement[i])
-			view := &lay.views[m]
-			ls := view.localIdx[e.Src]
-			ld := view.localIdx[e.Dst]
-			view.outAdj[outPos[m][ls]] = e.Dst
-			outPos[m][ls]++
-			view.inAdj[inPos[m][ld]] = e.Src
-			inPos[m][ld]++
-			i++
-			return true
-		})
-	}
-	// Master vertex lists per machine.
-	for v := 0; v < n; v++ {
-		if lay.presOff[v+1] == lay.presOff[v] {
-			continue // isolated vertex: no machine hosts it
+	for v, m := range l.master {
+		if l.presOff[v+1] > l.presOff[v] {
+			masters[m] = append(masters[m], uint32(v))
+		} else {
+			isolated = append(isolated, uint32(v))
 		}
-		m := lay.master[v]
-		lay.views[m].masters = append(lay.views[m].masters, uint32(v))
 	}
-	return lay, nil
+	return masters, isolated
+}
+
+// localIndex returns v's dense local index on machine m and whether m
+// hosts v, read off v's presence entry: the master sits first, and a
+// mirror's slot is its rank among v's hosts (a popcount of the
+// presence word up to 64 machines, a binary search of the ascending
+// mirror list beyond).
+func (l *Layout) localIndex(v graph.VertexID, m int) (int32, bool) {
+	lo, hi := l.presOff[v], l.presOff[v+1]
+	if lo == hi {
+		return 0, false
+	}
+	mst := int(l.presList[lo])
+	if m == mst {
+		return l.presLocal[lo], true
+	}
+	if l.presWord != nil {
+		bit := uint64(1) << uint(m)
+		w := l.presWord[v]
+		if w&bit == 0 {
+			return 0, false
+		}
+		// Hosts below m, the master among them or not; the master's
+		// own slot is taken out of the ascending order.
+		j := lo + int64(popcount(w&(bit-1)))
+		if mst > m {
+			j++
+		}
+		return l.presLocal[j], true
+	}
+	k, ok := slices.BinarySearch(l.presList[lo+1:hi], uint16(m))
+	if !ok {
+		return 0, false
+	}
+	return l.presLocal[lo+1+int64(k)], true
 }
 
 // presenceSet tracks which machines host each vertex, with a fast
-// single-word path for clusters of at most 64 machines.
+// single-word path for clusters of at most 64 machines. It is the one
+// bitset of the package: NewLayout, the greedy partitioners and
+// Validate all use it.
 type presenceSet struct {
 	machines int
 	words    int
@@ -209,6 +327,14 @@ func (p *presenceSet) set(v graph.VertexID, m int) {
 		p.big[v] = make([]uint64, p.words)
 	}
 	p.big[v][m/64] |= 1 << uint(m%64)
+}
+
+func (p *presenceSet) has(v graph.VertexID, m int) bool {
+	if p.small != nil {
+		return p.small[v]&(1<<uint(m)) != 0
+	}
+	b := p.big[v]
+	return b != nil && b[m/64]&(1<<uint(m%64)) != 0
 }
 
 func (p *presenceSet) count(v graph.VertexID) int {
@@ -252,26 +378,6 @@ func (p *presenceSet) collect(v graph.VertexID, dst []uint16) {
 	}
 }
 
-// machineVerts returns the ascending list of vertices present on m.
-func (p *presenceSet) machineVerts(m int) []uint32 {
-	var out []uint32
-	if p.small != nil {
-		bit := uint64(1) << uint(m)
-		for v, w := range p.small {
-			if w&bit != 0 {
-				out = append(out, uint32(v))
-			}
-		}
-		return out
-	}
-	for v, ws := range p.big {
-		if ws != nil && ws[m/64]&(1<<uint(m%64)) != 0 {
-			out = append(out, uint32(v))
-		}
-	}
-	return out
-}
-
 func popcount(x uint64) int      { return bits.OnesCount64(x) }
 func trailingZeros(x uint64) int { return bits.TrailingZeros64(x) }
 
@@ -284,11 +390,16 @@ func (l *Layout) NumMachines() int { return l.machines }
 // PartitionerName reports which ingress strategy built this layout.
 func (l *Layout) PartitionerName() string { return l.partitioner }
 
-// MasterOf returns the master machine of v.
+// MasterOf returns the master machine of v. An isolated vertex (no
+// edges at all) has no master: no machine hosts it, Presences(v) is
+// empty and MasterOf reports the zero value, so callers that may see
+// such vertices test Presences first. router.Partition's round-robin is
+// the one place that gives them an owner.
 func (l *Layout) MasterOf(v graph.VertexID) uint16 { return l.master[v] }
 
 // Presences returns the machines hosting v, master first, mirrors in
-// ascending order. The slice aliases internal storage.
+// ascending order; it is empty for an isolated vertex. The slice
+// aliases internal storage.
 func (l *Layout) Presences(v graph.VertexID) []uint16 {
 	return l.presList[l.presOff[v]:l.presOff[v+1]]
 }
@@ -361,7 +472,7 @@ func (l *Layout) Validate() error {
 			return fmt.Errorf("cluster: machine %d out/in edge mismatch", m)
 		}
 		for li, vert := range v.verts {
-			if got := v.localIdx[vert]; got != int32(li) {
+			if got, ok := v.LocalIndex(vert); !ok || got != int32(li) {
 				return fmt.Errorf("cluster: machine %d local index broken at %d", m, vert)
 			}
 		}
@@ -369,6 +480,7 @@ func (l *Layout) Validate() error {
 	if localEdges != l.g.NumEdges() {
 		return fmt.Errorf("cluster: %d local edges != %d graph edges", localEdges, l.g.NumEdges())
 	}
+	seen := newPresenceSet(n, l.machines)
 	for v := 0; v < n; v++ {
 		pres := l.Presences(graph.VertexID(v))
 		if len(pres) == 0 {
@@ -380,13 +492,13 @@ func (l *Layout) Validate() error {
 		if pres[0] != l.master[v] {
 			return fmt.Errorf("cluster: vertex %d master %d not first in presence list", v, l.master[v])
 		}
-		seen := map[uint16]bool{}
 		for _, m := range pres {
-			if seen[m] {
+			if seen.has(graph.VertexID(v), int(m)) {
 				return fmt.Errorf("cluster: vertex %d duplicated presence on %d", v, m)
 			}
-			seen[m] = true
-			if _, ok := l.views[m].localIdx[uint32(v)]; !ok {
+			seen.set(graph.VertexID(v), int(m))
+			verts := l.views[m].verts
+			if li, ok := l.views[m].LocalIndex(graph.VertexID(v)); !ok || int(li) >= len(verts) || verts[li] != uint32(v) {
 				return fmt.Errorf("cluster: vertex %d listed on machine %d but absent from view", v, m)
 			}
 		}
@@ -421,8 +533,7 @@ func (mv *MachineView) NumLocalEdges() int64 { return int64(len(mv.outAdj)) }
 // LocalIndex returns the machine-local dense index of v and whether v
 // is present on this machine.
 func (mv *MachineView) LocalIndex(v graph.VertexID) (int32, bool) {
-	li, ok := mv.localIdx[v]
-	return li, ok
+	return mv.lay.localIndex(v, mv.id)
 }
 
 // OutNeighborsLocal returns the destinations of the machine's local

@@ -75,44 +75,11 @@ func (Oblivious) Name() string { return "oblivious" }
 // Place implements Partitioner.
 func (Oblivious) Place(g *graph.Graph, machines int, seed uint64) []uint16 {
 	checkMachines(machines)
-	m64 := uint64(machines)
-	n := g.NumVertices()
-	edges := g.EdgeSlice()
-	order := make([]int, len(edges))
-	r := rng.Derive(seed, 0x0B11)
-	r.Perm(order)
-
-	// presence[v] is a bitset of machines hosting v (machines <= 64
-	// uses one word; larger clusters use the slice path).
-	usesBitset := machines <= 64
-	var presence []uint64
-	var presenceBig [][]uint64
-	if usesBitset {
-		presence = make([]uint64, n)
-	} else {
-		presenceBig = make([][]uint64, n)
-	}
-	words := (machines + 63) / 64
-	has := func(v graph.VertexID, m int) bool {
-		if usesBitset {
-			return presence[v]&(1<<uint(m)) != 0
-		}
-		b := presenceBig[v]
-		return b != nil && b[m/64]&(1<<uint(m%64)) != 0
-	}
-	set := func(v graph.VertexID, m int) {
-		if usesBitset {
-			presence[v] |= 1 << uint(m)
-			return
-		}
-		if presenceBig[v] == nil {
-			presenceBig[v] = make([]uint64, words)
-		}
-		presenceBig[v][m/64] |= 1 << uint(m%64)
-	}
+	stream, pos := streamOrder(g, seed, 0x0B11)
+	pres := newPresenceSet(g.NumVertices(), machines)
 
 	load := make([]int64, machines)
-	out := make([]uint16, len(edges))
+	choice := make([]uint16, len(stream))
 	leastLoaded := func(pred func(m int) bool) int {
 		best, bestLoad := -1, int64(math.MaxInt64)
 		for m := 0; m < machines; m++ {
@@ -125,24 +92,58 @@ func (Oblivious) Place(g *graph.Graph, machines int, seed uint64) []uint16 {
 		}
 		return best
 	}
-	for _, idx := range order {
-		e := edges[idx]
+	for i, e := range stream {
+		u, v := e.Src, e.Dst
 		var m int
 		switch {
-		case anyMachine(machines, func(mm int) bool { return has(e.Src, mm) && has(e.Dst, mm) }):
-			m = leastLoaded(func(mm int) bool { return has(e.Src, mm) && has(e.Dst, mm) })
-		case anyMachine(machines, func(mm int) bool { return has(e.Src, mm) || has(e.Dst, mm) }):
-			m = leastLoaded(func(mm int) bool { return has(e.Src, mm) || has(e.Dst, mm) })
+		case anyMachine(machines, func(mm int) bool { return pres.has(u, mm) && pres.has(v, mm) }):
+			m = leastLoaded(func(mm int) bool { return pres.has(u, mm) && pres.has(v, mm) })
+		case anyMachine(machines, func(mm int) bool { return pres.has(u, mm) || pres.has(v, mm) }):
+			m = leastLoaded(func(mm int) bool { return pres.has(u, mm) || pres.has(v, mm) })
 		default:
 			m = leastLoaded(nil)
 		}
-		if m < 0 { // unreachable, but keep the invariant explicit
-			m = int(hash64(uint64(idx)^seed) % m64)
-		}
-		out[idx] = uint16(m)
-		set(e.Src, m)
-		set(e.Dst, m)
+		choice[i] = uint16(m)
+		pres.set(u, m)
+		pres.set(v, m)
 		load[m]++
+	}
+	return csrOrder(choice, pos)
+}
+
+// streamOrder shuffles g's edges into the seeded pseudo-random order a
+// greedy streaming partitioner consumes them in, and returns pos, the
+// stream position of each edge of the canonical CSR order. The stream
+// is laid out up front — one sequential sweep of the CSR scattering
+// through pos, independent stores — so the partitioner's own loop,
+// whose every step depends on the last, reads its edges sequentially.
+func streamOrder(g *graph.Graph, seed, salt uint64) (stream []graph.Edge, pos []int) {
+	order := make([]int, g.NumEdges())
+	r := rng.Derive(seed, salt)
+	r.Perm(order)
+	pos = make([]int, len(order))
+	for i, e := range order {
+		pos[e] = i
+	}
+	stream = make([]graph.Edge, len(order))
+	adj := g.NewAdjReader()
+	defer adj.Release()
+	e := 0
+	for v := 0; v < g.NumVertices(); v++ {
+		for _, d := range adj.OutNeighbors(graph.VertexID(v)) {
+			stream[pos[e]] = graph.Edge{Src: graph.VertexID(v), Dst: d}
+			e++
+		}
+	}
+	return stream, pos
+}
+
+// csrOrder carries per-edge choices made in stream order back to
+// canonical CSR order, the order Partitioner.Place answers in.
+func csrOrder(choice []uint16, pos []int) []uint16 {
+	out := make([]uint16, len(choice))
+	for e, i := range pos {
+		out[e] = choice[i]
 	}
 	return out
 }

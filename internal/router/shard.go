@@ -19,34 +19,49 @@ import (
 	"repro/internal/topk"
 )
 
-// OwnedVertices computes the deterministic vertex partition served by
-// shard id out of shards total: the vertices whose master replica an
-// HDRF vertex-cut layout (seeded with seed) puts on machine id, plus
-// the isolated vertices — which no machine hosts, since they have no
-// edges — spread round-robin. Every shard of a cluster computes the
-// same layout from the same (graph, shards, seed), so the partition is
-// agreed without any coordination, and the shard ownership sets are
-// disjoint and cover the whole vertex space — the property that makes
-// the merged partial top-k exact.
-func OwnedVertices(g *graph.Graph, shards, id int, seed uint64) ([]uint32, error) {
+// Partition computes the deterministic vertex partition of a cluster of
+// the given number of shards: element id is the ascending list of
+// vertices shard id serves — those whose master replica an HDRF
+// vertex-cut placement (seeded with seed) puts on machine id, plus the
+// isolated vertices — which no machine hosts, since they have no edges
+// — spread round-robin. Every shard of a cluster computes the same
+// placement from the same (graph, shards, seed), so the partition is
+// agreed without any coordination, and the ownership sets are disjoint
+// and cover the whole vertex space — the property that makes the
+// merged partial top-k exact. Only the ingress half of a layout runs
+// (cluster.MasterLists): the edges are placed once and no local
+// sub-graph is built.
+func Partition(g *graph.Graph, shards int, seed uint64) ([][]uint32, error) {
 	if shards < 1 {
 		return nil, errors.New("router: shard count must be >= 1")
 	}
-	if id < 0 || id >= shards {
-		return nil, errors.New("router: shard id out of range")
-	}
-	lay, err := cluster.NewLayout(g, shards, cluster.HDRF{}, seed)
+	owned, isolated, err := cluster.MasterLists(g, shards, cluster.HDRF{}, seed)
 	if err != nil {
 		return nil, err
 	}
-	owned := append([]uint32(nil), lay.View(id).Masters()...)
-	for v := 0; v < g.NumVertices(); v++ {
-		if len(lay.Presences(graph.VertexID(v))) == 0 && v%shards == id {
-			owned = append(owned, uint32(v))
+	if len(isolated) > 0 {
+		for _, v := range isolated {
+			id := int(v) % shards
+			owned[id] = append(owned[id], v)
+		}
+		for id := range owned {
+			slices.Sort(owned[id])
 		}
 	}
-	slices.Sort(owned)
 	return owned, nil
+}
+
+// OwnedVertices is Partition(g, shards, seed)[id], for a process that
+// serves one shard. One that needs every shard's set calls Partition.
+func OwnedVertices(g *graph.Graph, shards, id int, seed uint64) ([]uint32, error) {
+	if id < 0 || id >= shards {
+		return nil, errors.New("router: shard id out of range")
+	}
+	owned, err := Partition(g, shards, seed)
+	if err != nil {
+		return nil, err
+	}
+	return owned[id], nil
 }
 
 // epochIndex is one retained snapshot with this shard's top index over
