@@ -342,9 +342,11 @@ func serverEntry(exposition []byte) (loadgen.BenchEntry, error) {
 	}
 	walkSteps := obs.FamilySum(series, "ppr_walk_steps_total")
 	walkLocal := obs.FamilySum(series, "ppr_walk_page_local_steps_total")
-	walkLocality := 0.0
+	walkWaits := obs.FamilySum(series, "ppr_walk_waits_total")
+	walkLocality, walkWaitRate := 0.0, 0.0
 	if walkSteps > 0 {
 		walkLocality = walkLocal / walkSteps
+		walkWaitRate = walkWaits / walkSteps
 	}
 	return loadgen.BenchEntry{
 		Name:       "prload/server",
@@ -371,6 +373,7 @@ func serverEntry(exposition []byte) (loadgen.BenchEntry, error) {
 			"pageCacheEvictions": obs.FamilySum(series, "graph_page_cache_evictions_total"),
 			"walkSteps":          walkSteps,
 			"walkPageLocality":   walkLocality,
+			"walkWaitRate":       walkWaitRate, // the share of steps that waited for a page load
 		},
 	}, nil
 }

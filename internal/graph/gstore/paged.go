@@ -20,36 +20,49 @@ import (
 )
 
 // openPaged opens path with a bounded adjacency cache (see
-// OpenOptions.Mem). Checksums are verified by streaming the file once
-// (unless NoVerify) — O(1) memory, nothing retained.
+// OpenOptions.Mem).
 func openPaged(path string, opts OpenOptions) (*graph.Graph, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	fail := func(err error) (*graph.Graph, error) {
+	st, err := f.Stat()
+	if err != nil {
 		f.Close()
 		return nil, err
 	}
-	st, err := f.Stat()
-	if err != nil {
-		return fail(err)
+	return OpenPagedReaderAt(f, st.Size(), f, opts)
+}
+
+// OpenPagedReaderAt is the paged open over any random-access source of
+// a gstore file's size bytes (it must support concurrent ReadAt): the
+// offsets are read up front, the adjacency through a page cache of
+// opts.Mem bytes for as long as the graph is open. Checksums are
+// verified by streaming the source once (unless NoVerify) — O(1)
+// memory, nothing retained. closer, when non-nil, is closed by the
+// graph's Close, and here on error.
+func OpenPagedReaderAt(src io.ReaderAt, size int64, closer io.Closer, opts OpenOptions) (*graph.Graph, error) {
+	fail := func(err error) (*graph.Graph, error) {
+		if closer != nil {
+			closer.Close()
+		}
+		return nil, err
 	}
 	head := make([]byte, 8)
-	if n, err := io.ReadFull(f, head); err != nil {
-		return fail(fmt.Errorf("%w: %w: %s is %d bytes", ErrFormat, secfile.ErrFormat, path, n))
+	if n, err := src.ReadAt(head, 0); err != nil {
+		return fail(fmt.Errorf("%w: %w: file is %d bytes", ErrFormat, secfile.ErrFormat, n))
 	}
 	sc := schemaFor(head)
 	hdr := make([]byte, sc.HeaderSize)
-	if _, err := f.ReadAt(hdr, 0); err != nil {
+	if _, err := src.ReadAt(hdr, 0); err != nil {
 		return fail(fmt.Errorf("%w: %w: short header: %v", ErrFormat, secfile.ErrFormat, err))
 	}
-	secs, err := sc.Parse(hdr, st.Size())
+	secs, err := sc.Parse(hdr, size)
 	if err != nil {
 		return fail(err)
 	}
 	if !opts.NoVerify {
-		if err := sc.VerifySectionsReaderAt(f, secs); err != nil {
+		if err := sc.VerifySectionsReaderAt(src, secs); err != nil {
 			return fail(err)
 		}
 	}
@@ -62,7 +75,7 @@ func openPaged(path string, opts OpenOptions) (*graph.Graph, error) {
 		if secs[i].Len == 0 {
 			return buf, nil
 		}
-		if _, err := f.ReadAt(buf, int64(secs[i].Off)); err != nil {
+		if _, err := src.ReadAt(buf, int64(secs[i].Off)); err != nil {
 			return nil, fmt.Errorf("%w: %w: reading section %d: %v", ErrFormat, secfile.ErrFormat, i, err)
 		}
 		return buf, nil
@@ -85,8 +98,8 @@ func openPaged(path string, opts OpenOptions) (*graph.Graph, error) {
 	}
 
 	pager := &filePager{
-		pool:    pcache.New(f, st.Size(), opts.Mem),
-		f:       f,
+		pool:    pcache.New(src, size, opts.Mem),
+		closer:  closer,
 		outBase: int64(secs[1].Off),
 		inBase:  int64(secs[3].Off),
 	}
@@ -115,7 +128,7 @@ func openPaged(path string, opts OpenOptions) (*graph.Graph, error) {
 // section's base byte offset.
 type filePager struct {
 	pool    *pcache.Pool
-	f       *os.File
+	closer  io.Closer // the file, when the pager owns one
 	outBase int64
 	inBase  int64
 }
@@ -138,7 +151,12 @@ func (p *filePager) Stats() graph.PageCacheStats {
 	}
 }
 
-func (p *filePager) Close() error { return p.f.Close() }
+func (p *filePager) Close() error {
+	if p.closer == nil {
+		return nil
+	}
+	return p.closer.Close()
+}
 
 // fileCursor adapts a pool cursor to the graph.AdjCursor element view.
 // Section bases are 8-aligned and PageSize is a multiple of 8, so a
@@ -184,6 +202,16 @@ func (c *fileCursor) rangeInto(base, lo, hi int64, dst []graph.VertexID) []graph
 
 func (c *fileCursor) Out(i int64) graph.VertexID { return c.elem(c.p.outBase + i*4) }
 
+func (c *fileCursor) TryOut(i int64) (graph.VertexID, bool) {
+	off := c.p.outBase + i*4
+	page := off / pcache.PageSize
+	b, ok := c.cur.TryView(page)
+	if !ok {
+		return 0, false
+	}
+	return *(*graph.VertexID)(unsafe.Pointer(&b[off-page*pcache.PageSize])), true
+}
+
 func (c *fileCursor) OutRange(lo, hi int64, dst []graph.VertexID) []graph.VertexID {
 	return c.rangeInto(c.p.outBase, lo, hi, dst)
 }
@@ -195,5 +223,7 @@ func (c *fileCursor) InRange(lo, hi int64, dst []graph.VertexID) []graph.VertexI
 func (c *fileCursor) OutPage(i int64) int64 {
 	return (c.p.outBase + i*4) / pcache.PageSize
 }
+
+func (c *fileCursor) PageSwitches() uint64 { return c.cur.Switches() }
 
 func (c *fileCursor) Release() { c.cur.Release() }

@@ -38,10 +38,15 @@ type PageCacheStats struct {
 // under an open graph went away — and threading an error return
 // through every adjacency access would tax the resident fast path. A
 // failed read leaves the cursor unpinned and usable; the serving layer
-// recovers at its one walk-kernel call site (serve's pprWalk).
+// recovers where it walks or rebuilds over a graph (serve's
+// catchStorageFault).
 type AdjCursor interface {
 	// Out returns logical outAdj[i].
 	Out(i int64) VertexID
+	// TryOut returns logical outAdj[i] if its page is in the cache, and
+	// false — without reading, blocking or moving the cursor — if not.
+	// It never does I/O, so it never panics.
+	TryOut(i int64) (VertexID, bool)
 	// OutRange appends logical outAdj[lo:hi] to dst and returns it.
 	OutRange(lo, hi int64, dst []VertexID) []VertexID
 	// InRange appends logical inAdj[lo:hi] to dst and returns it.
@@ -49,6 +54,9 @@ type AdjCursor interface {
 	// OutPage returns the cache page holding logical outAdj[i] — the
 	// sort key page-aware schedulers batch on.
 	OutPage(i int64) int64
+	// PageSwitches counts the reads so far that moved the cursor to
+	// another page.
+	PageSwitches() uint64
 	// Release unpins the cursor's current page.
 	Release()
 }
@@ -229,6 +237,28 @@ func (r *AdjReader) OutAt(v VertexID, i int) VertexID {
 		return g.outAdj[lo+int64(i)]
 	}
 	return r.cur.Out(lo + int64(i))
+}
+
+// TryOutAt is OutAt without I/O: the i'th successor of v if the page
+// holding it is in the cache (always, on a resident graph), and false if
+// reading it would have to load a page. Page-aware schedulers use it to
+// keep working in memory and batch what is genuinely not there.
+func (r *AdjReader) TryOutAt(v VertexID, i int) (VertexID, bool) {
+	g := r.g
+	lo := g.outOff[g.rowOf(v)]
+	if r.cur == nil {
+		return g.outAdj[lo+int64(i)], true
+	}
+	return r.cur.TryOut(lo + int64(i))
+}
+
+// PageSwitches counts the reader's element reads so far that moved its
+// cursor to another cache page (always 0 on resident graphs).
+func (r *AdjReader) PageSwitches() uint64 {
+	if r.cur == nil {
+		return 0
+	}
+	return r.cur.PageSwitches()
 }
 
 // OutPageAt returns the cache page holding the i'th successor of v (0

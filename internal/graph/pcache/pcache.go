@@ -6,14 +6,21 @@
 // memory at once, and walk-shaped random access hits the pool instead
 // of thrashing an mmap the kernel cannot be told the budget for.
 //
-// Concurrency model: the page table and CLOCK state live under one
-// mutex, but I/O never does — a miss inserts a loading frame (pinned,
-// so it cannot be evicted) and releases the lock before ReadAt;
-// concurrent requests for the same page pin the same frame and block
-// on its ready channel. A frame with pins > 0 is never evicted. When
-// every frame is pinned the pool admits overflow frames beyond the
-// budget rather than deadlock; the overflow drains on the next misses
-// once pins release.
+// Concurrency model: a hit takes no lock and hashes nothing. The page
+// table is a dense slice of atomic frame pointers indexed by page number
+// (the file's page count is known up front), and a frame's pin count is
+// an atomic counter: a reader loads the pointer and raises the count
+// with a compare-and-swap from a non-negative value. Misses, the CLOCK
+// ring and eviction live under one mutex, but I/O never does — a miss
+// publishes a loading frame (pinned, so it cannot be evicted) and
+// releases the lock before ReadAt; concurrent requests for the same page
+// pin the same frame and block on its ready channel. The evictor takes a
+// frame by swapping its pin count from 0 to -1: a claimed frame can
+// never be pinned again (a reader that still holds its pointer fails the
+// compare-and-swap and takes the miss path), so its buffer is safe to
+// hand to the next miss. When every frame is pinned the pool admits
+// overflow frames beyond the budget rather than deadlock; the overflow
+// drains once pins release.
 //
 // An evicted frame's buffer is the next miss's buffer (Pool.free): a
 // pool under memory pressure misses on most page changes, and a fresh
@@ -65,24 +72,28 @@ type Pool struct {
 
 	hits, misses, evictions atomic.Uint64
 
-	mu     sync.Mutex
-	frames map[int64]*frame
-	clock  []*frame // resident ring; hand sweeps for victims
-	hand   int
-	pinned int      // frames with pins > 0
-	free   [][]byte // full-page buffers of evicted frames, at most minFrames
+	// table[page] is the page's resident frame or nil. Read without the
+	// lock; written under mu.
+	table []atomic.Pointer[frame]
+	// resident mirrors len(clock) so unpin can see overflow without mu.
+	resident atomic.Int64
+
+	mu    sync.Mutex
+	clock []*frame // resident ring; hand sweeps for victims
+	hand  int
+	free  [][]byte // full-page buffers of evicted frames, at most minFrames
 }
 
-// frame is one resident page. pins, ref and the clock membership are
-// guarded by the pool mutex; data and err are written once before
-// ready closes and are read-only afterwards.
+// frame is one resident page. data and err are written once, before
+// loaded is set and ready closes, and are read-only afterwards.
 type frame struct {
-	page  int64
-	pins  int
-	ref   bool
-	data  []byte
-	err   error
-	ready chan struct{}
+	page   int64
+	pins   atomic.Int32 // cursors viewing the frame; -1 once the evictor has claimed it
+	ref    atomic.Bool  // CLOCK reference bit
+	loaded atomic.Bool  // data is readable
+	data   []byte
+	err    error
+	ready  chan struct{}
 }
 
 // New builds a pool over src (size bytes long) with a resident budget
@@ -98,17 +109,26 @@ func New(src io.ReaderAt, size, budgetBytes int64) *Pool {
 		size:   size,
 		budget: budgetBytes,
 		max:    max,
-		frames: make(map[int64]*frame, max+1),
+		table:  make([]atomic.Pointer[frame], (size+PageSize-1)/PageSize),
 	}
 }
 
 // NumPages returns how many pages cover the pool's file.
-func (p *Pool) NumPages() int64 { return (p.size + PageSize - 1) / PageSize }
+func (p *Pool) NumPages() int64 { return int64(len(p.table)) }
 
-// Stats returns the pool's counters and gauges.
+// Stats returns the pool's counters and gauges. It counts the pinned
+// frames by walking the resident ring under the lock — the price of a
+// hit path that keeps no shared pin gauge — so it is for scrapes, not
+// for hot paths.
 func (p *Pool) Stats() Stats {
 	p.mu.Lock()
-	pinned, resident := p.pinned, len(p.clock)
+	pinned := 0
+	for _, f := range p.clock {
+		if f.pins.Load() > 0 {
+			pinned++
+		}
+	}
+	resident := len(p.clock)
 	p.mu.Unlock()
 	return Stats{
 		Hits:          p.hits.Load(),
@@ -121,32 +141,63 @@ func (p *Pool) Stats() Stats {
 	}
 }
 
-// pin returns page's frame with its pin count raised, loading it on a
-// miss. The caller must unpin it.
-func (p *Pool) pin(page int64) (*frame, error) {
-	if page < 0 || page*PageSize >= p.size {
-		return nil, fmt.Errorf("pcache: page %d out of range (file %d bytes)", page, p.size)
+// tryPin pins page's frame if it is resident and not claimed by the
+// evictor. No lock, no I/O; the frame may still be loading.
+func (p *Pool) tryPin(page int64) *frame {
+	f := p.table[page].Load()
+	if f == nil {
+		return nil
 	}
-	p.mu.Lock()
-	if f, ok := p.frames[page]; ok {
-		if f.pins == 0 {
-			p.pinned++
+	for {
+		n := f.pins.Load()
+		if n < 0 {
+			return nil
 		}
-		f.pins++
-		f.ref = true
+		if f.pins.CompareAndSwap(n, n+1) {
+			if !f.ref.Load() {
+				f.ref.Store(true)
+			}
+			return f
+		}
+	}
+}
+
+// pin returns page's frame, loaded, with its pin count raised, reading
+// it from the file on a miss. The caller must unpin it.
+func (p *Pool) pin(page int64) (*frame, error) {
+	f := p.tryPin(page)
+	if f == nil {
+		p.mu.Lock()
+		// A frame in the table under mu is unclaimed: claims and removals
+		// happen in one critical section.
+		if f = p.table[page].Load(); f == nil {
+			return p.load(page)
+		}
+		f.pins.Add(1)
+		f.ref.Store(true)
 		p.mu.Unlock()
+	}
+	if !f.loaded.Load() {
 		<-f.ready
 		if f.err != nil {
 			p.unpin(f)
 			return nil, f.err
 		}
-		p.hits.Add(1)
-		return f, nil
 	}
-	f := &frame{page: page, pins: 1, ref: true, ready: make(chan struct{})}
-	p.frames[page] = f
+	p.hits.Add(1)
+	return f, nil
+}
+
+// load is the miss path: called with mu held and page absent from the
+// table, it publishes a pinned loading frame, makes room, and reads the
+// page with the lock released.
+func (p *Pool) load(page int64) (*frame, error) {
+	f := &frame{page: page, ready: make(chan struct{})}
+	f.pins.Store(1)
+	f.ref.Store(true)
+	p.table[page].Store(f)
 	p.clock = append(p.clock, f)
-	p.pinned++
+	p.resident.Store(int64(len(p.clock)))
 	p.evictLocked()
 	n := PageSize
 	if rest := p.size - page*PageSize; rest < int64(n) {
@@ -162,59 +213,51 @@ func (p *Pool) pin(page int64) (*frame, error) {
 	if buf == nil {
 		buf = alignedBytes(n)
 	}
-	_, err := io.ReadFull(io.NewSectionReader(p.src, page*PageSize, int64(n)), buf)
-	if err != nil {
+	if _, err := io.ReadFull(io.NewSectionReader(p.src, page*PageSize, int64(n)), buf); err != nil {
 		f.err = fmt.Errorf("pcache: reading page %d: %w", page, err)
-	} else {
-		f.data = buf
-	}
-	close(f.ready)
-	if f.err != nil {
+		close(f.ready)
 		// Drop the failed frame so a later pin retries the read.
 		p.mu.Lock()
-		p.dropLocked(f)
-		p.unpinLocked(f)
+		for i, c := range p.clock {
+			if c == f {
+				p.removeLocked(i)
+				break
+			}
+		}
 		p.mu.Unlock()
+		p.unpin(f)
 		return nil, f.err
 	}
+	f.data = buf
+	f.loaded.Store(true)
+	close(f.ready)
 	return f, nil
 }
 
 // unpin lowers f's pin count.
 func (p *Pool) unpin(f *frame) {
-	p.mu.Lock()
-	p.unpinLocked(f)
-	p.mu.Unlock()
-}
-
-func (p *Pool) unpinLocked(f *frame) {
-	f.pins--
-	if f.pins == 0 {
-		p.pinned--
-		// Drain pin-overflow promptly: a hit-only workload would
-		// otherwise never trigger the miss-path sweep.
-		if len(p.clock) > p.max {
-			p.evictLocked()
-		}
+	// Drain pin-overflow promptly: a hit-only workload would otherwise
+	// never trigger the miss-path sweep.
+	if f.pins.Add(-1) == 0 && p.resident.Load() > int64(p.max) {
+		p.mu.Lock()
+		p.evictLocked()
+		p.mu.Unlock()
 	}
 }
 
-// dropLocked removes f from the page table and the clock ring.
-func (p *Pool) dropLocked(f *frame) {
-	delete(p.frames, f.page)
-	for i, c := range p.clock {
-		if c == f {
-			last := len(p.clock) - 1
-			p.clock[i] = p.clock[last]
-			p.clock = p.clock[:last]
-			if p.hand > i {
-				p.hand--
-			}
-			if p.hand >= len(p.clock) {
-				p.hand = 0
-			}
-			return
-		}
+// removeLocked takes clock[i] out of the ring and the page table.
+func (p *Pool) removeLocked(i int) {
+	p.table[p.clock[i].page].Store(nil)
+	last := len(p.clock) - 1
+	p.clock[i] = p.clock[last]
+	p.clock[last] = nil
+	p.clock = p.clock[:last]
+	p.resident.Store(int64(last))
+	if p.hand > i {
+		p.hand--
+	}
+	if p.hand >= last {
+		p.hand = 0
 	}
 }
 
@@ -231,12 +274,12 @@ func (p *Pool) evictLocked() {
 				p.hand = 0
 			}
 			f := p.clock[p.hand]
-			if f.pins == 0 {
-				if f.ref {
-					f.ref = false
-				} else {
-					p.dropLocked(f)
-					// Unpinned, so no cursor still views the buffer.
+			if f.pins.Load() == 0 {
+				if f.ref.Load() {
+					f.ref.Store(false)
+				} else if f.pins.CompareAndSwap(0, -1) {
+					p.removeLocked(p.hand)
+					// Claimed, so no cursor views the buffer or ever will.
 					if len(f.data) == PageSize && len(p.free) < minFrames {
 						p.free = append(p.free, f.data)
 					}
@@ -258,31 +301,69 @@ func (p *Pool) evictLocked() {
 // and unpins once. Cursors are not safe for concurrent use; Release
 // must be called when done.
 type Cursor struct {
-	p *Pool
-	f *frame
+	p        *Pool
+	f        *frame
+	switches uint64
 }
 
 // NewCursor returns a fresh unpinned cursor.
 func (p *Pool) NewCursor() *Cursor { return &Cursor{p: p} }
 
-// View returns page's bytes, pinned until the next View or Release.
-// The base address is 8-byte aligned, so callers may take element
-// views at element-aligned offsets. The last page is short.
-func (c *Cursor) View(page int64) ([]byte, error) {
+// hold makes f the cursor's pinned page.
+func (c *Cursor) hold(f *frame) []byte {
 	if c.f != nil {
-		if c.f.page == page {
-			return c.f.data, nil
-		}
 		c.p.unpin(c.f)
-		c.f = nil
 	}
+	c.f = f
+	c.switches++
+	return f.data
+}
+
+// View returns page's bytes, pinned until the cursor moves to another
+// page or is Released. The base address is 8-byte aligned, so callers
+// may take element views at element-aligned offsets. The last page is
+// short. A failed read leaves the cursor unpinned.
+func (c *Cursor) View(page int64) ([]byte, error) {
+	if c.f != nil && c.f.page == page {
+		return c.f.data, nil
+	}
+	if page < 0 || page >= c.p.NumPages() {
+		return nil, fmt.Errorf("pcache: page %d out of range (file %d bytes)", page, c.p.size)
+	}
+	c.Release()
 	f, err := c.p.pin(page)
 	if err != nil {
 		return nil, err
 	}
-	c.f = f
-	return f.data, nil
+	return c.hold(f), nil
 }
+
+// TryView is View for a page that is already in the pool: it pins a
+// resident, fully loaded frame (a counted hit) or reports false —
+// absent, still loading, being evicted, out of range — without
+// blocking, reading or changing what the cursor holds.
+func (c *Cursor) TryView(page int64) ([]byte, bool) {
+	if c.f != nil && c.f.page == page {
+		return c.f.data, true
+	}
+	if page < 0 || page >= c.p.NumPages() {
+		return nil, false
+	}
+	f := c.p.tryPin(page)
+	if f == nil {
+		return nil, false
+	}
+	if !f.loaded.Load() {
+		c.p.unpin(f)
+		return nil, false
+	}
+	c.p.hits.Add(1)
+	return c.hold(f), true
+}
+
+// Switches counts the times the cursor changed the page it holds — the
+// Views and TryViews that were not served from the page already pinned.
+func (c *Cursor) Switches() uint64 { return c.switches }
 
 // Release unpins the cursor's current page. The cursor stays usable.
 func (c *Cursor) Release() {

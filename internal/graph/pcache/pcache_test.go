@@ -2,8 +2,11 @@ package pcache
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -44,11 +47,59 @@ func TestViewContentAndShortLastPage(t *testing.T) {
 	if n := p.NumPages(); n != 3 {
 		t.Fatalf("NumPages = %d, want 3", n)
 	}
-	if _, err := c.View(3); err == nil {
-		t.Fatal("View past EOF succeeded")
+	// Out of range on either side is an error from View and a plain
+	// "not there" from TryView — including page numbers whose byte offset
+	// overflows int64 (page·PageSize wraps to 0 at 2^48 and to a small
+	// in-range offset just above it, which must not read as page 0 or 1).
+	held, _ := c.View(1)
+	for _, page := range []int64{3, -1, 1 << 47, 1 << 48, 1<<48 + 1, math.MaxInt64, math.MinInt64} {
+		if b, err := c.View(page); err == nil {
+			t.Fatalf("View(%d) succeeded with %d bytes", page, len(b))
+		}
+		if b, ok := c.TryView(page); ok {
+			t.Fatalf("TryView(%d) succeeded with %d bytes", page, len(b))
+		}
 	}
-	if _, err := c.View(-1); err == nil {
-		t.Fatal("View(-1) succeeded")
+	// A refused page does not cost the cursor the page it holds.
+	if b, ok := c.TryView(1); !ok || &b[0] != &held[0] {
+		t.Fatal("the cursor lost its page to an out-of-range request")
+	}
+	if s := p.Stats(); s.Misses != 3 || s.ResidentPages != 3 {
+		t.Fatalf("out-of-range requests reached the file: %d misses, %d resident, want 3 and 3", s.Misses, s.ResidentPages)
+	}
+}
+
+func TestTryViewNeverLoads(t *testing.T) {
+	size := int64(4 * PageSize)
+	data, src := testFile(size)
+	p := New(src, size, 1<<20)
+	c := p.NewCursor()
+	defer c.Release()
+	if _, ok := c.TryView(2); ok {
+		t.Fatal("TryView of a page nobody loaded succeeded")
+	}
+	if s := p.Stats(); s.Hits+s.Misses != 0 || s.ResidentPages != 0 || s.PinnedPages != 0 {
+		t.Fatalf("a refused TryView left a trace: %+v", s)
+	}
+	if _, err := c.View(2); err != nil {
+		t.Fatal(err)
+	}
+	// Resident now: another cursor's TryView pins it, as a counted hit;
+	// a repeat on the page a cursor holds is free.
+	c2 := p.NewCursor()
+	defer c2.Release()
+	for range 3 {
+		b, ok := c2.TryView(2)
+		if !ok || !bytes.Equal(b, data[2*PageSize:3*PageSize]) {
+			t.Fatal("TryView of a resident page failed or shows the wrong bytes")
+		}
+	}
+	// A miss does not cost the cursor the page it holds.
+	if _, ok := c2.TryView(3); ok {
+		t.Fatal("TryView(3) succeeded")
+	}
+	if s := p.Stats(); s.Hits != 1 || s.Misses != 1 || s.PinnedPages != 1 || c2.Switches() != 1 {
+		t.Fatalf("hits/misses/pinned = %d/%d/%d, %d switches; want 1/1/1 (both cursors on one page) and 1", s.Hits, s.Misses, s.PinnedPages, c2.Switches())
 	}
 }
 
@@ -224,6 +275,114 @@ func TestConcurrentCursors(t *testing.T) {
 	}
 	if s.ResidentPages > s.BudgetPages {
 		t.Fatalf("resident %d over budget %d at rest", s.ResidentPages, s.BudgetPages)
+	}
+}
+
+// offsetFile is a file whose every 8-byte word holds its own offset, read
+// in two halves with a scheduling point between them, so a frame stays
+// half-loaded long enough for other goroutines to find it.
+type offsetFile struct{ size int64 }
+
+func (f offsetFile) ReadAt(p []byte, off int64) (int, error) {
+	if off%8 != 0 || len(p)%8 != 0 || off+int64(len(p)) > f.size {
+		return 0, errors.New("offsetFile: unaligned or out-of-range read")
+	}
+	half := len(p) / 16 * 8
+	for i := 0; i < len(p); i += 8 {
+		if i == half {
+			runtime.Gosched()
+		}
+		binary.LittleEndian.PutUint64(p[i:], uint64(off)+uint64(i))
+	}
+	return len(p), nil
+}
+
+// TestStressViewTryView is the lock-free hit path's torture test (run it
+// under -race): cursors on many goroutines mix View and TryView over
+// four times more pages than frames. Every view must show its own page's
+// bytes when returned and still when the cursor moves on — a buffer
+// handed to another page while a cursor holds it (a lost claim race), or
+// a TryView of a frame still being read into, shows other bytes — and at
+// rest nothing is pinned and the pool is back inside its budget.
+func TestStressViewTryView(t *testing.T) {
+	const frames, goroutines, iters = 16, 12, 1500
+	pages := int64(4 * frames)
+	size := pages*PageSize - 4096 // short last page
+	p := New(offsetFile{size}, size, frames*PageSize)
+
+	// check verifies five words of b against page's offsets.
+	check := func(b []byte, page int64, x uint64) bool {
+		words := uint64(len(b) / 8)
+		for _, w := range []uint64{0, words - 1, x % words, (x >> 20) % words, (x >> 40) % words} {
+			if binary.LittleEndian.Uint64(b[w*8:]) != uint64(page*PageSize)+w*8 {
+				return false
+			}
+		}
+		return true
+	}
+	var wg sync.WaitGroup
+	var tryHits atomic.Int64
+	errs := make(chan string, goroutines)
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			c := p.NewCursor()
+			defer c.Release()
+			x := uint64(g + 1)
+			var held []byte
+			heldPage := int64(-1)
+			for i := 0; i < iters; i++ {
+				x = x*6364136223846793005 + 1442695040888963407
+				page := int64((x >> 33) % uint64(pages))
+				// The page held since the last iteration is still itself.
+				if held != nil && !check(held, heldPage, x) {
+					errs <- fmt.Sprintf("page %d changed under a pinned cursor", heldPage)
+					return
+				}
+				var b []byte
+				if x&1 == 0 {
+					var err error
+					if b, err = c.View(page); err != nil {
+						errs <- err.Error()
+						return
+					}
+				} else {
+					var ok bool
+					if b, ok = c.TryView(page); !ok {
+						continue // not resident: the cursor keeps what it held
+					}
+					tryHits.Add(1)
+				}
+				want := int64(PageSize)
+				if page == pages-1 {
+					want = size - page*PageSize
+				}
+				if int64(len(b)) != want || !check(b, page, x) {
+					errs <- fmt.Sprintf("view of page %d (TryView: %v) shows other bytes or %d of them", page, x&1 == 1, len(b))
+					return
+				}
+				held, heldPage = b, page
+				if i%7 == 0 {
+					runtime.Gosched()
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Fatal(e)
+	}
+	s := p.Stats()
+	if s.PinnedPages != 0 {
+		t.Fatalf("pinned = %d after all cursors released", s.PinnedPages)
+	}
+	if s.ResidentPages > s.BudgetPages {
+		t.Fatalf("resident %d over budget %d at rest", s.ResidentPages, s.BudgetPages)
+	}
+	if tryHits.Load() == 0 || s.Evictions == 0 {
+		t.Fatalf("%d TryView hits, %d evictions: the test exercised nothing", tryHits.Load(), s.Evictions)
 	}
 }
 

@@ -79,10 +79,11 @@ func Chunks(n int) []Range {
 
 // job is one Run call: tasks [0, n) claimed via an atomic counter.
 type job struct {
-	next atomic.Int64
-	n    int
-	fn   func(task, worker int)
-	wg   sync.WaitGroup
+	next     atomic.Int64
+	n        int
+	fn       func(task, worker int)
+	wg       sync.WaitGroup
+	panicked atomic.Pointer[any] // the first value a task panicked with
 }
 
 // Pool is a reusable fixed-size worker pool. Construct one with
@@ -123,6 +124,13 @@ func (p *Pool) NumWorkers() int { return p.workers }
 // the task, for indexing per-worker scratch; task-to-worker assignment
 // is NOT deterministic, so anything order- or assignment-sensitive
 // must be keyed by task (chunk), not by worker.
+//
+// A task that panics with anything but a runtime error (the repo's
+// storage layer panics with the I/O error of a failed paged read) stops
+// the job, and Run panics with that value on the caller's goroutine
+// once every worker has stopped — so the caller can recover it whichever
+// worker ran the task. A runtime error is a bug and crashes where it
+// happened, with its own stack.
 func (p *Pool) Run(n int, fn func(task, worker int)) {
 	if n <= 0 {
 		return
@@ -138,8 +146,11 @@ func (p *Pool) Run(n int, fn func(task, worker int)) {
 	for id := 1; id < p.workers; id++ {
 		p.jobs <- j
 	}
-	p.drain(j, 0)
+	j.drain(0)
 	j.wg.Wait()
+	if v := j.panicked.Load(); v != nil {
+		panic(*v)
+	}
 }
 
 // Close shuts down the pool's worker goroutines. The pool must not be
@@ -153,12 +164,25 @@ func (p *Pool) Close() {
 
 func (p *Pool) work(id int) {
 	for j := range p.jobs {
-		p.drain(j, id)
+		j.drain(id)
 		j.wg.Done()
 	}
 }
 
-func (p *Pool) drain(j *job, worker int) {
+// drain claims and runs tasks until none are left or one panics.
+func (j *job) drain(worker int) {
+	defer func() {
+		v := recover()
+		if v == nil {
+			return
+		}
+		if _, bug := v.(runtime.Error); bug {
+			panic(v)
+		}
+		first := v // escapes; v itself stays off the heap on the no-panic path
+		j.panicked.CompareAndSwap(nil, &first)
+		j.next.Store(int64(j.n)) // hand out no more tasks
+	}()
 	for {
 		t := int(j.next.Add(1)) - 1
 		if t >= j.n {

@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"errors"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -106,5 +107,39 @@ func TestPoolTaskSum(t *testing.T) {
 	p.Run(100, func(task, worker int) { total.Add(int64(task)) })
 	if got := total.Load(); got != 99*100/2 {
 		t.Fatalf("sum of tasks = %d, want %d", got, 99*100/2)
+	}
+}
+
+// TestRunForwardsTaskPanic: a task that panics with an error — on
+// whichever worker — surfaces as a panic of Run on the caller's
+// goroutine, after every worker has stopped, and the pool stays usable.
+func TestRunForwardsTaskPanic(t *testing.T) {
+	boom := errors.New("injected EIO")
+	for _, workers := range []int{1, 2, 4} {
+		pool := NewPool(workers)
+		var running atomic.Int32
+		got := func() (v any) {
+			defer func() { v = recover() }()
+			pool.Run(500, func(task, _ int) {
+				running.Add(1)
+				defer running.Add(-1)
+				if task == 137 {
+					panic(boom)
+				}
+			})
+			return nil
+		}()
+		if got != boom {
+			t.Errorf("workers=%d: Run panicked with %v, want the task's error", workers, got)
+		}
+		if n := running.Load(); n != 0 {
+			t.Errorf("workers=%d: %d tasks still running after Run returned", workers, n)
+		}
+		var ran atomic.Int32
+		pool.Run(100, func(int, int) { ran.Add(1) })
+		if ran.Load() != 100 {
+			t.Errorf("workers=%d: the pool ran %d of 100 tasks after a panic", workers, ran.Load())
+		}
+		pool.Close()
 	}
 }

@@ -111,12 +111,14 @@ type ServeStats struct {
 	PPRQueries   uint64 `json:"pprQueries,omitempty"`
 	PPRCacheHits uint64 `json:"pprCacheHits,omitempty"`
 	PPRWalks     uint64 `json:"pprWalks,omitempty"`
-	// PPRWalkSteps counts individual walk steps, on any graph;
-	// PPRPageLocalSteps of those, on a paged graph, reused the page the
-	// previous step touched — the page-ordered kernel's locality win
-	// (zero, and absent, on fully resident graphs).
+	// PPRWalkSteps counts individual walk steps, on any graph. Of
+	// those, on a paged graph, PPRPageLocalSteps read the page the
+	// walker's reader already held and PPRWalkWaits had to wait for a
+	// page that was not in the cache — the only steps that pay for I/O
+	// (both zero, and absent, on fully resident graphs).
 	PPRWalkSteps      uint64 `json:"pprWalkSteps,omitempty"`
 	PPRPageLocalSteps uint64 `json:"pprPageLocalSteps,omitempty"`
+	PPRWalkWaits      uint64 `json:"pprWalkWaits,omitempty"`
 }
 
 // PageCacheStats describes the graph page cache of a server running

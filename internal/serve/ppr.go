@@ -24,7 +24,7 @@ package serve
 //   - A batching executor: concurrent requests enqueue per-source walk
 //     tasks, and one drainer sweeps all pending tasks in a combined
 //     multi-source pass across a worker pool — each worker advances
-//     its whole share in one page-ordered walk-kernel call — so CSR
+//     its whole share in one miss-batched walk-kernel call — so CSR
 //     traversal is amortized across requests and overlapping source
 //     sets share per-source walk results.
 
@@ -155,7 +155,11 @@ func newPPREngine(opts PPROptions, reg *obs.Registry) *pprEngine {
 	reg.RegisterCounter("ppr_walk_steps_total",
 		"Individual walk steps executed for PPR queries on any graph (dangling restarts included).", nil, &e.batcher.steps)
 	reg.RegisterCounter("ppr_walk_page_local_steps_total",
-		"Walk steps on paged graphs whose adjacency read hit the same cache page as the previous step (0 on resident graphs).", nil, &e.batcher.local)
+		"Walk steps on paged graphs whose adjacency read hit the cache page the walker's reader already held (0 on resident graphs).", nil, &e.batcher.local)
+	reg.RegisterCounter("ppr_walk_waits_total",
+		"Walk steps that waited for a page that was not in the cache (0 on resident graphs).", nil, &e.batcher.waits)
+	reg.RegisterCounter("ppr_walk_sweeps_total",
+		"Page-ordered passes in which the walk kernel loaded the pages its waiting steps needed (0 on resident graphs).", nil, &e.batcher.sweeps)
 	reg.RegisterCounter("ppr_walk_faults_total",
 		"Walk-kernel calls aborted by a failed adjacency read; every request with walks in the call answers 503 unavailable.", nil, &e.batcher.faults)
 	e.lat = reg.Latency("ppr_request_seconds",
@@ -281,6 +285,8 @@ type pprBatcher struct {
 	batches obs.Counter
 	steps   obs.Counter
 	local   obs.Counter
+	waits   obs.Counter
+	sweeps  obs.Counter
 	faults  obs.Counter
 }
 
@@ -348,6 +354,8 @@ func (b *pprBatcher) drain(opts PPROptions) {
 			if share[0].snap.Graph.Paged() {
 				b.local.Add(st.PageLocal) // a resident graph has no pages to be local to
 			}
+			b.waits.Add(st.Waits)
+			b.sweeps.Add(st.Sweeps)
 			if err != nil {
 				b.faults.Inc()
 			}
@@ -373,8 +381,28 @@ func (b *pprBatcher) drain(opts PPROptions) {
 	}
 }
 
-// errPPRWalkFault marks a kernel call aborted by a failed adjacency read.
-var errPPRWalkFault = errors.New("ppr walk fault")
+// errStorageFault marks work aborted by a failed adjacency read.
+var errStorageFault = errors.New("graph read fault")
+
+// catchStorageFault, deferred, turns a failed paged read under the
+// calling goroutine into an error. The pager's cursor panics with the
+// I/O error (see graph.AdjCursor), so every place the server walks or
+// rebuilds over a snapshot's graph defers this, and recovers only that:
+// the fault is logged with its stack and *err wraps it as
+// errStorageFault. Any other panic (a runtime error: corrupt adjacency,
+// a kernel bug) is not a storage fault and propagates.
+func catchStorageFault(what string, err *error) {
+	p := recover()
+	if p == nil {
+		return
+	}
+	cause, ok := p.(error)
+	if _, bug := p.(runtime.Error); bug || !ok {
+		panic(p)
+	}
+	log.Printf("serve: %s aborted by a failed graph read: %v\n%s", what, cause, debug.Stack())
+	*err = fmt.Errorf("%w: %w", errStorageFault, cause)
+}
 
 // pprWalk runs the walks of every task — all over one graph — in one
 // call of the walk kernel and fills in each task's endpoint tally: the
@@ -385,17 +413,15 @@ var errPPRWalkFault = errors.New("ppr walk fault")
 // dangling-mass treatment. Walk w draws only from its own stream
 // derived from (snapshot seed, epoch, source, w) — length first, then
 // one draw per edge move — so the tally is bit-identical however walks
-// are grouped into calls or page-ordered: batching, paging and
-// relabeling can never change a served body.
+// are grouped into calls, whichever of them wait for a page and in
+// whatever order pages are loaded: batching, paging and relabeling can
+// never change a served body.
 //
-// This is the one place a paged read can fail under a walk (the
-// pager's cursor panics with the I/O error, see graph.AdjCursor), so it
-// is the one place that recovers, and only from that: the fault is
-// logged with its stack, every task of the call — a batch worker's
-// whole share, other requests' tasks included — carries the error
-// instead of a tally, and the process and the batcher carry on. Any
-// other panic (a runtime error: corrupt adjacency, a kernel bug) is not
-// a storage fault and propagates.
+// A read can fail only where the kernel loads a page (its sweep; the
+// free-running probe does no I/O). A fault fails every task of the
+// call — a batch worker's whole share, other requests' tasks included:
+// each carries the error instead of a tally, and the process and the
+// batcher carry on.
 func pprWalk(tasks []*pprTask, opts PPROptions) (st walk.Stats, err error) {
 	g := tasks[0].snap.Graph
 	s := walk.Get()
@@ -403,20 +429,13 @@ func pprWalk(tasks []*pprTask, opts PPROptions) (st walk.Stats, err error) {
 	r := g.NewAdjReader()
 	defer r.Release()
 	defer func() {
-		p := recover()
-		if p == nil {
-			return
-		}
-		cause, ok := p.(error)
-		if _, bug := p.(runtime.Error); bug || !ok {
-			panic(p)
-		}
-		log.Printf("serve: ppr walk fault over %d tasks: %v\n%s", len(tasks), cause, debug.Stack())
-		err = fmt.Errorf("%w: %w", errPPRWalkFault, cause)
-		for _, t := range tasks {
-			t.counts, t.err = nil, err
+		if err != nil {
+			for _, t := range tasks {
+				t.counts, t.err = nil, err
+			}
 		}
 	}()
+	defer catchStorageFault("ppr walk", &err)
 	for i, t := range tasks {
 		for w := 0; w < t.key.walks; w++ {
 			stream := rng.DeriveValue(t.snap.Seed, pprPurpose, t.key.epoch, uint64(t.key.source), uint64(w))
@@ -613,7 +632,7 @@ func (s *Server) handlePPR(w http.ResponseWriter, r *http.Request) {
 		s.coalesced.Inc()
 	}
 	switch {
-	case errors.Is(err, errPPRWalkFault): // the cause is in the server's log, not the client's body
+	case errors.Is(err, errStorageFault): // the cause is in the server's log, not the client's body
 		s.fail(w, http.StatusServiceUnavailable, api.CodeUnavailable, "walks aborted by a failed graph read; retry")
 	case err != nil:
 		s.fail(w, http.StatusInternalServerError, api.CodeInternal, "%v", err)

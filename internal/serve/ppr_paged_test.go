@@ -22,7 +22,19 @@ func pagedGraphs(t *testing.T) (map[string]*graph.Graph, *Snapshot) {
 	t.Helper()
 	// Big enough that the out-adjacency alone spans more pages than the
 	// pool's minimum frame count, so the tiny budget really evicts.
-	g, err := gen.PowerLaw(gen.PowerLawConfig{N: 25000, MeanOutDeg: 8, DegExponent: 2.1, Seed: 5})
+	return pagedLayouts(t, gen.PowerLawConfig{N: 25000, MeanOutDeg: 8, DegExponent: 2.1, Seed: 5},
+		BuildConfig{Engine: EngineFrogWild, Machines: 4, Seed: 11, WorkersPerMachine: 1, MaxK: 50},
+		map[string]float64{"paged": 0})
+}
+
+// pagedLayouts generates cfg's graph and returns it heap-resident
+// ("plain"), degree-relabeled ("relabeled"), and relabeled + paged once
+// per entry of budgets, whose value is the pool's size as a fraction of
+// the out-adjacency's pages — what walks touch (the pool floors it to
+// its minimum frame count) — with one snapshot built on the plain one.
+func pagedLayouts(t *testing.T, cfg gen.PowerLawConfig, build BuildConfig, budgets map[string]float64) (map[string]*graph.Graph, *Snapshot) {
+	t.Helper()
+	g, err := gen.PowerLaw(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,19 +46,24 @@ func pagedGraphs(t *testing.T) (map[string]*graph.Graph, *Snapshot) {
 	if err := gstore.Save(path, rg); err != nil {
 		t.Fatal(err)
 	}
-	pg, err := gstore.Open(path, gstore.OpenOptions{Mem: 1})
+	graphs := map[string]*graph.Graph{"plain": g, "relabeled": rg}
+	for name, frac := range budgets {
+		mem := int64(frac * float64(g.NumEdges()*4))
+		pg, err := gstore.Open(path, gstore.OpenOptions{Mem: max(mem, 1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { pg.Close() })
+		if !pg.Paged() {
+			t.Fatalf("%s: a Mem open is not paged", name)
+		}
+		graphs[name] = pg
+	}
+	base, err := Build(g, build)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { pg.Close() })
-	if !pg.Paged() {
-		t.Fatal("Mem: 1 open is not paged")
-	}
-	base, err := Build(g, BuildConfig{Engine: EngineFrogWild, Machines: 4, Seed: 11, WorkersPerMachine: 1, MaxK: 50})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return map[string]*graph.Graph{"plain": g, "relabeled": rg, "paged": pg}, base
+	return graphs, base
 }
 
 // serveVariants returns one server per layout, each serving a shallow
@@ -82,10 +99,13 @@ func body(t *testing.T, srv *Server, url string) string {
 	return rec.Body.String()
 }
 
-// TestPagedServingBytesIdentical is the PR's core acceptance check:
-// every served body — topk, rank, and the walk-driven ppr — is
-// byte-identical whether the graph is heap-resident, relabeled, or
-// paged at the smallest possible budget, across worker counts.
+// TestPagedServingBytesIdentical is the paged path's core acceptance
+// check: every served body — topk, rank, and the walk-driven ppr — is
+// byte-identical whether the graph is heap-resident, relabeled, or paged
+// with the pool's minimum of frames, a quarter or three quarters of the
+// pages walks touch, for 1, 2, 4 and 7 executor workers sharing that
+// pool. Which steps wait for a page, and in which order pages load,
+// differs in every one of those cells; the bodies cannot.
 func TestPagedServingBytesIdentical(t *testing.T) {
 	urls := []string{
 		"/v1/topk?k=25",
@@ -93,16 +113,31 @@ func TestPagedServingBytesIdentical(t *testing.T) {
 		"/v1/rank?vertex=42",
 		"/v1/ppr?source=1&k=20",
 		"/v1/ppr?source=3&source=700&k=10",
-		"/v1/ppr?source=24999&k=5",
+		"/v1/ppr?sources=3,700,19999,12,4242,77,15000&k=10",
+		"/v1/ppr?source=19999&k=5",
+	}
+	// 20k vertices × ~46 out-edges: 57 pages of out-adjacency, so the
+	// three budgets are 8, 14 and 42 frames.
+	graphs, base := pagedLayouts(t, gen.PowerLawConfig{N: 20000, MeanOutDeg: 48, DegExponent: 2.1, Seed: 5},
+		BuildConfig{Engine: EngineExact, Seed: 11, MaxK: 50},
+		map[string]float64{"paged/min": 0, "paged/quarter": 0.25, "paged/three-quarters": 0.75})
+	frames := make(map[int]bool)
+	for name, g := range graphs {
+		if pc, ok := g.PageCacheStats(); ok {
+			frames[pc.BudgetPages] = true
+			t.Logf("%s: %d frames", name, pc.BudgetPages)
+		}
+	}
+	if len(frames) != 3 {
+		t.Fatalf("the three budgets are %d distinct frame counts", len(frames))
 	}
 	var want map[string]string
-	for _, workers := range []int{1, 4} {
-		servers := pagedVariants(t, workers)
-		ref := servers["plain"]
+	for _, workers := range []int{1, 2, 4, 7} {
+		servers := serveVariants(graphs, base, PPROptions{Workers: workers, CacheSize: -1})
 		if want == nil {
 			want = make(map[string]string)
 			for _, u := range urls {
-				want[u] = body(t, ref, u)
+				want[u] = body(t, servers["plain"], u)
 			}
 		}
 		for name, srv := range servers {
@@ -112,6 +147,11 @@ func TestPagedServingBytesIdentical(t *testing.T) {
 						workers, name, u, got, want[u])
 				}
 			}
+		}
+	}
+	for name, g := range graphs {
+		if pc, ok := g.PageCacheStats(); ok && pc.Evictions == 0 {
+			t.Errorf("%s: no page was ever evicted; the budget did not bind", name)
 		}
 	}
 }
@@ -172,5 +212,33 @@ func TestPagedPPRConcurrentEviction(t *testing.T) {
 		t.Fatal("paged executor recorded no walk steps")
 	} else if local := paged.ppr.batcher.local.Value(); local > steps {
 		t.Fatalf("page-local steps %d exceed total steps %d", local, steps)
+	}
+
+	// What the kernel waited for is counted where an operator reads it:
+	// on the paged server some steps waited, in sweeps that each served
+	// at least one of them; on the resident one nothing ever does.
+	for _, tc := range []struct {
+		name   string
+		srv    *Server
+		waited bool
+	}{{"paged", paged, true}, {"plain", plain, false}} {
+		b := tc.srv.ppr.batcher
+		steps, waits, sweeps := b.steps.Value(), b.waits.Value(), b.sweeps.Value()
+		if (waits > 0) != tc.waited || (sweeps > 0) != tc.waited || waits >= steps || sweeps > waits {
+			t.Errorf("%s: %d waits in %d sweeps over %d steps", tc.name, waits, sweeps, steps)
+		}
+		if got := tc.srv.StatsBody(tc.srv.store.Current()).Serving.PPRWalkWaits; got != waits {
+			t.Errorf("%s: /v1/stats pprWalkWaits %d, counter %d", tc.name, got, waits)
+		}
+		rec := httptest.NewRecorder()
+		tc.srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+		for _, want := range []string{
+			fmt.Sprintf("ppr_walk_waits_total %d", waits),
+			fmt.Sprintf("ppr_walk_sweeps_total %d", sweeps),
+		} {
+			if !containsLine(rec.Body.String(), want) {
+				t.Errorf("%s: /metrics missing %q", tc.name, want)
+			}
+		}
 	}
 }

@@ -424,7 +424,10 @@ func (s *Server) referenceRanks(snap *Snapshot, engine Engine) ([]float64, error
 	s.compareMu.Unlock()
 
 	key := fmt.Sprintf("%d/%s", snap.Epoch, engine)
-	ranks, err, shared := s.compareFlights.Do(key, func() ([]float64, error) {
+	ranks, err, shared := s.compareFlights.Do(key, func() (ranks []float64, err error) {
+		// A failed read of a paged graph is an error every waiter of the
+		// flight shares, not a panic inside it.
+		defer catchStorageFault("compare run", &err)
 		cfg := s.opts.Compare
 		if engine != cfg.Engine {
 			// The template's tuning knobs belong to the serving
@@ -477,6 +480,10 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ref, err := s.referenceRanks(snap, engine)
+	if errors.Is(err, errStorageFault) { // the cause is in the server's log, not the client's body
+		s.fail(w, http.StatusServiceUnavailable, api.CodeUnavailable, "compare run aborted by a failed graph read; retry")
+		return
+	}
 	if err != nil {
 		s.fail(w, http.StatusInternalServerError, api.CodeInternal, "compare run: %v", err)
 		return
@@ -511,6 +518,7 @@ func (s *Server) StatsBody(snap *Snapshot) api.StatsResponse {
 		PPRWalks:          s.ppr.walks.Value(),
 		PPRWalkSteps:      s.ppr.batcher.steps.Value(),
 		PPRPageLocalSteps: s.ppr.batcher.local.Value(),
+		PPRWalkWaits:      s.ppr.batcher.waits.Value(),
 	}
 	if ref := s.opts.Refresher; ref != nil {
 		serving.Refreshes = ref.Refreshes()

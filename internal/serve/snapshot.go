@@ -212,11 +212,14 @@ func FromRanks(g *graph.Graph, engine Engine, seed uint64, ranks []float64, maxK
 }
 
 // Build computes an estimate with the configured engine and wraps it in
-// an unpublished Snapshot (epoch 0 until a Store publishes it).
-func Build(g *graph.Graph, cfg BuildConfig) (*Snapshot, error) {
+// an unpublished Snapshot (epoch 0 until a Store publishes it). A failed
+// read of a paged graph is an error like any other build failure: a
+// Refresher counts it and keeps serving the snapshot it has.
+func Build(g *graph.Graph, cfg BuildConfig) (snap *Snapshot, err error) {
 	if g == nil || g.NumVertices() == 0 {
 		return nil, errors.New("serve: empty graph")
 	}
+	defer catchStorageFault("snapshot build", &err)
 	cfg = cfg.withDefaults(g.NumVertices())
 	start := time.Now()
 	ranks, err := computeRanks(g, cfg)
@@ -224,7 +227,7 @@ func Build(g *graph.Graph, cfg BuildConfig) (*Snapshot, error) {
 		return nil, err
 	}
 	estimated := time.Now()
-	snap, err := FromRanks(g, cfg.Engine, cfg.Seed, ranks, cfg.MaxK)
+	snap, err = FromRanks(g, cfg.Engine, cfg.Seed, ranks, cfg.MaxK)
 	if err != nil {
 		return nil, err
 	}

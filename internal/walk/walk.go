@@ -36,13 +36,18 @@ type Walker struct {
 	Tag    int32          // the caller's label (which task the walker tallies into)
 }
 
-// Stats counts a Run's work: Steps is edge moves plus dangling
-// restarts; PageLocal is the moves whose adjacency read hit the same
-// page as the move taken just before — the locality the page-ordered
-// rounds exist to maximize (a resident graph is a single page).
+// Stats counts a Run's work. Steps is edge moves plus dangling
+// restarts. PageLocal is the edge moves whose adjacency read was on the
+// page the reader already held (all of them on a resident graph, which
+// has no pages to change). Waits is the edge moves that had to wait for
+// a page that was not in the cache, and Sweeps the page-ordered passes
+// that loaded those pages: Waits/Steps is the share of a walk that pays
+// for I/O, Waits/Sweeps how many walkers a load is shared between.
 type Stats struct {
 	Steps     uint64
 	PageLocal uint64
+	Waits     uint64
+	Sweeps    uint64
 }
 
 // move is a waiting walker's next step: the index drawn, the page to read.
@@ -92,32 +97,33 @@ func Length(stream *rng.Stream, pT float64, cutoff int) int {
 
 // Run advances every walker in the slab to the end of its walk. A
 // walker draws its next neighbour index from its own stream and keeps
-// stepping for as long as its reads stay on the page the reader already
-// holds; a move that reads another page waits. Once every live walker
-// is waiting, the round's moves are ordered by page and taken — each
-// walker stepping on while it stays on the page its move brought in —
-// which turns random accesses into near-sequential sweeps of a paged
-// graph. A resident graph is a single page (every read reports page 0),
-// so there each walker runs start to finish in turn, as a hand-written
-// serial loop would, and nothing ever waits or is sorted. visit, when
-// non-nil, sees every vertex a walker moves off. On return
-// Walkers[i].Cur is walker i's endpoint.
+// stepping for as long as the element it reads is in memory
+// (AdjReader.TryOutAt: always, on a resident graph; on a paged one,
+// whenever the page is in the cache, whichever page that is); it waits
+// only for a page that is not there. Once every live walker is waiting,
+// the waiting moves are ordered by page and swept: each page is loaded
+// once for everyone waiting on it, and each moved walker then runs free
+// again until its next miss. Successive sweeps alternate direction
+// (elevator order), so the pages a sweep ends on are still in the cache
+// when the next one starts there. On a resident graph nothing ever
+// waits or is sorted: each walker runs start to finish in turn, as a
+// hand-written serial loop would. With a cache of a single frame every
+// change of page is a miss, and the kernel degenerates to page-at-a-time
+// rounds. visit, when non-nil, sees every vertex a walker moves off. On
+// return Walkers[i].Cur is walker i's endpoint.
 func (s *Scratch) Run(r *graph.AdjReader, restart bool, visit func(graph.VertexID)) Stats {
 	var st Stats
 	ws := s.Walkers
 	moves := s.moves[:0]
-	held := int64(-1) // the page the last move read; none yet, so the first read picks it
-	take := func(w *Walker, idx int32, page int64) {
+	var reads uint64
+	switches := r.PageSwitches()
+	take := func(w *Walker, next graph.VertexID) {
 		if visit != nil {
 			visit(w.Cur) // the vertex moved off: with the endpoint, the complete path
 		}
-		w.Cur = r.OutAt(w.Cur, int(idx))
+		w.Cur = next
 		w.Left--
-		st.Steps++
-		if page == held {
-			st.PageLocal++
-		}
-		held = page
+		reads++
 	}
 	// advance steps walker i until it finishes or has to wait.
 	advance := func(i int32) {
@@ -126,13 +132,13 @@ func (s *Scratch) Run(r *graph.AdjReader, restart bool, visit func(graph.VertexI
 			deg := r.OutDegree(w.Cur)
 			switch {
 			case deg > 0:
-				idx := int32(w.Stream.Intn(deg))
-				page := r.OutPageAt(w.Cur, int(idx))
-				if page != held && held >= 0 {
-					moves = append(moves, move{page: page, w: i, idx: idx})
+				idx := w.Stream.Intn(deg)
+				next, ok := r.TryOutAt(w.Cur, idx)
+				if !ok {
+					moves = append(moves, move{page: r.OutPageAt(w.Cur, idx), w: i, idx: int32(idx)})
 					return
 				}
-				take(w, idx, page)
+				take(w, next)
 			case restart:
 				w.Cur = w.Home // a step, but no read
 				w.Left--
@@ -147,17 +153,29 @@ func (s *Scratch) Run(r *graph.AdjReader, restart bool, visit func(graph.VertexI
 	}
 	for len(moves) > 0 {
 		// The walkers still live are exactly the ones waiting. Each is
-		// moved, then advanced on the page that move brought in; what it
-		// waits for next lands in a slot of moves already read.
-		slices.SortFunc(moves, func(a, b move) int { return cmp.Compare(a.page, b.page) })
+		// moved — OutAt loads the page if an earlier move of the sweep
+		// has not — then advanced; what it waits for next lands in a slot
+		// of moves already read.
+		up := st.Sweeps%2 == 0
+		slices.SortFunc(moves, func(a, b move) int {
+			if up {
+				return cmp.Compare(a.page, b.page)
+			}
+			return cmp.Compare(b.page, a.page)
+		})
+		st.Sweeps++
+		st.Waits += uint64(len(moves))
 		round := moves
 		moves = moves[:0]
 		for _, m := range round {
-			take(&ws[m.w], m.idx, m.page)
+			w := &ws[m.w]
+			take(w, r.OutAt(w.Cur, int(m.idx)))
 			advance(m.w)
 		}
 	}
 	s.moves = moves
+	st.Steps += reads
+	st.PageLocal = reads - (r.PageSwitches() - switches)
 	return st
 }
 

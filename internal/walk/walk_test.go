@@ -2,14 +2,16 @@ package walk_test
 
 import (
 	"math"
-	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/frogwild"
 	"repro/internal/graph"
 	"repro/internal/graph/gen"
 	"repro/internal/graph/gstore"
+	"repro/internal/graph/pcache"
+	"repro/internal/parallel"
 	"repro/internal/rng"
 	"repro/internal/theory"
 	"repro/internal/walk"
@@ -210,39 +212,48 @@ func TestTallyBitIdenticalAcrossWorkers(t *testing.T) {
 
 // TestGroupingAndPagingInvariant: the per-task endpoint tallies of a
 // fixed set of walkers do not depend on how the walkers are grouped
-// into Run calls (all in one, one per task, uneven splits), nor on
-// whether the graph is resident or paged at the smallest budget — a
+// into Run calls (all in one, one per task, uneven splits), on how many
+// goroutines run those calls at once over one page cache, nor on
+// whether the graph is resident or paged at the smallest budget, a
+// quarter or three quarters of the pages one request touches — a
 // walker's draws are a pure function of its own stream.
 func TestGroupingAndPagingInvariant(t *testing.T) {
-	g, err := gen.PowerLaw(gen.PowerLawConfig{N: 25000, MeanOutDeg: 8, DegExponent: 2.1, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
+	path := budgetFixture(t)
+	open := func(frames int) *graph.Graph {
+		g, err := gstore.Open(path, gstore.OpenOptions{Mem: int64(frames) * pcache.PageSize, NoVerify: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { g.Close() })
+		return g
 	}
-	path := filepath.Join(t.TempDir(), "g.csr")
-	if err := gstore.Save(path, g); err != nil {
-		t.Fatal(err)
+	g := open(0) // resident
+	live := budgetLive(t)
+	layouts := map[string]*graph.Graph{"resident": g}
+	for _, p := range budgetPoints {
+		layouts["paged/"+p.name] = open(p.frames(live))
 	}
-	pg, err := gstore.Open(path, gstore.OpenOptions{Mem: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pg.Close()
 
 	sources := []graph.VertexID{1, 700, 24999, 12, 4242}
 	const walks = 400
-	// tallies runs the tasks grouped as given (each group one Run) and
-	// returns task → vertex → endpoint count.
-	tallies := func(g *graph.Graph, groups [][]int) ([]map[graph.VertexID]int, walk.Stats) {
+	// tallies runs the tasks grouped as given (each group one Run on its
+	// own reader, the groups spread over workers goroutines) and returns
+	// task → vertex → endpoint count.
+	tallies := func(g *graph.Graph, groups [][]int, workers int) ([]map[graph.VertexID]int, walk.Stats) {
 		out := make([]map[graph.VertexID]int, len(sources))
 		for i := range out {
 			out[i] = make(map[graph.VertexID]int)
 		}
+		var mu sync.Mutex
 		var total walk.Stats
-		r := g.NewAdjReader()
-		defer r.Release()
-		for _, group := range groups {
+		pool := parallel.NewPool(workers)
+		defer pool.Close()
+		pool.Run(len(groups), func(gi, _ int) {
+			r := g.NewAdjReader()
+			defer r.Release()
 			s := walk.Get()
-			for _, task := range group {
+			defer s.Put()
+			for _, task := range groups[gi] {
 				for w := 0; w < walks; w++ {
 					st := rng.DeriveValue(77, uint64(sources[task]), uint64(w))
 					left := min(st.Geometric(pT), 64)
@@ -250,35 +261,47 @@ func TestGroupingAndPagingInvariant(t *testing.T) {
 				}
 			}
 			st := s.Run(r, true, nil)
+			for i := range s.Walkers {
+				out[s.Walkers[i].Tag][s.Walkers[i].Cur]++ // a task is in one group: no two goroutines share a map
+			}
+			mu.Lock()
 			total.Steps += st.Steps
 			total.PageLocal += st.PageLocal
-			for i := range s.Walkers {
-				out[s.Walkers[i].Tag][s.Walkers[i].Cur]++
-			}
-			s.Put()
-		}
+			total.Waits += st.Waits
+			total.Sweeps += st.Sweeps
+			mu.Unlock()
+		})
 		return out, total
 	}
 
-	ref, refStats := tallies(g, [][]int{{0, 1, 2, 3, 4}})
+	ref, refStats := tallies(g, [][]int{{0, 1, 2, 3, 4}}, 1)
+	if refStats.PageLocal != refStats.Steps || refStats.Waits != 0 || refStats.Sweeps != 0 {
+		t.Errorf("resident run: %+v, want every step page-local and nothing waiting", refStats)
+	}
 	groupings := map[string][][]int{
+		"one call":     {{0, 1, 2, 3, 4}},
 		"one per task": {{0}, {1}, {2}, {3}, {4}},
 		"uneven":       {{4, 0}, {2}, {1, 3}},
 	}
 	for name, groups := range groupings {
-		for layout, vg := range map[string]*graph.Graph{"resident": g, "paged": pg} {
-			got, stats := tallies(vg, groups)
-			if !reflect.DeepEqual(got, ref) || stats.Steps != refStats.Steps {
-				t.Errorf("%s on %s graph: tallies differ from one resident call", name, layout)
+		for layout, vg := range layouts {
+			for _, workers := range []int{1, 2, 4, 7} {
+				got, stats := tallies(vg, groups, workers)
+				if !reflect.DeepEqual(got, ref) || stats.Steps != refStats.Steps {
+					t.Errorf("%s on %s graph, %d workers: tallies differ from one resident call", name, layout, workers)
+				}
+				if !vg.Paged() {
+					continue
+				}
+				// A walker waits only on a miss, and only a sweep loads.
+				if stats.Waits == 0 || stats.Sweeps == 0 || stats.Waits >= stats.Steps {
+					t.Errorf("%s on %s graph, %d workers: %+v, want some steps waiting but not all", name, layout, workers, stats)
+				}
+				if stats.PageLocal >= stats.Steps {
+					t.Errorf("%s on %s graph, %d workers: %d of %d steps page-local, want fewer", name, layout, workers, stats.PageLocal, stats.Steps)
+				}
 			}
 		}
-	}
-	_, paged := tallies(pg, [][]int{{0, 1, 2, 3, 4}})
-	if refStats.PageLocal != refStats.Steps-1 {
-		t.Errorf("resident run: %d of %d steps page-local, want all but the first (one page)", refStats.PageLocal, refStats.Steps)
-	}
-	if paged.PageLocal == 0 || paged.PageLocal >= paged.Steps {
-		t.Errorf("paged run: %d of %d steps page-local, want some but not all", paged.PageLocal, paged.Steps)
 	}
 }
 
