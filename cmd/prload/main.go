@@ -357,6 +357,9 @@ func serverEntry(exposition []byte) (loadgen.BenchEntry, error) {
 			"cacheHitRate":    hitRate,
 			"coalesced":       obs.FamilySum(series, "serve_coalesced_total"),
 			"epochFallbacks":  obs.FamilySum(series, "router_epoch_fallbacks_total"),
+			"topkIndexHits":   obs.FamilySum(series, "router_topk_index_hits_total"),
+			"topkRefetches":   obs.FamilySum(series, "router_topk_refetches_total"),
+			"rankRouted":      obs.FamilySum(series, "router_rank_routed_total"),
 			"degradedServes":  obs.FamilySum(series, "router_degraded_total"),
 			"rpcRetries":      obs.FamilySum(series, "router_shard_rpc_retries_total"),
 			"pprQueries":      pprReqs,

@@ -133,10 +133,18 @@ func TestRouterStatsAgreeWithMetrics(t *testing.T) {
 	store := serve.NewStore()
 	publishRanks(t, store, g, tieRanks(g.NumVertices(), 9))
 	rt := newRouter(newShards(t, g, []*serve.Store{store, store, store}), Options{})
+	freeze(rt)
 
-	for i := 0; i < 7; i++ {
-		if code, body := get(t, rt, fmt.Sprintf("/v1/topk?k=%d", 5+i)); code != http.StatusOK {
+	// Two fan-outs (k=9, then the uncovered k=11) and five index hits;
+	// one broadcast rank and two owner-routed ones.
+	for _, k := range []int{9, 5, 11, 6, 7, 11, 1} {
+		if code, body := get(t, rt, fmt.Sprintf("/v1/topk?k=%d", k)); code != http.StatusOK {
 			t.Fatalf("topk status %d: %s", code, body)
+		}
+	}
+	for range 3 {
+		if code, body := get(t, rt, "/v1/rank?vertex=7"); code != http.StatusOK {
+			t.Fatalf("rank status %d: %s", code, body)
 		}
 	}
 	// The stats request increments the query counter before building
@@ -166,6 +174,9 @@ func TestRouterStatsAgreeWithMetrics(t *testing.T) {
 		{"router_requests_total", float64(stats.Serving.Queries)},
 		{"router_degraded_total", float64(stats.Serving.Degraded)},
 		{"router_epoch_fallbacks_total", float64(stats.Serving.EpochFallbacks)},
+		{"router_topk_index_hits_total", float64(stats.Serving.TopKIndexHits)},
+		{"router_topk_refetches_total", float64(stats.Serving.TopKRefetches)},
+		{"router_rank_routed_total", float64(stats.Serving.RankRouted)},
 		{"router_shard_rpc_retries_total", float64(stats.Serving.Retries)},
 		{"router_shard_bytes_sent_total", float64(stats.Network.BytesSent)},
 		{"router_shard_bytes_recv_total", float64(stats.Network.BytesRecv)},
@@ -176,8 +187,11 @@ func TestRouterStatsAgreeWithMetrics(t *testing.T) {
 			t.Errorf("%s = %v in /metrics, %v in /v1/stats", c.family, got, c.want)
 		}
 	}
-	if stats.Serving.Queries != 8 {
-		t.Errorf("queries = %d, want 8 (7 topk + the stats request)", stats.Serving.Queries)
+	if stats.Serving.Queries != 11 {
+		t.Errorf("queries = %d, want 11 (7 topk + 3 rank + the stats request)", stats.Serving.Queries)
+	}
+	if s := stats.Serving; s.TopKIndexHits != 5 || s.TopKRefetches != 2 || s.RankRouted != 2 {
+		t.Errorf("index hits/refetches/rank routed = %d/%d/%d, want 5/2/2", s.TopKIndexHits, s.TopKRefetches, s.RankRouted)
 	}
 	if got := obs.FamilySum(series, "router_shard_rpc_total"); got <= 0 {
 		t.Errorf("router_shard_rpc_total = %v, want > 0", got)

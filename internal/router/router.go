@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -18,13 +19,68 @@ import (
 	"repro/internal/topk"
 )
 
-// maxCachedK bounds the last-good fallback caches, mirroring the
-// single-node server's body cache bound: an adversarial parameter
-// sweep cannot grow them without limit.
+// maxCachedK bounds the top index and maxCachedRank the per-vertex rank
+// entries, mirroring the single-node server's body cache bound: an
+// adversarial parameter sweep cannot grow them without limit.
 const (
 	maxCachedK    = 4096
 	maxCachedRank = 1 << 16
 )
+
+// topIndexTTL is how long after the fan-out that confirmed it the top
+// index answers without asking the shards again. It is well under one
+// snapshot build, so the staleness it admits is less than the refresh
+// skew between shards that rule 2 already serves.
+const topIndexTTL = 100 * time.Millisecond
+
+// topIndex is the router's copy of the cluster's merged top list at one
+// epoch: the complete consistentTopK answer for the largest k asked so
+// far (up to maxCachedK). The order is total, so every shorter top-k of
+// that epoch is a prefix of it. It is the fast path while fresh and the
+// degraded fallback once the cluster cannot confirm anything newer.
+type topIndex struct {
+	resp api.TopKResponse // Entries is read-only once stored
+	// k is what the shards were asked for; fewer entries than that means
+	// the index holds every vertex of the graph.
+	k int
+	// confirmed is the start of the fan-out every shard answered at
+	// resp.Epoch; the zero time marks an index whose freshness has ended.
+	confirmed time.Time
+}
+
+// covers reports whether the top-k at the index's epoch is a prefix of it.
+func (x topIndex) covers(k int) bool {
+	return x.k > 0 && (k <= x.k || len(x.resp.Entries) < x.k)
+}
+
+// prefix cuts the top-k answer out of an index that covers k.
+func (x topIndex) prefix(k int) api.TopKResponse {
+	resp := x.resp
+	resp.Entries = resp.Entries[:min(k, len(resp.Entries))]
+	resp.K = len(resp.Entries)
+	return resp
+}
+
+// bounded cuts an index fetched for a k beyond maxCachedK down to the
+// bound, letting go of the longer list.
+func (x topIndex) bounded() topIndex {
+	if x.k > maxCachedK {
+		x.k = maxCachedK
+		if len(x.resp.Entries) > maxCachedK {
+			x.resp.Entries = slices.Clone(x.resp.Entries[:maxCachedK])
+		}
+	}
+	return x
+}
+
+// rankEntry is the last exact /v1/rank answer for one vertex and the
+// shard (by position in Router.clients) that gave it. Ownership is a
+// pure function of (graph, shards, seed), so the owner is asked alone
+// from then on.
+type rankEntry struct {
+	resp  api.RankResponse
+	owner int
+}
 
 // Options tunes a Router.
 type Options struct {
@@ -41,24 +97,35 @@ type Options struct {
 	RequestLog *obs.Logger
 }
 
-// Router is the stateless HTTP front of a shard cluster. It serves the
-// same /v1 query API as the single-node server — a healthy sharded
-// top-k response is byte-identical to the single-node body for the
-// same snapshot epoch — by fanning every query out to all shards and
-// merging the partial results exactly via internal/topk's total order.
+// Router is the HTTP front of a shard cluster. It serves the same /v1
+// query API as the single-node server — a healthy sharded top-k response
+// is byte-identical to the single-node body for the same snapshot epoch
+// — and holds no graph. It is partially synchronized with its shards:
+// what a shard says is immutable per epoch and ownership never changes,
+// so the router keeps the merged top list of the epoch it last confirmed
+// (topIndex) and answers /v1/topk from it without an RPC, and asks only
+// a vertex's owner for /v1/rank. Nothing runs in the background: the
+// index is revalidated on the request path when it has expired.
 //
 // Failure semantics, in order of preference:
 //
-//  1. All shards answer at one epoch: exact answer, that epoch.
-//  2. Shards straddle a refresh: the query re-runs pinned to the
+//  1. Exact at an epoch every shard confirmed at most 100 ms ago, and
+//     never older than an epoch the router has since seen in any shard
+//     reply: a failed RPC or a reply at another epoch on any path (an
+//     owner-routed rank, stats, healthz, a refetch) ends the index's
+//     freshness at once, and the next top-k fans out.
+//  2. Shards straddle a refresh: the fan-out re-runs pinned to the
 //     oldest current epoch (every shard retains its previous snapshot,
 //     so the laggard's epoch is still answerable cluster-wide). The
-//     answer is exact for that older epoch.
+//     answer is exact for that older epoch; it is not kept as fresh, so
+//     the cluster is asked again until it agrees.
 //  3. A shard is unreachable (after its timeout and retry) or the
-//     pinned epoch is gone: the last complete merged answer for the
-//     same query is served, marked "degraded": true, at its (stale)
-//     epoch.
-//  4. No fallback answer is cached: 503 with the shared error
+//     pinned epoch is gone: the index answers every k up to the largest
+//     asked so far, and the last exact rank of the vertex answers
+//     /v1/rank, marked "degraded": true at their (stale) epoch. Top-k
+//     notices a dead shard when the window ends or at the next rank,
+//     stats or healthz that touches it, whichever is first.
+//  4. Nothing kept covers the query: 503 with the shared error
 //     envelope, code "unavailable".
 type Router struct {
 	clients []*ShardClient
@@ -72,14 +139,24 @@ type Router struct {
 	degraded       obs.Counter
 	epochFallbacks obs.Counter
 	pprUnsupported obs.Counter
+	indexHits      obs.Counter
+	refetches      obs.Counter
+	rankRouted     obs.Counter
 	reg            *obs.Registry
 	reqLog         *obs.Logger
 
-	// Last-good caches backing failure mode 3. Bounded; keyed by query
-	// parameter.
+	// now is time.Now outside tests, which drive the freshness window
+	// through it.
+	now func() time.Time
+
+	// mu guards the partial copy of shard state. contrary counts the
+	// shard replies that contradicted top, so a refetch that overlapped
+	// one does not store its result as fresh. lastRank is bounded by
+	// maxCachedRank.
 	mu       sync.Mutex
-	lastTopK map[int]api.TopKResponse
-	lastRank map[uint32]api.RankResponse
+	top      topIndex
+	contrary uint64
+	lastRank map[uint32]rankEntry
 
 	httpMu   sync.Mutex
 	listener net.Listener
@@ -94,8 +171,8 @@ func New(clients []*ShardClient, opts Options) *Router {
 	rt := &Router{
 		clients:  clients,
 		timeout:  timeout,
-		lastTopK: make(map[int]api.TopKResponse),
-		lastRank: make(map[uint32]api.RankResponse),
+		now:      time.Now,
+		lastRank: make(map[uint32]rankEntry),
 		reg:      opts.Metrics,
 		reqLog:   opts.RequestLog,
 	}
@@ -105,11 +182,17 @@ func New(clients []*ShardClient, opts Options) *Router {
 	rt.reg.RegisterCounter("router_requests_total",
 		"Queries routed across the /v1 endpoints (method-allowed GETs).", nil, &rt.queries)
 	rt.reg.RegisterCounter("router_degraded_total",
-		"Responses served from the last-good cache because the cluster had no fresh exact answer.", nil, &rt.degraded)
+		"Responses served stale from the top index or a vertex's last rank because the cluster had no fresh exact answer.", nil, &rt.degraded)
 	rt.reg.RegisterCounter("router_epoch_fallbacks_total",
 		"Queries re-issued pinned to an older epoch because shards straddled a refresh.", nil, &rt.epochFallbacks)
 	rt.reg.RegisterCounter("router_ppr_unsupported_total",
 		"PPR queries refused with 501 unsupported (the router holds no graph to walk).", nil, &rt.pprUnsupported)
+	rt.reg.RegisterCounter("router_topk_index_hits_total",
+		"Top-k queries answered exact from the fresh top index, with no shard RPC.", nil, &rt.indexHits)
+	rt.reg.RegisterCounter("router_topk_refetches_total",
+		"Top-k fan-outs to every shard because the index was missing, too short, expired or contradicted.", nil, &rt.refetches)
+	rt.reg.RegisterCounter("router_rank_routed_total",
+		"Rank queries answered by one RPC to the vertex's owner alone.", nil, &rt.rankRouted)
 	rt.reg.GaugeFunc("router_shards",
 		"Number of shards this router fans out to.", nil, func() float64 {
 			return float64(len(clients))
@@ -142,8 +225,8 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // Queries returns the total routed query count.
 func (rt *Router) Queries() uint64 { return rt.queries.Value() }
 
-// Degraded returns how many responses were served from the last-good
-// cache because the cluster could not produce a fresh exact answer.
+// Degraded returns how many responses were served stale, marked
+// degraded, because the cluster could not produce a fresh exact answer.
 func (rt *Router) Degraded() uint64 { return rt.degraded.Value() }
 
 // EpochFallbacks returns how many queries re-ran pinned to an older
@@ -277,13 +360,13 @@ func shardErr(results []shardResult) error {
 
 // consistentTopK gathers partial top-k lists at one consistent epoch,
 // re-issuing pinned queries when shards straddle a refresh. It returns
-// the merged exact response, or an error when any shard cannot
-// contribute.
-func (rt *Router) consistentTopK(k int, rid string) (api.TopKResponse, error) {
+// the merged exact response and whether the shards agreed on its epoch
+// unprompted, or an error when any shard cannot contribute.
+func (rt *Router) consistentTopK(k int, rid string) (resp api.TopKResponse, agreed bool, err error) {
 	results := rt.fanout(&request{V: api.Version, Op: opTopK, K: k, Rid: rid})
 	for _, r := range results {
 		if !r.ok() {
-			return api.TopKResponse{}, shardErr(results)
+			return api.TopKResponse{}, false, shardErr(results)
 		}
 	}
 	// Epoch agreement: serve the oldest current epoch, so a refresh
@@ -310,7 +393,7 @@ func (rt *Router) consistentTopK(k int, rid string) (api.TopKResponse, error) {
 			r.resp, r.err = rt.clients[i].call(pinned)
 			if !r.ok() || r.resp.Epoch != target {
 				results[i] = r
-				return api.TopKResponse{}, shardErr(results)
+				return api.TopKResponse{}, false, shardErr(results)
 			}
 			results[i] = r
 		}
@@ -330,7 +413,26 @@ func (rt *Router) consistentTopK(k int, rid string) (api.TopKResponse, error) {
 		Seed:    results[0].resp.Seed,
 		K:       len(rows),
 		Entries: rows,
-	}, nil
+	}, !mixed, nil
+}
+
+// saw records what a shard reply just told the router: a failure, or an
+// epoch other than the top index's, ends the index's freshness at once.
+// Callers hold mu.
+func (rt *Router) saw(ok bool, epoch uint64) {
+	if !ok || epoch != rt.top.resp.Epoch {
+		rt.contrary++
+		rt.top.confirmed = time.Time{}
+	}
+}
+
+// observe is saw over the replies of one fan-out.
+func (rt *Router) observe(results []shardResult) {
+	rt.mu.Lock()
+	for _, r := range results {
+		rt.saw(r.ok(), r.resp.Epoch)
+	}
+	rt.mu.Unlock()
 }
 
 func (rt *Router) handleTopK(w http.ResponseWriter, r *http.Request, rid string) {
@@ -339,29 +441,48 @@ func (rt *Router) handleTopK(w http.ResponseWriter, r *http.Request, rid string)
 		serve.WriteError(w, http.StatusBadRequest, api.CodeBadRequest, 0, "bad k: %v", err)
 		return
 	}
-	resp, err := rt.consistentTopK(k, rid)
-	if err == nil {
-		if k <= maxCachedK {
-			rt.mu.Lock()
-			rt.lastTopK[k] = resp
-			rt.mu.Unlock()
-		}
-		rt.reply(w, resp)
+	now := rt.now()
+	rt.mu.Lock()
+	idx, contrary := rt.top, rt.contrary
+	rt.mu.Unlock()
+	if idx.covers(k) && now.Sub(idx.confirmed) <= topIndexTTL {
+		rt.indexHits.Inc()
+		rt.reply(w, idx.prefix(k))
 		return
 	}
-	// Degraded path: the last complete merge for this k, at its stale
-	// epoch, beats an error while a shard is down.
+	// Ask for no less than the index holds, so one small k does not
+	// shrink what the next large one (or the fallback) can be cut from.
+	rt.refetches.Inc()
+	fetched := topIndex{k: max(k, idx.k)}
+	var agreed bool
+	fetched.resp, agreed, err = rt.consistentTopK(fetched.k, rid)
 	rt.mu.Lock()
-	cached, ok := rt.lastTopK[k]
+	// Fresh only if nothing the router saw since the fan-out began, its
+	// own straddle included, says the cluster has moved on.
+	quiet := rt.contrary == contrary
+	rt.saw(err == nil && agreed, fetched.resp.Epoch)
+	if err == nil {
+		rt.top = fetched.bounded()
+		if agreed && quiet {
+			rt.top.confirmed = now
+		}
+	}
 	rt.mu.Unlock()
-	if !ok {
+	if err == nil {
+		rt.reply(w, fetched.prefix(k))
+		return
+	}
+	// Degraded path: the index at its stale epoch beats an error while a
+	// shard is down.
+	if !idx.covers(k) {
 		serve.WriteError(w, http.StatusServiceUnavailable, api.CodeUnavailable, 0,
-			"shard cluster unavailable and no cached answer for k=%d: %v", k, err)
+			"shard cluster unavailable and no kept answer covers k=%d: %v", k, err)
 		return
 	}
 	rt.degraded.Inc()
-	cached.Degraded = true
-	rt.reply(w, cached)
+	stale := idx.prefix(k)
+	stale.Degraded = true
+	rt.reply(w, stale)
 }
 
 func (rt *Router) handleRank(w http.ResponseWriter, r *http.Request, rid string) {
@@ -376,10 +497,32 @@ func (rt *Router) handleRank(w http.ResponseWriter, r *http.Request, rid string)
 		return
 	}
 	v := uint32(v64)
-	results := rt.fanout(&request{V: api.Version, Op: opRank, Vertex: v, Rid: rid})
+	req := &request{V: api.Version, Op: opRank, Vertex: v, Rid: rid}
+	rt.mu.Lock()
+	last, known := rt.lastRank[v]
+	rt.mu.Unlock()
+	if known {
+		var res shardResult
+		res.resp, res.err = rt.clients[last.owner].call(req)
+		switch {
+		case !res.ok():
+			rt.observe([]shardResult{res})
+			rt.serveLastRank(w, last)
+			return
+		case res.resp.Owned:
+			rt.rankRouted.Inc()
+			rt.replyRank(w, v, last.owner, &res.resp)
+			return
+		}
+		// The shard answers but no longer owns v: the cluster behind the
+		// router was rebuilt. Ask everyone, as for a vertex never seen.
+	}
+	results := rt.fanout(req)
+	rt.observe(results)
 	allOK := true
 	var maxEpoch uint64
-	for _, res := range results {
+	for i := range results {
+		res := &results[i]
 		if !res.ok() {
 			allOK = false
 			continue
@@ -388,18 +531,7 @@ func (rt *Router) handleRank(w http.ResponseWriter, r *http.Request, rid string)
 			maxEpoch = res.resp.Epoch
 		}
 		if res.resp.Owned {
-			resp := api.RankResponse{
-				Epoch:  res.resp.Epoch,
-				Engine: res.resp.Engine,
-				Vertex: v,
-				Rank:   res.resp.Rank,
-			}
-			rt.mu.Lock()
-			if len(rt.lastRank) < maxCachedRank {
-				rt.lastRank[v] = resp
-			}
-			rt.mu.Unlock()
-			rt.reply(w, resp)
+			rt.replyRank(w, v, i, &res.resp)
 			return
 		}
 	}
@@ -411,17 +543,39 @@ func (rt *Router) handleRank(w http.ResponseWriter, r *http.Request, rid string)
 		return
 	}
 	// The owner may be among the failed shards: degraded fallback.
-	rt.mu.Lock()
-	cached, ok := rt.lastRank[v]
-	rt.mu.Unlock()
-	if !ok {
+	if !known {
 		serve.WriteError(w, http.StatusServiceUnavailable, api.CodeUnavailable, maxEpoch,
 			"shard cluster unavailable and no cached rank for vertex %d: %v", v, shardErr(results))
 		return
 	}
+	rt.serveLastRank(w, last)
+}
+
+// replyRank answers /v1/rank from the owner's reply and keeps it, with
+// the owner's position, as the vertex's entry: a vertex already kept is
+// always refreshed, a new one is added only under the cap.
+func (rt *Router) replyRank(w http.ResponseWriter, v uint32, owner int, from *response) {
+	resp := api.RankResponse{
+		Epoch:  from.Epoch,
+		Engine: from.Engine,
+		Vertex: v,
+		Rank:   from.Rank,
+	}
+	rt.mu.Lock()
+	rt.saw(true, from.Epoch)
+	if _, kept := rt.lastRank[v]; kept || len(rt.lastRank) < maxCachedRank {
+		rt.lastRank[v] = rankEntry{resp: resp, owner: owner}
+	}
+	rt.mu.Unlock()
+	rt.reply(w, resp)
+}
+
+// serveLastRank answers /v1/rank from the vertex's entry, marked
+// degraded, when its owner cannot be reached.
+func (rt *Router) serveLastRank(w http.ResponseWriter, last rankEntry) {
 	rt.degraded.Inc()
-	cached.Degraded = true
-	rt.reply(w, cached)
+	last.resp.Degraded = true
+	rt.reply(w, last.resp)
 }
 
 // handlePPR refuses personalized PageRank explicitly: walks need the
@@ -449,6 +603,7 @@ func (rt *Router) handleCompare(w http.ResponseWriter, r *http.Request, rid stri
 // the oldest epoch among live shards (the consistent serving floor).
 func (rt *Router) probe(rid string) (rows []api.ShardStatus, maxEpoch, minEpoch uint64, engine api.Engine, seed uint64, healthy bool) {
 	results := rt.fanout(&request{V: api.Version, Op: opStatus, Rid: rid})
+	rt.observe(results)
 	rows = make([]api.ShardStatus, len(results))
 	healthy = true
 	first := true
@@ -499,6 +654,9 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request, rid string
 			Retries:        rt.sumRetries(),
 			EpochFallbacks: rt.epochFallbacks.Value(),
 			PPRUnsupported: rt.pprUnsupported.Value(),
+			TopKIndexHits:  rt.indexHits.Value(),
+			TopKRefetches:  rt.refetches.Value(),
+			RankRouted:     rt.rankRouted.Value(),
 		},
 		Network: rt.NetworkStats(),
 	})
@@ -540,24 +698,7 @@ func (rt *Router) Serve(ctx context.Context, addr string) error {
 	rt.httpMu.Lock()
 	rt.listener = ln
 	rt.httpMu.Unlock()
-	srv := &http.Server{Handler: rt.mux}
-	errc := make(chan error, 1)
-	go func() { errc <- srv.Serve(ln) }()
-	select {
-	case <-ctx.Done():
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		if err := srv.Shutdown(shutdownCtx); err != nil {
-			return err
-		}
-		<-errc
-		return nil
-	case err := <-errc:
-		if errors.Is(err, http.ErrServerClosed) {
-			return nil
-		}
-		return err
-	}
+	return obs.ServeListener(ctx, ln, rt.mux)
 }
 
 // Addr returns the bound listen address once Serve is up ("" before).

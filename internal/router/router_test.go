@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -102,6 +103,39 @@ func get(t testing.TB, h http.Handler, url string) (int, string) {
 	return rec.Code, string(body)
 }
 
+// fakeClock stands in for Router.now, so tests step across the top
+// index's freshness window instead of sleeping through it.
+type fakeClock struct{ t time.Time }
+
+func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
+
+// freeze puts rt on a fake clock that only moves when advanced.
+func freeze(rt *Router) *fakeClock {
+	c := &fakeClock{t: time.Unix(1_700_000_000, 0)}
+	rt.now = func() time.Time { return c.t }
+	return c
+}
+
+// shardQueries sums the RPCs the shards have answered: a router reply
+// that does not move it touched no socket.
+func shardQueries(servers []*ShardServer) uint64 {
+	var total uint64
+	for _, s := range servers {
+		total += s.Queries()
+	}
+	return total
+}
+
+// topKBody decodes a /v1/topk body.
+func topKBody(t testing.TB, body string) api.TopKResponse {
+	t.Helper()
+	var resp api.TopKResponse
+	if err := json.Unmarshal([]byte(body), &resp); err != nil {
+		t.Fatalf("%v (body %.200s)", err, body)
+	}
+	return resp
+}
+
 // TestShardedBitIdenticalToSingleNode is the tentpole property: for
 // shard counts 1/2/4/7 over an in-memory pipe transport, the router's
 // healthy /v1/topk and /v1/rank bodies are byte-identical to a
@@ -155,69 +189,97 @@ func TestShardedBitIdenticalToSingleNode(t *testing.T) {
 	}
 }
 
-// TestEpochStraddleFallsBackToCommonEpoch refreshes only some shards,
-// then checks the router answers exactly at the oldest live epoch (the
-// laggard's), served from the leaders' retained previous snapshots —
-// not a cross-epoch Frankenstein merge, and not a degraded response.
+// TestEpochStraddleFallsBackToCommonEpoch refreshes only some shards.
+// Inside the freshness window the router keeps answering from its
+// epoch-1 index without asking anyone; once the window ends — the clock
+// passes 100 ms, or a /v1/rank reply shows it epoch 2 — the fan-out runs
+// the straddle rule and answers exactly at the oldest live epoch (the
+// laggard's), served from the leaders' retained previous snapshots: not
+// a cross-epoch Frankenstein merge, and not a degraded response. A
+// straddled answer is never kept as fresh, so the caught-up cluster is
+// served at epoch 2 by the very next query.
 func TestEpochStraddleFallsBackToCommonEpoch(t *testing.T) {
 	g := testGraph(t)
 	n := g.NumVertices()
 	const shards = 4
-	stores := make([]*serve.Store, shards)
-	oldRanks := tieRanks(n, 1)
-	for i := range stores {
-		stores[i] = serve.NewStore()
-		publishRanks(t, stores[i], g, oldRanks)
-	}
-	servers := newShards(t, g, stores)
-	rt := newRouter(servers, Options{})
-
-	// Warm every shard's retention ring at epoch 1.
-	if code, _ := get(t, rt, "/v1/topk?k=25"); code != http.StatusOK {
-		t.Fatalf("warmup status %d", code)
-	}
-
-	// Epoch 2 lands on all shards but the last.
-	newRanks := tieRanks(n, 2)
-	for i := 0; i < shards-1; i++ {
-		publishRanks(t, stores[i], g, newRanks)
-	}
-
-	code, body := get(t, rt, "/v1/topk?k=25")
-	if code != http.StatusOK {
-		t.Fatalf("status %d: %s", code, body)
-	}
-	var resp api.TopKResponse
-	if err := json.Unmarshal([]byte(body), &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Epoch != 1 {
-		t.Fatalf("straddled cluster answered epoch %d, want the common epoch 1", resp.Epoch)
-	}
-	if resp.Degraded {
-		t.Fatal("epoch fallback must not be marked degraded: it is exact at the older epoch")
-	}
-	if rt.EpochFallbacks() == 0 {
-		t.Fatal("expected an epoch fallback to be counted")
-	}
-
-	// The answer must be exact for the old vector: compare against a
-	// single-node server still at epoch 1.
+	oldRanks, newRanks := tieRanks(n, 1), tieRanks(n, 2)
+	// The exact epoch-1 answer, from a single node that stays there.
 	st := serve.NewStore()
 	publishRanks(t, st, g, append([]float64(nil), oldRanks...))
 	_, want := get(t, serve.NewServer(st, serve.ServerOptions{}), "/v1/topk?k=25")
-	if body != want {
-		t.Fatalf("epoch-fallback body is not the exact epoch-1 answer\n got %.200s\nwant %.200s", body, want)
-	}
 
-	// Once the laggard catches up, the cluster serves epoch 2.
-	publishRanks(t, stores[shards-1], g, append([]float64(nil), newRanks...))
-	_, body = get(t, rt, "/v1/topk?k=25")
-	if err := json.Unmarshal([]byte(body), &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Epoch != 2 || resp.Degraded {
-		t.Fatalf("caught-up cluster: epoch %d degraded=%v", resp.Epoch, resp.Degraded)
+	for _, trigger := range []string{"clock", "rank"} {
+		t.Run(trigger, func(t *testing.T) {
+			stores := make([]*serve.Store, shards)
+			for i := range stores {
+				stores[i] = serve.NewStore()
+				publishRanks(t, stores[i], g, oldRanks)
+			}
+			servers := newShards(t, g, stores)
+			rt := newRouter(servers, Options{})
+			clock := freeze(rt)
+
+			// Builds the index and warms every shard's retention ring at
+			// epoch 1.
+			if code, _ := get(t, rt, "/v1/topk?k=25"); code != http.StatusOK {
+				t.Fatalf("warmup status %d", code)
+			}
+			// Epoch 2 lands on all shards but the last.
+			for i := 0; i < shards-1; i++ {
+				publishRanks(t, stores[i], g, newRanks)
+			}
+
+			// Inside the window, up to its last instant: the index answers.
+			clock.advance(topIndexTTL)
+			asked := shardQueries(servers)
+			code, body := get(t, rt, "/v1/topk?k=25")
+			if code != http.StatusOK || body != want {
+				t.Fatalf("inside the window: status %d, exact epoch-1 body %v", code, body == want)
+			}
+			if shardQueries(servers) != asked || rt.EpochFallbacks() != 0 {
+				t.Fatalf("inside the window the router asked the shards: %d RPCs, %d epoch fallbacks",
+					shardQueries(servers)-asked, rt.EpochFallbacks())
+			}
+
+			if trigger == "clock" {
+				clock.advance(time.Nanosecond)
+			} else {
+				// One rank reply from a shard that is already at epoch 2.
+				url := fmt.Sprintf("/v1/rank?vertex=%d", servers[0].owned[0])
+				if code, body := get(t, rt, url); code != http.StatusOK {
+					t.Fatalf("rank status %d: %s", code, body)
+				}
+			}
+			code, body = get(t, rt, "/v1/topk?k=25")
+			if code != http.StatusOK {
+				t.Fatalf("status %d: %s", code, body)
+			}
+			resp := topKBody(t, body)
+			if resp.Epoch != 1 {
+				t.Fatalf("straddled cluster answered epoch %d, want the common epoch 1", resp.Epoch)
+			}
+			if resp.Degraded {
+				t.Fatal("epoch fallback must not be marked degraded: it is exact at the older epoch")
+			}
+			if rt.EpochFallbacks() != 1 {
+				t.Fatalf("epoch fallbacks = %d, want 1", rt.EpochFallbacks())
+			}
+			if body != want {
+				t.Fatalf("epoch-fallback body is not the exact epoch-1 answer\n got %.200s\nwant %.200s", body, want)
+			}
+
+			// Once the laggard catches up, the cluster serves epoch 2 — with
+			// the clock standing still, because a straddled answer is not
+			// fresh.
+			publishRanks(t, stores[shards-1], g, append([]float64(nil), newRanks...))
+			_, body = get(t, rt, "/v1/topk?k=25")
+			if resp = topKBody(t, body); resp.Epoch != 2 || resp.Degraded {
+				t.Fatalf("caught-up cluster: epoch %d degraded=%v", resp.Epoch, resp.Degraded)
+			}
+			if rt.EpochFallbacks() != 1 {
+				t.Fatalf("agreeing cluster counted a fallback: %d", rt.EpochFallbacks())
+			}
+		})
 	}
 }
 
@@ -252,17 +314,26 @@ func deadCluster(t *testing.T) (*Router, *flakyDial, *serve.Store, *graph.Graph)
 }
 
 // TestShardDeathDegradesInsteadOfFailing kills one shard after a
-// healthy query and checks the router keeps answering: the last
-// complete merge comes back marked degraded, while queries with no
-// cached fallback get the unavailable envelope.
+// healthy query and checks the router keeps answering. Inside the
+// freshness window a covered k is still the exact answer at its stamped
+// epoch, not degraded; once the window ends the index comes back marked
+// degraded for every k it covers, while a k it does not cover gets the
+// unavailable envelope; after revival answers are exact again.
 func TestShardDeathDegradesInsteadOfFailing(t *testing.T) {
-	rt, flaky, _, _ := deadCluster(t)
+	rt, flaky, _, g := deadCluster(t)
+	clock := freeze(rt)
+	owned, err := OwnedVertices(g, 3, 2, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rankURL := fmt.Sprintf("/v1/rank?vertex=%d", owned[0]) // the dying shard's
 
 	codeOK, healthy := get(t, rt, "/v1/topk?k=10")
 	if codeOK != http.StatusOK {
 		t.Fatalf("healthy status %d", codeOK)
 	}
-	if _, rankBody := get(t, rt, "/v1/rank?vertex=5"); rankBody == "" {
+	_, healthy4 := get(t, rt, "/v1/topk?k=4")
+	if _, rankBody := get(t, rt, rankURL); rankBody == "" {
 		t.Fatal("empty healthy rank body")
 	}
 
@@ -272,33 +343,39 @@ func TestShardDeathDegradesInsteadOfFailing(t *testing.T) {
 		c.Close()
 	}
 
-	code, body := get(t, rt, "/v1/topk?k=10")
-	if code != http.StatusOK {
-		t.Fatalf("degraded query status %d: %s", code, body)
+	// Inside the window nothing has contradicted the index yet.
+	for url, want := range map[string]string{"/v1/topk?k=10": healthy, "/v1/topk?k=4": healthy4} {
+		if code, body := get(t, rt, url); code != http.StatusOK || body != want {
+			t.Fatalf("%s inside the window: status %d, body\n%s\nwant\n%s", url, code, body, want)
+		}
 	}
-	var resp api.TopKResponse
-	if err := json.Unmarshal([]byte(body), &resp); err != nil {
-		t.Fatal(err)
-	}
-	if !resp.Degraded {
-		t.Fatal("response with a dead shard must be marked degraded")
-	}
-	var want api.TopKResponse
-	if err := json.Unmarshal([]byte(healthy), &want); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Epoch != want.Epoch || len(resp.Entries) != len(want.Entries) {
-		t.Fatalf("degraded answer is not the cached last-good: epoch %d/%d entries %d/%d",
-			resp.Epoch, want.Epoch, len(resp.Entries), len(want.Entries))
-	}
-	if rt.Degraded() == 0 {
-		t.Fatal("degraded counter did not move")
+	if rt.Degraded() != 0 {
+		t.Fatalf("degraded = %d inside the window", rt.Degraded())
 	}
 
-	// A k nobody has asked for has no fallback: unavailable envelope.
-	code, body = get(t, rt, "/v1/topk?k=11")
+	clock.advance(topIndexTTL + time.Nanosecond)
+	want := topKBody(t, healthy)
+	for _, k := range []int{10, 4, 1} {
+		code, body := get(t, rt, fmt.Sprintf("/v1/topk?k=%d", k))
+		if code != http.StatusOK {
+			t.Fatalf("degraded k=%d status %d: %s", k, code, body)
+		}
+		resp := topKBody(t, body)
+		if !resp.Degraded {
+			t.Fatalf("k=%d: response with a dead shard must be marked degraded", k)
+		}
+		if resp.Epoch != want.Epoch || resp.K != k || !slices.Equal(resp.Entries, want.Entries[:k]) {
+			t.Fatalf("k=%d: degraded answer is not a prefix of the index: %+v", k, resp)
+		}
+	}
+	if rt.Degraded() != 3 {
+		t.Fatalf("degraded = %d, want 3", rt.Degraded())
+	}
+
+	// A k beyond the largest asked has no fallback: unavailable envelope.
+	code, body := get(t, rt, "/v1/topk?k=11")
 	if code != http.StatusServiceUnavailable {
-		t.Fatalf("uncached k with dead shard: status %d, want 503", code)
+		t.Fatalf("uncovered k with dead shard: status %d, want 503", code)
 	}
 	var env api.Error
 	if err := json.Unmarshal([]byte(body), &env); err != nil {
@@ -308,8 +385,8 @@ func TestShardDeathDegradesInsteadOfFailing(t *testing.T) {
 		t.Fatalf("envelope code %q, want %q", env.Code, api.CodeUnavailable)
 	}
 
-	// Rank served from the per-vertex last-good cache, marked degraded.
-	code, body = get(t, rt, "/v1/rank?vertex=5")
+	// Rank served from the vertex's last exact answer, marked degraded.
+	code, body = get(t, rt, rankURL)
 	if code != http.StatusOK {
 		t.Fatalf("degraded rank status %d: %s", code, body)
 	}
@@ -317,7 +394,7 @@ func TestShardDeathDegradesInsteadOfFailing(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &rank); err != nil {
 		t.Fatal(err)
 	}
-	if !rank.Degraded || rank.Vertex != 5 {
+	if !rank.Degraded || rank.Vertex != owned[0] {
 		t.Fatalf("degraded rank: %+v", rank)
 	}
 

@@ -1,11 +1,12 @@
 // Package router is the sharded serving plane: ShardServer owns one
 // HDRF partition of the vertex space and answers partial top-k/rank
 // queries over a small length-prefixed RPC protocol; Router is the
-// stateless HTTP front that fans a query out to every shard, merges
-// the partial top-k lists exactly through internal/topk's total order,
-// and degrades gracefully — per-shard timeout and retry, a consistent
-// older epoch when shards straddle a refresh, and last-good cached
-// answers when a shard is down — instead of failing queries.
+// HTTP front that fans a query out to every shard, merges the partial
+// top-k lists exactly through internal/topk's total order, keeps the
+// merged list of the epoch it last confirmed so that most queries need
+// no fan-out at all, and degrades gracefully — per-shard timeout and
+// retry, a consistent older epoch when shards straddle a refresh, and
+// that kept list when a shard is down — instead of failing queries.
 //
 // The transport is pluggable (any net.Conn): tests drive shards over
 // net.Pipe for determinism, deployments over TCP. Every byte crossing

@@ -195,8 +195,9 @@ type NetworkStats struct {
 // RouterStats counts the router's own query-path activity.
 type RouterStats struct {
 	Queries uint64 `json:"queries"`
-	// Degraded counts responses served from the last-good cache because
-	// a shard was unreachable or lacked a consistent epoch.
+	// Degraded counts responses served stale, from the router's top
+	// index or a vertex's last exact rank, because a shard was
+	// unreachable or lacked a consistent epoch.
 	Degraded uint64 `json:"degraded"`
 	// Retries counts per-shard RPC retries after a transport error.
 	Retries uint64 `json:"retries"`
@@ -208,6 +209,13 @@ type RouterStats struct {
 	// from generic totals so a client mis-targeting PPR at a router is
 	// visible in stats, not folded into request noise.
 	PPRUnsupported uint64 `json:"pprUnsupported,omitempty"`
+	// TopKIndexHits counts top-k queries answered from the router's
+	// fresh top index with no shard RPC; TopKRefetches counts the
+	// fan-outs that (re)built it. RankRouted counts rank queries
+	// answered by one RPC to the vertex's owner alone.
+	TopKIndexHits uint64 `json:"topkIndexHits"`
+	TopKRefetches uint64 `json:"topkRefetches"`
+	RankRouted    uint64 `json:"rankRouted"`
 }
 
 // RouterStatsResponse is the router's /v1/stats body.
