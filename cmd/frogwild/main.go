@@ -24,6 +24,7 @@ import (
 	"os"
 
 	"repro"
+	"repro/internal/graph/gio"
 	"repro/internal/parallel"
 )
 
@@ -53,20 +54,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	var (
-		g   *repro.Graph
-		err error
-	)
-	switch {
-	case *path != "":
-		g, err = repro.LoadGraph(*path)
-	case *genType == "twitterlike":
-		g, err = repro.TwitterLikeGraph(*n, *seed)
-	case *genType == "livejournallike":
-		g, err = repro.LiveJournalLikeGraph(*n, *seed)
-	default:
-		err = fmt.Errorf("provide -graph FILE or -gen twitterlike|livejournallike")
-	}
+	g, err := (&gio.Source{Path: *path, Gen: *genType, N: *n, Seed: *seed}).Open()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "frogwild: %v\n", err)
 		os.Exit(1)

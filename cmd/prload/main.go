@@ -57,7 +57,7 @@ import (
 	"syscall"
 	"time"
 
-	"repro"
+	"repro/internal/graph/gio"
 	"repro/internal/loadgen"
 	"repro/internal/obs"
 	"repro/internal/router"
@@ -70,66 +70,59 @@ func main() {
 	os.Exit(run(ctx, os.Args[1:], os.Stdout, os.Stderr))
 }
 
+// options are prload's flags. The graph and engine flags it shares
+// with prserve and prshard — they shape the in-process targets — are
+// declared by src and build; -seed also fixes the workload, and -maxk
+// is also the upper bound of the k the workload draws.
+type options struct {
+	src   gio.Source
+	build serve.BuildConfig
+	load  loadgen.Config
+
+	url, snapDir, mix, out, metricsURL, metricsOut string
+	shards                                         int
+	timeout                                        time.Duration
+}
+
+// newFlags declares prload's flag set, writing usage to stderr.
+func newFlags(stderr io.Writer) (*flag.FlagSet, *options) {
+	o := &options{src: gio.Source{Gen: "twitterlike", N: 50000, Seed: 1}}
+	fs := flag.NewFlagSet("prload", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	o.src.RegisterFlags(fs)
+	o.build.RegisterFlags(fs)
+	fs.StringVar(&o.url, "url", "", "drive a live server at this base URL instead of in-process")
+	fs.StringVar(&o.snapDir, "snapshot-dir", "", "in-process: warm-start the served snapshot from this directory (and persist the built one there), like prserve")
+	fs.IntVar(&o.shards, "shards", 0, "sharded mode: run N shard RPC workers on TCP loopback and drive the merge router (0 = single-node in-process)")
+	fs.IntVar(&o.load.Queries, "queries", 4000, "measured query count")
+	fs.IntVar(&o.load.Warmup, "warmup", 500, "warmup queries excluded from stats")
+	fs.IntVar(&o.load.Concurrency, "concurrency", 8, "closed-loop workers / open-loop stat shards")
+	fs.IntVar(&o.load.RampStages, "ramp", 1, "closed-loop ramp stages (concurrency rises linearly across them)")
+	fs.BoolVar(&o.load.OpenLoop, "open", false, "open loop: fixed arrival schedule instead of back-to-back workers")
+	fs.Float64Var(&o.load.Rate, "rate", 0, "open-loop arrival rate, queries/s (required with -open)")
+	fs.StringVar(&o.mix, "mix", "", "query mix weights, e.g. topk=0.6,rank=0.3,stats=0.1 (default that; add ppr=W for personalized-PageRank traffic)")
+	fs.Float64Var(&o.load.ZipfS, "zipf-s", 1.1, "key-popularity Zipf exponent for k and vertex draws")
+	fs.IntVar(&o.load.Vertices, "vertices", 0, "rank-query vertex id space (default: the graph's size; required with -url when rank traffic is in the mix)")
+	fs.StringVar(&o.out, "out", "-", "report path ('-' = stdout)")
+	fs.DurationVar(&o.timeout, "timeout", 0, "abort the run after this long (0 = no limit)")
+	fs.StringVar(&o.metricsURL, "metrics-url", "", "with -url: scrape this /metrics endpoint after the run for the prload/server entry")
+	fs.StringVar(&o.metricsOut, "metrics-out", "", "write the server's Prometheus exposition here after the run")
+	return fs, o
+}
+
 // run is the testable CLI body; see the package comment for the exit
 // code contract.
 func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("prload", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	var (
-		url      = fs.String("url", "", "drive a live server at this base URL instead of in-process")
-		path     = fs.String("graph", "", "in-process: graph file (gstore CSR, binary, or edge list; auto-detected)")
-		cache    = fs.String("graph-cache", "", "in-process: gstore CSR cache file — mmap it if present, else build from -graph/-gen and save it")
-		graphMem = fs.String("graph-mem", "", "in-process: page adjacency from the gstore file under this byte budget (e.g. 512MiB); needs -graph-cache or a .csr -graph")
-		relabel  = fs.Bool("graph-relabel", false, "in-process: degree-order vertex rows when building the graph cache (external ids unchanged)")
-		snapDir  = fs.String("snapshot-dir", "", "in-process: warm-start the served snapshot from this directory (and persist the built one there), like prserve")
-		genType  = fs.String("gen", "twitterlike", "in-process: generator, twitterlike|livejournallike")
-		n        = fs.Int("n", 50000, "in-process: vertex count when generating")
-		engine   = fs.String("engine", "frogwild", "in-process: snapshot engine, frogwild|glpr|exact")
-		machines = fs.Int("machines", 16, "in-process: simulated cluster size")
-		nshards  = fs.Int("shards", 0, "sharded mode: run N shard RPC workers on TCP loopback and drive the merge router (0 = single-node in-process)")
-		seed     = fs.Uint64("seed", 1, "workload (and in-process graph/snapshot) seed")
-		queries  = fs.Int("queries", 4000, "measured query count")
-		warmup   = fs.Int("warmup", 500, "warmup queries excluded from stats")
-		conc     = fs.Int("concurrency", 8, "closed-loop workers / open-loop stat shards")
-		ramp     = fs.Int("ramp", 1, "closed-loop ramp stages (concurrency rises linearly across them)")
-		open     = fs.Bool("open", false, "open loop: fixed arrival schedule instead of back-to-back workers")
-		rate     = fs.Float64("rate", 0, "open-loop arrival rate, queries/s (required with -open)")
-		mix      = fs.String("mix", "", "query mix weights, e.g. topk=0.6,rank=0.3,stats=0.1 (default that; add ppr=W for personalized-PageRank traffic)")
-		zipfS    = fs.Float64("zipf-s", 1.1, "key-popularity Zipf exponent for k and vertex draws")
-		maxK     = fs.Int("maxk", 100, "topk k parameter upper bound")
-		vertices = fs.Int("vertices", 0, "rank-query vertex id space (default: the graph's size; required with -url when rank traffic is in the mix)")
-		out      = fs.String("out", "-", "report path ('-' = stdout)")
-		timeout  = fs.Duration("timeout", 0, "abort the run after this long (0 = no limit)")
-		metURL   = fs.String("metrics-url", "", "with -url: scrape this /metrics endpoint after the run for the prload/server entry")
-		metOut   = fs.String("metrics-out", "", "write the server's Prometheus exposition here after the run")
-	)
+	fs, o := newFlags(stderr)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	var memBytes int64
-	if *graphMem != "" {
-		var err error
-		if memBytes, err = repro.ParseByteSize(*graphMem); err != nil {
-			fmt.Fprintf(stderr, "prload: -graph-mem: %v\n", err)
-			fs.Usage()
-			return 2
-		}
-	}
-
-	cfg := loadgen.Config{
-		Seed:        *seed,
-		Queries:     *queries,
-		Warmup:      *warmup,
-		Concurrency: *conc,
-		RampStages:  *ramp,
-		OpenLoop:    *open,
-		Rate:        *rate,
-		ZipfS:       *zipfS,
-		MaxK:        *maxK,
-		Vertices:    *vertices,
-	}
-	if *mix != "" {
-		m, err := parseMix(*mix)
+	o.build.Seed = o.src.Seed
+	cfg := o.load
+	cfg.Seed = o.src.Seed
+	cfg.MaxK = o.build.MaxK
+	if o.mix != "" {
+		m, err := parseMix(o.mix)
 		if err != nil {
 			fmt.Fprintf(stderr, "prload: %v\n", err)
 			fs.Usage()
@@ -144,7 +137,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	// snapshot build. In-process runs fill Vertices from the graph, so
 	// a placeholder stands in for that one field here.
 	pre := cfg
-	if *url == "" && pre.Vertices == 0 {
+	if o.url == "" && pre.Vertices == 0 {
 		pre.Vertices = 1
 	}
 	if err := pre.Validate(); err != nil {
@@ -152,7 +145,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		fs.Usage()
 		return 2
 	}
-	if *metOut != "" && *url != "" && *metURL == "" {
+	if o.metricsOut != "" && o.url != "" && o.metricsURL == "" {
 		fmt.Fprintf(stderr, "prload: -metrics-out with -url needs -metrics-url to scrape\n")
 		fs.Usage()
 		return 2
@@ -161,32 +154,25 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	var target loadgen.Target
 	var rt *router.Router
 	var srv *serve.Server
-	env := map[string]string{"seed": strconv.FormatUint(*seed, 10)}
-	if *url != "" {
-		target = loadgen.HTTPTarget{BaseURL: *url, Client: &http.Client{}}
-		env["target"] = *url
-	} else if *nshards > 0 {
-		shardCtx, stopShards := context.WithCancel(ctx)
-		defer stopShards()
-		var vcount int
-		var err error
-		rt, vcount, err = buildSharded(shardCtx, *path, *cache, *genType, *n, *engine, *machines, *maxK, *seed, *nshards, memBytes, *relabel)
-		if err != nil {
-			fmt.Fprintf(stderr, "prload: %v\n", err)
-			return 1
-		}
-		if cfg.Vertices == 0 {
-			cfg.Vertices = vcount
-		}
-		target = loadgen.HandlerTarget{Handler: rt}
-		env["target"] = fmt.Sprintf("sharded(%d)", *nshards)
-		env["shards"] = strconv.Itoa(*nshards)
-		env["engine"] = *engine
-		env["graph"] = fmt.Sprintf("%s n=%d", *genType, vcount)
+	env := map[string]string{"seed": strconv.FormatUint(o.src.Seed, 10)}
+	if o.url != "" {
+		target = loadgen.HTTPTarget{BaseURL: o.url, Client: &http.Client{}}
+		env["target"] = o.url
 	} else {
 		var vcount int
 		var err error
-		srv, vcount, err = buildInProcess(*path, *cache, *snapDir, *genType, *n, *engine, *machines, *maxK, *seed, memBytes, *relabel)
+		if o.shards > 0 {
+			shardCtx, stopShards := context.WithCancel(ctx)
+			defer stopShards()
+			rt, vcount, err = buildSharded(shardCtx, &o.src, o.build, o.shards)
+			target = loadgen.HandlerTarget{Handler: rt}
+			env["target"] = fmt.Sprintf("sharded(%d)", o.shards)
+			env["shards"] = strconv.Itoa(o.shards)
+		} else {
+			srv, vcount, err = buildInProcess(&o.src, o.build, o.snapDir)
+			target = loadgen.HandlerTarget{Handler: srv}
+			env["target"] = "in-process"
+		}
 		if err != nil {
 			fmt.Fprintf(stderr, "prload: %v\n", err)
 			return 1
@@ -194,15 +180,13 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		if cfg.Vertices == 0 {
 			cfg.Vertices = vcount
 		}
-		target = loadgen.HandlerTarget{Handler: srv}
-		env["target"] = "in-process"
-		env["engine"] = *engine
-		env["graph"] = fmt.Sprintf("%s n=%d", *genType, vcount)
+		env["engine"] = string(o.build.Engine)
+		env["graph"] = fmt.Sprintf("%s n=%d", o.src.Gen, vcount)
 	}
 
-	if *timeout > 0 {
+	if o.timeout > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
+		ctx, cancel = context.WithTimeout(ctx, o.timeout)
 		defer cancel()
 	}
 
@@ -237,7 +221,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "prload: sharded wire traffic: %.0f bytes/query over %d queries (%d degraded, %d epoch fallbacks, %d retries)\n",
 			ns.BytesPerQuery, ns.Queries, rt.Degraded(), rt.EpochFallbacks(), rt.Retries())
 	}
-	exposition, err := gatherMetrics(srv, rt, *metURL)
+	exposition, err := gatherMetrics(srv, rt, o.metricsURL)
 	if err != nil {
 		fmt.Fprintf(stderr, "prload: metrics: %v\n", err)
 		return 1
@@ -249,13 +233,13 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 		doc.Benchmarks = append(doc.Benchmarks, entry)
-		if *metOut != "" {
-			if err := os.WriteFile(*metOut, exposition, 0o644); err != nil {
+		if o.metricsOut != "" {
+			if err := os.WriteFile(o.metricsOut, exposition, 0o644); err != nil {
 				fmt.Fprintf(stderr, "prload: %v\n", err)
 				return 1
 			}
 		}
-	} else if *metOut != "" {
+	} else if o.metricsOut != "" {
 		fmt.Fprintf(stderr, "prload: -metrics-out needs an in-process target or -metrics-url\n")
 		return 2
 	}
@@ -265,9 +249,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	data = append(data, '\n')
-	if *out == "-" {
+	if o.out == "-" {
 		stdout.Write(data)
-	} else if err := os.WriteFile(*out, data, 0o644); err != nil {
+	} else if err := os.WriteFile(o.out, data, 0o644); err != nil {
 		fmt.Fprintf(stderr, "prload: %v\n", err)
 		return 1
 	}
@@ -387,25 +371,19 @@ func serverEntry(exposition []byte) (loadgen.BenchEntry, error) {
 // the merge router. The sockets are real, so the router's byte meters
 // measure actual wire traffic per query. The workers live until ctx is
 // cancelled.
-func buildSharded(ctx context.Context, path, cache, genType string, n int, engine string, machines, maxK int, seed uint64, shards int, memBytes int64, relabel bool) (*router.Router, int, error) {
-	eng, err := serve.ParseEngine(engine)
+func buildSharded(ctx context.Context, src *gio.Source, build serve.BuildConfig, shards int) (*router.Router, int, error) {
+	g, err := src.Open()
 	if err != nil {
 		return nil, 0, err
 	}
-	g, err := openGraph(path, cache, genType, n, seed, memBytes, relabel)
-	if err != nil {
-		return nil, 0, err
-	}
-	snap, err := serve.Build(g, serve.BuildConfig{
-		Engine: eng, Machines: machines, Seed: seed, MaxK: maxK,
-	})
+	snap, err := serve.Build(g, build)
 	if err != nil {
 		return nil, 0, err
 	}
 	store := serve.NewStore()
 	store.Publish(snap)
 
-	owned, err := router.Partition(g, shards, seed)
+	owned, err := router.Partition(g, shards, build.Seed)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -427,60 +405,23 @@ func buildSharded(ctx context.Context, path, cache, genType string, n int, engin
 // generate the graph (through the mmap-able gstore cache when
 // -graph-cache is set), compute or warm-start the snapshot (through
 // -snapshot-dir), wrap it in the query API.
-func buildInProcess(path, cache, snapDir, genType string, n int, engine string, machines, maxK int, seed uint64, memBytes int64, relabel bool) (*serve.Server, int, error) {
-	eng, err := serve.ParseEngine(engine)
-	if err != nil {
-		return nil, 0, err
-	}
-	g, err := openGraph(path, cache, genType, n, seed, memBytes, relabel)
+func buildInProcess(src *gio.Source, build serve.BuildConfig, snapDir string) (*serve.Server, int, error) {
+	g, err := src.Open()
 	if err != nil {
 		return nil, 0, err
 	}
 	srv, _, err := serve.NewService(g, serve.ServiceConfig{
-		Build: serve.BuildConfig{
-			Engine:   eng,
-			Machines: machines,
-			Seed:     seed,
-			MaxK:     maxK,
-		},
+		Build:       build,
 		SnapshotDir: snapDir,
 		// The workload draws ppr k on the same [1, maxK] range as topk
 		// k, so the endpoint's k bound must track the flag or a raised
 		// -maxk would turn ppr traffic into 400s.
-		PPR: serve.PPROptions{MaxK: maxK},
+		PPR: serve.PPROptions{MaxK: build.MaxK},
 	})
 	if err != nil {
 		return nil, 0, err
 	}
 	return srv, g.NumVertices(), nil
-}
-
-// openGraph is the graph-acquisition step both in-process targets
-// share: the -graph-cache protocol (with optional degree-ordered
-// relabeling at cache-build time), the paged open when a -graph-mem
-// budget is set, and the direct paged load when -graph itself is the
-// gstore file to page from.
-func openGraph(path, cache, genType string, n int, seed uint64, memBytes int64, relabel bool) (*repro.Graph, error) {
-	build := func() (*repro.Graph, error) {
-		switch {
-		case path != "":
-			return repro.LoadGraph(path)
-		case genType == "twitterlike":
-			return repro.TwitterLikeGraph(n, seed)
-		case genType == "livejournallike":
-			return repro.LiveJournalLikeGraph(n, seed)
-		}
-		return nil, fmt.Errorf("unknown -gen %q (want twitterlike|livejournallike)", genType)
-	}
-	if memBytes > 0 && cache == "" && path != "" {
-		return repro.LoadGraphPaged(path, memBytes)
-	}
-	genN := 0
-	if path == "" {
-		genN = n
-	}
-	return repro.CachedGraphCheckedWith(cache,
-		repro.GraphCacheOptions{Mem: memBytes, Relabel: relabel}, genN, build)
 }
 
 // parseMix parses "topk=0.45,rank=0.25,ppr=0.2,stats=0.1" (weights are

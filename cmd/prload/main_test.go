@@ -4,13 +4,18 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"flag"
+	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/graph/gio"
 	"repro/internal/loadgen"
 	"repro/internal/obs"
+	"repro/internal/serve"
 )
 
 // runCLI invokes the CLI body and returns (exit code, stdout, stderr).
@@ -216,8 +221,16 @@ func TestRunUsageErrors(t *testing.T) {
 	if code, _, _ := runCLI(t, tinyRun("-mix", "frobnicate=1")...); code != 2 {
 		t.Errorf("bad mix exit %d, want 2", code)
 	}
-	if code, _, stderr := runCLI(t, tinyRun("-gen", "nosuch")...); code != 1 {
-		t.Errorf("bad generator exit %d, want 1 (%s)", code, stderr)
+	// A misspelt generator, engine or byte size is a usage error raised
+	// by the shared graph/engine config before any graph work.
+	if code, _, stderr := runCLI(t, tinyRun("-gen", "nosuch")...); code != 2 || !strings.Contains(stderr, `"nosuch"`) {
+		t.Errorf("bad generator exit %d, want 2 naming the value (%s)", code, stderr)
+	}
+	if code, _, _ := runCLI(t, tinyRun("-engine", "nosuch")...); code != 2 {
+		t.Errorf("bad engine exit %d, want 2", code)
+	}
+	if code, _, _ := runCLI(t, tinyRun("-graph-mem", "12parsecs")...); code != 2 {
+		t.Errorf("bad -graph-mem exit %d, want 2", code)
 	}
 	if code, _, _ := runCLI(t, tinyRun("-open")...); code != 2 {
 		t.Errorf("open loop without rate exit %d, want 2 (usage error)", code)
@@ -248,19 +261,23 @@ func TestParseMix(t *testing.T) {
 }
 
 func TestBuildInProcessErrors(t *testing.T) {
-	if _, _, err := buildInProcess("", "", "", "nosuchgen", 100, "frogwild", 2, 20, 1, 0, false); err == nil {
+	build := serve.BuildConfig{Machines: 2, MaxK: 20, Seed: 1}
+	if _, _, err := buildInProcess(&gio.Source{Gen: "nosuchgen", N: 100, Seed: 1}, build, ""); err == nil {
 		t.Error("unknown generator accepted")
 	}
-	if _, _, err := buildInProcess("", "", "", "twitterlike", 100, "nosuchengine", 2, 20, 1, 0, false); err == nil {
+	bad := build
+	bad.Engine = "nosuchengine"
+	if _, _, err := buildInProcess(&gio.Source{Gen: "twitterlike", N: 100, Seed: 1}, bad, ""); err == nil {
 		t.Error("unknown engine accepted")
 	}
-	if _, _, err := buildInProcess("/no/such/file", "", "", "", 100, "frogwild", 2, 20, 1, 0, false); err == nil {
+	if _, _, err := buildInProcess(&gio.Source{Path: "/no/such/file", N: 100, Seed: 1}, build, ""); err == nil {
 		t.Error("missing graph file accepted")
 	}
 }
 
 func TestBuildInProcessTiny(t *testing.T) {
-	h, n, err := buildInProcess("", "", "", "twitterlike", 300, "glpr", 2, 20, 1, 0, false)
+	h, n, err := buildInProcess(&gio.Source{Gen: "twitterlike", N: 300, Seed: 1},
+		serve.BuildConfig{Engine: serve.EngineGLPR, Machines: 2, MaxK: 20, Seed: 1}, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,5 +346,47 @@ func TestRunSnapshotDir(t *testing.T) {
 		t.Fatalf("warm run exit %d: %s", code, stderr)
 	} else if !strings.Contains(stdout, "queries/s") {
 		t.Fatal("warm run produced no report")
+	}
+}
+
+// TestFlagSurface pins prload's flags: the (name, default) list was
+// generated by FlagSet.VisitAll at the commit before the graph and
+// engine flags moved into gio.Source and serve.BuildConfig, so a
+// refactor of the shared config can neither add, drop nor re-default a
+// flag unnoticed. Help text is not pinned.
+func TestFlagSurface(t *testing.T) {
+	want := [][2]string{
+		{"concurrency", "8"},
+		{"engine", "frogwild"},
+		{"gen", "twitterlike"},
+		{"graph", ""},
+		{"graph-cache", ""},
+		{"graph-mem", ""},
+		{"graph-relabel", "false"},
+		{"machines", "16"},
+		{"maxk", "100"},
+		{"metrics-out", ""},
+		{"metrics-url", ""},
+		{"mix", ""},
+		{"n", "50000"},
+		{"open", "false"},
+		{"out", "-"},
+		{"queries", "4000"},
+		{"ramp", "1"},
+		{"rate", "0"},
+		{"seed", "1"},
+		{"shards", "0"},
+		{"snapshot-dir", ""},
+		{"timeout", "0s"},
+		{"url", ""},
+		{"vertices", "0"},
+		{"warmup", "500"},
+		{"zipf-s", "1.1"},
+	}
+	fs, _ := newFlags(io.Discard)
+	var got [][2]string
+	fs.VisitAll(func(f *flag.Flag) { got = append(got, [2]string{f.Name, f.DefValue}) })
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("flag surface changed:\n got %q\nwant %q", got, want)
 	}
 }

@@ -71,7 +71,9 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"log"
+	"net"
 	"net/http"
 	_ "net/http/pprof"
 	"os"
@@ -80,215 +82,194 @@ import (
 	"syscall"
 	"time"
 
-	"repro"
+	"repro/internal/graph"
+	"repro/internal/graph/gio"
 	"repro/internal/obs"
 	"repro/internal/router"
 	"repro/internal/serve"
 )
 
-// runRouter serves router mode: a stateless merge front over the given
-// shard RPC addresses.
-func runRouter(ctx context.Context, addr, shardList string, timeout time.Duration, reqLog *obs.Logger) {
-	addrs := strings.Split(shardList, ",")
-	clients := make([]*router.ShardClient, 0, len(addrs))
-	for _, a := range addrs {
-		a = strings.TrimSpace(a)
-		if a == "" {
-			continue
-		}
-		id := len(clients)
-		clients = append(clients, router.NewShardClient(id, a, router.DialTCP(a), timeout))
-	}
-	if len(clients) == 0 {
-		fmt.Fprintln(os.Stderr, "prserve: -shards needs at least one address")
-		os.Exit(2)
-	}
-	rt := router.New(clients, router.Options{Timeout: timeout, RequestLog: reqLog})
-	log.Printf("prserve: routing over %d shards, serving on %s", len(clients), addr)
-	if err := rt.Serve(ctx, addr); err != nil {
-		fmt.Fprintf(os.Stderr, "prserve: %v\n", err)
-		os.Exit(1)
-	}
-	ns := rt.NetworkStats()
-	log.Printf("prserve: graceful shutdown after %d queries (%d degraded, %d epoch fallbacks, %.0f wire bytes/query)",
-		rt.Queries(), rt.Degraded(), rt.EpochFallbacks(), ns.BytesPerQuery)
+func main() {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	os.Exit(run(ctx, os.Args[1:], os.Stderr, nil))
 }
 
-func main() {
-	var (
-		addr     = flag.String("addr", ":8080", "listen address")
-		path     = flag.String("graph", "", "graph file (gstore CSR, binary, or edge list; auto-detected)")
-		genType  = flag.String("gen", "", "generate instead of load: twitterlike|livejournallike")
-		n        = flag.Int("n", 50000, "vertex count when generating")
-		cache    = flag.String("graph-cache", "", "gstore CSR cache file: mmap it if present, else build from -graph/-gen and save it")
-		graphMem = flag.String("graph-mem", "", "serve bigger-than-RAM graphs: page adjacency from the gstore file under this byte budget (e.g. 512MiB); needs -graph-cache or a .csr -graph")
-		relabel  = flag.Bool("graph-relabel", false, "degree-order vertex rows when building the graph cache, clustering hot vertices onto hot pages (external ids unchanged)")
-		snapDir  = flag.String("snapshot-dir", "", "persist every published snapshot here and warm-start from the last one")
-		engine   = flag.String("engine", "frogwild", "estimate engine: frogwild|glpr|exact")
-		walkers  = flag.Int("walkers", 0, "frogwild walker count N (default: vertices/6)")
-		iters    = flag.Int("iters", 0, "iterations: frogwild walk cutoff (default 4) / glpr supersteps (0 = to tolerance)")
-		ps       = flag.Float64("ps", 0.7, "mirror synchronization probability")
-		machines = flag.Int("machines", 16, "simulated cluster size")
-		engWork  = flag.Int("engine-workers", 0, "worker goroutines per simulated machine (0 = split cores across machines)")
-		workers  = flag.Int("workers", 0, "exact-engine power-iteration workers (0 = all cores)")
-		maxK     = flag.Int("maxk", serve.DefaultMaxK, "precomputed top index size (queries up to this k are O(k))")
-		refresh  = flag.Duration("refresh", 0, "background recompute cadence (0 = serve the initial snapshot forever)")
-		seed     = flag.Uint64("seed", 1, "base seed; each refresh derives generation seeds from it")
-		shards   = flag.String("shards", "", "router mode: comma-separated prshard RPC addresses to fan queries out to")
-		shardTO  = flag.Duration("shard-timeout", 2*time.Second, "router mode: per-shard RPC timeout (each query retries once on a fresh connection)")
-		logReq   = flag.Bool("log-requests", false, "write one JSON line per request to stderr (rid, method, path, status, duration)")
-		pprof    = flag.String("pprof-addr", "", "serve net/http/pprof on this side address (e.g. 127.0.0.1:6060)")
+// options are prserve's flags. The graph and engine flags it shares
+// with prshard and prload are declared by src and build.
+type options struct {
+	src   gio.Source
+	build serve.BuildConfig
+	ppr   serve.PPROptions
 
-		pprWalks   = flag.Int("ppr-walks", 0, "/v1/ppr walks per source when the budget allows (0 = 2000)")
-		pprBudget  = flag.Int("ppr-budget", 0, "/v1/ppr hard per-request walk budget; over-budget requests run fewer walks per source and set truncated (0 = 16384)")
-		pprMaxLen  = flag.Int("ppr-max-walk-len", 0, "/v1/ppr geometric walk length cap (0 = 64)")
-		pprMaxK    = flag.Int("ppr-maxk", 0, "/v1/ppr k parameter upper bound (0 = 100)")
-		pprMaxSrc  = flag.Int("ppr-max-sources", 0, "/v1/ppr source set size limit (0 = 16)")
-		pprCache   = flag.Int("ppr-cache", 0, "/v1/ppr hot-source LRU capacity in responses (0 = 1024, negative disables)")
-		pprTTL     = flag.Duration("ppr-cache-ttl", 0, "/v1/ppr cache entry max age (0 = size-bounded only)")
-		pprWorkers = flag.Int("ppr-workers", 0, "/v1/ppr batch executor worker pool size (0 = all cores); results are identical for any value")
-	)
-	flag.Parse()
-	var reqLog *obs.Logger
-	if *logReq {
-		reqLog = obs.NewLogger(os.Stderr)
+	addr, snapDir, shards, pprof string
+	refresh, shardTimeout        time.Duration
+	logRequests                  bool
+}
+
+// newFlags declares prserve's flag set, writing usage to stderr.
+func newFlags(stderr io.Writer) (*flag.FlagSet, *options) {
+	o := &options{src: gio.Source{N: 50000, Seed: 1}}
+	fs := flag.NewFlagSet("prserve", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	o.src.RegisterFlags(fs)
+	o.build.RegisterFlags(fs)
+	fs.StringVar(&o.addr, "addr", ":8080", "listen address")
+	fs.StringVar(&o.snapDir, "snapshot-dir", "", "persist every published snapshot here and warm-start from the last one")
+	fs.IntVar(&o.build.Walkers, "walkers", 0, "frogwild walker count N (default: vertices/6)")
+	fs.IntVar(&o.build.Iterations, "iters", 0, "iterations: frogwild walk cutoff (default 4) / glpr supersteps (0 = to tolerance)")
+	fs.Float64Var(&o.build.PS, "ps", 0.7, "mirror synchronization probability")
+	fs.IntVar(&o.build.WorkersPerMachine, "engine-workers", 0, "worker goroutines per simulated machine (0 = split cores across machines)")
+	fs.IntVar(&o.build.Workers, "workers", 0, "exact-engine power-iteration workers (0 = all cores)")
+	fs.DurationVar(&o.refresh, "refresh", 0, "background recompute cadence (0 = serve the initial snapshot forever)")
+	fs.StringVar(&o.shards, "shards", "", "router mode: comma-separated prshard RPC addresses to fan queries out to")
+	fs.DurationVar(&o.shardTimeout, "shard-timeout", 2*time.Second, "router mode: per-shard RPC timeout (each query retries once on a fresh connection)")
+	fs.BoolVar(&o.logRequests, "log-requests", false, "write one JSON line per request to stderr (rid, method, path, status, duration)")
+	fs.StringVar(&o.pprof, "pprof-addr", "", "serve net/http/pprof on this side address (e.g. 127.0.0.1:6060)")
+
+	fs.IntVar(&o.ppr.WalksPerSource, "ppr-walks", 0, "/v1/ppr walks per source when the budget allows (0 = 2000)")
+	fs.IntVar(&o.ppr.WalkBudget, "ppr-budget", 0, "/v1/ppr hard per-request walk budget; over-budget requests run fewer walks per source and set truncated (0 = 16384)")
+	fs.IntVar(&o.ppr.MaxWalkLen, "ppr-max-walk-len", 0, "/v1/ppr geometric walk length cap (0 = 64)")
+	fs.IntVar(&o.ppr.MaxK, "ppr-maxk", 0, "/v1/ppr k parameter upper bound (0 = 100)")
+	fs.IntVar(&o.ppr.MaxSources, "ppr-max-sources", 0, "/v1/ppr source set size limit (0 = 16)")
+	fs.IntVar(&o.ppr.CacheSize, "ppr-cache", 0, "/v1/ppr hot-source LRU capacity in responses (0 = 1024, negative disables)")
+	fs.DurationVar(&o.ppr.CacheTTL, "ppr-cache-ttl", 0, "/v1/ppr cache entry max age (0 = size-bounded only)")
+	fs.IntVar(&o.ppr.Workers, "ppr-workers", 0, "/v1/ppr batch executor worker pool size (0 = all cores); results are identical for any value")
+	return fs, o
+}
+
+// run is the testable CLI body: 0 after a graceful shutdown, 1 when
+// serving fails, 2 on usage errors. onReady, when non-nil, receives the
+// bound listen address once the server accepts queries.
+func run(ctx context.Context, args []string, stderr io.Writer, onReady func(addr string)) int {
+	fs, o := newFlags(stderr)
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
-	startPprof := func(ctx context.Context) {
-		if *pprof == "" {
-			return
+	usage := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "prserve: "+format+"\n", a...)
+		fs.Usage()
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintf(stderr, "prserve: %v\n", err)
+		return 1
+	}
+	if o.build.WorkersPerMachine < 0 {
+		return usage("-engine-workers must be >= 0, got %d", o.build.WorkersPerMachine)
+	}
+	var reqLog *obs.Logger
+	if o.logRequests {
+		reqLog = obs.NewLogger(stderr)
+	}
+
+	var handler http.Handler
+	var served func() string // the shutdown summary
+	if o.shards != "" {
+		rt := newRouter(o, reqLog)
+		if rt == nil {
+			return usage("-shards needs at least one address")
 		}
-		log.Printf("prserve: serving pprof on %s", *pprof)
+		handler = rt
+		served = func() string {
+			return fmt.Sprintf("%d queries (%d degraded, %d epoch fallbacks, %.0f wire bytes/query)",
+				rt.Queries(), rt.Degraded(), rt.EpochFallbacks(), rt.NetworkStats().BytesPerQuery)
+		}
+	} else {
+		loadStart := time.Now()
+		g, err := o.src.Open()
+		if err != nil {
+			return fail(err)
+		}
+		defer g.Close()
+		cacheNote := ""
+		if o.src.Cache != "" {
+			cacheNote = fmt.Sprintf(" (cache %s)", o.src.Cache)
+		}
+		log.Printf("prserve: graph %d vertices / %d edges ready in %.3fs%s",
+			g.NumVertices(), g.NumEdges(), time.Since(loadStart).Seconds(), cacheNote)
+		srv, refresher, err := newService(ctx, g, o, reqLog)
+		if err != nil {
+			return fail(err)
+		}
+		handler = srv
+		served = func() string {
+			return fmt.Sprintf("%d queries (%d cache hits, %d refreshes, %d persist errors)",
+				srv.Queries(), srv.CacheHits(), refresher.Refreshes(), refresher.PersistErrors())
+		}
+	}
+
+	ln, err := net.Listen("tcp", o.addr)
+	if err != nil {
+		return fail(err)
+	}
+	if o.pprof != "" {
+		log.Printf("prserve: serving pprof on %s", o.pprof)
 		go func() {
-			// nil handler = http.DefaultServeMux, where the pprof
-			// import registered itself.
-			if err := obs.ListenAndServe(ctx, *pprof, http.DefaultServeMux); err != nil {
+			// The pprof import registered itself on http.DefaultServeMux.
+			if err := obs.ListenAndServe(ctx, o.pprof, http.DefaultServeMux); err != nil {
 				log.Printf("prserve: pprof listener: %v", err)
 			}
 		}()
 	}
-	if *shards != "" {
-		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-		defer stop()
-		startPprof(ctx)
-		runRouter(ctx, *addr, *shards, *shardTO, reqLog)
-		return
+	log.Printf("prserve: serving on %s", ln.Addr())
+	if onReady != nil {
+		onReady(ln.Addr().String())
 	}
-	if *engWork < 0 {
-		fmt.Fprintf(os.Stderr, "prserve: -engine-workers must be >= 0, got %d\n", *engWork)
-		flag.Usage()
-		os.Exit(2)
+	if err := obs.ServeListener(ctx, ln, handler); err != nil {
+		return fail(err)
 	}
-	eng, err := serve.ParseEngine(*engine)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "prserve: %v\n", err)
-		flag.Usage()
-		os.Exit(2)
-	}
+	log.Printf("prserve: graceful shutdown after %s", served())
+	return 0
+}
 
-	var memBytes int64
-	if *graphMem != "" {
-		memBytes, err = repro.ParseByteSize(*graphMem)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "prserve: -graph-mem: %v\n", err)
-			flag.Usage()
-			os.Exit(2)
+// newRouter builds router mode's handler: a stateless merge front over
+// the -shards RPC addresses, nil when the list names none.
+func newRouter(o *options, reqLog *obs.Logger) *router.Router {
+	var clients []*router.ShardClient
+	for _, a := range strings.Split(o.shards, ",") {
+		if a = strings.TrimSpace(a); a != "" {
+			clients = append(clients, router.NewShardClient(len(clients), a, router.DialTCP(a), o.shardTimeout))
 		}
 	}
+	if len(clients) == 0 {
+		return nil
+	}
+	log.Printf("prserve: routing over %d shards", len(clients))
+	return router.New(clients, router.Options{Timeout: o.shardTimeout, RequestLog: reqLog})
+}
 
-	buildGraph := func() (*repro.Graph, error) {
-		switch {
-		case *path != "":
-			return repro.LoadGraph(*path)
-		case *genType == "twitterlike":
-			return repro.TwitterLikeGraph(*n, *seed)
-		case *genType == "livejournallike":
-			return repro.LiveJournalLikeGraph(*n, *seed)
-		}
-		return nil, fmt.Errorf("provide -graph FILE, -gen twitterlike|livejournallike, or an existing -graph-cache")
-	}
-	loadStart := time.Now()
-	genN := 0
-	if *path == "" && *genType != "" {
-		genN = *n
-	}
-	var g *repro.Graph
-	if memBytes > 0 && *cache == "" && *path != "" {
-		// No cache file, but -graph itself can be the gstore file the
-		// page cache reads from.
-		g, err = repro.LoadGraphPaged(*path, memBytes)
-	} else {
-		g, err = repro.CachedGraphCheckedWith(*cache,
-			repro.GraphCacheOptions{Mem: memBytes, Relabel: *relabel}, genN, buildGraph)
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "prserve: %v\n", err)
-		os.Exit(1)
-	}
-	defer g.Close()
-	cacheNote := ""
-	if *cache != "" {
-		cacheNote = fmt.Sprintf(" (cache %s)", *cache)
-	}
-	log.Printf("prserve: graph %d vertices / %d edges ready in %.3fs%s",
-		g.NumVertices(), g.NumEdges(), time.Since(loadStart).Seconds(), cacheNote)
-
+// newService builds single-node mode's handler over g: the initial (or
+// warm-started) snapshot and the background refresher, which runs until
+// ctx is cancelled.
+func newService(ctx context.Context, g *graph.Graph, o *options, reqLog *obs.Logger) (*serve.Server, *serve.Refresher, error) {
+	o.build.Seed = o.src.Seed
 	cfg := serve.ServiceConfig{
-		Build: serve.BuildConfig{
-			Engine:            eng,
-			Walkers:           *walkers,
-			Iterations:        *iters,
-			PS:                *ps,
-			Machines:          *machines,
-			WorkersPerMachine: *engWork,
-			Workers:           *workers,
-			Seed:              *seed,
-			MaxK:              *maxK,
-		},
-		RefreshInterval: *refresh,
+		Build:           o.build,
+		RefreshInterval: o.refresh,
 		OnRefreshError:  func(err error) { log.Printf("prserve: refresh: %v", err) },
-		SnapshotDir:     *snapDir,
+		SnapshotDir:     o.snapDir,
 		RequestLog:      reqLog,
-		PPR: serve.PPROptions{
-			WalksPerSource: *pprWalks,
-			WalkBudget:     *pprBudget,
-			MaxWalkLen:     *pprMaxLen,
-			MaxK:           *pprMaxK,
-			MaxSources:     *pprMaxSrc,
-			CacheSize:      *pprCache,
-			CacheTTL:       *pprTTL,
-			Workers:        *pprWorkers,
-		},
+		PPR:             o.ppr,
 	}
-
 	start := time.Now()
 	srv, refresher, err := serve.NewService(g, cfg)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "prserve: initial snapshot: %v\n", err)
-		os.Exit(1)
+		return nil, nil, fmt.Errorf("initial snapshot: %w", err)
 	}
 	snap := srv.Snapshot()
 	if snap.WarmStart {
 		log.Printf("prserve: warm start from %s: serving persisted epoch %d (%s, seed %d) after %.3fs; first refresh runs in the background",
-			serve.SnapshotPath(*snapDir), snap.Epoch, snap.Engine, snap.Seed, time.Since(start).Seconds())
+			serve.SnapshotPath(o.snapDir), snap.Epoch, snap.Engine, snap.Seed, time.Since(start).Seconds())
 	} else {
 		log.Printf("prserve: snapshot epoch %d ready in %.2fs (top index k<=%d)",
 			snap.Epoch, time.Since(start).Seconds(), cfg.Build.MaxK)
 	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	startPprof(ctx)
-	if *refresh > 0 || snap.WarmStart {
-		if *refresh > 0 {
-			log.Printf("prserve: background refresh every %s", *refresh)
+	if o.refresh > 0 || snap.WarmStart {
+		if o.refresh > 0 {
+			log.Printf("prserve: background refresh every %s", o.refresh)
 		}
 		go refresher.Run(ctx, cfg.OnRefreshError)
 	}
-	log.Printf("prserve: serving on %s", *addr)
-	if err := srv.Serve(ctx, *addr); err != nil {
-		fmt.Fprintf(os.Stderr, "prserve: %v\n", err)
-		os.Exit(1)
-	}
-	log.Printf("prserve: graceful shutdown after %d queries (%d cache hits, %d refreshes, %d persist errors)",
-		srv.Queries(), srv.CacheHits(), refresher.Refreshes(), refresher.PersistErrors())
+	return srv, refresher, nil
 }

@@ -1,0 +1,235 @@
+package main
+
+import (
+	"bytes"
+	"context"
+	"flag"
+	"io"
+	"net"
+	"net/http"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/obs"
+	"repro/internal/router"
+	"repro/internal/serve"
+)
+
+// TestUsageErrors pins the exit-code contract: a flag the shared
+// graph/engine config or prserve itself refuses is exit 2, raised
+// before any graph work.
+func TestUsageErrors(t *testing.T) {
+	// A cache file that exists used to let a misspelt -gen through.
+	cache := filepath.Join(t.TempDir(), "g.csr")
+	if err := os.WriteFile(cache, []byte("not read"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		args   []string
+		stderr string // must appear on stderr
+	}{
+		{[]string{"-bogus"}, "-bogus"},
+		{[]string{"-gen", "twitterlike", "-engine", "bogus"}, `"bogus"`},
+		{[]string{"-gen", "twitterlike", "-engine-workers", "-1"}, "-engine-workers"},
+		{[]string{"-gen", "twitterlike", "-graph-mem", "12parsecs"}, `"12parsecs"`},
+		{[]string{"-shards", " , "}, "-shards"},
+		{[]string{"-gen", "foo"}, `unknown generator "foo"`},
+		{[]string{"-gen", "foo", "-graph-cache", cache}, `unknown generator "foo"`},
+	} {
+		var stderr bytes.Buffer
+		if code := run(context.Background(), tc.args, &stderr, nil); code != 2 {
+			t.Errorf("args %q: exit %d, want 2 (stderr %q)", tc.args, code, stderr.String())
+		} else if !strings.Contains(stderr.String(), tc.stderr) {
+			t.Errorf("args %q: stderr does not mention %s:\n%s", tc.args, tc.stderr, stderr.String())
+		}
+	}
+	// Not a usage error: well-formed flags that name no graph.
+	if code := run(context.Background(), nil, io.Discard, nil); code != 1 {
+		t.Errorf("no graph: exit %d, want 1", code)
+	}
+}
+
+// TestFlagSurface pins prserve's flags: the (name, default) list was
+// generated by FlagSet.VisitAll at the commit before the graph and
+// engine flags moved into gio.Source and serve.BuildConfig, so a
+// refactor of the shared config can neither add, drop nor re-default a
+// flag unnoticed. Help text is not pinned.
+func TestFlagSurface(t *testing.T) {
+	want := [][2]string{
+		{"addr", ":8080"},
+		{"engine", "frogwild"},
+		{"engine-workers", "0"},
+		{"gen", ""},
+		{"graph", ""},
+		{"graph-cache", ""},
+		{"graph-mem", ""},
+		{"graph-relabel", "false"},
+		{"iters", "0"},
+		{"log-requests", "false"},
+		{"machines", "16"},
+		{"maxk", "100"},
+		{"n", "50000"},
+		{"ppr-budget", "0"},
+		{"ppr-cache", "0"},
+		{"ppr-cache-ttl", "0s"},
+		{"ppr-max-sources", "0"},
+		{"ppr-max-walk-len", "0"},
+		{"ppr-maxk", "0"},
+		{"ppr-walks", "0"},
+		{"ppr-workers", "0"},
+		{"pprof-addr", ""},
+		{"ps", "0.7"},
+		{"refresh", "0s"},
+		{"seed", "1"},
+		{"shard-timeout", "2s"},
+		{"shards", ""},
+		{"snapshot-dir", ""},
+		{"walkers", "0"},
+		{"workers", "0"},
+	}
+	fs, _ := newFlags(io.Discard)
+	var got [][2]string
+	fs.VisitAll(func(f *flag.Flag) { got = append(got, [2]string{f.Name, f.DefValue}) })
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("flag surface changed:\n got %q\nwant %q", got, want)
+	}
+}
+
+// prserve is one running CLI body on an ephemeral port.
+type prserve struct {
+	addr string
+	stop func() int // cancels the run and returns its exit code
+}
+
+func startPrserve(t *testing.T, args ...string) prserve {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	ready := make(chan string, 1)
+	exit := make(chan int, 1)
+	var stderr bytes.Buffer
+	go func() {
+		exit <- run(ctx, append([]string{"-addr", "127.0.0.1:0"}, args...), &stderr, func(a string) { ready <- a })
+	}()
+	wait := func() int {
+		select {
+		case code := <-exit:
+			return code
+		case <-time.After(60 * time.Second):
+			t.Fatal("prserve did not exit")
+			return -1
+		}
+	}
+	p := prserve{stop: func() int { cancel(); return wait() }}
+	t.Cleanup(cancel)
+	select {
+	case p.addr = <-ready:
+	case code := <-exit:
+		t.Fatalf("prserve exited %d before serving: %s", code, stderr.String())
+	case <-time.After(60 * time.Second):
+		t.Fatal("prserve did not come up")
+	}
+	return p
+}
+
+func (p prserve) get(t *testing.T, path string) (int, string) {
+	t.Helper()
+	resp, err := http.Get("http://" + p.addr + path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, string(body)
+}
+
+var tinyGraph = []string{"-gen", "twitterlike", "-n", "2000", "-machines", "4", "-seed", "9"}
+
+// TestSingleNode runs the CLI body end to end: it serves the query API
+// and /metrics on the bound port, and a cancelled context is a graceful
+// shutdown with exit 0.
+func TestSingleNode(t *testing.T) {
+	p := startPrserve(t, tinyGraph...)
+	if code, body := p.get(t, "/healthz"); code != http.StatusOK || !strings.Contains(body, `"status":"ok"`) {
+		t.Errorf("/healthz: %d %s", code, body)
+	}
+	if code, body := p.get(t, "/v1/topk?k=5"); code != http.StatusOK || !strings.Contains(body, `"epoch":1`) || !strings.Contains(body, `"k":5`) {
+		t.Errorf("/v1/topk: %d %s", code, body)
+	}
+	code, body := p.get(t, "/metrics")
+	series, err := obs.ParseText([]byte(body))
+	if code != http.StatusOK || err != nil {
+		t.Fatalf("/metrics: %d, parse error %v", code, err)
+	}
+	if got := obs.FamilySum(series, "serve_requests_total"); got != 1 {
+		t.Errorf("serve_requests_total = %v, want 1 (the topk query)", got)
+	}
+	if code := p.stop(); code != 0 {
+		t.Fatalf("exit %d after cancel, want 0", code)
+	}
+}
+
+// TestRouterModeMatchesSingleNode fronts two shard workers with prserve
+// -shards and checks it answers /v1/topk with the bytes single-node
+// prserve gives for the same graph and engine flags. The workers are
+// assembled as cmd/prshard assembles them (a main package cannot be
+// imported), from the flag values prserve itself parsed.
+func TestRouterModeMatchesSingleNode(t *testing.T) {
+	fs, o := newFlags(io.Discard)
+	if err := fs.Parse(tinyGraph); err != nil {
+		t.Fatal(err)
+	}
+	o.build.Seed = o.src.Seed
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	const shards = 2
+	addrs := make([]string, shards)
+	for id := range addrs {
+		g, err := o.src.Open()
+		if err != nil {
+			t.Fatal(err)
+		}
+		owned, err := router.OwnedVertices(g, shards, id, o.src.Seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		store := serve.NewStore()
+		if _, err := serve.NewRefresher(store, serve.EngineBuilder(g, o.build), 0).Refresh(); err != nil {
+			t.Fatal(err)
+		}
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		go router.NewShardServer(id, shards, owned, store).Serve(ctx, ln) //nolint:errcheck // lives until ctx cancel
+		addrs[id] = ln.Addr().String()
+	}
+
+	single := startPrserve(t, tinyGraph...)
+	routed := startPrserve(t, "-shards", strings.Join(addrs, " , "))
+	for _, path := range []string{"/v1/topk?k=5", "/v1/topk?k=100", "/v1/topk"} {
+		sc, sb := single.get(t, path)
+		rc, rb := routed.get(t, path)
+		if sc != http.StatusOK || rc != http.StatusOK {
+			t.Fatalf("%s: status single=%d router=%d (%s)", path, sc, rc, rb)
+		}
+		if sb != rb {
+			t.Fatalf("%s: router body diverged from single-node\nsingle: %.200s\nrouter: %.200s", path, sb, rb)
+		}
+	}
+	if code, body := routed.get(t, "/healthz"); code != http.StatusOK {
+		t.Errorf("router /healthz: %d %s", code, body)
+	}
+	if code := routed.stop(); code != 0 {
+		t.Errorf("router exit %d after cancel, want 0", code)
+	}
+	if code := single.stop(); code != 0 {
+		t.Errorf("single node exit %d after cancel, want 0", code)
+	}
+}

@@ -42,7 +42,7 @@ import (
 	"syscall"
 	"time"
 
-	"repro"
+	"repro/internal/graph/gio"
 	"repro/internal/obs"
 	"repro/internal/router"
 	"repro/internal/serve"
@@ -54,77 +54,51 @@ func main() {
 	os.Exit(run(ctx, os.Args[1:], os.Stderr, nil, nil))
 }
 
+// options are prshard's flags. The graph and engine flags it shares
+// with prserve and prload are declared by src and build.
+type options struct {
+	src   gio.Source
+	build serve.BuildConfig
+
+	addr, metrics, pprof string
+	shard, shards        int
+	refresh              time.Duration
+	logRequests          bool
+}
+
+// newFlags declares prshard's flag set, writing usage to stderr.
+func newFlags(stderr io.Writer) (*flag.FlagSet, *options) {
+	o := &options{src: gio.Source{N: 50000, Seed: 1}}
+	fs := flag.NewFlagSet("prshard", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	o.src.RegisterFlags(fs)
+	o.build.RegisterFlags(fs)
+	fs.StringVar(&o.addr, "addr", "127.0.0.1:9001", "RPC listen address")
+	fs.IntVar(&o.shard, "shard", 0, "this shard's id, 0-based")
+	fs.IntVar(&o.shards, "shards", 1, "total shard count in the cluster")
+	fs.DurationVar(&o.refresh, "refresh", 0, "background recompute cadence (0 = serve the initial snapshot forever)")
+	fs.StringVar(&o.metrics, "metrics-addr", "", "serve the Prometheus exposition on this HTTP side address (e.g. 127.0.0.1:9101)")
+	fs.BoolVar(&o.logRequests, "log-requests", false, "write one JSON line per shard RPC to stderr (rid, op, status, duration)")
+	fs.StringVar(&o.pprof, "pprof-addr", "", "serve net/http/pprof on this side address (e.g. 127.0.0.1:6061)")
+	return fs, o
+}
+
 // run is the testable CLI body. onReady, when non-nil, receives the
 // bound RPC listen address once the shard is serving; onMetrics
 // likewise receives the bound -metrics-addr address.
 func run(ctx context.Context, args []string, stderr io.Writer, onReady, onMetrics func(addr string)) int {
-	fs := flag.NewFlagSet("prshard", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	var (
-		addr     = fs.String("addr", "127.0.0.1:9001", "RPC listen address")
-		shard    = fs.Int("shard", 0, "this shard's id, 0-based")
-		shards   = fs.Int("shards", 1, "total shard count in the cluster")
-		path     = fs.String("graph", "", "graph file (gstore CSR, binary, or edge list; auto-detected)")
-		genType  = fs.String("gen", "", "generate instead of load: twitterlike|livejournallike")
-		n        = fs.Int("n", 50000, "vertex count when generating")
-		cache    = fs.String("graph-cache", "", "gstore CSR cache file: mmap it if present, else build and save it")
-		graphMem = fs.String("graph-mem", "", "page adjacency from the gstore file under this byte budget (e.g. 512MiB); needs -graph-cache or a .csr -graph")
-		relabel  = fs.Bool("graph-relabel", false, "degree-order vertex rows when building the graph cache (external ids unchanged)")
-		engine   = fs.String("engine", "frogwild", "estimate engine: frogwild|glpr|exact")
-		machines = fs.Int("machines", 16, "simulated cluster size for the estimate engine")
-		maxK     = fs.Int("maxk", serve.DefaultMaxK, "precomputed top index size")
-		refresh  = fs.Duration("refresh", 0, "background recompute cadence (0 = serve the initial snapshot forever)")
-		seed     = fs.Uint64("seed", 1, "base seed; must match across the cluster and the router's graph")
-		metrics  = fs.String("metrics-addr", "", "serve the Prometheus exposition on this HTTP side address (e.g. 127.0.0.1:9101)")
-		logReq   = fs.Bool("log-requests", false, "write one JSON line per shard RPC to stderr (rid, op, status, duration)")
-		pprof    = fs.String("pprof-addr", "", "serve net/http/pprof on this side address (e.g. 127.0.0.1:6061)")
-	)
+	fs, o := newFlags(stderr)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if *shards < 1 || *shard < 0 || *shard >= *shards {
-		fmt.Fprintf(stderr, "prshard: -shard %d out of range for -shards %d\n", *shard, *shards)
-		fs.Usage()
-		return 2
-	}
-	eng, err := serve.ParseEngine(*engine)
-	if err != nil {
-		fmt.Fprintf(stderr, "prshard: %v\n", err)
+	if o.shards < 1 || o.shard < 0 || o.shard >= o.shards {
+		fmt.Fprintf(stderr, "prshard: -shard %d out of range for -shards %d\n", o.shard, o.shards)
 		fs.Usage()
 		return 2
 	}
 
-	buildGraph := func() (*repro.Graph, error) {
-		switch {
-		case *path != "":
-			return repro.LoadGraph(*path)
-		case *genType == "twitterlike":
-			return repro.TwitterLikeGraph(*n, *seed)
-		case *genType == "livejournallike":
-			return repro.LiveJournalLikeGraph(*n, *seed)
-		}
-		return nil, fmt.Errorf("provide -graph FILE, -gen twitterlike|livejournallike, or an existing -graph-cache")
-	}
-	genN := 0
-	if *path == "" && *genType != "" {
-		genN = *n
-	}
-	var memBytes int64
-	if *graphMem != "" {
-		if memBytes, err = repro.ParseByteSize(*graphMem); err != nil {
-			fmt.Fprintf(stderr, "prshard: -graph-mem: %v\n", err)
-			fs.Usage()
-			return 2
-		}
-	}
 	loadStart := time.Now()
-	var g *repro.Graph
-	if memBytes > 0 && *cache == "" && *path != "" {
-		g, err = repro.LoadGraphPaged(*path, memBytes)
-	} else {
-		g, err = repro.CachedGraphCheckedWith(*cache,
-			repro.GraphCacheOptions{Mem: memBytes, Relabel: *relabel}, genN, buildGraph)
-	}
+	g, err := o.src.Open()
 	if err != nil {
 		fmt.Fprintf(stderr, "prshard: %v\n", err)
 		return 1
@@ -133,22 +107,18 @@ func run(ctx context.Context, args []string, stderr io.Writer, onReady, onMetric
 	loadSeconds := time.Since(loadStart).Seconds()
 
 	partStart := time.Now()
-	owned, err := router.OwnedVertices(g, *shards, *shard, *seed)
+	owned, err := router.OwnedVertices(g, o.shards, o.shard, o.src.Seed)
 	if err != nil {
 		fmt.Fprintf(stderr, "prshard: %v\n", err)
 		return 1
 	}
 	log.Printf("prshard: shard %d/%d owns %d of %d vertices (graph ready in %.3fs, partition in %.3fs)",
-		*shard, *shards, len(owned), g.NumVertices(), loadSeconds, time.Since(partStart).Seconds())
+		o.shard, o.shards, len(owned), g.NumVertices(), loadSeconds, time.Since(partStart).Seconds())
 
 	reg := obs.NewRegistry()
 	store := serve.NewStore()
-	refresher := serve.NewRefresher(store, serve.EngineBuilder(g, serve.BuildConfig{
-		Engine:   eng,
-		Machines: *machines,
-		Seed:     *seed,
-		MaxK:     *maxK,
-	}), *refresh)
+	o.build.Seed = o.src.Seed
+	refresher := serve.NewRefresher(store, serve.EngineBuilder(g, o.build), o.refresh)
 	refresher.Instrument(reg)
 	buildStart := time.Now()
 	if _, err := refresher.Refresh(); err != nil {
@@ -158,18 +128,18 @@ func run(ctx context.Context, args []string, stderr io.Writer, onReady, onMetric
 	snap := store.Current()
 	log.Printf("prshard: snapshot epoch %d (%s, seed %d) ready in %.2fs",
 		snap.Epoch, snap.Engine, snap.Seed, time.Since(buildStart).Seconds())
-	if *refresh > 0 {
+	if o.refresh > 0 {
 		go refresher.Run(ctx, func(err error) { log.Printf("prshard: refresh: %v", err) })
-		log.Printf("prshard: background refresh every %s", *refresh)
+		log.Printf("prshard: background refresh every %s", o.refresh)
 	}
 
-	srv := router.NewShardServer(*shard, *shards, owned, store)
+	srv := router.NewShardServer(o.shard, o.shards, owned, store)
 	srv.Instrument(reg)
-	if *logReq {
+	if o.logRequests {
 		srv.SetRequestLog(obs.NewLogger(stderr))
 	}
-	if *metrics != "" {
-		mln, err := net.Listen("tcp", *metrics)
+	if o.metrics != "" {
+		mln, err := net.Listen("tcp", o.metrics)
 		if err != nil {
 			fmt.Fprintf(stderr, "prshard: metrics listener: %v\n", err)
 			return 1
@@ -186,17 +156,17 @@ func run(ctx context.Context, args []string, stderr io.Writer, onReady, onMetric
 			}
 		}()
 	}
-	if *pprof != "" {
-		log.Printf("prshard: serving pprof on %s", *pprof)
+	if o.pprof != "" {
+		log.Printf("prshard: serving pprof on %s", o.pprof)
 		go func() {
 			// nil handler would also work: the pprof import registers
 			// itself on http.DefaultServeMux.
-			if err := obs.ListenAndServe(ctx, *pprof, http.DefaultServeMux); err != nil {
+			if err := obs.ListenAndServe(ctx, o.pprof, http.DefaultServeMux); err != nil {
 				log.Printf("prshard: pprof listener: %v", err)
 			}
 		}()
 	}
-	ln, err := net.Listen("tcp", *addr)
+	ln, err := net.Listen("tcp", o.addr)
 	if err != nil {
 		fmt.Fprintf(stderr, "prshard: %v\n", err)
 		return 1

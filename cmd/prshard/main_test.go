@@ -2,10 +2,12 @@ package main
 
 import (
 	"context"
+	"flag"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 	"time"
 
@@ -140,11 +142,46 @@ func TestPrshardUsageErrors(t *testing.T) {
 		{"-shard", "3", "-shards", "2", "-gen", "twitterlike"},
 		{"-shards", "0", "-gen", "twitterlike"},
 		{"-engine", "nope", "-gen", "twitterlike"},
+		{"-gen", "foo"},
+		{"-gen", "twitterlike", "-graph-mem", "12parsecs"},
 		{"-bogus"},
 	}
 	for _, args := range cases {
 		if code := run(context.Background(), args, io.Discard, nil, nil); code != 2 {
 			t.Fatalf("args %v: exit %d, want 2", args, code)
 		}
+	}
+}
+
+// TestFlagSurface pins prshard's flags: the (name, default) list was
+// generated by FlagSet.VisitAll at the commit before the graph and
+// engine flags moved into gio.Source and serve.BuildConfig, so a
+// refactor of the shared config can neither add, drop nor re-default a
+// flag unnoticed. Help text is not pinned.
+func TestFlagSurface(t *testing.T) {
+	want := [][2]string{
+		{"addr", "127.0.0.1:9001"},
+		{"engine", "frogwild"},
+		{"gen", ""},
+		{"graph", ""},
+		{"graph-cache", ""},
+		{"graph-mem", ""},
+		{"graph-relabel", "false"},
+		{"log-requests", "false"},
+		{"machines", "16"},
+		{"maxk", "100"},
+		{"metrics-addr", ""},
+		{"n", "50000"},
+		{"pprof-addr", ""},
+		{"refresh", "0s"},
+		{"seed", "1"},
+		{"shard", "0"},
+		{"shards", "1"},
+	}
+	fs, _ := newFlags(io.Discard)
+	var got [][2]string
+	fs.VisitAll(func(f *flag.Flag) { got = append(got, [2]string{f.Name, f.DefValue}) })
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("flag surface changed:\n got %q\nwant %q", got, want)
 	}
 }

@@ -20,7 +20,7 @@ func TestOpenCachedChecked(t *testing.T) {
 	}
 
 	// Empty cache path: build runs every time, no files involved.
-	g, err := OpenCachedChecked("", 3, mk(3))
+	g, err := OpenCached("", CacheOptions{}, 3, mk(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +31,7 @@ func TestOpenCachedChecked(t *testing.T) {
 	// Miss then hit through the cache, count matching.
 	cache := filepath.Join(t.TempDir(), "g.csr")
 	for range 2 {
-		g, err := OpenCachedChecked(cache, 5, mk(5))
+		g, err := OpenCached(cache, CacheOptions{}, 5, mk(5))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -44,7 +44,7 @@ func TestOpenCachedChecked(t *testing.T) {
 	// A hit that no longer matches the generator's -n is the stale
 	// guard's case: an error pointing at the cache file, not a silent
 	// wrong-sized graph.
-	if _, err := OpenCachedChecked(cache, 7, mk(7)); err == nil {
+	if _, err := OpenCached(cache, CacheOptions{}, 7, mk(7)); err == nil {
 		t.Fatal("stale cache accepted")
 	} else if !strings.Contains(err.Error(), cache) || !strings.Contains(err.Error(), "delete the cache") {
 		t.Fatalf("unhelpful stale-cache error: %v", err)
@@ -52,7 +52,7 @@ func TestOpenCachedChecked(t *testing.T) {
 
 	// genN = 0 (graph loaded from a file, not generated): the guard is
 	// off and the cached graph is served as-is.
-	g2, err := OpenCachedChecked(cache, 0, mk(7))
+	g2, err := OpenCached(cache, CacheOptions{}, 0, mk(7))
 	if err != nil {
 		t.Fatal(err)
 	}

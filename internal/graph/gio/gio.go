@@ -22,14 +22,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"io/fs"
 	"os"
 	"strconv"
 	"strings"
 
 	"repro/internal/graph"
 	"repro/internal/graph/gstore"
-	"repro/internal/secfile"
 )
 
 // openReader opens path for reading, wrapping in gzip when the name
@@ -414,133 +412,4 @@ func SaveCSR(path string, g *graph.Graph) error {
 		return err
 	}
 	return wc.Close()
-}
-
-// CacheOptions tunes the -graph-cache protocol.
-type CacheOptions struct {
-	// Mem, when > 0, opens the cache paged with roughly this many
-	// bytes of adjacency resident (gstore.OpenOptions.Mem).
-	Mem int64
-	// Relabel applies degree-ordered relabeling (gstore.Relabel) when
-	// the cache is built, so the saved file packs hot rows onto hot
-	// pages. A cache that already exists is opened as-is — delete it
-	// to re-save with relabeling.
-	Relabel bool
-}
-
-// openMode names how the cache will be opened — paged with a budget,
-// mmap, or buffered — so cache failures say which path broke
-// (a paged-open failure and a cache-miss rebuild failure look alike
-// without it).
-func (o CacheOptions) openMode() string {
-	switch {
-	case o.Mem > 0:
-		return fmt.Sprintf("paged, budget %d bytes", o.Mem)
-	case secfile.MmapSupported:
-		return "mmap"
-	default:
-		return "buffered"
-	}
-}
-
-// OpenCached is the graph-cache protocol the CLIs' -graph-cache flag
-// speaks: if cache exists it is opened zero-copy (mmap) and build is
-// never called; on a miss the graph is built, saved to cache
-// atomically, and reopened through the cache so the caller gets the
-// file-backed arrays it will get on every subsequent start. A corrupt
-// cache is an error, not a silent rebuild — delete the file to force a
-// rebuild.
-func OpenCached(cache string, build func() (*graph.Graph, error)) (*graph.Graph, error) {
-	return OpenCachedWith(cache, CacheOptions{}, build)
-}
-
-// OpenCachedWith is OpenCached with paging and relabeling knobs; see
-// CacheOptions.
-func OpenCachedWith(cache string, opts CacheOptions, build func() (*graph.Graph, error)) (*graph.Graph, error) {
-	mode := opts.openMode()
-	open := func() (*graph.Graph, error) {
-		return gstore.Open(cache, gstore.OpenOptions{Mem: opts.Mem})
-	}
-	g, err := open()
-	if err == nil {
-		return g, nil
-	}
-	if !errors.Is(err, fs.ErrNotExist) {
-		return nil, fmt.Errorf("gio: graph cache %s (%s open): %w", cache, mode, err)
-	}
-	built, err := build()
-	if err != nil {
-		return nil, err
-	}
-	if opts.Relabel {
-		relabeled, err := gstore.Relabel(built)
-		if err != nil {
-			built.Close()
-			return nil, fmt.Errorf("gio: relabeling graph for cache %s: %w", cache, err)
-		}
-		built.Close()
-		built = relabeled
-	}
-	if err := gstore.Save(cache, built); err != nil {
-		built.Close()
-		return nil, fmt.Errorf("gio: writing graph cache %s: %w", cache, err)
-	}
-	// Release the built graph's storage (a no-op for heap-backed
-	// graphs, an munmap if build itself loaded a file): the caller
-	// gets the cache-backed arrays instead.
-	if err := built.Close(); err != nil {
-		return nil, fmt.Errorf("gio: releasing built graph: %w", err)
-	}
-	g, err = open()
-	if err != nil {
-		return nil, fmt.Errorf("gio: reopening graph cache %s (%s open): %w", cache, mode, err)
-	}
-	return g, nil
-}
-
-// OpenCachedChecked is the CLIs' full -graph-cache protocol: an empty
-// cache path just builds, otherwise OpenCached runs, and — because the
-// cache key is only the file path — a hit is guarded against silently
-// masking changed generation flags: when the graph comes from a
-// generator (genN > 0) rather than an input file, a cached graph whose
-// vertex count differs from genN is an error telling the user to
-// delete the stale cache.
-func OpenCachedChecked(cache string, genN int, build func() (*graph.Graph, error)) (*graph.Graph, error) {
-	return OpenCachedCheckedWith(cache, CacheOptions{}, genN, build)
-}
-
-// OpenCachedCheckedWith is OpenCachedChecked with paging and
-// relabeling knobs. A memory budget without a cache file is an error:
-// paging needs a gstore file to page from.
-func OpenCachedCheckedWith(cache string, opts CacheOptions, genN int, build func() (*graph.Graph, error)) (*graph.Graph, error) {
-	if cache == "" {
-		if opts.Mem > 0 {
-			return nil, errors.New("gio: a -graph-mem budget needs a gstore file to page from: set -graph-cache (or point -graph at a .csr file)")
-		}
-		g, err := build()
-		if err != nil {
-			return nil, err
-		}
-		if opts.Relabel {
-			relabeled, err := gstore.Relabel(g)
-			if err != nil {
-				g.Close()
-				return nil, fmt.Errorf("gio: relabeling graph: %w", err)
-			}
-			g.Close()
-			g = relabeled
-		}
-		return g, nil
-	}
-	g, err := OpenCachedWith(cache, opts, build)
-	if err != nil {
-		return nil, err
-	}
-	if genN > 0 && g.NumVertices() != genN {
-		n := g.NumVertices()
-		g.Close()
-		return nil, fmt.Errorf("graph cache %s holds %d vertices but -n is %d; delete the cache to regenerate",
-			cache, n, genN)
-	}
-	return g, nil
 }

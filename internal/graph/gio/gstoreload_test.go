@@ -110,7 +110,7 @@ func TestOpenCachedBuildOnMiss(t *testing.T) {
 	builds := 0
 	build := func() (*graph.Graph, error) { builds++; return want, nil }
 
-	g1, err := OpenCached(cache, build)
+	g1, err := OpenCached(cache, CacheOptions{}, 0, build)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestOpenCachedBuildOnMiss(t *testing.T) {
 	}
 
 	// Hit: build must not run again, content identical.
-	g2, err := OpenCached(cache, func() (*graph.Graph, error) {
+	g2, err := OpenCached(cache, CacheOptions{}, 0, func() (*graph.Graph, error) {
 		t.Fatal("build called on cache hit")
 		return nil, nil
 	})
@@ -145,7 +145,7 @@ func TestOpenCachedBuildOnMiss(t *testing.T) {
 	if err := os.WriteFile(cache, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenCached(cache, build); err == nil {
+	if _, err := OpenCached(cache, CacheOptions{}, 0, build); err == nil {
 		t.Fatal("corrupt cache silently accepted")
 	}
 	if builds != 1 {

@@ -5,7 +5,10 @@ import (
 	"errors"
 	"net"
 	"net/http"
+	"sync"
 	"time"
+
+	"repro/internal/serve/api"
 )
 
 // StatusWriter wraps an http.ResponseWriter to capture the status code
@@ -32,10 +35,144 @@ func (w *StatusWriter) Status() int {
 	return w.code
 }
 
-// ListenAndServe serves h on addr until ctx is cancelled, then shuts
-// down gracefully (in-flight requests get up to 5 seconds). It powers
-// the side listeners — prshard's -metrics-addr and both CLIs'
-// -pprof-addr — where a full server lifecycle would be overkill.
+// Handler is one endpoint behind a Plane's middleware. rid is the
+// request id the middleware resolved: "" when the client sent none and
+// nothing will trace the request.
+type Handler func(w http.ResponseWriter, r *http.Request, rid string)
+
+// Routes are the query endpoints every serving plane answers.
+type Routes struct{ TopK, Rank, PPR, Compare, Stats, Healthz Handler }
+
+// Plane is one HTTP serving plane — the single-node server or the
+// router — as the middleware and the listener lifecycle they share see
+// it. What differs between the planes is the values of these fields.
+type Plane struct {
+	// Component names the plane in log lines and prefixes its metric
+	// names: "serve" or "router".
+	Component string
+	// Registry holds the per-endpoint latency recorders and renders
+	// /metrics.
+	Registry *Registry
+	// Log, when enabled, receives one Entry per request.
+	Log *Logger
+	// Queries counts the method-allowed requests to the /v1 endpoints.
+	Queries *Counter
+	// ForwardsID says handlers pass the request id on (the router puts
+	// it in shard frames), so every request gets one. Otherwise an id
+	// the client sent is sanitized and echoed, and one is generated only
+	// for the request log.
+	ForwardsID bool
+	// Shards is the fan-out width stamped on log lines.
+	Shards int
+	// Epoch, when set, reads the published snapshot epoch, stamped on
+	// the middleware's own errors and on log lines.
+	Epoch func() uint64
+
+	mux *http.ServeMux
+
+	mu       sync.Mutex
+	listener net.Listener
+}
+
+// Mount builds the plane's routing table: the six query endpoints
+// behind the middleware, and /metrics.
+func (p *Plane) Mount(rt Routes) {
+	p.mux = http.NewServeMux()
+	p.mux.HandleFunc("/v1/topk", p.handle("topk", true, rt.TopK))
+	p.mux.HandleFunc("/v1/rank", p.handle("rank", true, rt.Rank))
+	p.mux.HandleFunc("/v1/ppr", p.handle("ppr", true, rt.PPR))
+	p.mux.HandleFunc("/v1/compare", p.handle("compare", true, rt.Compare))
+	p.mux.HandleFunc("/v1/stats", p.handle("stats", true, rt.Stats))
+	p.mux.HandleFunc("/healthz", p.handle("healthz", false, rt.Healthz))
+	p.mux.Handle("/metrics", p.Registry.Handler())
+}
+
+// ServeHTTP routes one request through the mounted table.
+func (p *Plane) ServeHTTP(w http.ResponseWriter, r *http.Request) { p.mux.ServeHTTP(w, r) }
+
+func (p *Plane) epoch() uint64 {
+	if p.Epoch == nil {
+		return 0
+	}
+	return p.Epoch()
+}
+
+// handle wraps one endpoint with instrumentation: a per-endpoint
+// latency histogram, request-id resolution, status capture for the
+// request log, and — for gated endpoints — GET/HEAD filtering plus the
+// /v1 query counter. healthz is not gated, preserving its historical
+// accept-anything behavior.
+func (p *Plane) handle(endpoint string, gated bool, h Handler) http.HandlerFunc {
+	lat := p.Registry.Latency(p.Component+"_request_seconds",
+		"Request latency by endpoint (on the router, shard fan-out included).", Labels{"endpoint": endpoint})
+	return func(w http.ResponseWriter, r *http.Request) {
+		start := time.Now()
+		// Without a request log the wrapper allocates nothing of its
+		// own: the status is only read by the log, so the response
+		// writer is not wrapped, and no id is generated for a request
+		// nobody will trace.
+		logged := p.Log.Enabled()
+		var rid string
+		if logged || p.ForwardsID || r.Header.Get(RequestIDHeader) != "" {
+			rid = EnsureRequestID(w, r)
+		}
+		var sw *StatusWriter
+		if logged {
+			sw = &StatusWriter{ResponseWriter: w}
+			w = sw
+		}
+		if gated && r.Method != http.MethodGet && r.Method != http.MethodHead {
+			api.WriteError(w, http.StatusMethodNotAllowed, api.CodeMethodNotAllowed, p.epoch(), "use GET")
+		} else {
+			if gated {
+				p.Queries.Inc()
+			}
+			h(w, r, rid)
+		}
+		dur := time.Since(start)
+		lat.Observe(dur)
+		if logged {
+			p.Log.Log(Entry{
+				Component: p.Component,
+				RID:       rid,
+				Method:    r.Method,
+				Path:      r.URL.Path,
+				Query:     r.URL.RawQuery,
+				Epoch:     p.epoch(),
+				Shards:    p.Shards,
+				Status:    sw.Status(),
+				DurMS:     dur.Seconds() * 1e3,
+			})
+		}
+	}
+}
+
+// Serve listens on addr and serves the mounted table until ctx is
+// cancelled, then shuts down gracefully (see ServeListener).
+func (p *Plane) Serve(ctx context.Context, addr string) error {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return err
+	}
+	p.mu.Lock()
+	p.listener = ln
+	p.mu.Unlock()
+	return ServeListener(ctx, ln, p)
+}
+
+// Addr returns the listening address once Serve has bound it ("" before
+// that) — handy when addr was ":0".
+func (p *Plane) Addr() string {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.listener == nil {
+		return ""
+	}
+	return p.listener.Addr().String()
+}
+
+// ListenAndServe serves h on addr until ctx is cancelled (see
+// ServeListener); the -pprof-addr side listeners use it.
 func ListenAndServe(ctx context.Context, addr string, h http.Handler) error {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -44,8 +181,11 @@ func ListenAndServe(ctx context.Context, addr string, h http.Handler) error {
 	return ServeListener(ctx, ln, h)
 }
 
-// ServeListener is ListenAndServe over an already-bound listener, for
-// callers that need the bound address (e.g. ":0" side listeners).
+// ServeListener serves h on ln until ctx is cancelled, then shuts down
+// gracefully (in-flight requests get up to 5 seconds) and returns nil.
+// Every HTTP listener in the module — both serving planes and the side
+// listeners — runs through it: this is the one place an http.Server is
+// configured.
 func ServeListener(ctx context.Context, ln net.Listener, h http.Handler) error {
 	srv := &http.Server{Handler: h}
 	errc := make(chan error, 1)

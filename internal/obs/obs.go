@@ -1,7 +1,9 @@
 // Package obs is the serving stack's observability core: named
 // counters, gauges and latency recorders collected in a Registry that
 // renders the Prometheus text exposition format, plus structured
-// JSON-lines request logging and request-id propagation helpers.
+// JSON-lines request logging and request-id propagation helpers, and
+// Plane: the HTTP middleware, routing table and listener lifecycle the
+// single-node server and the router share.
 //
 // Design constraints, in order:
 //

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"net"
 	"net/http"
 	"slices"
 	"strconv"
@@ -14,7 +13,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/obs"
-	"repro/internal/serve"
 	"repro/internal/serve/api"
 	"repro/internal/topk"
 )
@@ -129,8 +127,10 @@ type Options struct {
 //     envelope, code "unavailable".
 type Router struct {
 	clients []*ShardClient
-	mux     *http.ServeMux
 	timeout time.Duration
+	// plane is the HTTP front: routing table, request middleware and
+	// listener lifecycle, shared with the single-node server.
+	plane *obs.Plane
 
 	// Counters are obs instruments registered on reg, so the stats
 	// body (which reads them directly) and /metrics render the same
@@ -143,7 +143,6 @@ type Router struct {
 	refetches      obs.Counter
 	rankRouted     obs.Counter
 	reg            *obs.Registry
-	reqLog         *obs.Logger
 
 	// now is time.Now outside tests, which drive the freshness window
 	// through it.
@@ -157,9 +156,6 @@ type Router struct {
 	top      topIndex
 	contrary uint64
 	lastRank map[uint32]rankEntry
-
-	httpMu   sync.Mutex
-	listener net.Listener
 }
 
 // New builds a router over the given shard clients.
@@ -174,7 +170,6 @@ func New(clients []*ShardClient, opts Options) *Router {
 		now:      time.Now,
 		lastRank: make(map[uint32]rankEntry),
 		reg:      opts.Metrics,
-		reqLog:   opts.RequestLog,
 	}
 	if rt.reg == nil {
 		rt.reg = obs.NewRegistry()
@@ -200,15 +195,22 @@ func New(clients []*ShardClient, opts Options) *Router {
 	for _, c := range clients {
 		c.Instrument(rt.reg)
 	}
-	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/topk", rt.handle("topk", true, rt.handleTopK))
-	mux.HandleFunc("/v1/rank", rt.handle("rank", true, rt.handleRank))
-	mux.HandleFunc("/v1/ppr", rt.handle("ppr", true, rt.handlePPR))
-	mux.HandleFunc("/v1/compare", rt.handle("compare", true, rt.handleCompare))
-	mux.HandleFunc("/v1/stats", rt.handle("stats", true, rt.handleStats))
-	mux.HandleFunc("/healthz", rt.handle("healthz", false, rt.handleHealthz))
-	mux.Handle("/metrics", rt.reg.Handler())
-	rt.mux = mux
+	rt.plane = &obs.Plane{
+		Component:  "router",
+		Registry:   rt.reg,
+		Log:        opts.RequestLog,
+		Queries:    &rt.queries,
+		ForwardsID: true,
+		Shards:     len(clients),
+	}
+	rt.plane.Mount(obs.Routes{
+		TopK:    rt.handleTopK,
+		Rank:    rt.handleRank,
+		PPR:     rt.handlePPR,
+		Compare: rt.handleCompare,
+		Stats:   rt.handleStats,
+		Healthz: rt.handleHealthz,
+	})
 	return rt
 }
 
@@ -219,7 +221,7 @@ func (rt *Router) Metrics() *obs.Registry { return rt.reg }
 // ServeHTTP implements http.Handler, so the load generator and tests
 // can drive the router in-process exactly like the single-node server.
 func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	rt.mux.ServeHTTP(w, r)
+	rt.plane.ServeHTTP(w, r)
 }
 
 // Queries returns the total routed query count.
@@ -265,53 +267,11 @@ func (rt *Router) Meter() cluster.MachineMeter {
 	return m
 }
 
-// ridHandler is an endpoint handler that receives the request id the
-// instrumentation wrapper resolved, so it can forward it to the shards.
-type ridHandler func(w http.ResponseWriter, r *http.Request, rid string)
-
-// handle wraps one endpoint with instrumentation: a per-endpoint
-// latency histogram, request-id resolution (generated when the client
-// sent none, echoed on the response, forwarded in shard RPC frames),
-// status capture for the request log, and — for gated endpoints —
-// GET/HEAD filtering plus the /v1 query counter. healthz is not gated,
-// preserving its historical accept-anything behavior.
-func (rt *Router) handle(endpoint string, gated bool, h ridHandler) http.HandlerFunc {
-	lat := rt.reg.Latency("router_request_seconds",
-		"Routed request latency by endpoint (shard fan-out included).", obs.Labels{"endpoint": endpoint})
-	return func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		rid := obs.EnsureRequestID(w, r)
-		sw := &obs.StatusWriter{ResponseWriter: w}
-		if gated && r.Method != http.MethodGet && r.Method != http.MethodHead {
-			serve.WriteError(sw, http.StatusMethodNotAllowed, api.CodeMethodNotAllowed, 0, "use GET")
-		} else {
-			if gated {
-				rt.queries.Inc()
-			}
-			h(sw, r, rid)
-		}
-		dur := time.Since(start)
-		lat.Observe(dur)
-		if rt.reqLog.Enabled() {
-			rt.reqLog.Log(obs.Entry{
-				Component: "router",
-				RID:       rid,
-				Method:    r.Method,
-				Path:      r.URL.Path,
-				Query:     r.URL.RawQuery,
-				Shards:    len(rt.clients),
-				Status:    sw.Status(),
-				DurMS:     dur.Seconds() * 1e3,
-			})
-		}
-	}
-}
-
 // reply writes a marshaled JSON body.
 func (rt *Router) reply(w http.ResponseWriter, v any) {
 	body, err := json.Marshal(v)
 	if err != nil {
-		serve.WriteError(w, http.StatusInternalServerError, api.CodeInternal, 0, "%v", err)
+		api.WriteError(w, http.StatusInternalServerError, api.CodeInternal, 0, "%v", err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -436,9 +396,9 @@ func (rt *Router) observe(results []shardResult) {
 }
 
 func (rt *Router) handleTopK(w http.ResponseWriter, r *http.Request, rid string) {
-	k, err := parsePositiveInt(r.URL.Query().Get("k"), 20)
+	k, err := api.ParsePositiveInt(r.URL.Query().Get("k"), 20)
 	if err != nil {
-		serve.WriteError(w, http.StatusBadRequest, api.CodeBadRequest, 0, "bad k: %v", err)
+		api.WriteError(w, http.StatusBadRequest, api.CodeBadRequest, 0, "bad k: %v", err)
 		return
 	}
 	now := rt.now()
@@ -475,7 +435,7 @@ func (rt *Router) handleTopK(w http.ResponseWriter, r *http.Request, rid string)
 	// Degraded path: the index at its stale epoch beats an error while a
 	// shard is down.
 	if !idx.covers(k) {
-		serve.WriteError(w, http.StatusServiceUnavailable, api.CodeUnavailable, 0,
+		api.WriteError(w, http.StatusServiceUnavailable, api.CodeUnavailable, 0,
 			"shard cluster unavailable and no kept answer covers k=%d: %v", k, err)
 		return
 	}
@@ -488,12 +448,12 @@ func (rt *Router) handleTopK(w http.ResponseWriter, r *http.Request, rid string)
 func (rt *Router) handleRank(w http.ResponseWriter, r *http.Request, rid string) {
 	raw := r.URL.Query().Get("vertex")
 	if raw == "" {
-		serve.WriteError(w, http.StatusBadRequest, api.CodeBadRequest, 0, "missing vertex parameter")
+		api.WriteError(w, http.StatusBadRequest, api.CodeBadRequest, 0, "missing vertex parameter")
 		return
 	}
 	v64, err := strconv.ParseUint(raw, 10, 32)
 	if err != nil {
-		serve.WriteError(w, http.StatusBadRequest, api.CodeBadRequest, 0, "bad vertex: %v", err)
+		api.WriteError(w, http.StatusBadRequest, api.CodeBadRequest, 0, "bad vertex: %v", err)
 		return
 	}
 	v := uint32(v64)
@@ -538,13 +498,13 @@ func (rt *Router) handleRank(w http.ResponseWriter, r *http.Request, rid string)
 	if allOK {
 		// Every shard answered and none owns the vertex: it does not
 		// exist in the graph.
-		serve.WriteError(w, http.StatusNotFound, api.CodeNotFound, maxEpoch,
+		api.WriteError(w, http.StatusNotFound, api.CodeNotFound, maxEpoch,
 			"vertex %d not owned by any of %d shards", v, len(results))
 		return
 	}
 	// The owner may be among the failed shards: degraded fallback.
 	if !known {
-		serve.WriteError(w, http.StatusServiceUnavailable, api.CodeUnavailable, maxEpoch,
+		api.WriteError(w, http.StatusServiceUnavailable, api.CodeUnavailable, maxEpoch,
 			"shard cluster unavailable and no cached rank for vertex %d: %v", v, shardErr(results))
 		return
 	}
@@ -586,7 +546,7 @@ func (rt *Router) serveLastRank(w http.ResponseWriter, last rankEntry) {
 // PPR at a router shows up in /v1/stats and /metrics.
 func (rt *Router) handlePPR(w http.ResponseWriter, r *http.Request, rid string) {
 	rt.pprUnsupported.Inc()
-	serve.WriteError(w, http.StatusNotImplemented, api.CodeUnsupported, 0,
+	api.WriteError(w, http.StatusNotImplemented, api.CodeUnsupported, 0,
 		"ppr is not available on the router: walks need the graph; query a single-node server")
 }
 
@@ -594,7 +554,7 @@ func (rt *Router) handleCompare(w http.ResponseWriter, r *http.Request, rid stri
 	// Compare runs a full reference engine over the graph; the router
 	// is stateless by design and holds no graph. Clients run compares
 	// against a shard-side single-node server (or offline).
-	serve.WriteError(w, http.StatusNotImplemented, api.CodeUnsupported, 0,
+	api.WriteError(w, http.StatusNotImplemented, api.CodeUnsupported, 0,
 		"compare is not available on the router: it holds no graph; run it against a single-node server")
 }
 
@@ -680,7 +640,7 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request, rid stri
 	}
 	body, err := json.Marshal(api.HealthResponse{Status: status, Epoch: minEpoch, Shards: rows})
 	if err != nil {
-		serve.WriteError(w, http.StatusInternalServerError, api.CodeInternal, 0, "%v", err)
+		api.WriteError(w, http.StatusInternalServerError, api.CodeInternal, 0, "%v", err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -690,40 +650,7 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request, rid stri
 
 // Serve listens on addr and serves the router API until ctx is
 // cancelled, then shuts down gracefully.
-func (rt *Router) Serve(ctx context.Context, addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	rt.httpMu.Lock()
-	rt.listener = ln
-	rt.httpMu.Unlock()
-	return obs.ServeListener(ctx, ln, rt.mux)
-}
+func (rt *Router) Serve(ctx context.Context, addr string) error { return rt.plane.Serve(ctx, addr) }
 
 // Addr returns the bound listen address once Serve is up ("" before).
-func (rt *Router) Addr() string {
-	rt.httpMu.Lock()
-	defer rt.httpMu.Unlock()
-	if rt.listener == nil {
-		return ""
-	}
-	return rt.listener.Addr().String()
-}
-
-// parsePositiveInt parses a strictly positive integer, returning def
-// for the empty string (the single-node server's exact semantics, so
-// both planes reject the same inputs).
-func parsePositiveInt(raw string, def int) (int, error) {
-	if raw == "" {
-		return def, nil
-	}
-	v, err := strconv.Atoi(raw)
-	if err != nil {
-		return 0, err
-	}
-	if v <= 0 {
-		return 0, fmt.Errorf("must be positive, got %d", v)
-	}
-	return v, nil
-}
+func (rt *Router) Addr() string { return rt.plane.Addr() }

@@ -12,7 +12,13 @@
 // mis-decoding frames.
 package api
 
-import "time"
+import (
+	"encoding/json"
+	"fmt"
+	"net/http"
+	"strconv"
+	"time"
+)
 
 // Version is the wire-protocol generation. Bump it when a change to the
 // types below is not backward compatible (removed field, changed
@@ -242,6 +248,37 @@ type Error struct {
 // as Go errors with their machine-readable code attached.
 func (e *Error) Error() string {
 	return e.Code + ": " + e.Message
+}
+
+// WriteError writes the Error envelope with the given HTTP status: the
+// one way every plane — single-node server, router and the middleware
+// they share — fails a request.
+func WriteError(w http.ResponseWriter, status int, code string, epoch uint64, format string, args ...any) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	body, _ := json.Marshal(Error{
+		Message: fmt.Sprintf(format, args...),
+		Code:    code,
+		Epoch:   epoch,
+	})
+	w.Write(append(body, '\n'))
+}
+
+// ParsePositiveInt parses a strictly positive integer query parameter,
+// returning def for the empty string; both planes call it, so they
+// reject the same inputs.
+func ParsePositiveInt(raw string, def int) (int, error) {
+	if raw == "" {
+		return def, nil
+	}
+	v, err := strconv.Atoi(raw)
+	if err != nil {
+		return 0, err
+	}
+	if v <= 0 {
+		return 0, fmt.Errorf("must be positive, got %d", v)
+	}
+	return v, nil
 }
 
 // Error codes, one vocabulary for single-node server, shards and

@@ -587,7 +587,7 @@ func (p pprPlan) cut(tasks []*pprTask) ([]topk.Entry, error) {
 // handlePPR answers GET /v1/ppr?source=u&k= (or sources=a,b,c): the
 // top-k personalized PageRank of the source set, estimated by
 // request-time walks under the configured budget.
-func (s *Server) handlePPR(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handlePPR(w http.ResponseWriter, r *http.Request, _ string) {
 	start := time.Now()
 	defer func() { s.ppr.lat.Observe(time.Since(start)) }()
 	s.ppr.queries.Inc()
@@ -595,7 +595,7 @@ func (s *Server) handlePPR(w http.ResponseWriter, r *http.Request) {
 	if snap == nil {
 		return
 	}
-	k, err := parsePositiveInt(r.URL.Query().Get("k"), 20)
+	k, err := api.ParsePositiveInt(r.URL.Query().Get("k"), 20)
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, api.CodeBadRequest, "bad k: %v", err)
 		return

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"net"
 	"net/http"
 	"strconv"
 	"sync"
@@ -68,7 +67,9 @@ type ServerOptions struct {
 type Server struct {
 	store *Store
 	opts  ServerOptions
-	mux   *http.ServeMux
+	// plane is the HTTP front: routing table, request middleware and
+	// listener lifecycle, shared with the router (obs.Plane).
+	plane *obs.Plane
 
 	// topkMu guards the per-k body cache; topkEpoch stamps which
 	// epoch the cached bodies belong to (the map is flushed lazily
@@ -92,22 +93,16 @@ type Server struct {
 	cacheHits   obs.Counter
 	compareHits obs.Counter
 	coalesced   obs.Counter
-	reqLat      map[string]*obs.Latency
 	reg         *obs.Registry
-	reqLog      *obs.Logger
 
 	// ppr owns the /v1/ppr walk executor, hot-source LRU and
 	// instruments (see ppr.go).
 	ppr *pprEngine
-
-	httpMu   sync.Mutex
-	httpSrv  *http.Server
-	listener net.Listener
 }
 
 // NewServer builds a server over store.
 func NewServer(store *Store, opts ServerOptions) *Server {
-	s := &Server{store: store, opts: opts, reg: opts.Metrics, reqLog: opts.RequestLog}
+	s := &Server{store: store, opts: opts, reg: opts.Metrics}
 	if s.reg == nil {
 		s.reg = obs.NewRegistry()
 	}
@@ -121,10 +116,7 @@ func NewServer(store *Store, opts ServerOptions) *Server {
 		"Queries that joined an in-flight identical computation.", nil, &s.coalesced)
 	s.reg.GaugeFunc("serve_snapshot_epoch",
 		"Epoch of the published snapshot (0 before the first publish).", nil, func() float64 {
-			if snap := store.Current(); snap != nil {
-				return float64(snap.Epoch)
-			}
-			return 0
+			return float64(s.epoch())
 		})
 	s.reg.GaugeFunc("serve_snapshot_age_seconds",
 		"Seconds since the published snapshot was built (0 before the first publish).", nil, func() float64 {
@@ -162,16 +154,21 @@ func NewServer(store *Store, opts ServerOptions) *Server {
 		"Pages evicted by the CLOCK sweep to stay under budget.",
 		func(st graph.PageCacheStats) float64 { return float64(st.Evictions) })
 	s.ppr = newPPREngine(opts.PPR, s.reg)
-	s.reqLat = make(map[string]*obs.Latency)
-	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/topk", s.handle("topk", true, s.handleTopK))
-	mux.HandleFunc("/v1/rank", s.handle("rank", true, s.handleRank))
-	mux.HandleFunc("/v1/ppr", s.handle("ppr", true, s.handlePPR))
-	mux.HandleFunc("/v1/compare", s.handle("compare", true, s.handleCompare))
-	mux.HandleFunc("/v1/stats", s.handle("stats", true, s.handleStats))
-	mux.HandleFunc("/healthz", s.handle("healthz", false, s.handleHealthz))
-	mux.Handle("/metrics", s.reg.Handler())
-	s.mux = mux
+	s.plane = &obs.Plane{
+		Component: "serve",
+		Registry:  s.reg,
+		Log:       opts.RequestLog,
+		Queries:   &s.queries,
+		Epoch:     s.epoch,
+	}
+	s.plane.Mount(obs.Routes{
+		TopK:    s.handleTopK,
+		Rank:    s.handleRank,
+		PPR:     s.handlePPR,
+		Compare: s.handleCompare,
+		Stats:   s.handleStats,
+		Healthz: s.handleHealthz,
+	})
 	return s
 }
 
@@ -180,13 +177,13 @@ func NewServer(store *Store, opts ServerOptions) *Server {
 func (s *Server) Metrics() *obs.Registry { return s.reg }
 
 // Handler returns the HTTP handler (for tests and embedding).
-func (s *Server) Handler() http.Handler { return s.mux }
+func (s *Server) Handler() http.Handler { return s.plane }
 
 // ServeHTTP makes *Server itself an http.Handler, so in-process
 // drivers (the load generator, httptest) can hit the full API without
 // a listener.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	s.mux.ServeHTTP(w, r)
+	s.plane.ServeHTTP(w, r)
 }
 
 // Snapshot returns the snapshot the server is currently answering
@@ -209,84 +206,19 @@ func (s *Server) CompareCacheHits() uint64 { return s.compareHits.Value() }
 // computation instead of starting their own.
 func (s *Server) Coalesced() uint64 { return s.coalesced.Value() }
 
-// handle wraps one endpoint with instrumentation: a per-endpoint
-// latency histogram, request-id stamping, status capture for the
-// request log, and — for gated endpoints — GET/HEAD filtering plus the
-// /v1 query counter. healthz is not gated, preserving its historical
-// accept-anything behavior.
-func (s *Server) handle(endpoint string, gated bool, h http.HandlerFunc) http.HandlerFunc {
-	lat := s.reg.Latency("serve_request_seconds",
-		"Request handling latency by endpoint.", obs.Labels{"endpoint": endpoint})
-	s.reqLat[endpoint] = lat
-	return func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		// The fast path (no request log) stays allocation-free: a
-		// client-supplied X-Request-Id is still sanitized and echoed,
-		// but no rid is generated for requests nobody will trace, and
-		// the response writer is not wrapped (the status is only read
-		// by the log). The router always generates — that is where
-		// cross-process tracing lives, and its hot path is dominated
-		// by the shard fan-out anyway.
-		logged := s.reqLog.Enabled()
-		var rid string
-		if logged || r.Header.Get(obs.RequestIDHeader) != "" {
-			rid = obs.EnsureRequestID(w, r)
-		}
-		var sw http.ResponseWriter = w
-		if logged {
-			sw = &obs.StatusWriter{ResponseWriter: w}
-		}
-		if gated && r.Method != http.MethodGet && r.Method != http.MethodHead {
-			s.fail(sw, http.StatusMethodNotAllowed, api.CodeMethodNotAllowed, "use GET")
-		} else {
-			if gated {
-				s.queries.Inc()
-			}
-			h(sw, r)
-		}
-		dur := time.Since(start)
-		lat.Observe(dur)
-		if logged {
-			var epoch uint64
-			if snap := s.store.Current(); snap != nil {
-				epoch = snap.Epoch
-			}
-			s.reqLog.Log(obs.Entry{
-				Component: "serve",
-				RID:       rid,
-				Method:    r.Method,
-				Path:      r.URL.Path,
-				Query:     r.URL.RawQuery,
-				Status:    sw.(*obs.StatusWriter).Status(),
-				Epoch:     epoch,
-				DurMS:     dur.Seconds() * 1e3,
-			})
-		}
+// epoch is the published snapshot's epoch, 0 before the first publish.
+func (s *Server) epoch() uint64 {
+	if snap := s.store.Current(); snap != nil {
+		return snap.Epoch
 	}
+	return 0
 }
 
 // fail writes the api.Error JSON envelope, stamped with the epoch the
 // server was serving when the request failed (0 before the first
 // publish).
 func (s *Server) fail(w http.ResponseWriter, status int, code, format string, args ...any) {
-	var epoch uint64
-	if snap := s.store.Current(); snap != nil {
-		epoch = snap.Epoch
-	}
-	WriteError(w, status, code, epoch, format, args...)
-}
-
-// WriteError writes the shared JSON error envelope; the router reuses
-// it so both serving planes fail identically.
-func WriteError(w http.ResponseWriter, status int, code string, epoch uint64, format string, args ...any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	body, _ := json.Marshal(api.Error{
-		Message: fmt.Sprintf(format, args...),
-		Code:    code,
-		Epoch:   epoch,
-	})
-	w.Write(append(body, '\n'))
+	api.WriteError(w, status, code, s.epoch(), format, args...)
 }
 
 // reply writes a marshaled JSON body.
@@ -324,12 +256,12 @@ func marshalTopK(snap *Snapshot, k int) ([]byte, error) {
 	return append(body, '\n'), nil
 }
 
-func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request, _ string) {
 	snap := s.current(w)
 	if snap == nil {
 		return
 	}
-	k, err := parsePositiveInt(r.URL.Query().Get("k"), 20)
+	k, err := api.ParsePositiveInt(r.URL.Query().Get("k"), 20)
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, api.CodeBadRequest, "bad k: %v", err)
 		return
@@ -380,7 +312,7 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	s.reply(w, body)
 }
 
-func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleRank(w http.ResponseWriter, r *http.Request, _ string) {
 	snap := s.current(w)
 	if snap == nil {
 		return
@@ -464,7 +396,7 @@ func (s *Server) referenceRanks(snap *Snapshot, engine Engine) ([]float64, error
 	return ranks, nil
 }
 
-func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request, _ string) {
 	snap := s.current(w)
 	if snap == nil {
 		return
@@ -474,7 +406,7 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, api.CodeBadRequest, "%v", err)
 		return
 	}
-	k, err := parsePositiveInt(r.URL.Query().Get("k"), 20)
+	k, err := api.ParsePositiveInt(r.URL.Query().Get("k"), 20)
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, api.CodeBadRequest, "bad k: %v", err)
 		return
@@ -558,7 +490,7 @@ func (s *Server) StatsBody(snap *Snapshot) api.StatsResponse {
 	}
 }
 
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleStats(w http.ResponseWriter, r *http.Request, _ string) {
 	snap := s.current(w)
 	if snap == nil {
 		return
@@ -571,7 +503,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	s.reply(w, append(body, '\n'))
 }
 
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request, _ string) {
 	snap := s.store.Current()
 	if snap == nil {
 		s.fail(w, http.StatusServiceUnavailable, api.CodeNoSnapshot, "no snapshot published yet")
@@ -584,68 +516,11 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // Serve listens on addr and serves until ctx is cancelled, then shuts
 // down gracefully (in-flight requests get up to 5 seconds to finish).
 // It returns nil on a clean ctx-triggered shutdown.
-func (s *Server) Serve(ctx context.Context, addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.serveListener(ctx, ln)
-}
+func (s *Server) Serve(ctx context.Context, addr string) error { return s.plane.Serve(ctx, addr) }
 
 // Addr returns the listening address once Serve has bound it ("" before
 // that) — handy when addr was ":0".
-func (s *Server) Addr() string {
-	s.httpMu.Lock()
-	defer s.httpMu.Unlock()
-	if s.listener == nil {
-		return ""
-	}
-	return s.listener.Addr().String()
-}
-
-// serveListener runs the http.Server lifecycle over an existing
-// listener.
-func (s *Server) serveListener(ctx context.Context, ln net.Listener) error {
-	srv := &http.Server{Handler: s.mux}
-	s.httpMu.Lock()
-	s.httpSrv = srv
-	s.listener = ln
-	s.httpMu.Unlock()
-
-	errc := make(chan error, 1)
-	go func() { errc <- srv.Serve(ln) }()
-	select {
-	case <-ctx.Done():
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		if err := srv.Shutdown(shutdownCtx); err != nil {
-			return err
-		}
-		<-errc // always http.ErrServerClosed after Shutdown
-		return nil
-	case err := <-errc:
-		if errors.Is(err, http.ErrServerClosed) {
-			return nil
-		}
-		return err
-	}
-}
-
-// parsePositiveInt parses a strictly positive integer, returning def
-// for the empty string.
-func parsePositiveInt(raw string, def int) (int, error) {
-	if raw == "" {
-		return def, nil
-	}
-	v, err := strconv.Atoi(raw)
-	if err != nil {
-		return 0, err
-	}
-	if v <= 0 {
-		return 0, fmt.Errorf("must be positive, got %d", v)
-	}
-	return v, nil
-}
+func (s *Server) Addr() string { return s.plane.Addr() }
 
 // valueOr returns raw unless it is empty.
 func valueOr(raw, def string) string {

@@ -22,6 +22,7 @@ package serve
 
 import (
 	"errors"
+	"flag"
 	"fmt"
 	"time"
 
@@ -93,6 +94,25 @@ type BuildConfig struct {
 	Seed uint64
 	// MaxK is the precomputed top index size; 0 selects DefaultMaxK.
 	MaxK int
+}
+
+// RegisterFlags declares on fs the engine flags prserve, prshard and
+// prload share: -engine, -machines and -maxk. A field that is zero
+// defaults to what withDefaults resolves it to. -engine is checked
+// while parsing, so an unknown engine is a usage error.
+func (c *BuildConfig) RegisterFlags(fs *flag.FlagSet) {
+	d := c.withDefaults(0)
+	c.Engine = d.Engine
+	fs.Func("engine", "estimate engine: frogwild|glpr|exact", func(v string) error {
+		e, err := ParseEngine(v)
+		if err == nil {
+			c.Engine = e
+		}
+		return err
+	})
+	fs.Lookup("engine").DefValue = string(d.Engine) // a Func flag has no default of its own to show in usage
+	fs.IntVar(&c.Machines, "machines", d.Machines, "simulated cluster size for the estimate engine")
+	fs.IntVar(&c.MaxK, "maxk", d.MaxK, "precomputed top index size (queries up to this k are O(k))")
 }
 
 // withDefaults resolves the zero values.

@@ -124,18 +124,6 @@ func LoadGraph(path string) (*Graph, error) {
 	return gio.Load(path, gio.EdgeListOptions{Dangling: graph.DanglingSelfLoop})
 }
 
-// LoadGraphPaged is LoadGraph with a resident-memory budget: the file
-// must be an uncompressed gstore CSR file, whose adjacency is then
-// served through a bounded page cache of roughly memBytes (the
-// bigger-than-RAM path; see ParseByteSize for the CLIs' flag syntax).
-// Formats that cannot bound residency are an error under a budget.
-func LoadGraphPaged(path string, memBytes int64) (*Graph, error) {
-	return gio.LoadWith(path, gio.LoadOptions{
-		EdgeList: gio.EdgeListOptions{Dangling: graph.DanglingSelfLoop},
-		Mem:      memBytes,
-	})
-}
-
 // RelabelGraph returns a logically identical copy of g whose CSR rows
 // are degree-ordered (hot vertices first) with the external→row
 // permutation attached, so a paged open of the saved file packs hot
@@ -171,36 +159,24 @@ func OpenGraphCSR(path string) (*Graph, error) {
 	return gstore.Open(path, gstore.OpenOptions{})
 }
 
-// CachedGraph is the -graph-cache protocol: if cachePath exists it is
-// opened zero-copy and build never runs; on a miss the graph is
-// built, saved to cachePath atomically, and reopened through the
-// cache. A corrupt cache is an error — delete the file to rebuild.
-func CachedGraph(cachePath string, build func() (*Graph, error)) (*Graph, error) {
-	return gio.OpenCached(cachePath, build)
-}
-
-// CachedGraphChecked is the serving CLIs' -graph-cache protocol in one
-// call: an empty cachePath just builds, otherwise the cache is opened
-// (or built and saved) via CachedGraph, and — because the cache key is
-// only the file path — a hit is guarded against silently masking
-// changed generation flags: when the graph comes from a generator
-// (genN > 0) rather than an input file, a cached graph whose vertex
-// count differs from genN is an error telling the user to delete the
-// stale cache.
-func CachedGraphChecked(cachePath string, genN int, build func() (*Graph, error)) (*Graph, error) {
-	return gio.OpenCachedChecked(cachePath, genN, build)
-}
-
 // GraphCacheOptions tunes CachedGraphCheckedWith: a paged-open memory
 // budget and build-time degree relabeling.
 type GraphCacheOptions = gio.CacheOptions
 
-// CachedGraphCheckedWith is CachedGraphChecked with the
-// bigger-than-RAM knobs: opts.Mem opens the cache paged under a
-// resident budget, opts.Relabel degree-orders the graph when the
-// cache is (re)built. A budget without a cache file is an error.
+// CachedGraphCheckedWith is the serving CLIs' -graph-cache protocol in
+// one call. An empty cachePath just builds. Otherwise, if cachePath
+// exists it is opened zero-copy and build never runs; on a miss the
+// graph is built, saved to cachePath atomically, and reopened through
+// the cache. A corrupt cache is an error — delete the file to rebuild.
+// Because the cache key is only the file path, a hit is guarded against
+// silently masking changed generation flags: when the graph comes from
+// a generator (genN > 0) rather than an input file, a cached graph
+// whose vertex count differs from genN is an error telling the user to
+// delete the stale cache. opts.Mem opens the cache paged under a
+// resident budget (an error without a cache file), opts.Relabel
+// degree-orders the graph when the cache is (re)built.
 func CachedGraphCheckedWith(cachePath string, opts GraphCacheOptions, genN int, build func() (*Graph, error)) (*Graph, error) {
-	return gio.OpenCachedCheckedWith(cachePath, opts, genN, build)
+	return gio.OpenCached(cachePath, opts, genN, build)
 }
 
 // PageRankOptions configures the exact solver. Its Workers field
@@ -219,12 +195,6 @@ const DefaultTeleport = pagerank.DefaultTeleport
 // inner loop runs on opts.Workers cores (0 = all of them).
 func ExactPageRank(g *Graph, opts PageRankOptions) (*PageRankResult, error) {
 	return pagerank.Exact(g, opts)
-}
-
-// IteratePageRank runs exactly k serial power iterations (the paper's
-// idealized "reduced iterations" heuristic).
-func IteratePageRank(g *Graph, k int, teleport float64) (*PageRankResult, error) {
-	return pagerank.Iterate(g, k, teleport)
 }
 
 // FrogWildConfig configures a FrogWild run; see the frogwild package
@@ -300,12 +270,6 @@ func RunSparsifiedPR(g *Graph, cfg SparsifyConfig) (*SparsifyResult, error) {
 	return sparsify.Run(g, cfg)
 }
 
-// SparsifyGraph returns a uniformly sparsified copy of g (keep
-// probability q), with dangling vertices repaired.
-func SparsifyGraph(g *Graph, q float64, seed uint64) (*Graph, error) {
-	return sparsify.Uniform(g, q, seed)
-}
-
 // MonteCarloConfig configures the Monte-Carlo baseline (Avrachenkov et
 // al., reference [5] of the paper). Its Workers field shards the walks
 // across cores (0 = GOMAXPROCS, 1 = single-threaded) with bit-identical
@@ -363,10 +327,6 @@ func NewLayout(g *Graph, machines int, p Partitioner, seed uint64) (*Layout, err
 
 // CostModel converts metered engine work into simulated seconds.
 type CostModel = cluster.CostModel
-
-// DefaultCostModel returns the calibrated cost model (≈1 Gb/s links,
-// 1 ms barriers).
-func DefaultCostModel() CostModel { return cluster.DefaultCostModel() }
 
 // RunStats reports what an engine run did and cost; exposed on the
 // FrogWild and GraphLab-PR results.
