@@ -61,10 +61,9 @@
 // Personalized PageRank is tuned by the -ppr-* flags: -ppr-walks is
 // the per-source walk count, -ppr-budget the hard per-request walk
 // cap (a request over budget runs fewer walks per source and is
-// flagged "truncated": true), -ppr-cache / -ppr-cache-ttl size the
-// hot-source LRU, and -ppr-maxk / -ppr-max-sources bound a query's
-// shape. Identical requests within one epoch return bit-identical
-// bodies regardless of -ppr-workers.
+// flagged "truncated": true), -ppr-cache sizes the hot-source LRU, and
+// -ppr-maxk / -ppr-max-sources bound a query's shape. Identical
+// requests within one epoch return bit-identical bodies.
 package main
 
 import (
@@ -133,8 +132,6 @@ func newFlags(stderr io.Writer) (*flag.FlagSet, *options) {
 	fs.IntVar(&o.ppr.MaxK, "ppr-maxk", 0, "/v1/ppr k parameter upper bound (0 = 100)")
 	fs.IntVar(&o.ppr.MaxSources, "ppr-max-sources", 0, "/v1/ppr source set size limit (0 = 16)")
 	fs.IntVar(&o.ppr.CacheSize, "ppr-cache", 0, "/v1/ppr hot-source LRU capacity in responses (0 = 1024, negative disables)")
-	fs.DurationVar(&o.ppr.CacheTTL, "ppr-cache-ttl", 0, "/v1/ppr cache entry max age (0 = size-bounded only)")
-	fs.IntVar(&o.ppr.Workers, "ppr-workers", 0, "/v1/ppr batch executor worker pool size (0 = all cores); results are identical for any value")
 	return fs, o
 }
 

@@ -75,12 +75,10 @@ func TestFlagSurface(t *testing.T) {
 		{"n", "50000"},
 		{"ppr-budget", "0"},
 		{"ppr-cache", "0"},
-		{"ppr-cache-ttl", "0s"},
 		{"ppr-max-sources", "0"},
 		{"ppr-max-walk-len", "0"},
 		{"ppr-maxk", "0"},
 		{"ppr-walks", "0"},
-		{"ppr-workers", "0"},
 		{"pprof-addr", ""},
 		{"ps", "0.7"},
 		{"refresh", "0s"},

@@ -11,22 +11,24 @@ package serve
 // Determinism is the contract, like everywhere else in the repo: each
 // walk draws from its own stream derived from (snapshot seed, epoch,
 // source, walk) — see pprWalk — so identical requests in an epoch
-// are bit-identical, regardless of executor worker count, batching,
-// cache state, or how requests interleave.
+// are bit-identical, regardless of cache state, paging, or how requests
+// interleave.
 //
-// Three layers amortize the work under hot traffic:
+// Two layers amortize the work under hot traffic:
 //
-//   - An LRU of final response bodies keyed by (epoch, sourceSet, k)
-//     with size and TTL knobs: Zipf-skewed source popularity makes
-//     repeated sources cheap.
+//   - An LRU of final response bodies keyed by (epoch, sourceSet, k):
+//     Zipf-skewed source popularity makes repeated sources cheap.
 //   - A singleflight per (epoch, sourceSet, k): concurrent identical
 //     requests share one execution.
-//   - A batching executor: concurrent requests enqueue per-source walk
-//     tasks, and one drainer sweeps all pending tasks in a combined
-//     multi-source pass across a worker pool — each worker advances
-//     its whole share in one miss-batched walk-kernel call — so CSR
-//     traversal is amortized across requests and overlapping source
-//     sets share per-source walk results.
+//
+// A request that misses both runs its whole plan in one walk-kernel
+// call on its own goroutine, behind the slot gate (pprEngine.slots):
+// at most GOMAXPROCS kernel calls run at once. The gate is there for
+// the page cache, not for the CPU: eight concurrent clients over HTTP
+// on a 2-core, 4 MiB -graph-mem server (64 page frames) got 1 330 q/s
+// at p95 12.7 / p99 17.0 ms with the calls bounded and 1 240 q/s at
+// p95 18.6 / p99 26.0 ms with all eight walking at once, each evicting
+// the pages the others were about to read (medians of seven runs).
 
 import (
 	"container/list"
@@ -80,14 +82,6 @@ type PPROptions struct {
 	// CacheSize is the hot-source LRU capacity in responses (default
 	// 1024; negative disables caching).
 	CacheSize int
-	// CacheTTL expires cached responses by age (0 = size-bounded only).
-	// Within one epoch a recomputed response is bit-identical to the
-	// expired one, so a TTL trades only CPU, never consistency.
-	CacheTTL time.Duration
-	// Workers is the batch executor's worker pool size (0 =
-	// GOMAXPROCS). Results are bit-identical for any worker count: each
-	// walk consumes only its own derived stream.
-	Workers int
 }
 
 // withDefaults resolves the zero values.
@@ -113,33 +107,37 @@ func (o PPROptions) withDefaults() PPROptions {
 	if o.CacheSize == 0 {
 		o.CacheSize = 1024
 	}
-	if o.Workers <= 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
-	}
 	return o
 }
 
-// pprEngine owns the /v1/ppr serving state: cache, flights, batcher
-// and instruments. One per Server.
+// pprEngine owns the /v1/ppr serving state: cache, flights, the slot
+// gate and instruments. One per Server.
 type pprEngine struct {
 	opts PPROptions
 
 	cache   *pprCache
 	flights flightGroup[string, []byte]
-	batcher *pprBatcher
+	// slots holds one token per walk-kernel call in flight; a request
+	// waits here, and nowhere else, for other requests.
+	slots chan struct{}
 
 	queries   obs.Counter
 	cacheHits obs.Counter
 	walks     obs.Counter
 	truncated obs.Counter
+	steps     obs.Counter
+	local     obs.Counter
+	waits     obs.Counter
+	sweeps    obs.Counter
+	faults    obs.Counter
 	lat       *obs.Latency
 }
 
 // newPPREngine builds the engine and registers its instruments on reg.
 func newPPREngine(opts PPROptions, reg *obs.Registry) *pprEngine {
 	e := &pprEngine{opts: opts.withDefaults()}
-	e.cache = newPPRCache(e.opts.CacheSize, e.opts.CacheTTL)
-	e.batcher = newPPRBatcher(e.opts.Workers)
+	e.cache = newPPRCache(e.opts.CacheSize)
+	e.slots = make(chan struct{}, runtime.GOMAXPROCS(0))
 	reg.RegisterCounter("ppr_requests_total",
 		"Personalized PageRank queries (method-allowed GETs on /v1/ppr).", nil, &e.queries)
 	reg.RegisterCounter("ppr_cache_hits_total",
@@ -150,18 +148,16 @@ func newPPREngine(opts PPROptions, reg *obs.Registry) *pprEngine {
 		"PPR responses truncated by the per-request walk budget.", nil, &e.truncated)
 	reg.RegisterCounter("ppr_cache_evictions_total",
 		"Responses evicted from the PPR LRU by capacity pressure.", nil, &e.cache.evictions)
-	reg.RegisterCounter("ppr_batches_total",
-		"Combined multi-source walk passes executed by the batcher.", nil, &e.batcher.batches)
 	reg.RegisterCounter("ppr_walk_steps_total",
-		"Individual walk steps executed for PPR queries on any graph (dangling restarts included).", nil, &e.batcher.steps)
+		"Individual walk steps executed for PPR queries on any graph (dangling restarts included).", nil, &e.steps)
 	reg.RegisterCounter("ppr_walk_page_local_steps_total",
-		"Walk steps on paged graphs whose adjacency read hit the cache page the walker's reader already held (0 on resident graphs).", nil, &e.batcher.local)
+		"Walk steps on paged graphs whose adjacency read hit the cache page the walker's reader already held (0 on resident graphs).", nil, &e.local)
 	reg.RegisterCounter("ppr_walk_waits_total",
-		"Walk steps that waited for a page that was not in the cache (0 on resident graphs).", nil, &e.batcher.waits)
+		"Walk steps that waited for a page that was not in the cache (0 on resident graphs).", nil, &e.waits)
 	reg.RegisterCounter("ppr_walk_sweeps_total",
-		"Page-ordered passes in which the walk kernel loaded the pages its waiting steps needed (0 on resident graphs).", nil, &e.batcher.sweeps)
+		"Page-ordered passes in which the walk kernel loaded the pages its waiting steps needed (0 on resident graphs).", nil, &e.sweeps)
 	reg.RegisterCounter("ppr_walk_faults_total",
-		"Walk-kernel calls aborted by a failed adjacency read; every request with walks in the call answers 503 unavailable.", nil, &e.batcher.faults)
+		"Walk-kernel calls aborted by a failed adjacency read; the request whose walks they were answers 503 unavailable.", nil, &e.faults)
 	e.lat = reg.Latency("ppr_request_seconds",
 		"PPR request handling latency, cache hits included.", nil)
 	return e
@@ -169,31 +165,28 @@ func newPPREngine(opts PPROptions, reg *obs.Registry) *pprEngine {
 
 // --- hot-source LRU -------------------------------------------------
 
-// pprCache is a size- and TTL-bounded LRU of marshaled response
-// bodies. Keys carry the epoch, so a snapshot swap naturally misses
-// and stale entries age out under capacity pressure.
+// pprCache is a size-bounded LRU of marshaled response bodies. Keys
+// carry the epoch, so a snapshot swap naturally misses and stale
+// entries age out under capacity pressure.
 type pprCache struct {
 	mu        sync.Mutex
 	max       int
-	ttl       time.Duration
 	ll        *list.List // front = most recently used
 	items     map[string]*list.Element
 	evictions obs.Counter
 }
 
 type pprCacheEntry struct {
-	key   string
-	body  []byte
-	added time.Time
+	key  string
+	body []byte
 }
 
-func newPPRCache(max int, ttl time.Duration) *pprCache {
-	return &pprCache{max: max, ttl: ttl, ll: list.New(), items: make(map[string]*list.Element)}
+func newPPRCache(max int) *pprCache {
+	return &pprCache{max: max, ll: list.New(), items: make(map[string]*list.Element)}
 }
 
-// Get returns the cached body and refreshes its recency; TTL-expired
-// entries are removed and miss.
-func (c *pprCache) Get(key string, now time.Time) ([]byte, bool) {
+// Get returns the cached body and refreshes its recency.
+func (c *pprCache) Get(key string) ([]byte, bool) {
 	if c.max < 0 {
 		return nil, false
 	}
@@ -203,18 +196,12 @@ func (c *pprCache) Get(key string, now time.Time) ([]byte, bool) {
 	if !ok {
 		return nil, false
 	}
-	ent := el.Value.(*pprCacheEntry)
-	if c.ttl > 0 && now.Sub(ent.added) > c.ttl {
-		c.ll.Remove(el)
-		delete(c.items, key)
-		return nil, false
-	}
 	c.ll.MoveToFront(el)
-	return ent.body, true
+	return el.Value.(*pprCacheEntry).body, true
 }
 
 // Put inserts a body, evicting from the cold end past capacity.
-func (c *pprCache) Put(key string, body []byte, now time.Time) {
+func (c *pprCache) Put(key string, body []byte) {
 	if c.max < 0 {
 		return
 	}
@@ -222,11 +209,10 @@ func (c *pprCache) Put(key string, body []byte, now time.Time) {
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
 		el.Value.(*pprCacheEntry).body = body
-		el.Value.(*pprCacheEntry).added = now
 		c.ll.MoveToFront(el)
 		return
 	}
-	c.items[key] = c.ll.PushFront(&pprCacheEntry{key: key, body: body, added: now})
+	c.items[key] = c.ll.PushFront(&pprCacheEntry{key: key, body: body})
 	for c.ll.Len() > c.max {
 		cold := c.ll.Back()
 		c.ll.Remove(cold)
@@ -242,144 +228,7 @@ func (c *pprCache) Len() int {
 	return c.ll.Len()
 }
 
-// --- batching executor ----------------------------------------------
-
-// pprTaskKey identifies one per-source walk job. Epoch is part of the
-// key, so tasks over different snapshots never unify; walks is too, so
-// a budget-truncated request cannot reuse a fuller run's tally (the
-// response's walk count must be a pure function of the request).
-type pprTaskKey struct {
-	epoch  uint64
-	source graph.VertexID
-	walks  int
-}
-
-// pprTask is one scheduled per-source walk job: the snapshot to walk
-// over and, once done is closed, the endpoint tally of its walks or the
-// fault that aborted them. counts maps vertex → visits; walks ≤ budget
-// keeps it small relative to the graph, so the tally stays sparse (the
-// NeedleTail-style density argument: a per-source top-k cut never needs
-// a dense n-length vector).
-type pprTask struct {
-	key    pprTaskKey
-	snap   *Snapshot
-	done   chan struct{}
-	counts map[graph.VertexID]int32
-	err    error
-}
-
-// pprBatcher collects concurrent per-source walk tasks and executes
-// them in combined passes: the first request to find the executor idle
-// becomes the drainer and sweeps everything pending (its own tasks and
-// any that arrived meanwhile) across the worker pool, repeating until
-// the queue is empty. Later requests just enqueue — joining an
-// identical pending or running task instead of duplicating it — and
-// wait, so under concurrency the CSR is traversed in wide multi-source
-// passes rather than once per request.
-type pprBatcher struct {
-	mu      sync.Mutex
-	tasks   map[pprTaskKey]*pprTask // pending or running, joinable
-	pending []*pprTask
-	running bool
-	workers int
-	batches obs.Counter
-	steps   obs.Counter
-	local   obs.Counter
-	waits   obs.Counter
-	sweeps  obs.Counter
-	faults  obs.Counter
-}
-
-func newPPRBatcher(workers int) *pprBatcher {
-	return &pprBatcher{tasks: make(map[pprTaskKey]*pprTask), workers: workers}
-}
-
-// run schedules every task (replacing it in place by an identical
-// in-flight one when there is one to join), drives execution if no
-// drainer is active, and blocks until all of them are done.
-func (b *pprBatcher) run(opts PPROptions, mine []*pprTask) {
-	b.mu.Lock()
-	for i, t := range mine {
-		if joined, ok := b.tasks[t.key]; ok {
-			mine[i] = joined
-			continue
-		}
-		t.done = make(chan struct{})
-		b.tasks[t.key] = t
-		b.pending = append(b.pending, t)
-	}
-	drain := !b.running && len(b.pending) > 0
-	if drain {
-		b.running = true
-	}
-	b.mu.Unlock()
-	if drain {
-		b.drain(opts)
-	}
-	for _, t := range mine {
-		<-t.done
-	}
-}
-
-// drain sweeps pending tasks in combined passes until none remain. A
-// pass covers one graph (pending spans graphs only across a snapshot
-// swap), so each worker can advance its whole share in one kernel call.
-func (b *pprBatcher) drain(opts PPROptions) {
-	for {
-		b.mu.Lock()
-		n := 0
-		for n < len(b.pending) && b.pending[n].snap.Graph == b.pending[0].snap.Graph {
-			n++
-		}
-		batch := b.pending[:n]
-		// The rest moves to a fresh slice: a finished batch (tallies,
-		// snapshot, graph) must not stay reachable through pending's
-		// backing array once traffic stops.
-		b.pending = append([]*pprTask(nil), b.pending[n:]...)
-		if n == 0 {
-			b.running = false
-			b.mu.Unlock()
-			return
-		}
-		b.mu.Unlock()
-		b.batches.Inc()
-
-		// Each worker owns a contiguous share of the batch (the drainer
-		// itself takes the first). Every walk consumes only its own
-		// derived stream, so the tallies are bit-identical for any
-		// worker count or ownership.
-		work := func(share []*pprTask) {
-			st, err := pprWalk(share, opts)
-			b.steps.Add(st.Steps)
-			if share[0].snap.Graph.Paged() {
-				b.local.Add(st.PageLocal) // a resident graph has no pages to be local to
-			}
-			b.waits.Add(st.Waits)
-			b.sweeps.Add(st.Sweeps)
-			if err != nil {
-				b.faults.Inc()
-			}
-		}
-		workers := min(b.workers, n)
-		var wg sync.WaitGroup
-		for w := 1; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				work(batch[w*n/workers : (w+1)*n/workers])
-			}()
-		}
-		work(batch[:n/workers])
-		wg.Wait()
-
-		b.mu.Lock()
-		for _, t := range batch {
-			delete(b.tasks, t.key)
-			close(t.done)
-		}
-		b.mu.Unlock()
-	}
-}
+// --- walking ---------------------------------------------------------
 
 // errStorageFault marks work aborted by a failed adjacency read.
 var errStorageFault = errors.New("graph read fault")
@@ -404,53 +253,42 @@ func catchStorageFault(what string, err *error) {
 	*err = fmt.Errorf("%w: %w", errStorageFault, cause)
 }
 
-// pprWalk runs the walks of every task — all over one graph — in one
-// call of the walk kernel and fills in each task's endpoint tally: the
+// pprWalk runs every walk of the plan over snap's graph in one call of
+// the walk kernel and returns the endpoint tally, vertex → visits: the
 // endpoint of a geometric-length walk samples the personalized
 // invariant distribution (the paper's Lemma 16 equivalence, restart
 // distribution concentrated on the source), and a walk stuck on a
-// dangling vertex restarts at the source, matching ExactPPR's
-// dangling-mass treatment. Walk w draws only from its own stream
-// derived from (snapshot seed, epoch, source, w) — length first, then
-// one draw per edge move — so the tally is bit-identical however walks
-// are grouped into calls, whichever of them wait for a page and in
-// whatever order pages are loaded: batching, paging and relabeling can
-// never change a served body.
+// dangling vertex restarts at its source, matching ExactPPR's
+// dangling-mass treatment. Walk w of a source draws only from its own
+// stream derived from (snapshot seed, epoch, source, w) — length first,
+// then one draw per edge move — so the tally is bit-identical whichever
+// walks wait for a page and in whatever order pages are loaded: paging
+// and relabeling can never change a served body. walks ≤ budget keeps
+// the tally sparse relative to the graph (the NeedleTail-style density
+// argument: a top-k cut never needs a dense n-length vector).
 //
 // A read can fail only where the kernel loads a page (its sweep; the
-// free-running probe does no I/O). A fault fails every task of the
-// call — a batch worker's whole share, other requests' tasks included:
-// each carries the error instead of a tally, and the process and the
-// batcher carry on.
-func pprWalk(tasks []*pprTask, opts PPROptions) (st walk.Stats, err error) {
-	g := tasks[0].snap.Graph
+// free-running probe does no I/O). A fault fails this call, which is
+// this request and no other.
+func pprWalk(snap *Snapshot, plan pprPlan, opts PPROptions) (counts map[graph.VertexID]int32, st walk.Stats, err error) {
 	s := walk.Get()
 	defer s.Put()
-	r := g.NewAdjReader()
+	r := snap.Graph.NewAdjReader()
 	defer r.Release()
-	defer func() {
-		if err != nil {
-			for _, t := range tasks {
-				t.counts, t.err = nil, err
-			}
-		}
-	}()
 	defer catchStorageFault("ppr walk", &err)
-	for i, t := range tasks {
-		for w := 0; w < t.key.walks; w++ {
-			stream := rng.DeriveValue(t.snap.Seed, pprPurpose, t.key.epoch, uint64(t.key.source), uint64(w))
+	for _, src := range plan.sources {
+		for w := 0; w < plan.walksPer; w++ {
+			stream := rng.DeriveValue(snap.Seed, pprPurpose, snap.Epoch, uint64(src), uint64(w))
 			left := min(stream.Geometric(opts.Teleport), opts.MaxWalkLen)
-			s.Add(stream, t.key.source, left, i)
+			s.Add(stream, src, left, 0)
 		}
 	}
 	st = s.Run(r, true, nil)
-	for _, t := range tasks {
-		t.counts = make(map[graph.VertexID]int32, min(t.key.walks, 1024))
-	}
+	counts = make(map[graph.VertexID]int32, min(plan.walks(), 1024))
 	for _, w := range s.Walkers {
-		tasks[w.Tag].counts[w.Cur]++
+		counts[w.Cur]++
 	}
-	return st, nil
+	return counts, st, nil
 }
 
 // --- request handling -----------------------------------------------
@@ -550,38 +388,23 @@ func planPPR(sources []graph.VertexID, k, n int, opts PPROptions) (pprPlan, int,
 // walks is the number of walks the plan runs in total.
 func (p pprPlan) walks() int { return p.walksPer * len(p.sources) }
 
-// tasks returns the plan's per-source walk jobs over snap, unscheduled.
-func (p pprPlan) tasks(snap *Snapshot) []*pprTask {
-	tasks := make([]*pprTask, len(p.sources))
-	for i, src := range p.sources {
-		tasks[i] = &pprTask{key: pprTaskKey{epoch: snap.Epoch, source: src, walks: p.walksPer}, snap: snap}
-	}
-	return tasks
-}
-
-// cut merges the finished tasks' endpoint tallies — the source set's
+// run walks the plan over snap and cuts the tally — the source set's
 // PPR is the uniform mixture of the per-source PPR vectors, and every
-// source ran the same walk count — and returns the top-k entries in
-// the topk package's total order (score descending, vertex ascending on
-// ties), so the result is deterministic and consistent with /v1/topk
-// semantics. A faulted task fails the whole request.
-func (p pprPlan) cut(tasks []*pprTask) ([]topk.Entry, error) {
-	merged := make(map[graph.VertexID]int32, len(tasks)*8)
-	for _, t := range tasks {
-		if t.err != nil {
-			return nil, t.err
-		}
-		for v, c := range t.counts {
-			merged[v] += c
-		}
+// source ran the same walk count — to the top-k entries in the topk
+// package's total order (score descending, vertex ascending on ties), so
+// the result is deterministic and consistent with /v1/topk semantics.
+func (p pprPlan) run(snap *Snapshot, opts PPROptions) ([]topk.Entry, walk.Stats, error) {
+	counts, st, err := pprWalk(snap, p, opts)
+	if err != nil {
+		return nil, st, err
 	}
-	entries := make([]topk.Entry, 0, len(merged))
+	entries := make([]topk.Entry, 0, len(counts))
 	inv := 1 / float64(p.walks())
-	for v, c := range merged {
+	for v, c := range counts {
 		entries = append(entries, topk.Entry{Vertex: v, Score: float64(c) * inv})
 	}
 	sort.Slice(entries, func(i, j int) bool { return topk.Less(entries[j], entries[i]) })
-	return entries[:min(p.k, len(entries))], nil
+	return entries[:min(p.k, len(entries))], st, nil
 }
 
 // handlePPR answers GET /v1/ppr?source=u&k= (or sources=a,b,c): the
@@ -616,7 +439,7 @@ func (s *Server) handlePPR(w http.ResponseWriter, r *http.Request, _ string) {
 	}
 
 	key := pprKey(snap.Epoch, plan.sources, k)
-	if body, ok := s.ppr.cache.Get(key, start); ok {
+	if body, ok := s.ppr.cache.Get(key); ok {
 		s.ppr.cacheHits.Inc()
 		s.reply(w, body)
 		return
@@ -624,7 +447,7 @@ func (s *Server) handlePPR(w http.ResponseWriter, r *http.Request, _ string) {
 	body, err, shared := s.ppr.flights.Do(key, func() ([]byte, error) {
 		body, err := s.pprCompute(snap, plan)
 		if err == nil {
-			s.ppr.cache.Put(key, body, time.Now())
+			s.ppr.cache.Put(key, body)
 		}
 		return body, err
 	})
@@ -654,22 +477,36 @@ func PPRTopK(snap *Snapshot, sources []graph.VertexID, k int, opts PPROptions) (
 	if err != nil {
 		return nil, false, fmt.Errorf("serve: %w", err)
 	}
-	tasks := plan.tasks(snap)
-	pprWalk(tasks, opts) // one kernel call on this goroutine: no batcher, nothing to join
-	entries, err := plan.cut(tasks)
+	entries, _, err := plan.run(snap, opts)
 	return entries, plan.truncated, err
 }
 
-// pprCompute runs the plan's walks through the batcher and marshals
-// the response body. Bit-identical for identical (snapshot, plan).
+// walk is plan.run for a served request: behind the slot gate, and
+// counted.
+func (e *pprEngine) walk(snap *Snapshot, plan pprPlan) ([]topk.Entry, error) {
+	e.slots <- struct{}{}
+	defer func() { <-e.slots }() // deferred: a panic under the walk must not keep the slot
+	entries, st, err := plan.run(snap, e.opts)
+	e.walks.Add(uint64(plan.walks()))
+	e.steps.Add(st.Steps)
+	if snap.Graph.Paged() {
+		e.local.Add(st.PageLocal) // a resident graph has no pages to be local to
+	}
+	e.waits.Add(st.Waits)
+	e.sweeps.Add(st.Sweeps)
+	if err != nil {
+		e.faults.Inc()
+	}
+	return entries, err
+}
+
+// pprCompute runs the plan's walks and marshals the response body.
+// Bit-identical for identical (snapshot, plan).
 func (s *Server) pprCompute(snap *Snapshot, plan pprPlan) ([]byte, error) {
 	if plan.truncated {
 		s.ppr.truncated.Inc()
 	}
-	tasks := plan.tasks(snap)
-	s.ppr.batcher.run(s.ppr.opts, tasks)
-	s.ppr.walks.Add(uint64(plan.walks()))
-	entries, err := plan.cut(tasks)
+	entries, err := s.ppr.walk(snap, plan)
 	if err != nil {
 		return nil, err
 	}

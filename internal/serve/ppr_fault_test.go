@@ -11,6 +11,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/graph"
 	"repro/internal/graph/gen"
@@ -23,14 +24,28 @@ import (
 // the page the last Out read) and panic on the Nth loading read after
 // Arm(N) — with an I/O error, the way gstore's file cursor surfaces a
 // failed page read, or, when bug is set, with the runtime error of an
-// out-of-range index — and are healthy again afterwards.
+// out-of-range index — and are healthy again afterwards. After Stall(N)
+// the Nth loading read blocks instead, like a read on a hung device,
+// while every other read proceeds.
 type faultPager struct {
 	out, in   []graph.VertexID
 	countdown atomic.Int64
 	bug       bool
+
+	stallIn          atomic.Int64
+	stalled, release chan struct{}
 }
 
-func (p *faultPager) Arm(n int64)                 { p.countdown.Store(n) }
+func (p *faultPager) Arm(n int64) { p.countdown.Store(n) }
+
+// Stall arms the one-shot stall: stalled is closed once the Nth loading
+// read from now is blocked, and that read returns when release is closed.
+func (p *faultPager) Stall(n int64) (stalled <-chan struct{}, release chan<- struct{}) {
+	p.stalled, p.release = make(chan struct{}), make(chan struct{})
+	p.stallIn.Store(n)
+	return p.stalled, p.release
+}
+
 func (p *faultPager) NewCursor() graph.AdjCursor  { return &faultCursor{p: p, page: -1} }
 func (p *faultPager) Stats() graph.PageCacheStats { return graph.PageCacheStats{} }
 func (p *faultPager) Close() error                { return nil }
@@ -41,8 +56,13 @@ type faultCursor struct {
 	switches uint64
 }
 
-// load is one read that goes to storage: the armed one fails.
+// load is one read that goes to storage: the armed one fails, the
+// stalled one waits.
 func (c *faultCursor) load(i int64) int64 {
+	if c.p.stallIn.Add(-1) == 0 {
+		close(c.p.stalled)
+		<-c.p.release
+	}
 	if c.p.countdown.Add(-1) == 0 {
 		c.page = -1 // a failed read leaves the cursor unpinned
 		if !c.p.bug {
@@ -112,13 +132,13 @@ func wantUnavailable(t *testing.T, code int, body []byte) {
 }
 
 // TestPPRWalkFaultAnswersUnavailable injects a failed adjacency read
-// under the batcher: the faulted request answers the 503 unavailable
-// envelope and is counted, the process and the batcher carry on (no
-// task stays joinable, no waiter hangs), a concurrent request whose
-// walks are healthy still gets its 200, and once the fault clears the
-// very same request succeeds with the body a healthy server serves.
+// under a request's walks: the faulted request answers the 503
+// unavailable envelope and is counted, the process carries on (its slot
+// is free again), a concurrent request — whose walks are its own kernel
+// call — still gets its 200, and once the fault clears the very same
+// request succeeds with the body a healthy server serves.
 func TestPPRWalkFaultAnswersUnavailable(t *testing.T) {
-	opts := PPROptions{WalksPerSource: 300, Workers: 2}
+	opts := PPROptions{WalksPerSource: 300}
 	healthy, snap := pprServer(t, opts)
 	faulty, pager := faultySnapshot(t, snap)
 	store := NewStore()
@@ -136,20 +156,19 @@ func TestPPRWalkFaultAnswersUnavailable(t *testing.T) {
 	pager.Arm(50)
 	code, body := getPPR(t, srv, url)
 	wantUnavailable(t, code, body)
-	if got := srv.ppr.batcher.faults.Value(); got != 1 {
+	if got := srv.ppr.faults.Value(); got != 1 {
 		t.Fatalf("ppr_walk_faults_total %d, want 1", got)
 	}
-	if n := len(srv.ppr.batcher.tasks); n != 0 || srv.ppr.batcher.pending != nil {
-		t.Fatalf("%d tasks still joinable after the fault (pending %v): an idle batcher must hold on to nothing", n, srv.ppr.batcher.pending)
+	if n := len(srv.ppr.slots); n != 0 {
+		t.Fatalf("%d slots still taken after the fault: a failed walk must give its slot back", n)
 	}
 	// The fault cleared: the same request recomputes (errors are not
 	// cached) and succeeds.
 	code, body = getPPR(t, srv, url)
 	wantHealthy(url, code, body)
 
-	// Two concurrent requests, one fault: exactly one of them fails. (A
-	// fault fails the whole kernel call it hits; with two workers the
-	// two tasks are never in the same call.)
+	// Two concurrent requests, one fault: exactly one of them fails (a
+	// fault fails the kernel call it hits, and every request is its own).
 	urls := []string{"/v1/ppr?source=11&k=10", "/v1/ppr?source=13&k=10"}
 	codes := make([]int, len(urls))
 	bodies := make([][]byte, len(urls))
@@ -174,7 +193,7 @@ func TestPPRWalkFaultAnswersUnavailable(t *testing.T) {
 	wantHealthy(urls[1-failed], codes[1-failed], bodies[1-failed])
 	code, body = getPPR(t, srv, urls[failed])
 	wantHealthy(urls[failed], code, body)
-	if got := srv.ppr.batcher.faults.Value(); got != 2 {
+	if got := srv.ppr.faults.Value(); got != 2 {
 		t.Fatalf("ppr_walk_faults_total %d, want 2", got)
 	}
 
@@ -192,11 +211,60 @@ func TestPPRWalkFaultAnswersUnavailable(t *testing.T) {
 		if _, ok := recover().(runtime.Error); !ok {
 			t.Fatal("an out-of-range read under the walk did not propagate as a runtime error")
 		}
-		if got := srv.ppr.batcher.faults.Value(); got != 2 {
+		if got := srv.ppr.faults.Value(); got != 2 {
 			t.Fatalf("ppr_walk_faults_total %d after a bug, want 2", got)
 		}
 	}()
 	PPRTopK(faulty, []graph.VertexID{7}, 10, opts)
+}
+
+// TestPPRStalledRequestDoesNotBlockOthers: a request whose kernel call
+// hangs on a read holds its own slot and nothing else — with a second
+// slot free, a request for another source is answered, with the healthy
+// body, while the first is still stalled; released, the first completes
+// too.
+func TestPPRStalledRequestDoesNotBlockOthers(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 { // one slot per P, and the test needs two
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	}
+	opts := PPROptions{WalksPerSource: 300}
+	healthy, snap := pprServer(t, opts)
+	faulty, pager := faultySnapshot(t, snap)
+	store := NewStore()
+	store.Publish(faulty)
+	srv := NewServer(store, ServerOptions{PPR: opts})
+
+	const urlA, urlB = "/v1/ppr?source=7&k=10", "/v1/ppr?source=11&k=10"
+	stalled, release := pager.Stall(50)
+	doneA := make(chan string, 1)
+	go func() {
+		_, body := getPPR(t, srv, urlA)
+		doneA <- string(body)
+	}()
+	<-stalled
+
+	doneB := make(chan string, 1)
+	go func() {
+		_, body := getPPR(t, srv, urlB)
+		doneB <- string(body)
+	}()
+	select {
+	case got := <-doneB:
+		if want := body(t, healthy, urlB); got != want {
+			t.Errorf("GET %s beside a stalled request: body differs from a healthy server's: %s", urlB, got)
+		}
+	case <-time.After(10 * time.Second):
+		t.Errorf("GET %s waited for a stalled request on another source", urlB)
+	}
+	select {
+	case got := <-doneA:
+		t.Errorf("the stalled request answered before its read was released: %s", got)
+	default:
+	}
+	close(release)
+	if want := body(t, healthy, urlA); <-doneA != want {
+		t.Errorf("GET %s after its read was released: body differs from a healthy server's", urlA)
+	}
 }
 
 // TestCompareFaultAnswersUnavailable: a failed adjacency read under
@@ -309,28 +377,26 @@ func TestPagedReadFaultUnderRealCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 4} {
-		servers := serveVariants(map[string]*graph.Graph{"resident": g, "paged": pg}, base, PPROptions{Workers: workers, CacheSize: -1})
-		resident, paged := servers["resident"], servers["paged"]
+	servers := serveVariants(map[string]*graph.Graph{"resident": g, "paged": pg}, base, PPROptions{CacheSize: -1})
+	resident, paged := servers["resident"], servers["paged"]
 
-		const url = "/v1/ppr?sources=3,700,24999,12&k=10"
-		want := body(t, resident, url)
-		flaky.Arm(40) // a request at this budget loads hundreds of pages
-		code, got := getPPR(t, paged, url)
-		wantUnavailable(t, code, got)
-		if n := paged.ppr.batcher.faults.Value(); n == 0 {
-			t.Fatalf("workers=%d: no walk fault counted", workers)
-		}
-		pc, _ := pg.PageCacheStats()
-		if pc.PinnedPages != 0 || pc.ResidentPages > pc.BudgetPages {
-			t.Fatalf("workers=%d: after the fault %d pages pinned, %d resident of %d", workers, pc.PinnedPages, pc.ResidentPages, pc.BudgetPages)
-		}
-		failed, before := flaky.lastFailed, flaky.reads[flaky.lastFailed]
-		if got := body(t, paged, url); got != want {
-			t.Fatalf("workers=%d: retried body differs from the resident one\n got: %s\nwant: %s", workers, got, want)
-		}
-		if flaky.reads[failed] == before {
-			t.Fatalf("workers=%d: the retry did not re-read the page at offset %d", workers, failed)
-		}
+	const url = "/v1/ppr?sources=3,700,24999,12&k=10"
+	want := body(t, resident, url)
+	flaky.Arm(40) // a request at this budget loads hundreds of pages
+	code, got := getPPR(t, paged, url)
+	wantUnavailable(t, code, got)
+	if n := paged.ppr.faults.Value(); n != 1 {
+		t.Fatalf("%d walk faults counted, want 1", n)
+	}
+	pc, _ := pg.PageCacheStats()
+	if pc.PinnedPages != 0 || pc.ResidentPages > pc.BudgetPages {
+		t.Fatalf("after the fault %d pages pinned, %d resident of %d", pc.PinnedPages, pc.ResidentPages, pc.BudgetPages)
+	}
+	failed, before := flaky.lastFailed, flaky.reads[flaky.lastFailed]
+	if got := body(t, paged, url); got != want {
+		t.Fatalf("retried body differs from the resident one\n got: %s\nwant: %s", got, want)
+	}
+	if flaky.reads[failed] == before {
+		t.Fatalf("the retry did not re-read the page at offset %d", failed)
 	}
 }

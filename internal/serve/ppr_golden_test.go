@@ -14,10 +14,10 @@ import (
 // TestPPRGoldenBodies pins /v1/ppr bodies to a file generated at the
 // commit before the walk loops were unified (PR 13): fixed graph, seed
 // and epoch; single- and four-source requests, inside the walk budget
-// and truncated by it. Every storage layout and worker count must
-// reproduce the file byte for byte — this is what "served bodies did
-// not move" means. Regenerate (only when a re-key of PPR streams is
-// intended) with -run TestPPRGoldenBodies -update-golden.
+// and truncated by it. Every storage layout must reproduce the file
+// byte for byte — this is what "served bodies did not move" means.
+// Regenerate (only when a re-key of PPR streams is intended) with
+// -run TestPPRGoldenBodies -update-golden.
 func TestPPRGoldenBodies(t *testing.T) {
 	urls := []string{
 		"/v1/ppr?source=1&k=20",
@@ -27,24 +27,16 @@ func TestPPRGoldenBodies(t *testing.T) {
 	graphs, base := pagedGraphs(t)
 
 	var got bytes.Buffer
-	for _, workers := range []int{1, 4} {
-		var run bytes.Buffer
-		for _, budget := range budgets {
-			servers := serveVariants(graphs, base, PPROptions{Workers: workers, CacheSize: -1, WalkBudget: budget})
-			for _, u := range urls {
-				want := body(t, servers["plain"], u)
-				for name, srv := range servers {
-					if b := body(t, srv, u); b != want {
-						t.Errorf("workers=%d budget=%d %s: GET %s differs from the resident body", workers, budget, name, u)
-					}
+	for _, budget := range budgets {
+		servers := serveVariants(graphs, base, PPROptions{CacheSize: -1, WalkBudget: budget})
+		for _, u := range urls {
+			want := body(t, servers["plain"], u)
+			for name, srv := range servers {
+				if b := body(t, srv, u); b != want {
+					t.Errorf("budget=%d %s: GET %s differs from the resident body", budget, name, u)
 				}
-				fmt.Fprintf(&run, "budget=%d GET %s\n%s", budget, u, want)
 			}
-		}
-		if got.Len() == 0 {
-			got = run
-		} else if !bytes.Equal(run.Bytes(), got.Bytes()) {
-			t.Errorf("workers=%d bodies differ from workers=1", workers)
+			fmt.Fprintf(&got, "budget=%d GET %s\n%s", budget, u, want)
 		}
 	}
 
@@ -65,12 +57,11 @@ func TestPPRGoldenBodies(t *testing.T) {
 
 // TestPPRTopKFacadeContract pins what the embedding hook keeps apart
 // from the handler while sharing its planner: MaxK is an HTTP limit the
-// facade does not apply, an out-of-range source is named in the
-// caller's order, and the batcher's worker count does not matter (the
-// facade is one kernel call on the caller's goroutine).
+// facade does not apply, and an out-of-range source is named in the
+// caller's order.
 func TestPPRTopKFacadeContract(t *testing.T) {
 	_, snap := pprServer(t, PPROptions{})
-	wide, _, err := PPRTopK(snap, []graph.VertexID{5}, 150, PPROptions{MaxK: 10, Workers: 3})
+	wide, _, err := PPRTopK(snap, []graph.VertexID{5}, 150, PPROptions{MaxK: 10})
 	if err != nil || len(wide) <= 10 {
 		t.Fatalf("k above MaxK: %d entries, err %v; the facade has no k ceiling", len(wide), err)
 	}

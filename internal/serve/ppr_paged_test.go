@@ -81,14 +81,6 @@ func serveVariants(graphs map[string]*graph.Graph, base *Snapshot, ppr PPROption
 	return servers
 }
 
-// pagedVariants is one engine run served over the three layouts of
-// pagedGraphs with the given executor worker count.
-func pagedVariants(t *testing.T, workers int) map[string]*Server {
-	t.Helper()
-	graphs, base := pagedGraphs(t)
-	return serveVariants(graphs, base, PPROptions{Workers: workers, CacheSize: -1})
-}
-
 func body(t *testing.T, srv *Server, url string) string {
 	t.Helper()
 	rec := httptest.NewRecorder()
@@ -103,9 +95,8 @@ func body(t *testing.T, srv *Server, url string) string {
 // check: every served body — topk, rank, and the walk-driven ppr — is
 // byte-identical whether the graph is heap-resident, relabeled, or paged
 // with the pool's minimum of frames, a quarter or three quarters of the
-// pages walks touch, for 1, 2, 4 and 7 executor workers sharing that
-// pool. Which steps wait for a page, and in which order pages load,
-// differs in every one of those cells; the bodies cannot.
+// pages walks touch. Which steps wait for a page, and in which order
+// pages load, differs in every one of those cells; the bodies cannot.
 func TestPagedServingBytesIdentical(t *testing.T) {
 	urls := []string{
 		"/v1/topk?k=25",
@@ -131,21 +122,12 @@ func TestPagedServingBytesIdentical(t *testing.T) {
 	if len(frames) != 3 {
 		t.Fatalf("the three budgets are %d distinct frame counts", len(frames))
 	}
-	var want map[string]string
-	for _, workers := range []int{1, 2, 4, 7} {
-		servers := serveVariants(graphs, base, PPROptions{Workers: workers, CacheSize: -1})
-		if want == nil {
-			want = make(map[string]string)
-			for _, u := range urls {
-				want[u] = body(t, servers["plain"], u)
-			}
-		}
+	servers := serveVariants(graphs, base, PPROptions{CacheSize: -1})
+	for _, u := range urls {
+		want := body(t, servers["plain"], u)
 		for name, srv := range servers {
-			for _, u := range urls {
-				if got := body(t, srv, u); got != want[u] {
-					t.Errorf("workers=%d %s: GET %s body differs from plain reference\n got: %s\nwant: %s",
-						workers, name, u, got, want[u])
-				}
+			if got := body(t, srv, u); got != want {
+				t.Errorf("%s: GET %s body differs from plain reference\n got: %s\nwant: %s", name, u, got, want)
 			}
 		}
 	}
@@ -161,7 +143,8 @@ func TestPagedServingBytesIdentical(t *testing.T) {
 // constant pin/unpin/evict cycles across goroutines (run under -race)
 // — and checks every body against the unpaged server's.
 func TestPagedPPRConcurrentEviction(t *testing.T) {
-	servers := pagedVariants(t, 4)
+	graphs, base := pagedGraphs(t)
+	servers := serveVariants(graphs, base, PPROptions{CacheSize: -1})
 	plain, paged := servers["plain"], servers["paged"]
 
 	urls := make([]string, 24)
@@ -208,9 +191,9 @@ func TestPagedPPRConcurrentEviction(t *testing.T) {
 	if stats.Evictions == 0 {
 		t.Fatal("tiny budget saw no evictions under load")
 	}
-	if steps := paged.ppr.batcher.steps.Value(); steps == 0 {
-		t.Fatal("paged executor recorded no walk steps")
-	} else if local := paged.ppr.batcher.local.Value(); local > steps {
+	if steps := paged.ppr.steps.Value(); steps == 0 {
+		t.Fatal("paged server recorded no walk steps")
+	} else if local := paged.ppr.local.Value(); local > steps {
 		t.Fatalf("page-local steps %d exceed total steps %d", local, steps)
 	}
 
@@ -222,8 +205,8 @@ func TestPagedPPRConcurrentEviction(t *testing.T) {
 		srv    *Server
 		waited bool
 	}{{"paged", paged, true}, {"plain", plain, false}} {
-		b := tc.srv.ppr.batcher
-		steps, waits, sweeps := b.steps.Value(), b.waits.Value(), b.sweeps.Value()
+		e := tc.srv.ppr
+		steps, waits, sweeps := e.steps.Value(), e.waits.Value(), e.sweeps.Value()
 		if (waits > 0) != tc.waited || (sweeps > 0) != tc.waited || waits >= steps || sweeps > waits {
 			t.Errorf("%s: %d waits in %d sweeps over %d steps", tc.name, waits, sweeps, steps)
 		}

@@ -26,12 +26,12 @@ func fetchBody(url string) (int, []byte, error) {
 }
 
 // TestPPRConsistentDuringSwap hammers /v1/ppr from several clients
-// while a refresher swaps snapshots as fast as it can. The batcher
-// joins concurrent requests and the LRU caches across them, so under
-// -race this exercises both against the swap path; the consistency
-// assertion is the epoch contract: for one (epoch, URL) pair every
-// response body is bit-identical, no matter which worker, batch or
-// cache entry produced it.
+// while a refresher swaps snapshots as fast as it can. The
+// singleflight joins identical concurrent requests, the LRU caches
+// across them and the slot gate bounds the rest, so under -race this
+// exercises all three against the swap path; the consistency assertion
+// is the epoch contract: for one (epoch, URL) pair every response body
+// is bit-identical, no matter which flight or cache entry produced it.
 func TestPPRConsistentDuringSwap(t *testing.T) {
 	const (
 		n         = 2000
@@ -135,8 +135,8 @@ func TestPPRConsistentDuringSwap(t *testing.T) {
 	if st.Epoch() < 2 {
 		t.Fatalf("test never swapped (epoch %d); consistency not exercised", st.Epoch())
 	}
-	t.Logf("served %d ppr queries across %d epochs (%d cache hits, %d batches)",
-		srv.ppr.queries.Value(), st.Epoch(), srv.ppr.cacheHits.Value(), srv.ppr.batcher.batches.Value())
+	t.Logf("served %d ppr queries across %d epochs (%d cache hits, %d coalesced)",
+		srv.ppr.queries.Value(), st.Epoch(), srv.ppr.cacheHits.Value(), srv.coalesced.Value())
 }
 
 // TestPPRCacheEvictionUnderLoad drives a capacity-4 LRU with many

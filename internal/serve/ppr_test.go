@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -231,21 +232,21 @@ func TestPPRBudgetTruncation(t *testing.T) {
 	}
 }
 
-// TestPPRDeterministicPerEpoch is the tentpole determinism contract:
-// within one epoch, identical requests produce bit-identical bodies —
-// across repeats, across cache hits and misses, and across executor
-// worker counts 1/2/4/7. Walk randomness is a pure function of
-// (epoch, source, sequence), so the batch executor's parallelism must
-// never leak into results.
+// TestPPRDeterministicPerEpoch is the determinism contract: within one
+// epoch, identical requests produce bit-identical bodies — across
+// repeats, across cache hits and misses, and whether a request walks
+// alone or beside others. Walk randomness is a pure function of
+// (epoch, source, sequence), so concurrency must never leak into
+// results.
 func TestPPRDeterministicPerEpoch(t *testing.T) {
 	urls := []string{
 		"/v1/ppr?source=7&k=10",
 		"/v1/ppr?sources=1,2,3&k=5",
 		"/v1/ppr?sources=42,17&k=25",
 	}
-	// Reference bodies from a single-worker, cache-disabled server.
+	// Reference bodies from a cache-disabled server, one request at a time.
 	ref := make(map[string][]byte)
-	refSrv, _ := pprServer(t, PPROptions{Workers: 1, CacheSize: -1, WalksPerSource: 500})
+	refSrv, _ := pprServer(t, PPROptions{CacheSize: -1, WalksPerSource: 500})
 	for _, url := range urls {
 		code, body := getPPR(t, refSrv, url)
 		if code != http.StatusOK {
@@ -253,47 +254,81 @@ func TestPPRDeterministicPerEpoch(t *testing.T) {
 		}
 		ref[url] = body
 	}
-	for _, workers := range []int{1, 2, 4, 7} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			srv, _ := pprServer(t, PPROptions{Workers: workers, WalksPerSource: 500})
-			// Issue every URL concurrently (batching kicks in), twice
-			// (second round hits the LRU), and compare every body to
-			// the single-worker reference.
-			for round := 0; round < 2; round++ {
-				var wg sync.WaitGroup
-				errs := make(chan string, len(urls))
-				for _, url := range urls {
-					wg.Add(1)
-					go func(url string) {
-						defer wg.Done()
-						rec := httptest.NewRecorder()
-						srv.ServeHTTP(rec, httptest.NewRequest("GET", url, nil))
-						if rec.Code != http.StatusOK {
-							errs <- fmt.Sprintf("%s: status %d", url, rec.Code)
-							return
-						}
-						if rec.Body.String() != string(ref[url]) {
-							errs <- fmt.Sprintf("%s: body diverges from single-worker reference", url)
-						}
-					}(url)
+	srv, _ := pprServer(t, PPROptions{WalksPerSource: 500})
+	// Issue every URL concurrently, twice (second round hits the LRU),
+	// and compare every body to the reference.
+	for round := 0; round < 2; round++ {
+		var wg sync.WaitGroup
+		errs := make(chan string, len(urls))
+		for _, url := range urls {
+			wg.Add(1)
+			go func(url string) {
+				defer wg.Done()
+				rec := httptest.NewRecorder()
+				srv.ServeHTTP(rec, httptest.NewRequest("GET", url, nil))
+				if rec.Code != http.StatusOK {
+					errs <- fmt.Sprintf("%s: status %d", url, rec.Code)
+					return
 				}
-				wg.Wait()
-				close(errs)
-				for msg := range errs {
-					t.Error(msg)
+				if rec.Body.String() != string(ref[url]) {
+					errs <- fmt.Sprintf("%s: body diverges from the one-at-a-time reference", url)
 				}
-			}
-			if srv.ppr.cacheHits.Value() == 0 {
-				t.Error("second round produced no cache hits")
-			}
-		})
+			}(url)
+		}
+		wg.Wait()
+		close(errs)
+		for msg := range errs {
+			t.Error(msg)
+		}
+	}
+	if srv.ppr.cacheHits.Value() == 0 {
+		t.Error("second round produced no cache hits")
 	}
 }
 
-// TestPPRCacheHitsAndTTL pins the LRU behavior: repeats hit, the hit
-// count is observable in stats and /metrics identically, and a TTL
-// expires entries (recomputation is invisible: bodies stay
-// bit-identical within the epoch).
+// TestPPRSlotsBoundKernelCalls pins the slot gate: one slot per P, and
+// with every slot taken a cache-missing request walks nothing until a
+// slot is free — then it answers what it always answers.
+func TestPPRSlotsBoundKernelCalls(t *testing.T) {
+	opts := PPROptions{WalksPerSource: 100}
+	srv, _ := pprServer(t, opts)
+	if got, want := cap(srv.ppr.slots), runtime.GOMAXPROCS(0); got != want {
+		t.Fatalf("%d slots, want GOMAXPROCS = %d", got, want)
+	}
+	for range cap(srv.ppr.slots) {
+		srv.ppr.slots <- struct{}{}
+	}
+	const url = "/v1/ppr?source=3&k=5"
+	done := make(chan string, 1)
+	go func() {
+		_, body := getPPR(t, srv, url)
+		done <- string(body)
+	}()
+	for srv.ppr.queries.Value() == 0 { // the request is in the handler
+		runtime.Gosched()
+	}
+	select {
+	case got := <-done:
+		t.Fatalf("answered with every slot taken: %s", got)
+	case <-time.After(50 * time.Millisecond):
+	}
+	if got := srv.ppr.walks.Value(); got != 0 {
+		t.Fatalf("ppr_walks_total %d with every slot taken, want 0", got)
+	}
+	<-srv.ppr.slots
+	ref, _ := pprServer(t, opts)
+	if want := body(t, ref, url); <-done != want {
+		t.Fatalf("GET %s after waiting for a slot: body differs from an idle server's", url)
+	}
+	if got := srv.ppr.walks.Value(); got != 100 {
+		t.Fatalf("ppr_walks_total %d after the slot was freed, want 100", got)
+	}
+}
+
+// TestPPRCacheHitsAndTTL pins the LRU behavior: repeats hit, a
+// different k is a different key, and a disabled cache holds nothing.
+// (The name predates the TTL knob's removal; entries leave by capacity
+// only.)
 func TestPPRCacheHitsAndTTL(t *testing.T) {
 	srv, _ := pprServer(t, PPROptions{WalksPerSource: 100})
 	_, first := getPPR(t, srv, "/v1/ppr?source=3&k=5")
@@ -308,18 +343,6 @@ func TestPPRCacheHitsAndTTL(t *testing.T) {
 	getPPR(t, srv, "/v1/ppr?source=3&k=6")
 	if got := srv.ppr.cacheHits.Value(); got != 1 {
 		t.Fatalf("cache hits after distinct k %d, want still 1", got)
-	}
-
-	// TTL: entries older than the TTL miss (and are re-inserted).
-	ttlSrv, _ := pprServer(t, PPROptions{WalksPerSource: 100, CacheTTL: time.Nanosecond})
-	_, a := getPPR(t, ttlSrv, "/v1/ppr?source=3&k=5")
-	time.Sleep(time.Millisecond)
-	_, b := getPPR(t, ttlSrv, "/v1/ppr?source=3&k=5")
-	if ttlSrv.ppr.cacheHits.Value() != 0 {
-		t.Fatalf("TTL-expired entry still hit (%d hits)", ttlSrv.ppr.cacheHits.Value())
-	}
-	if string(a) != string(b) {
-		t.Fatal("TTL recompute changed the body within one epoch")
 	}
 
 	// Disabled cache: no hits, no growth.

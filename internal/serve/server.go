@@ -36,8 +36,8 @@ type ServerOptions struct {
 	Metrics *obs.Registry
 	// RequestLog, when non-nil, receives one JSON line per request.
 	RequestLog *obs.Logger
-	// PPR tunes the /v1/ppr endpoint (walk budget, cache, batch
-	// executor); the zero value serves with defaults.
+	// PPR tunes the /v1/ppr endpoint (walk budget, cache); the zero
+	// value serves with defaults.
 	PPR PPROptions
 }
 
@@ -95,8 +95,8 @@ type Server struct {
 	coalesced   obs.Counter
 	reg         *obs.Registry
 
-	// ppr owns the /v1/ppr walk executor, hot-source LRU and
-	// instruments (see ppr.go).
+	// ppr owns the /v1/ppr hot-source LRU, slot gate and instruments
+	// (see ppr.go).
 	ppr *pprEngine
 }
 
@@ -448,9 +448,9 @@ func (s *Server) StatsBody(snap *Snapshot) api.StatsResponse {
 		PPRQueries:        s.ppr.queries.Value(),
 		PPRCacheHits:      s.ppr.cacheHits.Value(),
 		PPRWalks:          s.ppr.walks.Value(),
-		PPRWalkSteps:      s.ppr.batcher.steps.Value(),
-		PPRPageLocalSteps: s.ppr.batcher.local.Value(),
-		PPRWalkWaits:      s.ppr.batcher.waits.Value(),
+		PPRWalkSteps:      s.ppr.steps.Value(),
+		PPRPageLocalSteps: s.ppr.local.Value(),
+		PPRWalkWaits:      s.ppr.waits.Value(),
 	}
 	if ref := s.opts.Refresher; ref != nil {
 		serving.Refreshes = ref.Refreshes()

@@ -364,9 +364,9 @@ func ExactPersonalizedPageRank(g *Graph, sources []VertexID, teleport float64) (
 }
 
 // PPROptions tunes the serving layer's /v1/ppr endpoint: per-source
-// walk count, the hard per-request walk budget, the hot-source LRU
-// size/TTL, and the batch executor's worker pool. The zero value
-// serves with defaults. Set it on ServeConfig's PPR field.
+// walk count, the hard per-request walk budget, the request-shape
+// limits and the hot-source LRU size. The zero value serves with
+// defaults. Set it on ServeConfig's PPR field.
 type PPROptions = serve.PPROptions
 
 // PersonalizedTopK estimates the top-k personalized PageRank of the
