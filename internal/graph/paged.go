@@ -239,17 +239,26 @@ func (r *AdjReader) OutAt(v VertexID, i int) VertexID {
 	return r.cur.Out(lo + int64(i))
 }
 
-// TryOutAt is OutAt without I/O: the i'th successor of v if the page
-// holding it is in the cache (always, on a resident graph), and false if
-// reading it would have to load a page. Page-aware schedulers use it to
-// keep working in memory and batch what is genuinely not there.
-func (r *AdjReader) TryOutAt(v VertexID, i int) (VertexID, bool) {
-	g := r.g
-	lo := g.outOff[g.rowOf(v)]
+// OutSpan returns where v's successors sit in the logical out-adjacency
+// array — they are elements [lo, lo+deg) — from one permutation and one
+// offset lookup (always resident). It is what a walk step resolves once,
+// to draw an index below deg and read element lo+index with TryOut.
+func (r *AdjReader) OutSpan(v VertexID) (lo int64, deg int) {
+	row := r.g.rowOf(v)
+	lo = r.g.outOff[row]
+	return lo, int(r.g.outOff[row+1] - lo)
+}
+
+// TryOut reads element at of the logical out-adjacency array without
+// I/O: the successor if the page holding it is in the cache (always, on
+// a resident graph), and false if reading it would have to load a page.
+// Page-aware schedulers use it to keep working in memory and batch what
+// is genuinely not there.
+func (r *AdjReader) TryOut(at int64) (VertexID, bool) {
 	if r.cur == nil {
-		return g.outAdj[lo+int64(i)], true
+		return r.g.outAdj[at], true
 	}
-	return r.cur.TryOut(lo + int64(i))
+	return r.cur.TryOut(at)
 }
 
 // PageSwitches counts the reader's element reads so far that moved its
@@ -261,18 +270,14 @@ func (r *AdjReader) PageSwitches() uint64 {
 	return r.cur.PageSwitches()
 }
 
-// OutPageAt returns the cache page holding the i'th successor of v (0
-// on resident graphs). Page-aware schedulers sort pending accesses by
-// it so random access becomes near-sequential sweeps.
-func (r *AdjReader) OutPageAt(v VertexID, i int) int64 {
+// OutPage returns the cache page holding element at of the logical
+// out-adjacency array (0 on resident graphs). Page-aware schedulers sort
+// pending accesses by it so random access becomes near-sequential sweeps.
+func (r *AdjReader) OutPage(at int64) int64 {
 	if r.cur == nil {
 		return 0
 	}
-	return r.outPageAt(v, i) // out of line, so the resident case inlines to a constant
-}
-
-func (r *AdjReader) outPageAt(v VertexID, i int) int64 {
-	return r.cur.OutPage(r.g.outOff[r.g.rowOf(v)] + int64(i))
+	return r.cur.OutPage(at)
 }
 
 // Release returns the reader's cursor pin (no-op on resident graphs).

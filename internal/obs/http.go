@@ -181,13 +181,24 @@ func ListenAndServe(ctx context.Context, addr string, h http.Handler) error {
 	return ServeListener(ctx, ln, h)
 }
 
+// Connection limits of every HTTP listener in the module. A peer that
+// opens a connection and never finishes a request header, or parks an
+// idle keep-alive connection forever, holds a goroutine and a socket for
+// as long as it likes without them; with them it holds either for a
+// bounded time. They bound the wait for bytes, never a handler: a slow
+// request (a cold /v1/ppr, a pprof profile) is not cut short.
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 // ServeListener serves h on ln until ctx is cancelled, then shuts down
 // gracefully (in-flight requests get up to 5 seconds) and returns nil.
 // Every HTTP listener in the module — both serving planes and the side
 // listeners — runs through it: this is the one place an http.Server is
 // configured.
 func ServeListener(ctx context.Context, ln net.Listener, h http.Handler) error {
-	srv := &http.Server{Handler: h}
+	srv := &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 	select {

@@ -12,7 +12,10 @@
 // concurrent use; derive one Stream per goroutine instead.
 package rng
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // Stream is a deterministic pseudo-random number generator
 // (xoshiro256**). The zero value is not usable; construct streams with
@@ -93,30 +96,15 @@ func (r *Stream) Uint64n(n uint64) uint64 {
 	}
 	// Lemire's method: multiply-shift with rejection of the biased zone.
 	x := r.Uint64()
-	hi, lo := mul64(x, n)
+	hi, lo := bits.Mul64(x, n)
 	if lo < n {
 		thresh := -n % n
 		for lo < thresh {
 			x = r.Uint64()
-			hi, lo = mul64(x, n)
+			hi, lo = bits.Mul64(x, n)
 		}
 	}
 	return hi
-}
-
-// mul64 returns the 128-bit product of x and y as (hi, lo).
-func mul64(x, y uint64) (hi, lo uint64) {
-	const mask32 = 1<<32 - 1
-	x0, x1 := x&mask32, x>>32
-	y0, y1 := y&mask32, y>>32
-	w0 := x0 * y0
-	t := x1*y0 + w0>>32
-	w1 := t & mask32
-	w2 := t >> 32
-	w1 += x0 * y1
-	hi = x1*y1 + w2 + w1>>32
-	lo = x * y
-	return
 }
 
 // Intn returns a uniformly distributed int in [0, n). It panics if n <= 0.
@@ -155,9 +143,15 @@ func (r *Stream) Geometric(p float64) int {
 	if p == 1 {
 		return 0
 	}
-	// Inversion: floor(log(U) / log(1-p)) with U in (0,1].
-	u := 1 - r.Float64() // in (0, 1]
-	g := math.Floor(math.Log(u) / math.Log1p(-p))
+	return geometricAt(r.Uint64()>>11, math.Log1p(-p))
+}
+
+// geometricAt is Geometric's inversion at the 53-bit uniform x (what
+// Float64 scales into [0,1)): floor(log(U) / log(1-p)) with U = 1 - x·2⁻⁵³
+// in (0,1] and logq = log1p(-p).
+func geometricAt(x uint64, logq float64) int {
+	u := 1 - float64(x)*0x1p-53
+	g := math.Floor(math.Log(u) / logq)
 	if g < 0 {
 		return 0
 	}

@@ -426,3 +426,111 @@ func BenchmarkZipf(b *testing.B) {
 		_ = z.Sample(r)
 	}
 }
+
+// truncGeometricGrid is the (p, cutoff) grid the table draw is checked
+// on: a long-tailed p, the serving default, a short one, one whose steps
+// crowd into the first buckets, and p == 1, which draws nothing.
+var truncGeometricGrid = struct {
+	ps      []float64
+	cutoffs []int
+}{[]float64{0.01, 0.15, 0.5, 0.9, 1}, []int{1, 4, 64}}
+
+// TestTruncGeometricEqualsGeometric: the table draw is
+// min(Geometric(p), cutoff) draw for draw — the reference is the formula
+// itself on a twin stream — and leaves the stream where Geometric leaves
+// it.
+func TestTruncGeometricEqualsGeometric(t *testing.T) {
+	draws := 1_000_000 // × 15 grid points: 15 M draws
+	if testing.Short() {
+		draws = 50_000
+	}
+	for _, p := range truncGeometricGrid.ps {
+		for _, cutoff := range truncGeometricGrid.cutoffs {
+			table := NewTruncGeometric(p, cutoff)
+			a, b := New(uint64(cutoff)), New(uint64(cutoff))
+			for i := 0; i < draws; i++ {
+				if got, want := table.Draw(a), min(b.Geometric(p), cutoff); got != want {
+					t.Fatalf("p=%v cutoff=%d draw %d: table %d, formula %d", p, cutoff, i, got, want)
+				}
+			}
+			if a.Uint64() != b.Uint64() {
+				t.Errorf("p=%v cutoff=%d: the table draw and Geometric consumed different numbers of draws", p, cutoff)
+			}
+		}
+	}
+}
+
+// TestTruncGeometricBucketEdges checks the draw where the table could be
+// wrong if it were: on both sides of every bucket edge, at the guard
+// band's ends around it, and at the ends of the 53-bit range.
+func TestTruncGeometricBucketEdges(t *testing.T) {
+	const top = 1<<53 - 1
+	for _, p := range truncGeometricGrid.ps {
+		if p == 1 {
+			continue // no table: Draw answers 0 without a uniform
+		}
+		logq := math.Log1p(-p)
+		for _, cutoff := range truncGeometricGrid.cutoffs {
+			table := NewTruncGeometric(p, cutoff)
+			check := func(x uint64) {
+				if got, want := table.at(x), min(geometricAt(x, logq), cutoff); got != want {
+					t.Fatalf("p=%v cutoff=%d x=%#x: table %d, formula %d", p, cutoff, x, got, want)
+				}
+			}
+			formula := 0
+			for b := uint64(0); b < truncBuckets; b++ {
+				if table.table[b] < 0 {
+					formula++
+				}
+				edge := b << truncShift
+				for _, d := range []uint64{0, 1, truncGuard - 1, truncGuard, truncGuard + 1} {
+					if edge >= d {
+						check(edge - d)
+					}
+					check(min(edge+d, top))
+				}
+			}
+			check(top)
+			// A bucket goes to the formula only around a step of the law
+			// (two do when the step is within the guard of their edge: every
+			// step of p = 0.5 is), and the law has at most cutoff steps below
+			// the cap.
+			if formula > 2*cutoff {
+				t.Errorf("p=%v cutoff=%d: %d buckets call the formula, want ≤ %d", p, cutoff, formula, 2*cutoff)
+			}
+		}
+	}
+}
+
+func TestTruncGeometricPanics(t *testing.T) {
+	for name, f := range map[string]func(){
+		"p=0":      func() { NewTruncGeometric(0, 4) },
+		"p>1":      func() { NewTruncGeometric(1.5, 4) },
+		"cutoff<0": func() { NewTruncGeometric(0.5, -1) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewTruncGeometric with %s did not panic", name)
+				}
+			}()
+			f()
+		}()
+	}
+}
+
+func BenchmarkGeometric(b *testing.B) {
+	r := New(1)
+	for i := 0; i < b.N; i++ {
+		sink += min(r.Geometric(0.15), 64)
+	}
+}
+
+func BenchmarkTruncGeometric(b *testing.B) {
+	r, table := New(1), NewTruncGeometric(0.15, 64)
+	for i := 0; i < b.N; i++ {
+		sink += table.Draw(r)
+	}
+}
+
+var sink int

@@ -21,14 +21,23 @@ package serve
 //   - A singleflight per (epoch, sourceSet, k): concurrent identical
 //     requests share one execution.
 //
-// A request that misses both runs its whole plan in one walk-kernel
-// call on its own goroutine, behind the slot gate (pprEngine.slots):
-// at most GOMAXPROCS kernel calls run at once. The gate is there for
-// the page cache, not for the CPU: eight concurrent clients over HTTP
-// on a 2-core, 4 MiB -graph-mem server (64 page frames) got 1 330 q/s
-// at p95 12.7 / p99 17.0 ms with the calls bounded and 1 240 q/s at
-// p95 18.6 / p99 26.0 ms with all eight walking at once, each evicting
-// the pages the others were about to read (medians of seven runs).
+// A request that misses both costs what its steps cost. It draws each
+// walk's length from a table built once per (teleport, cutoff) — equal,
+// draw for draw, to the logarithm it replaces (rng.TruncGeometric) —
+// runs its whole plan in one walk-kernel call, counts the endpoints in
+// the open-addressing table pooled with the walker slab (sized by the
+// walks, cleared through the slots it took: nothing per request is sized
+// by the graph or hashed by the runtime) and cuts them to k on a bounded
+// heap over that one slice (topk.Select).
+//
+// The kernel call runs on the request's own goroutine, behind the slot
+// gate (pprEngine.slots): at most GOMAXPROCS kernel calls run at once.
+// The gate is there for the page cache, not for the CPU: eight
+// concurrent clients over HTTP on a 2-core, 4 MiB -graph-mem server (64
+// page frames) got 1 330 q/s at p95 12.7 / p99 17.0 ms with the calls
+// bounded and 1 240 q/s at p95 18.6 / p99 26.0 ms with all eight walking
+// at once, each evicting the pages the others were about to read
+// (medians of seven runs, at PR 19).
 
 import (
 	"container/list"
@@ -37,12 +46,14 @@ import (
 	"fmt"
 	"log"
 	"net/http"
+	"net/url"
 	"runtime"
 	"runtime/debug"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/graph"
@@ -114,6 +125,8 @@ func (o PPROptions) withDefaults() PPROptions {
 // gate and instruments. One per Server.
 type pprEngine struct {
 	opts PPROptions
+	// lengths draws walk lengths for (opts.Teleport, opts.MaxWalkLen).
+	lengths *rng.TruncGeometric
 
 	cache   *pprCache
 	flights flightGroup[string, []byte]
@@ -131,11 +144,14 @@ type pprEngine struct {
 	sweeps    obs.Counter
 	faults    obs.Counter
 	lat       *obs.Latency
+	slotWait  *obs.Latency
+	walkLat   *obs.Latency
 }
 
 // newPPREngine builds the engine and registers its instruments on reg.
 func newPPREngine(opts PPROptions, reg *obs.Registry) *pprEngine {
 	e := &pprEngine{opts: opts.withDefaults()}
+	e.lengths = walkLengths(e.opts)
 	e.cache = newPPRCache(e.opts.CacheSize)
 	e.slots = make(chan struct{}, runtime.GOMAXPROCS(0))
 	reg.RegisterCounter("ppr_requests_total",
@@ -160,6 +176,10 @@ func newPPREngine(opts PPROptions, reg *obs.Registry) *pprEngine {
 		"Walk-kernel calls aborted by a failed adjacency read; the request whose walks they were answers 503 unavailable.", nil, &e.faults)
 	e.lat = reg.Latency("ppr_request_seconds",
 		"PPR request handling latency, cache hits included.", nil)
+	e.slotWait = reg.Latency("ppr_slot_wait_seconds",
+		"Time a computed PPR request (no cache hit, not coalesced) waited for a walk-kernel slot.", nil)
+	e.walkLat = reg.Latency("ppr_walk_seconds",
+		"Time a computed PPR request spent in its walk-kernel call: seeding, stepping, tally and top-k cut.", nil)
 	return e
 }
 
@@ -253,24 +273,49 @@ func catchStorageFault(what string, err *error) {
 	*err = fmt.Errorf("%w: %w", errStorageFault, cause)
 }
 
+// lastLengths remembers the most recently built length table with its
+// parameters: a server builds its table once (newPPREngine), and an
+// embedder calling PPRTopK with the same options call after call —
+// the per-call cost the benchmark's ledger times — builds it once too.
+var lastLengths atomic.Pointer[lengthsFor]
+
+type lengthsFor struct {
+	teleport float64
+	cutoff   int
+	table    *rng.TruncGeometric
+}
+
+// walkLengths returns the walk-length table for opts (defaults resolved).
+func walkLengths(opts PPROptions) *rng.TruncGeometric {
+	if l := lastLengths.Load(); l != nil && l.teleport == opts.Teleport && l.cutoff == opts.MaxWalkLen {
+		return l.table
+	}
+	l := &lengthsFor{opts.Teleport, opts.MaxWalkLen, rng.NewTruncGeometric(opts.Teleport, opts.MaxWalkLen)}
+	lastLengths.Store(l)
+	return l.table
+}
+
 // pprWalk runs every walk of the plan over snap's graph in one call of
-// the walk kernel and returns the endpoint tally, vertex → visits: the
-// endpoint of a geometric-length walk samples the personalized
-// invariant distribution (the paper's Lemma 16 equivalence, restart
-// distribution concentrated on the source), and a walk stuck on a
-// dangling vertex restarts at its source, matching ExactPPR's
-// dangling-mass treatment. Walk w of a source draws only from its own
-// stream derived from (snapshot seed, epoch, source, w) — length first,
-// then one draw per edge move — so the tally is bit-identical whichever
-// walks wait for a page and in whatever order pages are loaded: paging
-// and relabeling can never change a served body. walks ≤ budget keeps
-// the tally sparse relative to the graph (the NeedleTail-style density
-// argument: a top-k cut never needs a dense n-length vector).
+// the walk kernel and returns the endpoint tally, one entry per distinct
+// endpoint scored visits/walks, in no particular order: the endpoint of
+// a geometric-length walk samples the personalized invariant
+// distribution (the paper's Lemma 16 equivalence, restart distribution
+// concentrated on the source), and a walk stuck on a dangling vertex
+// restarts at its source, matching ExactPPR's dangling-mass treatment.
+// Walk w of a source draws only from its own stream derived from
+// (snapshot seed, epoch, source, w) — length first (lengths: the draw
+// stream.Geometric makes, capped at MaxWalkLen), then one draw per edge
+// move — so the tally is bit-identical whichever walks wait for a page
+// and in whatever order pages are loaded: paging and relabeling can
+// never change a served body. The endpoints are counted in the Scratch's
+// own table (walk.Scratch.Endpoints), which is sized by walks ≤ budget,
+// not by the graph (the NeedleTail-style density argument: a top-k cut
+// never needs a dense n-length vector).
 //
 // A read can fail only where the kernel loads a page (its sweep; the
 // free-running probe does no I/O). A fault fails this call, which is
 // this request and no other.
-func pprWalk(snap *Snapshot, plan pprPlan, opts PPROptions) (counts map[graph.VertexID]int32, st walk.Stats, err error) {
+func pprWalk(snap *Snapshot, plan pprPlan, lengths *rng.TruncGeometric) (entries []topk.Entry, st walk.Stats, err error) {
 	s := walk.Get()
 	defer s.Put()
 	r := snap.Graph.NewAdjReader()
@@ -279,37 +324,48 @@ func pprWalk(snap *Snapshot, plan pprPlan, opts PPROptions) (counts map[graph.Ve
 	for _, src := range plan.sources {
 		for w := 0; w < plan.walksPer; w++ {
 			stream := rng.DeriveValue(snap.Seed, pprPurpose, snap.Epoch, uint64(src), uint64(w))
-			left := min(stream.Geometric(opts.Teleport), opts.MaxWalkLen)
+			left := lengths.Draw(&stream)
 			s.Add(stream, src, left, 0)
 		}
 	}
 	st = s.Run(r, true, nil)
-	counts = make(map[graph.VertexID]int32, min(plan.walks(), 1024))
-	for _, w := range s.Walkers {
-		counts[w.Cur]++
+	return endpointEntries(s), st, nil
+}
+
+// endpointEntries copies the tally of where s's walkers stand out of the
+// Scratch: one entry per distinct vertex, scored with its share of the
+// walkers.
+func endpointEntries(s *walk.Scratch) []topk.Entry {
+	ends := s.Endpoints()
+	entries := make([]topk.Entry, len(ends))
+	inv := 1 / float64(len(s.Walkers))
+	for i, e := range ends {
+		entries[i] = topk.Entry{Vertex: e.Vertex, Score: float64(e.Count) * inv}
 	}
-	return counts, st, nil
+	return entries
 }
 
 // --- request handling -----------------------------------------------
 
 // pprKey renders the canonical cache/flight key for a request.
 func pprKey(epoch uint64, sources []graph.VertexID, k int) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%d/%d:", epoch, k)
+	b := make([]byte, 0, 64)
+	b = strconv.AppendUint(b, epoch, 10)
+	b = append(b, '/')
+	b = strconv.AppendUint(b, uint64(k), 10)
+	b = append(b, ':')
 	for i, s := range sources {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		b.WriteString(strconv.FormatUint(uint64(s), 10))
+		b = strconv.AppendUint(b, uint64(s), 10)
 	}
-	return b.String()
+	return string(b)
 }
 
 // parsePPRSources parses the source/sources parameters into the
 // requested source list (planPPR canonicalizes and bounds it).
-func parsePPRSources(r *http.Request) ([]graph.VertexID, error) {
-	q := r.URL.Query()
+func parsePPRSources(q url.Values) ([]graph.VertexID, error) {
 	raw := q.Get("sources")
 	if raw == "" {
 		raw = q.Get("source")
@@ -333,17 +389,6 @@ func parsePPRSources(r *http.Request) ([]graph.VertexID, error) {
 	return sources, nil
 }
 
-// dedupeSorted removes adjacent duplicates in place.
-func dedupeSorted(xs []graph.VertexID) []graph.VertexID {
-	out := xs[:0]
-	for i, x := range xs {
-		if i == 0 || x != xs[i-1] {
-			out = append(out, x)
-		}
-	}
-	return out
-}
-
 // pprPlan is a validated request: the canonical (sorted, deduplicated)
 // source set, k, and the walk budget's split across the sources. The
 // HTTP handler and the PPRTopK facade both plan, walk and cut through
@@ -364,9 +409,9 @@ func planPPR(sources []graph.VertexID, k, n int, opts PPROptions) (pprPlan, int,
 			return pprPlan{}, http.StatusNotFound, api.CodeNotFound, fmt.Errorf("source %d not in graph (n=%d)", s, n)
 		}
 	}
-	srcs := append([]graph.VertexID(nil), sources...)
-	sort.Slice(srcs, func(i, j int) bool { return srcs[i] < srcs[j] })
-	srcs = dedupeSorted(srcs)
+	srcs := slices.Clone(sources)
+	slices.Sort(srcs)
+	srcs = slices.Compact(srcs)
 	var err error
 	switch {
 	case len(srcs) == 0:
@@ -393,18 +438,12 @@ func (p pprPlan) walks() int { return p.walksPer * len(p.sources) }
 // source ran the same walk count — to the top-k entries in the topk
 // package's total order (score descending, vertex ascending on ties), so
 // the result is deterministic and consistent with /v1/topk semantics.
-func (p pprPlan) run(snap *Snapshot, opts PPROptions) ([]topk.Entry, walk.Stats, error) {
-	counts, st, err := pprWalk(snap, p, opts)
+func (p pprPlan) run(snap *Snapshot, lengths *rng.TruncGeometric) ([]topk.Entry, walk.Stats, error) {
+	entries, st, err := pprWalk(snap, p, lengths)
 	if err != nil {
 		return nil, st, err
 	}
-	entries := make([]topk.Entry, 0, len(counts))
-	inv := 1 / float64(p.walks())
-	for v, c := range counts {
-		entries = append(entries, topk.Entry{Vertex: v, Score: float64(c) * inv})
-	}
-	sort.Slice(entries, func(i, j int) bool { return topk.Less(entries[j], entries[i]) })
-	return entries[:min(p.k, len(entries))], st, nil
+	return topk.Select(entries, p.k), st, nil
 }
 
 // handlePPR answers GET /v1/ppr?source=u&k= (or sources=a,b,c): the
@@ -418,7 +457,8 @@ func (s *Server) handlePPR(w http.ResponseWriter, r *http.Request, _ string) {
 	if snap == nil {
 		return
 	}
-	k, err := api.ParsePositiveInt(r.URL.Query().Get("k"), 20)
+	q := r.URL.Query()
+	k, err := api.ParsePositiveInt(q.Get("k"), 20)
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, api.CodeBadRequest, "bad k: %v", err)
 		return
@@ -427,7 +467,7 @@ func (s *Server) handlePPR(w http.ResponseWriter, r *http.Request, _ string) {
 		s.fail(w, http.StatusBadRequest, api.CodeBadRequest, "k %d exceeds the limit of %d", k, s.ppr.opts.MaxK)
 		return
 	}
-	sources, err := parsePPRSources(r)
+	sources, err := parsePPRSources(q)
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, api.CodeBadRequest, "%v", err)
 		return
@@ -477,16 +517,21 @@ func PPRTopK(snap *Snapshot, sources []graph.VertexID, k int, opts PPROptions) (
 	if err != nil {
 		return nil, false, fmt.Errorf("serve: %w", err)
 	}
-	entries, _, err := plan.run(snap, opts)
+	entries, _, err := plan.run(snap, walkLengths(opts))
 	return entries, plan.truncated, err
 }
 
-// walk is plan.run for a served request: behind the slot gate, and
-// counted.
+// walk is plan.run for a served request: behind the slot gate, counted
+// and timed — the wait for the slot and the kernel call are the first
+// two stages of a computed request's latency.
 func (e *pprEngine) walk(snap *Snapshot, plan pprPlan) ([]topk.Entry, error) {
+	queued := time.Now()
 	e.slots <- struct{}{}
 	defer func() { <-e.slots }() // deferred: a panic under the walk must not keep the slot
-	entries, st, err := plan.run(snap, e.opts)
+	start := time.Now()
+	e.slotWait.Observe(start.Sub(queued))
+	entries, st, err := plan.run(snap, e.lengths)
+	e.walkLat.Observe(time.Since(start))
 	e.walks.Add(uint64(plan.walks()))
 	e.steps.Add(st.Steps)
 	if snap.Graph.Paged() {

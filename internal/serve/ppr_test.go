@@ -408,6 +408,9 @@ func TestPPRStatsAgreeWithMetrics(t *testing.T) {
 		"ppr_walks_total 300",
 		"ppr_truncated_total 0",
 		`ppr_request_seconds_count 4`,
+		// Observed once per computed request: not by the hit, not by the 400.
+		`ppr_slot_wait_seconds_count 2`,
+		`ppr_walk_seconds_count 2`,
 	} {
 		if !containsLine(exposition, want) {
 			t.Errorf("/metrics missing %q", want)

@@ -77,9 +77,29 @@ func Top(scores []float64, k int) []Entry {
 			h.siftDown(0)
 		}
 	}
-	// Pop the weakest into the tail until the heap drains: descending
-	// output. The ordering is total, so the result is unique no matter
-	// how the heap arranged itself internally.
+	return h.drain()
+}
+
+// Select cuts entries — any order, typically a sparse tally far shorter
+// than the score vector it samples — to its k strongest, in the same
+// descending total order as Top, without allocating: the first
+// min(k, len) slots of entries become the heap and then the result, and
+// the rest is left unspecified.
+func Select(entries []Entry, k int) []Entry {
+	if k <= 0 {
+		return nil
+	}
+	k = min(k, len(entries))
+	h := entryHeap(entries[:k])
+	for i := k/2 - 1; i >= 0; i-- {
+		h.siftDown(i)
+	}
+	for _, e := range entries[k:] {
+		if entryLess(h[0], e) {
+			h[0] = e
+			h.siftDown(0)
+		}
+	}
 	return h.drain()
 }
 
@@ -129,17 +149,16 @@ func Subset(scores []float64, vertices []uint32, k int) []Entry {
 	return h.drain()
 }
 
-// drain pops the heap into a descending slice (see Top).
+// drain sorts the heap in place into descending order and returns it:
+// the weakest entry is popped into the tail until the heap drains. The
+// ordering is total, so the result is unique no matter how the heap
+// arranged itself internally.
 func (h entryHeap) drain() []Entry {
-	out := make([]Entry, len(h))
-	for i := len(out) - 1; i >= 0; i-- {
-		out[i] = h[0]
-		last := len(h) - 1
-		h[0] = h[last]
-		h = h[:last]
-		h.siftDown(0)
+	for last := len(h) - 1; last > 0; last-- {
+		h[0], h[last] = h[last], h[0]
+		h[:last].siftDown(0)
 	}
-	return out
+	return h
 }
 
 // Merge combines partial top-k lists (each sorted descending in the

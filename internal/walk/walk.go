@@ -18,6 +18,7 @@ package walk
 
 import (
 	"cmp"
+	"math/bits"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -57,11 +58,24 @@ type move struct {
 	idx  int32
 }
 
-// Scratch is the reusable walker slab and round buffer. Get one, Add
-// walkers, Run, read the endpoints off Walkers, Put it back.
+// Endpoint is a vertex and the number of walkers standing on it.
+type Endpoint struct {
+	Vertex graph.VertexID
+	Count  int32
+}
+
+// Scratch is the reusable walker slab, round buffer and sparse endpoint
+// tally. Get one, Add walkers, Run, read the endpoints off Walkers (or
+// counted, off Endpoints), Put it back.
 type Scratch struct {
 	Walkers []Walker
 	moves   []move
+	// The sparse tally: an open-addressing table (Count 0 marks a free
+	// slot), the slots a tally took, and the tally read out of them. The
+	// table is all free between Endpoints calls.
+	slots []Endpoint
+	used  []int32
+	ends  []Endpoint
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
@@ -82,11 +96,49 @@ func (s *Scratch) Add(stream rng.Stream, start graph.VertexID, left, tag int) {
 	s.Walkers = append(s.Walkers, Walker{Stream: stream, Cur: start, Home: start, Left: int32(left), Tag: int32(tag)})
 }
 
+// Endpoints counts the walkers per vertex they stand on — after Run,
+// per endpoint — and returns the distinct vertices with their counts, in
+// order of first appearance in the slab. The cost is the walkers', never
+// the graph's: the table is the power of two at least twice their number
+// (so at most half full, and a small request after a large one probes
+// only its own prefix of it), each slot taken is noted, and reading the
+// tally out frees exactly those. The result is the Scratch's own memory,
+// valid until the next Endpoints or Put.
+func (s *Scratch) Endpoints() []Endpoint {
+	s.ends = s.ends[:0]
+	if len(s.Walkers) == 0 {
+		return s.ends
+	}
+	logSize := bits.Len(uint(2*len(s.Walkers) - 1))
+	if len(s.slots) < 1<<logSize {
+		s.slots = make([]Endpoint, 1<<logSize)
+	}
+	slots, mask, shift := s.slots, uint32(1)<<logSize-1, 32-logSize
+	for i := range s.Walkers {
+		v := s.Walkers[i].Cur
+		h := v * 0x9e3779b1 >> shift // Fibonacci hashing: the top logSize bits
+		for slots[h].Count != 0 && slots[h].Vertex != v {
+			h = (h + 1) & mask
+		}
+		if slots[h].Count == 0 {
+			slots[h].Vertex = v
+			s.used = append(s.used, int32(h))
+		}
+		slots[h].Count++
+	}
+	for _, h := range s.used {
+		s.ends = append(s.ends, slots[h])
+		slots[h] = Endpoint{}
+	}
+	s.used = s.used[:0]
+	return s.ends
+}
+
 // Length draws a walk's step count, min(Geometric(pT), cutoff), the way
 // a walking frog meets it: one death trial per step, at most cutoff of
-// them — no logarithm, so it is the cheap draw for short walks. (PPR
-// draws the same law with stream.Geometric, which its served bodies
-// pin.)
+// them — no logarithm and no table, so it is the cheap draw for short
+// walks. (PPR draws the same law as stream.Geometric draws it, which its
+// served bodies pin: rng.TruncGeometric.)
 func Length(stream *rng.Stream, pT float64, cutoff int) int {
 	left := 0
 	for left < cutoff && !stream.Bernoulli(pT) {
@@ -98,7 +150,7 @@ func Length(stream *rng.Stream, pT float64, cutoff int) int {
 // Run advances every walker in the slab to the end of its walk. A
 // walker draws its next neighbour index from its own stream and keeps
 // stepping for as long as the element it reads is in memory
-// (AdjReader.TryOutAt: always, on a resident graph; on a paged one,
+// (AdjReader.TryOut: always, on a resident graph; on a paged one,
 // whenever the page is in the cache, whichever page that is); it waits
 // only for a page that is not there. Once every live walker is waiting,
 // the waiting moves are ordered by page and swept: each page is loaded
@@ -112,71 +164,82 @@ func Length(stream *rng.Stream, pT float64, cutoff int) int {
 // rounds. visit, when non-nil, sees every vertex a walker moves off. On
 // return Walkers[i].Cur is walker i's endpoint.
 func (s *Scratch) Run(r *graph.AdjReader, restart bool, visit func(graph.VertexID)) Stats {
-	var st Stats
-	ws := s.Walkers
-	moves := s.moves[:0]
-	var reads uint64
+	var st Stats // PageLocal counts every adjacency read until the page switches come off below
+	s.moves = s.moves[:0]
 	switches := r.PageSwitches()
-	take := func(w *Walker, next graph.VertexID) {
-		if visit != nil {
-			visit(w.Cur) // the vertex moved off: with the endpoint, the complete path
-		}
-		w.Cur = next
-		w.Left--
-		reads++
+	for i := range s.Walkers {
+		s.advance(int32(i), r, restart, visit, &st)
 	}
-	// advance steps walker i until it finishes or has to wait.
-	advance := func(i int32) {
-		w := &ws[i]
-		for w.Left > 0 {
-			deg := r.OutDegree(w.Cur)
-			switch {
-			case deg > 0:
-				idx := w.Stream.Intn(deg)
-				next, ok := r.TryOutAt(w.Cur, idx)
-				if !ok {
-					moves = append(moves, move{page: r.OutPageAt(w.Cur, idx), w: i, idx: int32(idx)})
-					return
-				}
-				take(w, next)
-			case restart:
-				w.Cur = w.Home // a step, but no read
-				w.Left--
-				st.Steps++
-			default:
-				w.Left = 0
-			}
-		}
-	}
-	for i := range ws {
-		advance(int32(i))
-	}
-	for len(moves) > 0 {
+	for len(s.moves) > 0 {
 		// The walkers still live are exactly the ones waiting. Each is
 		// moved — OutAt loads the page if an earlier move of the sweep
 		// has not — then advanced; what it waits for next lands in a slot
 		// of moves already read.
 		up := st.Sweeps%2 == 0
-		slices.SortFunc(moves, func(a, b move) int {
+		slices.SortFunc(s.moves, func(a, b move) int {
 			if up {
 				return cmp.Compare(a.page, b.page)
 			}
 			return cmp.Compare(b.page, a.page)
 		})
 		st.Sweeps++
-		st.Waits += uint64(len(moves))
-		round := moves
-		moves = moves[:0]
+		st.Waits += uint64(len(s.moves))
+		round := s.moves
+		s.moves = s.moves[:0]
 		for _, m := range round {
-			w := &ws[m.w]
-			take(w, r.OutAt(w.Cur, int(m.idx)))
-			advance(m.w)
+			w := &s.Walkers[m.w]
+			if visit != nil {
+				visit(w.Cur)
+			}
+			w.Cur = r.OutAt(w.Cur, int(m.idx))
+			w.Left--
+			st.Steps++
+			st.PageLocal++
+			s.advance(m.w, r, restart, visit, &st)
 		}
 	}
-	s.moves = moves
-	st.Steps += reads
-	st.PageLocal = reads - (r.PageSwitches() - switches)
+	st.PageLocal -= r.PageSwitches() - switches
 	return st
+}
+
+// advance steps walker i until it finishes or has to wait, in which case
+// its next move is appended to s.moves, and adds its steps and adjacency
+// reads to st. The walker's state lives in locals while it runs free and
+// is written back once; each step resolves the vertex's row and offset
+// once (OutSpan) for the degree, the read and, on a miss, the page.
+func (s *Scratch) advance(i int32, r *graph.AdjReader, restart bool, visit func(graph.VertexID), st *Stats) {
+	w := &s.Walkers[i]
+	cur, left, stream := w.Cur, w.Left, w.Stream
+	var reads, restarts uint64
+	for left > 0 {
+		lo, deg := r.OutSpan(cur)
+		if deg == 0 {
+			if !restart {
+				left = 0
+				break
+			}
+			cur = w.Home // a step, but no read
+			left--
+			restarts++
+			continue
+		}
+		idx := stream.Intn(deg)
+		at := lo + int64(idx)
+		next, ok := r.TryOut(at)
+		if !ok {
+			s.moves = append(s.moves, move{page: r.OutPage(at), w: i, idx: int32(idx)})
+			break
+		}
+		if visit != nil {
+			visit(cur) // the vertex moved off: with the endpoint, the complete path
+		}
+		cur = next
+		left--
+		reads++
+	}
+	w.Cur, w.Left, w.Stream = cur, left, stream
+	st.Steps += reads + restarts
+	st.PageLocal += reads
 }
 
 // Tally runs walkers [0, n) — seed adds walker i, whose stream must

@@ -313,14 +313,14 @@ func BenchmarkRun(b *testing.B) {
 		b.Fatal(err)
 	}
 	r := g.NewAdjReader()
+	lengths := rng.NewTruncGeometric(pT, 64)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		s := walk.Get()
 		src := graph.VertexID(i % g.NumVertices())
 		for w := 0; w < 2000; w++ {
 			st := rng.DeriveValue(1, uint64(src), uint64(w))
-			left := min(st.Geometric(pT), 64)
-			s.Add(st, src, left, 0)
+			s.Add(st, src, lengths.Draw(&st), 0)
 		}
 		s.Run(r, true, nil)
 		s.Put()
