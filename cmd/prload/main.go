@@ -1,15 +1,12 @@
 // Command prload drives the top-k PageRank query service with a
 // deterministic, Zipf-skewed workload and emits a JSON latency report
-// in the benchreport schema, so load-test results slot into the same
-// BENCH_* artifact trajectory the benchmarks feed and `benchreport
-// compare` can gate regressions against a committed baseline.
+// in the prload report schema (loadgen.BenchDoc).
 //
 // Three targets:
 //
 //   - In-process (default): builds a graph and a snapshot-serving
 //     handler in this process and drives it directly — no sockets, so
-//     the measurement isolates the serving path. This is what the CI
-//     perf gate runs.
+//     the measurement isolates the serving path.
 //   - Sharded (-shards N): runs N shard RPC workers on TCP loopback
 //     listeners over one shared snapshot, fronted by the exact top-k
 //     merge router, and drives the router. The shard hops cross real
@@ -37,8 +34,8 @@
 // directly; live targets via -metrics-url http://host:port/metrics)
 // and embeds cache hit rate, coalesced builds, epoch fallbacks and
 // degraded serves as a prload/server entry in the report, so the
-// benchfmt trajectory captures server behavior, not just client-side
-// latency. -metrics-out FILE additionally writes the raw exposition.
+// report captures server behavior, not just client-side latency.
+// -metrics-out FILE additionally writes the raw exposition.
 package main
 
 import (
@@ -205,9 +202,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 
 	doc := rep.BenchDoc("prload", env)
 	if rt != nil {
-		// Measured wire traffic across the shard connections. The metric
-		// names carry no "/s" suffix, so `benchreport compare` reports
-		// them without gating on them.
+		// Measured wire traffic across the shard connections.
 		ns := rt.NetworkStats()
 		doc.Benchmarks = append(doc.Benchmarks, loadgen.BenchEntry{
 			Name:       "prload/network",
@@ -297,8 +292,6 @@ func gatherMetrics(srv *serve.Server, rt *router.Router, metricsURL string) ([]b
 // serverEntry condenses the exposition into the prload/server report
 // entry. Absent families read as 0 (a router exposition has no serve_*
 // families and vice versa), so one entry shape covers both targets.
-// The metric names carry no "/s" suffix: `benchreport compare` reports
-// them without gating on them.
 func serverEntry(exposition []byte) (loadgen.BenchEntry, error) {
 	series, err := obs.ParseText(exposition)
 	if err != nil {

@@ -4,7 +4,7 @@
 // throughput and latency percentiles, in both closed-loop (workers
 // issue back-to-back) and open-loop (fixed Poisson arrival schedule)
 // disciplines. Same seed, same query sequence, every run; this is the
-// measurement pipeline CI's perf gate runs via cmd/prload.
+// measurement pipeline cmd/prload runs.
 package main
 
 import (

@@ -81,10 +81,12 @@ func (g *Graph) Reachable(start VertexID) []bool {
 	}
 	queue := []VertexID{start}
 	seen[start] = true
+	r := g.NewAdjReader()
+	defer r.Release()
 	for len(queue) > 0 {
 		v := queue[0]
 		queue = queue[1:]
-		for _, d := range g.OutNeighbors(v) {
+		for _, d := range r.OutNeighbors(v) {
 			if !seen[d] {
 				seen[d] = true
 				queue = append(queue, d)
@@ -106,10 +108,12 @@ func (g *Graph) BFSDistances(start VertexID) []int32 {
 	}
 	dist[start] = 0
 	queue := []VertexID{start}
+	r := g.NewAdjReader()
+	defer r.Release()
 	for len(queue) > 0 {
 		v := queue[0]
 		queue = queue[1:]
-		for _, d := range g.OutNeighbors(v) {
+		for _, d := range r.OutNeighbors(v) {
 			if dist[d] < 0 {
 				dist[d] = dist[v] + 1
 				queue = append(queue, d)
@@ -144,6 +148,8 @@ func (g *Graph) SCC() (comp []int32, numComponents int) {
 		ei int // next out-neighbor index to examine
 	}
 	var call []frame
+	r := g.NewAdjReader()
+	defer r.Release()
 
 	for root := 0; root < n; root++ {
 		if index[root] != unvisited {
@@ -158,7 +164,7 @@ func (g *Graph) SCC() (comp []int32, numComponents int) {
 
 		for len(call) > 0 {
 			f := &call[len(call)-1]
-			outs := g.OutNeighbors(f.v)
+			outs := r.OutNeighbors(f.v)
 			advanced := false
 			for f.ei < len(outs) {
 				w := outs[f.ei]

@@ -357,9 +357,9 @@ func Load(path string, opts EdgeListOptions) (*graph.Graph, error) {
 	return LoadWith(path, LoadOptions{EdgeList: opts})
 }
 
-// LoadWith is Load with explicit validation and mmap policy. Formats
-// are dispatched through the magic registry (see RegisterFormat);
-// files matching no registered magic parse as edge-list text.
+// LoadWith is Load with explicit validation and mmap policy. The two
+// binary formats are told apart by magic; files matching neither parse
+// as edge-list text.
 func LoadWith(path string, opts LoadOptions) (*graph.Graph, error) {
 	rc, err := openReader(path)
 	if err != nil {
@@ -367,22 +367,41 @@ func LoadWith(path string, opts LoadOptions) (*graph.Graph, error) {
 	}
 	br := bufio.NewReaderSize(rc, 1<<20)
 	head, _ := br.Peek(8)
-	if f, ok := lookupFormat(head); ok {
-		if f.Open != nil && !strings.HasSuffix(path, ".gz") {
-			// Reopen through the format's file path (the mmap or page
-			// cache needs the file, not this buffered stream).
+	// A -graph-mem budget is an error for input that cannot be paged.
+	resident := func(what string) error {
+		if opts.Mem > 0 {
+			return fmt.Errorf("gio: %s: -graph-mem budget needs an uncompressed gstore file; %s fully resident", path, what)
+		}
+		return nil
+	}
+	switch {
+	case strings.HasPrefix(string(head), gstore.MagicPrefix):
+		// The 7-byte shared prefix covers FWGSTOR1, the relabeled
+		// FWGSTOR2 and, for its own error, a version gstore does not
+		// know; gstore dispatches the version itself.
+		if !strings.HasSuffix(path, ".gz") {
+			// Reopen through gstore's file path (the mmap or page cache
+			// needs the file, not this buffered stream).
 			rc.Close()
-			return f.Open(path, opts)
+			return gstore.Open(path, gstoreOptions(opts))
 		}
 		defer rc.Close()
-		if opts.Mem > 0 {
-			return nil, fmt.Errorf("gio: %s: -graph-mem budget needs an uncompressed gstore file; %s streams load fully resident", path, f.Name)
+		if err := resident("gstore CSR streams load"); err != nil {
+			return nil, err
 		}
-		return f.Read(br, opts)
+		return gstore.Read(br, gstoreOptions(opts))
+	case strings.HasPrefix(string(head), binaryMagic):
+		defer rc.Close()
+		if err := resident("FWG1 binary edge list streams load"); err != nil {
+			return nil, err
+		}
+		// The FWG1 format has no checksums, so the post-load validation
+		// pass runs unless explicitly disabled.
+		return readBinary(br, opts.Validate != ValidateOff)
 	}
 	defer rc.Close()
-	if opts.Mem > 0 {
-		return nil, fmt.Errorf("gio: %s: -graph-mem budget needs an uncompressed gstore file; edge-list text loads fully resident", path)
+	if err := resident("edge-list text loads"); err != nil {
+		return nil, err
 	}
 	g, err := ReadEdgeList(br, opts.EdgeList)
 	if err != nil {
@@ -394,6 +413,11 @@ func LoadWith(path string, opts LoadOptions) (*graph.Graph, error) {
 		}
 	}
 	return g, nil
+}
+
+// gstoreOptions maps Load's policy knobs onto the gstore schema's.
+func gstoreOptions(opts LoadOptions) gstore.OpenOptions {
+	return gstore.OpenOptions{Mode: opts.Mmap, Validate: opts.Validate == ValidateOn, Mem: opts.Mem}
 }
 
 // SaveCSR writes g in the gstore mmap-able CSR format. Plain paths are

@@ -144,6 +144,21 @@ func TestPagedOpenMatchesResident(t *testing.T) {
 			}
 			logicalEqual(t, g, got)
 
+			// The traversals read a paged graph through one AdjReader;
+			// their answers must not depend on how the file was opened.
+			const start = 3
+			if !reflect.DeepEqual(g.Reachable(start), got.Reachable(start)) {
+				t.Fatal("Reachable differs between resident and paged")
+			}
+			if !reflect.DeepEqual(g.BFSDistances(start), got.BFSDistances(start)) {
+				t.Fatal("BFSDistances differs between resident and paged")
+			}
+			wantComp, wantNum := g.SCC()
+			gotComp, gotNum := got.SCC()
+			if wantNum != gotNum || !reflect.DeepEqual(wantComp, gotComp) {
+				t.Fatalf("SCC differs between resident and paged (%d vs %d components)", wantNum, gotNum)
+			}
+
 			stats, ok := got.PageCacheStats()
 			if !ok {
 				t.Fatal("paged graph reports no page-cache stats")

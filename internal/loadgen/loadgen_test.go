@@ -2,10 +2,13 @@ package loadgen
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"net/http"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -323,6 +326,38 @@ func TestRunAgainstServeHandler(t *testing.T) {
 	}
 	if doc.Env["target"] != "in-process" {
 		t.Error("bench doc env not merged")
+	}
+
+	// The prload report schema, as `prload -out` marshalled it before
+	// the structs moved into this package: the exact key sets of the
+	// document, of an entry, and of an endpoint entry's metrics.
+	raw, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var top map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &top); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := slices.Sorted(maps.Keys(top)), []string{"benchmarks", "env", "failed"}; !slices.Equal(got, want) {
+		t.Errorf("document keys %v, want %v", got, want)
+	}
+	var entries []map[string]json.RawMessage
+	if err := json.Unmarshal(top["benchmarks"], &entries); err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if got, want := slices.Sorted(maps.Keys(e)), []string{"iterations", "metrics", "name"}; !slices.Equal(got, want) {
+			t.Errorf("entry keys %v, want %v", got, want)
+		}
+		var metrics map[string]float64
+		if err := json.Unmarshal(e["metrics"], &metrics); err != nil {
+			t.Fatal(err)
+		}
+		want := []string{"errors", "max/ms", "p50/ms", "p90/ms", "p95/ms", "p99/ms", "queries/s"}
+		if got := slices.Sorted(maps.Keys(metrics)); !slices.Equal(got, want) {
+			t.Errorf("metric names %v, want %v", got, want)
+		}
 	}
 }
 

@@ -3,18 +3,32 @@ package loadgen
 import (
 	"runtime"
 	"time"
-
-	"repro/internal/benchfmt"
 )
 
-// BenchEntry is one entry in the shared benchfmt schema, so prload
-// reports drop straight into the BENCH_* artifact trajectory and
-// `benchreport compare` can diff them against any baseline in that
-// schema.
-type BenchEntry = benchfmt.Benchmark
+// BenchEntry is one entry of the prload report: the aggregate or one
+// endpoint of a load run.
+type BenchEntry struct {
+	// Name is the entry name (e.g. "prload/topk").
+	Name string `json:"name"`
+	// Iterations is the entry's measured query count.
+	Iterations int64 `json:"iterations"`
+	// Metrics maps unit → value for every measurement ("queries/s",
+	// "p99/ms", ...).
+	Metrics map[string]float64 `json:"metrics"`
+}
 
-// BenchDoc is the shared benchfmt report document.
-type BenchDoc = benchfmt.Report
+// BenchDoc is the prload report schema: the JSON document `prload -out`
+// writes.
+type BenchDoc struct {
+	// Env holds run-environment entries (goos, goarch, go, and the
+	// caller's target/engine/graph/seed).
+	Env map[string]string `json:"env"`
+	// Benchmarks lists the entries, aggregate first.
+	Benchmarks []BenchEntry `json:"benchmarks"`
+	// Failed is part of the schema; a load run never sets it (errors
+	// are counted per entry).
+	Failed bool `json:"failed"`
+}
 
 // ms converts a nanosecond quantity to milliseconds for reporting.
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
@@ -38,7 +52,7 @@ func (r *Report) entry(name string, st Stats) BenchEntry {
 	return BenchEntry{Name: name, Iterations: int64(st.Count), Metrics: m}
 }
 
-// BenchDoc renders the report in the benchreport schema under the
+// BenchDoc renders the report in the prload report schema under the
 // given name prefix: one aggregate entry "<prefix>/all" plus one per
 // endpoint that saw traffic, with queries/s, latency percentiles in
 // milliseconds and the error count as metrics. env entries are merged

@@ -33,8 +33,7 @@ func decodeEnvelope(status int, body []byte) error {
 // serialization over a wire): each op becomes a GET served directly by
 // Handler.ServeHTTP into a discarding response sink. This measures the
 // pure serving path — snapshot lookup, selection, JSON marshal —
-// which is what the CI perf gate wants to regress-test, independent of
-// the runner's loopback stack.
+// independent of the runner's loopback stack.
 type HandlerTarget struct {
 	Handler http.Handler
 }

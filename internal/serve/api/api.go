@@ -1,8 +1,7 @@
 // Package api is the versioned wire schema of the query service: every
 // JSON body the single-node server, the sharded router, the shard RPC
-// codec and the load generator's decoder exchange is defined here, once
-// — the same discipline internal/benchfmt applies to the benchmark
-// reports. Producer and consumer alias these types instead of
+// codec and the load generator's decoder exchange is defined here,
+// once. Producer and consumer alias these types instead of
 // re-declaring inline structs, so the two sides of the wire cannot
 // drift apart silently.
 //

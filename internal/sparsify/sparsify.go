@@ -33,8 +33,10 @@ func Uniform(g *graph.Graph, q float64, seed uint64) (*graph.Graph, error) {
 	n := g.NumVertices()
 	r := rng.Derive(seed, 0x59A2)
 	kept := make([]graph.Edge, 0, int(float64(g.NumEdges())*q)+n)
+	adj := g.NewAdjReader()
+	defer adj.Release()
 	for v := 0; v < n; v++ {
-		outs := g.OutNeighbors(graph.VertexID(v))
+		outs := adj.OutNeighbors(graph.VertexID(v))
 		if len(outs) == 0 {
 			continue
 		}

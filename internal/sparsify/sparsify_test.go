@@ -1,10 +1,13 @@
 package sparsify
 
 import (
+	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/graph"
 	"repro/internal/graph/gen"
+	"repro/internal/graph/gstore"
 	"repro/internal/pagerank"
 	"repro/internal/topk"
 )
@@ -72,6 +75,29 @@ func TestUniformSubsetOfOriginal(t *testing.T) {
 		}
 		return true
 	})
+
+	// The same graph opened paged (a one-byte budget: every row goes
+	// through the reader's cursor) keeps the same edges at the same seed.
+	path := filepath.Join(t.TempDir(), "g.csr")
+	if err := gstore.Save(path, g); err != nil {
+		t.Fatal(err)
+	}
+	pg, err := gstore.Open(path, gstore.OpenOptions{Mem: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pg.Close()
+	psg, err := Uniform(pg, 0.6, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edges := func(g *graph.Graph) (list []graph.Edge) {
+		g.Edges(func(e graph.Edge) bool { list = append(list, e); return true })
+		return list
+	}
+	if !reflect.DeepEqual(edges(sg), edges(psg)) {
+		t.Fatal("paged input kept different edges than the resident one")
+	}
 }
 
 func TestUniformErrors(t *testing.T) {

@@ -159,26 +159,6 @@ func OpenGraphCSR(path string) (*Graph, error) {
 	return gstore.Open(path, gstore.OpenOptions{})
 }
 
-// GraphCacheOptions tunes CachedGraphCheckedWith: a paged-open memory
-// budget and build-time degree relabeling.
-type GraphCacheOptions = gio.CacheOptions
-
-// CachedGraphCheckedWith is the serving CLIs' -graph-cache protocol in
-// one call. An empty cachePath just builds. Otherwise, if cachePath
-// exists it is opened zero-copy and build never runs; on a miss the
-// graph is built, saved to cachePath atomically, and reopened through
-// the cache. A corrupt cache is an error — delete the file to rebuild.
-// Because the cache key is only the file path, a hit is guarded against
-// silently masking changed generation flags: when the graph comes from
-// a generator (genN > 0) rather than an input file, a cached graph
-// whose vertex count differs from genN is an error telling the user to
-// delete the stale cache. opts.Mem opens the cache paged under a
-// resident budget (an error without a cache file), opts.Relabel
-// degree-orders the graph when the cache is (re)built.
-func CachedGraphCheckedWith(cachePath string, opts GraphCacheOptions, genN int, build func() (*Graph, error)) (*Graph, error) {
-	return gio.OpenCached(cachePath, opts, genN, build)
-}
-
 // PageRankOptions configures the exact solver. Its Workers field
 // shards the power-iteration inner loop across cores (0 = GOMAXPROCS,
 // 1 = single-threaded) with bit-identical results for every setting.
