@@ -89,16 +89,16 @@ func TestGraphRoundTripThroughFacade(t *testing.T) {
 	if g2.NumEdges() != g.NumEdges() {
 		t.Error("text round trip changed edge count")
 	}
-	bin := filepath.Join(dir, "g.bin.gz")
-	if err := repro.SaveGraphBinary(bin, g); err != nil {
+	csr := filepath.Join(dir, "g.csr.gz")
+	if err := repro.SaveGraphCSR(csr, g); err != nil {
 		t.Fatal(err)
 	}
-	g3, err := repro.LoadGraph(bin)
+	g3, err := repro.LoadGraph(csr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if g3.NumEdges() != g.NumEdges() {
-		t.Error("binary round trip changed edge count")
+		t.Error("csr.gz round trip changed edge count")
 	}
 }
 

@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	frogwild -graph tw.bin.gz -walkers 100000 -iters 4 -ps 0.7 -machines 16 -k 20 -compare
+//	frogwild -graph tw.csr.gz -walkers 100000 -iters 4 -ps 0.7 -machines 16 -k 20 -compare
 //	frogwild -gen twitterlike -n 50000 -walkers 8000 -ps 0.4
 //	frogwild -gen twitterlike -n 50000 -machines 8 -engine-workers 4
 //	frogwild -gen twitterlike -n 50000 -reference -workers 0
@@ -30,7 +30,7 @@ import (
 
 func main() {
 	var (
-		path     = flag.String("graph", "", "graph file (edge list or binary)")
+		path     = flag.String("graph", "", "graph file (gstore CSR or edge list)")
 		genType  = flag.String("gen", "", "generate instead of load: twitterlike|livejournallike")
 		n        = flag.Int("n", 50000, "vertex count when generating")
 		walkers  = flag.Int("walkers", 0, "number of frogs N (default: vertices/6)")

@@ -1,22 +1,23 @@
 // Command gengraph generates synthetic directed graphs in the shapes
 // the FrogWild reproduction uses (power-law "twitterlike" /
 // "livejournallike" presets, custom power-law, R-MAT, Erdős–Rényi) and
-// writes them as edge-list text, compact binary, or the mmap-able
-// gstore CSR format (gzipped when the output path ends in .gz).
+// writes them as edge-list text or the mmap-able gstore CSR format
+// (gzipped when the output path ends in .gz).
 //
 // Usage:
 //
-//	gengraph -type twitterlike -n 100000 -seed 42 -out tw.bin.gz
-//	gengraph -type twitterlike -n 100000 -format csr -out tw.csr
+//	gengraph -type twitterlike -n 100000 -seed 42 -out tw.csr.gz
+//	gengraph -type twitterlike -n 100000 -out tw.csr
 //	gengraph -type powerlaw -n 50000 -mean 12 -degexp 2.1 -out g.txt
-//	gengraph -type rmat -scale 18 -edgefactor 16 -out rmat.bin
+//	gengraph -type rmat -scale 18 -edgefactor 16 -format csr -out rmat.graph
 //	gengraph -type er -n 10000 -m 100000 -out er.txt.gz
 //
-// -format selects the output encoding explicitly: edgelist, binary, or
-// csr (the gstore format prserve/prload can mmap via -graph-cache).
-// The default, auto, keeps the historical suffix behavior: paths
-// containing ".bin" get binary, everything else edge-list text.
-// Unknown values are a usage error (exit code 2).
+// -format selects the output encoding explicitly: edgelist, or csr
+// (the gstore format every -graph flag opens by mmap). The default,
+// auto, goes by the file name's suffix: .csr and .csr.gz get csr,
+// everything else edge-list text. Unknown values, and the .bin suffix
+// of the binary edge list this tool used to write, are a usage error
+// (exit code 2).
 package main
 
 import (
@@ -49,7 +50,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		edgeFactor = fs.Int("edgefactor", 16, "edges per vertex (rmat)")
 		seed       = fs.Uint64("seed", 1, "generator seed")
 		out        = fs.String("out", "", "output path (required; .gz compresses)")
-		format     = fs.String("format", "auto", "output format: auto|edgelist|binary|csr (auto: .bin selects binary, else edge list)")
+		format     = fs.String("format", "auto", "output format: auto|edgelist|csr (auto: .csr selects csr, else edge list)")
 		stats      = fs.Bool("stats", true, "print graph statistics")
 		target     = fs.String("target-bytes", "", "size -n so the gstore CSR encoding lands near this byte budget (e.g. 256MiB); overrides -n, rmat unsupported")
 		relabel    = fs.Bool("relabel", false, "degree-order vertex rows before saving (csr: clusters hot vertices onto hot pages, external ids unchanged)")
@@ -80,21 +81,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// Resolve the writer up front so a bad -format is rejected before
 	// minutes of generation work.
 	var save func(string, *repro.Graph) error
-	switch *format {
-	case "auto":
-		if strings.Contains(*out, ".bin") {
-			save = repro.SaveGraphBinary
-		} else {
-			save = repro.SaveGraph
-		}
-	case "edgelist":
-		save = repro.SaveGraph
-	case "binary":
-		save = repro.SaveGraphBinary
-	case "csr":
+	name := strings.TrimSuffix(*out, ".gz")
+	switch {
+	case *format == "csr", *format == "auto" && strings.HasSuffix(name, ".csr"):
 		save = repro.SaveGraphCSR
+	case *format == "auto" && strings.HasSuffix(name, ".bin"):
+		fmt.Fprintf(stderr, "gengraph: %s: the .bin binary edge list is no longer written; use -format csr (or a .csr name)\n", *out)
+		fs.Usage()
+		return 2
+	case *format == "auto", *format == "edgelist":
+		save = repro.SaveGraph
 	default:
-		fmt.Fprintf(stderr, "gengraph: unknown -format %q (want auto|edgelist|binary|csr)\n", *format)
+		fmt.Fprintf(stderr, "gengraph: unknown -format %q (want auto|edgelist|csr)\n", *format)
 		fs.Usage()
 		return 2
 	}

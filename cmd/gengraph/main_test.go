@@ -2,12 +2,15 @@ package main
 
 import (
 	"bytes"
+	"compress/gzip"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro"
+	"repro/internal/graph/gstore"
 )
 
 // TestUnknownFormatIsUsageError pins the satellite contract: a bogus
@@ -37,25 +40,52 @@ func TestMissingOutIsUsageError(t *testing.T) {
 	}
 }
 
-// TestFormats generates a tiny graph in every explicit format and
-// reloads each through the auto-detecting loader.
+// TestFormats runs every -format/-out pairing on a tiny graph: the ones
+// that write are reloaded through the auto-detecting loader and must be
+// in the format the row names; the refused ones exit 2 with the row's
+// message before anything is generated or written. auto goes by the
+// file name's suffix alone, never by a directory's.
 func TestFormats(t *testing.T) {
-	dir := t.TempDir()
+	dir := filepath.Join(t.TempDir(), "runs.bin")
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		format, file string
+		csr          bool   // the written file is gstore CSR, not edge-list text
+		refused      string // non-empty: exit 2 with this in stderr
 	}{
-		{"edgelist", "g.txt"},
-		{"binary", "g.bin"},
-		{"csr", "g.csr"},
-		{"csr", "g.csr.gz"},
+		{format: "edgelist", file: "g.txt"},
+		{format: "csr", file: "g.csr", csr: true},
+		{format: "csr", file: "g.csr.gz", csr: true},
+		{format: "csr", file: "g.graph", csr: true},
+		{format: "auto", file: "a.txt"},
+		{format: "auto", file: "a.txt.gz"},
+		{format: "auto", file: "a.csr", csr: true},
+		{format: "auto", file: "a.csr.gz", csr: true},
+		{format: "auto", file: "a.bin", refused: "use -format csr"},
+		{format: "auto", file: "a.bin.gz", refused: "use -format csr"},
+		{format: "binary", file: "g.bin", refused: `unknown -format "binary" (want auto|edgelist|csr)`},
 	} {
 		t.Run(tc.format+"/"+tc.file, func(t *testing.T) {
 			path := filepath.Join(dir, tc.file)
 			var stdout, stderr bytes.Buffer
 			code := run([]string{"-type", "er", "-n", "50", "-m", "300", "-seed", "7",
 				"-format", tc.format, "-out", path}, &stdout, &stderr)
+			if tc.refused != "" {
+				if code != 2 || !strings.Contains(stderr.String(), tc.refused) {
+					t.Fatalf("exit %d, stderr %q; want 2 and %q", code, stderr.String(), tc.refused)
+				}
+				if _, err := os.Stat(path); err == nil {
+					t.Fatal("a refused run left a file behind")
+				}
+				return
+			}
 			if code != 0 {
 				t.Fatalf("exit %d: %s", code, stderr.String())
+			}
+			if got := startsWithGstoreMagic(t, path); got != tc.csr {
+				t.Fatalf("wrote gstore CSR = %v, want %v", got, tc.csr)
 			}
 			g, err := repro.LoadGraph(path)
 			if err != nil {
@@ -70,6 +100,28 @@ func TestFormats(t *testing.T) {
 			}
 		})
 	}
+}
+
+// startsWithGstoreMagic reports whether the (possibly gzipped) file at
+// path is in the gstore format.
+func startsWithGstoreMagic(t *testing.T, path string) bool {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var r io.Reader = f
+	if strings.HasSuffix(path, ".gz") {
+		if r, err = gzip.NewReader(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	head := make([]byte, len(gstore.MagicPrefix))
+	if _, err := io.ReadFull(r, head); err != nil {
+		t.Fatal(err)
+	}
+	return string(head) == gstore.MagicPrefix
 }
 
 // TestTargetBytes pins the -target-bytes contract: the written gstore

@@ -7,9 +7,9 @@
 //
 // Usage:
 //
-//	pagerank -graph tw.bin.gz -k 20
-//	pagerank -graph tw.bin.gz -engine -machines 16 -engine-workers 2
-//	gengraph -type rmat -scale 14 -out /tmp/g.bin && pagerank -graph /tmp/g.bin
+//	pagerank -graph tw.csr.gz -k 20
+//	pagerank -graph tw.csr.gz -engine -machines 16 -engine-workers 2
+//	gengraph -type rmat -scale 14 -out /tmp/g.csr && pagerank -graph /tmp/g.csr
 package main
 
 import (
@@ -22,7 +22,7 @@ import (
 
 func main() {
 	var (
-		path     = flag.String("graph", "", "graph file (edge list or binary; required)")
+		path     = flag.String("graph", "", "graph file (gstore CSR or edge list; required)")
 		k        = flag.Int("k", 20, "how many top vertices to print")
 		teleport = flag.Float64("teleport", repro.DefaultTeleport, "teleportation probability pT")
 		tol      = flag.Float64("tol", 1e-12, "L1 convergence tolerance")

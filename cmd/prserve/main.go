@@ -8,7 +8,7 @@
 // Usage:
 //
 //	prserve -gen twitterlike -n 50000 -addr :8080 -refresh 30s
-//	prserve -graph tw.bin.gz -engine frogwild -walkers 100000 -ps 0.7
+//	prserve -graph tw.csr.gz -engine frogwild -walkers 100000 -ps 0.7
 //	prserve -gen livejournallike -n 20000 -engine glpr -iters 5
 //	prserve -gen twitterlike -n 50000 -graph-cache tw.csr -snapshot-dir /var/lib/prserve
 //

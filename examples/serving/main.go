@@ -15,10 +15,12 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"net"
 	"net/http"
 	"time"
 
 	"repro"
+	"repro/internal/obs"
 	"repro/internal/serve"
 )
 
@@ -49,17 +51,14 @@ func main() {
 	fmt.Printf("initial snapshot built in %.2fs (refreshes so far: %d)\n",
 		time.Since(start).Seconds(), refresher.Refreshes())
 
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		log.Fatal(err)
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
-	go func() { done <- srv.Serve(ctx, "127.0.0.1:0") }()
-	for srv.Addr() == "" {
-		select {
-		case err := <-done:
-			log.Fatalf("serve: %v", err) // e.g. listen failure
-		case <-time.After(time.Millisecond):
-		}
-	}
-	base := "http://" + srv.Addr()
+	go func() { done <- obs.ServeListener(ctx, ln, srv) }()
+	base := "http://" + ln.Addr().String()
 	fmt.Printf("serving on %s\n\n", base)
 
 	// Query it like any HTTP client.

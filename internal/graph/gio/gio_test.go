@@ -2,14 +2,13 @@ package gio
 
 import (
 	"bytes"
-	"errors"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/graph"
 	"repro/internal/graph/gen"
+	"repro/internal/graph/gstore"
 )
 
 func TestReadEdgeListBasic(t *testing.T) {
@@ -21,7 +20,7 @@ func TestReadEdgeListBasic(t *testing.T) {
 
 0 2
 `
-	g, err := ReadEdgeList(strings.NewReader(in), EdgeListOptions{})
+	g, err := ReadEdgeList(strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +32,7 @@ func TestReadEdgeListBasic(t *testing.T) {
 func TestReadEdgeListRemap(t *testing.T) {
 	// Sparse original ids must be densified in first-seen order.
 	in := "1000 7\n7 999999\n999999 1000\n"
-	g, err := ReadEdgeList(strings.NewReader(in), EdgeListOptions{})
+	g, err := ReadEdgeList(strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +46,7 @@ func TestReadEdgeListRemap(t *testing.T) {
 }
 
 func TestReadEdgeListTabs(t *testing.T) {
-	g, err := ReadEdgeList(strings.NewReader("0\t1\n1\t0\n"), EdgeListOptions{})
+	g, err := ReadEdgeList(strings.NewReader("0\t1\n1\t0\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,35 +56,24 @@ func TestReadEdgeListTabs(t *testing.T) {
 }
 
 func TestReadEdgeListErrors(t *testing.T) {
-	if _, err := ReadEdgeList(strings.NewReader("0\n"), EdgeListOptions{}); err == nil {
+	if _, err := ReadEdgeList(strings.NewReader("0\n")); err == nil {
 		t.Error("single-field line should error")
 	}
-	if _, err := ReadEdgeList(strings.NewReader("a b\n"), EdgeListOptions{}); err == nil {
+	if _, err := ReadEdgeList(strings.NewReader("a b\n")); err == nil {
 		t.Error("non-numeric should error")
 	}
-	if _, err := ReadEdgeList(strings.NewReader("0 -1\n"), EdgeListOptions{}); err == nil {
+	if _, err := ReadEdgeList(strings.NewReader("0 -1\n")); err == nil {
 		t.Error("negative id should error")
 	}
 }
 
 func TestReadEdgeListDangling(t *testing.T) {
-	in := "0 1\n" // vertex 1 dangling
-	if _, err := ReadEdgeList(strings.NewReader(in), EdgeListOptions{}); err == nil {
-		t.Error("dangling should error under default policy")
-	}
-	g, err := ReadEdgeList(strings.NewReader(in), EdgeListOptions{Dangling: graph.DanglingSelfLoop})
+	g, err := ReadEdgeList(strings.NewReader("0 1\n")) // vertex 1 dangling
 	if err != nil {
 		t.Fatal(err)
 	}
 	if g.OutDegree(1) != 1 {
 		t.Error("self-loop repair failed")
-	}
-	g2, err := ReadEdgeList(strings.NewReader(in), EdgeListOptions{AllowDangling: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g2.OutDegree(1) != 0 {
-		t.Error("AllowDangling should keep the dangling vertex")
 	}
 }
 
@@ -98,7 +86,7 @@ func TestEdgeListRoundTrip(t *testing.T) {
 	if err := WriteEdgeList(&buf, g); err != nil {
 		t.Fatal(err)
 	}
-	g2, err := ReadEdgeList(&buf, EdgeListOptions{})
+	g2, err := ReadEdgeList(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,158 +96,107 @@ func TestEdgeListRoundTrip(t *testing.T) {
 	}
 }
 
-func TestBinaryRoundTrip(t *testing.T) {
-	g, err := gen.PowerLaw(gen.PowerLawConfig{N: 500, MeanOutDeg: 6, DegExponent: 2.0, PrefExponent: 1, Seed: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	g2, err := ReadBinary(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g2.NumVertices() != g.NumVertices() || g2.NumEdges() != g.NumEdges() {
-		t.Fatal("binary round trip changed sizes")
-	}
-	a, b := g.EdgeSlice(), g2.EdgeSlice()
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("edge %d differs: %v vs %v", i, a[i], b[i])
-		}
-	}
-}
-
-func TestBinaryBadMagic(t *testing.T) {
-	_, err := ReadBinary(bytes.NewReader([]byte("NOPE12345678")))
-	if !errors.Is(err, ErrBadFormat) {
-		t.Fatalf("want ErrBadFormat, got %v", err)
-	}
-}
-
-func TestBinaryTruncated(t *testing.T) {
-	g := gen.Cycle(10)
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-	_, err := ReadBinary(bytes.NewReader(data[:len(data)-4]))
-	if !errors.Is(err, ErrBadFormat) {
-		t.Fatalf("want ErrBadFormat for truncation, got %v", err)
-	}
-}
-
 func TestFileRoundTripGzip(t *testing.T) {
-	dir := t.TempDir()
 	g := gen.Cycle(50)
-
-	elPath := filepath.Join(dir, "g.txt.gz")
+	elPath := filepath.Join(t.TempDir(), "g.txt.gz")
 	if err := SaveEdgeList(elPath, g); err != nil {
 		t.Fatal(err)
 	}
-	g2, err := LoadEdgeList(elPath, EdgeListOptions{})
+	g2, err := Load(elPath, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if g2.NumEdges() != 50 {
 		t.Errorf("gz edge list round trip: m = %d", g2.NumEdges())
 	}
-
-	binPath := filepath.Join(dir, "g.bin.gz")
-	if err := SaveBinary(binPath, g); err != nil {
-		t.Fatal(err)
-	}
-	g3, err := LoadBinary(binPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g3.NumEdges() != 50 {
-		t.Errorf("gz binary round trip: m = %d", g3.NumEdges())
-	}
 }
 
+// TestLoadAutoDetect is the whole sniff in one table: what each kind of
+// file loads as (or is refused with), and that under a -graph-mem budget
+// everything but an uncompressed gstore file is refused with one message.
 func TestLoadAutoDetect(t *testing.T) {
-	dir := t.TempDir()
-	g := gen.Star(10)
-
-	binPath := filepath.Join(dir, "a.graph")
-	if err := SaveBinary(binPath, g); err != nil {
-		t.Fatal(err)
-	}
-	gb, err := Load(binPath, EdgeListOptions{})
+	star := gen.Star(10)
+	relabeled, err := gstore.Relabel(star)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gb.NumEdges() != g.NumEdges() {
-		t.Error("auto-detected binary load wrong")
-	}
-
-	txtPath := filepath.Join(dir, "a.txt")
-	if err := SaveEdgeList(txtPath, g); err != nil {
-		t.Fatal(err)
-	}
-	gt, err := Load(txtPath, EdgeListOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gt.NumEdges() != g.NumEdges() {
-		t.Error("auto-detected text load wrong")
-	}
-}
-
-// TestBinarySaveLoadRoundTripAutoDetect pins the contract the facade's
-// LoadGraph relies on: SaveBinary output round-trips edge-exactly
-// through the auto-detecting Load path (magic-byte sniff), with and
-// without gzip, without touching the edge-list parser.
-func TestBinarySaveLoadRoundTripAutoDetect(t *testing.T) {
-	g, err := gen.PowerLaw(gen.PowerLawConfig{N: 400, MeanOutDeg: 7, DegExponent: 2.2, PrefExponent: 1, Seed: 13})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	for _, name := range []string{"g.bin", "g.bin.gz"} {
-		path := filepath.Join(dir, name)
-		if err := SaveBinary(path, g); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		g2, err := Load(path, EdgeListOptions{})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if g2.NumVertices() != g.NumVertices() || g2.NumEdges() != g.NumEdges() {
-			t.Fatalf("%s: sizes changed: %d/%d vs %d/%d",
-				name, g2.NumVertices(), g2.NumEdges(), g.NumVertices(), g.NumEdges())
-		}
-		a, b := g.EdgeSlice(), g2.EdgeSlice()
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("%s: edge %d differs: %v vs %v", name, i, a[i], b[i])
+	raw := func(b []byte) func(string) error {
+		return func(path string) error {
+			wc, err := openWriter(path)
+			if err != nil {
+				return err
 			}
+			if _, err := wc.Write(b); err != nil {
+				return err
+			}
+			return wc.Close()
 		}
 	}
-}
-
-// TestLoadShortTextFile: files shorter than the 4-byte magic must fall
-// through to the edge-list parser, not error out of the sniff.
-func TestLoadShortTextFile(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "tiny.txt")
-	if err := os.WriteFile(path, []byte("0 1"), 0o644); err != nil {
-		t.Fatal(err)
+	text := func(p string) error { return SaveEdgeList(p, star) }
+	csr := func(g *graph.Graph) func(string) error {
+		return func(p string) error { return SaveCSR(p, g) }
 	}
-	g, err := Load(path, EdgeListOptions{Dangling: graph.DanglingSelfLoop})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.NumVertices() != 2 {
-		t.Errorf("n = %d, want 2", g.NumVertices())
+	// A well-formed FWG1 file (magic, n, m, no edges), and a gstore
+	// magic with a version digit gstore does not know.
+	legacy := append([]byte("FWG1"), make([]byte, 16)...)
+	future := append([]byte("FWGSTOR9"), make([]byte, 256)...)
+	const (
+		refused  = "is a FWG1 binary edge list, which is no longer read; regenerate it with gengraph -format csr"
+		notStore = "not a gstore CSR graph file"
+		noPaging = "-graph-mem budget needs an uncompressed gstore file"
+	)
+	for _, tc := range []struct {
+		file     string
+		write    func(path string) error
+		n        int // the loaded graph, when wantErr is empty
+		m        int64
+		wantErr  string // with no budget
+		pagedErr string // with a budget; empty means it pages and loads
+	}{
+		{file: "a.txt", write: text, n: 10, m: star.NumEdges(), pagedErr: noPaging},
+		{file: "a.txt.gz", write: text, n: 10, m: star.NumEdges(), pagedErr: noPaging},
+		{file: "v1.csr", write: csr(star), n: 10, m: star.NumEdges()},
+		{file: "v2.csr", write: csr(relabeled), n: 10, m: star.NumEdges()},
+		{file: "a.csr.gz", write: csr(star), n: 10, m: star.NumEdges(), pagedErr: noPaging},
+		{file: "v9.csr", write: raw(future), wantErr: notStore, pagedErr: notStore},
+		{file: "v9.csr.gz", write: raw(future), wantErr: notStore, pagedErr: noPaging},
+		{file: "old.bin", write: raw(legacy), wantErr: refused, pagedErr: noPaging},
+		{file: "old.bin.gz", write: raw(legacy), wantErr: refused, pagedErr: noPaging},
+		{file: "tiny.txt", write: raw([]byte("0 1")), n: 2, m: 2, pagedErr: noPaging},
+	} {
+		t.Run(tc.file, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), tc.file)
+			if err := tc.write(path); err != nil {
+				t.Fatal(err)
+			}
+			for _, leg := range []struct {
+				mem     int64
+				wantErr string
+			}{{0, tc.wantErr}, {1 << 20, tc.pagedErr}} {
+				g, err := Load(path, leg.mem)
+				if leg.wantErr != "" {
+					if err == nil || !strings.Contains(err.Error(), leg.wantErr) {
+						t.Fatalf("mem %d: err = %v, want %q", leg.mem, err, leg.wantErr)
+					}
+					continue
+				}
+				if err != nil {
+					t.Fatalf("mem %d: %v", leg.mem, err)
+				}
+				if g.NumVertices() != tc.n || g.NumEdges() != tc.m {
+					t.Errorf("mem %d: loaded n=%d m=%d, want %d/%d", leg.mem, g.NumVertices(), g.NumEdges(), tc.n, tc.m)
+				}
+				if (leg.mem > 0) != g.Paged() {
+					t.Errorf("mem %d: Paged() = %v", leg.mem, g.Paged())
+				}
+				g.Close()
+			}
+		})
 	}
 }
 
 func TestLoadMissingFile(t *testing.T) {
-	if _, err := Load("/nonexistent/path/graph.txt", EdgeListOptions{}); err == nil {
+	if _, err := Load("/nonexistent/path/graph.txt", 0); err == nil {
 		t.Error("missing file should error")
 	}
 }

@@ -1,7 +1,6 @@
 package gio
 
 import (
-	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -34,7 +33,7 @@ func TestSaveCSRLoadAutoDetect(t *testing.T) {
 		if err := SaveCSR(path, g); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		g2, err := Load(path, EdgeListOptions{})
+		g2, err := Load(path, 0)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -51,29 +50,15 @@ func TestSaveCSRLoadAutoDetect(t *testing.T) {
 	}
 }
 
-// TestLoadWithValidateModes pins the load-time validation policy: off
-// by default for checksummed gstore files, on for FWG1 binary, and
-// forceable everywhere.
-func TestLoadWithValidateModes(t *testing.T) {
+// TestLoadChecksumMismatch: a flipped bit in a gstore section fails the
+// load by checksum; Load has no option that skips corruption detection.
+func TestLoadChecksumMismatch(t *testing.T) {
 	g := powerLawGraph(t, 120, 7)
 	dir := t.TempDir()
-
 	csrPath := filepath.Join(dir, "g.csr")
 	if err := SaveCSR(csrPath, g); err != nil {
 		t.Fatal(err)
 	}
-	// Auto: gstore loads fine without the O(E) pass.
-	if _, err := LoadWith(csrPath, LoadOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	// Forced on: still fine for an honest file.
-	if _, err := LoadWith(csrPath, LoadOptions{Validate: ValidateOn}); err != nil {
-		t.Fatal(err)
-	}
-
-	// A corrupted section must fail by checksum even with validation
-	// off — the satellite contract: skipping Validate does not skip
-	// corruption detection for gstore files.
 	raw, err := os.ReadFile(csrPath)
 	if err != nil {
 		t.Fatal(err)
@@ -83,22 +68,8 @@ func TestLoadWithValidateModes(t *testing.T) {
 	if err := os.WriteFile(badPath, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadWith(badPath, LoadOptions{Validate: ValidateOff}); !errors.Is(err, gstore.ErrChecksum) {
+	if _, err := Load(badPath, 0); !errors.Is(err, gstore.ErrChecksum) {
 		t.Fatalf("corrupted gstore load = %v, want ErrChecksum", err)
-	}
-
-	// FWG1: a file whose in/out directions disagree passes the
-	// per-edge range checks but fails Validate; ValidateOff skips that
-	// pass (the knob exists for trusted fast paths).
-	binPath := filepath.Join(dir, "g.bin")
-	if err := SaveBinary(binPath, g); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadWith(binPath, LoadOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadWith(binPath, LoadOptions{Validate: ValidateOff}); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -151,28 +122,4 @@ func TestOpenCachedBuildOnMiss(t *testing.T) {
 	if builds != 1 {
 		t.Fatalf("corrupt cache triggered rebuild (builds = %d)", builds)
 	}
-}
-
-// FuzzReadBinary pins the FWG1 loader's robustness now that its edge
-// allocation grows with the actual stream instead of the header's
-// claim: arbitrary bytes must error or decode, never panic or balloon.
-func FuzzReadBinary(f *testing.F) {
-	g := graph.FromEdges(3, []graph.Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 2}, {Src: 2, Dst: 0}})
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, g); err != nil {
-		f.Fatal(err)
-	}
-	valid := buf.Bytes()
-	f.Add(valid)
-	f.Add(valid[:7])
-	f.Add(valid[:len(valid)-3])
-	// A header claiming vastly more edges than the stream holds.
-	hostile := append([]byte{}, valid...)
-	hostile[12] = 0xff
-	f.Add(hostile)
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if g, err := ReadBinary(bytes.NewReader(data)); err == nil {
-			_ = g.NumEdges()
-		}
-	})
 }

@@ -31,7 +31,7 @@ type Source struct {
 // so a misspelt generator or byte size is a usage error raised before
 // any graph work, with the same text from every binary.
 func (s *Source) RegisterFlags(fs *flag.FlagSet) {
-	fs.StringVar(&s.Path, "graph", s.Path, "graph file (gstore CSR, binary, or edge list; auto-detected)")
+	fs.StringVar(&s.Path, "graph", s.Path, "graph file (gstore CSR or edge list; auto-detected)")
 	fs.Func("gen", "generate instead of load: twitterlike|livejournallike", func(v string) error {
 		if _, err := generator(v, 0, 0); v != "" && err != nil {
 			return err
@@ -65,10 +65,6 @@ func generator(name string, n int, seed uint64) (gen.PowerLawConfig, error) {
 	return gen.PowerLawConfig{}, fmt.Errorf("unknown generator %q (want twitterlike|livejournallike)", name)
 }
 
-// selfLoops repairs an edge list's dangling vertices, so every loaded
-// graph is FrogWild-ready.
-var selfLoops = EdgeListOptions{Dangling: graph.DanglingSelfLoop}
-
 // Open acquires the graph: loaded from Path or, with no Path, generated;
 // through the Cache file when one is set (see OpenCached), paged when
 // Mem is.
@@ -76,7 +72,7 @@ func (s *Source) Open() (*graph.Graph, error) {
 	if s.Mem > 0 && s.Cache == "" && s.Path != "" {
 		// No cache file, but -graph itself can be the gstore file the
 		// page cache reads from.
-		return LoadWith(s.Path, LoadOptions{EdgeList: selfLoops, Mem: s.Mem})
+		return Load(s.Path, s.Mem)
 	}
 	genN := 0
 	if s.Path == "" && s.Gen != "" {
@@ -85,7 +81,7 @@ func (s *Source) Open() (*graph.Graph, error) {
 	return OpenCached(s.Cache, CacheOptions{Mem: s.Mem, Relabel: s.Relabel}, genN, func() (*graph.Graph, error) {
 		switch {
 		case s.Path != "":
-			return Load(s.Path, selfLoops)
+			return Load(s.Path, 0)
 		case s.Gen != "":
 			cfg, err := generator(s.Gen, s.N, s.Seed)
 			if err != nil {

@@ -399,8 +399,9 @@ func ComputeStats(g *Graph) Stats {
 	return s
 }
 
-// Validate checks internal CSR invariants; it is used by property tests
-// and the binary loader. It returns nil if the graph is well-formed.
+// Validate checks internal CSR invariants; property tests use it, and a
+// caller that does not trust a loaded file can. It returns nil if the
+// graph is well-formed.
 // On paged graphs the adjacency checks stream through the page cache.
 func (g *Graph) Validate() error {
 	if len(g.outOff) != g.n+1 || len(g.inOff) != g.n+1 {

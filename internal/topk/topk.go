@@ -240,7 +240,11 @@ func ExactIdentification(pi, est []float64, k int) float64 {
 	if k <= 0 {
 		return 1
 	}
-	truth := make(map[uint32]struct{}, k)
+	den := min(k, len(pi)) // k comes off a query string: never size by it
+	if den == 0 {
+		return 1
+	}
+	truth := make(map[uint32]struct{}, den)
 	for _, e := range Top(pi, k) {
 		truth[e.Vertex] = struct{}{}
 	}
@@ -249,13 +253,6 @@ func ExactIdentification(pi, est []float64, k int) float64 {
 		if _, ok := truth[e.Vertex]; ok {
 			hits++
 		}
-	}
-	den := k
-	if len(pi) < k {
-		den = len(pi)
-	}
-	if den == 0 {
-		return 1
 	}
 	return float64(hits) / float64(den)
 }

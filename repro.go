@@ -114,15 +114,12 @@ func ErdosRenyiGraph(n int, m int64, seed uint64) (*Graph, error) {
 }
 
 // LoadGraph reads a graph from disk, auto-detecting the format:
-// the mmap-able gstore CSR format (opened zero-copy), the package's
-// binary edge-list format, or SNAP-style edge-list text ("src dst"
-// per line, '#' comments). Files ending in .gz are decompressed.
-// For the edge-list formats, dangling vertices are repaired with
-// self-loops so the result is always FrogWild-ready; gstore files
+// the mmap-able gstore CSR format (opened zero-copy) or SNAP-style
+// edge-list text ("src dst" per line, '#' comments). Files ending in
+// .gz are decompressed. For edge lists, dangling vertices are repaired
+// with self-loops so the result is always FrogWild-ready; gstore files
 // reload exactly the graph that was saved.
-func LoadGraph(path string) (*Graph, error) {
-	return gio.Load(path, gio.EdgeListOptions{Dangling: graph.DanglingSelfLoop})
-}
+func LoadGraph(path string) (*Graph, error) { return gio.Load(path, 0) }
 
 // RelabelGraph returns a logically identical copy of g whose CSR rows
 // are degree-ordered (hot vertices first) with the external→row
@@ -139,10 +136,6 @@ func ParseByteSize(s string) (int64, error) { return pcache.ParseBytes(s) }
 // SaveGraph writes a graph as edge-list text (gzipped when the path
 // ends in .gz).
 func SaveGraph(path string, g *Graph) error { return gio.SaveEdgeList(path, g) }
-
-// SaveGraphBinary writes a graph in the compact binary format
-// (gzipped when the path ends in .gz); LoadGraph reads it back.
-func SaveGraphBinary(path string, g *Graph) error { return gio.SaveBinary(path, g) }
 
 // SaveGraphCSR writes a graph in the gstore mmap-able CSR format:
 // checksummed 8-aligned sections that OpenGraphCSR and LoadGraph map
