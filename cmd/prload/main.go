@@ -1,51 +1,43 @@
-// Command prload drives the top-k PageRank query service with a
+// Command prload drives a running top-k PageRank query service — a
+// single-node prserve or a prserve -shards router — over HTTP with a
 // deterministic, Zipf-skewed workload and emits a JSON latency report
 // in the prload report schema (loadgen.BenchDoc).
 //
-// Three targets:
-//
-//   - In-process (default): builds a graph and a snapshot-serving
-//     handler in this process and drives it directly — no sockets, so
-//     the measurement isolates the serving path.
-//   - Sharded (-shards N): runs N shard RPC workers on TCP loopback
-//     listeners over one shared snapshot, fronted by the exact top-k
-//     merge router, and drives the router. The shard hops cross real
-//     sockets, so the report gains a prload/network entry with the
-//     measured wire bytes per query.
-//   - Live (-url): drives a running prserve over real HTTP, measuring
-//     full round-trip latency.
-//
 // Usage:
 //
-//	prload -gen twitterlike -n 50000 -queries 4000 -warmup 500 -out LOAD.json
-//	prload -gen twitterlike -n 50000 -shards 4 -queries 4000
-//	prload -url http://localhost:8080 -queries 10000 -concurrency 16
-//	prload -gen twitterlike -n 50000 -open -rate 2000 -queries 8000
-//	prload -gen twitterlike -n 20000 -mix topk=1 -ramp 4
+//	prserve -gen twitterlike -n 50000 -addr 127.0.0.1:8080 &
+//	prload -url http://127.0.0.1:8080 -queries 4000 -warmup 500 -out LOAD.json
+//	prload -url http://127.0.0.1:8080 -queries 10000 -concurrency 16
+//	prload -url http://127.0.0.1:8080 -open -rate 2000 -queries 8000
+//	prload -url http://127.0.0.1:8080 -mix topk=1 -ramp 4
 //
 // The report lists, per endpoint and in aggregate: queries/s, latency
 // percentiles (p50/p90/p95/p99/max, milliseconds) and error counts.
-// Same -seed and flags reproduce the exact same query schedule. Exit
-// codes: 0 on a clean run, 1 when the run fails or any query errored,
-// 2 on usage errors.
+// Same -seed and flags against the same graph reproduce the exact same
+// query schedule. Exit codes: 0 on a clean run, 1 when the run fails or
+// any query errored, 2 on usage errors.
 //
-// Server-side counters ride along: after the run, prload reads the
-// target's Prometheus registry (in-process and sharded targets
-// directly; live targets via -metrics-url http://host:port/metrics)
-// and embeds cache hit rate, coalesced builds, epoch fallbacks and
-// degraded serves as a prload/server entry in the report, so the
-// report captures server behavior, not just client-side latency.
-// -metrics-out FILE additionally writes the raw exposition.
+// What the server publishes is asked, not passed. One GET /v1/stats
+// before the first query reads the vertex id space of rank and ppr
+// traffic (graph.vertices on a single node, the sum of shards[].owned
+// on a router); a server that cannot answer it fails the run there,
+// with its error envelope, before anything else is sent. <url>/metrics
+// is scraped before the first warmup query and after the last measured
+// one; what the counters did in between is the prload/server entry
+// (this run's cache hit rates, coalesced builds, degraded serves — not
+// the server's lifetime) and, from a router, prload/network (shard wire
+// bytes per query). A server without /metrics (404) gets neither.
+// -metrics-out FILE writes the second scrape as it came.
 package main
 
 import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -54,11 +46,9 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/graph/gio"
 	"repro/internal/loadgen"
 	"repro/internal/obs"
-	"repro/internal/router"
-	"repro/internal/serve"
+	"repro/internal/serve/api"
 )
 
 func main() {
@@ -67,30 +57,19 @@ func main() {
 	os.Exit(run(ctx, os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// options are prload's flags. The graph and engine flags it shares
-// with prserve and prshard — they shape the in-process targets — are
-// declared by src and build; -seed also fixes the workload, and -maxk
-// is also the upper bound of the k the workload draws.
+// options are prload's flags.
 type options struct {
-	src   gio.Source
-	build serve.BuildConfig
-	load  loadgen.Config
-
-	url, snapDir, mix, out, metricsURL, metricsOut string
-	shards                                         int
-	timeout                                        time.Duration
+	load                      loadgen.Config
+	url, mix, out, metricsOut string
+	timeout                   time.Duration
 }
 
 // newFlags declares prload's flag set, writing usage to stderr.
 func newFlags(stderr io.Writer) (*flag.FlagSet, *options) {
-	o := &options{src: gio.Source{Gen: "twitterlike", N: 50000, Seed: 1}}
+	o := &options{}
 	fs := flag.NewFlagSet("prload", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	o.src.RegisterFlags(fs)
-	o.build.RegisterFlags(fs)
-	fs.StringVar(&o.url, "url", "", "drive a live server at this base URL instead of in-process")
-	fs.StringVar(&o.snapDir, "snapshot-dir", "", "in-process: warm-start the served snapshot from this directory (and persist the built one there), like prserve")
-	fs.IntVar(&o.shards, "shards", 0, "sharded mode: run N shard RPC workers on TCP loopback and drive the merge router (0 = single-node in-process)")
+	fs.StringVar(&o.url, "url", "", "base URL of the running prserve (single node or router) to drive; required")
 	fs.IntVar(&o.load.Queries, "queries", 4000, "measured query count")
 	fs.IntVar(&o.load.Warmup, "warmup", 500, "warmup queries excluded from stats")
 	fs.IntVar(&o.load.Concurrency, "concurrency", 8, "closed-loop workers / open-loop stat shards")
@@ -99,10 +78,10 @@ func newFlags(stderr io.Writer) (*flag.FlagSet, *options) {
 	fs.Float64Var(&o.load.Rate, "rate", 0, "open-loop arrival rate, queries/s (required with -open)")
 	fs.StringVar(&o.mix, "mix", "", "query mix weights, e.g. topk=0.6,rank=0.3,stats=0.1 (default that; add ppr=W for personalized-PageRank traffic)")
 	fs.Float64Var(&o.load.ZipfS, "zipf-s", 1.1, "key-popularity Zipf exponent for k and vertex draws")
-	fs.IntVar(&o.load.Vertices, "vertices", 0, "rank-query vertex id space (default: the graph's size; required with -url when rank traffic is in the mix)")
+	fs.IntVar(&o.load.MaxK, "maxk", 100, "upper bound of the k that topk and ppr queries draw (keep it within the server's -maxk / -ppr-maxk)")
+	fs.Uint64Var(&o.load.Seed, "seed", 1, "schedule seed: fixes every query of the run")
 	fs.StringVar(&o.out, "out", "-", "report path ('-' = stdout)")
 	fs.DurationVar(&o.timeout, "timeout", 0, "abort the run after this long (0 = no limit)")
-	fs.StringVar(&o.metricsURL, "metrics-url", "", "with -url: scrape this /metrics endpoint after the run for the prload/server entry")
 	fs.StringVar(&o.metricsOut, "metrics-out", "", "write the server's Prometheus exposition here after the run")
 	return fs, o
 }
@@ -114,307 +93,211 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	o.build.Seed = o.src.Seed
-	cfg := o.load
-	cfg.Seed = o.src.Seed
-	cfg.MaxK = o.build.MaxK
-	if o.mix != "" {
-		m, err := parseMix(o.mix)
-		if err != nil {
-			fmt.Fprintf(stderr, "prload: %v\n", err)
-			fs.Usage()
-			return 2
-		}
-		cfg.Mix = m
-	}
-
-	// Workload-config mistakes (open loop without -rate, rank traffic
-	// against -url without -vertices, bad mix weights) are usage
-	// errors, caught before the potentially expensive graph and
-	// snapshot build. In-process runs fill Vertices from the graph, so
-	// a placeholder stands in for that one field here.
-	pre := cfg
-	if o.url == "" && pre.Vertices == 0 {
-		pre.Vertices = 1
-	}
-	if err := pre.Validate(); err != nil {
+	usage := func(err error) int {
 		fmt.Fprintf(stderr, "prload: %v\n", err)
 		fs.Usage()
 		return 2
 	}
-	if o.metricsOut != "" && o.url != "" && o.metricsURL == "" {
-		fmt.Fprintf(stderr, "prload: -metrics-out with -url needs -metrics-url to scrape\n")
-		fs.Usage()
-		return 2
+	fail := func(err error) int {
+		fmt.Fprintf(stderr, "prload: %v\n", err)
+		return 1
 	}
-
-	var target loadgen.Target
-	var rt *router.Router
-	var srv *serve.Server
-	env := map[string]string{"seed": strconv.FormatUint(o.src.Seed, 10)}
-	if o.url != "" {
-		target = loadgen.HTTPTarget{BaseURL: o.url, Client: &http.Client{}}
-		env["target"] = o.url
-	} else {
-		var vcount int
-		var err error
-		if o.shards > 0 {
-			shardCtx, stopShards := context.WithCancel(ctx)
-			defer stopShards()
-			rt, vcount, err = buildSharded(shardCtx, &o.src, o.build, o.shards)
-			target = loadgen.HandlerTarget{Handler: rt}
-			env["target"] = fmt.Sprintf("sharded(%d)", o.shards)
-			env["shards"] = strconv.Itoa(o.shards)
-		} else {
-			srv, vcount, err = buildInProcess(&o.src, o.build, o.snapDir)
-			target = loadgen.HandlerTarget{Handler: srv}
-			env["target"] = "in-process"
-		}
+	if o.url == "" {
+		return usage(errors.New("-url is required: prload drives a running prserve"))
+	}
+	base := strings.TrimSuffix(o.url, "/")
+	cfg := o.load
+	if o.mix != "" {
+		m, err := parseMix(o.mix)
 		if err != nil {
-			fmt.Fprintf(stderr, "prload: %v\n", err)
-			return 1
+			return usage(err)
 		}
-		if cfg.Vertices == 0 {
-			cfg.Vertices = vcount
-		}
-		env["engine"] = string(o.build.Engine)
-		env["graph"] = fmt.Sprintf("%s n=%d", o.src.Gen, vcount)
+		cfg.Mix = m
 	}
-
+	// Workload mistakes (open loop without -rate, bad mix weights) are usage
+	// errors; a placeholder stands in for the id space the server will name.
+	pre := cfg
+	pre.Vertices = 1
+	if err := pre.Validate(); err != nil {
+		return usage(err)
+	}
 	if o.timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, o.timeout)
 		defer cancel()
 	}
 
-	fmt.Fprintf(stderr, "prload: %d warmup + %d measured queries against %s\n",
-		cfg.Warmup, cfg.Queries, env["target"])
-	start := time.Now()
-	rep, err := loadgen.Run(ctx, cfg, target)
+	var err error
+	if cfg.Vertices, err = vertices(ctx, base); err != nil {
+		return fail(err)
+	}
+	before, _, err := scrape(ctx, base)
 	if err != nil {
-		fmt.Fprintf(stderr, "prload: %v\n", err)
-		return 1
+		return fail(err)
+	}
+	if before == nil && o.metricsOut != "" {
+		return fail(fmt.Errorf("-metrics-out: %s/metrics answered 404", base))
+	} else if before == nil {
+		fmt.Fprintf(stderr, "prload: %s/metrics answered 404: no prload/server entry\n", base)
+	}
+	fmt.Fprintf(stderr, "prload: %d warmup + %d measured queries against %s (%d vertices)\n", cfg.Warmup, cfg.Queries, base, cfg.Vertices)
+	start := time.Now()
+	rep, err := loadgen.Run(ctx, cfg, loadgen.NewHTTPTarget(base, cfg.Concurrency))
+	if err != nil {
+		return fail(err)
 	}
 	total := rep.Total()
 	fmt.Fprintf(stderr, "prload: %d queries in %.2fs (%.0f queries/s, %d errors, p99 %v)\n",
 		total.Count, time.Since(start).Seconds(), rep.QueriesPerSecond(),
 		total.Errors, total.Hist.QuantileDuration(0.99))
 
-	doc := rep.BenchDoc("prload", env)
-	if rt != nil {
-		// Measured wire traffic across the shard connections.
-		ns := rt.NetworkStats()
-		doc.Benchmarks = append(doc.Benchmarks, loadgen.BenchEntry{
-			Name:       "prload/network",
-			Iterations: int64(ns.Queries),
-			Metrics: map[string]float64{
-				"bytesPerQuery": ns.BytesPerQuery,
-				"bytesSent":     float64(ns.BytesSent),
-				"bytesRecv":     float64(ns.BytesRecv),
-			},
-		})
-		fmt.Fprintf(stderr, "prload: sharded wire traffic: %.0f bytes/query over %d queries (%d degraded, %d epoch fallbacks, %d retries)\n",
-			ns.BytesPerQuery, ns.Queries, rt.Degraded(), rt.EpochFallbacks(), rt.Retries())
-	}
-	exposition, err := gatherMetrics(srv, rt, o.metricsURL)
-	if err != nil {
-		fmt.Fprintf(stderr, "prload: metrics: %v\n", err)
-		return 1
-	}
-	if exposition != nil {
-		entry, err := serverEntry(exposition)
+	doc := rep.BenchDoc("prload", map[string]string{"seed": strconv.FormatUint(cfg.Seed, 10), "target": o.url})
+	if before != nil {
+		series, exposition, err := scrape(ctx, base)
 		if err != nil {
-			fmt.Fprintf(stderr, "prload: metrics: %v\n", err)
-			return 1
+			return fail(err)
 		}
-		doc.Benchmarks = append(doc.Benchmarks, entry)
+		for ref := range series {
+			series[ref] -= before[ref] // what the counter did during the run
+		}
+		doc.Benchmarks = append(doc.Benchmarks, serverEntries(series)...)
 		if o.metricsOut != "" {
 			if err := os.WriteFile(o.metricsOut, exposition, 0o644); err != nil {
-				fmt.Fprintf(stderr, "prload: %v\n", err)
-				return 1
+				return fail(err)
 			}
 		}
-	} else if o.metricsOut != "" {
-		fmt.Fprintf(stderr, "prload: -metrics-out needs an in-process target or -metrics-url\n")
-		return 2
 	}
 	data, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
-		fmt.Fprintf(stderr, "prload: %v\n", err)
-		return 1
+		return fail(err)
 	}
 	data = append(data, '\n')
 	if o.out == "-" {
 		stdout.Write(data)
 	} else if err := os.WriteFile(o.out, data, 0o644); err != nil {
-		fmt.Fprintf(stderr, "prload: %v\n", err)
-		return 1
+		return fail(err)
 	}
 	if total.Errors > 0 {
-		fmt.Fprintf(stderr, "prload: %d queries failed\n", total.Errors)
-		return 1
+		return fail(fmt.Errorf("%d queries failed", total.Errors))
 	}
 	return 0
 }
 
-// gatherMetrics returns the target's Prometheus exposition after the
-// run: rendered straight from the in-process registry (single-node or
-// router target), fetched over HTTP when -metrics-url names a live
-// endpoint, nil when the target exposes neither.
-func gatherMetrics(srv *serve.Server, rt *router.Router, metricsURL string) ([]byte, error) {
-	if metricsURL != "" {
-		resp, err := http.Get(metricsURL)
-		if err != nil {
-			return nil, err
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return nil, fmt.Errorf("GET %s: status %d", metricsURL, resp.StatusCode)
-		}
-		return io.ReadAll(resp.Body)
+// get fetches url; a status other than 200 is an error carrying the
+// body, which from this service is the JSON error envelope.
+func get(ctx context.Context, url string) ([]byte, int, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+	if err != nil {
+		return nil, 0, err
 	}
-	var reg *obs.Registry
-	switch {
-	case rt != nil:
-		reg = rt.Metrics()
-	case srv != nil:
-		reg = srv.Metrics()
-	default:
-		return nil, nil
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		return nil, 0, err
 	}
-	var buf bytes.Buffer
-	if err := reg.WritePrometheus(&buf); err != nil {
-		return nil, err
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err == nil && resp.StatusCode != http.StatusOK {
+		err = fmt.Errorf("GET %s: status %d: %s", url, resp.StatusCode, bytes.TrimSpace(body))
 	}
-	return buf.Bytes(), nil
+	return body, resp.StatusCode, err
 }
 
-// serverEntry condenses the exposition into the prload/server report
-// entry. Absent families read as 0 (a router exposition has no serve_*
-// families and vice versa), so one entry shape covers both targets.
-func serverEntry(exposition []byte) (loadgen.BenchEntry, error) {
-	series, err := obs.ParseText(exposition)
+// vertices asks the server at base for the id space of rank and ppr
+// traffic: a single node's /v1/stats names its graph's vertex count, a
+// router's lists how many vertices each shard owns.
+func vertices(ctx context.Context, base string) (int, error) {
+	body, _, err := get(ctx, base+"/v1/stats")
 	if err != nil {
-		return loadgen.BenchEntry{}, err
+		return 0, err
 	}
-	requests := obs.FamilySum(series, "serve_requests_total") +
-		obs.FamilySum(series, "router_requests_total")
-	topkHits := obs.FamilySum(series, "serve_topk_cache_hits_total")
-	topkReqs := series[`serve_request_seconds_count{endpoint="topk"}`]
-	hitRate := 0.0
-	if topkReqs > 0 {
-		hitRate = topkHits / topkReqs
+	var st struct {
+		Graph  api.GraphStats    `json:"graph"`
+		Shards []api.ShardStatus `json:"shards"`
 	}
-	pprHits := obs.FamilySum(series, "ppr_cache_hits_total")
-	pprReqs := obs.FamilySum(series, "ppr_requests_total")
-	pprHitRate := 0.0
-	if pprReqs > 0 {
-		pprHitRate = pprHits / pprReqs
+	if err := json.Unmarshal(body, &st); err != nil {
+		return 0, fmt.Errorf("GET %s/v1/stats: %w", base, err)
 	}
-	pageHits := obs.FamilySum(series, "graph_page_cache_hits_total")
-	pageMisses := obs.FamilySum(series, "graph_page_cache_misses_total")
-	pageHitRate := 0.0
-	if pageHits+pageMisses > 0 {
-		pageHitRate = pageHits / (pageHits + pageMisses)
+	n := st.Graph.Vertices
+	for _, sh := range st.Shards {
+		n += sh.Owned
 	}
-	walkSteps := obs.FamilySum(series, "ppr_walk_steps_total")
-	walkLocal := obs.FamilySum(series, "ppr_walk_page_local_steps_total")
-	walkWaits := obs.FamilySum(series, "ppr_walk_waits_total")
-	walkLocality, walkWaitRate := 0.0, 0.0
-	if walkSteps > 0 {
-		walkLocality = walkLocal / walkSteps
-		walkWaitRate = walkWaits / walkSteps
+	return n, nil
+}
+
+// scrape fetches and parses base's Prometheus exposition, which both
+// planes mount on the query listener; all nil when it is not there.
+func scrape(ctx context.Context, base string) (map[string]float64, []byte, error) {
+	exposition, status, err := get(ctx, base+"/metrics")
+	if status == http.StatusNotFound {
+		return nil, nil, nil
 	}
-	return loadgen.BenchEntry{
+	if err != nil {
+		return nil, nil, err
+	}
+	series, err := obs.ParseText(exposition)
+	return series, exposition, err
+}
+
+// ratio is num/den, 0 when nothing was counted.
+func ratio(num, den float64) float64 {
+	if den == 0 {
+		return 0
+	}
+	return num / den
+}
+
+// serverEntries condenses what the server's counters did during the
+// run into report entries. prload/server is always there: absent
+// families read as 0 (a router exposition has no serve_* families and
+// vice versa), so one shape covers both targets. A router's series put
+// prload/network, the shard wire bytes per routed query, in front of it.
+func serverEntries(series map[string]float64) []loadgen.BenchEntry {
+	sum := func(family string) float64 { return obs.FamilySum(series, family) }
+	requests := sum("serve_requests_total") + sum("router_requests_total")
+	topkHits := sum("serve_topk_cache_hits_total")
+	pprHits, pprReqs := sum("ppr_cache_hits_total"), sum("ppr_requests_total")
+	pageHits, pageMisses := sum("graph_page_cache_hits_total"), sum("graph_page_cache_misses_total")
+	walkSteps := sum("ppr_walk_steps_total")
+	var entries []loadgen.BenchEntry
+	if routed, router := series["router_requests_total"]; router {
+		sent, recv := sum("router_shard_bytes_sent_total"), sum("router_shard_bytes_recv_total")
+		entries = append(entries, loadgen.BenchEntry{
+			Name:       "prload/network",
+			Iterations: int64(routed),
+			Metrics:    map[string]float64{"bytesPerQuery": ratio(sent+recv, routed), "bytesSent": sent, "bytesRecv": recv},
+		})
+	}
+	return append(entries, loadgen.BenchEntry{
 		Name:       "prload/server",
 		Iterations: int64(requests),
 		Metrics: map[string]float64{
 			"requests":        requests,
 			"topkCacheHits":   topkHits,
-			"cacheHitRate":    hitRate,
-			"coalesced":       obs.FamilySum(series, "serve_coalesced_total"),
-			"epochFallbacks":  obs.FamilySum(series, "router_epoch_fallbacks_total"),
-			"topkIndexHits":   obs.FamilySum(series, "router_topk_index_hits_total"),
-			"topkRefetches":   obs.FamilySum(series, "router_topk_refetches_total"),
-			"rankRouted":      obs.FamilySum(series, "router_rank_routed_total"),
-			"degradedServes":  obs.FamilySum(series, "router_degraded_total"),
-			"rpcRetries":      obs.FamilySum(series, "router_shard_rpc_retries_total"),
+			"cacheHitRate":    ratio(topkHits, series[`serve_request_seconds_count{endpoint="topk"}`]),
+			"coalesced":       sum("serve_coalesced_total"),
+			"epochFallbacks":  sum("router_epoch_fallbacks_total"),
+			"topkIndexHits":   sum("router_topk_index_hits_total"),
+			"topkRefetches":   sum("router_topk_refetches_total"),
+			"rankRouted":      sum("router_rank_routed_total"),
+			"degradedServes":  sum("router_degraded_total"),
+			"rpcRetries":      sum("router_shard_rpc_retries_total"),
 			"pprQueries":      pprReqs,
 			"pprCacheHits":    pprHits,
-			"pprCacheHitRate": pprHitRate,
-			"pprWalks":        obs.FamilySum(series, "ppr_walks_total"),
-			"pprTruncated":    obs.FamilySum(series, "ppr_truncated_total"),
-			"pprUnsupported":  obs.FamilySum(series, "router_ppr_unsupported_total"),
+			"pprCacheHitRate": ratio(pprHits, pprReqs),
+			"pprWalks":        sum("ppr_walks_total"),
+			"pprTruncated":    sum("ppr_truncated_total"),
+			"pprUnsupported":  sum("router_ppr_unsupported_total"),
 			// Page-cache behavior under a -graph-mem budget; all 0 for
 			// fully resident graphs.
 			"pageCacheHits":      pageHits,
 			"pageCacheMisses":    pageMisses,
-			"pageCacheHitRate":   pageHitRate,
-			"pageCacheEvictions": obs.FamilySum(series, "graph_page_cache_evictions_total"),
+			"pageCacheHitRate":   ratio(pageHits, pageHits+pageMisses),
+			"pageCacheEvictions": sum("graph_page_cache_evictions_total"),
 			"walkSteps":          walkSteps,
-			"walkPageLocality":   walkLocality,
-			"walkWaitRate":       walkWaitRate, // the share of steps that waited for a page load
+			"walkPageLocality":   ratio(sum("ppr_walk_page_local_steps_total"), walkSteps),
+			"walkWaitRate":       ratio(sum("ppr_walk_waits_total"), walkSteps), // the share of steps that waited for a page load
 		},
-	}, nil
-}
-
-// buildSharded assembles the in-process sharded target: one graph and
-// one deterministic snapshot shared by N shard RPC workers, each
-// serving its HDRF partition on a TCP loopback listener, fronted by
-// the merge router. The sockets are real, so the router's byte meters
-// measure actual wire traffic per query. The workers live until ctx is
-// cancelled.
-func buildSharded(ctx context.Context, src *gio.Source, build serve.BuildConfig, shards int) (*router.Router, int, error) {
-	g, err := src.Open()
-	if err != nil {
-		return nil, 0, err
-	}
-	snap, err := serve.Build(g, build)
-	if err != nil {
-		return nil, 0, err
-	}
-	store := serve.NewStore()
-	store.Publish(snap)
-
-	owned, err := router.Partition(g, shards, build.Seed)
-	if err != nil {
-		return nil, 0, err
-	}
-	clients := make([]*router.ShardClient, shards)
-	for i := 0; i < shards; i++ {
-		srv := router.NewShardServer(i, shards, owned[i], store)
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, 0, err
-		}
-		go srv.Serve(ctx, ln) //nolint:errcheck // lives until ctx cancel
-		addr := ln.Addr().String()
-		clients[i] = router.NewShardClient(i, addr, router.DialTCP(addr), 5*time.Second)
-	}
-	return router.New(clients, router.Options{Timeout: 5 * time.Second}), g.NumVertices(), nil
-}
-
-// buildInProcess assembles the in-process serving handler: load or
-// generate the graph (through the mmap-able gstore cache when
-// -graph-cache is set), compute or warm-start the snapshot (through
-// -snapshot-dir), wrap it in the query API.
-func buildInProcess(src *gio.Source, build serve.BuildConfig, snapDir string) (*serve.Server, int, error) {
-	g, err := src.Open()
-	if err != nil {
-		return nil, 0, err
-	}
-	srv, _, err := serve.NewService(g, serve.ServiceConfig{
-		Build:       build,
-		SnapshotDir: snapDir,
-		// The workload draws ppr k on the same [1, maxK] range as topk
-		// k, so the endpoint's k bound must track the flag or a raised
-		// -maxk would turn ppr traffic into 400s.
-		PPR: serve.PPROptions{MaxK: build.MaxK},
 	})
-	if err != nil {
-		return nil, 0, err
-	}
-	return srv, g.NumVertices(), nil
 }
 
 // parseMix parses "topk=0.45,rank=0.25,ppr=0.2,stats=0.1" (weights are

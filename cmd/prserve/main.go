@@ -95,7 +95,7 @@ func main() {
 }
 
 // options are prserve's flags. The graph and engine flags it shares
-// with prshard and prload are declared by src and build.
+// with prshard are declared by src and build.
 type options struct {
 	src   gio.Source
 	build serve.BuildConfig
@@ -128,7 +128,6 @@ func newFlags(stderr io.Writer) (*flag.FlagSet, *options) {
 
 	fs.IntVar(&o.ppr.WalksPerSource, "ppr-walks", 0, "/v1/ppr walks per source when the budget allows (0 = 2000)")
 	fs.IntVar(&o.ppr.WalkBudget, "ppr-budget", 0, "/v1/ppr hard per-request walk budget; over-budget requests run fewer walks per source and set truncated (0 = 16384)")
-	fs.IntVar(&o.ppr.MaxWalkLen, "ppr-max-walk-len", 0, "/v1/ppr geometric walk length cap (0 = 64)")
 	fs.IntVar(&o.ppr.MaxK, "ppr-maxk", 0, "/v1/ppr k parameter upper bound (0 = 100)")
 	fs.IntVar(&o.ppr.MaxSources, "ppr-max-sources", 0, "/v1/ppr source set size limit (0 = 16)")
 	fs.IntVar(&o.ppr.CacheSize, "ppr-cache", 0, "/v1/ppr hot-source LRU capacity in responses (0 = 1024, negative disables)")

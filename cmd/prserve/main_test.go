@@ -76,7 +76,6 @@ func TestFlagSurface(t *testing.T) {
 		{"ppr-budget", "0"},
 		{"ppr-cache", "0"},
 		{"ppr-max-sources", "0"},
-		{"ppr-max-walk-len", "0"},
 		{"ppr-maxk", "0"},
 		{"ppr-walks", "0"},
 		{"pprof-addr", ""},
@@ -229,5 +228,87 @@ func TestRouterModeMatchesSingleNode(t *testing.T) {
 	}
 	if code := single.stop(); code != 0 {
 		t.Errorf("single node exit %d after cancel, want 0", code)
+	}
+}
+
+// TestRunGraphCache pins the -graph-cache protocol end to end: the
+// first run builds the graph and writes the gstore cache, the second
+// maps it (same answers, file untouched), a cache that contradicts the
+// generation flags is refused, and a corrupt one is a hard failure.
+func TestRunGraphCache(t *testing.T) {
+	cache := filepath.Join(t.TempDir(), "g.csr")
+	args := append([]string{"-graph-cache", cache}, tinyGraph...)
+
+	first := startPrserve(t, args...)
+	_, built := first.get(t, "/v1/topk?k=10")
+	if code := first.stop(); code != 0 {
+		t.Fatalf("first run exit %d", code)
+	}
+	written, err := os.ReadFile(cache)
+	if err != nil {
+		t.Fatalf("cache not written: %v", err)
+	}
+	second := startPrserve(t, args...)
+	if code, cached := second.get(t, "/v1/topk?k=10"); code != http.StatusOK || cached != built {
+		t.Errorf("cached run answers %d %s, the building run answered %s", code, cached, built)
+	}
+	if code := second.stop(); code != 0 {
+		t.Fatalf("cached run exit %d", code)
+	}
+	if now, err := os.ReadFile(cache); err != nil || !bytes.Equal(now, written) {
+		t.Errorf("cached run rewrote the cache (read error %v)", err)
+	}
+
+	// A cache hit that contradicts the generation flags is refused.
+	var stderr bytes.Buffer
+	mismatch := append([]string{"-addr", "127.0.0.1:0", "-graph-cache", cache}, "-gen", "twitterlike", "-n", "1234")
+	if code := run(context.Background(), mismatch, &stderr, nil); code != 1 || !strings.Contains(stderr.String(), "delete the cache") {
+		t.Fatalf("stale cache exit %d (want 1), stderr: %s", code, stderr.String())
+	}
+
+	written[len(written)/2] ^= 0xff
+	if err := os.WriteFile(cache, written, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if code := run(context.Background(), append([]string{"-addr", "127.0.0.1:0"}, args...), io.Discard, nil); code != 1 {
+		t.Fatalf("corrupt cache exit %d, want 1", code)
+	}
+}
+
+// TestRunSnapshotDir: the first run persists its snapshot, the second
+// warm-starts from it. With no -refresh a cold start serves epoch 1
+// forever; only a warm start, which replaces the restored estimate
+// once in the background, ever publishes epoch 2.
+func TestRunSnapshotDir(t *testing.T) {
+	dir := t.TempDir()
+	args := append([]string{"-snapshot-dir", dir}, tinyGraph...)
+
+	first := startPrserve(t, args...)
+	if code, body := first.get(t, "/v1/topk?k=5"); code != http.StatusOK || !strings.Contains(body, `"epoch":1,`) {
+		t.Fatalf("cold start: %d %s", code, body)
+	}
+	if code := first.stop(); code != 0 {
+		t.Fatalf("first run exit %d", code)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "snapshot.fws")); err != nil {
+		t.Fatalf("snapshot not persisted: %v", err)
+	}
+
+	second := startPrserve(t, args...)
+	deadline := time.Now().Add(60 * time.Second)
+	for {
+		code, body := second.get(t, "/v1/topk?k=5")
+		if code != http.StatusOK {
+			t.Fatalf("warm start: %d %s", code, body)
+		}
+		if strings.Contains(body, `"epoch":2,`) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no epoch 2 after a restart on a persisted epoch 1: not a warm start (%s)", body)
+		}
+	}
+	if code := second.stop(); code != 0 {
+		t.Fatalf("warm run exit %d", code)
 	}
 }

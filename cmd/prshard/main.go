@@ -55,7 +55,7 @@ func main() {
 }
 
 // options are prshard's flags. The graph and engine flags it shares
-// with prserve and prload are declared by src and build.
+// with prserve are declared by src and build.
 type options struct {
 	src   gio.Source
 	build serve.BuildConfig

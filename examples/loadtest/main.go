@@ -1,19 +1,22 @@
-// Loadtest: build the top-k PageRank query service in-process and
-// drive it with the deterministic load generator — Zipf-skewed
-// topk/rank/stats traffic with a warmup phase — then print per-endpoint
-// throughput and latency percentiles, in both closed-loop (workers
-// issue back-to-back) and open-loop (fixed Poisson arrival schedule)
-// disciplines. Same seed, same query sequence, every run; this is the
-// measurement pipeline cmd/prload runs.
+// Loadtest: serve the top-k PageRank query service on a loopback port
+// and drive it over the socket, as cmd/prload drives a prserve, with
+// the deterministic load generator — Zipf-skewed topk/rank/stats
+// traffic with a warmup phase — then print per-endpoint throughput and
+// latency percentiles, in both closed-loop (workers issue back-to-back)
+// and open-loop (fixed Poisson arrival schedule) disciplines. Same
+// seed, same query sequence, every run; this is the measurement
+// pipeline cmd/prload runs.
 package main
 
 import (
 	"context"
 	"fmt"
 	"log"
+	"net"
 	"time"
 
 	"repro"
+	"repro/internal/obs"
 )
 
 func main() {
@@ -36,7 +39,15 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("snapshot built in %.2fs; driving the handler in-process\n\n", time.Since(start).Seconds())
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		log.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- obs.ServeListener(ctx, ln, handler) }()
+	base := "http://" + ln.Addr().String()
+	fmt.Printf("snapshot built in %.2fs; serving on %s\n\n", time.Since(start).Seconds(), base)
 
 	// Closed loop: 8 workers issue queries back-to-back, so offered
 	// load adapts to the service rate and throughput is the headline.
@@ -47,7 +58,7 @@ func main() {
 		Concurrency: 8,
 		Vertices:    g.NumVertices(),
 	}
-	rep, err := repro.RunLoadTest(context.Background(), closed, handler)
+	rep, err := repro.RunLoadTest(ctx, closed, base)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -60,12 +71,17 @@ func main() {
 	open := closed
 	open.OpenLoop = true
 	open.Rate = 20000
-	rep, err = repro.RunLoadTest(context.Background(), open, handler)
+	rep, err = repro.RunLoadTest(ctx, open, base)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nopen loop (Poisson arrivals at 20000 queries/s):\n")
 	printReport(rep)
+
+	cancel()
+	if err := <-done; err != nil {
+		log.Fatal(err)
+	}
 }
 
 // printReport renders per-endpoint and aggregate stats.

@@ -454,7 +454,7 @@ func SerialWalkParallel(g *graph.Graph, walkers, iterations int, pT float64, see
 		stream := rng.DeriveValue(seed, 0x5E4, uint64(i))
 		start := graph.VertexID(stream.Intn(n))
 		left := walk.Length(&stream, pT, iterations)
-		s.Add(stream, start, left, 0)
+		s.Add(stream, start, left)
 	})
 	return counts, nil
 }

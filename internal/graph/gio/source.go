@@ -14,7 +14,7 @@ import (
 )
 
 // Source says where a serving binary's graph comes from. Its fields are
-// the seven flags prserve, prshard and prload share (RegisterFlags), and
+// the seven flags prserve and prshard share (RegisterFlags), and
 // Open is the one implementation of the protocol behind them.
 type Source struct {
 	Path    string // -graph: a file in any format Load detects

@@ -404,19 +404,8 @@ func ComputeStats(g *Graph) Stats {
 // graph is well-formed.
 // On paged graphs the adjacency checks stream through the page cache.
 func (g *Graph) Validate() error {
-	if len(g.outOff) != g.n+1 || len(g.inOff) != g.n+1 {
-		return errors.New("graph: offset array length mismatch")
-	}
-	if g.outOff[0] != 0 || g.inOff[0] != 0 {
-		return errors.New("graph: offsets must start at 0")
-	}
-	for v := 0; v < g.n; v++ {
-		if g.outOff[v+1] < g.outOff[v] || g.inOff[v+1] < g.inOff[v] {
-			return fmt.Errorf("graph: non-monotone offsets at vertex %d", v)
-		}
-	}
-	if g.outOff[g.n] != g.m || g.inOff[g.n] != g.m {
-		return errors.New("graph: offset totals do not match the edge count")
+	if err := checkOffsets(g.n, g.outOff, g.inOff, g.m); err != nil {
+		return err
 	}
 	if g.pager == nil {
 		if g.outOff[g.n] != int64(len(g.outAdj)) || g.inOff[g.n] != int64(len(g.inAdj)) {

@@ -100,22 +100,8 @@ func FromPagedCSR(c PagedCSR) (*Graph, error) {
 		return fail(errors.New("graph: paged CSR needs a pager"))
 	}
 	n := c.NumVertices
-	if n < 0 {
-		return fail(errors.New("graph: negative vertex count"))
-	}
-	if len(c.OutOff) != n+1 || len(c.InOff) != n+1 {
-		return fail(fmt.Errorf("graph: offset lengths %d/%d for n=%d", len(c.OutOff), len(c.InOff), n))
-	}
-	if c.OutOff[0] != 0 || c.InOff[0] != 0 {
-		return fail(errors.New("graph: offsets must start at 0"))
-	}
-	for v := 0; v < n; v++ {
-		if c.OutOff[v+1] < c.OutOff[v] || c.InOff[v+1] < c.InOff[v] {
-			return fail(fmt.Errorf("graph: non-monotone offsets at vertex %d", v))
-		}
-	}
-	if c.OutOff[n] != c.NumEdges || c.InOff[n] != c.NumEdges {
-		return fail(fmt.Errorf("graph: offset totals %d/%d for m=%d", c.OutOff[n], c.InOff[n], c.NumEdges))
+	if err := checkOffsets(n, c.OutOff, c.InOff, c.NumEdges); err != nil {
+		return fail(err)
 	}
 	if err := checkPerm(n, c.Perm); err != nil {
 		return fail(err)

@@ -33,37 +33,31 @@ type CSR struct {
 // NumEdges returns the directed edge count the arrays encode.
 func (c CSR) NumEdges() int64 { return int64(len(c.OutAdj)) }
 
-// checkOffsets verifies the structural invariants FromCSR relies on to
-// slice adjacency safely: correct lengths, offsets starting at zero,
-// monotone, and totals matching the adjacency lengths. It is O(n) and
-// deliberately does not look at the adjacency values themselves — that
-// O(E) pass is Graph.Validate, opt-in at load time.
-func (c CSR) checkOffsets() error {
-	n := c.NumVertices
+// checkOffsets verifies the structural invariants every graph
+// constructor relies on to slice adjacency safely: correct lengths,
+// offsets starting at zero, monotone, and both totals equal to the edge
+// count m. It is O(n) and deliberately does not look at the adjacency
+// values themselves — that O(E) pass is Graph.Validate, opt-in at load
+// time.
+func checkOffsets(n int, outOff, inOff []int64, m int64) error {
 	if n < 0 {
 		return errors.New("graph: negative vertex count")
 	}
-	if len(c.OutOff) != n+1 || len(c.InOff) != n+1 {
-		return fmt.Errorf("graph: offset lengths %d/%d for n=%d", len(c.OutOff), len(c.InOff), n)
+	if len(outOff) != n+1 || len(inOff) != n+1 {
+		return fmt.Errorf("graph: offset lengths %d/%d for n=%d", len(outOff), len(inOff), n)
 	}
-	if c.OutOff[0] != 0 || c.InOff[0] != 0 {
+	if outOff[0] != 0 || inOff[0] != 0 {
 		return errors.New("graph: offsets must start at 0")
 	}
 	for v := 0; v < n; v++ {
-		if c.OutOff[v+1] < c.OutOff[v] || c.InOff[v+1] < c.InOff[v] {
+		if outOff[v+1] < outOff[v] || inOff[v+1] < inOff[v] {
 			return fmt.Errorf("graph: non-monotone offsets at vertex %d", v)
 		}
 	}
-	if c.OutOff[n] != int64(len(c.OutAdj)) {
-		return fmt.Errorf("graph: out offsets total %d but %d out-neighbors", c.OutOff[n], len(c.OutAdj))
+	if outOff[n] != m || inOff[n] != m {
+		return fmt.Errorf("graph: offset totals %d/%d for m=%d", outOff[n], inOff[n], m)
 	}
-	if c.InOff[n] != int64(len(c.InAdj)) {
-		return fmt.Errorf("graph: in offsets total %d but %d in-neighbors", c.InOff[n], len(c.InAdj))
-	}
-	if len(c.OutAdj) != len(c.InAdj) {
-		return errors.New("graph: out/in edge count mismatch")
-	}
-	return checkPerm(n, c.Perm)
+	return nil
 }
 
 // FromCSR wraps pre-built CSR arrays in a Graph without copying. The
@@ -75,11 +69,20 @@ func (c CSR) checkOffsets() error {
 // loading from untrusted bytes should follow up with Graph.Validate —
 // checksummed formats may skip it.
 func FromCSR(c CSR, backing io.Closer) (*Graph, error) {
-	if err := c.checkOffsets(); err != nil {
+	fail := func(err error) (*Graph, error) {
 		if backing != nil {
 			backing.Close()
 		}
 		return nil, err
+	}
+	if err := checkOffsets(c.NumVertices, c.OutOff, c.InOff, int64(len(c.OutAdj))); err != nil {
+		return fail(err)
+	}
+	if len(c.OutAdj) != len(c.InAdj) {
+		return fail(errors.New("graph: out/in edge count mismatch"))
+	}
+	if err := checkPerm(c.NumVertices, c.Perm); err != nil {
+		return fail(err)
 	}
 	return &Graph{
 		n:       c.NumVertices,

@@ -6,9 +6,12 @@ import (
 	"errors"
 	"fmt"
 	"maps"
+	"net"
 	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"slices"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -279,10 +282,10 @@ func TestRunCancellation(t *testing.T) {
 	}
 }
 
-// TestRunAgainstServeHandler drives a real serve.Server in-process on
-// a small power-law graph: every query must succeed, which pins the
-// op→URL rendering against the actual API (bad k or vertex ranges
-// would surface as 4xx errors here).
+// TestRunAgainstServeHandler drives a real serve.Server over a loopback
+// socket on a small power-law graph: every query must succeed, which
+// pins the op→URL rendering against the actual API (bad k or vertex
+// ranges would surface as 4xx errors here).
 func TestRunAgainstServeHandler(t *testing.T) {
 	g, err := gen.PowerLaw(gen.TwitterLike(2000, 3))
 	if err != nil {
@@ -294,11 +297,13 @@ func TestRunAgainstServeHandler(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
 	cfg := Config{
 		Seed: 11, Queries: 400, Warmup: 50, Concurrency: 4,
 		Vertices: g.NumVertices(), MaxK: 50,
 	}
-	rep, err := Run(context.Background(), cfg, HandlerTarget{Handler: srv})
+	rep, err := Run(context.Background(), cfg, NewHTTPTarget(ts.URL, cfg.Concurrency))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,14 +322,14 @@ func TestRunAgainstServeHandler(t *testing.T) {
 	if srv.Queries() != 450 {
 		t.Errorf("server counted %d queries, want 450", srv.Queries())
 	}
-	doc := rep.BenchDoc("prload", map[string]string{"target": "in-process"})
+	doc := rep.BenchDoc("prload", map[string]string{"target": ts.URL})
 	if len(doc.Benchmarks) < 2 || doc.Benchmarks[0].Name != "prload/all" {
 		t.Fatalf("bench doc shape wrong: %+v", doc.Benchmarks)
 	}
 	if doc.Benchmarks[0].Metrics["queries/s"] <= 0 {
 		t.Error("bench doc missing throughput")
 	}
-	if doc.Env["target"] != "in-process" {
+	if doc.Env["target"] != ts.URL {
 		t.Error("bench doc env not merged")
 	}
 
@@ -375,12 +380,14 @@ func TestRunAgainstServeHandler404(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
 	cfg := Config{
 		Seed: 5, Queries: 200, Concurrency: 2,
 		Mix:      Mix{Rank: 1},
 		Vertices: g.NumVertices() * 10, // most ids miss
 	}
-	rep, err := Run(context.Background(), cfg, HandlerTarget{Handler: srv})
+	rep, err := Run(context.Background(), cfg, NewHTTPTarget(ts.URL, cfg.Concurrency))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,9 +401,45 @@ func TestRunAgainstServeHandler404(t *testing.T) {
 }
 
 func TestHTTPTargetBadURL(t *testing.T) {
-	res := HTTPTarget{BaseURL: "http://127.0.0.1:0"}.Do(context.Background(), Op{Endpoint: EndpointStats})
+	res := NewHTTPTarget("http://127.0.0.1:0", 1).Do(context.Background(), Op{Endpoint: EndpointStats})
 	if res.Err == nil {
 		t.Fatal("dial to port 0 succeeded?")
+	}
+}
+
+// TestHTTPTargetReusesConnections: a run opens no more connections than
+// it has requests in flight, however its requests are spaced. The gaps
+// matter: a worker that finds the transport's idle pool full on its way
+// back closes its connection and dials again for the next request, and
+// http.DefaultTransport keeps two per host.
+func TestHTTPTargetReusesConnections(t *testing.T) {
+	const conc = 8
+	for _, cfg := range []Config{
+		{Seed: 3, Queries: 400, Warmup: 40, Concurrency: conc, Mix: Mix{Stats: 1}},
+		{Seed: 3, Queries: 400, Concurrency: conc, Mix: Mix{Stats: 1}, OpenLoop: true, Rate: 4000},
+	} {
+		var opened atomic.Int64
+		ts := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			time.Sleep(200 * time.Microsecond) // requests overlap and return at scattered times
+			w.Write([]byte("{}"))
+		}))
+		ts.Config.ConnState = func(_ net.Conn, state http.ConnState) {
+			if state == http.StateNew {
+				opened.Add(1)
+			}
+		}
+		ts.Start()
+		rep, err := Run(context.Background(), cfg, NewHTTPTarget(ts.URL, conc))
+		ts.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if total := rep.Total(); total.Count != 400 || total.Errors != 0 {
+			t.Fatalf("open=%v: %d queries, %d errors", cfg.OpenLoop, total.Count, total.Errors)
+		}
+		if n := opened.Load(); n > conc {
+			t.Errorf("open=%v: %d connections opened for %d requests in flight at most", cfg.OpenLoop, n, conc)
+		}
 	}
 }
 

@@ -1,7 +1,6 @@
 package loadgen
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -29,85 +28,41 @@ func decodeEnvelope(status int, body []byte) error {
 	return fmt.Errorf("status %d", status)
 }
 
-// HandlerTarget drives an http.Handler in-process (no sockets, no
-// serialization over a wire): each op becomes a GET served directly by
-// Handler.ServeHTTP into a discarding response sink. This measures the
-// pure serving path — snapshot lookup, selection, JSON marshal —
-// independent of the runner's loopback stack.
-type HandlerTarget struct {
-	Handler http.Handler
-}
-
-// Do implements Target.
-func (t HandlerTarget) Do(ctx context.Context, op Op) Result {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, op.URL(), nil)
-	if err != nil {
-		return Result{Err: err}
-	}
-	sink := &responseSink{status: http.StatusOK}
-	start := time.Now()
-	t.Handler.ServeHTTP(sink, req)
-	res := Result{Latency: time.Since(start), Status: sink.status}
-	if sink.status >= 400 {
-		res.Err = decodeEnvelope(sink.status, sink.errBody.Bytes())
-	}
-	return res
-}
-
-// responseSink is a minimal http.ResponseWriter that discards success
-// bodies (so the handler's marshal work is fully exercised without
-// buffering responses) but keeps the first bytes of failure bodies,
-// so the shared error envelope can be surfaced.
-type responseSink struct {
-	header  http.Header
-	status  int
-	errBody bytes.Buffer
-}
-
-func (s *responseSink) Header() http.Header {
-	if s.header == nil {
-		s.header = make(http.Header)
-	}
-	return s.header
-}
-
-func (s *responseSink) Write(p []byte) (int, error) {
-	if s.status >= 400 && s.errBody.Len() < maxErrorBody {
-		keep := p
-		if room := maxErrorBody - s.errBody.Len(); len(keep) > room {
-			keep = keep[:room]
-		}
-		s.errBody.Write(keep)
-	}
-	return len(p), nil
-}
-
-func (s *responseSink) WriteHeader(status int) { s.status = status }
-
 // HTTPTarget drives a live server over real HTTP, measuring full
 // round-trip latency including the network stack. Bodies are drained
 // so keep-alive connections are reused; failure bodies are decoded
-// into the shared error envelope.
+// into the shared error envelope. Make one with NewHTTPTarget.
 type HTTPTarget struct {
 	// BaseURL is the server root, e.g. "http://localhost:8080".
 	BaseURL string
-	// Client defaults to a dedicated client with keep-alives.
-	Client *http.Client
+	client  *http.Client
+}
+
+// NewHTTPTarget returns a target for the server at baseURL with a
+// connection pool of conns, one per concurrent request of the run. The
+// pool keeps that many idle — with fewer (http.DefaultTransport keeps
+// two per host) a worker returning to a full pool closes its connection
+// and the report times the TCP handshake of its next request — and
+// opens no more: a request that finds its connection still on its way
+// back to the pool waits for it.
+func NewHTTPTarget(baseURL string, conns int) HTTPTarget {
+	return HTTPTarget{BaseURL: baseURL, client: &http.Client{Transport: &http.Transport{
+		MaxIdleConns:        conns,
+		MaxIdleConnsPerHost: conns,
+		MaxConnsPerHost:     conns,
+		IdleConnTimeout:     90 * time.Second,
+	}}}
 }
 
 // Do implements Target.
 func (t HTTPTarget) Do(ctx context.Context, op Op) Result {
-	client := t.Client
-	if client == nil {
-		client = http.DefaultClient
-	}
 	url := strings.TrimSuffix(t.BaseURL, "/") + op.URL()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
 		return Result{Err: err}
 	}
 	start := time.Now()
-	resp, err := client.Do(req)
+	resp, err := t.client.Do(req)
 	if err != nil {
 		return Result{Latency: time.Since(start), Err: err}
 	}

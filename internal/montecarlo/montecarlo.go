@@ -110,7 +110,7 @@ func Run(g *graph.Graph, cfg Config) (*Result, error) {
 	counts, steps := walk.Tally(g, r*n, cfg.Workers, cfg.Estimator == CompletePath, func(s *walk.Scratch, i int) {
 		stream := rng.DeriveValue(cfg.Seed, 0x3C4, uint64(i))
 		left := walk.Length(&stream, pT, maxSteps)
-		s.Add(stream, graph.VertexID(i/r), left, 0)
+		s.Add(stream, graph.VertexID(i/r), left)
 	})
 	res := &Result{Walks: r * n, TotalSteps: int64(steps), Estimate: make([]float64, n)}
 	total := float64(res.Walks) // every walk tallies its endpoint

@@ -215,11 +215,11 @@ func New(clients []*ShardClient, opts Options) *Router {
 }
 
 // Metrics returns the registry /metrics renders from, so embedders
-// (the in-process load generator) can scrape without HTTP.
+// (the benchmark) can scrape without HTTP.
 func (rt *Router) Metrics() *obs.Registry { return rt.reg }
 
-// ServeHTTP implements http.Handler, so the load generator and tests
-// can drive the router in-process exactly like the single-node server.
+// ServeHTTP implements http.Handler, so tests and the benchmark can
+// drive the router in-process exactly like the single-node server.
 func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	rt.plane.ServeHTTP(w, r)
 }

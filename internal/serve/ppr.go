@@ -22,8 +22,8 @@ package serve
 //     requests share one execution.
 //
 // A request that misses both costs what its steps cost. It draws each
-// walk's length from a table built once per (teleport, cutoff) — equal,
-// draw for draw, to the logarithm it replaces (rng.TruncGeometric) —
+// walk's length from a table built once (pprLengths) — equal, draw for
+// draw, to the logarithm it replaces (rng.TruncGeometric) —
 // runs its whole plan in one walk-kernel call, counts the endpoints in
 // the open-addressing table pooled with the walker slab (sized by the
 // walks, cleared through the slots it took: nothing per request is sized
@@ -53,7 +53,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/graph"
@@ -80,16 +79,10 @@ type PPROptions struct {
 	// it runs fewer walks per source and is flagged "truncated": true;
 	// a request with more sources than the budget is rejected.
 	WalkBudget int
-	// MaxWalkLen truncates each geometric walk length (default 64).
-	// With teleport 0.15 the probability of a longer walk is under
-	// 3e-5, so truncation bias is far below sampling noise.
-	MaxWalkLen int
 	// MaxK bounds the k parameter (default 100).
 	MaxK int
 	// MaxSources bounds the source set size (default 16).
 	MaxSources int
-	// Teleport is the walk restart probability pT (default 0.15).
-	Teleport float64
 	// CacheSize is the hot-source LRU capacity in responses (default
 	// 1024; negative disables caching).
 	CacheSize int
@@ -103,17 +96,11 @@ func (o PPROptions) withDefaults() PPROptions {
 	if o.WalkBudget <= 0 {
 		o.WalkBudget = 16384
 	}
-	if o.MaxWalkLen <= 0 {
-		o.MaxWalkLen = 64
-	}
 	if o.MaxK <= 0 {
 		o.MaxK = 100
 	}
 	if o.MaxSources <= 0 {
 		o.MaxSources = 16
-	}
-	if o.Teleport <= 0 || o.Teleport > 1 {
-		o.Teleport = pagerank.DefaultTeleport
 	}
 	if o.CacheSize == 0 {
 		o.CacheSize = 1024
@@ -125,8 +112,6 @@ func (o PPROptions) withDefaults() PPROptions {
 // gate and instruments. One per Server.
 type pprEngine struct {
 	opts PPROptions
-	// lengths draws walk lengths for (opts.Teleport, opts.MaxWalkLen).
-	lengths *rng.TruncGeometric
 
 	cache   *pprCache
 	flights flightGroup[string, []byte]
@@ -151,7 +136,6 @@ type pprEngine struct {
 // newPPREngine builds the engine and registers its instruments on reg.
 func newPPREngine(opts PPROptions, reg *obs.Registry) *pprEngine {
 	e := &pprEngine{opts: opts.withDefaults()}
-	e.lengths = walkLengths(e.opts)
 	e.cache = newPPRCache(e.opts.CacheSize)
 	e.slots = make(chan struct{}, runtime.GOMAXPROCS(0))
 	reg.RegisterCounter("ppr_requests_total",
@@ -273,27 +257,13 @@ func catchStorageFault(what string, err *error) {
 	*err = fmt.Errorf("%w: %w", errStorageFault, cause)
 }
 
-// lastLengths remembers the most recently built length table with its
-// parameters: a server builds its table once (newPPREngine), and an
-// embedder calling PPRTopK with the same options call after call —
-// the per-call cost the benchmark's ledger times — builds it once too.
-var lastLengths atomic.Pointer[lengthsFor]
+// pprWalkCutoff truncates each geometric walk length. With teleport
+// 0.15 the probability of a longer walk is under 3e-5, so truncation
+// bias is far below sampling noise.
+const pprWalkCutoff = 64
 
-type lengthsFor struct {
-	teleport float64
-	cutoff   int
-	table    *rng.TruncGeometric
-}
-
-// walkLengths returns the walk-length table for opts (defaults resolved).
-func walkLengths(opts PPROptions) *rng.TruncGeometric {
-	if l := lastLengths.Load(); l != nil && l.teleport == opts.Teleport && l.cutoff == opts.MaxWalkLen {
-		return l.table
-	}
-	l := &lengthsFor{opts.Teleport, opts.MaxWalkLen, rng.NewTruncGeometric(opts.Teleport, opts.MaxWalkLen)}
-	lastLengths.Store(l)
-	return l.table
-}
+// pprLengths draws every PPR walk's length: min(Geometric(pT), 64).
+var pprLengths = rng.NewTruncGeometric(pagerank.DefaultTeleport, pprWalkCutoff)
 
 // pprWalk runs every walk of the plan over snap's graph in one call of
 // the walk kernel and returns the endpoint tally, one entry per distinct
@@ -303,8 +273,8 @@ func walkLengths(opts PPROptions) *rng.TruncGeometric {
 // concentrated on the source), and a walk stuck on a dangling vertex
 // restarts at its source, matching ExactPPR's dangling-mass treatment.
 // Walk w of a source draws only from its own stream derived from
-// (snapshot seed, epoch, source, w) — length first (lengths: the draw
-// stream.Geometric makes, capped at MaxWalkLen), then one draw per edge
+// (snapshot seed, epoch, source, w) — length first (pprLengths: the draw
+// stream.Geometric makes, capped at pprWalkCutoff), then one draw per edge
 // move — so the tally is bit-identical whichever walks wait for a page
 // and in whatever order pages are loaded: paging and relabeling can
 // never change a served body. The endpoints are counted in the Scratch's
@@ -315,7 +285,7 @@ func walkLengths(opts PPROptions) *rng.TruncGeometric {
 // A read can fail only where the kernel loads a page (its sweep; the
 // free-running probe does no I/O). A fault fails this call, which is
 // this request and no other.
-func pprWalk(snap *Snapshot, plan pprPlan, lengths *rng.TruncGeometric) (entries []topk.Entry, st walk.Stats, err error) {
+func pprWalk(snap *Snapshot, plan pprPlan) (entries []topk.Entry, st walk.Stats, err error) {
 	s := walk.Get()
 	defer s.Put()
 	r := snap.Graph.NewAdjReader()
@@ -324,8 +294,7 @@ func pprWalk(snap *Snapshot, plan pprPlan, lengths *rng.TruncGeometric) (entries
 	for _, src := range plan.sources {
 		for w := 0; w < plan.walksPer; w++ {
 			stream := rng.DeriveValue(snap.Seed, pprPurpose, snap.Epoch, uint64(src), uint64(w))
-			left := lengths.Draw(&stream)
-			s.Add(stream, src, left, 0)
+			s.Add(stream, src, pprLengths.Draw(&stream))
 		}
 	}
 	st = s.Run(r, true, nil)
@@ -438,8 +407,8 @@ func (p pprPlan) walks() int { return p.walksPer * len(p.sources) }
 // source ran the same walk count — to the top-k entries in the topk
 // package's total order (score descending, vertex ascending on ties), so
 // the result is deterministic and consistent with /v1/topk semantics.
-func (p pprPlan) run(snap *Snapshot, lengths *rng.TruncGeometric) ([]topk.Entry, walk.Stats, error) {
-	entries, st, err := pprWalk(snap, p, lengths)
+func (p pprPlan) run(snap *Snapshot) ([]topk.Entry, walk.Stats, error) {
+	entries, st, err := pprWalk(snap, p)
 	if err != nil {
 		return nil, st, err
 	}
@@ -517,7 +486,7 @@ func PPRTopK(snap *Snapshot, sources []graph.VertexID, k int, opts PPROptions) (
 	if err != nil {
 		return nil, false, fmt.Errorf("serve: %w", err)
 	}
-	entries, _, err := plan.run(snap, walkLengths(opts))
+	entries, _, err := plan.run(snap)
 	return entries, plan.truncated, err
 }
 
@@ -530,7 +499,7 @@ func (e *pprEngine) walk(snap *Snapshot, plan pprPlan) ([]topk.Entry, error) {
 	defer func() { <-e.slots }() // deferred: a panic under the walk must not keep the slot
 	start := time.Now()
 	e.slotWait.Observe(start.Sub(queued))
-	entries, st, err := plan.run(snap, e.lengths)
+	entries, st, err := plan.run(snap)
 	e.walkLat.Observe(time.Since(start))
 	e.walks.Add(uint64(plan.walks()))
 	e.steps.Add(st.Steps)

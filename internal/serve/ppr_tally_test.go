@@ -71,7 +71,7 @@ func TestTallyAndCutEqualMapAndSort(t *testing.T) {
 		for _, k := range []int{1, 10, 100, distinct, distinct + 5} {
 			s.Walkers = s.Walkers[:0]
 			for _, v := range tc.ends {
-				s.Add(rng.Stream{}, v, 0, 0)
+				s.Add(rng.Stream{}, v, 0)
 			}
 			got := topk.Select(endpointEntries(s), k)
 			if want := mapAndSortCut(tc.ends, k); !reflect.DeepEqual(got, want) {

@@ -173,15 +173,15 @@ func NewServer(store *Store, opts ServerOptions) *Server {
 }
 
 // Metrics returns the registry /metrics renders from, so embedders
-// (the in-process load generator) can scrape without HTTP.
+// (the benchmark) can scrape without HTTP.
 func (s *Server) Metrics() *obs.Registry { return s.reg }
 
 // Handler returns the HTTP handler (for tests and embedding).
 func (s *Server) Handler() http.Handler { return s.plane }
 
 // ServeHTTP makes *Server itself an http.Handler, so in-process
-// drivers (the load generator, httptest) can hit the full API without
-// a listener.
+// drivers (httptest, the benchmark's layer timings) can hit the full
+// API without a listener.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.plane.ServeHTTP(w, r)
 }

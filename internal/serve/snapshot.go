@@ -96,8 +96,8 @@ type BuildConfig struct {
 	MaxK int
 }
 
-// RegisterFlags declares on fs the engine flags prserve, prshard and
-// prload share: -engine, -machines and -maxk. A field that is zero
+// RegisterFlags declares on fs the engine flags prserve and prshard
+// share: -engine, -machines and -maxk. A field that is zero
 // defaults to what withDefaults resolves it to. -engine is checked
 // while parsing, so an unknown engine is a usage error.
 func (c *BuildConfig) RegisterFlags(fs *flag.FlagSet) {

@@ -56,7 +56,7 @@ func budgetRun(t *testing.T, path string, frames int) (graph.PageCacheStats, wal
 	for w := 0; w < 2000; w++ {
 		st := rng.DeriveValue(1, source, uint64(w))
 		left := min(st.Geometric(pT), 64)
-		s.Add(st, source, left, 0)
+		s.Add(st, source, left)
 	}
 	r := g.NewAdjReader()
 	st := s.Run(r, true, nil)

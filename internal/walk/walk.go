@@ -34,7 +34,6 @@ type Walker struct {
 	Cur    graph.VertexID // current vertex; after Run, the endpoint
 	Home   graph.VertexID // where a restart-policy walker returns from a dangling vertex
 	Left   int32          // steps still to take
-	Tag    int32          // the caller's label (which task the walker tallies into)
 }
 
 // Stats counts a Run's work. Steps is edge moves plus dangling
@@ -92,8 +91,8 @@ func (s *Scratch) Put() {
 
 // Add appends a walker starting (and, under the restart policy,
 // restarting) at start with left steps to take.
-func (s *Scratch) Add(stream rng.Stream, start graph.VertexID, left, tag int) {
-	s.Walkers = append(s.Walkers, Walker{Stream: stream, Cur: start, Home: start, Left: int32(left), Tag: int32(tag)})
+func (s *Scratch) Add(stream rng.Stream, start graph.VertexID, left int) {
+	s.Walkers = append(s.Walkers, Walker{Stream: stream, Cur: start, Home: start, Left: int32(left)})
 }
 
 // Endpoints counts the walkers per vertex they stand on — after Run,

@@ -103,7 +103,7 @@ func TestUniformStopCutoffLaw(t *testing.T) {
 				st := rng.DeriveValue(seed, uint64(i))
 				start := graph.VertexID(st.Intn(n))
 				left := length(&st)
-				s.Add(st, start, left, 0)
+				s.Add(st, start, left)
 			})
 			checkLaw(t, "uniform/stop/cutoff by "+name, counts, want)
 		}
@@ -116,11 +116,11 @@ func TestUniformStopCutoffLaw(t *testing.T) {
 func pprTally(g *graph.Graph, sources []graph.VertexID, walks int, seed uint64) []int64 {
 	s := walk.Get()
 	defer s.Put()
-	for tag, src := range sources {
+	for _, src := range sources {
 		for w := 0; w < walks; w++ {
 			st := rng.DeriveValue(seed, uint64(src), uint64(w))
 			left := min(st.Geometric(pT), 64)
-			s.Add(st, src, left, tag)
+			s.Add(st, src, left)
 		}
 	}
 	r := g.NewAdjReader()
@@ -166,7 +166,7 @@ func TestCompletePathCountsEveryVisit(t *testing.T) {
 	seed := func(s *walk.Scratch, i int) {
 		st := rng.DeriveValue(9, uint64(i))
 		left := min(st.Geometric(pT), 1000)
-		s.Add(st, graph.VertexID(i%g.NumVertices()), left, 0)
+		s.Add(st, graph.VertexID(i%g.NumVertices()), left)
 	}
 	visits, steps := walk.Tally(g, walks, 1, true, seed)
 	var total int64
@@ -197,7 +197,7 @@ func TestTallyBitIdenticalAcrossWorkers(t *testing.T) {
 				st := rng.DeriveValue(4, uint64(i))
 				start := graph.VertexID(st.Intn(n))
 				left := min(st.Geometric(pT), 8)
-				s.Add(st, start, left, 0)
+				s.Add(st, start, left)
 			})
 		}
 		ref, refSteps := run(1)
@@ -257,12 +257,13 @@ func TestGroupingAndPagingInvariant(t *testing.T) {
 				for w := 0; w < walks; w++ {
 					st := rng.DeriveValue(77, uint64(sources[task]), uint64(w))
 					left := min(st.Geometric(pT), 64)
-					s.Add(st, sources[task], left, task)
+					s.Add(st, sources[task], left)
 				}
 			}
 			st := s.Run(r, true, nil)
 			for i := range s.Walkers {
-				out[s.Walkers[i].Tag][s.Walkers[i].Cur]++ // a task is in one group: no two goroutines share a map
+				task := groups[gi][i/walks]   // each task seeded walks walkers, in order
+				out[task][s.Walkers[i].Cur]++ // a task is in one group: no two goroutines share a map
 			}
 			mu.Lock()
 			total.Steps += st.Steps
@@ -320,7 +321,7 @@ func BenchmarkRun(b *testing.B) {
 		src := graph.VertexID(i % g.NumVertices())
 		for w := 0; w < 2000; w++ {
 			st := rng.DeriveValue(1, uint64(src), uint64(w))
-			s.Add(st, src, lengths.Draw(&st), 0)
+			s.Add(st, src, lengths.Draw(&st))
 		}
 		s.Run(r, true, nil)
 		s.Put()

@@ -461,8 +461,8 @@ func Serve(ctx context.Context, addr string, g *Graph, cfg ServeConfig) error {
 }
 
 // NewServerHandler computes a snapshot of g and returns the full query
-// API as an in-process http.Handler (no listener): the hook the load
-// generator, tests and embedders drive directly.
+// API as an in-process http.Handler (no listener): the hook tests and
+// embedders drive directly or mount on a listener of their own.
 func NewServerHandler(g *Graph, cfg SnapshotConfig) (http.Handler, error) {
 	srv, _, err := serve.NewService(g, serve.ServiceConfig{Build: cfg})
 	if err != nil {
@@ -484,11 +484,12 @@ type LoadMix = loadgen.Mix
 // counts, error counts and latency histograms.
 type LoadReport = loadgen.Report
 
-// RunLoadTest drives handler (e.g. the result of NewServerHandler)
-// with cfg's deterministic workload and returns the measured report.
-// Same seed + config means the same query sequence, always.
-func RunLoadTest(ctx context.Context, cfg LoadConfig, handler http.Handler) (*LoadReport, error) {
-	return loadgen.Run(ctx, cfg, loadgen.HandlerTarget{Handler: handler})
+// RunLoadTest drives the query service listening at baseURL (a
+// cmd/prserve, or NewServerHandler's result behind a listener) over
+// HTTP with cfg's deterministic workload and returns the measured
+// report. Same seed + config means the same query sequence, always.
+func RunLoadTest(ctx context.Context, cfg LoadConfig, baseURL string) (*LoadReport, error) {
+	return loadgen.Run(ctx, cfg, loadgen.NewHTTPTarget(baseURL, cfg.Concurrency))
 }
 
 // FrogEstimator selects what FrogWild's per-vertex tally counts.
