@@ -6,7 +6,8 @@ package gstore
 // fault the kernel cannot be told a budget for. openPaged instead
 // keeps only the offset arrays (and perm) resident and serves the two
 // adjacency sections through internal/graph/pcache: a bounded buffer
-// pool with pin counts and CLOCK eviction, sized by OpenOptions.Mem.
+// pool of 4 KiB pages with CLOCK eviction and unpinned, epoch-protected
+// reads, sized by OpenOptions.Mem.
 
 import (
 	"fmt"
@@ -148,6 +149,7 @@ func (p *filePager) Stats() graph.PageCacheStats {
 		Hits:          s.Hits,
 		Misses:        s.Misses,
 		Evictions:     s.Evictions,
+		ReadBytes:     s.ReadBytes,
 	}
 }
 

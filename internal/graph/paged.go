@@ -14,9 +14,10 @@ import (
 )
 
 // PageCacheStats is a point-in-time view of a paged graph's cache: the
-// page geometry, the configured budget, the current resident/pinned
-// gauges, and the access counters. The serving layer renders these in
-// /metrics and /v1/stats.
+// page geometry, the configured budget, the current resident gauge and
+// the pages pinned by a load in flight, and the access counters
+// (ReadBytes: what the misses read from the file). The serving layer
+// renders these in /metrics and /v1/stats.
 type PageCacheStats struct {
 	PageSize      int
 	BudgetBytes   int64
@@ -26,20 +27,24 @@ type PageCacheStats struct {
 	Hits          uint64
 	Misses        uint64
 	Evictions     uint64
+	ReadBytes     uint64
 }
 
 // An AdjCursor is one goroutine's handle on paged adjacency. Indices
 // are positions into the logical outAdj/inAdj arrays (what the offset
-// arrays address). Cursors keep their current page pinned between
-// calls, are not safe for concurrent use, and must be Released.
+// arrays address). A cursor pins nothing: it reads inside an epoch
+// section of the page cache, opened on its first read and closed on its
+// own miss or on Release. Cursors are not safe for concurrent use, and
+// must be Released — an open section holds back the recycling of every
+// page evicted after it opened.
 //
 // I/O failures surface as panics: a paged read that fails mid-walk has
 // the same character as a SIGBUS on an mmap'd graph — the storage
 // under an open graph went away — and threading an error return
 // through every adjacency access would tax the resident fast path. A
-// failed read leaves the cursor unpinned and usable; the serving layer
-// recovers where it walks or rebuilds over a graph (serve's
-// catchStorageFault).
+// failed read leaves the cursor outside its section and usable; the
+// serving layer recovers where it walks or rebuilds over a graph
+// (serve's catchStorageFault).
 type AdjCursor interface {
 	// Out returns logical outAdj[i].
 	Out(i int64) VertexID
@@ -57,7 +62,7 @@ type AdjCursor interface {
 	// PageSwitches counts the reads so far that moved the cursor to
 	// another page.
 	PageSwitches() uint64
-	// Release unpins the cursor's current page.
+	// Release closes the cursor's section.
 	Release()
 }
 
@@ -238,8 +243,10 @@ func (r *AdjReader) OutSpan(v VertexID) (lo int64, deg int) {
 // TryOut reads element at of the logical out-adjacency array without
 // I/O: the successor if the page holding it is in the cache (always, on
 // a resident graph), and false if reading it would have to load a page.
-// Page-aware schedulers use it to keep working in memory and batch what
-// is genuinely not there.
+// A hit takes no lock and writes no shared word — a page-table load and
+// two flag checks inside the cursor's epoch section — so it costs a few
+// nanoseconds over a resident read. Page-aware schedulers use it to
+// keep working in memory and batch what is genuinely not there.
 func (r *AdjReader) TryOut(at int64) (VertexID, bool) {
 	if r.cur == nil {
 		return r.g.outAdj[at], true
@@ -266,8 +273,9 @@ func (r *AdjReader) OutPage(at int64) int64 {
 	return r.cur.OutPage(at)
 }
 
-// Release returns the reader's cursor pin (no-op on resident graphs).
-// The reader stays usable; the next paged read re-pins.
+// Release closes the reader's cursor section (no-op on resident
+// graphs), letting the page cache recycle the pages it read. The reader
+// stays usable; the next paged read opens a new section.
 func (r *AdjReader) Release() {
 	if r.cur != nil {
 		r.cur.Release()

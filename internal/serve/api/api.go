@@ -138,6 +138,7 @@ type PageCacheStats struct {
 	Hits          uint64 `json:"hits"`
 	Misses        uint64 `json:"misses"`
 	Evictions     uint64 `json:"evictions"`
+	ReadBytes     uint64 `json:"readBytes"`
 }
 
 // StatsResponse is the single-node /v1/stats body.

@@ -10,6 +10,8 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/graph"
+	"repro/internal/graph/gen"
 	"repro/internal/obs"
 	"repro/internal/serve/api"
 )
@@ -93,6 +95,39 @@ func TestStatsAgreeWithMetrics(t *testing.T) {
 	}
 	if got := obs.FamilySum(series, "refresh_publish_to_visible_seconds"); got < 0 {
 		t.Errorf("refresh_publish_to_visible_seconds = %v, want >= 0", got)
+	}
+
+	// On a paged graph the pageCache block and the graph_page_cache_*
+	// families read the same pool.
+	graphs, base := pagedLayouts(t, gen.PowerLawConfig{N: 5000, MeanOutDeg: 8, DegExponent: 2.1, Seed: 5},
+		BuildConfig{Engine: EngineExact, Seed: 11, MaxK: 50}, map[string]float64{"paged": 0})
+	paged := serveVariants(map[string]*graph.Graph{"paged": graphs["paged"]}, base, PPROptions{CacheSize: -1})["paged"]
+	body(t, paged, "/v1/ppr?source=3&source=700&k=10")
+	if err := json.Unmarshal([]byte(body(t, paged, "/v1/stats")), &stats); err != nil {
+		t.Fatal(err)
+	}
+	if series, err = obs.ParseText([]byte(body(t, paged, "/metrics"))); err != nil {
+		t.Fatal(err)
+	}
+	pc := stats.PageCache
+	if pc == nil || pc.Misses == 0 || pc.Evictions == 0 {
+		t.Fatalf("pageCache = %+v, want misses and evictions", pc)
+	}
+	if pc.ReadBytes > pc.Misses*uint64(pc.PageSize) || pc.ReadBytes <= (pc.Misses-1)*uint64(pc.PageSize) {
+		t.Errorf("readBytes %d for %d misses of %d-byte pages", pc.ReadBytes, pc.Misses, pc.PageSize)
+	}
+	for family, want := range map[string]float64{
+		"graph_page_cache_hits_total":       float64(pc.Hits),
+		"graph_page_cache_misses_total":     float64(pc.Misses),
+		"graph_page_cache_evictions_total":  float64(pc.Evictions),
+		"graph_page_cache_read_bytes_total": float64(pc.ReadBytes),
+		"graph_page_cache_resident_pages":   float64(pc.ResidentPages),
+		"graph_page_cache_pinned_pages":     float64(pc.PinnedPages),
+		"graph_page_cache_budget_pages":     float64(pc.BudgetPages),
+	} {
+		if got := obs.FamilySum(series, family); got != want {
+			t.Errorf("%s = %v in /metrics, %v in /v1/stats", family, got, want)
+		}
 	}
 }
 

@@ -140,7 +140,7 @@ func TestPagedServingBytesIdentical(t *testing.T) {
 
 // TestPagedPPRConcurrentEviction hammers the paged server with
 // concurrent multi-source PPR traffic at the minimum page budget —
-// constant pin/unpin/evict cycles across goroutines (run under -race)
+// constant load/evict/recycle cycles across goroutines (run under -race)
 // — and checks every body against the unpaged server's.
 func TestPagedPPRConcurrentEviction(t *testing.T) {
 	graphs, base := pagedGraphs(t)

@@ -139,7 +139,7 @@ func NewServer(store *Store, opts ServerOptions) *Server {
 		"Pages of CSR adjacency resident in the page cache (0 when fully resident in RAM).",
 		func(st graph.PageCacheStats) float64 { return float64(st.ResidentPages) })
 	pageCacheGauge("graph_page_cache_pinned_pages",
-		"Resident pages currently pinned by active readers.",
+		"Pages pinned by a page-cache load in flight (reads pin nothing).",
 		func(st graph.PageCacheStats) float64 { return float64(st.PinnedPages) })
 	pageCacheGauge("graph_page_cache_budget_pages",
 		"Page-cache capacity implied by the -graph-mem budget.",
@@ -153,6 +153,9 @@ func NewServer(store *Store, opts ServerOptions) *Server {
 	pageCacheGauge("graph_page_cache_evictions_total",
 		"Pages evicted by the CLOCK sweep to stay under budget.",
 		func(st graph.PageCacheStats) float64 { return float64(st.Evictions) })
+	pageCacheGauge("graph_page_cache_read_bytes_total",
+		"Bytes the page-cache misses read from the graph file.",
+		func(st graph.PageCacheStats) float64 { return float64(st.ReadBytes) })
 	s.ppr = newPPREngine(opts.PPR, s.reg)
 	s.plane = &obs.Plane{
 		Component: "serve",
@@ -467,6 +470,7 @@ func (s *Server) StatsBody(snap *Snapshot) api.StatsResponse {
 			Hits:          st.Hits,
 			Misses:        st.Misses,
 			Evictions:     st.Evictions,
+			ReadBytes:     st.ReadBytes,
 		}
 	}
 	return api.StatsResponse{

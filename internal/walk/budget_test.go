@@ -16,7 +16,7 @@ import (
 	"repro/internal/walk"
 )
 
-var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/budget-misses.golden from the current kernel (the committed table was generated at the commit before the miss-batched kernel)")
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/budget-misses.golden from the current kernel and page cache")
 
 const budgetGolden = "testdata/budget-misses.golden"
 
@@ -69,8 +69,8 @@ func budgetRun(t *testing.T, path string, frames int) (graph.PageCacheStats, wal
 	return pc, st, ends
 }
 
-// budgetPoints are the sweep's budgets as functions of the live page
-// set (the pages one request touches).
+// budgetPoints are the paging invariant's budgets as functions of the
+// live page set (the pages one request touches).
 var budgetPoints = []struct {
 	name   string
 	frames func(live int) int
@@ -80,49 +80,60 @@ var budgetPoints = []struct {
 	{"three-quarters", func(live int) int { return live * 3 / 4 }},
 }
 
-// readBudgetGolden returns the parent kernel's table.
+// sweepBudgets are TestBudgetSweepMisses' pool sizes in bytes: 8, 18
+// and 56 frames of the 64 KiB pages before PR 25, which read 52 224,
+// 39 424 and 9 152 KiB there (4 800 KiB live).
+var sweepBudgets = []struct {
+	name  string
+	bytes int64
+}{
+	{"512KiB", 512 << 10},
+	{"1152KiB", 1152 << 10},
+	{"3584KiB", 3584 << 10},
+}
+
+// readBudgetGolden returns the committed table: KiB read per budget.
 func readBudgetGolden(t *testing.T) map[string]uint64 {
 	t.Helper()
 	raw, err := os.ReadFile(budgetGolden)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parent := make(map[string]uint64)
+	table := make(map[string]uint64)
 	for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
 		var name string
 		var n uint64
 		if _, err := fmt.Sscanf(line, "%s %d", &name, &n); err != nil {
 			t.Fatalf("%s: bad line %q: %v", budgetGolden, line, err)
 		}
-		parent[name] = n
+		table[name] = n
 	}
-	return parent
+	return table
 }
 
 // budgetLive is how many pages one request of budgetRun touches.
-func budgetLive(t *testing.T) int { return int(readBudgetGolden(t)["live"]) }
+func budgetLive(t *testing.T) int { return int(readBudgetGolden(t)["live"] << 10 / pcache.PageSize) }
 
-// TestBudgetSweepMisses counts page loads of one request at four
-// budgets. With room for the live page set no page is loaded twice;
-// below it, the miss count must not exceed the page-at-a-time kernel's,
-// read from a table generated at the commit before this kernel
-// (-update-golden at that commit; the test only uses API both share).
+// TestBudgetSweepMisses counts the bytes one request reads (page loads ×
+// PageSize) at four budgets. With room for the live page set no page is
+// loaded twice; below it, no budget may read more than the committed
+// table says (-update-golden rewrites it).
 //
-// These counts also decided that sweeps alternate direction: with every
-// sweep ascending the same three budgets read 865, 734 and 171 pages,
-// in elevator order 816, 616 and 143 (the table's kernel: 1161, 1136,
-// 767).
+// At 64 KiB pages these counts decided that sweeps alternate direction:
+// with every sweep ascending the three budgets read 865, 734 and 171
+// pages, in elevator order 816, 616 and 143 (the page-at-a-time kernel:
+// 1161, 1136, 767).
 func TestBudgetSweepMisses(t *testing.T) {
 	path := budgetFixture(t)
 
-	full, _, wantEnds := budgetRun(t, path, 4096) // 256 MiB of frames over a 12 MB file: never evicts
-	live := int(full.Misses)
+	kib := func(pc graph.PageCacheStats) uint64 { return pc.Misses * pcache.PageSize >> 10 }
+	full, _, wantEnds := budgetRun(t, path, 4096) // 16 MiB of frames over a 12 MB file: never evicts
 	if full.Evictions != 0 {
 		t.Fatalf("full budget evicted %d pages", full.Evictions)
 	}
-	got := map[string]uint64{"live": full.Misses}
-	for _, p := range budgetPoints {
-		frames := p.frames(live)
+	got := map[string]uint64{"live": kib(full)}
+	for _, p := range sweepBudgets {
+		frames := int(p.bytes / pcache.PageSize)
 		pc, st, ends := budgetRun(t, path, frames)
 		if pc.BudgetPages != frames {
 			t.Fatalf("%s: pool has %d frames, want %d", p.name, pc.BudgetPages, frames)
@@ -135,14 +146,14 @@ func TestBudgetSweepMisses(t *testing.T) {
 				t.Fatalf("%s: walker %d ends at %d, at full budget at %d", p.name, i, ends[i], wantEnds[i])
 			}
 		}
-		got[p.name] = pc.Misses
-		t.Logf("%-14s %3d frames: %5d misses over %d steps", p.name, frames, pc.Misses, st.Steps)
+		got[p.name] = kib(pc)
+		t.Logf("%-8s %4d frames: %5d misses, %5d KiB, over %d steps", p.name, frames, pc.Misses, got[p.name], st.Steps)
 	}
 
 	if *updateGolden {
 		var b strings.Builder
 		fmt.Fprintf(&b, "live %d\n", got["live"])
-		for _, p := range budgetPoints {
+		for _, p := range sweepBudgets {
 			fmt.Fprintf(&b, "%s %d\n", p.name, got[p.name])
 		}
 		if err := os.MkdirAll(filepath.Dir(budgetGolden), 0o755); err != nil {
@@ -153,14 +164,15 @@ func TestBudgetSweepMisses(t *testing.T) {
 		}
 		return
 	}
-	parent := readBudgetGolden(t)
-	// The live set is a property of the walks, not of the kernel.
-	if got["live"] != parent["live"] {
-		t.Errorf("one request touches %d pages, the parent kernel's touched %d", got["live"], parent["live"])
+	want := readBudgetGolden(t)
+	// The live set is a property of the walks and the page size, not of
+	// the kernel.
+	if got["live"] != want["live"] {
+		t.Errorf("one request touches %d KiB of pages, the table says %d", got["live"], want["live"])
 	}
-	for _, p := range budgetPoints {
-		if got[p.name] > parent[p.name] {
-			t.Errorf("%s budget: %d misses, the parent kernel's %d", p.name, got[p.name], parent[p.name])
+	for _, p := range sweepBudgets {
+		if got[p.name] > want[p.name] {
+			t.Errorf("%s budget: %d KiB read, the table says %d", p.name, got[p.name], want[p.name])
 		}
 	}
 }
