@@ -115,7 +115,9 @@ func layoutDigestLines(t *testing.T) string {
 // digests the hash-map constructor produced (the file was generated at
 // the commit before the counting-sort rewrite): master choice, presence
 // lists and every machine's local CSR must stay bit-identical, at most
-// 64 machines and beyond.
+// 64 machines and beyond. The file also predates the second rewrite,
+// which builds each machine's CSRs from its own edge run and shuffles
+// the greedy partitioners' edge stream in place; it passed unchanged.
 func TestLayoutGolden(t *testing.T) {
 	got := layoutDigestLines(t)
 	path := filepath.Join("testdata", "layout-digests.golden")

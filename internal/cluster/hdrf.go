@@ -30,7 +30,7 @@ func (h HDRF) Place(g *graph.Graph, machines int, seed uint64) []uint16 {
 		lambda = 1.1
 	}
 	n := g.NumVertices()
-	stream, pos := streamOrder(g, seed, 0x1D2F)
+	stream := streamOrder(g, seed, 0x1D2F)
 
 	// Partial degrees (observed so far in the stream, per HDRF).
 	pdeg := make([]int32, n)
@@ -40,7 +40,7 @@ func (h HDRF) Place(g *graph.Graph, machines int, seed uint64) []uint16 {
 	var maxLoad, minLoad int64
 	choice := make([]uint16, len(stream))
 
-	for i, e := range stream {
+	for _, e := range stream {
 		u, v := e.Src, e.Dst
 		pdeg[u]++
 		pdeg[v]++
@@ -50,23 +50,24 @@ func (h HDRF) Place(g *graph.Graph, machines int, seed uint64) []uint16 {
 		// low-degree vertex is kept intact and the hub is replicated.
 		thetaU := du / (du + dv)
 		thetaV := 1 - thetaU
+		repU, repV := 1+(1-thetaU), 1+(1-thetaV)
+		denom := float64(maxLoad-minLoad) + 1
 
 		best, bestScore := 0, math.Inf(-1)
 		for m := 0; m < machines; m++ {
 			rep := 0.0
 			if pres.has(u, m) {
-				rep += 1 + (1 - thetaU)
+				rep += repU
 			}
 			if pres.has(v, m) {
-				rep += 1 + (1 - thetaV)
+				rep += repV
 			}
-			denom := float64(maxLoad-minLoad) + 1
 			bal := lambda * float64(maxLoad-load[m]) / denom
 			if score := rep + bal; score > bestScore {
 				best, bestScore = m, score
 			}
 		}
-		choice[i] = uint16(best)
+		choice[e.E] = uint16(best)
 		pres.set(u, best)
 		pres.set(v, best)
 		load[best]++
@@ -80,5 +81,5 @@ func (h HDRF) Place(g *graph.Graph, machines int, seed uint64) []uint16 {
 			}
 		}
 	}
-	return csrOrder(choice, pos)
+	return choice
 }

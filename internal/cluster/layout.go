@@ -58,8 +58,14 @@ type MachineView struct {
 // partitioner and returns the realized layout. The seed feeds both the
 // partitioner and the master-selection hash.
 //
-// Vertex ids are dense, so every step is a counting pass over the CSR
-// (count, prefix-sum, fill) rather than a hash-map build.
+// Vertex ids are dense, so every step is a counting pass (count,
+// prefix-sum, fill) rather than a hash-map build. Beyond the
+// partitioner's own pass, the global CSR is read twice: once for
+// presence, once to split its edges into the machines' local out-CSRs,
+// which they already are in CSR order. Each machine's in-CSR is then
+// built from its own out-CSR alone, so the per-edge random reads stay
+// inside one machine's arrays and a vertex-sized index map that fits
+// in cache.
 func NewLayout(g *graph.Graph, machines int, p Partitioner, seed uint64) (*Layout, error) {
 	lay, placement, err := ingress(g, machines, p, seed)
 	if err != nil {
@@ -95,14 +101,20 @@ func NewLayout(g *graph.Graph, machines int, p Partitioner, seed uint64) (*Layou
 		}
 	}
 
-	// Local CSRs. local[i] is the local index of edge i's destination
-	// on the edge's machine; the source's comes from srcLocal, refilled
-	// from each source's presence entries before its edges are read.
-	// Degrees are counted into off[li+1]; after the prefix sum off[li]
-	// is li's write cursor, which the fill leaves at li's end.
+	// Local out-CSRs. A machine's edges taken in CSR order are its
+	// local out-CSR already (sources ascend with their global ids), so
+	// one sweep appends each edge's destination to its machine's outAdj
+	// and counts the edge against its source's local index there, which
+	// srcLocal holds, refilled from the source's presence entries.
+	edges := make([]int, machines)
+	for _, m := range placement {
+		edges[m]++
+	}
+	for m := range lay.views {
+		lay.views[m].outAdj = make([]uint32, 0, edges[m])
+	}
 	r := g.NewAdjReader()
 	defer r.Release()
-	local := make([]int32, len(placement))
 	srcLocal := make([]int32, machines)
 	i := 0
 	for v := 0; v < n; v++ {
@@ -110,47 +122,46 @@ func NewLayout(g *graph.Graph, machines int, p Partitioner, seed uint64) (*Layou
 			srcLocal[lay.presList[j]] = lay.presLocal[j]
 		}
 		for _, d := range r.OutNeighbors(graph.VertexID(v)) {
-			m := int(placement[i])
-			ld, _ := lay.localIndex(d, m)
-			local[i] = ld
-			lay.views[m].outOff[srcLocal[m]+1]++
-			lay.views[m].inOff[ld+1]++
-			i++
-		}
-	}
-	for m := range lay.views {
-		view := &lay.views[m]
-		for li := range view.verts {
-			view.outOff[li+1] += view.outOff[li]
-			view.inOff[li+1] += view.inOff[li]
-		}
-		view.outAdj = make([]uint32, view.outOff[len(view.verts)])
-		view.inAdj = make([]uint32, view.inOff[len(view.verts)])
-	}
-	i = 0
-	for v := 0; v < n; v++ {
-		for j := lay.presOff[v]; j < lay.presOff[v+1]; j++ {
-			srcLocal[lay.presList[j]] = lay.presLocal[j]
-		}
-		for _, d := range r.OutNeighbors(graph.VertexID(v)) {
 			m := placement[i]
 			view := &lay.views[m]
-			ls, ld := srcLocal[m], local[i]
-			view.outAdj[view.outOff[ls]] = d
-			view.outOff[ls]++
-			view.inAdj[view.inOff[ld]] = uint32(v)
-			view.inOff[ld]++
+			view.outAdj = append(view.outAdj, d)
+			view.outOff[srcLocal[m]+1]++
 			i++
 		}
 	}
+
+	// Local in-CSRs, one machine at a time from its own out-CSR, with
+	// toLocal (refilled from the machine's verts) as the global→local
+	// map. In-degrees are counted into inOff[ld+1]; after the prefix sum
+	// inOff[ld] is ld's write cursor, and walking local sources in
+	// ascending order fills each in-list in the order the CSR lists
+	// its sources.
+	toLocal := make([]int32, n)
 	masters, _ := lay.masterLists()
 	for m := range lay.views {
 		view := &lay.views[m]
+		for li, v := range view.verts {
+			toLocal[v] = int32(li)
+			view.outOff[li+1] += view.outOff[li]
+		}
+		for _, d := range view.outAdj {
+			view.inOff[toLocal[d]+1]++
+		}
+		for li := range view.verts {
+			view.inOff[li+1] += view.inOff[li]
+		}
+		view.inAdj = make([]uint32, len(view.outAdj))
+		for li, s := range view.verts {
+			for _, d := range view.outAdj[view.outOff[li]:view.outOff[li+1]] {
+				ld := toLocal[d]
+				view.inAdj[view.inOff[ld]] = s
+				view.inOff[ld]++
+			}
+		}
 		// Every cursor now holds its vertex's end, i.e. the next
 		// vertex's start: shift them back into place.
-		copy(view.outOff[1:], view.outOff)
 		copy(view.inOff[1:], view.inOff)
-		view.outOff[0], view.inOff[0] = 0, 0
+		view.inOff[0] = 0
 		view.masters = masters[m]
 	}
 	return lay, nil
@@ -260,41 +271,6 @@ func (l *Layout) masterLists() (masters [][]uint32, isolated []uint32) {
 		}
 	}
 	return masters, isolated
-}
-
-// localIndex returns v's dense local index on machine m and whether m
-// hosts v, read off v's presence entry: the master sits first, and a
-// mirror's slot is its rank among v's hosts (a popcount of the
-// presence word up to 64 machines, a binary search of the ascending
-// mirror list beyond).
-func (l *Layout) localIndex(v graph.VertexID, m int) (int32, bool) {
-	lo, hi := l.presOff[v], l.presOff[v+1]
-	if lo == hi {
-		return 0, false
-	}
-	mst := int(l.presList[lo])
-	if m == mst {
-		return l.presLocal[lo], true
-	}
-	if l.presWord != nil {
-		bit := uint64(1) << uint(m)
-		w := l.presWord[v]
-		if w&bit == 0 {
-			return 0, false
-		}
-		// Hosts below m, the master among them or not; the master's
-		// own slot is taken out of the ascending order.
-		j := lo + int64(popcount(w&(bit-1)))
-		if mst > m {
-			j++
-		}
-		return l.presLocal[j], true
-	}
-	k, ok := slices.BinarySearch(l.presList[lo+1:hi], uint16(m))
-	if !ok {
-		return 0, false
-	}
-	return l.presLocal[lo+1+int64(k)], true
 }
 
 // presenceSet tracks which machines host each vertex, with a fast
@@ -531,9 +507,39 @@ func (mv *MachineView) Verts() []uint32 { return mv.verts }
 func (mv *MachineView) NumLocalEdges() int64 { return int64(len(mv.outAdj)) }
 
 // LocalIndex returns the machine-local dense index of v and whether v
-// is present on this machine.
+// is present on this machine, read off v's presence entry: the master
+// sits first, and a mirror's slot is its rank among v's hosts (a
+// popcount of the presence word up to 64 machines, a binary search of
+// the ascending mirror list beyond).
 func (mv *MachineView) LocalIndex(v graph.VertexID) (int32, bool) {
-	return mv.lay.localIndex(v, mv.id)
+	l, m := mv.lay, mv.id
+	lo, hi := l.presOff[v], l.presOff[v+1]
+	if lo == hi {
+		return 0, false
+	}
+	mst := int(l.presList[lo])
+	if m == mst {
+		return l.presLocal[lo], true
+	}
+	if l.presWord != nil {
+		bit := uint64(1) << uint(m)
+		w := l.presWord[v]
+		if w&bit == 0 {
+			return 0, false
+		}
+		// Hosts below m, the master among them or not; the master's
+		// own slot is taken out of the ascending order.
+		j := lo + int64(popcount(w&(bit-1)))
+		if mst > m {
+			j++
+		}
+		return l.presLocal[j], true
+	}
+	k, ok := slices.BinarySearch(l.presList[lo+1:hi], uint16(m))
+	if !ok {
+		return 0, false
+	}
+	return l.presLocal[lo+1+int64(k)], true
 }
 
 // OutNeighborsLocal returns the destinations of the machine's local

@@ -75,7 +75,7 @@ func (Oblivious) Name() string { return "oblivious" }
 // Place implements Partitioner.
 func (Oblivious) Place(g *graph.Graph, machines int, seed uint64) []uint16 {
 	checkMachines(machines)
-	stream, pos := streamOrder(g, seed, 0x0B11)
+	stream := streamOrder(g, seed, 0x0B11)
 	pres := newPresenceSet(g.NumVertices(), machines)
 
 	load := make([]int64, machines)
@@ -92,7 +92,7 @@ func (Oblivious) Place(g *graph.Graph, machines int, seed uint64) []uint16 {
 		}
 		return best
 	}
-	for i, e := range stream {
+	for _, e := range stream {
 		u, v := e.Src, e.Dst
 		var m int
 		switch {
@@ -103,49 +103,42 @@ func (Oblivious) Place(g *graph.Graph, machines int, seed uint64) []uint16 {
 		default:
 			m = leastLoaded(nil)
 		}
-		choice[i] = uint16(m)
+		choice[e.E] = uint16(m)
 		pres.set(u, m)
 		pres.set(v, m)
 		load[m]++
 	}
-	return csrOrder(choice, pos)
+	return choice
 }
 
-// streamOrder shuffles g's edges into the seeded pseudo-random order a
-// greedy streaming partitioner consumes them in, and returns pos, the
-// stream position of each edge of the canonical CSR order. The stream
-// is laid out up front — one sequential sweep of the CSR scattering
-// through pos, independent stores — so the partitioner's own loop,
-// whose every step depends on the last, reads its edges sequentially.
-func streamOrder(g *graph.Graph, seed, salt uint64) (stream []graph.Edge, pos []int) {
-	order := make([]int, g.NumEdges())
-	r := rng.Derive(seed, salt)
-	r.Perm(order)
-	pos = make([]int, len(order))
-	for i, e := range order {
-		pos[e] = i
+// streamEdge is one edge of a greedy partitioner's stream: its
+// endpoints and E, its index in the canonical CSR order, where the
+// partitioner writes the edge's machine.
+type streamEdge struct {
+	Src, Dst graph.VertexID
+	E        uint32
+}
+
+// streamOrder lays g's edges out in the seeded pseudo-random order a
+// greedy streaming partitioner consumes them in: one sequential sweep
+// of the CSR, then a Fisher–Yates shuffle of that array in place, with
+// the draws rng.Perm makes for the same stream (so position i holds
+// CSR edge Perm's order[i]). The partitioner's own loop, whose every
+// step depends on the last, then reads its edges sequentially.
+func streamOrder(g *graph.Graph, seed, salt uint64) []streamEdge {
+	if g.NumEdges() > math.MaxUint32 {
+		panic(fmt.Sprintf("cluster: %d edges overflow a stream edge index", g.NumEdges()))
 	}
-	stream = make([]graph.Edge, len(order))
+	stream := make([]streamEdge, 0, g.NumEdges())
 	adj := g.NewAdjReader()
 	defer adj.Release()
-	e := 0
 	for v := 0; v < g.NumVertices(); v++ {
 		for _, d := range adj.OutNeighbors(graph.VertexID(v)) {
-			stream[pos[e]] = graph.Edge{Src: graph.VertexID(v), Dst: d}
-			e++
+			stream = append(stream, streamEdge{Src: graph.VertexID(v), Dst: d, E: uint32(len(stream))})
 		}
 	}
-	return stream, pos
-}
-
-// csrOrder carries per-edge choices made in stream order back to
-// canonical CSR order, the order Partitioner.Place answers in.
-func csrOrder(choice []uint16, pos []int) []uint16 {
-	out := make([]uint16, len(choice))
-	for e, i := range pos {
-		out[e] = choice[i]
-	}
-	return out
+	rng.Shuffle(rng.Derive(seed, salt), stream)
+	return stream
 }
 
 func anyMachine(machines int, pred func(int) bool) bool {

@@ -206,15 +206,13 @@ func (r *Stream) Perm(dst []int) {
 	for i := range dst {
 		dst[i] = i
 	}
-	for i := len(dst) - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		dst[i], dst[j] = dst[j], dst[i]
-	}
+	Shuffle(r, dst)
 }
 
-// Shuffle randomly permutes the first n integers of xs in place using
-// Fisher–Yates.
-func ShuffleUint32(r *Stream, xs []uint32) {
+// Shuffle permutes xs in place by Fisher–Yates. Its swaps depend only
+// on indices, so for the same stream state xs[i] ends up holding the
+// element that started at Perm's dst[i].
+func Shuffle[T any](r *Stream, xs []T) {
 	for i := len(xs) - 1; i > 0; i-- {
 		j := r.Intn(i + 1)
 		xs[i], xs[j] = xs[j], xs[i]

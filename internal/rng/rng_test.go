@@ -267,16 +267,24 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 }
 
-func TestShuffleUint32Preserves(t *testing.T) {
-	r := New(4)
-	xs := []uint32{1, 2, 3, 4, 5, 6, 7}
-	ShuffleUint32(r, xs)
-	sum := uint32(0)
-	for _, v := range xs {
-		sum += v
-	}
-	if sum != 28 {
-		t.Fatalf("shuffle changed multiset: %v", xs)
+// TestShuffleCarriesPermOrder pins what a stream shuffled in place
+// relies on: with the same draws, position i of a shuffled slice holds
+// the element that started at Perm's order[i], payload and all.
+func TestShuffleCarriesPermOrder(t *testing.T) {
+	type tagged struct{ v, i int }
+	for _, n := range []int{0, 1, 2, 1000} {
+		order := make([]int, n)
+		Derive(4, uint64(n)).Perm(order)
+		xs := make([]tagged, n)
+		for i := range xs {
+			xs[i] = tagged{v: 7*i + 3, i: i}
+		}
+		Shuffle(Derive(4, uint64(n)), xs)
+		for i, x := range xs {
+			if x.i != order[i] || x.v != 7*x.i+3 {
+				t.Fatalf("n=%d: position %d holds %+v, Perm put %d there", n, i, x, order[i])
+			}
+		}
 	}
 }
 
