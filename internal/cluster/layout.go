@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
+	"sync"
 
 	"repro/internal/graph"
 )
@@ -11,7 +12,9 @@ import (
 // Layout is the realized placement of a graph on a cluster: the
 // edge→machine assignment, the per-vertex replica (presence) sets, the
 // master replica of every vertex, and per-machine local sub-graphs in
-// CSR form. It is immutable once built and shared by all engine runs.
+// CSR form. It is immutable once built and shared by all engine runs;
+// the local in-CSRs are the one part filled in later, once, by the
+// first reader of in-edges (see buildInCSRs).
 type Layout struct {
 	g           *graph.Graph
 	machines    int
@@ -33,12 +36,16 @@ type Layout struct {
 	presWord []uint64
 
 	views []MachineView
+
+	// inOnce guards the one build of every view's inOff/inAdj.
+	inOnce sync.Once
 }
 
 // MachineView is one machine's local slice of the graph: the vertices
 // present on the machine and the locally-owned edges, in local CSR
 // form. Engine goroutines operate on views concurrently; views are
-// read-only after construction.
+// read-only after construction, apart from the in-CSR's one guarded
+// build.
 type MachineView struct {
 	id  int
 	lay *Layout // LocalIndex answers from its presence lists
@@ -48,7 +55,7 @@ type MachineView struct {
 
 	outOff []int64
 	outAdj []uint32
-	inOff  []int64
+	inOff  []int64 // nil until Layout.buildInCSRs
 	inAdj  []uint32
 
 	masters []uint32 // vertices whose master replica is here
@@ -62,10 +69,9 @@ type MachineView struct {
 // prefix-sum, fill) rather than a hash-map build. Beyond the
 // partitioner's own pass, the global CSR is read twice: once for
 // presence, once to split its edges into the machines' local out-CSRs,
-// which they already are in CSR order. Each machine's in-CSR is then
-// built from its own out-CSR alone, so the per-edge random reads stay
-// inside one machine's arrays and a vertex-sized index map that fits
-// in cache.
+// which they already are in CSR order. The local in-CSRs are not built
+// here: only a gathering program reads them, and the first read builds
+// them (buildInCSRs).
 func NewLayout(g *graph.Graph, machines int, p Partitioner, seed uint64) (*Layout, error) {
 	lay, placement, err := ingress(g, machines, p, seed)
 	if err != nil {
@@ -87,7 +93,6 @@ func NewLayout(g *graph.Graph, machines int, p Partitioner, seed uint64) (*Layou
 			lay:    lay,
 			verts:  make([]uint32, present[m]),
 			outOff: make([]int64, present[m]+1),
-			inOff:  make([]int64, present[m]+1),
 		}
 	}
 	lay.presLocal = make([]int32, len(lay.presList))
@@ -130,41 +135,58 @@ func NewLayout(g *graph.Graph, machines int, p Partitioner, seed uint64) (*Layou
 		}
 	}
 
-	// Local in-CSRs, one machine at a time from its own out-CSR, with
-	// toLocal (refilled from the machine's verts) as the global→local
-	// map. In-degrees are counted into inOff[ld+1]; after the prefix sum
-	// inOff[ld] is ld's write cursor, and walking local sources in
-	// ascending order fills each in-list in the order the CSR lists
-	// its sources.
-	toLocal := make([]int32, n)
 	masters, _ := lay.masterLists()
 	for m := range lay.views {
 		view := &lay.views[m]
-		for li, v := range view.verts {
-			toLocal[v] = int32(li)
+		for li := range view.verts {
 			view.outOff[li+1] += view.outOff[li]
 		}
-		for _, d := range view.outAdj {
-			view.inOff[toLocal[d]+1]++
-		}
-		for li := range view.verts {
-			view.inOff[li+1] += view.inOff[li]
-		}
-		view.inAdj = make([]uint32, len(view.outAdj))
-		for li, s := range view.verts {
-			for _, d := range view.outAdj[view.outOff[li]:view.outOff[li+1]] {
-				ld := toLocal[d]
-				view.inAdj[view.inOff[ld]] = s
-				view.inOff[ld]++
-			}
-		}
-		// Every cursor now holds its vertex's end, i.e. the next
-		// vertex's start: shift them back into place.
-		copy(view.inOff[1:], view.inOff)
-		view.inOff[0] = 0
 		view.masters = masters[m]
 	}
 	return lay, nil
+}
+
+// buildInCSRs builds every view's local in-CSR the first time it is
+// called, and afterwards costs one atomic load. The in-edge readers
+// (InNeighborsLocal, LocalInDegree, Validate) call it first. Only a
+// gathering program reads in-edges, so a layout that serves FrogWild
+// alone never holds them.
+//
+// Each machine's in-CSR comes from its own out-CSR, with toLocal
+// (refilled from the machine's verts) as the global→local map.
+// In-degrees are counted into inOff[ld+1]; after the prefix sum
+// inOff[ld] is ld's write cursor, and walking local sources in
+// ascending order fills each in-list in the order the CSR lists its
+// sources.
+func (l *Layout) buildInCSRs() {
+	l.inOnce.Do(func() {
+		toLocal := make([]int32, l.g.NumVertices())
+		for m := range l.views {
+			view := &l.views[m]
+			view.inOff = make([]int64, len(view.verts)+1)
+			for li, v := range view.verts {
+				toLocal[v] = int32(li)
+			}
+			for _, d := range view.outAdj {
+				view.inOff[toLocal[d]+1]++
+			}
+			for li := range view.verts {
+				view.inOff[li+1] += view.inOff[li]
+			}
+			view.inAdj = make([]uint32, len(view.outAdj))
+			for li, s := range view.verts {
+				for _, d := range view.outAdj[view.outOff[li]:view.outOff[li+1]] {
+					ld := toLocal[d]
+					view.inAdj[view.inOff[ld]] = s
+					view.inOff[ld]++
+				}
+			}
+			// Every cursor now holds its vertex's end, i.e. the next
+			// vertex's start: shift them back into place.
+			copy(view.inOff[1:], view.inOff)
+			view.inOff[0] = 0
+		}
+	})
 }
 
 // MasterLists runs the ingress half of NewLayout only — placement,
@@ -439,6 +461,7 @@ func (l *Layout) Stats() CutStats {
 // master is in its presence set, and local CSRs agree with the global
 // graph. It is used by property tests.
 func (l *Layout) Validate() error {
+	l.buildInCSRs()
 	n := l.g.NumVertices()
 	var localEdges int64
 	for m := 0; m < l.machines; m++ {
@@ -549,8 +572,10 @@ func (mv *MachineView) OutNeighborsLocal(li int32) []uint32 {
 }
 
 // InNeighborsLocal returns the sources of the machine's local in-edges
-// of the vertex at local index li.
+// of the vertex at local index li. The layout's first in-edge read
+// builds the in-CSRs of all its views; it is safe from any goroutine.
 func (mv *MachineView) InNeighborsLocal(li int32) []uint32 {
+	mv.lay.buildInCSRs()
 	return mv.inAdj[mv.inOff[li]:mv.inOff[li+1]]
 }
 
@@ -563,6 +588,7 @@ func (mv *MachineView) LocalOutDegree(li int32) int {
 // LocalInDegree returns the local in-degree of the vertex at local
 // index li.
 func (mv *MachineView) LocalInDegree(li int32) int {
+	mv.lay.buildInCSRs()
 	return int(mv.inOff[li+1] - mv.inOff[li])
 }
 

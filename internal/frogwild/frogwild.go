@@ -179,13 +179,12 @@ func (p *program) ScatterDir() gas.Dir { return gas.DirOut }
 // synchronized replicas proportionally to their local out-degrees. In
 // binomial mode every replica instead receives the full count and draws
 // independent binomials per edge.
-func (p *program) Split(v graph.VertexID, st state, weights []int, r *rng.Stream) []state {
-	shares := make([]state, len(weights))
+func (p *program) Split(v graph.VertexID, st state, weights []int, r *rng.Stream, shares []state) {
 	if p.mode == ScatterBinomial {
 		for i := range shares {
 			shares[i] = state{K: st.K}
 		}
-		return shares
+		return
 	}
 	total := 0
 	for _, w := range weights {
@@ -202,7 +201,6 @@ func (p *program) Split(v graph.VertexID, st state, weights []int, r *rng.Stream
 		total -= weights[i]
 	}
 	shares[len(weights)-1].K = remaining
-	return shares
 }
 
 // ScatterLocal implements gas.Program: route this replica's share of

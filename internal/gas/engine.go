@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -188,11 +189,21 @@ type machineScratch[V, M any] struct {
 	aggs    []float64
 	applied []int64
 	sync    [][]targetedSync[V]
+	plans   []planScratch[V]
 	out     []map[graph.VertexID]M
 	work    []scatterItem[V]
 	// newPending is the machine's newly activated vertex count from the
 	// routing phase, summed into Engine.pending.
 	newPending int64
+}
+
+// planScratch holds one apply chunk's planSync buffers, reused for
+// every vertex the chunk applies.
+type planScratch[V any] struct {
+	synced  []uint16
+	targets []uint16
+	weights []int
+	shares  []V
 }
 
 // ensure grows the per-chunk buffers to hold at least n chunks,
@@ -209,6 +220,9 @@ func (sc *machineScratch[V, M]) ensure(n int) {
 	}
 	for len(sc.sync) < n {
 		sc.sync = append(sc.sync, nil)
+	}
+	for len(sc.plans) < n {
+		sc.plans = append(sc.plans, planScratch[V]{})
 	}
 	for len(sc.out) < n {
 		sc.out = append(sc.out, nil)
@@ -465,7 +479,8 @@ func (e *Engine[V, M]) superstep(step int) int64 {
 	// master list; plan sync and scatter shares into per-chunk buffers.
 	// Aggregates, meters and sync deliveries are reduced in chunk-index
 	// order, keeping floating-point sums and syncOut ordering identical
-	// for any worker count.
+	// for any worker count. A chunk holds one Context and one stream,
+	// re-derived for every vertex it applies.
 	e.parallel(func(m int) {
 		view := e.lay.View(m)
 		sc := &e.scratch[m]
@@ -478,6 +493,9 @@ func (e *Engine[V, M]) superstep(step int) int64 {
 			sc.aggs[c] = 0
 			sc.applied[c] = 0
 			buf := sc.sync[c][:0]
+			plan := &sc.plans[c]
+			var stream rng.Stream
+			ctx := &Context{Superstep: step, NumVertices: e.n, NumMachines: e.machines, Machine: m, Rng: &stream}
 			for i := chunks[c].Lo; i < chunks[c].Hi; i++ {
 				v := graph.VertexID(masters[i])
 				if !e.isActive(v) && !e.hasMsg[v] {
@@ -497,10 +515,8 @@ func (e *Engine[V, M]) superstep(step int) int64 {
 						}
 					}
 				}
-				ctx := &Context{
-					Superstep: step, NumVertices: e.n, NumMachines: e.machines, Machine: m,
-					Rng: rng.Derive(e.opts.Seed, rngDomainApply, uint64(step), uint64(v)),
-				}
+				stream = rng.DeriveValue(e.opts.Seed, rngDomainApply, uint64(step), uint64(v))
+				ctx.aggregate = 0
 				newState, doScatter := e.prog.Apply(v, e.state[v], acc, e.inbox[v], e.hasMsg[v], ctx)
 				e.state[v] = newState
 				sc.aggs[c] += ctx.aggregate
@@ -511,7 +527,7 @@ func (e *Engine[V, M]) superstep(step int) int64 {
 					}
 				}
 				if doScatter {
-					buf = e.planSync(m, v, newState, ctx.Rng, meter, buf)
+					buf = e.planSync(m, v, newState, &stream, meter, plan, buf)
 				}
 			}
 			sc.sync[c] = buf
@@ -567,6 +583,7 @@ func (e *Engine[V, M]) superstep(step int) int64 {
 			emit := func(dst graph.VertexID, msg M) {
 				e.combineInto(out, dst, msg)
 			}
+			ctx := &Context{Superstep: step, NumVertices: e.n, NumMachines: e.machines, Machine: m, Rng: streams[c]}
 			for i := chunks[c].Lo; i < chunks[c].Hi; i++ {
 				entry := work[i].entry
 				if int(work[i].src) != m {
@@ -590,10 +607,6 @@ func (e *Engine[V, M]) superstep(step int) int64 {
 				}
 				if len(neighbors) == 0 {
 					continue
-				}
-				ctx := &Context{
-					Superstep: step, NumVertices: e.n, NumMachines: e.machines, Machine: m,
-					Rng: streams[c],
 				}
 				e.prog.ScatterLocal(entry.v, entry.state, neighbors, emit, ctx)
 				meter.EdgeOps += int64(len(neighbors))
@@ -691,20 +704,22 @@ func (e *Engine[V, M]) isActive(v graph.VertexID) bool {
 // returning the grown buffer. It runs at v's master machine m; r is the
 // vertex's apply-phase stream, so the mirror coin flips are
 // deterministic per (seed, superstep, vertex) regardless of chunking.
-func (e *Engine[V, M]) planSync(m int, v graph.VertexID, state V, r *rng.Stream, meter *cluster.MachineMeter, sink []targetedSync[V]) []targetedSync[V] {
+// Its working lists live in the chunk's ps, and every buffer it grows
+// is stored back there before it returns.
+func (e *Engine[V, M]) planSync(m int, v graph.VertexID, state V, r *rng.Stream, meter *cluster.MachineMeter, ps *planScratch[V], sink []targetedSync[V]) []targetedSync[V] {
 	presences := e.lay.Presences(v)
 	if len(presences) == 0 {
 		return sink
 	}
 	// presences[0] is the master's machine: always synchronized.
-	synced := make([]uint16, 1, len(presences))
-	synced[0] = presences[0]
+	synced := append(ps.synced[:0], presences[0])
 	for _, mirror := range presences[1:] {
 		if r.Bernoulli(e.opts.PS) {
 			synced = append(synced, mirror)
 			meter.Send(cluster.TrafficSync, int64(e.sizes.State)+perEntryHeaderBytes)
 		}
 	}
+	ps.synced = synced
 
 	if e.splitter == nil {
 		for _, target := range synced {
@@ -729,8 +744,7 @@ func (e *Engine[V, M]) planSync(m int, v graph.VertexID, state V, r *rng.Stream,
 		}
 		return view.LocalOutDegree(li)
 	}
-	targets := make([]uint16, 0, len(synced))
-	weights := make([]int, 0, len(synced))
+	targets, weights := ps.targets[:0], ps.weights[:0]
 	for _, t := range synced {
 		if d := localDeg(t); d > 0 {
 			targets = append(targets, t)
@@ -738,10 +752,13 @@ func (e *Engine[V, M]) planSync(m int, v graph.VertexID, state V, r *rng.Stream,
 		}
 	}
 	if len(targets) == 0 {
+		// Nothing was appended, so nothing grew: these returns leave ps
+		// as it was.
 		if e.opts.IndependentErasures {
 			return sink // Example 9: the state strands this superstep
 		}
-		// Collect all replicas with local edges and force one.
+		// Collect all replicas with local edges and force one (rare, so
+		// its list is not pooled).
 		var candidates []uint16
 		for _, t := range presences {
 			if localDeg(t) > 0 {
@@ -758,10 +775,11 @@ func (e *Engine[V, M]) planSync(m int, v graph.VertexID, state V, r *rng.Stream,
 			meter.Send(cluster.TrafficSync, int64(e.sizes.State)+perEntryHeaderBytes)
 		}
 	}
-	shares := e.splitter.Split(v, state, weights, r)
-	if len(shares) != len(targets) {
-		panic(fmt.Sprintf("gas: Split returned %d shares for %d targets", len(shares), len(targets)))
-	}
+	ps.targets, ps.weights = targets, weights
+	shares := slices.Grow(ps.shares[:0], len(weights))[:len(weights)]
+	clear(shares)
+	ps.shares = shares
+	e.splitter.Split(v, state, weights, r, shares)
 	for i, target := range targets {
 		sink = append(sink, targetedSync[V]{target: target, entry: syncEntry[V]{v: v, state: shares[i], scatter: true}})
 	}

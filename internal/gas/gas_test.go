@@ -305,8 +305,7 @@ func TestSimTimePositive(t *testing.T) {
 // must be conserved across shares.
 type splitterProgram struct{ tokenProgram }
 
-func (splitterProgram) Split(v graph.VertexID, st tokState, weights []int, r *rng.Stream) []tokState {
-	shares := make([]tokState, len(weights))
+func (splitterProgram) Split(v graph.VertexID, st tokState, weights []int, r *rng.Stream, shares []tokState) {
 	total := 0
 	for _, w := range weights {
 		total += w
@@ -319,7 +318,6 @@ func (splitterProgram) Split(v graph.VertexID, st tokState, weights []int, r *rn
 		total -= weights[i]
 	}
 	shares[len(weights)-1].Hold = remaining
-	return shares
 }
 
 func (splitterProgram) ScatterLocal(v graph.VertexID, st tokState, neighbors []graph.VertexID, emit func(graph.VertexID, int64), ctx *Context) {

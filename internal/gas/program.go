@@ -143,8 +143,10 @@ type Program[V, M any] interface {
 // master state to every synchronized replica, the engine asks the
 // program to divide the state into one share per synchronized replica
 // that has local scatter-direction edges. weights holds each such
-// replica's local edge count; the returned slice must have
-// len(weights) entries.
+// replica's local edge count. shares arrives zeroed and sized to
+// len(weights), shares[i] for the replica of weights[i]; Split writes
+// only the shares it assigns, and a share it leaves alone is the zero
+// V. Both slices are the engine's and are reused after Split returns.
 //
 // FrogWild uses this to route each of K frogs through exactly one
 // (enabled) out-edge: shares are multinomial with probabilities
@@ -152,7 +154,7 @@ type Program[V, M any] interface {
 // over all enabled out-edges — the paper's edge-erasure model
 // (Appendix A) at machine granularity.
 type Splitter[V any] interface {
-	Split(v graph.VertexID, state V, weights []int, r *rng.Stream) []V
+	Split(v graph.VertexID, state V, weights []int, r *rng.Stream, shares []V)
 }
 
 // Finalizer is an optional Program extension invoked once per vertex

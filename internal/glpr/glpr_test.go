@@ -2,9 +2,11 @@ package glpr
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/frogwild"
 	"repro/internal/graph/gen"
 	"repro/internal/pagerank"
 	"repro/internal/topk"
@@ -158,5 +160,42 @@ func TestLayoutReuse(t *testing.T) {
 	}
 	if res.Layout != lay {
 		t.Error("layout should be passed through")
+	}
+}
+
+// TestLazyInCSRAfterFrogWild is the harness's shared-layout pattern: a
+// FrogWild run, which never reads in-edges, uses the layout first, and
+// GraphLab-PR's first gather then builds the in-CSRs inside the engine.
+// Ranks and every network count must equal a run on a fresh layout bit
+// for bit.
+func TestLazyInCSRAfterFrogWild(t *testing.T) {
+	g, err := gen.PowerLaw(gen.PowerLawConfig{N: 1500, MeanOutDeg: 6, DegExponent: 2.1, PrefExponent: 1, Seed: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	newLayout := func() *cluster.Layout {
+		lay, err := cluster.NewLayout(g, 12, cluster.Random{}, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return lay
+	}
+	shared := newLayout()
+	if _, err := frogwild.Run(g, frogwild.Config{Walkers: 2000, Iterations: 4, PS: 0.7, Layout: shared, Seed: 4}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Run(g, Config{Iterations: 3, Seed: 4, Layout: shared})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Run(g, Config{Iterations: 3, Seed: 4, Layout: newLayout()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got.Rank, want.Rank) {
+		t.Error("ranks on the layout FrogWild used differ from ranks on a fresh layout")
+	}
+	if got.Stats.Net != want.Stats.Net {
+		t.Errorf("network counts on the shared layout %+v, on a fresh one %+v", got.Stats.Net, want.Stats.Net)
 	}
 }

@@ -71,8 +71,7 @@ func (p *program) ScatterDir() gas.Dir { return gas.DirOut }
 // Split implements gas.Splitter: the single push lands on one
 // synchronized replica, chosen proportionally to local out-degree —
 // i.e., the pushed edge is uniform over the enabled out-edges.
-func (p *program) Split(v graph.VertexID, st state, weights []int, r *rng.Stream) []state {
-	shares := make([]state, len(weights))
+func (p *program) Split(v graph.VertexID, st state, weights []int, r *rng.Stream, shares []state) {
 	total := 0
 	for _, w := range weights {
 		total += w
@@ -85,7 +84,6 @@ func (p *program) Split(v graph.VertexID, st state, weights []int, r *rng.Stream
 		}
 		pick -= w
 	}
-	return shares
 }
 
 // ScatterLocal implements gas.Program: push along one uniformly random
