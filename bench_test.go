@@ -3,16 +3,16 @@
 // target runs the corresponding experiment at the tiny scale and
 // reports the figure's key quantity as a custom metric, so
 // `go test -bench=Fig -benchmem` both times the reproduction and
-// surfaces its headline numbers. The rest are the serial-vs-parallel
-// speedups and the ablations; per-operation and serving costs are
-// measured by the repository benchmark (bench/, `bash bench/run.sh`).
+// surfaces its headline numbers. The rest are the multicore paths
+// (`-bench Parallel -cpu 1,2,4` reads their scaling) and the ablations;
+// per-operation and serving costs are measured by the repository
+// benchmark (bench/, `bash bench/run.sh`).
 package repro_test
 
 import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"repro"
 	"repro/internal/harness"
@@ -154,9 +154,9 @@ func reportEngineMetrics(b *testing.B, vertexOps int64, last *repro.RunStats) {
 	}
 }
 
-// benchGraph50k is the graph for the serial-vs-parallel speedup
-// benchmarks: big enough (~1.5M edges) that per-iteration work, not
-// scheduling overhead, dominates.
+// benchGraph50k is the graph for the multicore benchmarks: big enough
+// (~1.5M edges) that per-iteration work, not scheduling overhead,
+// dominates.
 var benchGraph50k = sync.OnceValue(func() *repro.Graph {
 	g, err := repro.TwitterLikeGraph(50000, 7)
 	if err != nil {
@@ -165,83 +165,39 @@ var benchGraph50k = sync.OnceValue(func() *repro.Graph {
 	return g
 })
 
-// timeOnce measures fn once; used to cache each parallel benchmark's
-// untimed Workers=1 baseline so it is not re-run every time the
-// framework re-invokes the benchmark with a larger b.N.
-func timeOnce(fn func() error) func() time.Duration {
-	return sync.OnceValue(func() time.Duration {
-		start := time.Now()
-		if err := fn(); err != nil {
-			panic(err)
-		}
-		return time.Since(start)
-	})
-}
-
-// reportSpeedup attaches the serial-over-parallel throughput ratio.
-func reportSpeedup(b *testing.B, serial time.Duration) {
-	perOp := b.Elapsed().Seconds() / float64(b.N)
-	if perOp > 0 {
-		b.ReportMetric(serial.Seconds()/perOp, "speedup/serial-vs-parallel")
-	}
-}
-
-var serialPageRankDur = timeOnce(func() error {
-	_, err := repro.ExactPageRank(benchGraph50k(), repro.PageRankOptions{Tolerance: 1e-9, Workers: 1})
-	return err
-})
-
-var serialFrogWalkDur = timeOnce(func() error {
-	g := benchGraph50k()
-	_, err := repro.SerialFrogWalkParallel(g, g.NumVertices()/6, 4, repro.DefaultTeleport, 1, 1)
-	return err
-})
-
-var serialMonteCarloDur = timeOnce(func() error {
-	_, err := repro.RunMonteCarloPR(benchGraph50k(), repro.MonteCarloConfig{Seed: 1, Workers: 1})
-	return err
-})
-
 // BenchmarkExactPageRankParallel measures the multicore solver on the
-// 50k-vertex twitter-like graph and reports its speedup over the same
-// solve at Workers=1. Results are bit-identical for any worker count,
-// so this measures pure throughput.
+// 50k-vertex twitter-like graph. Its pool is sized from GOMAXPROCS and
+// results are bit-identical for any worker count, so
+// `go test -bench Parallel -cpu 1,2,4 .` reads the speedup off the
+// -cpu rows.
 func BenchmarkExactPageRankParallel(b *testing.B) {
 	g := benchGraph50k()
-	serialDur := serialPageRankDur()
-	par := repro.PageRankOptions{Tolerance: 1e-9} // Workers 0 = all cores
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := repro.ExactPageRank(g, par); err != nil {
+		if _, err := repro.ExactPageRank(g, repro.PageRankOptions{Tolerance: 1e-9}); err != nil {
 			b.Fatal(err)
 		}
 	}
-	reportSpeedup(b, serialDur)
 }
 
-// BenchmarkSerialFrogWalkParallel measures the sharded single-machine
-// frog walk on the 50k-vertex graph and reports its speedup over one
-// worker.
-func BenchmarkSerialFrogWalkParallel(b *testing.B) {
+// BenchmarkReferenceFrogWalkParallel measures the sharded
+// single-machine frog walk on the 50k-vertex graph.
+func BenchmarkReferenceFrogWalkParallel(b *testing.B) {
 	g := benchGraph50k()
 	walkers := g.NumVertices() / 6
-	serialDur := serialFrogWalkDur()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := repro.SerialFrogWalkParallel(g, walkers, 4, repro.DefaultTeleport, 1, 0); err != nil {
+		if _, err := repro.SerialFrogWalk(g, walkers, 4, repro.DefaultTeleport, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
-	reportSpeedup(b, serialDur)
 }
 
 // BenchmarkMonteCarloParallel measures the sharded Monte-Carlo baseline
-// (R=1 walker per vertex) on the 50k-vertex graph with speedup over one
-// worker, reporting walk throughput as vertex/s (one walk starts at
-// every vertex).
+// (R=1 walker per vertex) on the 50k-vertex graph, reporting walk
+// throughput as vertex/s (one walk starts at every vertex).
 func BenchmarkMonteCarloParallel(b *testing.B) {
 	g := benchGraph50k()
-	serialDur := serialMonteCarloDur()
 	par := repro.MonteCarloConfig{Seed: 1}
 	var walks int64
 	b.ResetTimer()
@@ -252,15 +208,14 @@ func BenchmarkMonteCarloParallel(b *testing.B) {
 		}
 		walks += int64(res.Walks)
 	}
-	reportSpeedup(b, serialDur)
 	if sec := b.Elapsed().Seconds(); sec > 0 {
 		b.ReportMetric(float64(walks)/sec, "vertex/s")
 	}
 }
 
 // benchLayout50k4 partitions the 50k graph over 4 machines — few enough
-// that multi-core CI runners have cores left over for per-machine
-// workers, which is what BenchmarkFrogWildEngineWorkers measures.
+// that multi-core runners have cores left over for per-machine
+// workers, which is what BenchmarkFrogWildEngineParallel measures.
 var benchLayout50k4 = sync.OnceValue(func() *repro.Layout {
 	lay, err := repro.NewLayout(benchGraph50k(), 4, nil, 7)
 	if err != nil {
@@ -269,46 +224,28 @@ var benchLayout50k4 = sync.OnceValue(func() *repro.Layout {
 	return lay
 })
 
-// engineFrogWild runs the workers-sweep FrogWild configuration: a full
-// walker-per-vertex load so apply/scatter dominate engine overhead.
-func engineFrogWild(workers int) (*repro.FrogWildResult, error) {
+// BenchmarkFrogWildEngineParallel measures the engine's intra-machine
+// sharding on the 50k twitter-like graph: a full walker-per-vertex load
+// so apply/scatter dominate engine overhead. Each machine's pool is its
+// share of GOMAXPROCS, so -cpu 4,8,16 gives 1, 2 and 4 workers per
+// machine, with bit-identical results.
+func BenchmarkFrogWildEngineParallel(b *testing.B) {
 	g := benchGraph50k()
-	return repro.RunFrogWild(g, repro.FrogWildConfig{
-		Walkers: g.NumVertices(), Iterations: 4, PS: 0.7,
-		Layout: benchLayout50k4(), Seed: 1, WorkersPerMachine: workers,
-	})
-}
-
-var serialEngineFrogWildDur = timeOnce(func() error {
-	_, err := engineFrogWild(1)
-	return err
-})
-
-// BenchmarkFrogWildEngineWorkers measures the engine's intra-machine
-// sharding on the 50k twitter-like graph: the same bit-identical run at
-// increasing WorkersPerMachine, each reporting its speedup over the
-// fully serial per-machine engine (workers=1). On a single-core runner
-// the ratio stays ≈1; with spare cores it rises.
-func BenchmarkFrogWildEngineWorkers(b *testing.B) {
-	benchLayout50k4() // build the layout outside the timed baseline
-	serial := serialEngineFrogWildDur()
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			var last *repro.FrogWildResult
-			var vertexOps int64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := engineFrogWild(workers)
-				if err != nil {
-					b.Fatal(err)
-				}
-				last = res
-				vertexOps += res.Stats.Net.VertexOps
-			}
-			reportSpeedup(b, serial)
-			reportEngineMetrics(b, vertexOps, last.Stats)
+	lay := benchLayout50k4()
+	var last *repro.FrogWildResult
+	var vertexOps int64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := repro.RunFrogWild(g, repro.FrogWildConfig{
+			Walkers: g.NumVertices(), Iterations: 4, PS: 0.7, Layout: lay, Seed: 1,
 		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		last = res
+		vertexOps += res.Stats.Net.VertexOps
 	}
+	reportEngineMetrics(b, vertexOps, last.Stats)
 }
 
 // BenchmarkAblationIngress compares the four ingress strategies'

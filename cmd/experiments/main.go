@@ -28,18 +28,12 @@ import (
 
 func main() {
 	var (
-		fig     = flag.String("fig", "all", "figure to run: all|1|2|3|4|5|6|7|8|ablation")
-		scale   = flag.String("scale", "small", "workload scale: tiny|small|medium|large")
-		seed    = flag.Uint64("seed", 12345, "experiment seed")
-		csvDir  = flag.String("csv", "", "also write each table as CSV into this directory")
-		engWork = flag.Int("engine-workers", 0, "worker goroutines per simulated machine (0 = split cores across machines, 1 = serial per machine)")
+		fig    = flag.String("fig", "all", "figure to run: all|1|2|3|4|5|6|7|8|ablation")
+		scale  = flag.String("scale", "small", "workload scale: tiny|small|medium|large")
+		seed   = flag.Uint64("seed", 12345, "experiment seed")
+		csvDir = flag.String("csv", "", "also write each table as CSV into this directory")
 	)
 	flag.Parse()
-	if *engWork < 0 {
-		fmt.Fprintf(os.Stderr, "experiments: -engine-workers must be >= 0, got %d\n", *engWork)
-		flag.Usage()
-		os.Exit(2)
-	}
 
 	sc, err := harness.ParseScale(*scale)
 	if err != nil {
@@ -47,7 +41,6 @@ func main() {
 		os.Exit(2)
 	}
 	env := harness.NewEnv(sc, *seed)
-	env.EngineWorkers = *engWork
 
 	start := time.Now()
 	var tables []*harness.Table

@@ -7,25 +7,23 @@
 //
 //	frogwild -graph tw.csr.gz -walkers 100000 -iters 4 -ps 0.7 -machines 16 -k 20 -compare
 //	frogwild -gen twitterlike -n 50000 -walkers 8000 -ps 0.4
-//	frogwild -gen twitterlike -n 50000 -machines 8 -engine-workers 4
-//	frogwild -gen twitterlike -n 50000 -reference -workers 0
+//	frogwild -gen twitterlike -n 50000 -reference
 //
-// -engine-workers shards every simulated machine's gather/apply/scatter
-// loops across that many goroutines (0 splits the cores across the
-// machines); tallies are bit-identical for any setting. With -reference
-// the simulated cluster is skipped entirely and the single-machine
-// frog-walk process runs instead, sharded across -workers cores
-// (likewise bit-identical for any worker count).
+// Every simulated machine shards its gather/apply/scatter loops across
+// its share of GOMAXPROCS; tallies are bit-identical for any GOMAXPROCS.
+// With -reference the simulated cluster is skipped entirely and the
+// single-machine frog-walk process runs instead, sharded across
+// GOMAXPROCS cores (likewise bit-identical).
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 
 	"repro"
 	"repro/internal/graph/gio"
-	"repro/internal/parallel"
 )
 
 func main() {
@@ -44,59 +42,12 @@ func main() {
 		seed     = flag.Uint64("seed", 1, "run seed")
 		compare  = flag.Bool("compare", false, "also compute exact PageRank and report accuracy")
 		refMode  = flag.Bool("reference", false, "run the single-machine reference walk instead of the simulated cluster")
-		workers  = flag.Int("workers", 0, "worker goroutines in -reference mode (0 = all cores, 1 = serial)")
-		engWork  = flag.Int("engine-workers", 0, "worker goroutines per simulated machine (0 = split cores across machines, 1 = serial per machine)")
 	)
 	flag.Parse()
-	if *engWork < 0 {
-		fmt.Fprintf(os.Stderr, "frogwild: -engine-workers must be >= 0, got %d\n", *engWork)
-		flag.Usage()
-		os.Exit(2)
-	}
-
-	g, err := (&gio.Source{Path: *path, Gen: *genType, N: *n, Seed: *seed}).Open()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "frogwild: %v\n", err)
-		os.Exit(1)
-	}
-	nWalkers := *walkers
-	if nWalkers == 0 {
-		nWalkers = g.NumVertices() / 6
-		if nWalkers < 100 {
-			nWalkers = 100
-		}
-	}
-	if *refMode {
-		counts, err := repro.SerialFrogWalkParallel(g, nWalkers, *iters, repro.DefaultTeleport, *seed, *workers)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "frogwild: %v\n", err)
-			os.Exit(1)
-		}
-		var total int64
-		for _, c := range counts {
-			total += c
-		}
-		est := make([]float64, len(counts))
-		for v, c := range counts {
-			est[v] = float64(c) / float64(total)
-		}
-		fmt.Printf("graph: %d vertices, %d edges; single-machine reference walk\n",
-			g.NumVertices(), g.NumEdges())
-		fmt.Printf("frogwild: %d walkers, %d iterations, %d workers\n", nWalkers, *iters, parallel.Workers(*workers))
-		fmt.Printf("\n%-8s %-10s %-12s %s\n", "rank", "vertex", "estimate", "frogs")
-		for i, e := range repro.TopK(est, *k) {
-			fmt.Printf("%-8d %-10d %.6e %d\n", i+1, e.Vertex, e.Score, counts[e.Vertex])
-		}
-		if *compare {
-			reportAccuracy(g, est, *k)
-		}
-		return
-	}
-
 	p, err := repro.PartitionerByName(*part)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "frogwild: %v\n", err)
-		os.Exit(1)
+		os.Exit(2)
 	}
 	var scatter repro.ScatterMode
 	switch *mode {
@@ -119,16 +70,54 @@ func main() {
 		os.Exit(2)
 	}
 
+	g, err := (&gio.Source{Path: *path, Gen: *genType, N: *n, Seed: *seed}).Open()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "frogwild: %v\n", err)
+		os.Exit(1)
+	}
+	nWalkers := *walkers
+	if nWalkers == 0 {
+		nWalkers = g.NumVertices() / 6
+		if nWalkers < 100 {
+			nWalkers = 100
+		}
+	}
+	if *refMode {
+		counts, err := repro.SerialFrogWalk(g, nWalkers, *iters, repro.DefaultTeleport, *seed)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "frogwild: %v\n", err)
+			os.Exit(1)
+		}
+		var total int64
+		for _, c := range counts {
+			total += c
+		}
+		est := make([]float64, len(counts))
+		for v, c := range counts {
+			est[v] = float64(c) / float64(total)
+		}
+		fmt.Printf("graph: %d vertices, %d edges; single-machine reference walk\n",
+			g.NumVertices(), g.NumEdges())
+		fmt.Printf("frogwild: %d walkers, %d iterations, %d workers\n", nWalkers, *iters, runtime.GOMAXPROCS(0))
+		fmt.Printf("\n%-8s %-10s %-12s %s\n", "rank", "vertex", "estimate", "frogs")
+		for i, e := range repro.TopK(est, *k) {
+			fmt.Printf("%-8d %-10d %.6e %d\n", i+1, e.Vertex, e.Score, counts[e.Vertex])
+		}
+		if *compare {
+			reportAccuracy(g, est, *k)
+		}
+		return
+	}
+
 	res, err := repro.RunFrogWild(g, repro.FrogWildConfig{
-		Walkers:           nWalkers,
-		Iterations:        *iters,
-		PS:                *ps,
-		Machines:          *machines,
-		Partitioner:       p,
-		Mode:              scatter,
-		ErasureModel:      erasureModel,
-		Seed:              *seed,
-		WorkersPerMachine: *engWork,
+		Walkers:      nWalkers,
+		Iterations:   *iters,
+		PS:           *ps,
+		Machines:     *machines,
+		Partitioner:  p,
+		Mode:         scatter,
+		ErasureModel: erasureModel,
+		Seed:         *seed,
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "frogwild: %v\n", err)

@@ -3,12 +3,12 @@
 // iteration — the ground truth against which FrogWild's approximation
 // is judged; with -engine it instead runs the "GraphLab PR" baseline on
 // the simulated vertex-cut cluster and reports the engine's metered
-// cost. Both paths are bit-identical for any worker setting.
+// cost. Both paths are bit-identical for any GOMAXPROCS.
 //
 // Usage:
 //
 //	pagerank -graph tw.csr.gz -k 20
-//	pagerank -graph tw.csr.gz -engine -machines 16 -engine-workers 2
+//	pagerank -graph tw.csr.gz -engine -machines 16
 //	gengraph -type rmat -scale 14 -out /tmp/g.csr && pagerank -graph /tmp/g.csr
 package main
 
@@ -26,21 +26,14 @@ func main() {
 		k        = flag.Int("k", 20, "how many top vertices to print")
 		teleport = flag.Float64("teleport", repro.DefaultTeleport, "teleportation probability pT")
 		tol      = flag.Float64("tol", 1e-12, "L1 convergence tolerance")
-		workers  = flag.Int("workers", 0, "worker goroutines for the exact inner loop (0 = all cores, 1 = serial)")
 		engine   = flag.Bool("engine", false, "run GraphLab PR on the simulated cluster instead of the exact solver")
 		machines = flag.Int("machines", 16, "simulated cluster size in -engine mode")
 		iters    = flag.Int("iters", 0, "-engine mode supersteps (0 = iterate to tolerance)")
-		engWork  = flag.Int("engine-workers", 0, "worker goroutines per simulated machine in -engine mode (0 = split cores across machines, 1 = serial per machine)")
 		seed     = flag.Uint64("seed", 1, "partitioning/engine seed in -engine mode")
 	)
 	flag.Parse()
 	if *path == "" {
 		fmt.Fprintln(os.Stderr, "pagerank: -graph is required")
-		flag.Usage()
-		os.Exit(2)
-	}
-	if *engWork < 0 {
-		fmt.Fprintf(os.Stderr, "pagerank: -engine-workers must be >= 0, got %d\n", *engWork)
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -52,12 +45,11 @@ func main() {
 	fmt.Printf("graph: %d vertices, %d edges\n", g.NumVertices(), g.NumEdges())
 	if *engine {
 		res, err := repro.RunGraphLabPR(g, repro.GraphLabPRConfig{
-			Machines:          *machines,
-			Teleport:          *teleport,
-			Iterations:        *iters,
-			Tolerance:         *tol,
-			Seed:              *seed,
-			WorkersPerMachine: *engWork,
+			Machines:   *machines,
+			Teleport:   *teleport,
+			Iterations: *iters,
+			Tolerance:  *tol,
+			Seed:       *seed,
 		})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "pagerank: %v\n", err)
@@ -68,7 +60,7 @@ func main() {
 		printTop(res.Rank, *k)
 		return
 	}
-	res, err := repro.ExactPageRank(g, repro.PageRankOptions{Teleport: *teleport, Tolerance: *tol, Workers: *workers})
+	res, err := repro.ExactPageRank(g, repro.PageRankOptions{Teleport: *teleport, Tolerance: *tol})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "pagerank: %v\n", err)
 		os.Exit(1)

@@ -118,8 +118,6 @@ func newFlags(stderr io.Writer) (*flag.FlagSet, *options) {
 	fs.IntVar(&o.build.Walkers, "walkers", 0, "frogwild walker count N (default: vertices/6)")
 	fs.IntVar(&o.build.Iterations, "iters", 0, "iterations: frogwild walk cutoff (default 4) / glpr supersteps (0 = to tolerance)")
 	fs.Float64Var(&o.build.PS, "ps", 0.7, "mirror synchronization probability")
-	fs.IntVar(&o.build.WorkersPerMachine, "engine-workers", 0, "worker goroutines per simulated machine (0 = split cores across machines)")
-	fs.IntVar(&o.build.Workers, "workers", 0, "exact-engine power-iteration workers (0 = all cores)")
 	fs.DurationVar(&o.refresh, "refresh", 0, "background recompute cadence (0 = serve the initial snapshot forever)")
 	fs.StringVar(&o.shards, "shards", "", "router mode: comma-separated prshard RPC addresses to fan queries out to")
 	fs.DurationVar(&o.shardTimeout, "shard-timeout", 2*time.Second, "router mode: per-shard RPC timeout (each query retries once on a fresh connection)")
@@ -150,9 +148,6 @@ func run(ctx context.Context, args []string, stderr io.Writer, onReady func(addr
 	fail := func(err error) int {
 		fmt.Fprintf(stderr, "prserve: %v\n", err)
 		return 1
-	}
-	if o.build.WorkersPerMachine < 0 {
-		return usage("-engine-workers must be >= 0, got %d", o.build.WorkersPerMachine)
 	}
 	var reqLog *obs.Logger
 	if o.logRequests {

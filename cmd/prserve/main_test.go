@@ -34,7 +34,8 @@ func TestUsageErrors(t *testing.T) {
 	}{
 		{[]string{"-bogus"}, "-bogus"},
 		{[]string{"-gen", "twitterlike", "-engine", "bogus"}, `"bogus"`},
-		{[]string{"-gen", "twitterlike", "-engine-workers", "-1"}, "-engine-workers"},
+		{[]string{"-gen", "twitterlike", "-engine-workers", "2"}, "-engine-workers"}, // removed: GOMAXPROCS sizes the pools
+		{[]string{"-gen", "twitterlike", "-workers", "2"}, "-workers"},
 		{[]string{"-gen", "twitterlike", "-graph-mem", "12parsecs"}, `"12parsecs"`},
 		{[]string{"-shards", " , "}, "-shards"},
 		{[]string{"-gen", "foo"}, `unknown generator "foo"`},
@@ -55,14 +56,14 @@ func TestUsageErrors(t *testing.T) {
 
 // TestFlagSurface pins prserve's flags: the (name, default) list was
 // generated by FlagSet.VisitAll at the commit before the graph and
-// engine flags moved into gio.Source and serve.BuildConfig, so a
-// refactor of the shared config can neither add, drop nor re-default a
-// flag unnoticed. Help text is not pinned.
+// engine flags moved into gio.Source and serve.BuildConfig, less the
+// two worker-count flags removed since, so a refactor of the shared
+// config can neither add, drop nor re-default a flag unnoticed. Help
+// text is not pinned.
 func TestFlagSurface(t *testing.T) {
 	want := [][2]string{
 		{"addr", ":8080"},
 		{"engine", "frogwild"},
-		{"engine-workers", "0"},
 		{"gen", ""},
 		{"graph", ""},
 		{"graph-cache", ""},
@@ -86,7 +87,6 @@ func TestFlagSurface(t *testing.T) {
 		{"shards", ""},
 		{"snapshot-dir", ""},
 		{"walkers", "0"},
-		{"workers", "0"},
 	}
 	fs, _ := newFlags(io.Discard)
 	var got [][2]string

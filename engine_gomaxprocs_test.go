@@ -1,20 +1,26 @@
-// Equivalence tests for the engine's WorkersPerMachine knob: every
+// Equivalence tests for the engine's per-machine worker pools: every
 // distributed entry point must produce byte-identical results — tallies,
 // estimates and network meters — no matter how many workers shard each
-// simulated machine's phases. This mirrors the Workers-knob tests the
-// serial paths got in internal/frogwild and internal/montecarlo.
+// simulated machine's phases. The pools are sized from GOMAXPROCS, so
+// the tests vary that. This mirrors the GOMAXPROCS tests of the serial
+// paths in internal/frogwild and internal/montecarlo.
 package repro_test
 
 import (
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
 	"repro"
 )
 
-// equivWorkerCounts deliberately includes an odd prime that does not
+// equivMachines simulated machines split GOMAXPROCS evenly, so
+// equivWorkerCounts workers per machine is GOMAXPROCS equivMachines×
+// that. The counts deliberately include an odd prime that does not
 // divide any chunk count evenly.
+const equivMachines = 8
+
 var equivWorkerCounts = []int{1, 2, 4, 7}
 
 var equivSetup = sync.OnceValues(func() (*repro.Graph, *repro.Layout) {
@@ -24,7 +30,7 @@ var equivSetup = sync.OnceValues(func() (*repro.Graph, *repro.Layout) {
 	if err != nil {
 		panic(err)
 	}
-	lay, err := repro.NewLayout(g, 8, nil, 11)
+	lay, err := repro.NewLayout(g, equivMachines, nil, 11)
 	if err != nil {
 		panic(err)
 	}
@@ -49,16 +55,15 @@ func statsArtifact(s *repro.RunStats) repro.RunStats {
 	return c
 }
 
-func TestEngineWorkersBitIdentical(t *testing.T) {
+func TestEngineBitIdenticalAcrossGOMAXPROCS(t *testing.T) {
 	g, lay := equivSetup()
 	cases := []struct {
 		name string
-		run  func(workers int) (engineArtifact, error)
+		run  func() (engineArtifact, error)
 	}{
-		{"frogwild", func(workers int) (engineArtifact, error) {
+		{"frogwild", func() (engineArtifact, error) {
 			res, err := repro.RunFrogWild(g, repro.FrogWildConfig{
 				Walkers: 6000, Iterations: 4, PS: 0.4, Layout: lay, Seed: 42,
-				WorkersPerMachine: workers,
 			})
 			if err != nil {
 				return engineArtifact{}, err
@@ -66,10 +71,10 @@ func TestEngineWorkersBitIdentical(t *testing.T) {
 			return engineArtifact{Ints: res.Counts, Floats: res.Estimate,
 				Stats: statsArtifact(res.Stats), Supersteps: res.Stats.Supersteps}, nil
 		}},
-		{"frogwild-binomial-lowps", func(workers int) (engineArtifact, error) {
+		{"frogwild-binomial-lowps", func() (engineArtifact, error) {
 			res, err := repro.RunFrogWild(g, repro.FrogWildConfig{
 				Walkers: 6000, Iterations: 4, PS: 0.1, Layout: lay, Seed: 7,
-				Mode: repro.ScatterBinomial, WorkersPerMachine: workers,
+				Mode: repro.ScatterBinomial,
 			})
 			if err != nil {
 				return engineArtifact{}, err
@@ -77,9 +82,9 @@ func TestEngineWorkersBitIdentical(t *testing.T) {
 			return engineArtifact{Ints: res.Counts, Floats: res.Estimate,
 				Stats: statsArtifact(res.Stats), Supersteps: res.Stats.Supersteps}, nil
 		}},
-		{"graphlabpr", func(workers int) (engineArtifact, error) {
+		{"graphlabpr", func() (engineArtifact, error) {
 			res, err := repro.RunGraphLabPR(g, repro.GraphLabPRConfig{
-				Layout: lay, Iterations: 8, Seed: 42, WorkersPerMachine: workers,
+				Layout: lay, Iterations: 8, Seed: 42,
 			})
 			if err != nil {
 				return engineArtifact{}, err
@@ -87,10 +92,9 @@ func TestEngineWorkersBitIdentical(t *testing.T) {
 			return engineArtifact{Floats: res.Rank,
 				Stats: statsArtifact(res.Stats), Supersteps: res.Stats.Supersteps}, nil
 		}},
-		{"gossip", func(workers int) (engineArtifact, error) {
+		{"gossip", func() (engineArtifact, error) {
 			res, err := repro.RunGossip(g, repro.GossipConfig{
 				Origin: 0, Rounds: 12, PS: 0.7, Layout: lay, Seed: 42,
-				WorkersPerMachine: workers,
 			})
 			if err != nil {
 				return engineArtifact{}, err
@@ -107,14 +111,18 @@ func TestEngineWorkersBitIdentical(t *testing.T) {
 				Stats: statsArtifact(res.Stats), Supersteps: res.Stats.Supersteps}, nil
 		}},
 	}
+	run := func(tc func() (engineArtifact, error), workers int) (engineArtifact, error) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(equivMachines * workers))
+		return tc()
+	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			ref, err := tc.run(1)
+			ref, err := run(tc.run, 1)
 			if err != nil {
 				t.Fatalf("workers=1: %v", err)
 			}
 			for _, workers := range equivWorkerCounts[1:] {
-				got, err := tc.run(workers)
+				got, err := run(tc.run, workers)
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
 				}
@@ -133,26 +141,5 @@ func TestEngineWorkersBitIdentical(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestEngineWorkersRejectsNegative checks the knob's validation at the
-// public entry points.
-func TestEngineWorkersRejectsNegative(t *testing.T) {
-	g, lay := equivSetup()
-	if _, err := repro.RunFrogWild(g, repro.FrogWildConfig{
-		Walkers: 100, Iterations: 2, Layout: lay, WorkersPerMachine: -1,
-	}); err == nil {
-		t.Error("RunFrogWild accepted WorkersPerMachine=-1")
-	}
-	if _, err := repro.RunGraphLabPR(g, repro.GraphLabPRConfig{
-		Layout: lay, Iterations: 2, WorkersPerMachine: -3,
-	}); err == nil {
-		t.Error("RunGraphLabPR accepted WorkersPerMachine=-3")
-	}
-	if _, err := repro.RunGossip(g, repro.GossipConfig{
-		Origin: 0, Rounds: 2, Layout: lay, WorkersPerMachine: -2,
-	}); err == nil {
-		t.Error("RunGossip accepted WorkersPerMachine=-2")
 	}
 }

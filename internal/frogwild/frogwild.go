@@ -279,11 +279,6 @@ type Config struct {
 	Estimator Estimator
 	// Seed drives frog placement, deaths, routing and sync coin flips.
 	Seed uint64
-	// WorkersPerMachine shards each simulated machine's engine phases
-	// across a worker pool: 0 divides GOMAXPROCS across machines, 1 is
-	// fully serial per machine. Tallies are bit-identical for every
-	// setting (see gas.Options.WorkersPerMachine).
-	WorkersPerMachine int
 	// Cost overrides the cost model; zero value selects the default.
 	Cost cluster.CostModel
 	// Layout, when non-nil, reuses a prebuilt layout (Machines and
@@ -381,7 +376,6 @@ func runWithPlacement(g *graph.Graph, cfg Config, placer func(n, walkers int, r 
 		MaxSupersteps:       cfg.Iterations,
 		Cost:                cfg.Cost,
 		IndependentErasures: cfg.ErasureModel == ErasureIndependent,
-		WorkersPerMachine:   cfg.WorkersPerMachine,
 	})
 	if err != nil {
 		return nil, err
@@ -425,19 +419,15 @@ func Estimate(counts []int64, total int64) []float64 {
 // (Process 15 in the paper), with no engine, no partitioning and no
 // partial synchronization. It returns the per-vertex tally; the sum is
 // exactly walkers. Used to cross-validate the distributed
-// implementation. It is SerialWalkParallel on one goroutine.
+// implementation.
+//
+// The walkers are sharded across GOMAXPROCS goroutines by the walk
+// kernel (internal/walk). Walker i starts uniformly, takes
+// min(Geometric(pT), iterations) steps — both drawn from its own
+// stream derived from (seed, i) — stops at a dangling vertex and
+// tallies its endpoint, so the result is bit-identical for every
+// GOMAXPROCS.
 func SerialWalk(g *graph.Graph, walkers, iterations int, pT float64, seed uint64) ([]int64, error) {
-	return SerialWalkParallel(g, walkers, iterations, pT, seed, 1)
-}
-
-// SerialWalkParallel is SerialWalk with the walkers sharded across
-// workers goroutines (0 = GOMAXPROCS, 1 = one goroutine): a thin
-// configuration of the walk kernel (internal/walk). Walker i starts
-// uniformly, takes min(Geometric(pT), iterations) steps — both drawn
-// from its own stream derived from (seed, i) — stops at a dangling
-// vertex and tallies its endpoint, so the result is bit-identical for
-// every workers value.
-func SerialWalkParallel(g *graph.Graph, walkers, iterations int, pT float64, seed uint64, workers int) ([]int64, error) {
 	n := g.NumVertices()
 	if n == 0 {
 		return nil, errors.New("frogwild: empty graph")
@@ -448,7 +438,7 @@ func SerialWalkParallel(g *graph.Graph, walkers, iterations int, pT float64, see
 	if walkers < 0 {
 		return nil, fmt.Errorf("frogwild: negative walker count %d", walkers)
 	}
-	counts, _ := walk.Tally(g, walkers, workers, false, func(s *walk.Scratch, i int) {
+	counts, _ := walk.Tally(g, walkers, false, func(s *walk.Scratch, i int) {
 		stream := rng.DeriveValue(seed, 0x5E4, uint64(i))
 		start := graph.VertexID(stream.Intn(n))
 		left := walk.Length(&stream, pT, iterations)

@@ -2,6 +2,7 @@ package frogwild
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/cluster"
@@ -107,10 +108,17 @@ func TestSerialWalkConserves(t *testing.T) {
 	}
 }
 
+// TestSerialWalkParallelBitIdentical: SerialWalk shards its walkers
+// over GOMAXPROCS goroutines, and every GOMAXPROCS gives the
+// one-goroutine tally.
 func TestSerialWalkParallelBitIdentical(t *testing.T) {
 	g := powerLaw(t, 500, 4)
 	const walkers = 9999
-	ref, err := SerialWalkParallel(g, walkers, 6, 0.15, 7, 1)
+	walk := func(procs int) ([]int64, error) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		return SerialWalk(g, walkers, 6, 0.15, 7)
+	}
+	ref, err := walk(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,40 +127,44 @@ func TestSerialWalkParallelBitIdentical(t *testing.T) {
 		total += c
 	}
 	if total != walkers {
-		t.Errorf("parallel walk settled %d frogs, want %d", total, walkers)
+		t.Errorf("walk settled %d frogs, want %d", total, walkers)
 	}
-	for _, workers := range []int{2, 4, 7} {
-		got, err := SerialWalkParallel(g, walkers, 6, 0.15, 7, workers)
+	for _, procs := range []int{2, 4, 7} {
+		got, err := walk(procs)
 		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
 		}
 		for v := range ref {
 			if got[v] != ref[v] {
-				t.Fatalf("workers=%d: counts[%d] = %d != serial %d (not bit-identical)",
-					workers, v, got[v], ref[v])
+				t.Fatalf("GOMAXPROCS=%d: counts[%d] = %d != one goroutine's %d (not bit-identical)",
+					procs, v, got[v], ref[v])
 			}
 		}
 	}
 }
 
-// TestSerialWalkIsParallelWithOneWorker pins the two entry points to
-// one process: SerialWalk is SerialWalkParallel on one goroutine, and
-// (TestSerialWalkParallelBitIdentical) every other worker count gives
-// the same tally. That the process is the right one is the walk
-// kernel's law test (internal/walk, χ² against Process 15).
+// TestSerialWalkIsParallelWithOneWorker pins SerialWalk at the
+// process's own GOMAXPROCS to its one-goroutine run on a larger walk
+// than TestSerialWalkParallelBitIdentical. That the process is the
+// right one is the walk kernel's law test (internal/walk, χ² against
+// Process 15).
 func TestSerialWalkIsParallelWithOneWorker(t *testing.T) {
 	g := powerLaw(t, 400, 6)
-	serial, err := SerialWalk(g, 60000, 8, 0.15, 23)
+	par, err := SerialWalk(g, 60000, 8, 0.15, 23)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := SerialWalkParallel(g, 60000, 8, 0.15, 23, 0)
+	serial, err := func() ([]int64, error) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		return SerialWalk(g, 60000, 8, 0.15, 23)
+	}()
 	if err != nil {
 		t.Fatal(err)
 	}
 	for v := range serial {
 		if serial[v] != par[v] {
-			t.Fatalf("counts[%d]: SerialWalk %d != SerialWalkParallel %d", v, serial[v], par[v])
+			t.Fatalf("counts[%d]: one goroutine %d != GOMAXPROCS=%d %d",
+				v, serial[v], runtime.GOMAXPROCS(0), par[v])
 		}
 	}
 }

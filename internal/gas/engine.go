@@ -56,16 +56,6 @@ type Options struct {
 	// (walkers are lost), instead of force-enabling one replica (the
 	// default, Example 10 "At Least One Out-Edge Per Node").
 	IndependentErasures bool
-	// WorkersPerMachine shards every per-machine engine phase (gather,
-	// apply, scatter, finalize) across a worker pool of this size per
-	// simulated machine. 0 divides GOMAXPROCS evenly across machines
-	// (at least one worker each); 1 runs each machine's loops serially
-	// on its own goroutine, the pre-parallel behaviour. Results are
-	// bit-identical for every setting: chunk boundaries depend only on
-	// per-machine view sizes, per-chunk partial results are reduced in
-	// chunk-index order, and scatter randomness is one derived stream
-	// per chunk. Negative values are rejected by New.
-	WorkersPerMachine int
 	// Cost converts metered work into simulated seconds; the zero
 	// value selects cluster.DefaultCostModel.
 	Cost cluster.CostModel
@@ -104,8 +94,6 @@ type Engine[V, M any] struct {
 	n        int
 	machines int
 	sizes    Sizes
-	// workers is the resolved per-machine worker-pool size.
-	workers int
 
 	splitter  Splitter[V]
 	finalizer Finalizer[V, M]
@@ -152,7 +140,7 @@ type Engine[V, M any] struct {
 
 	// Fixed per-machine chunkings of the phase loops: boundaries are a
 	// function of view sizes only, never of the worker count — the
-	// invariant that keeps runs bit-identical for any WorkersPerMachine.
+	// invariant that keeps runs bit-identical for any GOMAXPROCS.
 	gatherChunks [][]parallel.Range
 	applyChunks  [][]parallel.Range
 
@@ -242,9 +230,6 @@ func New[V, M any](lay *cluster.Layout, prog Program[V, M], opts Options) (*Engi
 	if opts.MaxSupersteps <= 0 {
 		return nil, fmt.Errorf("gas: MaxSupersteps must be positive, got %d", opts.MaxSupersteps)
 	}
-	if opts.WorkersPerMachine < 0 {
-		return nil, fmt.Errorf("gas: WorkersPerMachine must be >= 0, got %d", opts.WorkersPerMachine)
-	}
 	if opts.Cost == (cluster.CostModel{}) {
 		opts.Cost = cluster.DefaultCostModel()
 	}
@@ -255,12 +240,6 @@ func New[V, M any](lay *cluster.Layout, prog Program[V, M], opts Options) (*Engi
 		n:        lay.Graph().NumVertices(),
 		machines: lay.NumMachines(),
 		sizes:    prog.Sizes(),
-	}
-	e.workers = opts.WorkersPerMachine
-	if e.workers == 0 {
-		// Machines already fan out one goroutine each; split the cores
-		// among them.
-		e.workers = max(1, runtime.GOMAXPROCS(0)/e.machines)
 	}
 	if s, ok := prog.(Splitter[V]); ok {
 		e.splitter = s
@@ -345,8 +324,11 @@ func (e *Engine[V, M]) parallel(fn func(m int)) {
 // finalizer and returns statistics.
 func (e *Engine[V, M]) Run() (*RunStats, error) {
 	start := time.Now()
+	// Machines already fan out one goroutine each; split the cores
+	// among them.
+	workers := max(1, runtime.GOMAXPROCS(0)/e.machines)
 	for m := range e.scratch {
-		e.scratch[m].pool = parallel.NewPool(e.workers)
+		e.scratch[m].pool = parallel.NewPool(workers)
 	}
 	defer func() {
 		for m := range e.scratch {

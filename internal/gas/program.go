@@ -26,8 +26,8 @@
 //     master at the start of the next superstep, activating it.
 //
 // Execution is parallel at two levels: one goroutine per simulated
-// machine, and within each machine a worker pool
-// (Options.WorkersPerMachine) that shards the gather, apply and scatter
+// machine, and within each machine a worker pool (GOMAXPROCS split
+// across machines) that shards the gather, apply and scatter
 // loops over fixed chunks of the machine's local vertex view. Chunk
 // boundaries depend only on view sizes, per-chunk partials (meters,
 // float aggregates, sync deliveries, combined messages) are reduced in

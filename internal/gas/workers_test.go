@@ -2,18 +2,20 @@ package gas
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/cluster"
 	"repro/internal/graph/gen"
 )
 
-// runTokens floods tokens over a power-law graph with the given
-// per-machine worker count and returns the final states plus stats.
-func runTokens(t *testing.T, lay *cluster.Layout, workers int) ([]tokState, *RunStats) {
+// runTokens floods tokens over a power-law graph at GOMAXPROCS procs
+// and returns the final states plus stats.
+func runTokens(t *testing.T, lay *cluster.Layout, procs int) ([]tokState, *RunStats) {
 	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	eng, err := New[tokState, int64](lay, tokenProgram{}, Options{
-		PS: 1, Seed: 5, MaxSupersteps: 5, WorkersPerMachine: workers,
+		PS: 1, Seed: 5, MaxSupersteps: 5,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -26,11 +28,12 @@ func runTokens(t *testing.T, lay *cluster.Layout, workers int) ([]tokState, *Run
 	return eng.MasterStates(), stats
 }
 
-// TestWorkersPerMachineBitIdentical pins the engine-level guarantee:
-// chunked phase execution returns the same states and the same meters
-// for every worker count, including one that does not divide the chunk
-// counts.
-func TestWorkersPerMachineBitIdentical(t *testing.T) {
+// TestPoolSizeBitIdentical pins the engine-level guarantee: chunked
+// phase execution returns the same states and the same meters for
+// every per-machine pool size, including one that does not divide the
+// chunk counts. Five machines split GOMAXPROCS 5/10/20/35 into 1/2/4/7
+// workers each.
+func TestPoolSizeBitIdentical(t *testing.T) {
 	g, err := gen.PowerLaw(gen.PowerLawConfig{N: 2000, MeanOutDeg: 6, DegExponent: 2.0, PrefExponent: 1.1, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -39,31 +42,14 @@ func TestWorkersPerMachineBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refStates, refStats := runTokens(t, lay, 1)
-	for _, workers := range []int{2, 4, 7} {
-		states, stats := runTokens(t, lay, workers)
+	refStates, refStats := runTokens(t, lay, 5)
+	for _, procs := range []int{10, 20, 35} {
+		states, stats := runTokens(t, lay, procs)
 		if !reflect.DeepEqual(states, refStates) {
-			t.Errorf("workers=%d: master states diverge from workers=1", workers)
+			t.Errorf("GOMAXPROCS=%d: master states diverge from one worker per machine", procs)
 		}
 		if !reflect.DeepEqual(stats, refStats) {
-			t.Errorf("workers=%d: stats diverge from workers=1\n got %+v\nwant %+v", workers, stats, refStats)
-		}
-	}
-}
-
-func TestWorkersPerMachineValidation(t *testing.T) {
-	lay := ringLayout(t, 10, 2)
-	if _, err := New[tokState, int64](lay, tokenProgram{}, Options{
-		PS: 1, Seed: 1, MaxSupersteps: 2, WorkersPerMachine: -1,
-	}); err == nil {
-		t.Error("negative WorkersPerMachine should be rejected")
-	}
-	// 0 (auto) and large explicit counts are both valid.
-	for _, workers := range []int{0, 64} {
-		if _, err := New[tokState, int64](lay, tokenProgram{}, Options{
-			PS: 1, Seed: 1, MaxSupersteps: 2, WorkersPerMachine: workers,
-		}); err != nil {
-			t.Errorf("WorkersPerMachine=%d rejected: %v", workers, err)
+			t.Errorf("GOMAXPROCS=%d: stats diverge from one worker per machine\n got %+v\nwant %+v", procs, stats, refStats)
 		}
 	}
 }

@@ -107,11 +107,6 @@ type Config struct {
 	MaxIterations int
 	// Seed drives partitioning and engine randomness.
 	Seed uint64
-	// WorkersPerMachine shards each simulated machine's engine phases
-	// across a worker pool: 0 divides GOMAXPROCS across machines, 1 is
-	// fully serial per machine. Ranks are bit-identical for every
-	// setting (see gas.Options.WorkersPerMachine).
-	WorkersPerMachine int
 	// Cost overrides the cost model; zero value selects the default.
 	Cost cluster.CostModel
 	// Layout, when non-nil, reuses a prebuilt layout (Machines and
@@ -156,11 +151,10 @@ func Run(g *graph.Graph, cfg Config) (*Result, error) {
 	prog := &program{g: g, n: g.NumVertices(), teleport: teleport}
 
 	opts := gas.Options{
-		PS:                1, // stock PowerGraph: full synchronization
-		Seed:              cfg.Seed,
-		AlwaysActive:      true,
-		Cost:              cfg.Cost,
-		WorkersPerMachine: cfg.WorkersPerMachine,
+		PS:           1, // stock PowerGraph: full synchronization
+		Seed:         cfg.Seed,
+		AlwaysActive: true,
+		Cost:         cfg.Cost,
 	}
 	if cfg.Iterations > 0 {
 		opts.MaxSupersteps = cfg.Iterations

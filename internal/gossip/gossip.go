@@ -125,11 +125,6 @@ type Config struct {
 	Partitioner cluster.Partitioner
 	// Seed drives all randomness.
 	Seed uint64
-	// WorkersPerMachine shards each simulated machine's engine phases
-	// across a worker pool: 0 divides GOMAXPROCS across machines, 1 is
-	// fully serial per machine. Results are bit-identical for every
-	// setting (see gas.Options.WorkersPerMachine).
-	WorkersPerMachine int
 	// Layout optionally reuses a prebuilt layout.
 	Layout *cluster.Layout
 }
@@ -178,11 +173,10 @@ func Run(g *graph.Graph, cfg Config) (*Result, error) {
 	}
 	prog := &program{origin: cfg.Origin, rounds: cfg.Rounds}
 	eng, err := gas.New[state, int64](lay, prog, gas.Options{
-		PS:                ps,
-		Seed:              cfg.Seed,
-		MaxSupersteps:     cfg.Rounds,
-		AlwaysActive:      true, // informed vertices push every round
-		WorkersPerMachine: cfg.WorkersPerMachine,
+		PS:            ps,
+		Seed:          cfg.Seed,
+		MaxSupersteps: cfg.Rounds,
+		AlwaysActive:  true, // informed vertices push every round
 	})
 	if err != nil {
 		return nil, err

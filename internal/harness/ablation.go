@@ -53,7 +53,6 @@ func ablatePartitioners(e *Env, w *Workload, machines int) (*Table, error) {
 		}
 		res, err := frogwild.Run(w.Graph, frogwild.Config{
 			Walkers: w.Walkers, Iterations: fwIters, PS: 0.7, Layout: lay, Seed: e.Seed, Cost: e.Cost,
-			WorkersPerMachine: e.EngineWorkers,
 		})
 		if err != nil {
 			return nil, err
@@ -81,7 +80,6 @@ func ablateScatter(e *Env, w *Workload, machines int) (*Table, error) {
 			res, err := frogwild.Run(w.Graph, frogwild.Config{
 				Walkers: w.Walkers, Iterations: fwIters, PS: ps, Layout: lay,
 				Seed: e.Seed, Cost: e.Cost, Mode: mode,
-				WorkersPerMachine: e.EngineWorkers,
 			})
 			if err != nil {
 				return nil, err
@@ -110,7 +108,6 @@ func ablateErasure(e *Env, w *Workload, machines int) (*Table, error) {
 			res, err := frogwild.Run(w.Graph, frogwild.Config{
 				Walkers: w.Walkers, Iterations: fwIters, PS: ps, Layout: lay,
 				Seed: e.Seed, Cost: e.Cost, ErasureModel: er,
-				WorkersPerMachine: e.EngineWorkers,
 			})
 			if err != nil {
 				return nil, err

@@ -37,7 +37,7 @@ func (e *Env) runGLPR(w *Workload, machines, iterations int) (*glMetrics, error)
 	if err != nil {
 		return nil, err
 	}
-	cfg := glpr.Config{Layout: lay, Seed: e.Seed, Cost: e.Cost, WorkersPerMachine: e.EngineWorkers}
+	cfg := glpr.Config{Layout: lay, Seed: e.Seed, Cost: e.Cost}
 	if iterations > 0 {
 		cfg.Iterations = iterations
 	} else {
@@ -72,13 +72,12 @@ func (e *Env) runFW(w *Workload, machines, walkers, iterations int, ps float64) 
 		return nil, err
 	}
 	res, err := frogwild.Run(w.Graph, frogwild.Config{
-		Walkers:           walkers,
-		Iterations:        iterations,
-		PS:                ps,
-		Layout:            lay,
-		Seed:              e.Seed + uint64(walkers) + uint64(iterations)*7919,
-		WorkersPerMachine: e.EngineWorkers,
-		Cost:              e.Cost,
+		Walkers:    walkers,
+		Iterations: iterations,
+		PS:         ps,
+		Layout:     lay,
+		Seed:       e.Seed + uint64(walkers) + uint64(iterations)*7919,
+		Cost:       e.Cost,
 	})
 	if err != nil {
 		return nil, err
@@ -258,7 +257,6 @@ func Fig5(e *Env) ([]*Table, error) {
 	for _, q := range []float64{0.4, 0.7, 1.0} {
 		res, err := sparsify.Run(w.Graph, sparsify.Config{
 			Keep: q, Iterations: 2, Machines: machines, Seed: e.Seed, Cost: e.Cost,
-			WorkersPerMachine: e.EngineWorkers,
 		})
 		if err != nil {
 			return nil, err

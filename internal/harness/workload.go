@@ -106,11 +106,6 @@ type Env struct {
 	Scale Scale
 	// Seed drives generation, partitioning and all runs.
 	Seed uint64
-	// EngineWorkers is the WorkersPerMachine knob threaded into every
-	// engine run (FrogWild, GL PR, sparsify): 0 divides
-	// GOMAXPROCS across the simulated machines, 1 runs each machine
-	// serially. Tables are bit-identical for every setting.
-	EngineWorkers int
 	// Cost is the cluster cost model used for simulated time.
 	Cost cluster.CostModel
 

@@ -58,11 +58,6 @@ type Config struct {
 	Estimator Estimator
 	// Seed drives the walks.
 	Seed uint64
-	// Workers is the number of goroutines sharding the walks: 0 selects
-	// GOMAXPROCS, 1 runs single-threaded. Every walk draws from its own
-	// derived rng.Stream, so the result is bit-identical for every
-	// Workers value.
-	Workers int
 }
 
 // Result is a Monte Carlo run's output.
@@ -76,11 +71,12 @@ type Result struct {
 	TotalSteps int64
 }
 
-// Run performs R walks from every vertex, sharded across cfg.Workers
+// Run performs R walks from every vertex, sharded across GOMAXPROCS
 // goroutines: a thin configuration of the walk kernel (internal/walk)
 // that starts at every vertex, stops at a dangling vertex and tallies
-// endpoints or complete paths. For a fixed Config the result is a
-// deterministic function of the graph and seed, independent of Workers.
+// endpoints or complete paths. Every walk draws from its own derived
+// rng.Stream, so for a fixed Config the result is a deterministic
+// function of the graph and seed, independent of GOMAXPROCS.
 func Run(g *graph.Graph, cfg Config) (*Result, error) {
 	if g == nil || g.NumVertices() == 0 {
 		return nil, errors.New("montecarlo: empty graph")
@@ -107,7 +103,7 @@ func Run(g *graph.Graph, cfg Config) (*Result, error) {
 
 	// Walk i starts at vertex i/r and takes min(Geometric(pT), maxSteps)
 	// steps, drawn from its own stream derived from (seed, i).
-	counts, steps := walk.Tally(g, r*n, cfg.Workers, cfg.Estimator == CompletePath, func(s *walk.Scratch, i int) {
+	counts, steps := walk.Tally(g, r*n, cfg.Estimator == CompletePath, func(s *walk.Scratch, i int) {
 		stream := rng.DeriveValue(cfg.Seed, 0x3C4, uint64(i))
 		left := walk.Length(&stream, pT, maxSteps)
 		s.Add(stream, graph.VertexID(i/r), left)

@@ -2,6 +2,7 @@ package montecarlo
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/graph/gen"
@@ -106,13 +107,17 @@ func TestRunParallelBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	run := func(est Estimator, procs int) (*Result, error) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		return Run(g, Config{WalkersPerVertex: 3, Estimator: est, Seed: 21})
+	}
 	for _, est := range []Estimator{EndPoint, CompletePath} {
-		ref, err := Run(g, Config{WalkersPerVertex: 3, Estimator: est, Seed: 21, Workers: 1})
+		ref, err := run(est, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{2, 4, 7} {
-			got, err := Run(g, Config{WalkersPerVertex: 3, Estimator: est, Seed: 21, Workers: workers})
+			got, err := run(est, workers)
 			if err != nil {
 				t.Fatalf("%v workers=%d: %v", est, workers, err)
 			}

@@ -8,13 +8,15 @@
 // parallel, pulling each destination's rank from its in-neighbors over
 // contiguous CSR vertex chunks. Chunk boundaries depend only on the
 // vertex count and floating-point partials are reduced in chunk index
-// order, so the result is bit-identical for every Workers setting.
+// order, so the result is bit-identical for every GOMAXPROCS, which
+// sizes the pool.
 package pagerank
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 
 	"repro/internal/graph"
 	"repro/internal/parallel"
@@ -33,11 +35,6 @@ type Options struct {
 	Tolerance float64
 	// MaxIterations caps the iteration count. Defaults to 500 when zero.
 	MaxIterations int
-	// Workers is the number of goroutines executing the power-iteration
-	// inner loop: 0 selects GOMAXPROCS, 1 runs single-threaded. The
-	// computed vector is bit-identical for every value — Workers is
-	// purely a throughput knob.
-	Workers int
 }
 
 // Result holds the converged PageRank vector and solver diagnostics.
@@ -94,7 +91,7 @@ func Exact(g *graph.Graph, opts Options) (*Result, error) {
 		}
 	}
 
-	pool := parallel.NewPool(opts.Workers)
+	pool := parallel.NewPool(runtime.GOMAXPROCS(0))
 	defer pool.Close()
 	chunks := parallel.Chunks(n)
 	contrib := make([]float64, n)          // cur[s]/dout(s), or 0 for dangling s

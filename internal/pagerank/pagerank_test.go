@@ -2,6 +2,7 @@ package pagerank
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/graph"
@@ -229,13 +230,17 @@ func TestExactParallelBitIdentical(t *testing.T) {
 	} else {
 		t.Fatal(err)
 	}
+	exact := func(g *graph.Graph, procs int) (*Result, error) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		return Exact(g, Options{Tolerance: 1e-13})
+	}
 	for name, g := range graphs {
-		ref, err := Exact(g, Options{Tolerance: 1e-13, Workers: 1})
+		ref, err := exact(g, 1)
 		if err != nil {
 			t.Fatalf("%s: serial: %v", name, err)
 		}
 		for _, workers := range []int{2, 4, 7} {
-			got, err := Exact(g, Options{Tolerance: 1e-13, Workers: workers})
+			got, err := exact(g, workers)
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", name, workers, err)
 			}

@@ -16,7 +16,7 @@
 //     sums are combined in a fixed order; integer tallies may be
 //     merged in any order because integer addition is associative.
 //
-// Under these rules Workers is purely a throughput knob: 1 reproduces
+// Under these rules the worker count only sets throughput: 1 reproduces
 // single-threaded execution exactly, and N ≥ 2 reproduces the same
 // bits faster.
 package parallel
@@ -26,16 +26,6 @@ import (
 	"sync"
 	"sync/atomic"
 )
-
-// Workers resolves a Workers configuration knob to an actual worker
-// count: 0 selects runtime.GOMAXPROCS(0) (use every core), and values
-// below 1 are clamped to 1 (fully serial).
-func Workers(requested int) int {
-	if requested == 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return max(requested, 1)
-}
 
 // Range is a half-open interval [Lo, Hi) of task or vertex indices.
 type Range struct {
@@ -57,7 +47,7 @@ const (
 
 // NumChunks returns how many chunks Chunks splits n items into. The
 // count depends only on n — never on the worker count — which is what
-// keeps chunked computation bit-identical for any Workers setting.
+// keeps chunked computation bit-identical for any worker count.
 func NumChunks(n int) int {
 	if n <= minChunkSize {
 		return 1
@@ -99,11 +89,11 @@ type Pool struct {
 	jobs    chan *job
 }
 
-// NewPool returns a pool with Workers(requested) workers. Workers
-// beyond the first are persistent goroutines that live until Close;
-// the goroutine calling Run always participates as worker 0.
-func NewPool(requested int) *Pool {
-	w := Workers(requested)
+// NewPool returns a pool of max(workers, 1) workers. Workers beyond
+// the first are persistent goroutines that live until Close; the
+// goroutine calling Run always participates as worker 0.
+func NewPool(workers int) *Pool {
+	w := max(workers, 1)
 	p := &Pool{workers: w}
 	if w > 1 {
 		p.jobs = make(chan *job, w-1)
@@ -114,7 +104,7 @@ func NewPool(requested int) *Pool {
 	return p
 }
 
-// NumWorkers returns the resolved worker count. Callers allocating
+// NumWorkers returns the pool's worker count. Callers allocating
 // per-worker scratch (tally arrays, partial sums) size it with this.
 func (p *Pool) NumWorkers() int { return p.workers }
 

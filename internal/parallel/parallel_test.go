@@ -2,19 +2,17 @@ package parallel
 
 import (
 	"errors"
-	"runtime"
 	"sync/atomic"
 	"testing"
 )
 
 func TestWorkersResolution(t *testing.T) {
-	if got := Workers(0); got != runtime.GOMAXPROCS(0) {
-		t.Errorf("Workers(0) = %d, want GOMAXPROCS = %d", got, runtime.GOMAXPROCS(0))
-	}
-	for req, want := range map[int]int{1: 1, 3: 3, -2: 1, 16: 16} {
-		if got := Workers(req); got != want {
-			t.Errorf("Workers(%d) = %d, want %d", req, got, want)
+	for req, want := range map[int]int{0: 1, 1: 1, 3: 3, -2: 1, 16: 16} {
+		p := NewPool(req)
+		if got := p.NumWorkers(); got != want {
+			t.Errorf("NewPool(%d).NumWorkers() = %d, want %d", req, got, want)
 		}
+		p.Close()
 	}
 }
 

@@ -268,17 +268,19 @@ func TestPPRStalledRequestDoesNotBlockOthers(t *testing.T) {
 }
 
 // TestCompareFaultAnswersUnavailable: a failed adjacency read under
-// /v1/compare's reference run — on whichever pool worker it lands — is
-// the 503 unavailable envelope for every request sharing the flight,
-// not a panic; nothing is cached, and the retried request answers what
-// a healthy server answers.
+// /v1/compare's reference run — on whichever pool worker it lands, at
+// one P or four — is the 503 unavailable envelope for every request
+// sharing the flight, not a panic; nothing is cached, and the retried
+// request answers what a healthy server answers.
 func TestCompareFaultAnswersUnavailable(t *testing.T) {
-	for _, workers := range []int{1, 4} {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
 		healthy, snap := pprServer(t, PPROptions{})
 		faulty, pager := faultySnapshot(t, snap)
 		store := NewStore()
 		store.Publish(faulty)
-		cmp := BuildConfig{Engine: EngineExact, Workers: workers}
+		cmp := BuildConfig{Engine: EngineExact}
 		srv := NewServer(store, ServerOptions{Compare: cmp})
 		healthy.opts.Compare = cmp
 
@@ -288,7 +290,7 @@ func TestCompareFaultAnswersUnavailable(t *testing.T) {
 		wantUnavailable(t, code, body)
 		code, body = getPPR(t, srv, url)
 		if _, want := getPPR(t, healthy, url); code != http.StatusOK || string(body) != string(want) {
-			t.Fatalf("workers=%d: retried compare answered %d %s, want a healthy server's %s", workers, code, body, want)
+			t.Fatalf("GOMAXPROCS=%d: retried compare answered %d %s, want a healthy server's %s", procs, code, body, want)
 		}
 	}
 }

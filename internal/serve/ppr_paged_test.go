@@ -23,7 +23,7 @@ func pagedGraphs(t *testing.T) (map[string]*graph.Graph, *Snapshot) {
 	// Big enough that the out-adjacency alone spans more pages than the
 	// pool's minimum frame count, so the tiny budget really evicts.
 	return pagedLayouts(t, gen.PowerLawConfig{N: 25000, MeanOutDeg: 8, DegExponent: 2.1, Seed: 5},
-		BuildConfig{Engine: EngineFrogWild, Machines: 4, Seed: 11, WorkersPerMachine: 1, MaxK: 50},
+		BuildConfig{Engine: EngineFrogWild, Machines: 4, Seed: 11, MaxK: 50},
 		map[string]float64{"paged": 0})
 }
 

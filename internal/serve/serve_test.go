@@ -31,7 +31,7 @@ func testGraph(t testing.TB) *graph.Graph {
 
 // testBuildConfig keeps engine runs cheap in tests.
 func testBuildConfig(engine Engine) BuildConfig {
-	return BuildConfig{Engine: engine, Machines: 4, Seed: 11, WorkersPerMachine: 1, MaxK: 50}
+	return BuildConfig{Engine: engine, Machines: 4, Seed: 11, MaxK: 50}
 }
 
 // buildSnap builds and publishes one snapshot.

@@ -83,12 +83,6 @@ type BuildConfig struct {
 	Teleport float64
 	// Machines is the simulated cluster size; 0 selects 16.
 	Machines int
-	// WorkersPerMachine shards each simulated machine's engine phases
-	// (0 divides GOMAXPROCS across machines, 1 is serial per machine).
-	WorkersPerMachine int
-	// Workers shards the exact engine's power iteration (0 = all
-	// cores).
-	Workers int
 	// Seed drives the run; the Refresher derives a fresh seed from it
 	// per generation.
 	Seed uint64
@@ -262,13 +256,12 @@ func computeRanks(g *graph.Graph, cfg BuildConfig) ([]float64, error) {
 	switch cfg.Engine {
 	case EngineFrogWild:
 		res, err := frogwild.Run(g, frogwild.Config{
-			Walkers:           cfg.Walkers,
-			Iterations:        cfg.Iterations,
-			PS:                cfg.PS,
-			Teleport:          cfg.Teleport,
-			Machines:          cfg.Machines,
-			WorkersPerMachine: cfg.WorkersPerMachine,
-			Seed:              cfg.Seed,
+			Walkers:    cfg.Walkers,
+			Iterations: cfg.Iterations,
+			PS:         cfg.PS,
+			Teleport:   cfg.Teleport,
+			Machines:   cfg.Machines,
+			Seed:       cfg.Seed,
 		})
 		if err != nil {
 			return nil, err
@@ -276,21 +269,17 @@ func computeRanks(g *graph.Graph, cfg BuildConfig) ([]float64, error) {
 		return res.Estimate, nil
 	case EngineGLPR:
 		res, err := glpr.Run(g, glpr.Config{
-			Machines:          cfg.Machines,
-			Teleport:          cfg.Teleport,
-			Iterations:        cfg.Iterations,
-			WorkersPerMachine: cfg.WorkersPerMachine,
-			Seed:              cfg.Seed,
+			Machines:   cfg.Machines,
+			Teleport:   cfg.Teleport,
+			Iterations: cfg.Iterations,
+			Seed:       cfg.Seed,
 		})
 		if err != nil {
 			return nil, err
 		}
 		return res.Rank, nil
 	case EngineExact:
-		res, err := pagerank.Exact(g, pagerank.Options{
-			Teleport: cfg.Teleport,
-			Workers:  cfg.Workers,
-		})
+		res, err := pagerank.Exact(g, pagerank.Options{Teleport: cfg.Teleport})
 		if err != nil {
 			return nil, err
 		}

@@ -70,10 +70,6 @@ type Config struct {
 	Teleport float64
 	// Seed drives sparsification, partitioning and the engine.
 	Seed uint64
-	// WorkersPerMachine shards each simulated machine's engine phases
-	// across a worker pool for the GL PR run (see
-	// gas.Options.WorkersPerMachine).
-	WorkersPerMachine int
 	// Cost overrides the cost model.
 	Cost cluster.CostModel
 }
@@ -101,13 +97,12 @@ func Run(g *graph.Graph, cfg Config) (*Result, error) {
 		return nil, err
 	}
 	pr, err := glpr.Run(sg, glpr.Config{
-		Machines:          cfg.Machines,
-		Partitioner:       cfg.Partitioner,
-		Teleport:          cfg.Teleport,
-		Iterations:        cfg.Iterations,
-		Seed:              cfg.Seed,
-		WorkersPerMachine: cfg.WorkersPerMachine,
-		Cost:              cfg.Cost,
+		Machines:    cfg.Machines,
+		Partitioner: cfg.Partitioner,
+		Teleport:    cfg.Teleport,
+		Iterations:  cfg.Iterations,
+		Seed:        cfg.Seed,
+		Cost:        cfg.Cost,
 	})
 	if err != nil {
 		return nil, err

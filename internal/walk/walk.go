@@ -19,6 +19,7 @@ package walk
 import (
 	"cmp"
 	"math/bits"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -243,14 +244,14 @@ func (s *Scratch) advance(i int32, r *graph.AdjReader, restart bool, visit func(
 
 // Tally runs walkers [0, n) — seed adds walker i, whose stream must
 // derive from i alone — under the stop-at-dangling policy across
-// workers goroutines (0 = GOMAXPROCS). It returns the dense per-vertex
-// tally (walk endpoints, or with completePath every vertex visited) and
-// the total step count, bit-identical for every workers value: chunk
-// boundaries depend only on n (parallel.Chunks), each chunk is one Run,
-// and the per-worker integer tallies are summed after the pool drains.
-func Tally(g *graph.Graph, n, workers int, completePath bool, seed func(s *Scratch, i int)) ([]int64, uint64) {
+// GOMAXPROCS goroutines. It returns the dense per-vertex tally (walk
+// endpoints, or with completePath every vertex visited) and the total
+// step count, bit-identical for every GOMAXPROCS: chunk boundaries
+// depend only on n (parallel.Chunks), each chunk is one Run, and the
+// per-worker integer tallies are summed after the pool drains.
+func Tally(g *graph.Graph, n int, completePath bool, seed func(s *Scratch, i int)) ([]int64, uint64) {
 	chunks := parallel.Chunks(n)
-	pool := parallel.NewPool(workers)
+	pool := parallel.NewPool(runtime.GOMAXPROCS(0))
 	defer pool.Close()
 	counts := make([][]int64, pool.NumWorkers())
 	for w := range counts {

@@ -3,6 +3,7 @@ package walk_test
 import (
 	"math"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -99,7 +100,7 @@ func TestUniformStopCutoffLaw(t *testing.T) {
 	}
 	for name, length := range lengths {
 		for seed := uint64(1); seed <= 3; seed++ {
-			counts, _ := walk.Tally(g, walkers, 0, false, func(s *walk.Scratch, i int) {
+			counts, _ := walk.Tally(g, walkers, false, func(s *walk.Scratch, i int) {
 				st := rng.DeriveValue(seed, uint64(i))
 				start := graph.VertexID(st.Intn(n))
 				left := length(&st)
@@ -168,7 +169,7 @@ func TestCompletePathCountsEveryVisit(t *testing.T) {
 		left := min(st.Geometric(pT), 1000)
 		s.Add(st, graph.VertexID(i%g.NumVertices()), left)
 	}
-	visits, steps := walk.Tally(g, walks, 1, true, seed)
+	visits, steps := walk.Tally(g, walks, true, seed)
 	var total int64
 	for _, c := range visits {
 		total += c
@@ -176,7 +177,7 @@ func TestCompletePathCountsEveryVisit(t *testing.T) {
 	if want := walks + int64(steps); total != want {
 		t.Fatalf("complete-path tally sums to %d, want walks + steps = %d", total, want)
 	}
-	ends, endSteps := walk.Tally(g, walks, 1, false, seed)
+	ends, endSteps := walk.Tally(g, walks, false, seed)
 	total = 0
 	for _, c := range ends {
 		total += c
@@ -186,14 +187,15 @@ func TestCompletePathCountsEveryVisit(t *testing.T) {
 	}
 }
 
-// TestTallyBitIdenticalAcrossWorkers: the worker count is a throughput
-// knob only.
+// TestTallyBitIdenticalAcrossWorkers: GOMAXPROCS, which sizes the
+// pool, sets throughput only.
 func TestTallyBitIdenticalAcrossWorkers(t *testing.T) {
 	g := danglingGraph(t, 500)
 	n := g.NumVertices()
 	for _, completePath := range []bool{false, true} {
-		run := func(workers int) ([]int64, uint64) {
-			return walk.Tally(g, 20000, workers, completePath, func(s *walk.Scratch, i int) {
+		run := func(procs int) ([]int64, uint64) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			return walk.Tally(g, 20000, completePath, func(s *walk.Scratch, i int) {
 				st := rng.DeriveValue(4, uint64(i))
 				start := graph.VertexID(st.Intn(n))
 				left := min(st.Geometric(pT), 8)
@@ -201,10 +203,10 @@ func TestTallyBitIdenticalAcrossWorkers(t *testing.T) {
 			})
 		}
 		ref, refSteps := run(1)
-		for _, workers := range []int{2, 4, 7} {
-			got, steps := run(workers)
+		for _, procs := range []int{2, 4, 7} {
+			got, steps := run(procs)
 			if !reflect.DeepEqual(got, ref) || steps != refSteps {
-				t.Errorf("completePath=%v workers=%d: tally differs from workers=1", completePath, workers)
+				t.Errorf("completePath=%v GOMAXPROCS=%d: tally differs from GOMAXPROCS=1", completePath, procs)
 			}
 		}
 	}

@@ -152,9 +152,7 @@ func OpenGraphCSR(path string) (*Graph, error) {
 	return gstore.Open(path, gstore.OpenOptions{})
 }
 
-// PageRankOptions configures the exact solver. Its Workers field
-// shards the power-iteration inner loop across cores (0 = GOMAXPROCS,
-// 1 = single-threaded) with bit-identical results for every setting.
+// PageRankOptions configures the exact solver.
 type PageRankOptions = pagerank.Options
 
 // PageRankResult is the exact solver's output.
@@ -165,7 +163,8 @@ const DefaultTeleport = pagerank.DefaultTeleport
 
 // ExactPageRank computes the converged PageRank vector by power
 // iteration — the ground truth for the approximation metrics. The
-// inner loop runs on opts.Workers cores (0 = all of them).
+// inner loop runs on GOMAXPROCS cores with bit-identical results for
+// every GOMAXPROCS.
 func ExactPageRank(g *Graph, opts PageRankOptions) (*PageRankResult, error) {
 	return pagerank.Exact(g, opts)
 }
@@ -193,26 +192,20 @@ const (
 )
 
 // RunFrogWild executes the FrogWild process on the simulated
-// vertex-cut cluster and returns the top-PageRank estimate. The
-// config's WorkersPerMachine field shards each simulated machine's
-// engine phases across cores (0 = split GOMAXPROCS across machines,
-// 1 = serial per machine) with bit-identical tallies for every setting.
+// vertex-cut cluster and returns the top-PageRank estimate. Each
+// simulated machine's engine phases run on its share of GOMAXPROCS,
+// with bit-identical tallies for every GOMAXPROCS.
 func RunFrogWild(g *Graph, cfg FrogWildConfig) (*FrogWildResult, error) {
 	return frogwild.Run(g, cfg)
 }
 
 // SerialFrogWalk runs the single-machine reference implementation of
-// the FrogWild walk process and returns per-vertex tallies.
+// the FrogWild walk process and returns per-vertex tallies. The walkers
+// are sharded across GOMAXPROCS goroutines; every walker draws from its
+// own derived RNG stream, so the tallies are bit-identical for every
+// GOMAXPROCS.
 func SerialFrogWalk(g *Graph, walkers, iterations int, pT float64, seed uint64) ([]int64, error) {
 	return frogwild.SerialWalk(g, walkers, iterations, pT, seed)
-}
-
-// SerialFrogWalkParallel is SerialFrogWalk sharded across workers
-// goroutines (0 = GOMAXPROCS, 1 = single-threaded). Every walker draws
-// from its own derived RNG stream, so the tallies are bit-identical for
-// every workers value; SerialFrogWalk is the one-worker case.
-func SerialFrogWalkParallel(g *Graph, walkers, iterations int, pT float64, seed uint64, workers int) ([]int64, error) {
-	return frogwild.SerialWalkParallel(g, walkers, iterations, pT, seed, workers)
 }
 
 // GraphLabPRConfig configures the GraphLab-PR baseline.
@@ -224,9 +217,9 @@ type GraphLabPRResult = glpr.Result
 // RunGraphLabPR executes synchronous power-iteration PageRank on the
 // same simulated engine (the paper's principal baseline). Set
 // Iterations for the reduced-iterations variant or leave it zero for
-// exact mode with Tolerance. Like RunFrogWild, the config's
-// WorkersPerMachine field shards each machine's phases across cores
-// with bit-identical ranks for every setting.
+// exact mode with Tolerance. Like RunFrogWild, it splits GOMAXPROCS
+// across the simulated machines with bit-identical ranks for every
+// GOMAXPROCS.
 func RunGraphLabPR(g *Graph, cfg GraphLabPRConfig) (*GraphLabPRResult, error) {
 	return glpr.Run(g, cfg)
 }
@@ -244,9 +237,8 @@ func RunSparsifiedPR(g *Graph, cfg SparsifyConfig) (*SparsifyResult, error) {
 }
 
 // MonteCarloConfig configures the Monte-Carlo baseline (Avrachenkov et
-// al., reference [5] of the paper). Its Workers field shards the walks
-// across cores (0 = GOMAXPROCS, 1 = single-threaded) with bit-identical
-// results for every setting.
+// al., reference [5] of the paper). The walks are sharded across
+// GOMAXPROCS cores with bit-identical results for every GOMAXPROCS.
 type MonteCarloConfig = montecarlo.Config
 
 // MonteCarloResult is the Monte-Carlo baseline's output.
