@@ -124,7 +124,7 @@ func newFlags(stderr io.Writer) (*flag.FlagSet, *options) {
 	fs.BoolVar(&o.logRequests, "log-requests", false, "write one JSON line per request to stderr (rid, method, path, status, duration)")
 	fs.StringVar(&o.pprof, "pprof-addr", "", "serve net/http/pprof on this side address (e.g. 127.0.0.1:6060)")
 
-	fs.IntVar(&o.ppr.WalksPerSource, "ppr-walks", 0, "/v1/ppr walks per source when the budget allows (0 = 2000)")
+	fs.IntVar(&o.ppr.WalksPerSource, "ppr-walks", 0, "/v1/ppr walks per source when the budget allows (0 = 400)")
 	fs.IntVar(&o.ppr.WalkBudget, "ppr-budget", 0, "/v1/ppr hard per-request walk budget; over-budget requests run fewer walks per source and set truncated (0 = 16384)")
 	fs.IntVar(&o.ppr.MaxK, "ppr-maxk", 0, "/v1/ppr k parameter upper bound (0 = 100)")
 	fs.IntVar(&o.ppr.MaxSources, "ppr-max-sources", 0, "/v1/ppr source set size limit (0 = 16)")

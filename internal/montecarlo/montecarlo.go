@@ -109,9 +109,9 @@ func Run(g *graph.Graph, cfg Config) (*Result, error) {
 		s.Add(stream, graph.VertexID(i/r), left)
 	})
 	res := &Result{Walks: r * n, TotalSteps: int64(steps), Estimate: make([]float64, n)}
-	total := float64(res.Walks) // every walk tallies its endpoint
+	total := float64(res.Walks) // one endpoint per walk
 	if cfg.Estimator == CompletePath {
-		total += float64(steps) // and every vertex it moved off
+		total += float64(steps) // its start and every position it stepped to
 	}
 	for v, c := range counts {
 		res.Estimate[v] = float64(c) / total

@@ -99,7 +99,7 @@ func TestStatsAgreeWithMetrics(t *testing.T) {
 
 	// On a paged graph the pageCache block and the graph_page_cache_*
 	// families read the same pool.
-	graphs, base := pagedLayouts(t, gen.PowerLawConfig{N: 5000, MeanOutDeg: 8, DegExponent: 2.1, Seed: 5},
+	graphs, base := pagedLayouts(t, powerLaw(t, gen.PowerLawConfig{N: 5000, MeanOutDeg: 8, DegExponent: 2.1, Seed: 5}),
 		BuildConfig{Engine: EngineExact, Seed: 11, MaxK: 50}, map[string]float64{"paged": 0})
 	paged := serveVariants(map[string]*graph.Graph{"paged": graphs["paged"]}, base, PPROptions{CacheSize: -1})["paged"]
 	body(t, paged, "/v1/ppr?source=3&source=700&k=10")

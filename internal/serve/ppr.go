@@ -24,11 +24,11 @@ package serve
 // A request that misses both costs what its steps cost. It draws each
 // walk's length from a table built once (pprLengths) — equal, draw for
 // draw, to the logarithm it replaces (rng.TruncGeometric) —
-// runs its whole plan in one walk-kernel call, counts the endpoints in
-// the open-addressing table pooled with the walker slab (sized by the
-// walks, cleared through the slots it took: nothing per request is sized
-// by the graph or hashed by the runtime) and cuts them to k on a bounded
-// heap over that one slice (topk.Select).
+// runs its whole plan in one walk-kernel call, counts every position the
+// walks stand on in the open-addressing table pooled with the walker slab
+// (sized by the walks, cleared through the slots it took: nothing per
+// request is sized by the graph or hashed by the runtime) and cuts them
+// to k on a bounded heap over that one slice (topk.Select).
 //
 // The kernel call runs on the request's own goroutine, behind the slot
 // gate (pprEngine.slots): at most GOMAXPROCS kernel calls run at once.
@@ -72,12 +72,16 @@ const pprPurpose = uint64('P')<<8 | uint64('R')
 // the defaults below; the endpoint is always on.
 type PPROptions struct {
 	// WalksPerSource is how many walks each source gets when the budget
-	// allows (default 2000). More walks, tighter estimates.
+	// allows (default 400). More walks, tighter estimates: every walk
+	// tallies each position it stands on, ≈ 1/pT of them, so 400 walks
+	// estimate better than 2000 endpoints did.
 	WalksPerSource int
 	// WalkBudget is the hard per-request walk cap across all sources
-	// (default 16384). A request whose sources × WalksPerSource exceed
-	// it runs fewer walks per source and is flagged "truncated": true;
-	// a request with more sources than the budget is rejected.
+	// (default 16384, above the 16 × 400 = 6400 walks of the largest
+	// default request, so with the other defaults nothing truncates). A
+	// request whose sources × WalksPerSource exceed it runs fewer walks
+	// per source and is flagged "truncated": true; a request with more
+	// sources than the budget is rejected.
 	WalkBudget int
 	// MaxK bounds the k parameter (default 100).
 	MaxK int
@@ -91,7 +95,7 @@ type PPROptions struct {
 // withDefaults resolves the zero values.
 func (o PPROptions) withDefaults() PPROptions {
 	if o.WalksPerSource <= 0 {
-		o.WalksPerSource = 2000
+		o.WalksPerSource = 400
 	}
 	if o.WalkBudget <= 0 {
 		o.WalkBudget = 16384
@@ -266,19 +270,24 @@ const pprWalkCutoff = 64
 var pprLengths = rng.NewTruncGeometric(pagerank.DefaultTeleport, pprWalkCutoff)
 
 // pprWalk runs every walk of the plan over snap's graph in one call of
-// the walk kernel and returns the endpoint tally, one entry per distinct
-// endpoint scored visits/walks, in no particular order: the endpoint of
-// a geometric-length walk samples the personalized invariant
-// distribution (the paper's Lemma 16 equivalence, restart distribution
-// concentrated on the source), and a walk stuck on a dangling vertex
-// restarts at its source, matching ExactPPR's dangling-mass treatment.
+// the walk kernel and returns the complete-path tally, one entry per
+// distinct vertex the walks stood on, scored with its share of all
+// their positions, in no particular order. A geometric-length walk from
+// the source visits each vertex 1/pT times its personalized PageRank in
+// expectation, and stands on 1/pT positions (the start, then one per
+// step: the paper's reference [5], Avrachenkov et al.), so the shares
+// estimate the personalized vector, restart distribution concentrated
+// on the source, and sum to 1; the endpoint alone samples it too (the
+// paper's Lemma 16) but uses one position of each walk instead of all.
+// A walk stuck on a dangling vertex restarts at its source, a step that
+// counts, matching ExactPPR's dangling-mass treatment.
 // Walk w of a source draws only from its own stream derived from
 // (snapshot seed, epoch, source, w) — length first (pprLengths: the draw
 // stream.Geometric makes, capped at pprWalkCutoff), then one draw per edge
 // move — so the tally is bit-identical whichever walks wait for a page
 // and in whatever order pages are loaded: paging and relabeling can
-// never change a served body. The endpoints are counted in the Scratch's
-// own table (walk.Scratch.Endpoints), which is sized by walks ≤ budget,
+// never change a served body. The positions are counted in the Scratch's
+// own table (walk.Scratch.Visits), which is sized by the walks ≤ budget,
 // not by the graph (the NeedleTail-style density argument: a top-k cut
 // never needs a dense n-length vector).
 //
@@ -297,19 +306,19 @@ func pprWalk(snap *Snapshot, plan pprPlan) (entries []topk.Entry, st walk.Stats,
 			s.Add(stream, src, pprLengths.Draw(&stream))
 		}
 	}
-	st = s.Run(r, true, nil)
-	return endpointEntries(s), st, nil
+	st = s.Run(r, true, true)
+	return visitEntries(s, st.Steps), st, nil
 }
 
-// endpointEntries copies the tally of where s's walkers stand out of the
-// Scratch: one entry per distinct vertex, scored with its share of the
-// walkers.
-func endpointEntries(s *walk.Scratch) []topk.Entry {
-	ends := s.Endpoints()
-	entries := make([]topk.Entry, len(ends))
-	inv := 1 / float64(len(s.Walkers))
-	for i, e := range ends {
-		entries[i] = topk.Entry{Vertex: e.Vertex, Score: float64(e.Count) * inv}
+// visitEntries copies the tally of a Run over s's walkers, which took
+// steps steps, out of the Scratch: one entry per distinct vertex, scored
+// with its share of the walkers + steps positions.
+func visitEntries(s *walk.Scratch, steps uint64) []topk.Entry {
+	visits := s.Visits()
+	entries := make([]topk.Entry, len(visits))
+	inv := 1 / float64(uint64(len(s.Walkers))+steps)
+	for i, v := range visits {
+		entries[i] = topk.Entry{Vertex: v.Vertex, Score: float64(v.Count) * inv}
 	}
 	return entries
 }

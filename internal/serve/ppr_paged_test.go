@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/graph/gen"
 	"repro/internal/graph/gstore"
+	"repro/internal/graph/pcache"
 )
 
 // pagedGraphs returns three storage layouts of the same logical graph
@@ -22,22 +24,44 @@ func pagedGraphs(t *testing.T) (map[string]*graph.Graph, *Snapshot) {
 	t.Helper()
 	// Big enough that the out-adjacency alone spans more pages than the
 	// pool's minimum frame count, so the tiny budget really evicts.
-	return pagedLayouts(t, gen.PowerLawConfig{N: 25000, MeanOutDeg: 8, DegExponent: 2.1, Seed: 5},
+	return pagedLayouts(t, powerLaw(t, gen.PowerLawConfig{N: 25000, MeanOutDeg: 8, DegExponent: 2.1, Seed: 5}),
 		BuildConfig{Engine: EngineFrogWild, Machines: 4, Seed: 11, MaxK: 50},
 		map[string]float64{"paged": 0})
 }
 
-// pagedLayouts generates cfg's graph and returns it heap-resident
-// ("plain"), degree-relabeled ("relabeled"), and relabeled + paged once
-// per entry of budgets, whose value is the pool's size as a fraction of
-// the out-adjacency's pages — what walks touch (the pool floors it to
-// its minimum frame count) — with one snapshot built on the plain one.
-func pagedLayouts(t *testing.T, cfg gen.PowerLawConfig, build BuildConfig, budgets map[string]float64) (map[string]*graph.Graph, *Snapshot) {
+// powerLaw generates cfg's graph.
+func powerLaw(t *testing.T, cfg gen.PowerLawConfig) *graph.Graph {
 	t.Helper()
 	g, err := gen.PowerLaw(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return g
+}
+
+// pagedLayouts returns g heap-resident ("plain"), degree-relabeled
+// ("relabeled"), and relabeled + paged once per entry of budgets, whose
+// value is the pool's size as a fraction of the out-adjacency's pages —
+// what walks touch (the pool floors it to its minimum frame count) —
+// with one snapshot built on the plain one.
+func pagedLayouts(t *testing.T, g *graph.Graph, build BuildConfig, budgets map[string]float64) (map[string]*graph.Graph, *Snapshot) {
+	t.Helper()
+	rg, path := relabeledFile(t, g)
+	graphs := map[string]*graph.Graph{"plain": g, "relabeled": rg}
+	for name, frac := range budgets {
+		graphs[name] = openPaged(t, path, int64(frac*float64(g.NumEdges()*4)))
+	}
+	base, err := Build(g, build)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return graphs, base
+}
+
+// relabeledFile degree-relabels g and saves it to a gstore file,
+// returning the relabeled graph and the file's path.
+func relabeledFile(t *testing.T, g *graph.Graph) (*graph.Graph, string) {
+	t.Helper()
 	rg, err := gstore.Relabel(g)
 	if err != nil {
 		t.Fatal(err)
@@ -46,24 +70,22 @@ func pagedLayouts(t *testing.T, cfg gen.PowerLawConfig, build BuildConfig, budge
 	if err := gstore.Save(path, rg); err != nil {
 		t.Fatal(err)
 	}
-	graphs := map[string]*graph.Graph{"plain": g, "relabeled": rg}
-	for name, frac := range budgets {
-		mem := int64(frac * float64(g.NumEdges()*4))
-		pg, err := gstore.Open(path, gstore.OpenOptions{Mem: max(mem, 1)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { pg.Close() })
-		if !pg.Paged() {
-			t.Fatalf("%s: a Mem open is not paged", name)
-		}
-		graphs[name] = pg
-	}
-	base, err := Build(g, build)
+	return rg, path
+}
+
+// openPaged opens the file at path paged, with a pool of about mem
+// bytes (floored to the pool's minimum frame count), closed on cleanup.
+func openPaged(t *testing.T, path string, mem int64) *graph.Graph {
+	t.Helper()
+	pg, err := gstore.Open(path, gstore.OpenOptions{Mem: max(mem, 1)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return graphs, base
+	t.Cleanup(func() { pg.Close() })
+	if !pg.Paged() {
+		t.Fatalf("%s: a Mem open is not paged", path)
+	}
+	return pg
 }
 
 // serveVariants returns one server per layout, each serving a shallow
@@ -95,8 +117,9 @@ func body(t *testing.T, srv *Server, url string) string {
 // check: every served body — topk, rank, and the walk-driven ppr — is
 // byte-identical whether the graph is heap-resident, relabeled, or paged
 // with the pool's minimum of frames, a quarter or three quarters of the
-// pages walks touch. Which steps wait for a page, and in which order
-// pages load, differs in every one of those cells; the bodies cannot.
+// pages the requests touch. Which steps wait for a page, and in which
+// order pages load, differs in every one of those cells; the bodies
+// cannot.
 func TestPagedServingBytesIdentical(t *testing.T) {
 	urls := []string{
 		"/v1/topk?k=25",
@@ -107,16 +130,40 @@ func TestPagedServingBytesIdentical(t *testing.T) {
 		"/v1/ppr?sources=3,700,19999,12,4242,77,15000&k=10",
 		"/v1/ppr?source=19999&k=5",
 	}
-	// 20k vertices × ~46 out-edges: 57 pages of out-adjacency, so the
-	// three budgets are 8, 14 and 42 frames.
-	graphs, base := pagedLayouts(t, gen.PowerLawConfig{N: 20000, MeanOutDeg: 48, DegExponent: 2.1, Seed: 5},
-		BuildConfig{Engine: EngineExact, Seed: 11, MaxK: 50},
-		map[string]float64{"paged/min": 0, "paged/quarter": 0.25, "paged/three-quarters": 0.75})
+	g := powerLaw(t, gen.PowerLawConfig{N: 20000, MeanOutDeg: 48, DegExponent: 2.1, Seed: 5})
+	rg, path := relabeledFile(t, g)
+	base, err := Build(g, BuildConfig{Engine: EngineExact, Seed: 11, MaxK: 50})
+	if err != nil {
+		t.Fatal(err)
+	}
+	graphs := map[string]*graph.Graph{"plain": g, "relabeled": rg}
+
+	// The live set: the pages the requests touch, each loaded once by a
+	// pool with a frame for every page of the file. The budgets are then
+	// the pool's minimum and a quarter and three quarters of that set, so
+	// each of them must evict.
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	roomy := openPaged(t, path, fi.Size())
+	roomySrv := serveVariants(map[string]*graph.Graph{"roomy": roomy}, base, PPROptions{CacheSize: -1})["roomy"]
+	for _, u := range urls {
+		body(t, roomySrv, u)
+	}
+	pc, _ := roomy.PageCacheStats()
+	if pc.Evictions != 0 {
+		t.Fatalf("a pool the size of the file evicted %d pages", pc.Evictions)
+	}
+	live := int64(pc.Misses)
+	for name, frames := range map[string]int64{"paged/min": 0, "paged/quarter": live / 4, "paged/three-quarters": live * 3 / 4} {
+		graphs[name] = openPaged(t, path, frames*pcache.PageSize)
+	}
 	frames := make(map[int]bool)
 	for name, g := range graphs {
 		if pc, ok := g.PageCacheStats(); ok {
 			frames[pc.BudgetPages] = true
-			t.Logf("%s: %d frames", name, pc.BudgetPages)
+			t.Logf("%s: %d frames of the %d pages the requests touch", name, pc.BudgetPages, live)
 		}
 	}
 	if len(frames) != 3 {

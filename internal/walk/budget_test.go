@@ -59,7 +59,7 @@ func budgetRun(t *testing.T, path string, frames int) (graph.PageCacheStats, wal
 		s.Add(st, source, left)
 	}
 	r := g.NewAdjReader()
-	st := s.Run(r, true, nil)
+	st := s.Run(r, true, false)
 	r.Release()
 	ends := make([]graph.VertexID, len(s.Walkers))
 	for i := range s.Walkers {

@@ -5,9 +5,10 @@
 // personalized PageRank all run it here and choose only: who seeds the
 // walkers (Scratch.Add), the length law (Left is drawn up front:
 // min(Geometric(pT), t) is the same law as a per-step Bernoulli(pT)
-// death with cutoff t), the tally (endpoints read off the slab, plus a
-// visit callback on every vertex moved off for the complete-path
-// estimator) and the dangling policy (restart at Home, or stop).
+// death with cutoff t), the tally (endpoints read off the slab, or
+// every position each walker stood on, counted in the Scratch's own
+// table, for the complete-path estimator) and the dangling policy
+// (restart at Home, or stop).
 //
 // A walker's draws are a pure function of its own stream, so a tally
 // is bit-identical for any grouping of walkers into Run calls, any
@@ -58,24 +59,26 @@ type move struct {
 	idx  int32
 }
 
-// Endpoint is a vertex and the number of walkers standing on it.
-type Endpoint struct {
+// Visit is a vertex and the number of walk positions on it.
+type Visit struct {
 	Vertex graph.VertexID
 	Count  int32
 }
 
-// Scratch is the reusable walker slab, round buffer and sparse endpoint
-// tally. Get one, Add walkers, Run, read the endpoints off Walkers (or
-// counted, off Endpoints), Put it back.
+// Scratch is the reusable walker slab, round buffer and sparse visit
+// tally. Get one, Add walkers, Run, read the endpoints off Walkers (or,
+// when Run tallied, every position off Visits), Put it back.
 type Scratch struct {
 	Walkers []Walker
 	moves   []move
 	// The sparse tally: an open-addressing table (Count 0 marks a free
-	// slot), the slots a tally took, and the tally read out of them. The
-	// table is all free between Endpoints calls.
-	slots []Endpoint
-	used  []int32
-	ends  []Endpoint
+	// slot) whose first mask+1 slots Run uses, the slots the tally took,
+	// and the tally read out of them. The table is all free between a
+	// Visits call and the next tallying Run.
+	slots       []Visit
+	mask, shift uint32
+	used        []int32
+	visits      []Visit
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
@@ -96,42 +99,52 @@ func (s *Scratch) Add(stream rng.Stream, start graph.VertexID, left int) {
 	s.Walkers = append(s.Walkers, Walker{Stream: stream, Cur: start, Home: start, Left: int32(left)})
 }
 
-// Endpoints counts the walkers per vertex they stand on — after Run,
-// per endpoint — and returns the distinct vertices with their counts, in
-// order of first appearance in the slab. The cost is the walkers', never
-// the graph's: the table is the power of two at least twice their number
-// (so at most half full, and a small request after a large one probes
-// only its own prefix of it), each slot taken is noted, and reading the
-// tally out frees exactly those. The result is the Scratch's own memory,
-// valid until the next Endpoints or Put.
-func (s *Scratch) Endpoints() []Endpoint {
-	s.ends = s.ends[:0]
-	if len(s.Walkers) == 0 {
-		return s.ends
-	}
-	logSize := bits.Len(uint(2*len(s.Walkers) - 1))
-	if len(s.slots) < 1<<logSize {
-		s.slots = make([]Endpoint, 1<<logSize)
-	}
-	slots, mask, shift := s.slots, uint32(1)<<logSize-1, 32-logSize
-	for i := range s.Walkers {
-		v := s.Walkers[i].Cur
-		h := v * 0x9e3779b1 >> shift // Fibonacci hashing: the top logSize bits
-		for slots[h].Count != 0 && slots[h].Vertex != v {
-			h = (h + 1) & mask
-		}
-		if slots[h].Count == 0 {
-			slots[h].Vertex = v
-			s.used = append(s.used, int32(h))
-		}
-		slots[h].Count++
-	}
+// Visits returns the tally of the last Run that tallied: the distinct
+// vertices the walks stood on with their counts, in no particular order
+// (the order of first visit, which on a paged graph depends on the
+// cache). The counts sum to walkers + Stats.Steps. Reading the tally out
+// frees exactly the slots it took; the result is the Scratch's own
+// memory, valid until the next Visits or Put.
+func (s *Scratch) Visits() []Visit {
+	s.visits = s.visits[:0]
 	for _, h := range s.used {
-		s.ends = append(s.ends, slots[h])
-		slots[h] = Endpoint{}
+		s.visits = append(s.visits, s.slots[h])
+		s.slots[h] = Visit{}
 	}
 	s.used = s.used[:0]
-	return s.ends
+	return s.visits
+}
+
+// resetTally empties the table and sizes it for the walkers in the slab.
+// Its cost is theirs, never the graph's: a walker stands on at most
+// 1 + Left positions, so the table is the power of two at least twice
+// that bound (at most half full, and a small request after a large one
+// probes only its own prefix of it).
+func (s *Scratch) resetTally() {
+	s.Visits()     // frees what an unread tally left
+	positions := 1 // a spare: an empty slab still gets a table
+	for i := range s.Walkers {
+		positions += 1 + int(s.Walkers[i].Left)
+	}
+	logSize := bits.Len(uint(2*positions - 1))
+	if len(s.slots) < 1<<logSize {
+		s.slots = make([]Visit, 1<<logSize)
+	}
+	s.mask, s.shift = uint32(1)<<logSize-1, uint32(32-logSize)
+}
+
+// count adds one position on v to the tally.
+func (s *Scratch) count(v graph.VertexID) {
+	slots := s.slots[:s.mask+1]
+	h := v * 0x9e3779b1 >> s.shift // Fibonacci hashing: the top logSize bits
+	for slots[h].Count != 0 && slots[h].Vertex != v {
+		h = (h + 1) & s.mask
+	}
+	if slots[h].Count == 0 {
+		slots[h].Vertex = v
+		s.used = append(s.used, int32(h))
+	}
+	slots[h].Count++
 }
 
 // Length draws a walk's step count, min(Geometric(pT), cutoff), the way
@@ -161,14 +174,21 @@ func Length(stream *rng.Stream, pT float64, cutoff int) int {
 // waits or is sorted: each walker runs start to finish in turn, as a
 // hand-written serial loop would. With a cache of a single frame every
 // change of page is a miss, and the kernel degenerates to page-at-a-time
-// rounds. visit, when non-nil, sees every vertex a walker moves off. On
-// return Walkers[i].Cur is walker i's endpoint.
-func (s *Scratch) Run(r *graph.AdjReader, restart bool, visit func(graph.VertexID)) Stats {
+// rounds. With tally set, Run counts every position each walker stands
+// on — its start, each edge move and each dangling restart — for Visits
+// to read. On return Walkers[i].Cur is walker i's endpoint.
+func (s *Scratch) Run(r *graph.AdjReader, restart, tally bool) Stats {
 	var st Stats // PageLocal counts every adjacency read until the page switches come off below
 	s.moves = s.moves[:0]
+	if tally {
+		s.resetTally()
+	}
 	switches := r.PageSwitches()
 	for i := range s.Walkers {
-		s.advance(int32(i), r, restart, visit, &st)
+		if tally {
+			s.count(s.Walkers[i].Cur)
+		}
+		s.advance(int32(i), r, restart, tally, &st)
 	}
 	for len(s.moves) > 0 {
 		// The walkers still live are exactly the ones waiting. Each is
@@ -188,14 +208,14 @@ func (s *Scratch) Run(r *graph.AdjReader, restart bool, visit func(graph.VertexI
 		s.moves = s.moves[:0]
 		for _, m := range round {
 			w := &s.Walkers[m.w]
-			if visit != nil {
-				visit(w.Cur)
-			}
 			w.Cur = r.OutAt(w.Cur, int(m.idx))
 			w.Left--
 			st.Steps++
 			st.PageLocal++
-			s.advance(m.w, r, restart, visit, &st)
+			if tally {
+				s.count(w.Cur)
+			}
+			s.advance(m.w, r, restart, tally, &st)
 		}
 	}
 	st.PageLocal -= r.PageSwitches() - switches
@@ -204,10 +224,11 @@ func (s *Scratch) Run(r *graph.AdjReader, restart bool, visit func(graph.VertexI
 
 // advance steps walker i until it finishes or has to wait, in which case
 // its next move is appended to s.moves, and adds its steps and adjacency
-// reads to st. The walker's state lives in locals while it runs free and
-// is written back once; each step resolves the vertex's row and offset
-// once (OutSpan) for the degree, the read and, on a miss, the page.
-func (s *Scratch) advance(i int32, r *graph.AdjReader, restart bool, visit func(graph.VertexID), st *Stats) {
+// reads to st; with tally set it counts each position it steps to. The
+// walker's state lives in locals while it runs free and is written back
+// once; each step resolves the vertex's row and offset once (OutSpan)
+// for the degree, the read and, on a miss, the page.
+func (s *Scratch) advance(i int32, r *graph.AdjReader, restart, tally bool, st *Stats) {
 	w := &s.Walkers[i]
 	cur, left, stream := w.Cur, w.Left, w.Stream
 	var reads, restarts uint64
@@ -221,6 +242,9 @@ func (s *Scratch) advance(i int32, r *graph.AdjReader, restart bool, visit func(
 			cur = w.Home // a step, but no read
 			left--
 			restarts++
+			if tally {
+				s.count(cur)
+			}
 			continue
 		}
 		idx := stream.Intn(deg)
@@ -230,12 +254,12 @@ func (s *Scratch) advance(i int32, r *graph.AdjReader, restart bool, visit func(
 			s.moves = append(s.moves, move{page: r.OutPage(at), w: i, idx: int32(idx)})
 			break
 		}
-		if visit != nil {
-			visit(cur) // the vertex moved off: with the endpoint, the complete path
-		}
 		cur = next
 		left--
 		reads++
+		if tally {
+			s.count(cur)
+		}
 	}
 	w.Cur, w.Left, w.Stream = cur, left, stream
 	st.Steps += reads + restarts
@@ -245,7 +269,7 @@ func (s *Scratch) advance(i int32, r *graph.AdjReader, restart bool, visit func(
 // Tally runs walkers [0, n) — seed adds walker i, whose stream must
 // derive from i alone — under the stop-at-dangling policy across
 // GOMAXPROCS goroutines. It returns the dense per-vertex tally (walk
-// endpoints, or with completePath every vertex visited) and the total
+// endpoints, or with completePath every position visited) and the total
 // step count, bit-identical for every GOMAXPROCS: chunk boundaries
 // depend only on n (parallel.Chunks), each chunk is one Run, and the
 // per-worker integer tallies are summed after the pool drains.
@@ -267,11 +291,13 @@ func Tally(g *graph.Graph, n int, completePath bool, seed func(s *Scratch, i int
 		for i := chunks[c].Lo; i < chunks[c].Hi; i++ {
 			seed(s, i)
 		}
-		var visit func(graph.VertexID)
+		steps.Add(s.Run(r, false, completePath).Steps)
 		if completePath {
-			visit = func(v graph.VertexID) { tally[v]++ }
+			for _, v := range s.Visits() {
+				tally[v.Vertex] += int64(v.Count)
+			}
+			return
 		}
-		steps.Add(s.Run(r, false, visit).Steps)
 		for i := range s.Walkers {
 			tally[s.Walkers[i].Cur]++
 		}

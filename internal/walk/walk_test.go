@@ -4,6 +4,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -126,7 +127,7 @@ func pprTally(g *graph.Graph, sources []graph.VertexID, walks int, seed uint64) 
 	}
 	r := g.NewAdjReader()
 	defer r.Release()
-	s.Run(r, true, nil)
+	s.Run(r, true, false)
 	counts := make([]int64, g.NumVertices())
 	for i := range s.Walkers {
 		counts[s.Walkers[i].Cur]++
@@ -159,8 +160,36 @@ func TestSourceRestartLaw(t *testing.T) {
 	}
 }
 
+// serialVisits walks each walker on its own, in a hand-written
+// loop, and returns the dense count of every position it stands on:
+// the start, each edge move and, under the restart policy, each return
+// Home from a dangling vertex.
+func serialVisits(g *graph.Graph, walkers []walk.Walker, restart bool) []int64 {
+	counts := make([]int64, g.NumVertices())
+	for _, w := range walkers {
+		cur, st := w.Cur, w.Stream
+		counts[cur]++
+		for left := w.Left; left > 0; left-- {
+			outs := g.OutNeighbors(cur)
+			if len(outs) == 0 {
+				if !restart {
+					break
+				}
+				cur = w.Home
+			} else {
+				cur = outs[st.Intn(len(outs))]
+			}
+			counts[cur]++
+		}
+	}
+	return counts
+}
+
 // TestCompletePathCountsEveryVisit: the visit tally holds each walk's
-// start plus one visit per step taken.
+// start plus one visit per step taken — under the stop policy through
+// Tally, and under the restart policy through the Scratch's own table,
+// where a return from a dangling vertex is a step and its landing a
+// visit. Both equal a hand-written serial walk vertex for vertex.
 func TestCompletePathCountsEveryVisit(t *testing.T) {
 	g := danglingGraph(t, 200)
 	const walks = 5000
@@ -169,21 +198,48 @@ func TestCompletePathCountsEveryVisit(t *testing.T) {
 		left := min(st.Geometric(pT), 1000)
 		s.Add(st, graph.VertexID(i%g.NumVertices()), left)
 	}
-	visits, steps := walk.Tally(g, walks, true, seed)
-	var total int64
-	for _, c := range visits {
-		total += c
+	sum := func(counts []int64) (total int64) {
+		for _, c := range counts {
+			total += c
+		}
+		return total
 	}
-	if want := walks + int64(steps); total != want {
-		t.Fatalf("complete-path tally sums to %d, want walks + steps = %d", total, want)
+	visits, steps := walk.Tally(g, walks, true, seed)
+	if want := walks + int64(steps); sum(visits) != want {
+		t.Fatalf("complete-path tally sums to %d, want walks + steps = %d", sum(visits), want)
 	}
 	ends, endSteps := walk.Tally(g, walks, false, seed)
-	total = 0
-	for _, c := range ends {
-		total += c
+	if sum(ends) != walks || endSteps != steps {
+		t.Fatalf("endpoint tally sums to %d in %d steps, want %d in %d", sum(ends), endSteps, walks, steps)
 	}
-	if total != walks || endSteps != steps {
-		t.Fatalf("endpoint tally sums to %d in %d steps, want %d in %d", total, endSteps, walks, steps)
+
+	s := walk.Get()
+	defer s.Put()
+	for i := range walks {
+		seed(s, i)
+	}
+	start := slices.Clone(s.Walkers)
+	if want := serialVisits(g, start, false); !slices.Equal(visits, want) {
+		t.Error("stop policy: Tally's complete path differs from the serial walk")
+	}
+	r := g.NewAdjReader()
+	defer r.Release()
+	st := s.Run(r, true, true)
+	got := make([]int64, g.NumVertices())
+	for _, v := range s.Visits() {
+		got[v.Vertex] += int64(v.Count)
+	}
+	if want := walks + int64(st.Steps); sum(got) != want {
+		t.Fatalf("restart policy: the visit tally sums to %d, want walks + steps = %d", sum(got), want)
+	}
+	if st.Steps <= steps {
+		t.Fatalf("restart policy took %d steps, stop %d: no walk restarted", st.Steps, steps)
+	}
+	if want := serialVisits(g, start, true); !slices.Equal(got, want) {
+		t.Error("restart policy: the visit tally differs from the serial walk")
+	}
+	if len(s.Visits()) != 0 {
+		t.Error("a second Visits call still holds the tally")
 	}
 }
 
@@ -213,7 +269,8 @@ func TestTallyBitIdenticalAcrossWorkers(t *testing.T) {
 }
 
 // TestGroupingAndPagingInvariant: the per-task endpoint tallies of a
-// fixed set of walkers do not depend on how the walkers are grouped
+// fixed set of walkers, and the visit tally of all of them, do not
+// depend on how the walkers are grouped
 // into Run calls (all in one, one per task, uneven splits), on how many
 // goroutines run those calls at once over one page cache, nor on
 // whether the graph is resident or paged at the smallest budget, a
@@ -240,12 +297,13 @@ func TestGroupingAndPagingInvariant(t *testing.T) {
 	const walks = 400
 	// tallies runs the tasks grouped as given (each group one Run on its
 	// own reader, the groups spread over workers goroutines) and returns
-	// task → vertex → endpoint count.
-	tallies := func(g *graph.Graph, groups [][]int, workers int) ([]map[graph.VertexID]int, walk.Stats) {
+	// task → vertex → endpoint count, and vertex → visits over all tasks.
+	tallies := func(g *graph.Graph, groups [][]int, workers int) ([]map[graph.VertexID]int, map[graph.VertexID]int, walk.Stats) {
 		out := make([]map[graph.VertexID]int, len(sources))
 		for i := range out {
 			out[i] = make(map[graph.VertexID]int)
 		}
+		visits := make(map[graph.VertexID]int)
 		var mu sync.Mutex
 		var total walk.Stats
 		pool := parallel.NewPool(workers)
@@ -262,22 +320,25 @@ func TestGroupingAndPagingInvariant(t *testing.T) {
 					s.Add(st, sources[task], left)
 				}
 			}
-			st := s.Run(r, true, nil)
+			st := s.Run(r, true, true)
 			for i := range s.Walkers {
 				task := groups[gi][i/walks]   // each task seeded walks walkers, in order
 				out[task][s.Walkers[i].Cur]++ // a task is in one group: no two goroutines share a map
 			}
 			mu.Lock()
+			for _, v := range s.Visits() {
+				visits[v.Vertex] += int(v.Count)
+			}
 			total.Steps += st.Steps
 			total.PageLocal += st.PageLocal
 			total.Waits += st.Waits
 			total.Sweeps += st.Sweeps
 			mu.Unlock()
 		})
-		return out, total
+		return out, visits, total
 	}
 
-	ref, refStats := tallies(g, [][]int{{0, 1, 2, 3, 4}}, 1)
+	ref, refVisits, refStats := tallies(g, [][]int{{0, 1, 2, 3, 4}}, 1)
 	if refStats.PageLocal != refStats.Steps || refStats.Waits != 0 || refStats.Sweeps != 0 {
 		t.Errorf("resident run: %+v, want every step page-local and nothing waiting", refStats)
 	}
@@ -289,8 +350,8 @@ func TestGroupingAndPagingInvariant(t *testing.T) {
 	for name, groups := range groupings {
 		for layout, vg := range layouts {
 			for _, workers := range []int{1, 2, 4, 7} {
-				got, stats := tallies(vg, groups, workers)
-				if !reflect.DeepEqual(got, ref) || stats.Steps != refStats.Steps {
+				got, visits, stats := tallies(vg, groups, workers)
+				if !reflect.DeepEqual(got, ref) || !reflect.DeepEqual(visits, refVisits) || stats.Steps != refStats.Steps {
 					t.Errorf("%s on %s graph, %d workers: tallies differ from one resident call", name, layout, workers)
 				}
 				if !vg.Paged() {
@@ -308,8 +369,9 @@ func TestGroupingAndPagingInvariant(t *testing.T) {
 	}
 }
 
-// BenchmarkRun is the kernel's cost per walk on a resident graph: 2000
-// geometric walks from one source per op, seeding included.
+// BenchmarkRun is the kernel's cost per request on a resident graph:
+// the served configuration, 400 geometric walks from one source with
+// every position tallied and read out, seeding included.
 func BenchmarkRun(b *testing.B) {
 	g, err := gen.PowerLaw(gen.TwitterLike(50000, 1))
 	if err != nil {
@@ -321,11 +383,12 @@ func BenchmarkRun(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := walk.Get()
 		src := graph.VertexID(i % g.NumVertices())
-		for w := 0; w < 2000; w++ {
+		for w := 0; w < 400; w++ {
 			st := rng.DeriveValue(1, uint64(src), uint64(w))
 			s.Add(st, src, lengths.Draw(&st))
 		}
-		s.Run(r, true, nil)
+		s.Run(r, true, true)
+		s.Visits()
 		s.Put()
 	}
 }
