@@ -14,12 +14,15 @@ package serve
 // are bit-identical, regardless of cache state, paging, or how requests
 // interleave.
 //
-// Two layers amortize the work under hot traffic:
+// Two layers amortize the work under hot traffic, both keyed by
+// (epoch, source set) and neither by k:
 //
-//   - An LRU of final response bodies keyed by (epoch, sourceSet, k):
-//     Zipf-skewed source popularity makes repeated sources cheap.
-//   - A singleflight per (epoch, sourceSet, k): concurrent identical
-//     requests share one execution.
+//   - An LRU of cuts: a source set's top-MaxK entries (pprCut). topk's
+//     order is total, so the top-k is a prefix of the top-MaxK and every
+//     k ≤ MaxK is served from the one cut; Zipf-skewed source popularity
+//     then makes a repeated source cheap whatever k it is asked with.
+//   - A singleflight per (epoch, source set): concurrent requests for one
+//     source set share one execution, whatever their k.
 //
 // A request that misses both costs what its steps cost. It draws each
 // walk's length from a table built once (pprLengths) — equal, draw for
@@ -28,7 +31,9 @@ package serve
 // walks stand on in the open-addressing table pooled with the walker slab
 // (sized by the walks, cleared through the slots it took: nothing per
 // request is sized by the graph or hashed by the runtime) and cuts them
-// to k on a bounded heap over that one slice (topk.Select).
+// to MaxK on a bounded heap over that one slice (topk.Select); every
+// request for the source set, this one included, renders the first k
+// entries of that cut.
 //
 // The kernel call runs on the request's own goroutine, behind the slot
 // gate (pprEngine.slots): at most GOMAXPROCS kernel calls run at once.
@@ -40,11 +45,14 @@ package serve
 // (medians of seven runs, at PR 19).
 
 import (
+	"bytes"
 	"container/list"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"log"
+	"math"
 	"net/http"
 	"net/url"
 	"runtime"
@@ -83,11 +91,13 @@ type PPROptions struct {
 	// per source and is flagged "truncated": true; a request with more
 	// sources than the budget is rejected.
 	WalkBudget int
-	// MaxK bounds the k parameter (default 100).
+	// MaxK bounds the k parameter (default 100). A computed request cuts
+	// its tally to MaxK, whatever its k, so that one cut answers every k.
 	MaxK int
 	// MaxSources bounds the source set size (default 16).
 	MaxSources int
-	// CacheSize is the hot-source LRU capacity in responses (default
+	// CacheSize is the hot-source LRU capacity in source sets, one top-MaxK
+	// cut each — 16 bytes a row, so ≈ 2 MB full at the defaults (default
 	// 1024; negative disables caching).
 	CacheSize int
 }
@@ -118,7 +128,7 @@ type pprEngine struct {
 	opts PPROptions
 
 	cache   *pprCache
-	flights flightGroup[string, []byte]
+	flights flightGroup[string, *pprCut]
 	// slots holds one token per walk-kernel call in flight; a request
 	// waits here, and nowhere else, for other requests.
 	slots chan struct{}
@@ -151,7 +161,7 @@ func newPPREngine(opts PPROptions, reg *obs.Registry) *pprEngine {
 	reg.RegisterCounter("ppr_truncated_total",
 		"PPR responses truncated by the per-request walk budget.", nil, &e.truncated)
 	reg.RegisterCounter("ppr_cache_evictions_total",
-		"Responses evicted from the PPR LRU by capacity pressure.", nil, &e.cache.evictions)
+		"Source sets' cuts evicted from the PPR LRU by capacity pressure.", nil, &e.cache.evictions)
 	reg.RegisterCounter("ppr_walk_steps_total",
 		"Individual walk steps executed for PPR queries on any graph (dangling restarts included).", nil, &e.steps)
 	reg.RegisterCounter("ppr_walk_page_local_steps_total",
@@ -173,9 +183,105 @@ func newPPREngine(opts PPROptions, reg *obs.Registry) *pprEngine {
 
 // --- hot-source LRU -------------------------------------------------
 
-// pprCache is a size-bounded LRU of marshaled response bodies. Keys
-// carry the epoch, so a snapshot swap naturally misses and stale
-// entries age out under capacity pressure.
+// pprCut is one source set's top-MaxK cut at one epoch. It keeps the
+// entries, 16 bytes a row, and renders the response for a k on each
+// request from the first k of them — topk's order is total, so the top-k
+// is a prefix of every longer cut, and the bytes are those of a cut to k.
+// (Rendered once, a row is ≈ 47 bytes: on a page-cache-sized server a
+// full LRU of rendered cuts cost more memory than its graph's pages.)
+type pprCut struct {
+	// head and mid are the response's fields before and after the value
+	// of "k", as encoding/json writes them; mid ends inside the entries'
+	// '['.
+	head, mid []byte
+	entries   []topk.Entry
+}
+
+// newPPRCut keeps a copy of entries, the cut (topk.Select leaves it at
+// the front of the whole tally, which the copy lets go), and renders the
+// rest of resp, the response for them. `,"k":0,` cannot occur inside a
+// JSON string (its quotes would be escaped), and entries is the last
+// field.
+func newPPRCut(resp api.PPRResponse, entries []topk.Entry) (*pprCut, error) {
+	resp.K, resp.Entries = 0, []api.TopKEntry{}
+	b, err := json.Marshal(resp) // {…,"k":0,"walks":…,"entries":[]}
+	if err != nil {
+		return nil, err
+	}
+	at := bytes.Index(b, []byte(`,"k":0,`)) + len(`,"k":`)
+	return &pprCut{head: b[:at], mid: b[at+1 : len(b)-2], entries: slices.Clone(entries)}, nil
+}
+
+// appendBody appends the response for the top-k of the cut to dst, each
+// row as encoding/json writes an api.TopKEntry. A score is a visit count
+// over the same total, so the rows below the first few mostly tie with
+// the row above: their score is copied, not formatted again.
+func (c *pprCut) appendBody(dst []byte, k int) []byte {
+	rows := c.entries[:min(k, len(c.entries))]
+	dst = append(dst, c.head...)
+	dst = strconv.AppendInt(dst, int64(len(rows)), 10)
+	dst = append(dst, c.mid...)
+	var scoreAt, scoreEnd int
+	for i, e := range rows {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, `{"vertex":`...)
+		dst = strconv.AppendUint(dst, uint64(e.Vertex), 10)
+		dst = append(dst, `,"score":`...)
+		if i > 0 && e.Score == rows[i-1].Score {
+			dst = append(dst, dst[scoreAt:scoreEnd]...)
+		} else {
+			scoreAt = len(dst)
+			dst = appendJSONFloat(dst, e.Score)
+			scoreEnd = len(dst)
+		}
+		dst = append(dst, '}')
+	}
+	return append(dst, "]}\n"...)
+}
+
+// appendJSONFloat appends a finite f as encoding/json writes a float64:
+// the shortest decimal that round-trips, in exponent form below 1e-6 and
+// from 1e21 on, with a one-digit exponent unpadded (1e-07 becomes 1e-7).
+func appendJSONFloat(dst []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	dst = strconv.AppendFloat(dst, f, format, -1, 64)
+	if n := len(dst); format == 'e' && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+		dst[n-2] = dst[n-1]
+		dst = dst[:n-1]
+	}
+	return dst
+}
+
+// pprBodies recycles the buffers responses are assembled in.
+var pprBodies = sync.Pool{New: func() any { return new([]byte) }}
+
+// replyPPR writes the response for the top-k of c.
+func (s *Server) replyPPR(w http.ResponseWriter, c *pprCut, k int) {
+	buf := pprBodies.Get().(*[]byte)
+	*buf = c.appendBody((*buf)[:0], k)
+	s.reply(w, *buf)
+	pprBodies.Put(buf)
+}
+
+// appendPPRKey appends the cache and flight key of a canonical source
+// set at an epoch: the epoch and each source, fixed width, so two sets
+// never share a key.
+func appendPPRKey(dst []byte, epoch uint64, sources []graph.VertexID) []byte {
+	dst = binary.LittleEndian.AppendUint64(dst, epoch)
+	for _, s := range sources {
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(s))
+	}
+	return dst
+}
+
+// pprCache is a size-bounded LRU of cuts. Keys carry the epoch, so a
+// snapshot swap naturally misses and stale entries age out under
+// capacity pressure.
 type pprCache struct {
 	mu        sync.Mutex
 	max       int
@@ -185,42 +291,43 @@ type pprCache struct {
 }
 
 type pprCacheEntry struct {
-	key  string
-	body []byte
+	key string
+	cut *pprCut
 }
 
 func newPPRCache(max int) *pprCache {
 	return &pprCache{max: max, ll: list.New(), items: make(map[string]*list.Element)}
 }
 
-// Get returns the cached body and refreshes its recency.
-func (c *pprCache) Get(key string) ([]byte, bool) {
+// Get returns the cached cut and refreshes its recency. The key is
+// looked up without being copied into a string.
+func (c *pprCache) Get(key []byte) (*pprCut, bool) {
 	if c.max < 0 {
 		return nil, false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.items[key]
+	el, ok := c.items[string(key)]
 	if !ok {
 		return nil, false
 	}
 	c.ll.MoveToFront(el)
-	return el.Value.(*pprCacheEntry).body, true
+	return el.Value.(*pprCacheEntry).cut, true
 }
 
-// Put inserts a body, evicting from the cold end past capacity.
-func (c *pprCache) Put(key string, body []byte) {
+// Put inserts a cut, evicting from the cold end past capacity.
+func (c *pprCache) Put(key string, cut *pprCut) {
 	if c.max < 0 {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
-		el.Value.(*pprCacheEntry).body = body
+		el.Value.(*pprCacheEntry).cut = cut
 		c.ll.MoveToFront(el)
 		return
 	}
-	c.items[key] = c.ll.PushFront(&pprCacheEntry{key: key, body: body})
+	c.items[key] = c.ll.PushFront(&pprCacheEntry{key: key, cut: cut})
 	for c.ll.Len() > c.max {
 		cold := c.ll.Back()
 		c.ll.Remove(cold)
@@ -325,22 +432,6 @@ func visitEntries(s *walk.Scratch, steps uint64) []topk.Entry {
 
 // --- request handling -----------------------------------------------
 
-// pprKey renders the canonical cache/flight key for a request.
-func pprKey(epoch uint64, sources []graph.VertexID, k int) string {
-	b := make([]byte, 0, 64)
-	b = strconv.AppendUint(b, epoch, 10)
-	b = append(b, '/')
-	b = strconv.AppendUint(b, uint64(k), 10)
-	b = append(b, ':')
-	for i, s := range sources {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = strconv.AppendUint(b, uint64(s), 10)
-	}
-	return string(b)
-}
-
 // parsePPRSources parses the source/sources parameters into the
 // requested source list (planPPR canonicalizes and bounds it).
 func parsePPRSources(q url.Values) ([]graph.VertexID, error) {
@@ -351,9 +442,10 @@ func parsePPRSources(q url.Values) ([]graph.VertexID, error) {
 	if !q.Has("sources") && !q.Has("source") {
 		return nil, fmt.Errorf("missing source parameter (source=u or sources=a,b,c)")
 	}
-	parts := strings.Split(raw, ",")
-	sources := make([]graph.VertexID, 0, len(parts))
-	for _, p := range parts {
+	sources := make([]graph.VertexID, 0, strings.Count(raw, ",")+1)
+	for rest := raw; rest != ""; {
+		var p string
+		p, rest, _ = strings.Cut(rest, ",")
 		p = strings.TrimSpace(p)
 		if p == "" {
 			continue
@@ -367,13 +459,14 @@ func parsePPRSources(q url.Values) ([]graph.VertexID, error) {
 	return sources, nil
 }
 
-// pprPlan is a validated request: the canonical (sorted, deduplicated)
-// source set, k, and the walk budget's split across the sources. The
-// HTTP handler and the PPRTopK facade both plan, walk and cut through
-// it, so they cannot drift.
+// pprPlan is a validated request's walks: the canonical (sorted,
+// deduplicated) source set and the walk budget's split across it — all
+// a cut depends on besides the snapshot, which is why the cache and the
+// flights are keyed by the source set and not by k. The HTTP handler and
+// the PPRTopK facade both plan, walk and cut through it, so they cannot
+// drift.
 type pprPlan struct {
 	sources   []graph.VertexID
-	k         int
 	walksPer  int
 	truncated bool
 }
@@ -405,7 +498,7 @@ func planPPR(sources []graph.VertexID, k, n int, opts PPROptions) (pprPlan, int,
 		return pprPlan{}, http.StatusBadRequest, api.CodeBadRequest, err
 	}
 	walksPer := min(opts.WalksPerSource, opts.WalkBudget/len(srcs))
-	return pprPlan{sources: srcs, k: k, walksPer: walksPer, truncated: walksPer < opts.WalksPerSource}, 0, "", nil
+	return pprPlan{sources: srcs, walksPer: walksPer, truncated: walksPer < opts.WalksPerSource}, 0, "", nil
 }
 
 // walks is the number of walks the plan runs in total.
@@ -415,18 +508,20 @@ func (p pprPlan) walks() int { return p.walksPer * len(p.sources) }
 // PPR is the uniform mixture of the per-source PPR vectors, and every
 // source ran the same walk count — to the top-k entries in the topk
 // package's total order (score descending, vertex ascending on ties), so
-// the result is deterministic and consistent with /v1/topk semantics.
-func (p pprPlan) run(snap *Snapshot) ([]topk.Entry, walk.Stats, error) {
+// the result is deterministic, consistent with /v1/topk semantics, and
+// for any k a prefix of the cut to any larger k.
+func (p pprPlan) run(snap *Snapshot, k int) ([]topk.Entry, walk.Stats, error) {
 	entries, st, err := pprWalk(snap, p)
 	if err != nil {
 		return nil, st, err
 	}
-	return topk.Select(entries, p.k), st, nil
+	return topk.Select(entries, k), st, nil
 }
 
 // handlePPR answers GET /v1/ppr?source=u&k= (or sources=a,b,c): the
 // top-k personalized PageRank of the source set, estimated by
-// request-time walks under the configured budget.
+// request-time walks under the configured budget, and served as the
+// first k rows of the source set's top-MaxK cut.
 func (s *Server) handlePPR(w http.ResponseWriter, r *http.Request, _ string) {
 	start := time.Now()
 	defer func() { s.ppr.lat.Observe(time.Since(start)) }()
@@ -456,18 +551,20 @@ func (s *Server) handlePPR(w http.ResponseWriter, r *http.Request, _ string) {
 		return
 	}
 
-	key := pprKey(snap.Epoch, plan.sources, k)
-	if body, ok := s.ppr.cache.Get(key); ok {
+	var kb [8 + 4*16]byte // the key of a default-sized source set stays on the stack
+	key := appendPPRKey(kb[:0], snap.Epoch, plan.sources)
+	if cut, ok := s.ppr.cache.Get(key); ok {
 		s.ppr.cacheHits.Inc()
-		s.reply(w, body)
+		s.replyPPR(w, cut, k)
 		return
 	}
-	body, err, shared := s.ppr.flights.Do(key, func() ([]byte, error) {
-		body, err := s.pprCompute(snap, plan)
+	flight := string(key)
+	cut, err, shared := s.ppr.flights.Do(flight, func() (*pprCut, error) {
+		cut, err := s.pprCompute(snap, plan)
 		if err == nil {
-			s.ppr.cache.Put(key, body)
+			s.ppr.cache.Put(flight, cut)
 		}
-		return body, err
+		return cut, err
 	})
 	if shared {
 		s.coalesced.Inc()
@@ -478,7 +575,7 @@ func (s *Server) handlePPR(w http.ResponseWriter, r *http.Request, _ string) {
 	case err != nil:
 		s.fail(w, http.StatusInternalServerError, api.CodeInternal, "%v", err)
 	default:
-		s.reply(w, body)
+		s.replyPPR(w, cut, k)
 	}
 }
 
@@ -495,20 +592,20 @@ func PPRTopK(snap *Snapshot, sources []graph.VertexID, k int, opts PPROptions) (
 	if err != nil {
 		return nil, false, fmt.Errorf("serve: %w", err)
 	}
-	entries, _, err := plan.run(snap)
+	entries, _, err := plan.run(snap, k)
 	return entries, plan.truncated, err
 }
 
-// walk is plan.run for a served request: behind the slot gate, counted
-// and timed — the wait for the slot and the kernel call are the first
-// two stages of a computed request's latency.
+// walk is plan.run to MaxK for a served request: behind the slot gate,
+// counted and timed — the wait for the slot and the kernel call are the
+// first two stages of a computed request's latency.
 func (e *pprEngine) walk(snap *Snapshot, plan pprPlan) ([]topk.Entry, error) {
 	queued := time.Now()
 	e.slots <- struct{}{}
 	defer func() { <-e.slots }() // deferred: a panic under the walk must not keep the slot
 	start := time.Now()
 	e.slotWait.Observe(start.Sub(queued))
-	entries, st, err := plan.run(snap)
+	entries, st, err := plan.run(snap, e.opts.MaxK)
 	e.walkLat.Observe(time.Since(start))
 	e.walks.Add(uint64(plan.walks()))
 	e.steps.Add(st.Steps)
@@ -523,9 +620,9 @@ func (e *pprEngine) walk(snap *Snapshot, plan pprPlan) ([]topk.Entry, error) {
 	return entries, err
 }
 
-// pprCompute runs the plan's walks and marshals the response body.
+// pprCompute runs the plan's walks and renders their top-MaxK cut.
 // Bit-identical for identical (snapshot, plan).
-func (s *Server) pprCompute(snap *Snapshot, plan pprPlan) ([]byte, error) {
+func (s *Server) pprCompute(snap *Snapshot, plan pprPlan) (*pprCut, error) {
 	if plan.truncated {
 		s.ppr.truncated.Inc()
 	}
@@ -533,23 +630,12 @@ func (s *Server) pprCompute(snap *Snapshot, plan pprPlan) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	rows := make([]api.TopKEntry, len(entries))
-	for i, e := range entries {
-		rows[i] = api.TopKEntry{Vertex: e.Vertex, Score: e.Score}
-	}
-	body, err := json.Marshal(api.PPRResponse{
+	return newPPRCut(api.PPRResponse{
 		Epoch:     snap.Epoch,
 		Engine:    snap.Engine,
 		Seed:      snap.Seed,
 		Sources:   plan.sources,
-		K:         len(rows),
 		Walks:     plan.walks(),
 		Truncated: plan.truncated,
-		Entries:   rows,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return append(body, '\n'), nil
+	}, entries)
 }

@@ -326,9 +326,9 @@ func TestPPRSlotsBoundKernelCalls(t *testing.T) {
 }
 
 // TestPPRCacheHitsAndTTL pins the LRU behavior: repeats hit, a
-// different k is a different key, and a disabled cache holds nothing.
-// (The name predates the TTL knob's removal; entries leave by capacity
-// only.)
+// different k is the same key (one cut serves every k), a different
+// source set is a different key, and a disabled cache holds nothing. (The name predates the TTL knob's
+// removal; entries leave by capacity only.)
 func TestPPRCacheHitsAndTTL(t *testing.T) {
 	srv, _ := pprServer(t, PPROptions{WalksPerSource: 100})
 	_, first := getPPR(t, srv, "/v1/ppr?source=3&k=5")
@@ -339,10 +339,16 @@ func TestPPRCacheHitsAndTTL(t *testing.T) {
 	if got := srv.ppr.cacheHits.Value(); got != 1 {
 		t.Fatalf("cache hits %d, want 1", got)
 	}
-	// Different k is a different cache key.
+	// A different k hits the same cut (what it answers is
+	// TestPPREveryKIsAPrefixOfOneCut's).
 	getPPR(t, srv, "/v1/ppr?source=3&k=6")
-	if got := srv.ppr.cacheHits.Value(); got != 1 {
-		t.Fatalf("cache hits after distinct k %d, want still 1", got)
+	if got := srv.ppr.cacheHits.Value(); got != 2 {
+		t.Fatalf("cache hits after distinct k %d, want 2", got)
+	}
+	// A different source set is a different key.
+	getPPR(t, srv, "/v1/ppr?sources=3,4&k=5")
+	if got := srv.ppr.cacheHits.Value(); got != 2 {
+		t.Fatalf("cache hits after a distinct source set %d, want still 2", got)
 	}
 
 	// Disabled cache: no hits, no growth.

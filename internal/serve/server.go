@@ -224,9 +224,14 @@ func (s *Server) fail(w http.ResponseWriter, status int, code, format string, ar
 	api.WriteError(w, status, code, s.epoch(), format, args...)
 }
 
+// jsonContentType is the Content-Type of every reply, one slice shared
+// by all of them: net/http only reads a header's values, and a later Add
+// appends past its capacity, so it is never written through.
+var jsonContentType = []string{"application/json"}
+
 // reply writes a marshaled JSON body.
 func (s *Server) reply(w http.ResponseWriter, body []byte) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.Write(body)
 }
 
