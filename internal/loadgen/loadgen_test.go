@@ -317,8 +317,7 @@ func TestRunAgainstServeHandler(t *testing.T) {
 	if total.Hist.Count() != 400 || total.Hist.Max() <= 0 {
 		t.Fatalf("latency histogram empty: %s", total.Hist.String())
 	}
-	// The warmup must have primed the per-k cache; the server saw
-	// warmup+measured queries in total.
+	// The server saw warmup+measured queries in total.
 	if srv.Queries() != 450 {
 		t.Errorf("server counted %d queries, want 450", srv.Queries())
 	}

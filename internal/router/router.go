@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -18,8 +17,8 @@ import (
 )
 
 // maxCachedK bounds the top index and maxCachedRank the per-vertex rank
-// entries, mirroring the single-node server's body cache bound: an
-// adversarial parameter sweep cannot grow them without limit.
+// entries: an adversarial parameter sweep cannot grow them without
+// limit.
 const (
 	maxCachedK    = 4096
 	maxCachedRank = 1 << 16
@@ -33,12 +32,14 @@ const topIndexTTL = 100 * time.Millisecond
 
 // topIndex is the router's copy of the cluster's merged top list at one
 // epoch: the complete consistentTopK answer for the largest k asked so
-// far (up to maxCachedK). The order is total, so every shorter top-k of
-// that epoch is a prefix of it. It is the fast path while fresh and the
-// degraded fallback once the cluster cannot confirm anything newer.
+// far (up to maxCachedK), rendered once as /v1/topk bodies. The order is
+// total, so every shorter top-k of that epoch is a prefix of it. It is
+// the fast path while fresh and the degraded fallback once the cluster
+// cannot confirm anything newer.
 type topIndex struct {
-	resp api.TopKResponse // Entries is read-only once stored
-	// k is what the shards were asked for; fewer entries than that means
+	epoch  uint64
+	bodies *api.TopKIndex
+	// k is what the shards were asked for; fewer rows than that means
 	// the index holds every vertex of the graph.
 	k int
 	// confirmed is the start of the fan-out every shard answered at
@@ -48,15 +49,7 @@ type topIndex struct {
 
 // covers reports whether the top-k at the index's epoch is a prefix of it.
 func (x topIndex) covers(k int) bool {
-	return x.k > 0 && (k <= x.k || len(x.resp.Entries) < x.k)
-}
-
-// prefix cuts the top-k answer out of an index that covers k.
-func (x topIndex) prefix(k int) api.TopKResponse {
-	resp := x.resp
-	resp.Entries = resp.Entries[:min(k, len(resp.Entries))]
-	resp.K = len(resp.Entries)
-	return resp
+	return x.k > 0 && (k <= x.k || x.bodies.Len() < x.k)
 }
 
 // bounded cuts an index fetched for a k beyond maxCachedK down to the
@@ -64,9 +57,7 @@ func (x topIndex) prefix(k int) api.TopKResponse {
 func (x topIndex) bounded() topIndex {
 	if x.k > maxCachedK {
 		x.k = maxCachedK
-		if len(x.resp.Entries) > maxCachedK {
-			x.resp.Entries = slices.Clone(x.resp.Entries[:maxCachedK])
-		}
+		x.bodies = x.bodies.Prefix(maxCachedK)
 	}
 	return x
 }
@@ -274,8 +265,7 @@ func (rt *Router) reply(w http.ResponseWriter, v any) {
 		api.WriteError(w, http.StatusInternalServerError, api.CodeInternal, 0, "%v", err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(append(body, '\n'))
+	api.WriteJSON(w, append(body, '\n'))
 }
 
 // shardResult pairs one shard's answer with its transport error.
@@ -320,13 +310,14 @@ func shardErr(results []shardResult) error {
 
 // consistentTopK gathers partial top-k lists at one consistent epoch,
 // re-issuing pinned queries when shards straddle a refresh. It returns
-// the merged exact response and whether the shards agreed on its epoch
-// unprompted, or an error when any shard cannot contribute.
-func (rt *Router) consistentTopK(k int, rid string) (resp api.TopKResponse, agreed bool, err error) {
+// the merged exact answer as an unconfirmed index and whether the shards
+// agreed on its epoch unprompted, or an error when any shard cannot
+// contribute.
+func (rt *Router) consistentTopK(k int, rid string) (x topIndex, agreed bool, err error) {
 	results := rt.fanout(&request{V: api.Version, Op: opTopK, K: k, Rid: rid})
 	for _, r := range results {
 		if !r.ok() {
-			return api.TopKResponse{}, false, shardErr(results)
+			return topIndex{}, false, shardErr(results)
 		}
 	}
 	// Epoch agreement: serve the oldest current epoch, so a refresh
@@ -353,7 +344,7 @@ func (rt *Router) consistentTopK(k int, rid string) (resp api.TopKResponse, agre
 			r.resp, r.err = rt.clients[i].call(pinned)
 			if !r.ok() || r.resp.Epoch != target {
 				results[i] = r
-				return api.TopKResponse{}, false, shardErr(results)
+				return topIndex{}, false, shardErr(results)
 			}
 			results[i] = r
 		}
@@ -362,25 +353,16 @@ func (rt *Router) consistentTopK(k int, rid string) (resp api.TopKResponse, agre
 	for i, r := range results {
 		lists[i] = r.resp.Entries
 	}
-	merged := topk.Merge(lists, k)
-	rows := make([]api.TopKEntry, len(merged))
-	for i, e := range merged {
-		rows[i] = api.TopKEntry{Vertex: e.Vertex, Score: e.Score}
-	}
-	return api.TopKResponse{
-		Epoch:   target,
-		Engine:  results[0].resp.Engine,
-		Seed:    results[0].resp.Seed,
-		K:       len(rows),
-		Entries: rows,
-	}, !mixed, nil
+	x = topIndex{epoch: target, k: k}
+	x.bodies, err = api.NewTopKIndex(target, results[0].resp.Engine, results[0].resp.Seed, topk.Merge(lists, k))
+	return x, !mixed, err
 }
 
 // saw records what a shard reply just told the router: a failure, or an
 // epoch other than the top index's, ends the index's freshness at once.
 // Callers hold mu.
 func (rt *Router) saw(ok bool, epoch uint64) {
-	if !ok || epoch != rt.top.resp.Epoch {
+	if !ok || epoch != rt.top.epoch {
 		rt.contrary++
 		rt.top.confirmed = time.Time{}
 	}
@@ -407,20 +389,18 @@ func (rt *Router) handleTopK(w http.ResponseWriter, r *http.Request, rid string)
 	rt.mu.Unlock()
 	if idx.covers(k) && now.Sub(idx.confirmed) <= topIndexTTL {
 		rt.indexHits.Inc()
-		rt.reply(w, idx.prefix(k))
+		idx.bodies.WriteBody(w, k, false)
 		return
 	}
 	// Ask for no less than the index holds, so one small k does not
 	// shrink what the next large one (or the fallback) can be cut from.
 	rt.refetches.Inc()
-	fetched := topIndex{k: max(k, idx.k)}
-	var agreed bool
-	fetched.resp, agreed, err = rt.consistentTopK(fetched.k, rid)
+	fetched, agreed, err := rt.consistentTopK(max(k, idx.k), rid)
 	rt.mu.Lock()
 	// Fresh only if nothing the router saw since the fan-out began, its
 	// own straddle included, says the cluster has moved on.
 	quiet := rt.contrary == contrary
-	rt.saw(err == nil && agreed, fetched.resp.Epoch)
+	rt.saw(err == nil && agreed, fetched.epoch)
 	if err == nil {
 		rt.top = fetched.bounded()
 		if agreed && quiet {
@@ -429,7 +409,7 @@ func (rt *Router) handleTopK(w http.ResponseWriter, r *http.Request, rid string)
 	}
 	rt.mu.Unlock()
 	if err == nil {
-		rt.reply(w, fetched.prefix(k))
+		fetched.bodies.WriteBody(w, k, false)
 		return
 	}
 	// Degraded path: the index at its stale epoch beats an error while a
@@ -440,9 +420,7 @@ func (rt *Router) handleTopK(w http.ResponseWriter, r *http.Request, rid string)
 		return
 	}
 	rt.degraded.Inc()
-	stale := idx.prefix(k)
-	stale.Degraded = true
-	rt.reply(w, stale)
+	idx.bodies.WriteBody(w, k, true)
 }
 
 func (rt *Router) handleRank(w http.ResponseWriter, r *http.Request, rid string) {

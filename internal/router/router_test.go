@@ -9,7 +9,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
-	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -155,11 +154,15 @@ func TestShardedBitIdenticalToSingleNode(t *testing.T) {
 			}
 			rt := newRouter(newShards(t, g, stores), Options{})
 
-			// 50 is the snapshots' MaxK: the last k answered as a prefix of
-			// each shard's index, 51 the first that selects per query;
-			// n-1 exceeds every shard's owned count once there are two
-			// shards, n+9 the graph.
-			for _, k := range []int{1, 3, 10, 50, 51, 63, 500, n - 1, n, n + 9} {
+			// Every k up to 50, the snapshots' MaxK, is answered as a
+			// prefix of each shard's index; 51 is the first that selects
+			// per query; n-1 exceeds every shard's owned count once there
+			// are two shards, n+9 the graph.
+			var ks []int
+			for k := 1; k <= 50; k++ {
+				ks = append(ks, k)
+			}
+			for _, k := range append(ks, 51, 63, 500, n-1, n, n+9) {
 				url := fmt.Sprintf("/v1/topk?k=%d", k)
 				sc, sb := get(t, single, url)
 				rc, rb := get(t, rt, url)
@@ -360,12 +363,16 @@ func TestShardDeathDegradesInsteadOfFailing(t *testing.T) {
 		if code != http.StatusOK {
 			t.Fatalf("degraded k=%d status %d: %s", k, code, body)
 		}
-		resp := topKBody(t, body)
-		if !resp.Degraded {
-			t.Fatalf("k=%d: response with a dead shard must be marked degraded", k)
+		// Byte for byte: encoding/json's body for the index's top-k,
+		// marked degraded.
+		stale := want
+		stale.K, stale.Entries, stale.Degraded = k, want.Entries[:k], true
+		wantBody, err := json.Marshal(stale)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if resp.Epoch != want.Epoch || resp.K != k || !slices.Equal(resp.Entries, want.Entries[:k]) {
-			t.Fatalf("k=%d: degraded answer is not a prefix of the index: %+v", k, resp)
+		if body != string(wantBody)+"\n" {
+			t.Fatalf("k=%d: degraded body\n%s\nwant the index's prefix marked degraded\n%s", k, body, wantBody)
 		}
 	}
 	if rt.Degraded() != 3 {

@@ -112,12 +112,6 @@ func NewShardServer(id, shards int, owned []uint32, store *serve.Store) *ShardSe
 	return &ShardServer{id: id, shards: shards, owned: owned, store: store}
 }
 
-// ID returns the shard's id.
-func (s *ShardServer) ID() int { return s.id }
-
-// OwnedCount returns the number of vertices this shard masters.
-func (s *ShardServer) OwnedCount() int { return len(s.owned) }
-
 // Queries returns how many RPC requests the shard has answered.
 func (s *ShardServer) Queries() uint64 { return s.queries.Value() }
 

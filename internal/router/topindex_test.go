@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/serve"
 	"repro/internal/serve/api"
+	"repro/internal/topk"
 )
 
 // TestRouterIndexServesPrefixesWithoutRPC pins the router's top index
@@ -86,9 +87,9 @@ func TestRouterIndexNeverShrinks(t *testing.T) {
 	if _, body := get(t, rt, "/v1/topk?k=3"); body != want {
 		t.Fatalf("k=3 after the epoch change:\n got %s\nwant %s", body, want)
 	}
-	if rt.refetches.Value() != 2 || rt.top.k != 50 || len(rt.top.resp.Entries) != 50 || rt.top.resp.Epoch != 2 {
+	if rt.refetches.Value() != 2 || rt.top.k != 50 || rt.top.bodies.Len() != 50 || rt.top.epoch != 2 {
 		t.Fatalf("refetch for k=3: %d refetches, index k=%d with %d entries at epoch %d, want 2, 50, 50, 2",
-			rt.refetches.Value(), rt.top.k, len(rt.top.resp.Entries), rt.top.resp.Epoch)
+			rt.refetches.Value(), rt.top.k, rt.top.bodies.Len(), rt.top.epoch)
 	}
 	asked := shardQueries(servers)
 	_, want = get(t, single, "/v1/topk?k=50")
@@ -119,13 +120,16 @@ func TestRouterIndexBounded(t *testing.T) {
 	if code, body := get(t, rt, url); code != http.StatusOK || body != want {
 		t.Fatalf("k past the bound: status %d, single-node body %v", code, body == want)
 	}
-	if rt.top.k != maxCachedK || len(rt.top.resp.Entries) != n || !rt.top.covers(maxCachedK+1) {
-		t.Fatalf("index k=%d with %d entries", rt.top.k, len(rt.top.resp.Entries))
+	if rt.top.k != maxCachedK || rt.top.bodies.Len() != n || !rt.top.covers(maxCachedK+1) {
+		t.Fatalf("index k=%d with %d entries", rt.top.k, rt.top.bodies.Len())
 	}
 
 	// An index cut at the bound covers nothing beyond it.
-	cut := topIndex{k: maxCachedK}
-	cut.resp.Entries = make([]api.TopKEntry, maxCachedK)
+	bodies, err := api.NewTopKIndex(1, serve.EngineFrogWild, 11, make([]topk.Entry, maxCachedK))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut := topIndex{k: maxCachedK, bodies: bodies}
 	if cut.covers(maxCachedK+1) || !cut.covers(maxCachedK) {
 		t.Fatal("an index holding exactly maxCachedK entries must cover k <= maxCachedK only")
 	}

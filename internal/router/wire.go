@@ -20,7 +20,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 	"slices"
 	"strconv"
 	"unicode"
@@ -261,17 +260,8 @@ func appendResponse(b []byte, resp *response) ([]byte, error) {
 	}
 	if len(resp.Entries) != 0 {
 		b = append(b, `,"entries":[`...)
-		for i, e := range resp.Entries {
-			if i > 0 {
-				b = append(b, ',')
-			}
-			b = append(b, `{"vertex":`...)
-			b = strconv.AppendUint(b, uint64(e.Vertex), 10)
-			b = append(b, `,"score":`...)
-			if b, err = appendFloat(b, e.Score); err != nil {
-				return b, err
-			}
-			b = append(b, '}')
+		if b, err = api.AppendTopKRows(b, resp.Entries); err != nil {
+			return b, err
 		}
 		b = append(b, ']')
 	}
@@ -280,7 +270,7 @@ func appendResponse(b []byte, resp *response) ([]byte, error) {
 	}
 	if resp.Rank != 0 {
 		b = append(b, `,"rank":`...)
-		if b, err = appendFloat(b, resp.Rank); err != nil {
+		if b, err = api.AppendFloat(b, resp.Rank); err != nil {
 			return b, err
 		}
 	}
@@ -294,30 +284,11 @@ func appendResponse(b []byte, resp *response) ([]byte, error) {
 	}
 	if resp.SnapshotAge != 0 {
 		b = append(b, `,"snapshotAge":`...)
-		if b, err = appendFloat(b, resp.SnapshotAge); err != nil {
+		if b, err = api.AppendFloat(b, resp.SnapshotAge); err != nil {
 			return b, err
 		}
 	}
 	return append(b, '}'), nil
-}
-
-// appendFloat appends f in encoding/json's number format: shortest
-// round-trip digits, exponent form below 1e-6 and from 1e21, the
-// exponent not padded to two digits.
-func appendFloat(b []byte, f float64) ([]byte, error) {
-	if math.IsInf(f, 0) || math.IsNaN(f) {
-		return b, fmt.Errorf("router: unsupported number %v in frame", f)
-	}
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b = strconv.AppendFloat(b, f, format, -1, 64)
-	if n := len(b); format == 'e' && n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-		b[n-2] = b[n-1]
-		b = b[:n-1]
-	}
-	return b, nil
 }
 
 const hexDigits = "0123456789abcdef"

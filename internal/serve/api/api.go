@@ -1,7 +1,7 @@
 // Package api is the versioned wire schema of the query service: every
 // JSON body the single-node server, the sharded router, the shard RPC
 // codec and the load generator's decoder exchange is defined here,
-// once. Producer and consumer alias these types instead of
+// once, and the top-k row they share has one writer here (topk.go). Producer and consumer alias these types instead of
 // re-declaring inline structs, so the two sides of the wire cannot
 // drift apart silently.
 //
@@ -104,7 +104,9 @@ type GraphStats struct {
 // are additive (omitempty) and absent from deployments that predate
 // the endpoint, so no Version bump.
 type ServeStats struct {
-	Queries          uint64 `json:"queries"`
+	Queries uint64 `json:"queries"`
+	// TopKCacheHits counts top-k queries answered from the snapshot's
+	// top index, rendered once at publish (k ≤ maxk).
 	TopKCacheHits    uint64 `json:"topkCacheHits"`
 	CompareCacheHits uint64 `json:"compareCacheHits"`
 	Coalesced        uint64 `json:"coalesced"`
@@ -262,6 +264,18 @@ func WriteError(w http.ResponseWriter, status int, code string, epoch uint64, fo
 		Epoch:   epoch,
 	})
 	w.Write(append(body, '\n'))
+}
+
+// jsonContentType is the Content-Type of every body, one slice shared
+// by all of them: net/http only reads a header's values, and a later Add
+// appends past its capacity, so it is never written through.
+var jsonContentType = []string{"application/json"}
+
+// WriteJSON writes a rendered JSON body: the one way every plane
+// answers a query that succeeded.
+func WriteJSON(w http.ResponseWriter, body []byte) {
+	w.Header()["Content-Type"] = jsonContentType
+	w.Write(body)
 }
 
 // ParsePositiveInt parses a strictly positive integer query parameter,

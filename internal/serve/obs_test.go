@@ -37,7 +37,7 @@ func TestStatsAgreeWithMetrics(t *testing.T) {
 		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, url, nil))
 		return rec.Code, rec.Body.String()
 	}
-	// Repeated k hits the top-k cache; the rank query does not.
+	// Every k within maxk is answered from the index; the rank query is not.
 	for i := 0; i < 5; i++ {
 		if code, body := get("/v1/topk?k=10"); code != http.StatusOK {
 			t.Fatalf("topk status %d: %s", code, body)
@@ -87,8 +87,8 @@ func TestStatsAgreeWithMetrics(t *testing.T) {
 	if stats.Serving.Queries != 7 {
 		t.Errorf("queries = %d, want 7 (5 topk + rank + the stats request)", stats.Serving.Queries)
 	}
-	if stats.Serving.TopKCacheHits != 4 {
-		t.Errorf("topk cache hits = %d, want 4 (first of 5 misses)", stats.Serving.TopKCacheHits)
+	if stats.Serving.TopKCacheHits != 5 {
+		t.Errorf("topk cache hits = %d, want 5 (every k within maxk is a prefix of the index)", stats.Serving.TopKCacheHits)
 	}
 	if got := series[`serve_request_seconds_count{endpoint="topk"}`]; got != 5 {
 		t.Errorf(`serve_request_seconds_count{endpoint="topk"} = %v, want 5`, got)

@@ -190,8 +190,8 @@ func SaveSnapshot(path string, s *Snapshot) error {
 // section file, attaching it to g (the graph it will be served
 // against). Beyond the codec's structural checks it verifies the
 // graph-compatibility fields and the top index's internal consistency
-// (every entry in range, scores matching the rank vector, sorted by
-// the topk total order), so a loaded snapshot upholds exactly the
+// (every entry in range, scores finite and matching the rank vector,
+// sorted by the topk total order), so a loaded snapshot upholds exactly the
 // invariants a freshly built one does.
 func snapshotFromFile(f *secfile.File, g *graph.Graph) (*Snapshot, error) {
 	hdr := f.Header()
@@ -220,7 +220,10 @@ func snapshotFromFile(f *secfile.File, g *graph.Graph) (*Snapshot, error) {
 		if uint64(v) >= n {
 			return nil, fmt.Errorf("%w: top entry %d vertex %d out of range", ErrSnapshotFormat, i, v)
 		}
-		if ranks[v] != score || math.IsNaN(score) {
+		if math.IsNaN(score) || math.IsInf(score, 0) {
+			return nil, fmt.Errorf("%w: top entry %d score %v is not finite", ErrSnapshotFormat, i, score)
+		}
+		if ranks[v] != score {
 			return nil, fmt.Errorf("%w: top entry %d score disagrees with rank vector", ErrSnapshotFormat, i)
 		}
 		if i > 0 {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -110,6 +111,33 @@ func TestSnapshotCorruptionDetected(t *testing.T) {
 	}
 	if _, err := DecodeSnapshot(append([]byte{}, raw...), other); !errors.Is(err, ErrSnapshotMismatch) {
 		t.Fatal("mismatched graph accepted")
+	}
+}
+
+// TestSnapshotRefusesNonFiniteTopScore crafts checksummed files whose
+// top index holds an infinite rank: each is a format error, not a
+// warm start whose every /v1/topk covering that rank fails.
+func TestSnapshotRefusesNonFiniteTopScore(t *testing.T) {
+	g := persistTestGraph(t)
+	n := g.NumVertices()
+	for _, bad := range []float64{math.Inf(1), math.Inf(-1)} {
+		ranks := make([]float64, n)
+		for v := range ranks {
+			ranks[v] = 1 / float64(n)
+		}
+		ranks[5] = bad
+		// MaxK = n: the top index holds every vertex, -Inf's included.
+		snap, err := FromRanks(g, EngineExact, 1, ranks, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := WriteSnapshot(&buf, snap); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := DecodeSnapshot(buf.Bytes(), g); !errors.Is(err, ErrSnapshotFormat) {
+			t.Fatalf("top score %v: err = %v, want a format error", bad, err)
+		}
 	}
 }
 

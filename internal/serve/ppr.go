@@ -52,7 +52,6 @@ import (
 	"errors"
 	"fmt"
 	"log"
-	"math"
 	"net/http"
 	"net/url"
 	"runtime"
@@ -212,49 +211,14 @@ func newPPRCut(resp api.PPRResponse, entries []topk.Entry) (*pprCut, error) {
 	return &pprCut{head: b[:at], mid: b[at+1 : len(b)-2], entries: slices.Clone(entries)}, nil
 }
 
-// appendBody appends the response for the top-k of the cut to dst, each
-// row as encoding/json writes an api.TopKEntry. A score is a visit count
-// over the same total, so the rows below the first few mostly tie with
-// the row above: their score is copied, not formatted again.
-func (c *pprCut) appendBody(dst []byte, k int) []byte {
+// appendBody appends the response for the top-k of the cut to dst.
+func (c *pprCut) appendBody(dst []byte, k int) ([]byte, error) {
 	rows := c.entries[:min(k, len(c.entries))]
 	dst = append(dst, c.head...)
 	dst = strconv.AppendInt(dst, int64(len(rows)), 10)
 	dst = append(dst, c.mid...)
-	var scoreAt, scoreEnd int
-	for i, e := range rows {
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		dst = append(dst, `{"vertex":`...)
-		dst = strconv.AppendUint(dst, uint64(e.Vertex), 10)
-		dst = append(dst, `,"score":`...)
-		if i > 0 && e.Score == rows[i-1].Score {
-			dst = append(dst, dst[scoreAt:scoreEnd]...)
-		} else {
-			scoreAt = len(dst)
-			dst = appendJSONFloat(dst, e.Score)
-			scoreEnd = len(dst)
-		}
-		dst = append(dst, '}')
-	}
-	return append(dst, "]}\n"...)
-}
-
-// appendJSONFloat appends a finite f as encoding/json writes a float64:
-// the shortest decimal that round-trips, in exponent form below 1e-6 and
-// from 1e21 on, with a one-digit exponent unpadded (1e-07 becomes 1e-7).
-func appendJSONFloat(dst []byte, f float64) []byte {
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	dst = strconv.AppendFloat(dst, f, format, -1, 64)
-	if n := len(dst); format == 'e' && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
-		dst[n-2] = dst[n-1]
-		dst = dst[:n-1]
-	}
-	return dst
+	dst, err := api.AppendTopKRows(dst, rows)
+	return append(dst, "]}\n"...), err
 }
 
 // pprBodies recycles the buffers responses are assembled in.
@@ -263,8 +227,12 @@ var pprBodies = sync.Pool{New: func() any { return new([]byte) }}
 // replyPPR writes the response for the top-k of c.
 func (s *Server) replyPPR(w http.ResponseWriter, c *pprCut, k int) {
 	buf := pprBodies.Get().(*[]byte)
-	*buf = c.appendBody((*buf)[:0], k)
-	s.reply(w, *buf)
+	var err error
+	if *buf, err = c.appendBody((*buf)[:0], k); err != nil {
+		s.fail(w, http.StatusInternalServerError, api.CodeInternal, "%v", err)
+	} else {
+		api.WriteJSON(w, *buf)
+	}
 	pprBodies.Put(buf)
 }
 

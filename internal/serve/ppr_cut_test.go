@@ -3,8 +3,6 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
-	"math"
-	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -140,31 +138,6 @@ func TestPPRConcurrentKsShareOneWalk(t *testing.T) {
 	}
 	if joined := srv.coalesced.Value() + srv.ppr.cacheHits.Value(); joined != uint64(len(ks)-1) {
 		t.Errorf("%d requests joined the flight or hit its cut, want %d", joined, len(ks)-1)
-	}
-}
-
-// TestAppendJSONFloat holds the row renderer's number format to
-// encoding/json's, on the values where its form changes (zero, the 1e-6
-// and 1e21 switches to exponent form, one- and three-digit exponents,
-// subnormals) and on 200 000 finite float64s drawn bit pattern by bit
-// pattern.
-func TestAppendJSONFloat(t *testing.T) {
-	fs := []float64{0, math.Copysign(0, -1), 1, 0.15, 1e-6, math.Nextafter(1e-6, 0), 1e-7, 1.5e-10, 1e21,
-		math.Nextafter(1e21, 0), 1e100, 5e-324, math.SmallestNonzeroFloat64 * 3, math.MaxFloat64, -2.5e-8}
-	r := rand.New(rand.NewPCG(1, 2))
-	for len(fs) < 200_000 {
-		if f := math.Float64frombits(r.Uint64()); !math.IsInf(f, 0) && !math.IsNaN(f) {
-			fs = append(fs, f)
-		}
-	}
-	for _, f := range fs {
-		want, err := json.Marshal(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := appendJSONFloat(nil, f); string(got) != string(want) {
-			t.Fatalf("%b: got %s, encoding/json writes %s", f, got, want)
-		}
 	}
 }
 

@@ -55,7 +55,7 @@ func TestPPRConsistentDuringSwap(t *testing.T) {
 	// Small cache so swaps also churn entries out by capacity, and a
 	// small walk count so queries are fast relative to swaps.
 	srv := NewServer(st, ServerOptions{PPR: PPROptions{WalksPerSource: 50, CacheSize: 8}})
-	ts := httptest.NewServer(srv.Handler())
+	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
 	var stop atomic.Bool
@@ -147,7 +147,7 @@ func TestPPRConsistentDuringSwap(t *testing.T) {
 // body all goroutines agree on — the store never swaps here).
 func TestPPRCacheEvictionUnderLoad(t *testing.T) {
 	srv, _ := pprServer(t, PPROptions{WalksPerSource: 20, CacheSize: 4})
-	ts := httptest.NewServer(srv.Handler())
+	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
 	const clients, perClient, distinct = 8, 100, 24

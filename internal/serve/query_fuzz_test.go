@@ -23,7 +23,7 @@ func FuzzQuery(f *testing.F) {
 	st := NewStore()
 	snap := buildSnap(f, st, EngineFrogWild)
 	n := len(snap.Ranks)
-	h := NewServer(st, ServerOptions{Compare: testBuildConfig(EngineFrogWild)}).Handler()
+	h := NewServer(st, ServerOptions{Compare: testBuildConfig(EngineFrogWild)})
 	paths := []string{"/v1/topk", "/v1/rank", "/v1/compare"}
 
 	f.Fuzz(func(t *testing.T, endpoint uint8, rawQuery string) {

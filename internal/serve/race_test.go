@@ -41,8 +41,8 @@ func fetchTopK(url string) (*api.TopKResponse, error) {
 // while a refresher swaps snapshots as fast as it can, and asserts
 // every response is internally consistent: all entries belong to the
 // epoch the response claims, bit-identically. Run under -race this also
-// proves the lock-free read path and the per-k cache are data-race
-// free across swaps.
+// proves the lock-free read path and the bodies rendered at publish are
+// data-race free across swaps.
 func TestTopKConsistentDuringSwap(t *testing.T) {
 	const (
 		n          = 2000
@@ -78,7 +78,7 @@ func TestTopKConsistentDuringSwap(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := NewServer(st, ServerOptions{})
-	ts := httptest.NewServer(srv.Handler())
+	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
 	// Swap continuously until the clients are done.

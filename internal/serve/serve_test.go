@@ -258,7 +258,7 @@ func newTestServer(t testing.TB) (*Server, *Store, *httptest.Server) {
 	st := NewStore()
 	buildSnap(t, st, EngineFrogWild)
 	srv := NewServer(st, ServerOptions{Compare: testBuildConfig(EngineFrogWild)})
-	ts := httptest.NewServer(srv.Handler())
+	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 	return srv, st, ts
 }
@@ -321,8 +321,7 @@ func TestServerTopKDefaultsAndErrors(t *testing.T) {
 			t.Errorf("%s: status %d, want 400", bad, code)
 		}
 	}
-	// k above the cache bound still answers (uncached path), clamped
-	// to the graph size.
+	// k above maxk is selected afresh, clamped to the graph size.
 	var huge api.TopKResponse
 	if code := getJSON(t, ts.URL+"/v1/topk?k=999999", &huge); code != http.StatusOK {
 		t.Fatalf("huge k: status %d", code)
@@ -340,17 +339,17 @@ func TestServerTopKCacheAndInvalidation(t *testing.T) {
 	var second api.TopKResponse
 	getJSON(t, ts.URL+"/v1/topk?k=7", &second)
 	if srv.CacheHits() != hits+1 {
-		t.Errorf("second identical query should hit the cache (hits %d -> %d)", hits, srv.CacheHits())
+		t.Errorf("a k within maxk should be answered from the index (hits %d -> %d)", hits, srv.CacheHits())
 	}
 	if !reflect.DeepEqual(first, second) {
-		t.Error("cached response differs")
+		t.Error("repeated response differs")
 	}
 
 	buildSnap(t, st, EngineGLPR) // swap epochs
 	var third api.TopKResponse
 	getJSON(t, ts.URL+"/v1/topk?k=7", &third)
 	if third.Epoch != 2 || third.Engine != EngineGLPR {
-		t.Errorf("after swap the cache must serve the new epoch, got %+v", third)
+		t.Errorf("after swap the new epoch must be served, got %+v", third)
 	}
 }
 
@@ -406,7 +405,7 @@ func TestServerCompare(t *testing.T) {
 		t.Error("second compare against the same engine should reuse the cached reference vector")
 	}
 	if srv.CacheHits() != 0 {
-		t.Error("compare cache reuse must not count as a topk body cache hit")
+		t.Error("compare cache reuse must not count as a topk index hit")
 	}
 	if code := getJSON(t, ts.URL+"/v1/compare?engine=quantum", nil); code != http.StatusBadRequest {
 		t.Errorf("unknown engine: status %d", code)
@@ -416,7 +415,7 @@ func TestServerCompare(t *testing.T) {
 func TestServerStatsAndHealthz(t *testing.T) {
 	st := NewStore()
 	srv := NewServer(st, ServerOptions{})
-	ts := httptest.NewServer(srv.Handler())
+	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
 	if code := getJSON(t, ts.URL+"/v1/stats", nil); code != http.StatusServiceUnavailable {
@@ -546,7 +545,7 @@ func TestNewServiceInitialSnapshot(t *testing.T) {
 	if refresher.Refreshes() != 1 {
 		t.Errorf("NewService should publish the initial snapshot, refreshes = %d", refresher.Refreshes())
 	}
-	ts := httptest.NewServer(srv.Handler())
+	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	var got api.TopKResponse
 	if code := getJSON(t, ts.URL+"/v1/topk?k=5", &got); code != http.StatusOK || got.Epoch != 1 {

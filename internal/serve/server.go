@@ -16,11 +16,6 @@ import (
 	"repro/internal/topk"
 )
 
-// maxCachedK bounds the per-k response cache: queries above it are
-// still served (and coalesced) but their bodies are not retained, so an
-// adversarial k sweep cannot grow the cache without bound.
-const maxCachedK = 4096
-
 // ServerOptions tunes a Server beyond its Store.
 type ServerOptions struct {
 	// Compare is the BuildConfig template for /v1/compare runs; the
@@ -61,9 +56,10 @@ type ServerOptions struct {
 //	                         counters
 //	/healthz                 200 once a snapshot is published
 //
-// Identical concurrent queries are coalesced (singleflight) and top-k
-// bodies are cached per (epoch, k), so a hot k costs one selection and
-// one JSON marshal per epoch.
+// A /v1/topk with k up to the snapshot's MaxK writes a prefix of the
+// bodies rendered when the snapshot was published; a larger k selects
+// and renders afresh. Identical concurrent /v1/compare and /v1/ppr
+// queries are coalesced (singleflight).
 type Server struct {
 	store *Store
 	opts  ServerOptions
@@ -71,16 +67,8 @@ type Server struct {
 	// listener lifecycle, shared with the router (obs.Plane).
 	plane *obs.Plane
 
-	// topkMu guards the per-k body cache; topkEpoch stamps which
-	// epoch the cached bodies belong to (the map is flushed lazily
-	// when the store moves on).
-	topkMu      sync.Mutex
-	topkEpoch   uint64
-	topkCache   map[int][]byte
-	topkFlights flightGroup[[2]uint64, []byte]
-
-	// compare runs are far more expensive than topk marshals; they
-	// get their own cache (per epoch+engine) and flight group.
+	// compare runs are the expensive queries: they get a cache (per
+	// epoch+engine) and a flight group.
 	compareMu      sync.Mutex
 	compareEpoch   uint64
 	compareCache   map[Engine][]float64
@@ -109,7 +97,7 @@ func NewServer(store *Store, opts ServerOptions) *Server {
 	s.reg.RegisterCounter("serve_requests_total",
 		"Queries across the /v1 endpoints (method-allowed GETs).", nil, &s.queries)
 	s.reg.RegisterCounter("serve_topk_cache_hits_total",
-		"Top-k queries answered from the per-(epoch,k) body cache.", nil, &s.cacheHits)
+		"Top-k queries answered from the snapshot's rendered top index (k <= maxk).", nil, &s.cacheHits)
 	s.reg.RegisterCounter("serve_compare_cache_hits_total",
 		"Compare queries that reused a cached reference vector.", nil, &s.compareHits)
 	s.reg.RegisterCounter("serve_coalesced_total",
@@ -179,9 +167,6 @@ func NewServer(store *Store, opts ServerOptions) *Server {
 // (the benchmark) can scrape without HTTP.
 func (s *Server) Metrics() *obs.Registry { return s.reg }
 
-// Handler returns the HTTP handler (for tests and embedding).
-func (s *Server) Handler() http.Handler { return s.plane }
-
 // ServeHTTP makes *Server itself an http.Handler, so in-process
 // drivers (httptest, the benchmark's layer timings) can hit the full
 // API without a listener.
@@ -198,7 +183,7 @@ func (s *Server) Snapshot() *Snapshot { return s.store.Current() }
 func (s *Server) Queries() uint64 { return s.queries.Value() }
 
 // CacheHits returns how many /v1/topk queries were answered from the
-// per-k body cache.
+// snapshot's rendered top index (k ≤ MaxK).
 func (s *Server) CacheHits() uint64 { return s.cacheHits.Value() }
 
 // CompareCacheHits returns how many /v1/compare queries reused a
@@ -224,17 +209,6 @@ func (s *Server) fail(w http.ResponseWriter, status int, code, format string, ar
 	api.WriteError(w, status, code, s.epoch(), format, args...)
 }
 
-// jsonContentType is the Content-Type of every reply, one slice shared
-// by all of them: net/http only reads a header's values, and a later Add
-// appends past its capacity, so it is never written through.
-var jsonContentType = []string{"application/json"}
-
-// reply writes a marshaled JSON body.
-func (s *Server) reply(w http.ResponseWriter, body []byte) {
-	w.Header()["Content-Type"] = jsonContentType
-	w.Write(body)
-}
-
 // current returns the published snapshot or writes a 503.
 func (s *Server) current(w http.ResponseWriter) *Snapshot {
 	snap := s.store.Current()
@@ -242,26 +216,6 @@ func (s *Server) current(w http.ResponseWriter) *Snapshot {
 		s.fail(w, http.StatusServiceUnavailable, api.CodeNoSnapshot, "no snapshot published yet")
 	}
 	return snap
-}
-
-// marshalTopK builds the /v1/topk body for one (snapshot, k) pair.
-func marshalTopK(snap *Snapshot, k int) ([]byte, error) {
-	entries := snap.TopK(k)
-	rows := make([]api.TopKEntry, len(entries))
-	for i, e := range entries {
-		rows[i] = api.TopKEntry{Vertex: e.Vertex, Score: e.Score}
-	}
-	body, err := json.Marshal(api.TopKResponse{
-		Epoch:   snap.Epoch,
-		Engine:  snap.Engine,
-		Seed:    snap.Seed,
-		K:       len(rows),
-		Entries: rows,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return append(body, '\n'), nil
 }
 
 func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request, _ string) {
@@ -274,50 +228,14 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request, _ string) {
 		s.fail(w, http.StatusBadRequest, api.CodeBadRequest, "bad k: %v", err)
 		return
 	}
-
-	cacheable := k <= maxCachedK
-	if cacheable {
-		s.topkMu.Lock()
-		if s.topkEpoch == snap.Epoch {
-			if body, ok := s.topkCache[k]; ok {
-				s.topkMu.Unlock()
-				s.cacheHits.Inc()
-				s.reply(w, body)
-				return
-			}
-		}
-		s.topkMu.Unlock()
-	}
-
-	body, err, shared := s.topkFlights.Do([2]uint64{snap.Epoch, uint64(k)}, func() ([]byte, error) {
-		return marshalTopK(snap, k)
-	})
-	if shared {
-		s.coalesced.Inc()
-	}
-	if err != nil {
+	x := snap.bodies
+	if x != nil && snap.indexed(k) {
+		s.cacheHits.Inc()
+	} else if x, err = api.NewTopKIndex(snap.Epoch, snap.Engine, snap.Seed, snap.TopK(k)); err != nil {
 		s.fail(w, http.StatusInternalServerError, api.CodeInternal, "%v", err)
 		return
 	}
-	if cacheable && !shared {
-		s.topkMu.Lock()
-		if s.topkEpoch != snap.Epoch {
-			// The store moved on (or this is the first fill for this
-			// epoch): restart the cache so stale-epoch bodies are
-			// never mixed with fresh ones. Only newer epochs replace
-			// the cache — a slow goroutine holding an old snapshot
-			// must not clobber current entries.
-			if snap.Epoch > s.topkEpoch {
-				s.topkEpoch = snap.Epoch
-				s.topkCache = make(map[int][]byte)
-				s.topkCache[k] = body
-			}
-		} else {
-			s.topkCache[k] = body
-		}
-		s.topkMu.Unlock()
-	}
-	s.reply(w, body)
+	x.WriteBody(w, k, false)
 }
 
 func (s *Server) handleRank(w http.ResponseWriter, r *http.Request, _ string) {
@@ -347,7 +265,7 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request, _ string) {
 		s.fail(w, http.StatusInternalServerError, api.CodeInternal, "%v", err)
 		return
 	}
-	s.reply(w, append(body, '\n'))
+	api.WriteJSON(w, append(body, '\n'))
 }
 
 // referenceRanks computes (or fetches the cached) comparison vector for
@@ -442,7 +360,7 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request, _ string)
 		s.fail(w, http.StatusInternalServerError, api.CodeInternal, "%v", err)
 		return
 	}
-	s.reply(w, append(body, '\n'))
+	api.WriteJSON(w, append(body, '\n'))
 }
 
 // StatsBody assembles the /v1/stats response for the current snapshot;
@@ -509,7 +427,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request, _ string) {
 		s.fail(w, http.StatusInternalServerError, api.CodeInternal, "%v", err)
 		return
 	}
-	s.reply(w, append(body, '\n'))
+	api.WriteJSON(w, append(body, '\n'))
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request, _ string) {
@@ -519,7 +437,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request, _ string)
 		return
 	}
 	body, _ := json.Marshal(api.HealthResponse{Status: "ok", Epoch: snap.Epoch})
-	s.reply(w, append(body, '\n'))
+	api.WriteJSON(w, append(body, '\n'))
 }
 
 // Serve listens on addr and serves until ctx is cancelled, then shuts

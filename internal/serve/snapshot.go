@@ -13,8 +13,9 @@
 //     snapshot.
 //   - Refresher: recomputes estimates on a cadence (or on demand) and
 //     swaps the result into the Store atomically.
-//   - Server: an HTTP JSON API over a Store with per-k response
-//     caching, request coalescing, and graceful shutdown.
+//   - Server: an HTTP JSON API over a Store; /v1/topk for every k up
+//     to MaxK is a prefix of the top index's bodies, rendered once when
+//     the snapshot is published.
 //
 // Every response carries the snapshot's epoch, so clients can detect
 // staleness and correlate answers across endpoints.
@@ -170,7 +171,21 @@ type Snapshot struct {
 	// epoch and provenance) while the Refresher treats the store as
 	// due for a fresh build. Never persisted; set by the loader.
 	WarmStart bool
+
+	// bodies is Top rendered as /v1/topk bodies at Epoch, set where the
+	// snapshot enters a Store (Publish, Restore). It is nil if Top holds
+	// a NaN or ±Inf score: /v1/topk then renders afresh and reports that.
+	bodies *api.TopKIndex
 }
+
+// render sets bodies, dropping the error that /v1/topk reports.
+func (s *Snapshot) render() {
+	s.bodies, _ = api.NewTopKIndex(s.Epoch, s.Engine, s.Seed, s.Top)
+}
+
+// indexed reports whether the top-k is a prefix of Top: k is within
+// MaxK, or Top already holds every vertex.
+func (s *Snapshot) indexed(k int) bool { return k <= s.MaxK || s.MaxK >= len(s.Ranks) }
 
 // TopK returns the k highest-ranked vertices in descending order,
 // bit-identical to topk.Top(s.Ranks, k). Queries with k <= MaxK are a
@@ -181,7 +196,7 @@ func (s *Snapshot) TopK(k int) []topk.Entry {
 	if k <= 0 {
 		return nil
 	}
-	if k <= s.MaxK || s.MaxK >= len(s.Ranks) {
+	if s.indexed(k) {
 		if k > len(s.Top) {
 			k = len(s.Top)
 		}

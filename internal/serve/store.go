@@ -23,11 +23,14 @@ func NewStore() *Store { return &Store{} }
 // Publishes are serialized (they are rare; reads stay lock-free), so
 // concurrent publishers can never leave Current holding an older epoch
 // than the store has handed out, and the epoch write always
-// happens-before the pointer store. Returns s for chaining.
+// happens-before the pointer store. The top index's /v1/topk bodies are
+// rendered here, once the epoch they carry is known. Returns s for
+// chaining.
 func (st *Store) Publish(s *Snapshot) *Snapshot {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	s.Epoch = st.epoch.Add(1)
+	s.render()
 	st.cur.Store(s)
 	return s
 }
@@ -37,7 +40,8 @@ func (st *Store) Publish(s *Snapshot) *Snapshot {
 // honest about which estimate they serve) and fast-forwarding the
 // store's epoch counter past it, so the next fresh Publish gets a
 // strictly newer epoch. A zero-epoch snapshot (persisted before its
-// first publish) is assigned the next epoch like a normal publish.
+// first publish) is assigned the next epoch like a normal publish. Its
+// bodies are rendered as Publish renders them.
 func (st *Store) Restore(s *Snapshot) *Snapshot {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -46,6 +50,7 @@ func (st *Store) Restore(s *Snapshot) *Snapshot {
 	} else if cur := st.epoch.Load(); s.Epoch > cur {
 		st.epoch.Store(s.Epoch)
 	}
+	s.render()
 	st.cur.Store(s)
 	return s
 }
