@@ -79,7 +79,7 @@ func routed(t *testing.T) http.Handler {
 	store := serve.NewStore()
 	store.Publish(snap)
 	const shards = 3
-	owned, err := router.Partition(g, shards, tinySeed)
+	owned, err := router.Partition(g, shards)
 	if err != nil {
 		t.Fatal(err)
 	}

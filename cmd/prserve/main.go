@@ -45,10 +45,12 @@
 // down gracefully.
 //
 // Router mode: -shards fronts a cluster of prshard workers instead of
-// serving a local snapshot. The router holds no graph; it fans every
-// query out to the shard RPC addresses, merges the partial top-k lists
+// serving a local snapshot. The router holds no graph; it sends a rank
+// query to the vertex's owner (shard v mod the shard count), fans a
+// top-k out to the shard RPC addresses and merges the partial lists
 // exactly, and degrades gracefully when a shard dies or lags a
-// refresh:
+// refresh. The list is positional: the address at position i must be
+// the prshard started with -shard i.
 //
 //	prserve -addr :8080 -shards 127.0.0.1:9001,127.0.0.1:9002
 //
@@ -120,7 +122,7 @@ func newFlags(stderr io.Writer) (*flag.FlagSet, *options) {
 	fs.IntVar(&o.build.Iterations, "iters", 0, "iterations: frogwild walk cutoff (default 4) / glpr supersteps (0 = to tolerance)")
 	fs.Float64Var(&o.build.PS, "ps", 0.7, "mirror synchronization probability")
 	fs.DurationVar(&o.refresh, "refresh", 0, "background recompute cadence (0 = serve the initial snapshot forever)")
-	fs.StringVar(&o.shards, "shards", "", "router mode: comma-separated prshard RPC addresses to fan queries out to")
+	fs.StringVar(&o.shards, "shards", "", "router mode: comma-separated prshard RPC addresses, the one started with -shard i at position i")
 	fs.DurationVar(&o.shardTimeout, "shard-timeout", 2*time.Second, "router mode: per-shard RPC timeout (each query retries once on a fresh connection)")
 	fs.BoolVar(&o.logRequests, "log-requests", false, "write one JSON line per request to stderr (rid, method, path, status, duration)")
 	fs.StringVar(&o.pprof, "pprof-addr", "", "serve net/http/pprof on this side address (e.g. 127.0.0.1:6060)")

@@ -1,15 +1,17 @@
 // Command prshard is one worker of a sharded top-k PageRank cluster:
-// it owns one HDRF partition of the vertex space and answers partial
+// it owns the vertices v with v % shards == shard and answers partial
 // top-k/rank queries over a small length-prefixed RPC protocol, to be
 // fronted by a prserve router (-shards).
 //
 // Every shard of a cluster runs with the same -graph/-gen, -shards,
 // -engine and -seed flags and a distinct -shard id. Each shard builds
-// the same graph and the same deterministic estimate, computes the
-// same HDRF layout, and then serves only the vertices whose master
-// replica the layout puts on its id — so the shard ownership sets
-// partition the vertex space with no coordination, and the router's
-// merged top-k is exactly the single-node answer.
+// the same graph and the same deterministic estimate and serves only
+// the vertices its id owns by that arithmetic — so the ownership sets
+// partition the vertex space with no coordination and no pass over the
+// edges, and the router's merged top-k is exactly the single-node
+// answer. The router finds a vertex's owner by the same arithmetic, so
+// the address at position i of its -shards list must be the process
+// started with -shard i; /healthz reports a shard at the wrong position.
 //
 // Usage:
 //
@@ -107,7 +109,7 @@ func run(ctx context.Context, args []string, stderr io.Writer, onReady, onMetric
 	loadSeconds := time.Since(loadStart).Seconds()
 
 	partStart := time.Now()
-	owned, err := router.OwnedVertices(g, o.shards, o.shard, o.src.Seed)
+	owned, err := router.OwnedVertices(g, o.shards, o.shard, 0) // the seed is ignored
 	if err != nil {
 		fmt.Fprintf(stderr, "prshard: %v\n", err)
 		return 1

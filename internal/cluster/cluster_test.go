@@ -401,57 +401,31 @@ func BenchmarkLayoutRandom(b *testing.B) { benchLayout(b, 16, Random{}) }
 
 func BenchmarkLayoutHDRF(b *testing.B) { benchLayout(b, 4, HDRF{}) }
 
-// BenchmarkMasterListsHDRF times the ingress half alone on the same
-// graph: what router.Partition runs, and router.owned_vertices_s reads.
-func BenchmarkMasterListsHDRF(b *testing.B) {
-	g, err := gen.PowerLaw(gen.TwitterLike(50000, 1))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := MasterLists(g, 4, HDRF{}, 1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // TestLayoutAllocBound holds the memory side of the cold build. The
 // constructor that filled the local CSRs in two passes over the global
 // CSR, with a per-edge side array, allocated 6 249 137 B per layout on
-// this graph, and the stream built through a permutation and its
-// inverse 5 360 465 B per HDRF placement; the per-machine build and the
-// in-place stream allocate 5 675 756 and 3 066 704. A layout that also
-// built its in-CSRs up front allocated 5 675 699 B; one that leaves them
-// to the first in-edge read allocates about 3 832 500. Bytes per op are
-// fixed for a fixed graph, so each bound sits between the last two
-// figures.
+// this graph; the per-machine build allocates 5 675 756. A layout that
+// also built its in-CSRs up front allocated 5 675 699 B; one that
+// leaves them to the first in-edge read allocates about 3 832 500.
+// Bytes per op are fixed for a fixed graph, so the bound sits between
+// the last two figures.
 func TestLayoutAllocBound(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs two benchmarks")
+		t.Skip("runs a benchmark")
 	}
 	g := testGraph(t, 20000, 1)
-	for _, c := range []struct {
-		name  string
-		bound int64
-		op    func() error
-	}{
-		{"NewLayout(Random,16)", 4_500_000, func() error { _, err := NewLayout(g, 16, Random{}, 1); return err }},
-		{"MasterLists(HDRF,4)", 5_360_465 * 3 / 4, func() error { _, _, err := MasterLists(g, 4, HDRF{}, 1); return err }},
-	} {
-		res := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if err := c.op(); err != nil {
-					b.Fatal(err)
-				}
+	const bound = 4_500_000
+	res := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := NewLayout(g, 16, Random{}, 1); err != nil {
+				b.Fatal(err)
 			}
-		})
-		t.Logf("%s: %d B/op, %d allocs/op (bound %d B)", c.name, res.AllocedBytesPerOp(), res.AllocsPerOp(), c.bound)
-		if got := res.AllocedBytesPerOp(); got >= c.bound {
-			t.Errorf("%s allocates %d B/op, bound %d", c.name, got, c.bound)
 		}
+	})
+	t.Logf("NewLayout(Random,16): %d B/op, %d allocs/op (bound %d B)", res.AllocedBytesPerOp(), res.AllocsPerOp(), bound)
+	if got := res.AllocedBytesPerOp(); got >= bound {
+		t.Errorf("NewLayout(Random,16) allocates %d B/op, bound %d", got, bound)
 	}
 }
 
@@ -548,9 +522,6 @@ func TestOutOfRangePlacementIsAnError(t *testing.T) {
 			if !strings.Contains(err.Error(), want) {
 				t.Errorf("error %q does not mention %q", err, want)
 			}
-		}
-		if _, _, err := MasterLists(g, 4, strayPartitioner{stray}, 1); err == nil {
-			t.Errorf("MasterLists accepted a placement on machine %d of 4", stray)
 		}
 	}
 	if _, err := NewLayout(g, 4, strayPartitioner{3}, 1); err != nil {

@@ -135,7 +135,7 @@ func NewLayout(g *graph.Graph, machines int, p Partitioner, seed uint64) (*Layou
 		}
 	}
 
-	masters, _ := lay.masterLists()
+	masters := lay.masterLists()
 	for m := range lay.views {
 		view := &lay.views[m]
 		for li := range view.verts {
@@ -187,22 +187,6 @@ func (l *Layout) buildInCSRs() {
 			view.inOff[0] = 0
 		}
 	})
-}
-
-// MasterLists runs the ingress half of NewLayout only — placement,
-// presence, master selection — and returns what a caller that wants
-// vertex ownership needs: masters[m] equals
-// NewLayout(...).View(m).Masters(), and isolated lists, ascending, the
-// vertices no machine hosts. No local CSR is built: beyond what the
-// partitioner itself keeps, the graph's edges are read in one sweep
-// (paged or resident) and never copied.
-func MasterLists(g *graph.Graph, machines int, p Partitioner, seed uint64) (masters [][]uint32, isolated []uint32, err error) {
-	lay, _, err := ingress(g, machines, p, seed)
-	if err != nil {
-		return nil, nil, err
-	}
-	masters, isolated = lay.masterLists()
-	return masters, isolated, nil
 }
 
 // ingress decides where everything lives: it runs the partitioner,
@@ -272,27 +256,25 @@ func ingress(g *graph.Graph, machines int, p Partitioner, seed uint64) (*Layout,
 	return lay, placement, nil
 }
 
-// masterLists returns the vertices mastered on each machine, ascending,
-// and the isolated vertices no machine hosts.
-func (l *Layout) masterLists() (masters [][]uint32, isolated []uint32) {
+// masterLists returns the vertices mastered on each machine, ascending.
+// An isolated vertex, which no machine hosts, is on no list.
+func (l *Layout) masterLists() [][]uint32 {
 	count := make([]int, l.machines)
 	for v, m := range l.master {
 		if l.presOff[v+1] > l.presOff[v] {
 			count[m]++
 		}
 	}
-	masters = make([][]uint32, l.machines)
+	masters := make([][]uint32, l.machines)
 	for m := range masters {
 		masters[m] = make([]uint32, 0, count[m])
 	}
 	for v, m := range l.master {
 		if l.presOff[v+1] > l.presOff[v] {
 			masters[m] = append(masters[m], uint32(v))
-		} else {
-			isolated = append(isolated, uint32(v))
 		}
 	}
-	return masters, isolated
+	return masters
 }
 
 // presenceSet tracks which machines host each vertex, with a fast

@@ -136,7 +136,7 @@ func TestRouterStatsAgreeWithMetrics(t *testing.T) {
 	freeze(rt)
 
 	// Two fan-outs (k=9, then the uncovered k=11) and five index hits;
-	// one broadcast rank and two owner-routed ones.
+	// three owner-routed ranks.
 	for _, k := range []int{9, 5, 11, 6, 7, 11, 1} {
 		if code, body := get(t, rt, fmt.Sprintf("/v1/topk?k=%d", k)); code != http.StatusOK {
 			t.Fatalf("topk status %d: %s", code, body)
@@ -190,8 +190,8 @@ func TestRouterStatsAgreeWithMetrics(t *testing.T) {
 	if stats.Serving.Queries != 11 {
 		t.Errorf("queries = %d, want 11 (7 topk + 3 rank + the stats request)", stats.Serving.Queries)
 	}
-	if s := stats.Serving; s.TopKIndexHits != 5 || s.TopKRefetches != 2 || s.RankRouted != 2 {
-		t.Errorf("index hits/refetches/rank routed = %d/%d/%d, want 5/2/2", s.TopKIndexHits, s.TopKRefetches, s.RankRouted)
+	if s := stats.Serving; s.TopKIndexHits != 5 || s.TopKRefetches != 2 || s.RankRouted != 3 {
+		t.Errorf("index hits/refetches/rank routed = %d/%d/%d, want 5/2/3", s.TopKIndexHits, s.TopKRefetches, s.RankRouted)
 	}
 	if got := obs.FamilySum(series, "router_shard_rpc_total"); got <= 0 {
 		t.Errorf("router_shard_rpc_total = %v, want > 0", got)

@@ -1,100 +1,103 @@
 package router
 
 import (
-	"math/rand"
 	"path/filepath"
 	"slices"
 	"testing"
 
-	"repro/internal/cluster"
 	"repro/internal/graph"
 	"repro/internal/graph/gen"
 	"repro/internal/graph/gstore"
 )
 
-// TestPartitionMatchesFullLayout holds the masters-only partition to
-// its definition: shard id owns exactly the vertices a full HDRF layout
-// masters on machine id, plus the isolated vertices v with v%shards ==
-// id — on a resident graph and on the same graph paged from disk, for
-// the shard counts the byte-identity suite uses.
-func TestPartitionMatchesFullLayout(t *testing.T) {
-	// Sparse enough that some vertices have no edge at all.
-	const n = 1200
-	r := rand.New(rand.NewSource(5))
-	es := make([]graph.Edge, 1500)
-	for i := range es {
-		es[i] = graph.Edge{Src: uint32(r.Intn(n)), Dst: uint32(r.Intn(n))}
-	}
-	resident := graph.FromEdges(n, es)
-	path := filepath.Join(t.TempDir(), "g.csr")
-	if err := gstore.Save(path, resident); err != nil {
-		t.Fatal(err)
-	}
-	paged, err := gstore.Open(path, gstore.OpenOptions{Mem: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer paged.Close()
-	if !paged.Paged() {
-		t.Fatal("open with a memory budget did not page")
-	}
-
-	for _, open := range []struct {
-		name string
-		g    *graph.Graph
-	}{{"resident", resident}, {"paged", paged}} {
-		for _, shards := range []int{1, 2, 4, 7} {
-			lay, err := cluster.NewLayout(open.g, shards, cluster.HDRF{}, 7)
+// TestPartitionIsStride holds the partition to its definition: shard id
+// owns exactly the vertices v with v % shards == id, ascending, so the
+// sets are disjoint and cover the vertex space — for the shard counts
+// the byte-identity suite uses and a vertex count none of them divides.
+func TestPartitionIsStride(t *testing.T) {
+	const n = 1201
+	g := graph.FromEdges(n, []graph.Edge{{Src: 0, Dst: 1}, {Src: 1200, Dst: 3}})
+	for _, shards := range []int{1, 2, 4, 7} {
+		got, err := Partition(g, shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != shards {
+			t.Fatalf("shards=%d: Partition returned %d sets", shards, len(got))
+		}
+		owner := make([]int, n)
+		for v := range owner {
+			owner[v] = -1
+		}
+		for id, set := range got {
+			if !slices.IsSorted(set) {
+				t.Fatalf("shards=%d: set %d is not ascending", shards, id)
+			}
+			for _, v := range set {
+				if int(v) >= n {
+					t.Fatalf("shards=%d: set %d holds vertex %d of %d", shards, id, v, n)
+				}
+				if owner[v] != -1 {
+					t.Fatalf("shards=%d: vertex %d in sets %d and %d", shards, v, owner[v], id)
+				}
+				owner[v] = id
+			}
+			one, err := OwnedVertices(g, shards, id, uint64(id)+99)
 			if err != nil {
 				t.Fatal(err)
 			}
-			isolated := 0
-			want := make([][]uint32, shards)
-			for id := range want {
-				want[id] = slices.Clone(lay.View(id).Masters())
+			if !slices.Equal(one, set) {
+				t.Fatalf("shards=%d: OwnedVertices(%d) differs from Partition[%d]", shards, id, id)
 			}
-			for v := 0; v < n; v++ {
-				if len(lay.Presences(graph.VertexID(v))) == 0 {
-					want[v%shards] = append(want[v%shards], uint32(v))
-					isolated++
-				}
-			}
-			if isolated == 0 {
-				t.Fatal("test graph has no isolated vertex")
-			}
-			got, err := Partition(open.g, shards, 7)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(got) != shards {
-				t.Fatalf("%s shards=%d: Partition returned %d sets", open.name, shards, len(got))
-			}
-			for id := range want {
-				slices.Sort(want[id])
-				if !slices.Equal(got[id], want[id]) {
-					t.Fatalf("%s shards=%d: Partition[%d] differs from the layout's masters + round-robin isolated", open.name, shards, id)
-				}
-				one, err := OwnedVertices(open.g, shards, id, 7)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !slices.Equal(one, want[id]) {
-					t.Fatalf("%s shards=%d: OwnedVertices(%d) differs from Partition[%d]", open.name, shards, id, id)
-				}
+		}
+		for v, id := range owner {
+			if id != v%shards {
+				t.Fatalf("shards=%d: vertex %d owned by %d, want %d", shards, v, id, v%shards)
 			}
 		}
 	}
 }
 
+// TestPartitionReadsNoEdge opens a graph paged under a one-byte budget
+// and checks the partition touches none of its pages: ownership is
+// computed from the vertex count alone.
+func TestPartitionReadsNoEdge(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "g.csr")
+	if err := gstore.Save(path, testGraph(t)); err != nil {
+		t.Fatal(err)
+	}
+	g, err := gstore.Open(path, gstore.OpenOptions{Mem: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	before, paged := g.PageCacheStats()
+	if !paged {
+		t.Fatal("open with a memory budget did not page")
+	}
+	if _, err := Partition(g, 4); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OwnedVertices(g, 4, 3, 1); err != nil {
+		t.Fatal(err)
+	}
+	if after, _ := g.PageCacheStats(); after != before {
+		t.Fatalf("partition read the graph: page cache %+v, was %+v", after, before)
+	}
+}
+
 func TestPartitionRejectsBadArguments(t *testing.T) {
 	g := testGraph(t)
-	if _, err := Partition(g, 0, 1); err == nil {
+	if _, err := Partition(g, 0); err == nil {
 		t.Error("0 shards should error")
 	}
 	for _, id := range []int{-1, 4} {
 		if _, err := OwnedVertices(g, 4, id, 1); err == nil {
 			t.Errorf("shard id %d of 4 should error", id)
 		}
+	}
+	if _, err := OwnedVertices(g, 0, 0, 1); err == nil {
+		t.Error("0 shards should error")
 	}
 }
 

@@ -62,15 +62,6 @@ func (x topIndex) bounded() topIndex {
 	return x
 }
 
-// rankEntry is the last exact /v1/rank answer for one vertex and the
-// shard (by position in Router.clients) that gave it. Ownership is a
-// pure function of (graph, shards, seed), so the owner is asked alone
-// from then on.
-type rankEntry struct {
-	resp  api.RankResponse
-	owner int
-}
-
 // Options tunes a Router.
 type Options struct {
 	// Timeout bounds each per-shard RPC (0 selects 2s). A query's worst
@@ -90,11 +81,13 @@ type Options struct {
 // query API as the single-node server — a healthy sharded top-k response
 // is byte-identical to the single-node body for the same snapshot epoch
 // — and holds no graph. It is partially synchronized with its shards:
-// what a shard says is immutable per epoch and ownership never changes,
-// so the router keeps the merged top list of the epoch it last confirmed
-// (topIndex) and answers /v1/topk from it without an RPC, and asks only
-// a vertex's owner for /v1/rank. Nothing runs in the background: the
-// index is revalidated on the request path when it has expired.
+// what a shard says is immutable per epoch, so the router keeps the
+// merged top list of the epoch it last confirmed (topIndex) and answers
+// /v1/topk from it without an RPC. Ownership is arithmetic — the client
+// at position v % len(clients) owns vertex v — so /v1/rank asks that
+// shard alone, and clients must be in shard-id order. Nothing runs in
+// the background: the index is revalidated on the request path when it
+// has expired.
 //
 // Failure semantics, in order of preference:
 //
@@ -141,12 +134,13 @@ type Router struct {
 
 	// mu guards the partial copy of shard state. contrary counts the
 	// shard replies that contradicted top, so a refetch that overlapped
-	// one does not store its result as fresh. lastRank is bounded by
-	// maxCachedRank.
+	// one does not store its result as fresh. lastRank holds each
+	// vertex's last exact /v1/rank answer, the degraded fallback while
+	// its owner is unreachable; it is bounded by maxCachedRank.
 	mu       sync.Mutex
 	top      topIndex
 	contrary uint64
-	lastRank map[uint32]rankEntry
+	lastRank map[uint32]api.RankResponse
 }
 
 // New builds a router over the given shard clients.
@@ -159,7 +153,7 @@ func New(clients []*ShardClient, opts Options) *Router {
 		clients:  clients,
 		timeout:  timeout,
 		now:      time.Now,
-		lastRank: make(map[uint32]rankEntry),
+		lastRank: make(map[uint32]api.RankResponse),
 		reg:      opts.Metrics,
 	}
 	if rt.reg == nil {
@@ -295,6 +289,15 @@ func (rt *Router) fanout(req *request) []shardResult {
 	return results
 }
 
+// failure describes a result that is not ok: its transport error, or
+// the error code the shard raised.
+func (r shardResult) failure() error {
+	if r.err != nil {
+		return r.err
+	}
+	return fmt.Errorf("%s: %s", r.resp.Code, r.resp.Err)
+}
+
 // shardErr summarizes the first failed result for error bodies.
 func shardErr(results []shardResult) error {
 	for i, r := range results {
@@ -302,7 +305,7 @@ func shardErr(results []shardResult) error {
 			return r.err
 		}
 		if r.resp.Code != "" {
-			return fmt.Errorf("shard %d: %s: %s", i, r.resp.Code, r.resp.Err)
+			return fmt.Errorf("shard %d: %w", i, r.failure())
 		}
 	}
 	return errors.New("no failure")
@@ -435,85 +438,46 @@ func (rt *Router) handleRank(w http.ResponseWriter, r *http.Request, rid string)
 		return
 	}
 	v := uint32(v64)
-	req := &request{V: api.Version, Op: opRank, Vertex: v, Rid: rid}
-	rt.mu.Lock()
-	last, known := rt.lastRank[v]
-	rt.mu.Unlock()
-	if known {
-		var res shardResult
-		res.resp, res.err = rt.clients[last.owner].call(req)
-		switch {
-		case !res.ok():
-			rt.observe([]shardResult{res})
-			rt.serveLastRank(w, last)
-			return
-		case res.resp.Owned:
-			rt.rankRouted.Inc()
-			rt.replyRank(w, v, last.owner, &res.resp)
+	owner := int(v % uint32(len(rt.clients)))
+	var res shardResult
+	res.resp, res.err = rt.clients[owner].call(&request{V: api.Version, Op: opRank, Vertex: v, Rid: rid})
+	rt.observe([]shardResult{res})
+	switch {
+	case !res.ok():
+		// Degraded fallback: the vertex's last exact answer, if any.
+		rt.mu.Lock()
+		last, known := rt.lastRank[v]
+		rt.mu.Unlock()
+		if !known {
+			api.WriteError(w, http.StatusServiceUnavailable, api.CodeUnavailable, 0,
+				"shard %d unavailable and no cached rank for vertex %d: %v", owner, v, res.failure())
 			return
 		}
-		// The shard answers but no longer owns v: the cluster behind the
-		// router was rebuilt. Ask everyone, as for a vertex never seen.
-	}
-	results := rt.fanout(req)
-	rt.observe(results)
-	allOK := true
-	var maxEpoch uint64
-	for i := range results {
-		res := &results[i]
-		if !res.ok() {
-			allOK = false
-			continue
+		rt.degraded.Inc()
+		last.Degraded = true
+		rt.reply(w, last)
+	case res.resp.Shard != owner:
+		// A 404 from the wrong shard would be a lie: the shard list is
+		// not in -shard order.
+		api.WriteError(w, http.StatusInternalServerError, api.CodeInternal, res.resp.Epoch,
+			"vertex %d belongs to shard %d, but the shard at position %d is shard %d", v, owner, owner, res.resp.Shard)
+	case !res.resp.Owned:
+		// The owner answers and does not hold the vertex: it is not in
+		// the graph.
+		api.WriteError(w, http.StatusNotFound, api.CodeNotFound, res.resp.Epoch,
+			"vertex %d not in the graph (owner shard %d of %d)", v, owner, len(rt.clients))
+	default:
+		rt.rankRouted.Inc()
+		resp := api.RankResponse{Epoch: res.resp.Epoch, Engine: res.resp.Engine, Vertex: v, Rank: res.resp.Rank}
+		// A vertex already kept is always refreshed, a new one is added
+		// only under the cap.
+		rt.mu.Lock()
+		if _, kept := rt.lastRank[v]; kept || len(rt.lastRank) < maxCachedRank {
+			rt.lastRank[v] = resp
 		}
-		if res.resp.Epoch > maxEpoch {
-			maxEpoch = res.resp.Epoch
-		}
-		if res.resp.Owned {
-			rt.replyRank(w, v, i, &res.resp)
-			return
-		}
+		rt.mu.Unlock()
+		rt.reply(w, resp)
 	}
-	if allOK {
-		// Every shard answered and none owns the vertex: it does not
-		// exist in the graph.
-		api.WriteError(w, http.StatusNotFound, api.CodeNotFound, maxEpoch,
-			"vertex %d not owned by any of %d shards", v, len(results))
-		return
-	}
-	// The owner may be among the failed shards: degraded fallback.
-	if !known {
-		api.WriteError(w, http.StatusServiceUnavailable, api.CodeUnavailable, maxEpoch,
-			"shard cluster unavailable and no cached rank for vertex %d: %v", v, shardErr(results))
-		return
-	}
-	rt.serveLastRank(w, last)
-}
-
-// replyRank answers /v1/rank from the owner's reply and keeps it, with
-// the owner's position, as the vertex's entry: a vertex already kept is
-// always refreshed, a new one is added only under the cap.
-func (rt *Router) replyRank(w http.ResponseWriter, v uint32, owner int, from *response) {
-	resp := api.RankResponse{
-		Epoch:  from.Epoch,
-		Engine: from.Engine,
-		Vertex: v,
-		Rank:   from.Rank,
-	}
-	rt.mu.Lock()
-	rt.saw(true, from.Epoch)
-	if _, kept := rt.lastRank[v]; kept || len(rt.lastRank) < maxCachedRank {
-		rt.lastRank[v] = rankEntry{resp: resp, owner: owner}
-	}
-	rt.mu.Unlock()
-	rt.reply(w, resp)
-}
-
-// serveLastRank answers /v1/rank from the vertex's entry, marked
-// degraded, when its owner cannot be reached.
-func (rt *Router) serveLastRank(w http.ResponseWriter, last rankEntry) {
-	rt.degraded.Inc()
-	last.resp.Degraded = true
-	rt.reply(w, last.resp)
 }
 
 // handlePPR refuses personalized PageRank explicitly: walks need the
@@ -539,6 +503,9 @@ func (rt *Router) handleCompare(w http.ResponseWriter, r *http.Request, rid stri
 // probe fans the status op out and derives the cluster view shared by
 // stats and health: per-shard rows, the freshest epoch anywhere, and
 // the oldest epoch among live shards (the consistent serving floor).
+// Ownership is v % shards, so a shard that answers at the wrong
+// position of the list, or counts a different number of shards, is as
+// bad as a dead one: its row is not OK.
 func (rt *Router) probe(rid string) (rows []api.ShardStatus, maxEpoch, minEpoch uint64, engine api.Engine, seed uint64, healthy bool) {
 	results := rt.fanout(&request{V: api.Version, Op: opStatus, Rid: rid})
 	rt.observe(results)
@@ -547,11 +514,15 @@ func (rt *Router) probe(rid string) (rows []api.ShardStatus, maxEpoch, minEpoch 
 	first := true
 	for i, r := range results {
 		row := api.ShardStatus{ID: rt.clients[i].ID(), Addr: rt.clients[i].Addr()}
-		if !r.ok() {
-			row.OK = false
-			row.Error = shardErr(results[i : i+1]).Error()
+		switch {
+		case !r.ok():
+			row.Error = r.failure().Error()
 			healthy = false
-		} else {
+		case r.resp.Shard != i || r.resp.Shards != len(rt.clients):
+			row.Error = fmt.Sprintf("position %d of %d answers as shard %d of %d: start the process at position i with -shard i and -shards %d",
+				i, len(rt.clients), r.resp.Shard, r.resp.Shards, len(rt.clients))
+			healthy = false
+		default:
 			row.OK = true
 			row.Epoch = r.resp.Epoch
 			row.Owned = r.resp.OwnedCount

@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -505,6 +506,67 @@ func TestHealthzLaggingShardDegraded(t *testing.T) {
 	if !h.Shards[1].OK || h.Shards[1].Epoch != 1 || h.Shards[0].Epoch != 2 {
 		t.Fatalf("lagging rows: %+v", h.Shards)
 	}
+}
+
+// TestMisplacedShardsFailLoudly breaks the position contract two ways —
+// two addresses of the shard list swapped, and one shard started with
+// another shard count — and checks the router says so: /healthz and the
+// /v1/stats rows mark the misplaced shards not OK, and a rank that
+// reaches the wrong shard is a 500, never a 404 claiming the vertex is
+// not in the graph.
+func TestMisplacedShardsFailLoudly(t *testing.T) {
+	g := testGraph(t)
+	n := g.NumVertices()
+	store := serve.NewStore()
+	publishRanks(t, store, g, tieRanks(n, 21))
+	single := serve.NewServer(store, serve.ServerOptions{})
+	servers := newShards(t, g, []*serve.Store{store, store, store})
+	cluster := func(at []*ShardServer) *Router {
+		clients := make([]*ShardClient, len(at))
+		for i, s := range at {
+			clients[i] = NewShardClient(i, fmt.Sprintf("pipe-%d", i), PipeDialer(s), time.Second)
+		}
+		return New(clients, Options{})
+	}
+	wantRows := func(rt *Router, bad ...int) {
+		t.Helper()
+		code, body := get(t, rt, "/healthz")
+		var h api.HealthResponse
+		if err := json.Unmarshal([]byte(body), &h); err != nil || code != http.StatusServiceUnavailable || h.Status != "degraded" {
+			t.Fatalf("healthz: status %d body %s, want 503 degraded", code, body)
+		}
+		_, body = get(t, rt, "/v1/stats")
+		var stats api.RouterStatsResponse
+		if err := json.Unmarshal([]byte(body), &stats); err != nil {
+			t.Fatal(err)
+		}
+		for _, rows := range [][]api.ShardStatus{h.Shards, stats.Shards} {
+			for i, row := range rows {
+				misplaced := slices.Contains(bad, i)
+				if row.OK == misplaced || misplaced != (row.Error != "") {
+					t.Fatalf("row %d: %+v, misplaced %v", i, row, misplaced)
+				}
+			}
+		}
+	}
+
+	swapped := cluster([]*ShardServer{servers[1], servers[0], servers[2]})
+	wantRows(swapped, 0, 1)
+	// Owners 0, 1 and 0 (the last beyond the graph): each asks the other.
+	for _, v := range []int{3, 4, n + (3-n%3)%3} {
+		code, body := get(t, swapped, fmt.Sprintf("/v1/rank?vertex=%d", v))
+		var env api.Error
+		if err := json.Unmarshal([]byte(body), &env); err != nil || code != http.StatusInternalServerError || env.Code != api.CodeInternal {
+			t.Fatalf("vertex %d through a swapped list: status %d body %s, want 500 internal", v, code, body)
+		}
+	}
+	_, want := get(t, single, "/v1/rank?vertex=5")
+	if code, body := get(t, swapped, "/v1/rank?vertex=5"); code != http.StatusOK || body != want {
+		t.Fatalf("vertex 5 at its own shard: status %d body %s, want %s", code, body, want)
+	}
+
+	miscounted := cluster([]*ShardServer{servers[0], servers[1], NewShardServer(2, 4, servers[2].owned, store)})
+	wantRows(miscounted, 2)
 }
 
 // TestRouterErrorEnvelopes pins the router's status-code/envelope

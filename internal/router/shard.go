@@ -11,7 +11,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/serve"
@@ -19,49 +18,41 @@ import (
 	"repro/internal/topk"
 )
 
-// Partition computes the deterministic vertex partition of a cluster of
-// the given number of shards: element id is the ascending list of
-// vertices shard id serves — those whose master replica an HDRF
-// vertex-cut placement (seeded with seed) puts on machine id, plus the
-// isolated vertices — which no machine hosts, since they have no edges
-// — spread round-robin. Every shard of a cluster computes the same
-// placement from the same (graph, shards, seed), so the partition is
-// agreed without any coordination, and the ownership sets are disjoint
-// and cover the whole vertex space — the property that makes the
-// merged partial top-k exact. Only the ingress half of a layout runs
-// (cluster.MasterLists): the edges are placed once and no local
-// sub-graph is built.
-func Partition(g *graph.Graph, shards int, seed uint64) ([][]uint32, error) {
+// Partition computes the vertex partition of a cluster of the given
+// number of shards: element id is the ascending list of the vertices v
+// with v % shards == id. Ownership is a pure function of the vertex id,
+// so every process of a cluster agrees on it without coordination and
+// without reading an edge, the sets are disjoint and cover the whole
+// vertex space — the property that makes the merged partial top-k exact
+// — and the router finds a vertex's owner by the same arithmetic. The
+// shard at position i of the router's list must be the one serving id i.
+func Partition(g *graph.Graph, shards int) ([][]uint32, error) {
 	if shards < 1 {
 		return nil, errors.New("router: shard count must be >= 1")
 	}
-	owned, isolated, err := cluster.MasterLists(g, shards, cluster.HDRF{}, seed)
-	if err != nil {
-		return nil, err
-	}
-	if len(isolated) > 0 {
-		for _, v := range isolated {
-			id := int(v) % shards
-			owned[id] = append(owned[id], v)
-		}
-		for id := range owned {
-			slices.Sort(owned[id])
-		}
+	owned := make([][]uint32, shards)
+	for id := range owned {
+		owned[id] = stride(g.NumVertices(), shards, id)
 	}
 	return owned, nil
 }
 
-// OwnedVertices is Partition(g, shards, seed)[id], for a process that
-// serves one shard. One that needs every shard's set calls Partition.
+// OwnedVertices is Partition(g, shards)[id], for a process that serves
+// one shard. seed is ignored; it stays for callers that still pass one.
 func OwnedVertices(g *graph.Graph, shards, id int, seed uint64) ([]uint32, error) {
 	if id < 0 || id >= shards {
 		return nil, errors.New("router: shard id out of range")
 	}
-	owned, err := Partition(g, shards, seed)
-	if err != nil {
-		return nil, err
+	return stride(g.NumVertices(), shards, id), nil
+}
+
+// stride lists id, id+shards, id+2*shards, … below n.
+func stride(n, shards, id int) []uint32 {
+	owned := make([]uint32, 0, (n-id+shards-1)/shards)
+	for v := id; v < n; v += shards {
+		owned = append(owned, uint32(v))
 	}
-	return owned[id], nil
+	return owned
 }
 
 // epochIndex is one retained snapshot with this shard's top index over
@@ -281,7 +272,7 @@ func (s *ShardServer) answer(req *request) response {
 		idx, _ := s.track()
 		resp := response{
 			V: api.Version, Shard: s.id,
-			OwnedCount: len(s.owned), Queries: s.queries.Value(),
+			OwnedCount: len(s.owned), Shards: s.shards, Queries: s.queries.Value(),
 		}
 		if cur := idx.snap; cur != nil {
 			resp.Epoch, resp.Engine, resp.Seed = cur.Epoch, cur.Engine, cur.Seed

@@ -164,12 +164,12 @@ func perShard(servers []*ShardServer) []uint64 {
 	return out
 }
 
-// TestRankRoutesToOwner pins owner routing: the first /v1/rank of a
-// vertex asks every shard and learns who owns it, every later one makes
-// exactly one RPC, to that shard; a vertex nobody owns is a 404 after a
-// full broadcast every time; a dead owner degrades to the vertex's last
-// exact body; and what an owner-routed reply says about the cluster —
-// a new epoch, a failure — ends the top index's freshness at once.
+// TestRankRoutesToOwner pins owner routing: every /v1/rank of a vertex,
+// the first included, makes exactly one RPC, to shard v % shards; a
+// vertex beyond the graph is a 404 on its owner's word alone; a dead
+// owner degrades to the vertex's last exact body; and what an
+// owner-routed reply says about the cluster — a new epoch, a failure —
+// ends the top index's freshness at once.
 func TestRankRoutesToOwner(t *testing.T) {
 	const shards = 4
 	rt, servers, dials, store := flakyCluster(t, shards, 51)
@@ -179,55 +179,50 @@ func TestRankRoutesToOwner(t *testing.T) {
 	freeze(rt) // never advanced: only shard replies end the window here
 
 	const v = 17
-	owner := -1
-	for i, s := range servers {
-		if s.owns(v) {
-			owner = i
-		}
+	const owner = v % shards
+	if !servers[owner].owns(v) {
+		t.Fatalf("shard %d does not own vertex %d", owner, v)
 	}
 	url := fmt.Sprintf("/v1/rank?vertex=%d", v)
 	_, want := get(t, single, url)
 
-	before := perShard(servers)
-	if code, body := get(t, rt, url); code != http.StatusOK || body != want {
-		t.Fatalf("first rank: status %d body %s, want %s", code, body, want)
-	}
-	after := perShard(servers)
-	for i := range servers {
-		if after[i] != before[i]+1 {
-			t.Fatalf("first rank of a vertex must ask every shard: shard %d answered %d", i, after[i]-before[i])
-		}
-	}
-	if code, body := get(t, rt, url); code != http.StatusOK || body != want {
-		t.Fatalf("routed rank: status %d body %s, want %s", code, body, want)
-	}
-	for i, got := range perShard(servers) {
-		if wantN := after[i]; i == owner {
-			wantN++
-			if got != wantN {
-				t.Fatalf("owner shard %d answered %d RPCs for the routed rank, want 1", i, got-after[i])
+	// oneRPC checks that only shard to answered, exactly once, since
+	// before.
+	oneRPC := func(what string, before []uint64, to int) {
+		t.Helper()
+		for i, got := range perShard(servers) {
+			wantN := before[i]
+			if i == to {
+				wantN++
 			}
-		} else if got != wantN {
-			t.Fatalf("shard %d does not own vertex %d but was asked", i, v)
+			if got != wantN {
+				t.Fatalf("%s: shard %d answered %d RPCs, want only shard %d asked once", what, i, got-before[i], to)
+			}
 		}
 	}
-	if rt.rankRouted.Value() != 1 {
-		t.Fatalf("rank routed = %d, want 1", rt.rankRouted.Value())
+	for i, what := range []string{"first rank", "second rank"} {
+		before := perShard(servers)
+		if code, body := get(t, rt, url); code != http.StatusOK || body != want {
+			t.Fatalf("%s: status %d body %s, want %s", what, code, body, want)
+		}
+		oneRPC(what, before, owner)
+		if got := rt.rankRouted.Value(); got != uint64(i+1) {
+			t.Fatalf("%s: rank routed = %d, want %d", what, got, i+1)
+		}
 	}
 
-	// Unknown vertex: 404 needs every shard's word, every time.
-	for range 2 {
-		before = perShard(servers)
-		code, body := get(t, rt, fmt.Sprintf("/v1/rank?vertex=%d", n+5))
+	// A vertex beyond the graph: 404 from its owner alone, every time.
+	for _, unknown := range []int{n, n + 5} {
+		before := perShard(servers)
+		code, body := get(t, rt, fmt.Sprintf("/v1/rank?vertex=%d", unknown))
 		var env api.Error
 		if err := json.Unmarshal([]byte(body), &env); err != nil || code != http.StatusNotFound || env.Code != api.CodeNotFound {
-			t.Fatalf("unknown vertex: status %d body %s", code, body)
+			t.Fatalf("unknown vertex %d: status %d body %s", unknown, code, body)
 		}
-		for i, got := range perShard(servers) {
-			if got != before[i]+1 {
-				t.Fatalf("unknown vertex: shard %d answered %d RPCs, want 1", i, got-before[i])
-			}
-		}
+		oneRPC(fmt.Sprintf("unknown vertex %d", unknown), before, unknown%shards)
+	}
+	if rt.rankRouted.Value() != 2 {
+		t.Fatalf("a 404 counted as routed: %d", rt.rankRouted.Value())
 	}
 
 	// An owner-routed reply at a new epoch ends the index's freshness:
@@ -243,8 +238,8 @@ func TestRankRoutesToOwner(t *testing.T) {
 	if _, body := get(t, rt, url); body != want {
 		t.Fatalf("routed rank at epoch 2: %s, want %s", body, want)
 	}
-	if rt.rankRouted.Value() != 2 {
-		t.Fatalf("rank routed = %d, want 2", rt.rankRouted.Value())
+	if rt.rankRouted.Value() != 3 {
+		t.Fatalf("rank routed = %d, want 3", rt.rankRouted.Value())
 	}
 	asked := shardQueries(servers)
 	_, want10 := get(t, single, "/v1/topk?k=10")
@@ -305,7 +300,7 @@ func TestRankEntryRefreshedAtCap(t *testing.T) {
 		t.Fatal("rank failed")
 	}
 	for i := 0; len(rt.lastRank) < maxCachedRank; i++ {
-		rt.lastRank[uint32(1<<20+i)] = rankEntry{}
+		rt.lastRank[uint32(1<<20+i)] = api.RankResponse{}
 	}
 	publishRanks(t, store, g, tieRanks(n, 62))
 	for _, v := range []int{3, 4} {
@@ -313,7 +308,7 @@ func TestRankEntryRefreshedAtCap(t *testing.T) {
 			t.Fatalf("vertex %d: status %d: %s", v, code, body)
 		}
 	}
-	if got := rt.lastRank[3].resp.Epoch; got != 2 {
+	if got := rt.lastRank[3].Epoch; got != 2 {
 		t.Fatalf("kept vertex was not refreshed at the cap: entry at epoch %d, want 2", got)
 	}
 	if _, kept := rt.lastRank[4]; kept || len(rt.lastRank) != maxCachedRank {

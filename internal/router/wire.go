@@ -1,12 +1,13 @@
-// Package router is the sharded serving plane: ShardServer owns one
-// HDRF partition of the vertex space and answers partial top-k/rank
+// Package router is the sharded serving plane: ShardServer owns the
+// vertices v with v % shards == id and answers partial top-k/rank
 // queries over a small length-prefixed RPC protocol; Router is the
-// HTTP front that fans a query out to every shard, merges the partial
-// top-k lists exactly through internal/topk's total order, keeps the
-// merged list of the epoch it last confirmed so that most queries need
-// no fan-out at all, and degrades gracefully — per-shard timeout and
-// retry, a consistent older epoch when shards straddle a refresh, and
-// that kept list when a shard is down — instead of failing queries.
+// HTTP front that asks a vertex's owner alone for its rank, fans a
+// top-k out to every shard, merges the partial top-k lists exactly
+// through internal/topk's total order, keeps the merged list of the
+// epoch it last confirmed so that most queries need no fan-out at all,
+// and degrades gracefully — per-shard timeout and retry, a consistent
+// older epoch when shards straddle a refresh, and that kept list when a
+// shard is down — instead of failing queries.
 //
 // The transport is pluggable (any net.Conn): tests drive shards over
 // net.Pipe for determinism, deployments over TCP. Every byte crossing
@@ -97,13 +98,16 @@ type response struct {
 	// per-epoch index, so the slice is read-only.
 	Entries []topk.Entry // "entries"
 	// Owned and Rank answer opRank: Owned says whether this shard
-	// masters the vertex (exactly one shard does).
+	// owns the vertex, which is in the graph (exactly one shard does).
 	Owned bool    // "owned"
 	Rank  float64 // "rank"
-	// OwnedCount, Queries and SnapshotAge answer opStatus. SnapshotAge
-	// is seconds since the shard's current snapshot was built, so the
-	// router can tell a lagging shard from a freshly booted one.
+	// OwnedCount, Shards, Queries and SnapshotAge answer opStatus.
+	// Shards is the shard count the shard was started with, so the
+	// router can check it against its own list. SnapshotAge is seconds
+	// since the shard's current snapshot was built, so the router can
+	// tell a lagging shard from a freshly booted one.
 	OwnedCount  int     // "ownedCount"
+	Shards      int     // "shards"
 	Queries     uint64  // "queries"
 	SnapshotAge float64 // "snapshotAge"
 }
@@ -278,6 +282,10 @@ func appendResponse(b []byte, resp *response) ([]byte, error) {
 		b = append(b, `,"ownedCount":`...)
 		b = strconv.AppendInt(b, int64(resp.OwnedCount), 10)
 	}
+	if resp.Shards != 0 {
+		b = append(b, `,"shards":`...)
+		b = strconv.AppendInt(b, int64(resp.Shards), 10)
+	}
 	if resp.Queries != 0 {
 		b = append(b, `,"queries":`...)
 		b = strconv.AppendUint(b, resp.Queries, 10)
@@ -354,7 +362,7 @@ var (
 	requestMembers  = [][]byte{[]byte("v"), []byte("op"), []byte("k"), []byte("vertex"), []byte("epoch"), []byte("rid")}
 	responseMembers = [][]byte{[]byte("v"), []byte("shard"), []byte("code"), []byte("error"), []byte("epoch"),
 		[]byte("engine"), []byte("seed"), []byte("entries"), []byte("owned"), []byte("rank"),
-		[]byte("ownedCount"), []byte("queries"), []byte("snapshotAge")}
+		[]byte("ownedCount"), []byte("shards"), []byte("queries"), []byte("snapshotAge")}
 	entryMembers = [][]byte{[]byte("vertex"), []byte("score")}
 	openBrace    = []byte{'{'}
 )
@@ -425,8 +433,10 @@ func decodeResponse(payload []byte, resp *response) error {
 		case 10:
 			resp.OwnedCount = s.int()
 		case 11:
-			resp.Queries = s.uint(64)
+			resp.Shards = s.int()
 		case 12:
+			resp.Queries = s.uint(64)
+		case 13:
 			resp.SnapshotAge = s.float()
 		default:
 			s.skip(0)

@@ -42,6 +42,7 @@ type jsonResponse struct {
 	Owned       bool            `json:"owned,omitempty"`
 	Rank        float64         `json:"rank,omitempty"`
 	OwnedCount  int             `json:"ownedCount,omitempty"`
+	Shards      int             `json:"shards,omitempty"`
 	Queries     uint64          `json:"queries,omitempty"`
 	SnapshotAge float64         `json:"snapshotAge,omitempty"`
 }
@@ -51,7 +52,7 @@ func oracleRequest(r request) jsonRequest { return jsonRequest(r) }
 func oracleResponse(r response) jsonResponse {
 	j := jsonResponse{
 		V: r.V, Shard: r.Shard, Code: r.Code, Err: r.Err, Epoch: r.Epoch, Engine: r.Engine, Seed: r.Seed,
-		Owned: r.Owned, Rank: r.Rank, OwnedCount: r.OwnedCount, Queries: r.Queries, SnapshotAge: r.SnapshotAge,
+		Owned: r.Owned, Rank: r.Rank, OwnedCount: r.OwnedCount, Shards: r.Shards, Queries: r.Queries, SnapshotAge: r.SnapshotAge,
 	}
 	if r.Entries != nil {
 		j.Entries = make([]api.TopKEntry, len(r.Entries))

@@ -22,7 +22,9 @@ import (
 // Version is the wire-protocol generation. Bump it when a change to the
 // types below is not backward compatible (removed field, changed
 // meaning); additions with `omitempty` are compatible and do not bump.
-const Version = 1
+// Version 2: a shard's "owned" answers v % shards == id, no longer an
+// HDRF placement's masters, and the router asks the owner alone.
+const Version = 2
 
 // Engine names an estimate producer a snapshot can be built from. The
 // serving layer aliases this type, so the engine names on the wire and
