@@ -194,8 +194,8 @@ func TestLocalViewConsistency(t *testing.T) {
 	}
 }
 
-// TestInCSRsBuiltOnFirstUse: NewLayout leaves every view without
-// in-edges, and the first readers, racing from several goroutines and
+// TestInCSRsBuiltOnFirstUse: NewLayout builds no view, in-edges
+// included, and the first readers, racing from several goroutines and
 // starting on different machines, all see the lists a serial build of
 // the same layout gives. Together the lists hold every in-edge of the
 // graph once.
@@ -206,16 +206,14 @@ func TestInCSRsBuiltOnFirstUse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for m := 0; m < machines; m++ {
-		if view := lay.View(m); view.inOff != nil || view.inAdj != nil {
-			t.Fatalf("machine %d holds in-edges before any read", m)
-		}
+	if lay.viewsBuilt.Load() || lay.views != nil || lay.presLocal != nil {
+		t.Fatal("NewLayout built the per-machine views")
 	}
 	ref, err := NewLayout(g, machines, Random{}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref.buildInCSRs()
+	ref.View(0)
 
 	var wg sync.WaitGroup
 	start := make(chan struct{})
@@ -405,16 +403,17 @@ func BenchmarkLayoutHDRF(b *testing.B) { benchLayout(b, 4, HDRF{}) }
 // constructor that filled the local CSRs in two passes over the global
 // CSR, with a per-edge side array, allocated 6 249 137 B per layout on
 // this graph; the per-machine build allocates 5 675 756. A layout that
-// also built its in-CSRs up front allocated 5 675 699 B; one that
-// leaves them to the first in-edge read allocates about 3 832 500.
-// Bytes per op are fixed for a fixed graph, so the bound sits between
-// the last two figures.
+// also built its in-CSRs up front allocated 5 675 699 B; one that left
+// them to the first in-edge read allocated 3 832 512. A layout that
+// holds only the ingress, its views built on first View, allocates
+// 1 200 192. Bytes per op are fixed for a fixed graph, so the bound
+// sits between the last two figures.
 func TestLayoutAllocBound(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a benchmark")
 	}
 	g := testGraph(t, 20000, 1)
-	const bound = 4_500_000
+	const bound = 2_000_000
 	res := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -573,5 +572,62 @@ func TestMachineCountBounds(t *testing.T) {
 	}
 	if _, err := NewLayout(g, MaxMachines+1, Random{}, 1); err == nil {
 		t.Error("too many machines should error")
+	}
+}
+
+// TestPlacementReadsMatchViews holds the reads a program without views
+// makes to the views a gathering program reads: on both graphs the
+// layout golden is made of, for all four partitioners at 1, 4, 16 and
+// 70 machines, v's out-edges filtered by the placement for machine m,
+// and the counting pass's degree, equal View(m)'s local out-list and
+// out-degree for every (v, m) — empty for a machine that does not host
+// v. None of those reads builds a view.
+func TestPlacementReadsMatchViews(t *testing.T) {
+	graphs := map[string]*graph.Graph{
+		"powerlaw1500": testGraph(t, 1500, 21),
+		"sparse300":    sparseGraph(),
+	}
+	for name, g := range graphs {
+		for _, p := range []Partitioner{Random{}, Oblivious{}, Grid{}, HDRF{}} {
+			for _, machines := range []int{1, 4, 16, 70} {
+				lay, err := NewLayout(g, machines, p, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				r := g.NewAdjReader()
+				n := g.NumVertices()
+				deg := make([][]int, n) // deg[v][m], machines not hosting v at -1
+				nbrs := make([][][]graph.VertexID, n)
+				for v := range nbrs {
+					deg[v] = slices.Repeat([]int{-1}, machines)
+					lay.LocalOutDegrees(graph.VertexID(v), deg[v])
+					nbrs[v] = make([][]graph.VertexID, machines)
+					for m := range nbrs[v] {
+						nbrs[v][m] = lay.LocalOutNeighbors(r, graph.VertexID(v), m, nil)
+					}
+				}
+				r.Release()
+				if lay.viewsBuilt.Load() {
+					t.Fatalf("%s/%s/%d: a placement read built the views", name, p.Name(), machines)
+				}
+				for v := 0; v < n; v++ {
+					for m := 0; m < machines; m++ {
+						view := lay.View(m)
+						var want []graph.VertexID
+						wantDeg := -1
+						if li, ok := view.LocalIndex(graph.VertexID(v)); ok {
+							want, wantDeg = view.OutNeighborsLocal(li), view.LocalOutDegree(li)
+						}
+						if !slices.Equal(nbrs[v][m], want) || deg[v][m] != wantDeg {
+							t.Fatalf("%s/%s/%d: vertex %d on machine %d: placement reads %v (degree %d), view holds %v (degree %d)",
+								name, p.Name(), machines, v, m, nbrs[v][m], deg[v][m], want, wantDeg)
+						}
+					}
+				}
+				if err := lay.Validate(); err != nil {
+					t.Fatalf("%s/%s/%d: %v", name, p.Name(), machines, err)
+				}
+			}
+		}
 	}
 }

@@ -93,7 +93,6 @@ func layoutDigestLines(t *testing.T) string {
 						d.u16s(lay.Presences(graph.VertexID(v)))
 					}
 					fmt.Fprintf(&sb, " presence=%s", d.sum())
-					lay.buildInCSRs()
 					for m := 0; m < machines; m++ {
 						view := lay.View(m)
 						d.u64(uint64(view.id))

@@ -5,47 +5,71 @@ import (
 	"math/bits"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/graph"
 )
 
-// Layout is the realized placement of a graph on a cluster: the
-// edge→machine assignment, the per-vertex replica (presence) sets, the
-// master replica of every vertex, and per-machine local sub-graphs in
-// CSR form. It is immutable once built and shared by all engine runs;
-// the local in-CSRs are the one part filled in later, once, by the
-// first reader of in-edges (see buildInCSRs).
+// Layout is the realized placement of a graph on a cluster. It is
+// immutable once built, apart from the one build of its views, and
+// shared by all engine runs.
+//
+// NewLayout builds the ingress and nothing more: the machine owning
+// every edge (placement), the per-vertex replica (presence) sets, the
+// master replica of every vertex, each machine's master list, and each
+// machine's edge and replica counts. That is everything a program
+// without a gather phase (FrogWild, gossip) reads: a replica finds its
+// local out-edges by filtering the graph's own CSR through the placement
+// (LocalOutNeighbors, LocalOutDegrees).
+//
+// The per-machine views — each machine's vertex list, the replicas'
+// local indices, and the local out- and in-CSRs — are built once, by
+// the first View call from any goroutine. Only a gathering program (or
+// one that scatters over in-edges) asks for them, so a layout that
+// serves FrogWild alone never holds a copy of the graph.
 type Layout struct {
 	g           *graph.Graph
 	machines    int
 	partitioner string
 
+	// placement[edgeOff[v]+i] is the machine owning v's i'th out-edge,
+	// in the order the CSR lists them: the partitioner's canonical edge
+	// order, whatever the graph's row order.
+	placement []uint16
+	edgeOff   []int64
+
 	master []uint16 // master machine per vertex
 
 	// presence lists: machines hosting v are
-	// presList[presOff[v]:presOff[v+1]], master first. presLocal is
-	// aligned with presList: presLocal[j] is v's dense local index on
-	// machine presList[j].
-	presOff   []int64
-	presList  []uint16
-	presLocal []int32
+	// presList[presOff[v]:presOff[v+1]], master first.
+	presOff  []int64
+	presList []uint16
 
 	// presWord[v] is v's host set as one bitmask, kept for clusters of
 	// at most 64 machines (nil beyond): the rank of a machine's bit in
 	// it locates that machine's entry in v's presence list.
 	presWord []uint64
 
-	views []MachineView
+	masters [][]uint32 // per machine, the vertices it masters, ascending
+	edges   []int64    // per machine, the edges it owns
+	present []int      // per machine, the vertices it hosts
 
-	// inOnce guards the one build of every view's inOff/inAdj.
-	inOnce sync.Once
+	// The views and presLocal, aligned with presList (presLocal[j] is
+	// v's dense local index on machine presList[j]), are nil until
+	// buildViews. viewsBuilt is set once they are complete; viewsMu
+	// serializes the build, so a build a failed graph read aborts leaves
+	// nothing behind and the next View starts over.
+	viewsBuilt atomic.Bool
+	viewsMu    sync.Mutex
+	views      []MachineView
+	presLocal  []int32
 }
 
 // MachineView is one machine's local slice of the graph: the vertices
 // present on the machine and the locally-owned edges, in local CSR
-// form. Engine goroutines operate on views concurrently; views are
-// read-only after construction, apart from the in-CSR's one guarded
-// build.
+// form, out and in. A view exists only once Layout.View has built them
+// all; it is read-only afterwards, and engine goroutines read views
+// concurrently.
 type MachineView struct {
 	id  int
 	lay *Layout // LocalIndex answers from its presence lists
@@ -55,7 +79,7 @@ type MachineView struct {
 
 	outOff []int64
 	outAdj []uint32
-	inOff  []int64 // nil until Layout.buildInCSRs
+	inOff  []int64
 	inAdj  []uint32
 
 	masters []uint32 // vertices whose master replica is here
@@ -67,148 +91,35 @@ type MachineView struct {
 //
 // Vertex ids are dense, so every step is a counting pass (count,
 // prefix-sum, fill) rather than a hash-map build. Beyond the
-// partitioner's own pass, the global CSR is read twice: once for
-// presence, once to split its edges into the machines' local out-CSRs,
-// which they already are in CSR order. The local in-CSRs are not built
-// here: only a gathering program reads them, and the first read builds
-// them (buildInCSRs).
+// partitioner's own pass, the global CSR is read once, for presence and
+// the per-vertex edge offsets. No per-machine view is built here (see
+// View).
 func NewLayout(g *graph.Graph, machines int, p Partitioner, seed uint64) (*Layout, error) {
-	lay, placement, err := ingress(g, machines, p, seed)
-	if err != nil {
-		return nil, err
-	}
-	n := g.NumVertices()
-
-	// Local indices: v's index on machine m is the number of
-	// lower-numbered vertices m hosts, so one ascending sweep of the
-	// presence lists assigns them and writes every view's verts.
-	present := make([]int, machines)
-	for _, m := range lay.presList {
-		present[m]++
-	}
-	lay.views = make([]MachineView, machines)
-	for m := range lay.views {
-		lay.views[m] = MachineView{
-			id:     m,
-			lay:    lay,
-			verts:  make([]uint32, present[m]),
-			outOff: make([]int64, present[m]+1),
-		}
-	}
-	lay.presLocal = make([]int32, len(lay.presList))
-	next := make([]int32, machines)
-	for v := 0; v < n; v++ {
-		for j := lay.presOff[v]; j < lay.presOff[v+1]; j++ {
-			m := lay.presList[j]
-			lay.presLocal[j] = next[m]
-			lay.views[m].verts[next[m]] = uint32(v)
-			next[m]++
-		}
-	}
-
-	// Local out-CSRs. A machine's edges taken in CSR order are its
-	// local out-CSR already (sources ascend with their global ids), so
-	// one sweep appends each edge's destination to its machine's outAdj
-	// and counts the edge against its source's local index there, which
-	// srcLocal holds, refilled from the source's presence entries.
-	edges := make([]int, machines)
-	for _, m := range placement {
-		edges[m]++
-	}
-	for m := range lay.views {
-		lay.views[m].outAdj = make([]uint32, 0, edges[m])
-	}
-	r := g.NewAdjReader()
-	defer r.Release()
-	srcLocal := make([]int32, machines)
-	i := 0
-	for v := 0; v < n; v++ {
-		for j := lay.presOff[v]; j < lay.presOff[v+1]; j++ {
-			srcLocal[lay.presList[j]] = lay.presLocal[j]
-		}
-		for _, d := range r.OutNeighbors(graph.VertexID(v)) {
-			m := placement[i]
-			view := &lay.views[m]
-			view.outAdj = append(view.outAdj, d)
-			view.outOff[srcLocal[m]+1]++
-			i++
-		}
-	}
-
-	masters := lay.masterLists()
-	for m := range lay.views {
-		view := &lay.views[m]
-		for li := range view.verts {
-			view.outOff[li+1] += view.outOff[li]
-		}
-		view.masters = masters[m]
-	}
-	return lay, nil
-}
-
-// buildInCSRs builds every view's local in-CSR the first time it is
-// called, and afterwards costs one atomic load. The in-edge readers
-// (InNeighborsLocal, LocalInDegree, Validate) call it first. Only a
-// gathering program reads in-edges, so a layout that serves FrogWild
-// alone never holds them.
-//
-// Each machine's in-CSR comes from its own out-CSR, with toLocal
-// (refilled from the machine's verts) as the global→local map.
-// In-degrees are counted into inOff[ld+1]; after the prefix sum
-// inOff[ld] is ld's write cursor, and walking local sources in
-// ascending order fills each in-list in the order the CSR lists its
-// sources.
-func (l *Layout) buildInCSRs() {
-	l.inOnce.Do(func() {
-		toLocal := make([]int32, l.g.NumVertices())
-		for m := range l.views {
-			view := &l.views[m]
-			view.inOff = make([]int64, len(view.verts)+1)
-			for li, v := range view.verts {
-				toLocal[v] = int32(li)
-			}
-			for _, d := range view.outAdj {
-				view.inOff[toLocal[d]+1]++
-			}
-			for li := range view.verts {
-				view.inOff[li+1] += view.inOff[li]
-			}
-			view.inAdj = make([]uint32, len(view.outAdj))
-			for li, s := range view.verts {
-				for _, d := range view.outAdj[view.outOff[li]:view.outOff[li+1]] {
-					ld := toLocal[d]
-					view.inAdj[view.inOff[ld]] = s
-					view.inOff[ld]++
-				}
-			}
-			// Every cursor now holds its vertex's end, i.e. the next
-			// vertex's start: shift them back into place.
-			copy(view.inOff[1:], view.inOff)
-			view.inOff[0] = 0
-		}
-	})
-}
-
-// ingress decides where everything lives: it runs the partitioner,
-// derives each vertex's presence set from the placement and picks the
-// masters. The returned layout has no views yet.
-func ingress(g *graph.Graph, machines int, p Partitioner, seed uint64) (*Layout, []uint16, error) {
 	if machines < 1 || machines > MaxMachines {
-		return nil, nil, fmt.Errorf("cluster: machine count %d out of range", machines)
+		return nil, fmt.Errorf("cluster: machine count %d out of range", machines)
 	}
 	if g.NumVertices() == 0 {
-		return nil, nil, fmt.Errorf("cluster: empty graph")
+		return nil, fmt.Errorf("cluster: empty graph")
 	}
 	if p == nil {
 		p = Random{}
 	}
 	placement := p.Place(g, machines, seed)
 	if int64(len(placement)) != g.NumEdges() {
-		return nil, nil, fmt.Errorf("cluster: partitioner %s returned %d placements for %d edges",
+		return nil, fmt.Errorf("cluster: partitioner %s returned %d placements for %d edges",
 			p.Name(), len(placement), g.NumEdges())
 	}
 
 	n := g.NumVertices()
+	lay := &Layout{
+		g:           g,
+		machines:    machines,
+		partitioner: p.Name(),
+		placement:   placement,
+		edgeOff:     make([]int64, n+1),
+		edges:       make([]int64, machines),
+		present:     make([]int, machines),
+	}
 	pres := newPresenceSet(n, machines)
 	r := g.NewAdjReader()
 	defer r.Release()
@@ -217,13 +128,15 @@ func ingress(g *graph.Graph, machines int, p Partitioner, seed uint64) (*Layout,
 		for _, d := range r.OutNeighbors(graph.VertexID(v)) {
 			m := int(placement[i])
 			if m >= machines {
-				return nil, nil, fmt.Errorf("cluster: partitioner %s placed edge %d on machine %d of %d",
+				return nil, fmt.Errorf("cluster: partitioner %s placed edge %d on machine %d of %d",
 					p.Name(), i, m, machines)
 			}
 			pres.set(graph.VertexID(v), m)
 			pres.set(d, m)
+			lay.edges[m]++
 			i++
 		}
+		lay.edgeOff[v+1] = int64(i)
 	}
 
 	// Presence lists and master selection. The master is a hash-chosen
@@ -232,7 +145,7 @@ func ingress(g *graph.Graph, machines int, p Partitioner, seed uint64) (*Layout,
 	// with no edges at all — possible only when dangling vertices are
 	// allowed — is hosted nowhere: its presence list stays empty and no
 	// master is chosen for it (see MasterOf).
-	lay := &Layout{g: g, machines: machines, partitioner: p.Name(), presWord: pres.small}
+	lay.presWord = pres.small
 	lay.presOff = make([]int64, n+1)
 	for v := 0; v < n; v++ {
 		lay.presOff[v+1] = lay.presOff[v] + int64(pres.count(graph.VertexID(v)))
@@ -253,7 +166,145 @@ func ingress(g *graph.Graph, machines int, p Partitioner, seed uint64) (*Layout,
 		span[0] = mst
 		lay.master[v] = mst
 	}
-	return lay, placement, nil
+	for _, m := range lay.presList {
+		lay.present[m]++
+	}
+	lay.masters = lay.masterLists()
+	return lay, nil
+}
+
+// View returns machine m's local view. The first call from any
+// goroutine builds every machine's view (buildViews); later calls cost
+// one atomic load.
+func (l *Layout) View(m int) *MachineView {
+	if !l.viewsBuilt.Load() {
+		l.buildViews()
+	}
+	return &l.views[m]
+}
+
+// buildViews builds every machine's view from the ingress: local
+// indices, vertex lists, out-CSRs and in-CSRs, in that order.
+//
+// Local indices: v's index on machine m is the number of lower-numbered
+// vertices m hosts, so one ascending sweep of the presence lists assigns
+// them and writes every view's verts.
+//
+// Out-CSRs: a machine's edges taken in CSR order are its local out-CSR
+// already (sources ascend with their global ids), so one sweep of the
+// global CSR appends each edge's destination to its machine's outAdj and
+// counts the edge against its source's local index there, which srcLocal
+// holds, refilled from the source's presence entries.
+//
+// In-CSRs: each machine's comes from its own out-CSR, with toLocal
+// (refilled from the machine's verts) as the global→local map.
+// In-degrees are counted into inOff[ld+1]; after the prefix sum
+// inOff[ld] is ld's write cursor, and walking local sources in ascending
+// order fills each in-list in the order the CSR lists its sources.
+func (l *Layout) buildViews() {
+	l.viewsMu.Lock()
+	defer l.viewsMu.Unlock()
+	if l.viewsBuilt.Load() {
+		return
+	}
+	n := l.g.NumVertices()
+	views := make([]MachineView, l.machines)
+	for m := range views {
+		views[m] = MachineView{
+			id:      m,
+			lay:     l,
+			verts:   make([]uint32, l.present[m]),
+			outOff:  make([]int64, l.present[m]+1),
+			outAdj:  make([]uint32, 0, l.edges[m]),
+			masters: l.masters[m],
+		}
+	}
+	presLocal := make([]int32, len(l.presList))
+	next := make([]int32, l.machines)
+	for v := 0; v < n; v++ {
+		for j := l.presOff[v]; j < l.presOff[v+1]; j++ {
+			m := l.presList[j]
+			presLocal[j] = next[m]
+			views[m].verts[next[m]] = uint32(v)
+			next[m]++
+		}
+	}
+
+	r := l.g.NewAdjReader()
+	defer r.Release()
+	srcLocal := make([]int32, l.machines)
+	for v := 0; v < n; v++ {
+		for j := l.presOff[v]; j < l.presOff[v+1]; j++ {
+			srcLocal[l.presList[j]] = presLocal[j]
+		}
+		place := l.placement[l.edgeOff[v]:l.edgeOff[v+1]]
+		for k, d := range r.OutNeighbors(graph.VertexID(v)) {
+			m := place[k]
+			view := &views[m]
+			view.outAdj = append(view.outAdj, d)
+			view.outOff[srcLocal[m]+1]++
+		}
+	}
+
+	toLocal := make([]int32, n)
+	for m := range views {
+		view := &views[m]
+		for li := range view.verts {
+			view.outOff[li+1] += view.outOff[li]
+		}
+		view.inOff = make([]int64, len(view.verts)+1)
+		for li, v := range view.verts {
+			toLocal[v] = int32(li)
+		}
+		for _, d := range view.outAdj {
+			view.inOff[toLocal[d]+1]++
+		}
+		for li := range view.verts {
+			view.inOff[li+1] += view.inOff[li]
+		}
+		view.inAdj = make([]uint32, len(view.outAdj))
+		for li, s := range view.verts {
+			for _, d := range view.outAdj[view.outOff[li]:view.outOff[li+1]] {
+				ld := toLocal[d]
+				view.inAdj[view.inOff[ld]] = s
+				view.inOff[ld]++
+			}
+		}
+		// Every cursor now holds its vertex's end, i.e. the next
+		// vertex's start: shift them back into place.
+		copy(view.inOff[1:], view.inOff)
+		view.inOff[0] = 0
+	}
+	l.views, l.presLocal = views, presLocal
+	l.viewsBuilt.Store(true)
+}
+
+// LocalOutNeighbors appends to dst the destinations of v's out-edges
+// that machine m owns, read through r and filtered by the placement, and
+// returns the grown slice. It holds what View(m).OutNeighborsLocal holds
+// for v, in the same order, without building any view.
+func (l *Layout) LocalOutNeighbors(r *graph.AdjReader, v graph.VertexID, m int, dst []graph.VertexID) []graph.VertexID {
+	place := l.placement[l.edgeOff[v]:l.edgeOff[v+1]]
+	for k, d := range r.OutNeighbors(v) {
+		if int(place[k]) == m {
+			dst = append(dst, d)
+		}
+	}
+	return dst
+}
+
+// LocalOutDegrees sets deg[m], for every machine m hosting v, to the
+// number of v's out-edges m owns (View(m).LocalOutDegree of v), from one
+// counting pass over v's placement; it reads no edge and builds no view.
+// deg is indexed by machine; the entries of machines not hosting v are
+// left as they were.
+func (l *Layout) LocalOutDegrees(v graph.VertexID, deg []int) {
+	for _, m := range l.Presences(v) {
+		deg[m] = 0
+	}
+	for _, m := range l.placement[l.edgeOff[v]:l.edgeOff[v+1]] {
+		deg[m]++
+	}
 }
 
 // masterLists returns the vertices mastered on each machine, ascending.
@@ -384,8 +435,9 @@ func (l *Layout) Presences(v graph.VertexID) []uint16 {
 	return l.presList[l.presOff[v]:l.presOff[v+1]]
 }
 
-// View returns machine m's local view.
-func (l *Layout) View(m int) *MachineView { return &l.views[m] }
+// Masters returns the vertices mastered on machine m, ascending. The
+// slice aliases internal storage.
+func (l *Layout) Masters(m int) []uint32 { return l.masters[m] }
 
 // ReplicationFactor returns the average number of replicas per vertex
 // that is hosted anywhere (PowerGraph's λ).
@@ -418,12 +470,12 @@ func (l *Layout) Stats() CutStats {
 	maxE, totE := int64(0), int64(0)
 	maxM, totM := 0, 0
 	for m := 0; m < l.machines; m++ {
-		e := int64(len(l.views[m].outAdj))
+		e := l.edges[m]
 		totE += e
 		if e > maxE {
 			maxE = e
 		}
-		k := len(l.views[m].masters)
+		k := len(l.masters[m])
 		totM += k
 		if k > maxM {
 			maxM = k
@@ -440,17 +492,22 @@ func (l *Layout) Stats() CutStats {
 
 // Validate checks layout invariants: every edge is owned by exactly one
 // machine, presence sets match edge ownership, every hosted vertex's
-// master is in its presence set, and local CSRs agree with the global
-// graph. It is used by property tests.
+// master is in its presence set, the views agree with the global graph
+// and with the ingress counts, and the placement reads
+// (LocalOutNeighbors, LocalOutDegrees) answer what the views hold. It
+// builds the views, and is used by property tests.
 func (l *Layout) Validate() error {
-	l.buildInCSRs()
 	n := l.g.NumVertices()
 	var localEdges int64
 	for m := 0; m < l.machines; m++ {
-		v := &l.views[m]
+		v := l.View(m)
 		localEdges += int64(len(v.outAdj))
 		if len(v.outAdj) != len(v.inAdj) {
 			return fmt.Errorf("cluster: machine %d out/in edge mismatch", m)
+		}
+		if int64(len(v.outAdj)) != l.edges[m] || len(v.verts) != l.present[m] {
+			return fmt.Errorf("cluster: machine %d view holds %d edges and %d vertices, ingress counted %d and %d",
+				m, len(v.outAdj), len(v.verts), l.edges[m], l.present[m])
 		}
 		for li, vert := range v.verts {
 			if got, ok := v.LocalIndex(vert); !ok || got != int32(li) {
@@ -484,18 +541,28 @@ func (l *Layout) Validate() error {
 			}
 		}
 	}
-	// Local out-degrees must sum to global out-degree per vertex.
-	sum := make([]int64, n)
-	for m := 0; m < l.machines; m++ {
-		view := &l.views[m]
-		for li, vert := range view.verts {
-			sum[vert] += view.outOff[li+1] - view.outOff[li]
-		}
-	}
+	// Each host's placement-filtered out-edges are its view's, and the
+	// hosts' local out-degrees sum to the global out-degree.
+	r := l.g.NewAdjReader()
+	defer r.Release()
+	deg := make([]int, l.machines)
+	var nbrs []graph.VertexID
 	for v := 0; v < n; v++ {
-		if sum[v] != int64(l.g.OutDegree(graph.VertexID(v))) {
+		l.LocalOutDegrees(graph.VertexID(v), deg)
+		sum := 0
+		for _, m := range l.Presences(graph.VertexID(v)) {
+			view := &l.views[m]
+			li, _ := view.LocalIndex(graph.VertexID(v))
+			nbrs = l.LocalOutNeighbors(r, graph.VertexID(v), int(m), nbrs[:0])
+			if deg[m] != view.LocalOutDegree(li) || !slices.Equal(nbrs, view.OutNeighborsLocal(li)) {
+				return fmt.Errorf("cluster: vertex %d on machine %d: placement reads %d out-edges %v, view holds %v",
+					v, m, deg[m], nbrs, view.OutNeighborsLocal(li))
+			}
+			sum += deg[m]
+		}
+		if sum != l.g.OutDegree(graph.VertexID(v)) {
 			return fmt.Errorf("cluster: vertex %d local out-degree sum %d != %d",
-				v, sum[v], l.g.OutDegree(graph.VertexID(v)))
+				v, sum, l.g.OutDegree(graph.VertexID(v)))
 		}
 	}
 	return nil
@@ -554,10 +621,8 @@ func (mv *MachineView) OutNeighborsLocal(li int32) []uint32 {
 }
 
 // InNeighborsLocal returns the sources of the machine's local in-edges
-// of the vertex at local index li. The layout's first in-edge read
-// builds the in-CSRs of all its views; it is safe from any goroutine.
+// of the vertex at local index li.
 func (mv *MachineView) InNeighborsLocal(li int32) []uint32 {
-	mv.lay.buildInCSRs()
 	return mv.inAdj[mv.inOff[li]:mv.inOff[li+1]]
 }
 
@@ -570,7 +635,6 @@ func (mv *MachineView) LocalOutDegree(li int32) int {
 // LocalInDegree returns the local in-degree of the vertex at local
 // index li.
 func (mv *MachineView) LocalInDegree(li int32) int {
-	mv.lay.buildInCSRs()
 	return int(mv.inOff[li+1] - mv.inOff[li])
 }
 

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/cluster"
@@ -98,6 +99,12 @@ type Engine[V, M any] struct {
 	splitter  Splitter[V]
 	finalizer Finalizer[V, M]
 
+	// view holds every machine's view of the layout for a program that
+	// gathers or scatters over in-edges. It is nil for every other
+	// program: its replicas read their local out-edges from the graph's
+	// CSR through the layout's placement, and the views are never built.
+	view []*cluster.MachineView
+
 	// Master state per vertex; written only by the master's machine.
 	state []V
 	// Replica states per machine, indexed by machine-local index. Nil
@@ -180,18 +187,24 @@ type machineScratch[V, M any] struct {
 	plans   []planScratch[V]
 	out     []map[graph.VertexID]M
 	work    []scatterItem[V]
+	// readers and nbrs are each pool worker's graph reader and local
+	// out-edge buffer, for the scatter of a program without views. They
+	// hold no result, so they are per worker, not per chunk.
+	readers []*graph.AdjReader
+	nbrs    [][]graph.VertexID
 	// newPending is the machine's newly activated vertex count from the
 	// routing phase, summed into Engine.pending.
 	newPending int64
 }
 
 // planScratch holds one apply chunk's planSync buffers, reused for
-// every vertex the chunk applies.
+// every vertex the chunk applies. deg is indexed by machine.
 type planScratch[V any] struct {
 	synced  []uint16
 	targets []uint16
 	weights []int
 	shares  []V
+	deg     []int
 }
 
 // ensure grows the per-chunk buffers to hold at least n chunks,
@@ -266,7 +279,13 @@ func New[V, M any](lay *cluster.Layout, prog Program[V, M], opts Options) (*Engi
 	e.scratch = make([]machineScratch[V, M], e.machines)
 	e.applyChunks = make([][]parallel.Range, e.machines)
 	for m := 0; m < e.machines; m++ {
-		e.applyChunks[m] = parallel.Chunks(len(lay.View(m).Masters()))
+		e.applyChunks[m] = parallel.Chunks(len(lay.Masters(m)))
+	}
+	if prog.GatherDir() != DirNone || prog.ScatterDir() == DirIn {
+		e.view = make([]*cluster.MachineView, e.machines)
+		for m := range e.view {
+			e.view[m] = lay.View(m)
+		}
 	}
 
 	if prog.GatherDir() != DirNone {
@@ -275,7 +294,7 @@ func New[V, M any](lay *cluster.Layout, prog Program[V, M], opts Options) (*Engi
 		e.hasPart = make([][]bool, e.machines)
 		e.gatherChunks = make([][]parallel.Range, e.machines)
 		for m := 0; m < e.machines; m++ {
-			present := lay.View(m).NumPresent()
+			present := e.view[m].NumPresent()
 			e.replica[m] = make([]V, present)
 			e.partials[m] = make([]float64, present)
 			e.hasPart[m] = make([]bool, present)
@@ -293,8 +312,7 @@ func New[V, M any](lay *cluster.Layout, prog Program[V, M], opts Options) (*Engi
 	}
 	if e.replica != nil {
 		for m := 0; m < e.machines; m++ {
-			view := lay.View(m)
-			for li, v := range view.Verts() {
+			for li, v := range e.view[m].Verts() {
 				e.replica[m][li] = e.state[v]
 			}
 		}
@@ -303,20 +321,43 @@ func New[V, M any](lay *cluster.Layout, prog Program[V, M], opts Options) (*Engi
 }
 
 // parallel runs fn(machine) concurrently for every machine and waits.
+// A machine that panics with anything but a runtime error (a failed
+// paged read of the graph, which scatter reads) does not kill the
+// process: once every machine has returned, parallel panics with the
+// first such value on the caller's goroutine, where Run's caller can
+// recover it — the policy parallel.Pool.Run applies to its workers. A
+// runtime error is a bug and crashes where it happened.
 func (e *Engine[V, M]) parallel(fn func(m int)) {
 	if e.machines == 1 {
 		fn(0)
 		return
 	}
-	var wg sync.WaitGroup
+	var (
+		wg       sync.WaitGroup
+		panicked atomic.Pointer[any]
+	)
 	wg.Add(e.machines)
 	for m := 0; m < e.machines; m++ {
 		go func(m int) {
 			defer wg.Done()
+			defer func() {
+				v := recover()
+				if v == nil {
+					return
+				}
+				if _, bug := v.(runtime.Error); bug {
+					panic(v)
+				}
+				first := v // escapes; v itself stays off the heap on the no-panic path
+				panicked.CompareAndSwap(nil, &first)
+			}()
 			fn(m)
 		}(m)
 	}
 	wg.Wait()
+	if v := panicked.Load(); v != nil {
+		panic(*v)
+	}
 }
 
 // Run executes supersteps until MaxSupersteps, quiescence (no active
@@ -365,7 +406,7 @@ func (e *Engine[V, M]) Run() (*RunStats, error) {
 	// Deliver still-pending messages to the finalizer.
 	if e.finalizer != nil {
 		e.parallel(func(m int) {
-			masters := e.lay.View(m).Masters()
+			masters := e.lay.Masters(m)
 			chunks := e.applyChunks[m]
 			e.scratch[m].pool.Run(len(chunks), func(c, _ int) {
 				for i := chunks[c].Lo; i < chunks[c].Hi; i++ {
@@ -413,7 +454,7 @@ func (e *Engine[V, M]) superstep(step int) int64 {
 	// meters are reduced in chunk order.
 	if gatherDir != DirNone {
 		e.parallel(func(m int) {
-			view := e.lay.View(m)
+			view := e.view[m]
 			sc := &e.scratch[m]
 			chunks := e.gatherChunks[m]
 			sc.ensure(len(chunks))
@@ -464,9 +505,8 @@ func (e *Engine[V, M]) superstep(step int) int64 {
 	// for any worker count. A chunk holds one Context and one stream,
 	// re-derived for every vertex it applies.
 	e.parallel(func(m int) {
-		view := e.lay.View(m)
 		sc := &e.scratch[m]
-		masters := view.Masters()
+		masters := e.lay.Masters(m)
 		chunks := e.applyChunks[m]
 		sc.ensure(len(chunks))
 		sc.pool.Run(len(chunks), func(c, _ int) {
@@ -487,7 +527,7 @@ func (e *Engine[V, M]) superstep(step int) int64 {
 				acc := 0.0
 				if gatherDir != DirNone {
 					for mm := 0; mm < e.machines; mm++ {
-						li, ok := e.lay.View(mm).LocalIndex(v)
+						li, ok := e.view[mm].LocalIndex(v)
 						if !ok || !e.hasPart[mm][li] {
 							continue
 						}
@@ -504,7 +544,7 @@ func (e *Engine[V, M]) superstep(step int) int64 {
 				sc.aggs[c] += ctx.aggregate
 				meter.VertexOps++
 				if e.replica != nil {
-					if li, ok := view.LocalIndex(v); ok {
+					if li, ok := e.view[m].LocalIndex(v); ok {
 						e.replica[m][li] = newState
 					}
 				}
@@ -533,9 +573,11 @@ func (e *Engine[V, M]) superstep(step int) int64 {
 	// Each machine flattens its incoming deliveries (source order, then
 	// append order — both deterministic) into a work list, chunks it,
 	// and gives every chunk its own derived rng stream; per-chunk
-	// outboxes merge in chunk order via CombineMsg.
+	// outboxes merge in chunk order via CombineMsg. A replica's local
+	// edges come from its machine's view when the engine has views, and
+	// otherwise from the graph's CSR filtered by the placement into the
+	// worker's buffer: the same slice, in the same order.
 	e.parallel(func(m int) {
-		view := e.lay.View(m)
 		sc := &e.scratch[m]
 		work := sc.work[:0]
 		for src := 0; src < e.machines; src++ {
@@ -546,11 +588,23 @@ func (e *Engine[V, M]) superstep(step int) int64 {
 		sc.work = work
 		chunks := parallel.Chunks(len(work))
 		sc.ensure(len(chunks))
+		if e.view == nil && sc.readers == nil {
+			sc.readers = make([]*graph.AdjReader, sc.pool.NumWorkers())
+			sc.nbrs = make([][]graph.VertexID, sc.pool.NumWorkers())
+			for w := range sc.readers {
+				sc.readers[w] = e.lay.Graph().NewAdjReader()
+			}
+		}
+		defer func() {
+			for _, r := range sc.readers {
+				r.Release()
+			}
+		}()
 		streams := rng.Shards(e.opts.Seed, scatterPurpose(step, m), len(chunks))
 		// With a single chunk the merge is the identity, so the chunk
 		// can combine straight into the machine outbox.
 		direct := len(chunks) == 1
-		sc.pool.Run(len(chunks), func(c, _ int) {
+		sc.pool.Run(len(chunks), func(c, w int) {
 			meter := &sc.meters[c]
 			meter.Reset()
 			out := e.outbox[m]
@@ -571,21 +625,28 @@ func (e *Engine[V, M]) superstep(step int) int64 {
 				if int(work[i].src) != m {
 					meter.Recv(cluster.TrafficSync, int64(e.sizes.State)+perEntryHeaderBytes)
 				}
-				li, ok := view.LocalIndex(entry.v)
-				if !ok {
-					continue
-				}
-				if e.replica != nil && e.splitter == nil {
-					e.replica[m][li] = entry.state
+				var li int32
+				if e.view != nil {
+					var ok bool
+					if li, ok = e.view[m].LocalIndex(entry.v); !ok {
+						continue
+					}
+					if e.replica != nil && e.splitter == nil {
+						e.replica[m][li] = entry.state
+					}
 				}
 				if !entry.scatter || scatterDir == DirNone {
 					continue
 				}
 				var neighbors []graph.VertexID
-				if scatterDir == DirOut {
-					neighbors = view.OutNeighborsLocal(li)
-				} else {
-					neighbors = view.InNeighborsLocal(li)
+				switch {
+				case e.view == nil:
+					neighbors = e.lay.LocalOutNeighbors(sc.readers[w], entry.v, m, sc.nbrs[w][:0])
+					sc.nbrs[w] = neighbors
+				case scatterDir == DirOut:
+					neighbors = e.view[m].OutNeighborsLocal(li)
+				default:
+					neighbors = e.view[m].InNeighborsLocal(li)
 				}
 				if len(neighbors) == 0 {
 					continue
@@ -714,21 +775,10 @@ func (e *Engine[V, M]) planSync(m int, v graph.VertexID, state V, r *rng.Stream,
 	// local scatter-direction edges of v. If none qualifies, force-
 	// enable one replica that has local edges — the paper's "At Least
 	// One Out-Edge Per Node" erasure model (Example 10).
-	scatterDir := e.prog.ScatterDir()
-	localDeg := func(machine uint16) int {
-		view := e.lay.View(int(machine))
-		li, ok := view.LocalIndex(v)
-		if !ok {
-			return 0
-		}
-		if scatterDir == DirIn {
-			return view.LocalInDegree(li)
-		}
-		return view.LocalOutDegree(li)
-	}
+	deg := e.localDegrees(v, presences, ps)
 	targets, weights := ps.targets[:0], ps.weights[:0]
 	for _, t := range synced {
-		if d := localDeg(t); d > 0 {
+		if d := deg[t]; d > 0 {
 			targets = append(targets, t)
 			weights = append(weights, d)
 		}
@@ -743,7 +793,7 @@ func (e *Engine[V, M]) planSync(m int, v graph.VertexID, state V, r *rng.Stream,
 		// its list is not pooled).
 		var candidates []uint16
 		for _, t := range presences {
-			if localDeg(t) > 0 {
+			if deg[t] > 0 {
 				candidates = append(candidates, t)
 			}
 		}
@@ -752,7 +802,7 @@ func (e *Engine[V, M]) planSync(m int, v graph.VertexID, state V, r *rng.Stream,
 		}
 		forced := candidates[r.Intn(len(candidates))]
 		targets = append(targets, forced)
-		weights = append(weights, localDeg(forced))
+		weights = append(weights, deg[forced])
 		if int(forced) != m {
 			meter.Send(cluster.TrafficSync, int64(e.sizes.State)+perEntryHeaderBytes)
 		}
@@ -766,6 +816,31 @@ func (e *Engine[V, M]) planSync(m int, v graph.VertexID, state V, r *rng.Stream,
 		sink = append(sink, targetedSync[V]{target: target, entry: syncEntry[V]{v: v, state: shares[i], scatter: true}})
 	}
 	return sink
+}
+
+// localDegrees returns ps.deg with deg[t], for every host t of v, set to
+// the number of v's scatter-direction edges t owns: read off the views
+// when the engine has them, and otherwise counted from the placement in
+// one pass over v's out-edge window.
+func (e *Engine[V, M]) localDegrees(v graph.VertexID, presences []uint16, ps *planScratch[V]) []int {
+	if ps.deg == nil {
+		ps.deg = make([]int, e.machines)
+	}
+	if e.view == nil {
+		e.lay.LocalOutDegrees(v, ps.deg)
+		return ps.deg
+	}
+	in := e.prog.ScatterDir() == DirIn
+	for _, t := range presences {
+		view := e.view[t]
+		li, _ := view.LocalIndex(v)
+		if in {
+			ps.deg[t] = view.LocalInDegree(li)
+		} else {
+			ps.deg[t] = view.LocalOutDegree(li)
+		}
+	}
+	return ps.deg
 }
 
 // MasterStates returns the final master state of every vertex, indexed

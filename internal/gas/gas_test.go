@@ -1,6 +1,7 @@
 package gas
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/cluster"
@@ -57,6 +58,40 @@ func ringLayout(t testing.TB, n, machines int) *cluster.Layout {
 		t.Fatal(err)
 	}
 	return lay
+}
+
+// faultProgram is tokenProgram whose scatter fails the way a failed
+// paged read of the graph does: it panics with an error.
+type faultProgram struct{ tokenProgram }
+
+var errInjectedFault = errors.New("injected read fault")
+
+func (faultProgram) ScatterLocal(graph.VertexID, tokState, []graph.VertexID, func(graph.VertexID, int64), *Context) {
+	panic(errInjectedFault)
+}
+
+// runRecovering runs eng and returns what Run panicked with, if anything.
+func runRecovering[V, M any](eng *Engine[V, M]) (panicked any) {
+	defer func() { panicked = recover() }()
+	eng.Run()
+	return nil
+}
+
+// TestMachinePanicReachesRunCaller: a panic on a machine's goroutine
+// surfaces from Run on the caller's goroutine, where the caller can
+// recover it, on one machine and on several; it does not kill the
+// process.
+func TestMachinePanicReachesRunCaller(t *testing.T) {
+	for _, machines := range []int{1, 4} {
+		lay := ringLayout(t, 10, machines)
+		eng, err := New[tokState, int64](lay, faultProgram{}, Options{PS: 1, Seed: 9, MaxSupersteps: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p := runRecovering(eng); p != errInjectedFault {
+			t.Fatalf("machines=%d: Run panicked with %v, want the scatter's %v", machines, p, errInjectedFault)
+		}
+	}
 }
 
 func TestTokenTravelsRing(t *testing.T) {

@@ -127,8 +127,8 @@ type Program[V, M any] interface {
 
 	// ScatterLocal runs on each synchronized replica of v. neighbors
 	// holds the scatter-direction endpoints of this machine's local
-	// edges of v; emit sends a message to a vertex, activating it next
-	// superstep. state is the replica's state — for Splitter programs,
+	// edges of v, in an engine buffer valid only during the call; emit
+	// sends a message to a vertex, activating it next superstep. state is the replica's state — for Splitter programs,
 	// this replica's share.
 	ScatterLocal(v graph.VertexID, state V, neighbors []graph.VertexID, emit func(dst graph.VertexID, m M), ctx *Context)
 

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -291,6 +292,35 @@ func TestCompareFaultAnswersUnavailable(t *testing.T) {
 		code, body = getPPR(t, srv, url)
 		if _, want := getPPR(t, healthy, url); code != http.StatusOK || string(body) != string(want) {
 			t.Fatalf("GOMAXPROCS=%d: retried compare answered %d %s, want a healthy server's %s", procs, code, body, want)
+		}
+	}
+}
+
+// TestBuildFaultInsideTheEngine: FrogWild's scatter reads the graph,
+// so a failed paged read can land on one of the engine's machine
+// goroutines. Armed to fail on the first read after ingress's (the
+// partitioner's pass and the presence pass, one read per vertex each),
+// a build returns an error wrapping errStorageFault instead of killing
+// the process, at one P and at four; with storage healthy again the
+// same build answers what it answers over the resident graph.
+func TestBuildFaultInsideTheEngine(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	_, snap := pprServer(t, PPROptions{})
+	faulty, pager := faultySnapshot(t, snap)
+	cfg := BuildConfig{Engine: EngineFrogWild, Machines: 4, Seed: 3}
+	want, err := Build(snap.Graph, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		pager.Arm(2*int64(faulty.Graph.NumVertices()) + 1)
+		if _, err := Build(faulty.Graph, cfg); !errors.Is(err, errStorageFault) {
+			t.Fatalf("GOMAXPROCS=%d: a build over a read failing inside the engine returned %v, want a storage fault", procs, err)
+		}
+		got, err := Build(faulty.Graph, cfg)
+		if err != nil || !slices.Equal(got.Ranks, want.Ranks) {
+			t.Fatalf("GOMAXPROCS=%d: the build after the fault cleared returned %v, or ranks other than the resident build's", procs, err)
 		}
 	}
 }
