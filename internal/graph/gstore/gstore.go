@@ -7,10 +7,12 @@
 // pages, no parse or counting sort ever runs, and graphs bigger than
 // RAM stay usable (the kernel pages sections in on demand). The
 // default open's one size-dependent cost is a sequential checksum
-// pass over the file — far cheaper than a rebuild; NoVerify skips it
-// for trusted files, making the open O(offsets). A buffered read path
-// decodes the same bytes on platforms (or transports, e.g. gzip
-// streams) where mmap is unavailable.
+// pass over the file: 13.6–14.8 GB/s on amd64 with PCLMULQDQ and
+// 1.2 GB/s through hash/crc64's table elsewhere (one 2-vCPU Xeon
+// container), so ≈ 1 ms for the benchmark's 12 MB graph. NoVerify
+// skips it for trusted files, making the open O(offsets). A buffered
+// read path decodes the same bytes on platforms (or transports, e.g.
+// gzip streams) where mmap is unavailable.
 //
 // The byte-level discipline — header prelude, checksummed section
 // table, atomic save, mmap-vs-buffered open, bounded stream read — is
@@ -29,7 +31,8 @@
 //	128     ...   sections, each 8-byte aligned
 //
 // outOff/inOff are (n+1) int64 prefix sums; outAdj/inAdj are m uint32
-// vertex ids. Checksums are CRC-64/ECMA over each section's raw bytes.
+// vertex ids. Checksums are CRC-64/XZ (see internal/secfile) over each
+// section's raw bytes.
 package gstore
 
 import (

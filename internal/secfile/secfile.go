@@ -14,9 +14,17 @@
 //	13      3     reserved (zero)
 //	16      ...   format-specific scalar fields (little-endian)
 //	T       24×S  section table: S × (offset u64, length u64,
-//	              CRC-64/ECMA u64), at the schema's TableOff
+//	              CRC-64/XZ u64), at the schema's TableOff
 //	H       ...   sections, each 8-byte aligned, at the schema's
 //	              HeaderSize
+//
+// The checksum is CRC-64/XZ, which the CRC catalogue also lists as
+// CRC-64/GO-ECMA: polynomial 0x42F0E1EBA9EA3693 (ECMA-182), reflected,
+// initial value and final XOR all ones, check value 0x995DC9BBDF1939FA
+// — what hash/crc64 computes with crc64.ECMA. It is not the
+// catalogue's CRC-64/ECMA-182 (init 0, not reflected), which gives
+// other values. On amd64 CPUs with PCLMULQDQ a folding kernel computes
+// it at memory speed; elsewhere hash/crc64's table loop does.
 //
 // Header scalars are always little-endian; section payloads are raw
 // native-order bytes, with the writer's order recorded at offset 12 so
@@ -26,7 +34,7 @@
 //
 //   - Write lays sections out canonically (8-byte aligned, in order,
 //     zero padding) and fills the table with offsets, lengths, and
-//     CRC-64/ECMA checksums.
+//     CRC-64/XZ checksums.
 //   - Parse pins a file's table to exactly the canonical layout derived
 //     from its own header scalars, so a crafted table has nowhere to
 //     point, and bounds every size claim through the schema's
@@ -50,7 +58,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc64"
 	"io"
 	"os"
 	"path/filepath"
@@ -78,11 +85,6 @@ var (
 	ErrChecksum = errors.New("secfile: section checksum mismatch")
 	ErrEndian   = errors.New("secfile: file written with foreign byte order")
 )
-
-var crcTable = crc64.MakeTable(crc64.ECMA)
-
-// Checksum is the codec's section checksum: CRC-64/ECMA over raw bytes.
-func Checksum(b []byte) uint64 { return crc64.Checksum(b, crcTable) }
 
 // NativeEndian is the byte-order tag this process writes and accepts:
 // LittleEndianTag or BigEndianTag.
@@ -135,7 +137,7 @@ type Schema struct {
 }
 
 // Section is one table entry: a payload's offset, byte length, and
-// CRC-64/ECMA checksum.
+// CRC-64/XZ checksum.
 type Section struct{ Off, Len, CRC uint64 }
 
 // IsMagic reports whether head (the first bytes of a file or stream)
@@ -211,7 +213,7 @@ func (s *Schema) NewHeader() []byte {
 
 // Write emits hdr followed by the section payloads in the canonical
 // layout: the table at TableOff is filled with each part's offset,
-// length, and CRC-64/ECMA checksum, and every section is 8-byte
+// length, and CRC-64/XZ checksum, and every section is 8-byte
 // aligned with zero padding (including trailing padding to the aligned
 // file end). hdr must come from NewHeader with the format's scalar
 // fields already placed.
@@ -314,13 +316,16 @@ func (s *Schema) VerifySections(data []byte, secs []Section) error {
 	return nil
 }
 
+// verifyChunk is VerifySectionsReaderAt's read size.
+const verifyChunk = 1 << 20
+
 // VerifySectionsReaderAt is VerifySections for callers that never
 // materialize the whole file (paged opens): it streams each section
 // through a fixed-size buffer, so verification costs one sequential
 // read of the file and O(1) memory regardless of file size. The
 // sections must come from a Parse whose total covered the file.
 func (s *Schema) VerifySectionsReaderAt(r io.ReaderAt, secs []Section) error {
-	buf := make([]byte, 1<<20)
+	buf := make([]byte, verifyChunk)
 	for i, sec := range secs {
 		var crc uint64
 		for off := uint64(0); off < sec.Len; {
@@ -331,7 +336,7 @@ func (s *Schema) VerifySectionsReaderAt(r io.ReaderAt, secs []Section) error {
 			if _, err := r.ReadAt(buf[:n], int64(sec.Off+off)); err != nil {
 				return s.errFormat("reading section %d: %v", i, err)
 			}
-			crc = crc64.Update(crc, crcTable, buf[:n])
+			crc = update(crc, buf[:n])
 			off += n
 		}
 		if crc != sec.CRC {
