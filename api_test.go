@@ -280,25 +280,6 @@ func TestErasureModesThroughFacade(t *testing.T) {
 	}
 }
 
-func TestGraphAlgorithmsThroughFacade(t *testing.T) {
-	g, err := repro.TwitterLikeGraph(500, 14)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, num := g.SCC(); num < 1 {
-		t.Error("SCC broken")
-	}
-	tr := g.Transpose()
-	if tr.NumEdges() != g.NumEdges() {
-		t.Error("Transpose broken")
-	}
-	mask := g.LargestSCCMask()
-	sub, orig := g.InducedSubgraph(mask)
-	if sub.NumVertices() == 0 || len(orig) != sub.NumVertices() {
-		t.Error("InducedSubgraph broken")
-	}
-}
-
 func TestVisitsEstimatorThroughFacade(t *testing.T) {
 	g, err := repro.TwitterLikeGraph(800, 15)
 	if err != nil {

@@ -101,7 +101,7 @@ func layoutDigestLines(t *testing.T) string {
 						d.u32s(view.outAdj)
 						d.i64s(view.inOff)
 						d.u32s(view.inAdj)
-						d.u32s(view.masters)
+						d.u32s(lay.Masters(m))
 					}
 					fmt.Fprintf(&sb, " views=%s\n", d.sum())
 				}

@@ -24,9 +24,9 @@ import (
 //
 // The per-machine views — each machine's vertex list, the replicas'
 // local indices, and the local out- and in-CSRs — are built once, by
-// the first View call from any goroutine. Only a gathering program (or
-// one that scatters over in-edges) asks for them, so a layout that
-// serves FrogWild alone never holds a copy of the graph.
+// the first View call from any goroutine. Only a gathering program
+// (GraphLab PR) asks for them, so a layout that serves FrogWild alone
+// never holds a copy of the graph.
 type Layout struct {
 	g           *graph.Graph
 	machines    int
@@ -81,8 +81,6 @@ type MachineView struct {
 	outAdj []uint32
 	inOff  []int64
 	inAdj  []uint32
-
-	masters []uint32 // vertices whose master replica is here
 }
 
 // NewLayout partitions g across the given number of machines using the
@@ -211,12 +209,11 @@ func (l *Layout) buildViews() {
 	views := make([]MachineView, l.machines)
 	for m := range views {
 		views[m] = MachineView{
-			id:      m,
-			lay:     l,
-			verts:   make([]uint32, l.present[m]),
-			outOff:  make([]int64, l.present[m]+1),
-			outAdj:  make([]uint32, 0, l.edges[m]),
-			masters: l.masters[m],
+			id:     m,
+			lay:    l,
+			verts:  make([]uint32, l.present[m]),
+			outOff: make([]int64, l.present[m]+1),
+			outAdj: make([]uint32, 0, l.edges[m]),
 		}
 	}
 	presLocal := make([]int32, len(l.presList))
@@ -568,15 +565,9 @@ func (l *Layout) Validate() error {
 	return nil
 }
 
-// ID returns the machine's id.
-func (mv *MachineView) ID() int { return mv.id }
-
 // Verts returns the present vertices in ascending order. The slice
 // aliases internal storage.
 func (mv *MachineView) Verts() []uint32 { return mv.verts }
-
-// NumLocalEdges returns the number of edges owned by this machine.
-func (mv *MachineView) NumLocalEdges() int64 { return int64(len(mv.outAdj)) }
 
 // LocalIndex returns the machine-local dense index of v and whether v
 // is present on this machine, read off v's presence entry: the master
@@ -631,15 +622,6 @@ func (mv *MachineView) InNeighborsLocal(li int32) []uint32 {
 func (mv *MachineView) LocalOutDegree(li int32) int {
 	return int(mv.outOff[li+1] - mv.outOff[li])
 }
-
-// LocalInDegree returns the local in-degree of the vertex at local
-// index li.
-func (mv *MachineView) LocalInDegree(li int32) int {
-	return int(mv.inOff[li+1] - mv.inOff[li])
-}
-
-// Masters returns the vertices mastered on this machine, ascending.
-func (mv *MachineView) Masters() []uint32 { return mv.masters }
 
 // NumPresent returns the number of vertices present on this machine.
 func (mv *MachineView) NumPresent() int { return len(mv.verts) }

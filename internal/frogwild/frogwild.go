@@ -139,14 +139,6 @@ func (p *program) InitState(v graph.VertexID) (state, bool) {
 	return state{K: k}, k > 0
 }
 
-// GatherDir implements gas.Program: FrogWild has no gather phase.
-func (p *program) GatherDir() gas.Dir { return gas.DirNone }
-
-// GatherLocal implements gas.Program (never invoked).
-func (p *program) GatherLocal(graph.VertexID, []graph.VertexID, func(graph.VertexID) state, *gas.Context) float64 {
-	return 0
-}
-
 // Apply implements gas.Program: collect arriving frogs, kill each with
 // probability pT (tallying deaths), and keep survivors for scatter.
 func (p *program) Apply(v graph.VertexID, st state, _ float64, msg int64, hasMsg bool, ctx *gas.Context) (state, bool) {
@@ -171,9 +163,6 @@ func (p *program) Apply(v graph.VertexID, st state, _ float64, msg int64, hasMsg
 	st.K = arrivals - deaths
 	return st, st.K > 0
 }
-
-// ScatterDir implements gas.Program.
-func (p *program) ScatterDir() gas.Dir { return gas.DirOut }
 
 // Split implements gas.Splitter: divide the K survivors across the
 // synchronized replicas proportionally to their local out-degrees. In

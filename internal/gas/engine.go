@@ -53,9 +53,9 @@ type Options struct {
 	StopWhen func(superstep int, aggregate float64) bool
 	// IndependentErasures selects the paper's Example 9 erasure model
 	// for Splitter programs: when no synchronized replica of a vertex
-	// has local scatter-direction edges, the state is simply stranded
-	// (walkers are lost), instead of force-enabling one replica (the
-	// default, Example 10 "At Least One Out-Edge Per Node").
+	// has local out-edges, the state is simply stranded (walkers are
+	// lost), instead of force-enabling one replica (the default,
+	// Example 10 "At Least One Out-Edge Per Node").
 	IndependentErasures bool
 	// Cost converts metered work into simulated seconds; the zero
 	// value selects cluster.DefaultCostModel.
@@ -96,19 +96,20 @@ type Engine[V, M any] struct {
 	machines int
 	sizes    Sizes
 
+	gatherer  Gatherer[V]
 	splitter  Splitter[V]
 	finalizer Finalizer[V, M]
 
-	// view holds every machine's view of the layout for a program that
-	// gathers or scatters over in-edges. It is nil for every other
-	// program: its replicas read their local out-edges from the graph's
-	// CSR through the layout's placement, and the views are never built.
+	// view holds every machine's view of the layout for a Gatherer. It
+	// is nil for every other program: its replicas read their local
+	// out-edges from the graph's CSR through the layout's placement,
+	// and the views are never built.
 	view []*cluster.MachineView
 
 	// Master state per vertex; written only by the master's machine.
 	state []V
 	// Replica states per machine, indexed by machine-local index. Nil
-	// when the program has no gather phase (replica data unused).
+	// unless the program is a Gatherer: only gathers read replicas.
 	replica [][]V
 
 	active     []bool
@@ -155,9 +156,8 @@ type Engine[V, M any] struct {
 }
 
 type syncEntry[V any] struct {
-	v       graph.VertexID
-	state   V
-	scatter bool
+	v     graph.VertexID
+	state V
 }
 
 // targetedSync is a sync delivery staged in a per-chunk apply buffer
@@ -254,6 +254,9 @@ func New[V, M any](lay *cluster.Layout, prog Program[V, M], opts Options) (*Engi
 		machines: lay.NumMachines(),
 		sizes:    prog.Sizes(),
 	}
+	if g, ok := prog.(Gatherer[V]); ok {
+		e.gatherer = g
+	}
 	if s, ok := prog.(Splitter[V]); ok {
 		e.splitter = s
 	}
@@ -281,19 +284,14 @@ func New[V, M any](lay *cluster.Layout, prog Program[V, M], opts Options) (*Engi
 	for m := 0; m < e.machines; m++ {
 		e.applyChunks[m] = parallel.Chunks(len(lay.Masters(m)))
 	}
-	if prog.GatherDir() != DirNone || prog.ScatterDir() == DirIn {
+	if e.gatherer != nil {
 		e.view = make([]*cluster.MachineView, e.machines)
-		for m := range e.view {
-			e.view[m] = lay.View(m)
-		}
-	}
-
-	if prog.GatherDir() != DirNone {
 		e.replica = make([][]V, e.machines)
 		e.partials = make([][]float64, e.machines)
 		e.hasPart = make([][]bool, e.machines)
 		e.gatherChunks = make([][]parallel.Range, e.machines)
 		for m := 0; m < e.machines; m++ {
+			e.view[m] = lay.View(m)
 			present := e.view[m].NumPresent()
 			e.replica[m] = make([]V, present)
 			e.partials[m] = make([]float64, present)
@@ -442,17 +440,15 @@ func (e *Engine[V, M]) quiescent() bool {
 // superstep runs one full GAS cycle and returns the number of applied
 // vertices.
 func (e *Engine[V, M]) superstep(step int) int64 {
-	gatherDir := e.prog.GatherDir()
-	scatterDir := e.prog.ScatterDir()
 	for m := 0; m < e.machines; m++ {
 		e.aggregates[m] = 0
 	}
 
-	// Phase 1 — gather partials on every machine, sharded over fixed
-	// chunks of the machine's local-index space. Chunks write disjoint
-	// dense ranges of partials/hasPart, so no merge is needed; chunk
-	// meters are reduced in chunk order.
-	if gatherDir != DirNone {
+	// Phase 1 — gather partials over local in-edges on every machine,
+	// sharded over fixed chunks of the machine's local-index space.
+	// Chunks write disjoint dense ranges of partials/hasPart, so no
+	// merge is needed; chunk meters are reduced in chunk order.
+	if e.gatherer != nil {
 		e.parallel(func(m int) {
 			view := e.view[m]
 			sc := &e.scratch[m]
@@ -475,16 +471,11 @@ func (e *Engine[V, M]) superstep(step int) int64 {
 					if !e.isActive(v) {
 						continue
 					}
-					var neighbors []graph.VertexID
-					if gatherDir == DirIn {
-						neighbors = view.InNeighborsLocal(int32(li))
-					} else {
-						neighbors = view.OutNeighborsLocal(int32(li))
-					}
+					neighbors := view.InNeighborsLocal(int32(li))
 					if len(neighbors) == 0 {
 						continue
 					}
-					part[li] = e.prog.GatherLocal(v, neighbors, read, ctx)
+					part[li] = e.gatherer.GatherLocal(v, neighbors, read, ctx)
 					hasPart[li] = true
 					meter.EdgeOps += int64(len(neighbors))
 					if int(e.lay.MasterOf(v)) != m {
@@ -525,7 +516,7 @@ func (e *Engine[V, M]) superstep(step int) int64 {
 				}
 				sc.applied[c]++
 				acc := 0.0
-				if gatherDir != DirNone {
+				if e.gatherer != nil {
 					for mm := 0; mm < e.machines; mm++ {
 						li, ok := e.view[mm].LocalIndex(v)
 						if !ok || !e.hasPart[mm][li] {
@@ -574,9 +565,9 @@ func (e *Engine[V, M]) superstep(step int) int64 {
 	// append order — both deterministic) into a work list, chunks it,
 	// and gives every chunk its own derived rng stream; per-chunk
 	// outboxes merge in chunk order via CombineMsg. A replica's local
-	// edges come from its machine's view when the engine has views, and
-	// otherwise from the graph's CSR filtered by the placement into the
-	// worker's buffer: the same slice, in the same order.
+	// out-edges come from its machine's view when the engine has views,
+	// and otherwise from the graph's CSR filtered by the placement into
+	// the worker's buffer: the same slice, in the same order.
 	e.parallel(func(m int) {
 		sc := &e.scratch[m]
 		work := sc.work[:0]
@@ -625,28 +616,19 @@ func (e *Engine[V, M]) superstep(step int) int64 {
 				if int(work[i].src) != m {
 					meter.Recv(cluster.TrafficSync, int64(e.sizes.State)+perEntryHeaderBytes)
 				}
-				var li int32
+				var neighbors []graph.VertexID
 				if e.view != nil {
-					var ok bool
-					if li, ok = e.view[m].LocalIndex(entry.v); !ok {
+					li, ok := e.view[m].LocalIndex(entry.v)
+					if !ok {
 						continue
 					}
-					if e.replica != nil && e.splitter == nil {
+					if e.splitter == nil {
 						e.replica[m][li] = entry.state
 					}
-				}
-				if !entry.scatter || scatterDir == DirNone {
-					continue
-				}
-				var neighbors []graph.VertexID
-				switch {
-				case e.view == nil:
+					neighbors = e.view[m].OutNeighborsLocal(li)
+				} else {
 					neighbors = e.lay.LocalOutNeighbors(sc.readers[w], entry.v, m, sc.nbrs[w][:0])
 					sc.nbrs[w] = neighbors
-				case scatterDir == DirOut:
-					neighbors = e.view[m].OutNeighborsLocal(li)
-				default:
-					neighbors = e.view[m].InNeighborsLocal(li)
 				}
 				if len(neighbors) == 0 {
 					continue
@@ -766,16 +748,20 @@ func (e *Engine[V, M]) planSync(m int, v graph.VertexID, state V, r *rng.Stream,
 
 	if e.splitter == nil {
 		for _, target := range synced {
-			sink = append(sink, targetedSync[V]{target: target, entry: syncEntry[V]{v: v, state: state, scatter: true}})
+			sink = append(sink, targetedSync[V]{target: target, entry: syncEntry[V]{v: v, state: state}})
 		}
 		return sink
 	}
 
 	// Splitter path: shares go only to synchronized replicas that own
-	// local scatter-direction edges of v. If none qualifies, force-
-	// enable one replica that has local edges — the paper's "At Least
-	// One Out-Edge Per Node" erasure model (Example 10).
-	deg := e.localDegrees(v, presences, ps)
+	// local out-edges of v. If none qualifies, force-enable one replica
+	// that has local edges — the paper's "At Least One Out-Edge Per
+	// Node" erasure model (Example 10).
+	if ps.deg == nil {
+		ps.deg = make([]int, e.machines)
+	}
+	deg := ps.deg
+	e.lay.LocalOutDegrees(v, deg)
 	targets, weights := ps.targets[:0], ps.weights[:0]
 	for _, t := range synced {
 		if d := deg[t]; d > 0 {
@@ -798,7 +784,7 @@ func (e *Engine[V, M]) planSync(m int, v graph.VertexID, state V, r *rng.Stream,
 			}
 		}
 		if len(candidates) == 0 {
-			return sink // vertex has no scatter-direction edges anywhere
+			return sink // vertex has no out-edges anywhere
 		}
 		forced := candidates[r.Intn(len(candidates))]
 		targets = append(targets, forced)
@@ -813,34 +799,9 @@ func (e *Engine[V, M]) planSync(m int, v graph.VertexID, state V, r *rng.Stream,
 	ps.shares = shares
 	e.splitter.Split(v, state, weights, r, shares)
 	for i, target := range targets {
-		sink = append(sink, targetedSync[V]{target: target, entry: syncEntry[V]{v: v, state: shares[i], scatter: true}})
+		sink = append(sink, targetedSync[V]{target: target, entry: syncEntry[V]{v: v, state: shares[i]}})
 	}
 	return sink
-}
-
-// localDegrees returns ps.deg with deg[t], for every host t of v, set to
-// the number of v's scatter-direction edges t owns: read off the views
-// when the engine has them, and otherwise counted from the placement in
-// one pass over v's out-edge window.
-func (e *Engine[V, M]) localDegrees(v graph.VertexID, presences []uint16, ps *planScratch[V]) []int {
-	if ps.deg == nil {
-		ps.deg = make([]int, e.machines)
-	}
-	if e.view == nil {
-		e.lay.LocalOutDegrees(v, ps.deg)
-		return ps.deg
-	}
-	in := e.prog.ScatterDir() == DirIn
-	for _, t := range presences {
-		view := e.view[t]
-		li, _ := view.LocalIndex(v)
-		if in {
-			ps.deg[t] = view.LocalInDegree(li)
-		} else {
-			ps.deg[t] = view.LocalOutDegree(li)
-		}
-	}
-	return ps.deg
 }
 
 // MasterStates returns the final master state of every vertex, indexed

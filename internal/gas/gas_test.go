@@ -26,10 +26,6 @@ func (tokenProgram) InitState(v graph.VertexID) (tokState, bool) {
 	}
 	return tokState{}, false
 }
-func (tokenProgram) GatherDir() Dir { return DirNone }
-func (tokenProgram) GatherLocal(graph.VertexID, []graph.VertexID, func(graph.VertexID) tokState, *Context) float64 {
-	return 0
-}
 func (tokenProgram) Apply(v graph.VertexID, st tokState, _ float64, msg int64, hasMsg bool, ctx *Context) (tokState, bool) {
 	var in int64
 	if ctx.Superstep == 0 {
@@ -42,7 +38,6 @@ func (tokenProgram) Apply(v graph.VertexID, st tokState, _ float64, msg int64, h
 	st.Hold = in
 	return st, in > 0
 }
-func (tokenProgram) ScatterDir() Dir { return DirOut }
 func (tokenProgram) ScatterLocal(v graph.VertexID, st tokState, neighbors []graph.VertexID, emit func(graph.VertexID, int64), ctx *Context) {
 	for _, d := range neighbors {
 		emit(d, st.Hold)

@@ -10,9 +10,9 @@
 // A superstep proceeds in phases, matching PowerGraph's synchronous
 // engine:
 //
-//  1. Gather: every machine computes a partial accumulator for each
-//     active vertex it hosts from its locally-owned gather-direction
-//     edges; partials flow mirror→master.
+//  1. Gather (Gatherer programs only): every machine computes a
+//     partial accumulator for each active vertex it hosts from its
+//     locally-owned in-edges; partials flow mirror→master.
 //  2. Apply: the master combines partials and the vertex's combined
 //     inbound message and runs Apply, producing the new state.
 //  3. Sync: the master synchronizes each mirror with probability ps
@@ -21,9 +21,9 @@
 //     replicas instead of copying it — this is how FrogWild's frogs
 //     fan out while each frog still traverses exactly one edge.
 //  4. Scatter: every synchronized replica runs ScatterLocal over its
-//     local scatter-direction edges and may emit messages; messages
-//     are combined per destination and delivered to the destination's
-//     master at the start of the next superstep, activating it.
+//     local out-edges and may emit messages; messages are combined
+//     per destination and delivered to the destination's master at
+//     the start of the next superstep, activating it.
 //
 // Execution is parallel at two levels: one goroutine per simulated
 // machine, and within each machine a worker pool (GOMAXPROCS split
@@ -42,20 +42,6 @@ package gas
 import (
 	"repro/internal/graph"
 	"repro/internal/rng"
-)
-
-// Dir selects which locally-owned edges a phase operates on.
-type Dir int
-
-const (
-	// DirNone disables the phase.
-	DirNone Dir = iota
-	// DirIn selects in-edges (gather over predecessors, as PageRank
-	// does).
-	DirIn
-	// DirOut selects out-edges (scatter to successors, as both PageRank
-	// and FrogWild do).
-	DirOut
 )
 
 // Context carries per-call engine context into program hooks.
@@ -104,32 +90,18 @@ type Program[V, M any] interface {
 	// active. It is called once per vertex before superstep 0.
 	InitState(v graph.VertexID) (V, bool)
 
-	// GatherDir selects the gather phase's edge direction; DirNone
-	// skips the phase entirely.
-	GatherDir() Dir
-
-	// GatherLocal computes this machine's partial accumulator for
-	// vertex v. neighbors holds the gather-direction endpoints of the
-	// machine's locally-owned edges of v (sources for DirIn,
-	// destinations for DirOut); read returns the machine-local replica
-	// state of any vertex present on this machine.
-	GatherLocal(v graph.VertexID, neighbors []graph.VertexID, read func(graph.VertexID) V, ctx *Context) float64
-
-	// Apply runs at v's master with the summed accumulator and the
-	// combined inbound message (hasMsg reports whether any message
-	// arrived). It returns the new state and whether the sync+scatter
-	// phases should run for v this superstep.
+	// Apply runs at v's master with the summed accumulator (0 unless
+	// the program is a Gatherer) and the combined inbound message
+	// (hasMsg reports whether any message arrived). It returns the new
+	// state and whether the sync+scatter phases should run for v this
+	// superstep.
 	Apply(v graph.VertexID, state V, acc float64, msg M, hasMsg bool, ctx *Context) (V, bool)
 
-	// ScatterDir selects the scatter phase's edge direction; DirNone
-	// skips it (sync still runs, keeping replicas fresh for gather).
-	ScatterDir() Dir
-
-	// ScatterLocal runs on each synchronized replica of v. neighbors
-	// holds the scatter-direction endpoints of this machine's local
-	// edges of v, in an engine buffer valid only during the call; emit
-	// sends a message to a vertex, activating it next superstep. state is the replica's state — for Splitter programs,
-	// this replica's share.
+	// ScatterLocal runs on each synchronized replica of v that owns
+	// local out-edges of v. neighbors holds their destinations, in an
+	// engine buffer valid only during the call; emit sends a message to
+	// a vertex, activating it next superstep. state is the replica's
+	// state — for Splitter programs, this replica's share.
 	ScatterLocal(v graph.VertexID, state V, neighbors []graph.VertexID, emit func(dst graph.VertexID, m M), ctx *Context)
 
 	// CombineMsg merges two messages destined for the same vertex.
@@ -139,14 +111,24 @@ type Program[V, M any] interface {
 	Sizes() Sizes
 }
 
+// Gatherer is an optional Program extension that adds the gather
+// phase. GatherLocal computes a machine's partial accumulator for vertex
+// v: neighbors holds the sources of the machine's locally-owned
+// in-edges of v, and read returns the machine-local replica state of
+// any vertex present on the machine. Only a Gatherer makes the engine
+// build the layout's per-machine views and keep replica states.
+type Gatherer[V any] interface {
+	GatherLocal(v graph.VertexID, neighbors []graph.VertexID, read func(graph.VertexID) V, ctx *Context) float64
+}
+
 // Splitter is an optional Program extension: instead of copying the
 // master state to every synchronized replica, the engine asks the
 // program to divide the state into one share per synchronized replica
-// that has local scatter-direction edges. weights holds each such
-// replica's local edge count. shares arrives zeroed and sized to
-// len(weights), shares[i] for the replica of weights[i]; Split writes
-// only the shares it assigns, and a share it leaves alone is the zero
-// V. Both slices are the engine's and are reused after Split returns.
+// that has local out-edges. weights holds each such replica's local
+// out-degree. shares arrives zeroed and sized to len(weights), shares[i]
+// for the replica of weights[i]; Split writes only the shares it
+// assigns, and a share it leaves alone is the zero V. Both slices are
+// the engine's and are reused after Split returns.
 //
 // FrogWild uses this to route each of K frogs through exactly one
 // (enabled) out-edge: shares are multinomial with probabilities

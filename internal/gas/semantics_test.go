@@ -9,9 +9,10 @@ import (
 	"repro/internal/graph/gen"
 )
 
-// gatherProgram sums neighbor values over in-edges so replica
-// staleness is observable: each vertex's state counts how much its
-// in-neighbors' replicas claimed at gather time.
+// gatherProgram is a Gatherer that sums neighbor values over in-edges
+// so replica staleness is observable: each vertex's state counts how
+// much its in-neighbors' replicas claimed at gather time. Its scatter
+// emits nothing.
 type gatherProgram struct{}
 
 type gatherState struct {
@@ -22,7 +23,6 @@ type gatherState struct {
 func (gatherProgram) InitState(v graph.VertexID) (gatherState, bool) {
 	return gatherState{Value: 1}, true
 }
-func (gatherProgram) GatherDir() Dir { return DirIn }
 func (gatherProgram) GatherLocal(v graph.VertexID, neighbors []graph.VertexID, read func(graph.VertexID) gatherState, ctx *Context) float64 {
 	sum := 0.0
 	for _, u := range neighbors {
@@ -35,7 +35,6 @@ func (gatherProgram) Apply(v graph.VertexID, st gatherState, acc float64, _ int6
 	st.Value = st.Value * 2 // changes every superstep; mirrors see it only on sync
 	return st, true
 }
-func (gatherProgram) ScatterDir() Dir { return DirNone }
 func (gatherProgram) ScatterLocal(graph.VertexID, gatherState, []graph.VertexID, func(graph.VertexID, int64), *Context) {
 }
 func (gatherProgram) CombineMsg(a, b int64) int64 { return a + b }
@@ -99,41 +98,6 @@ func TestGatherZeroSyncSeesStaleValues(t *testing.T) {
 	// hashed placement most edges are foreign.
 	if stale == 0 {
 		t.Fatal("ps=0 should leave some gathers reading stale replicas")
-	}
-}
-
-// reverseProgram scatters over IN-edges (DirIn scatter): the token at a
-// vertex moves to a predecessor each superstep. Exercises the engine's
-// reverse-direction scatter path.
-type reverseProgram struct{ tokenProgram }
-
-func (reverseProgram) ScatterDir() Dir { return DirIn }
-
-func TestScatterDirIn(t *testing.T) {
-	// On the directed cycle 0→1→…→9→0, scattering over in-edges moves
-	// the token backwards: after 3 supersteps it sits (pending) at
-	// vertex (0-3) mod 10 = 7.
-	g := gen.Cycle(10)
-	lay, err := cluster.NewLayout(g, 3, cluster.Random{}, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := New[tokState, int64](lay, reverseProgram{}, Options{PS: 1, Seed: 2, MaxSupersteps: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	states := eng.MasterStates()
-	for v := 0; v < 10; v++ {
-		want := int64(0)
-		if v == 0 || v == 9 || v == 8 { // visited at steps 0,1,2
-			want = 1
-		}
-		if states[v].Seen != want {
-			t.Fatalf("vertex %d seen %d want %d", v, states[v].Seen, want)
-		}
 	}
 }
 

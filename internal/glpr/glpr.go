@@ -35,7 +35,7 @@ type state struct {
 // activation through AlwaysActive, like power iteration.
 type signal struct{}
 
-// program implements gas.Program for PageRank.
+// program implements gas.Program and gas.Gatherer for PageRank.
 type program struct {
 	g        *graph.Graph
 	n        int
@@ -47,10 +47,7 @@ func (p *program) InitState(v graph.VertexID) (state, bool) {
 	return state{Rank: 1 / float64(p.n)}, true
 }
 
-// GatherDir implements gas.Program: PageRank gathers over in-edges.
-func (p *program) GatherDir() gas.Dir { return gas.DirIn }
-
-// GatherLocal implements gas.Program: partial sum of rank/out-degree
+// GatherLocal implements gas.Gatherer: partial sum of rank/out-degree
 // over the in-neighbors whose edges live on this machine.
 func (p *program) GatherLocal(v graph.VertexID, neighbors []graph.VertexID, read func(graph.VertexID) state, ctx *gas.Context) float64 {
 	sum := 0.0
@@ -71,9 +68,6 @@ func (p *program) Apply(v graph.VertexID, st state, acc float64, _ signal, _ boo
 	ctx.Aggregate(delta)
 	return state{Rank: newRank, Delta: delta}, true
 }
-
-// ScatterDir implements gas.Program.
-func (p *program) ScatterDir() gas.Dir { return gas.DirOut }
 
 // ScatterLocal implements gas.Program. PowerGraph's PageRank scatter
 // walks the local out-edges (the engine meters that CPU work); in

@@ -43,14 +43,6 @@ func (p *program) InitState(v graph.VertexID) (state, bool) {
 	return state{Round: -1}, false
 }
 
-// GatherDir implements gas.Program.
-func (p *program) GatherDir() gas.Dir { return gas.DirNone }
-
-// GatherLocal implements gas.Program (never invoked).
-func (p *program) GatherLocal(graph.VertexID, []graph.VertexID, func(graph.VertexID) state, *gas.Context) float64 {
-	return 0
-}
-
 // Apply implements gas.Program: become informed on first contact; every
 // informed vertex pushes once per round.
 func (p *program) Apply(v graph.VertexID, st state, _ float64, msg int64, hasMsg bool, ctx *gas.Context) (state, bool) {
@@ -64,9 +56,6 @@ func (p *program) Apply(v graph.VertexID, st state, _ float64, msg int64, hasMsg
 	st.pushes = 1
 	return st, true
 }
-
-// ScatterDir implements gas.Program.
-func (p *program) ScatterDir() gas.Dir { return gas.DirOut }
 
 // Split implements gas.Splitter: the single push lands on one
 // synchronized replica, chosen proportionally to local out-degree —

@@ -50,9 +50,10 @@ func TestPowerLawNoSelfLoopsNoDup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	r := g.NewAdjReader()
 	for v := 0; v < g.NumVertices(); v++ {
 		seen := map[uint32]bool{}
-		for _, d := range g.OutNeighbors(uint32(v)) {
+		for _, d := range r.OutNeighbors(uint32(v)) {
 			if int(d) == v {
 				t.Fatalf("self loop at %d", v)
 			}
@@ -64,13 +65,20 @@ func TestPowerLawNoSelfLoopsNoDup(t *testing.T) {
 	}
 }
 
+// edgeSlice lists g's edges in source order.
+func edgeSlice(g *graph.Graph) []graph.Edge {
+	var es []graph.Edge
+	g.Edges(func(e graph.Edge) bool { es = append(es, e); return true })
+	return es
+}
+
 func TestPowerLawDeterministic(t *testing.T) {
 	a, _ := PowerLaw(TwitterLike(1000, 42))
 	b, _ := PowerLaw(TwitterLike(1000, 42))
 	if a.NumEdges() != b.NumEdges() {
 		t.Fatal("same seed produced different edge counts")
 	}
-	ea, eb := a.EdgeSlice(), b.EdgeSlice()
+	ea, eb := edgeSlice(a), edgeSlice(b)
 	for i := range ea {
 		if ea[i] != eb[i] {
 			t.Fatalf("edge %d differs", i)
@@ -79,7 +87,7 @@ func TestPowerLawDeterministic(t *testing.T) {
 	c, _ := PowerLaw(TwitterLike(1000, 43))
 	if c.NumEdges() == a.NumEdges() {
 		same := true
-		ec := c.EdgeSlice()
+		ec := edgeSlice(c)
 		for i := range ea {
 			if ea[i] != ec[i] {
 				same = false
@@ -176,11 +184,12 @@ func TestCycle(t *testing.T) {
 	if g.NumEdges() != 10 {
 		t.Errorf("edges = %d", g.NumEdges())
 	}
+	r := g.NewAdjReader()
 	for v := 0; v < 10; v++ {
 		if g.OutDegree(uint32(v)) != 1 || g.InDegree(uint32(v)) != 1 {
 			t.Fatalf("cycle degree wrong at %d", v)
 		}
-		if g.OutNeighbors(uint32(v))[0] != uint32((v+1)%10) {
+		if r.OutNeighbors(uint32(v))[0] != uint32((v+1)%10) {
 			t.Fatalf("cycle edge wrong at %d", v)
 		}
 	}

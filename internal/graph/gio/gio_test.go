@@ -40,7 +40,8 @@ func TestReadEdgeListRemap(t *testing.T) {
 		t.Fatalf("n = %d, want 3", g.NumVertices())
 	}
 	// 1000->0, 7->1, 999999->2
-	if g.OutNeighbors(0)[0] != 1 || g.OutNeighbors(1)[0] != 2 || g.OutNeighbors(2)[0] != 0 {
+	r := g.NewAdjReader()
+	if r.OutNeighbors(0)[0] != 1 || r.OutNeighbors(1)[0] != 2 || r.OutNeighbors(2)[0] != 0 {
 		t.Error("remapping order wrong")
 	}
 }

@@ -77,34 +77,6 @@ func (g *Graph) InDegree(v VertexID) int {
 	return int(g.inOff[r+1] - g.inOff[r])
 }
 
-// OutNeighbors returns the successors of v. The returned slice aliases
-// internal storage and must not be modified. On paged graphs it is a
-// fresh copy (use an AdjReader on hot paths to amortize the cursor and
-// the allocation).
-func (g *Graph) OutNeighbors(v VertexID) []VertexID {
-	r := g.rowOf(v)
-	lo, hi := g.outOff[r], g.outOff[r+1]
-	if g.pager == nil {
-		return g.outAdj[lo:hi]
-	}
-	cur := g.pager.NewCursor()
-	defer cur.Release()
-	return cur.OutRange(lo, hi, make([]VertexID, 0, hi-lo))
-}
-
-// InNeighbors returns the predecessors of v, with the same aliasing
-// rules as OutNeighbors.
-func (g *Graph) InNeighbors(v VertexID) []VertexID {
-	r := g.rowOf(v)
-	lo, hi := g.inOff[r], g.inOff[r+1]
-	if g.pager == nil {
-		return g.inAdj[lo:hi]
-	}
-	cur := g.pager.NewCursor()
-	defer cur.Release()
-	return cur.InRange(lo, hi, make([]VertexID, 0, hi-lo))
-}
-
 // Edges calls fn for every edge in src order. It stops early if fn
 // returns false.
 func (g *Graph) Edges(fn func(e Edge) bool) {
@@ -119,16 +91,6 @@ func (g *Graph) Edges(fn func(e Edge) bool) {
 	}
 }
 
-// EdgeSlice materializes all edges. Intended for tests and small graphs.
-func (g *Graph) EdgeSlice() []Edge {
-	es := make([]Edge, 0, g.NumEdges())
-	g.Edges(func(e Edge) bool {
-		es = append(es, e)
-		return true
-	})
-	return es
-}
-
 // DanglingPolicy selects how the Builder repairs vertices with
 // out-degree zero, which the FrogWild process cannot handle (a frog on a
 // dangling vertex would have nowhere to jump).
@@ -140,11 +102,6 @@ const (
 	DanglingKeep DanglingPolicy = iota
 	// DanglingSelfLoop adds a self-loop to each dangling vertex.
 	DanglingSelfLoop
-	// DanglingBackEdges adds reverse edges from each dangling vertex to
-	// its predecessors (a common web-graph repair: a sink page "links
-	// back" to its referrers). Vertices with no predecessors either get
-	// a self-loop.
-	DanglingBackEdges
 )
 
 // Builder accumulates edges and produces an immutable Graph.
@@ -197,9 +154,6 @@ func (b *Builder) AddEdges(es []Edge) *Builder {
 	}
 	return b
 }
-
-// NumBufferedEdges reports how many edges have been added so far.
-func (b *Builder) NumBufferedEdges() int { return len(b.edges) }
 
 // ErrDangling is returned by Build when dangling vertices exist under
 // DanglingKeep without AllowDangling.
@@ -254,51 +208,11 @@ func (b *Builder) Build() (*Graph, error) {
 		for v := 0; v < b.n; v++ {
 			if outDeg[v] == 0 {
 				edges = append(edges, Edge{VertexID(v), VertexID(v)})
-				outDeg[v]++
-			}
-		}
-	case DanglingBackEdges:
-		inDeg := make([]int32, b.n)
-		for _, e := range edges {
-			inDeg[e.Dst]++
-		}
-		preds := make(map[VertexID][]VertexID)
-		for v := 0; v < b.n; v++ {
-			if outDeg[v] == 0 {
-				preds[VertexID(v)] = nil
-			}
-		}
-		if len(preds) > 0 {
-			for _, e := range edges {
-				if _, ok := preds[e.Dst]; ok {
-					preds[e.Dst] = append(preds[e.Dst], e.Src)
-				}
-			}
-			for v, ps := range preds {
-				if len(ps) == 0 {
-					edges = append(edges, Edge{v, v})
-					outDeg[v]++
-					continue
-				}
-				for _, p := range ps {
-					edges = append(edges, Edge{v, p})
-				}
-				outDeg[v] += int64(len(ps))
 			}
 		}
 	}
 
 	return fromEdges(b.n, edges), nil
-}
-
-// MustBuild is Build that panics on error. Intended for tests and
-// generators that guarantee no dangling vertices.
-func (b *Builder) MustBuild() *Graph {
-	g, err := b.Build()
-	if err != nil {
-		panic(err)
-	}
-	return g
 }
 
 // fromEdges constructs CSR adjacency in both directions by counting

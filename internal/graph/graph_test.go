@@ -34,12 +34,14 @@ func TestBasicAccessors(t *testing.T) {
 	if g.InDegree(3) != 2 || g.InDegree(0) != 1 {
 		t.Errorf("in degrees wrong: %d %d", g.InDegree(3), g.InDegree(0))
 	}
-	out0 := append([]VertexID(nil), g.OutNeighbors(0)...)
+	r := g.NewAdjReader()
+	defer r.Release()
+	out0 := append([]VertexID(nil), r.OutNeighbors(0)...)
 	sort.Slice(out0, func(i, j int) bool { return out0[i] < out0[j] })
 	if len(out0) != 2 || out0[0] != 1 || out0[1] != 2 {
 		t.Errorf("OutNeighbors(0) = %v", out0)
 	}
-	in3 := append([]VertexID(nil), g.InNeighbors(3)...)
+	in3 := append([]VertexID(nil), r.InNeighbors(3)...)
 	sort.Slice(in3, func(i, j int) bool { return in3[i] < in3[j] })
 	if len(in3) != 2 || in3[0] != 1 || in3[1] != 2 {
 		t.Errorf("InNeighbors(3) = %v", in3)
@@ -93,37 +95,8 @@ func TestDanglingSelfLoop(t *testing.T) {
 			t.Errorf("vertex %d still dangling", v)
 		}
 	}
-	if g.OutNeighbors(2)[0] != 2 {
+	if g.NewAdjReader().OutNeighbors(2)[0] != 2 {
 		t.Error("dangling repair should add a self-loop")
-	}
-}
-
-func TestDanglingBackEdges(t *testing.T) {
-	// 0->2, 1->2; 2 is dangling with two predecessors.
-	g, err := NewBuilder(3).AddEdge(0, 2).AddEdge(1, 2).Dangling(DanglingBackEdges).Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := append([]VertexID(nil), g.OutNeighbors(2)...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	if len(out) != 2 || out[0] != 0 || out[1] != 1 {
-		t.Errorf("back edges = %v, want [0 1]", out)
-	}
-	// 0 and 1 are still dangling after 2's repair? No: 0 and 1 have
-	// out-edges to 2 from the start.
-	if g.OutDegree(0) != 1 || g.OutDegree(1) != 1 {
-		t.Error("original edges lost")
-	}
-}
-
-func TestDanglingBackEdgesIsolated(t *testing.T) {
-	// Vertex 2 has no in-edges at all: must get a self-loop.
-	g, err := NewBuilder(3).AddEdge(0, 1).AddEdge(1, 0).Dangling(DanglingBackEdges).Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.OutDegree(2) != 1 || g.OutNeighbors(2)[0] != 2 {
-		t.Errorf("isolated dangling vertex should self-loop, got %v", g.OutNeighbors(2))
 	}
 }
 
@@ -210,7 +183,10 @@ func TestGiniRegularVsSkewed(t *testing.T) {
 	for v := 0; v < 100; v++ {
 		b.AddEdge(VertexID(v), VertexID((v+1)%100))
 	}
-	ring := b.MustBuild()
+	ring, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
 	gRing := ComputeStats(ring).GiniOut
 	if gRing > 0.01 {
 		t.Errorf("ring Gini = %v, want ~0", gRing)
@@ -220,7 +196,10 @@ func TestGiniRegularVsSkewed(t *testing.T) {
 	for v := 1; v < 100; v++ {
 		b2.AddEdge(0, VertexID(v))
 	}
-	star := b2.MustBuild()
+	star, err := b2.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
 	gStar := ComputeStats(star).GiniOut
 	if gStar < 0.4 {
 		t.Errorf("star Gini = %v, want high", gStar)
@@ -243,7 +222,8 @@ func TestCSRRoundTripProperty(t *testing.T) {
 			t.Logf("validate: %v", err)
 			return false
 		}
-		out := g.EdgeSlice()
+		var out []Edge
+		g.Edges(func(e Edge) bool { out = append(out, e); return true })
 		if len(out) != len(in) {
 			return false
 		}
@@ -284,10 +264,11 @@ func TestTransposeProperty(t *testing.T) {
 			es[i] = Edge{VertexID(r.Intn(n)), VertexID(r.Intn(n))}
 		}
 		g := FromEdges(n, es)
+		out, in := g.NewAdjReader(), g.NewAdjReader()
 		for v := 0; v < n; v++ {
-			for _, d := range g.OutNeighbors(VertexID(v)) {
+			for _, d := range out.OutNeighbors(VertexID(v)) {
 				found := 0
-				for _, s := range g.InNeighbors(d) {
+				for _, s := range in.InNeighbors(d) {
 					if s == VertexID(v) {
 						found++
 					}

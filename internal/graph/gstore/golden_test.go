@@ -67,8 +67,11 @@ func TestGoldenBytes(t *testing.T) {
 		t.Fatalf("writer output diverged from the golden file (%d vs %d bytes): the FWGSTOR1 encoding must stay bit-identical",
 			buf.Len(), len(want))
 	}
-	got, err := Decode(append([]byte{}, want...), nil, OpenOptions{Validate: true})
+	got, err := Decode(append([]byte{}, want...), nil, OpenOptions{})
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := got.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	if !csrEqual(g, got) {

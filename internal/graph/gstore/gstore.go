@@ -171,10 +171,6 @@ func sectionSizes2(hdr []byte) ([]uint64, error) {
 	return append(sizes, n*4), nil
 }
 
-// IsMagic reports whether head (the first bytes of a file or stream)
-// starts a gstore file of either version.
-func IsMagic(head []byte) bool { return schema.IsMagic(head) || schema2.IsMagic(head) }
-
 // schemaFor picks the version schema for head's magic, defaulting to
 // v1 so non-gstore bytes fail with its (unchanged) error text.
 func schemaFor(head []byte) *secfile.Schema {
@@ -184,35 +180,13 @@ func schemaFor(head []byte) *secfile.Schema {
 	return schema
 }
 
-// OpenMode selects how Open gets the file's bytes.
-type OpenMode = secfile.OpenMode
-
-const (
-	// ModeAuto maps the file when the platform supports it and falls
-	// back to a buffered read.
-	ModeAuto = secfile.ModeAuto
-	// ModeMmap requires the zero-copy mapping; Open fails where mmap
-	// is unavailable.
-	ModeMmap = secfile.ModeMmap
-	// ModeBuffered always reads the file into memory.
-	ModeBuffered = secfile.ModeBuffered
-)
-
 // OpenOptions tunes Open and Read.
 type OpenOptions struct {
-	// Mode selects mmap vs buffered read (Open only, ignored when Mem
-	// is set).
-	Mode OpenMode
 	// NoVerify skips the per-section checksum verification. The
 	// default (verify) reads every page once at open; skipping it
 	// makes open O(offsets) at the cost of deferring corruption
 	// detection to first use.
 	NoVerify bool
-	// Validate additionally runs the full O(E) graph.Validate pass
-	// after decoding. Off by default: the checksums already pin the
-	// bytes to what the writer produced, and the writer only ever
-	// serializes well-formed graphs.
-	Validate bool
 	// Mem, when > 0, opens the file paged (Open only): the offset
 	// arrays (and perm, for FWGSTOR2) stay resident, while the
 	// adjacency is served from a page cache whose resident set is
@@ -222,7 +196,7 @@ type OpenOptions struct {
 }
 
 func (o OpenOptions) codec() secfile.OpenOptions {
-	return secfile.OpenOptions{Mode: o.Mode, NoVerify: o.NoVerify}
+	return secfile.OpenOptions{NoVerify: o.NoVerify}
 }
 
 // Write serializes g to w in the gstore format: FWGSTOR1 for plain
@@ -259,8 +233,10 @@ func Save(path string, g *graph.Graph) error {
 // fromFile builds a Graph over a parsed section file. The graph's
 // arrays alias f.Data (zero-copy) whenever alignment allows; f owns
 // the backing storage and is released by the graph's Close (or here,
-// on error).
-func fromFile(f *secfile.File, opts OpenOptions) (*graph.Graph, error) {
+// on error). The checksums pin the bytes to what the writer produced,
+// and the writer only serializes well-formed graphs, so the O(E)
+// graph.Validate pass is left to a caller that wants it.
+func fromFile(f *secfile.File) (*graph.Graph, error) {
 	n, m := headerCounts(f.Header())
 	c := graph.CSR{
 		NumVertices: int(n),
@@ -275,12 +251,6 @@ func fromFile(f *secfile.File, opts OpenOptions) (*graph.Graph, error) {
 	g, err := graph.FromCSR(c, f) // FromCSR closes f on error
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrFormat, err)
-	}
-	if opts.Validate {
-		if err := g.Validate(); err != nil {
-			g.Close()
-			return nil, fmt.Errorf("%w: %v", ErrFormat, err)
-		}
 	}
 	return g, nil
 }
@@ -297,12 +267,12 @@ func Decode(data []byte, backing io.Closer, opts OpenOptions) (*graph.Graph, err
 	if err != nil {
 		return nil, err
 	}
-	return fromFile(f, opts)
+	return fromFile(f)
 }
 
 // Open opens a gstore file of either version, zero-copy via mmap when
 // the platform allows (the adjacency slices alias the file pages;
-// Close unmaps them), falling back to a buffered read under ModeAuto.
+// Close unmaps them), falling back to a buffered read.
 // With opts.Mem set it opens paged instead: see OpenOptions.Mem.
 func Open(path string, opts OpenOptions) (*graph.Graph, error) {
 	if opts.Mem > 0 {
@@ -316,7 +286,7 @@ func Open(path string, opts OpenOptions) (*graph.Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	return fromFile(f, opts)
+	return fromFile(f)
 }
 
 // readHead reads the first 8 bytes of path for version dispatch.
@@ -347,5 +317,5 @@ func Read(r io.Reader, opts OpenOptions) (*graph.Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	return fromFile(f, opts)
+	return fromFile(f)
 }

@@ -115,12 +115,6 @@ func OpenPagedReaderAt(src io.ReaderAt, size int64, closer io.Closer, opts OpenO
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrFormat, err)
 	}
-	if opts.Validate {
-		if err := g.Validate(); err != nil {
-			g.Close()
-			return nil, fmt.Errorf("%w: %v", ErrFormat, err)
-		}
-	}
 	return g, nil
 }
 

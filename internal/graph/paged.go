@@ -4,9 +4,9 @@ package graph
 // whose offset arrays (and optional row permutation) are resident but
 // whose adjacency lives behind an AdjPager — a bounded page cache over
 // the on-disk sections (see internal/graph/gstore's paged open and
-// internal/graph/pcache). The public Graph API is still identical; the
-// hot paths additionally get AdjReader, a per-goroutine handle that is
-// allocation-free on resident graphs and cursor-backed on paged ones.
+// internal/graph/pcache). Every adjacency read, resident or paged, goes
+// through AdjReader, a per-goroutine handle that is allocation-free on
+// resident graphs and cursor-backed on paged ones.
 
 import (
 	"errors"
@@ -165,11 +165,11 @@ func (g *Graph) rowOf(v VertexID) VertexID {
 	return v
 }
 
-// AdjReader is a per-goroutine adjacency handle: on resident graphs
-// its reads are the zero-copy slices OutNeighbors returns; on paged
-// graphs it holds one cursor and one reusable row buffer, so a walk
-// costs no allocation per step. Not safe for concurrent use; Release
-// when done (a no-op on resident graphs).
+// AdjReader is a per-goroutine adjacency handle and the graph's only
+// way to read neighbors: on resident graphs its reads are zero-copy
+// slices of the CSR arrays; on paged graphs it holds one cursor and one
+// reusable row buffer, so a walk costs no allocation per step. Not safe
+// for concurrent use; Release when done (a no-op on resident graphs).
 type AdjReader struct {
 	g      *Graph
 	cur    AdjCursor
@@ -186,8 +186,9 @@ func (g *Graph) NewAdjReader() *AdjReader {
 	return r
 }
 
-// OutNeighbors returns the successors of v. On paged graphs the slice
-// is the reader's scratch buffer, valid until the next call.
+// OutNeighbors returns the successors of v. The slice must not be
+// modified: on resident graphs it aliases the CSR, and on paged graphs
+// it is the reader's scratch buffer, valid until the next call.
 func (r *AdjReader) OutNeighbors(v VertexID) []VertexID {
 	g := r.g
 	row := g.rowOf(v)

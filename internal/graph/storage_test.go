@@ -4,8 +4,6 @@ import (
 	"errors"
 	"reflect"
 	"testing"
-
-	"repro/internal/rng"
 )
 
 func TestFromCSRRoundTrip(t *testing.T) {
@@ -106,68 +104,3 @@ func TestFromCSRErrClose(t *testing.T) {
 type closeFunc func() error
 
 func (f closeFunc) Close() error { return f() }
-
-// csrEqual compares array contents (nil and empty are the same).
-func csrEqual(a, b CSR) bool {
-	if a.NumVertices != b.NumVertices ||
-		len(a.OutOff) != len(b.OutOff) || len(a.InOff) != len(b.InOff) ||
-		len(a.OutAdj) != len(b.OutAdj) || len(a.InAdj) != len(b.InAdj) {
-		return false
-	}
-	for i := range a.OutOff {
-		if a.OutOff[i] != b.OutOff[i] || a.InOff[i] != b.InOff[i] {
-			return false
-		}
-	}
-	for i := range a.OutAdj {
-		if a.OutAdj[i] != b.OutAdj[i] || a.InAdj[i] != b.InAdj[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// transposeReference is the pre-refactor implementation: materialize
-// the reversed edge list and rebuild by counting sort. The direct CSR
-// transpose must match it array-for-array, not just as a multiset.
-func transposeReference(g *Graph) *Graph {
-	edges := make([]Edge, 0, g.NumEdges())
-	g.Edges(func(e Edge) bool {
-		edges = append(edges, Edge{Src: e.Dst, Dst: e.Src})
-		return true
-	})
-	return fromEdges(g.n, edges)
-}
-
-func TestTransposeMatchesEdgeRebuild(t *testing.T) {
-	r := rng.New(11)
-	for trial := 0; trial < 40; trial++ {
-		n := r.Intn(50) + 1
-		m := r.Intn(400)
-		es := make([]Edge, m)
-		for i := range es {
-			es[i] = Edge{VertexID(r.Intn(n)), VertexID(r.Intn(n))}
-		}
-		g := FromEdges(n, es)
-		got, want := g.Transpose(), transposeReference(g)
-		if !csrEqual(got.CSRView(), want.CSRView()) {
-			t.Fatalf("trial %d: CSR transpose diverges from edge-rebuild transpose", trial)
-		}
-		if err := got.Validate(); err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-	}
-}
-
-func TestTransposeIndependentStorage(t *testing.T) {
-	g := FromEdges(2, []Edge{{0, 1}, {1, 0}})
-	tr := g.Transpose()
-	// The transpose must own its arrays: closing a (hypothetically
-	// file-backed) source must not invalidate it, so no aliasing.
-	if &g.inAdj[0] == &tr.outAdj[0] {
-		t.Fatal("transpose aliases source storage")
-	}
-	if tr.backing != nil {
-		t.Fatal("transpose inherited backing")
-	}
-}

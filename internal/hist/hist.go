@@ -131,14 +131,6 @@ func (h *Histogram) Count() uint64 { return h.count }
 // Sum returns the exact sum of all recorded samples.
 func (h *Histogram) Sum() int64 { return h.sum }
 
-// Min returns the exact smallest recorded sample (0 when empty).
-func (h *Histogram) Min() int64 {
-	if h.count == 0 {
-		return 0
-	}
-	return h.min
-}
-
 // Max returns the exact largest recorded sample (0 when empty).
 func (h *Histogram) Max() int64 {
 	if h.count == 0 {
@@ -147,19 +139,11 @@ func (h *Histogram) Max() int64 {
 	return h.max
 }
 
-// Mean returns the exact arithmetic mean (0 when empty).
-func (h *Histogram) Mean() float64 {
-	if h.count == 0 {
-		return 0
-	}
-	return float64(h.sum) / float64(h.count)
-}
-
 // Quantile returns the value at quantile q in [0, 1]: the upper bound
 // of the bucket holding the ceil(q·count)-th smallest sample, clamped
-// to the exact [min, max] envelope (so Quantile(0) == Min and
-// Quantile(1) == Max exactly). Returns 0 when empty; q outside [0, 1]
-// is clamped.
+// to the exact [min, max] envelope (so Quantile(0) is the smallest
+// sample and Quantile(1) == Max exactly). Returns 0 when empty; q
+// outside [0, 1] is clamped.
 func (h *Histogram) Quantile(q float64) int64 {
 	if h.count == 0 {
 		return 0

@@ -86,7 +86,7 @@ func TestBucketIndexRoundTrip(t *testing.T) {
 
 func TestEmptyHistogram(t *testing.T) {
 	var h Histogram
-	if h.Count() != 0 || h.Sum() != 0 || h.Min() != 0 || h.Max() != 0 || h.Mean() != 0 {
+	if h.Count() != 0 || h.Sum() != 0 || h.Quantile(0) != 0 || h.Max() != 0 {
 		t.Errorf("empty histogram not all-zero: %s", h.String())
 	}
 	// Out-of-range and hostile q values must also return 0 on an empty
@@ -110,7 +110,7 @@ func TestSnapshotIsIndependentCopy(t *testing.T) {
 	}
 	snap := h.Snapshot()
 	if snap.Count() != h.Count() || snap.Sum() != h.Sum() ||
-		snap.Min() != h.Min() || snap.Max() != h.Max() ||
+		snap.Quantile(0) != h.Quantile(0) || snap.Max() != h.Max() ||
 		!reflect.DeepEqual(snap.Counts(), h.Counts()) {
 		t.Fatalf("snapshot differs from source: %s vs %s", snap, &h)
 	}
@@ -122,7 +122,7 @@ func TestSnapshotIsIndependentCopy(t *testing.T) {
 		t.Fatal("snapshot mutated by a later Record into the source")
 	}
 	snap.RecordValue(1)
-	if h.Count() != 6 || h.Min() != 3 {
+	if h.Count() != 6 || h.Quantile(0) != 3 {
 		t.Fatalf("source mutated by a Record into the snapshot: %s", &h)
 	}
 }
@@ -173,7 +173,7 @@ func TestSingleSample(t *testing.T) {
 	var h Histogram
 	h.Record(1500 * time.Microsecond)
 	want := int64(1500 * 1000)
-	if h.Count() != 1 || h.Sum() != want || h.Min() != want || h.Max() != want {
+	if h.Count() != 1 || h.Sum() != want || h.Quantile(0) != want || h.Max() != want {
 		t.Fatalf("single sample stats wrong: %s", h.String())
 	}
 	for _, q := range []float64{0, 0.25, 0.5, 0.99, 1} {
@@ -193,15 +193,15 @@ func TestAllEqualSamples(t *testing.T) {
 			t.Errorf("Quantile(%v) = %d, want 777777", q, got)
 		}
 	}
-	if h.Mean() != 777777 {
-		t.Errorf("Mean = %v", h.Mean())
+	if h.Sum() != 1000*777777 {
+		t.Errorf("Sum = %v", h.Sum())
 	}
 }
 
 func TestNegativeClampedToZero(t *testing.T) {
 	var h Histogram
 	h.RecordValue(-5)
-	if h.Count() != 1 || h.Min() != 0 || h.Max() != 0 || h.Quantile(0.5) != 0 {
+	if h.Count() != 1 || h.Quantile(0) != 0 || h.Max() != 0 || h.Quantile(0.5) != 0 {
 		t.Errorf("negative sample not clamped: %s", h.String())
 	}
 }
@@ -261,7 +261,7 @@ func TestMergeEqualsConcat(t *testing.T) {
 			merged.Merge(&part)
 		}
 		if merged.Count() != whole.Count() || merged.Sum() != whole.Sum() ||
-			merged.Min() != whole.Min() || merged.Max() != whole.Max() {
+			merged.Quantile(0) != whole.Quantile(0) || merged.Max() != whole.Max() {
 			t.Fatalf("shards=%d: scalar stats diverge", shards)
 		}
 		if !reflect.DeepEqual(merged.Counts(), whole.Counts()) {
@@ -285,7 +285,7 @@ func TestMergeEmptyAndIntoEmpty(t *testing.T) {
 		t.Fatalf("merge of empty changed count: %d", a.Count())
 	}
 	b.Merge(&a) // into empty: adopts min/max
-	if b.Count() != 2 || b.Min() != 10 || b.Max() != 30 {
+	if b.Count() != 2 || b.Quantile(0) != 10 || b.Max() != 30 {
 		t.Errorf("merge into empty: %s", b.String())
 	}
 }

@@ -29,10 +29,3 @@ func (l *Latency) Snapshot() *hist.Histogram {
 	defer l.mu.Unlock()
 	return l.h.Snapshot()
 }
-
-// Count returns the number of recorded samples.
-func (l *Latency) Count() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.h.Count()
-}

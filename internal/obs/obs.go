@@ -166,25 +166,11 @@ func (r *Registry) register(s *series) {
 	r.series = append(r.series, s)
 }
 
-// Counter creates a counter and registers it.
-func (r *Registry) Counter(name, help string, labels Labels) *Counter {
-	c := &Counter{}
-	r.RegisterCounter(name, help, labels, c)
-	return c
-}
-
 // RegisterCounter registers an existing counter (created by the
 // instrument's owner before a registry existed) and returns it.
 func (r *Registry) RegisterCounter(name, help string, labels Labels, c *Counter) *Counter {
 	r.register(&series{name: name, labels: renderLabels(labels), help: help, kind: kindCounter, counter: c})
 	return c
-}
-
-// Gauge creates a gauge and registers it.
-func (r *Registry) Gauge(name, help string, labels Labels) *Gauge {
-	g := &Gauge{}
-	r.RegisterGauge(name, help, labels, g)
-	return g
 }
 
 // RegisterGauge registers an existing gauge and returns it.

@@ -20,15 +20,15 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite testdata golden fi
 // values, so the rendered exposition is fully deterministic.
 func goldenRegistry() *Registry {
 	reg := NewRegistry()
-	c := reg.Counter("serve_requests_total", "Total queries across the /v1 endpoints.", nil)
+	c := reg.RegisterCounter("serve_requests_total", "Total queries across the /v1 endpoints.", nil, new(Counter))
 	c.Add(42)
-	reg.Counter("serve_topk_cache_hits_total", "Top-k queries answered from the per-k body cache.", nil).Add(7)
-	g := reg.Gauge("snapshot_epoch", "Epoch of the published snapshot.", nil)
+	reg.RegisterCounter("serve_topk_cache_hits_total", "Top-k queries answered from the per-k body cache.", nil, new(Counter)).Add(7)
+	g := reg.RegisterGauge("snapshot_epoch", "Epoch of the published snapshot.", nil, new(Gauge))
 	g.Set(3)
 	reg.GaugeFunc("snapshot_age_seconds", "Seconds since the snapshot was built.", nil, func() float64 { return 1.5 })
 	// Labeled family with escaping hazards in a value.
-	reg.Counter("shard_ops_total", "RPC ops handled, by op.", Labels{"shard": "0", "op": "topk"}).Add(5)
-	reg.Counter("shard_ops_total", "RPC ops handled, by op.", Labels{"shard": "0", "op": `we"ird\nl`}).Inc()
+	reg.RegisterCounter("shard_ops_total", "RPC ops handled, by op.", Labels{"shard": "0", "op": "topk"}, new(Counter)).Add(5)
+	reg.RegisterCounter("shard_ops_total", "RPC ops handled, by op.", Labels{"shard": "0", "op": `we"ird\nl`}, new(Counter)).Inc()
 	lat := reg.Latency("serve_request_seconds", "Request handling latency.", Labels{"endpoint": "topk"})
 	for _, d := range []time.Duration{
 		30 * time.Microsecond, 30 * time.Microsecond, 800 * time.Microsecond,
@@ -123,7 +123,7 @@ func TestExpositionWellFormed(t *testing.T) {
 
 func TestDuplicateRegistrationPanics(t *testing.T) {
 	reg := NewRegistry()
-	reg.Counter("x_total", "x", Labels{"a": "1"})
+	reg.RegisterCounter("x_total", "x", Labels{"a": "1"}, new(Counter))
 	mustPanic := func(name string, fn func()) {
 		t.Helper()
 		defer func() {
@@ -133,10 +133,10 @@ func TestDuplicateRegistrationPanics(t *testing.T) {
 		}()
 		fn()
 	}
-	mustPanic("duplicate series", func() { reg.Counter("x_total", "x", Labels{"a": "1"}) })
-	mustPanic("kind mismatch within family", func() { reg.Gauge("x_total", "x", Labels{"a": "2"}) })
+	mustPanic("duplicate series", func() { reg.RegisterCounter("x_total", "x", Labels{"a": "1"}, new(Counter)) })
+	mustPanic("kind mismatch within family", func() { reg.RegisterGauge("x_total", "x", Labels{"a": "2"}, new(Gauge)) })
 	// Distinct labels under the same name are fine.
-	reg.Counter("x_total", "x", Labels{"a": "2"})
+	reg.RegisterCounter("x_total", "x", Labels{"a": "2"}, new(Counter))
 }
 
 // TestConcurrentScrape hammers instruments from many goroutines while
@@ -144,8 +144,8 @@ func TestDuplicateRegistrationPanics(t *testing.T) {
 // concurrency contract.
 func TestConcurrentScrape(t *testing.T) {
 	reg := NewRegistry()
-	c := reg.Counter("c_total", "c", nil)
-	g := reg.Gauge("g", "g", nil)
+	c := reg.RegisterCounter("c_total", "c", nil, new(Counter))
+	g := reg.RegisterGauge("g", "g", nil, new(Gauge))
 	l := reg.Latency("l_seconds", "l", nil)
 	reg.GaugeFunc("f", "f", nil, func() float64 { return float64(c.Value()) })
 
@@ -184,7 +184,7 @@ func TestConcurrentScrape(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 50; i++ {
-			reg.Counter("late_total", "registered mid-scrape", Labels{"i": time.Duration(i).String()})
+			reg.RegisterCounter("late_total", "registered mid-scrape", Labels{"i": time.Duration(i).String()}, new(Counter))
 		}
 	}()
 	// Wait for the workers (first 4) and the late registrar; then stop
@@ -197,8 +197,8 @@ func TestConcurrentScrape(t *testing.T) {
 	if c.Value() != 8000 {
 		t.Fatalf("counter = %d, want 8000", c.Value())
 	}
-	if l.Count() != 8000 {
-		t.Fatalf("latency count = %d, want 8000", l.Count())
+	if l.Snapshot().Count() != 8000 {
+		t.Fatalf("latency count = %d, want 8000", l.Snapshot().Count())
 	}
 }
 

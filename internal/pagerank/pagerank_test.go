@@ -86,9 +86,10 @@ func TestFixedPointProperty(t *testing.T) {
 	n := g.NumVertices()
 	pT := DefaultTeleport
 	next := make([]float64, n)
+	adj := g.NewAdjReader()
 	for v := 0; v < n; v++ {
 		share := r.Rank[v] / float64(g.OutDegree(uint32(v)))
-		for _, d := range g.OutNeighbors(uint32(v)) {
+		for _, d := range adj.OutNeighbors(uint32(v)) {
 			next[d] += share
 		}
 	}

@@ -32,9 +32,6 @@ type Range struct {
 	Lo, Hi int
 }
 
-// Len returns the number of indices in the range.
-func (r Range) Len() int { return r.Hi - r.Lo }
-
 const (
 	// minChunkSize is the smallest unit of work worth scheduling (and,
 	// for the random-walk paths, worth one walk-kernel call).

@@ -143,6 +143,3 @@ func (t *AliasTable) Sample(r *Stream) int {
 	}
 	return int(t.alias[i])
 }
-
-// Len returns the number of outcomes in the table.
-func (t *AliasTable) Len() int { return len(t.prob) }

@@ -65,9 +65,6 @@ import (
 )
 
 const (
-	// PreludeSize is the fixed part every header starts with: magic,
-	// version, byte-order tag, reserved padding.
-	PreludeSize = 16
 	// EntrySize is one section-table entry: offset, length, CRC-64.
 	EntrySize = 24
 

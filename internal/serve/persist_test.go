@@ -176,8 +176,8 @@ func TestStoreRestorePreservesEpoch(t *testing.T) {
 	st := NewStore()
 	s := &Snapshot{Epoch: 41}
 	st.Restore(s)
-	if st.Current() != s || st.Epoch() != 41 {
-		t.Fatalf("restore: current=%p epoch=%d", st.Current(), st.Epoch())
+	if st.Current() != s || st.epoch.Load() != 41 {
+		t.Fatalf("restore: current=%p epoch=%d", st.Current(), st.epoch.Load())
 	}
 	// The next publish moves strictly past the restored epoch.
 	next := st.Publish(&Snapshot{})

@@ -257,7 +257,7 @@ func TestPagedPPRConcurrentEviction(t *testing.T) {
 		if (waits > 0) != tc.waited || (sweeps > 0) != tc.waited || waits >= steps || sweeps > waits {
 			t.Errorf("%s: %d waits in %d sweeps over %d steps", tc.name, waits, sweeps, steps)
 		}
-		if got := tc.srv.StatsBody(tc.srv.store.Current()).Serving.PPRWalkWaits; got != waits {
+		if got := tc.srv.statsBody(tc.srv.store.Current()).Serving.PPRWalkWaits; got != waits {
 			t.Errorf("%s: /v1/stats pprWalkWaits %d, counter %d", tc.name, got, waits)
 		}
 		rec := httptest.NewRecorder()

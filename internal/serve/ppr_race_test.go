@@ -132,11 +132,11 @@ func TestPPRConsistentDuringSwap(t *testing.T) {
 	for msg := range errs {
 		t.Error(msg)
 	}
-	if st.Epoch() < 2 {
-		t.Fatalf("test never swapped (epoch %d); consistency not exercised", st.Epoch())
+	if st.epoch.Load() < 2 {
+		t.Fatalf("test never swapped (epoch %d); consistency not exercised", st.epoch.Load())
 	}
 	t.Logf("served %d ppr queries across %d epochs (%d cache hits, %d coalesced)",
-		srv.ppr.queries.Value(), st.Epoch(), srv.ppr.cacheHits.Value(), srv.coalesced.Value())
+		srv.ppr.queries.Value(), st.epoch.Load(), srv.ppr.cacheHits.Value(), srv.coalesced.Value())
 }
 
 // TestPPRCacheEvictionUnderLoad drives a capacity-4 LRU with many

@@ -37,13 +37,15 @@ func mapAndSortCut(positions []graph.VertexID, k int) []topk.Entry {
 // from a dangling vertex.
 func servedPositions(snap *Snapshot, plan pprPlan) []graph.VertexID {
 	var positions []graph.VertexID
+	adj := snap.Graph.NewAdjReader()
+	defer adj.Release()
 	for _, src := range plan.sources {
 		for w := 0; w < plan.walksPer; w++ {
 			stream := rng.DeriveValue(snap.Seed, pprPurpose, snap.Epoch, uint64(src), uint64(w))
 			cur := src
 			positions = append(positions, cur)
 			for left := pprLengths.Draw(&stream); left > 0; left-- {
-				if outs := snap.Graph.OutNeighbors(cur); len(outs) > 0 {
+				if outs := adj.OutNeighbors(cur); len(outs) > 0 {
 					cur = outs[stream.Intn(len(outs))]
 				} else {
 					cur = src

@@ -392,7 +392,7 @@ func TestPPRStatsAgreeWithMetrics(t *testing.T) {
 	getPPR(t, srv, "/v1/ppr?sources=4,5&k=5")
 	getPPR(t, srv, "/v1/ppr?source=nope") // 400: counted as a query, no walks
 
-	stats := srv.StatsBody(snap)
+	stats := srv.statsBody(snap)
 	if stats.Serving.PPRQueries != 4 {
 		t.Fatalf("pprQueries %d, want 4", stats.Serving.PPRQueries)
 	}

@@ -152,9 +152,9 @@ func TestTopKConsistentDuringSwap(t *testing.T) {
 	for msg := range errs {
 		t.Error(msg)
 	}
-	if st.Epoch() < 2 {
-		t.Fatalf("test never swapped (epoch %d); consistency not exercised", st.Epoch())
+	if st.epoch.Load() < 2 {
+		t.Fatalf("test never swapped (epoch %d); consistency not exercised", st.epoch.Load())
 	}
 	t.Logf("served %d queries across %d epochs (%d cache hits, %d coalesced)",
-		srv.Queries(), st.Epoch(), srv.CacheHits(), srv.Coalesced())
+		srv.Queries(), st.epoch.Load(), srv.CacheHits(), srv.coalesced.Value())
 }

@@ -46,12 +46,12 @@ func buildSnap(t testing.TB, store *Store, engine Engine) *Snapshot {
 
 func TestStorePublishEpochs(t *testing.T) {
 	st := NewStore()
-	if st.Current() != nil || st.Epoch() != 0 {
+	if st.Current() != nil || st.epoch.Load() != 0 {
 		t.Fatal("fresh store should be empty at epoch 0")
 	}
 	a := buildSnap(t, st, EngineFrogWild)
-	if a.Epoch != 1 || st.Epoch() != 1 || st.Current() != a {
-		t.Fatalf("first publish: epoch %d, store epoch %d", a.Epoch, st.Epoch())
+	if a.Epoch != 1 || st.epoch.Load() != 1 || st.Current() != a {
+		t.Fatalf("first publish: epoch %d, store epoch %d", a.Epoch, st.epoch.Load())
 	}
 	b := buildSnap(t, st, EngineFrogWild)
 	if b.Epoch != 2 || st.Current() != b {
@@ -202,8 +202,8 @@ func TestRefresherRunPublishesInitialAndStops(t *testing.T) {
 	if err := r.Run(context.Background(), nil); err != nil {
 		t.Fatal(err)
 	}
-	if st.Epoch() != 1 {
-		t.Fatalf("one-shot Run should publish once, epoch = %d", st.Epoch())
+	if st.epoch.Load() != 1 {
+		t.Fatalf("one-shot Run should publish once, epoch = %d", st.epoch.Load())
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -211,15 +211,15 @@ func TestRefresherRunPublishesInitialAndStops(t *testing.T) {
 	done := make(chan error, 1)
 	go func() { done <- r2.Run(ctx, nil) }()
 	deadline := time.Now().Add(5 * time.Second)
-	for st.Epoch() < 3 && time.Now().Before(deadline) {
+	for st.epoch.Load() < 3 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 	cancel()
 	if err := <-done; err != context.Canceled {
 		t.Fatalf("Run should return ctx.Err(), got %v", err)
 	}
-	if st.Epoch() < 3 {
-		t.Errorf("cadenced Run should keep publishing, epoch = %d", st.Epoch())
+	if st.epoch.Load() < 3 {
+		t.Errorf("cadenced Run should keep publishing, epoch = %d", st.epoch.Load())
 	}
 }
 
@@ -399,9 +399,14 @@ func TestServerCompare(t *testing.T) {
 		t.Errorf("normalized mass %v, want %v", got.NormalizedMass, want)
 	}
 
-	hits := srv.CompareCacheHits()
+	compareHits := func() uint64 {
+		var stats api.StatsResponse
+		getJSON(t, ts.URL+"/v1/stats", &stats)
+		return stats.Serving.CompareCacheHits
+	}
+	hits := compareHits()
 	getJSON(t, ts.URL+"/v1/compare?engine=exact&k=50", nil)
-	if srv.CompareCacheHits() != hits+1 {
+	if compareHits() != hits+1 {
 		t.Error("second compare against the same engine should reuse the cached reference vector")
 	}
 	if srv.CacheHits() != 0 {

@@ -186,14 +186,6 @@ func (s *Server) Queries() uint64 { return s.queries.Value() }
 // snapshot's rendered top index (k ≤ MaxK).
 func (s *Server) CacheHits() uint64 { return s.cacheHits.Value() }
 
-// CompareCacheHits returns how many /v1/compare queries reused a
-// cached reference vector instead of recomputing it.
-func (s *Server) CompareCacheHits() uint64 { return s.compareHits.Value() }
-
-// Coalesced returns how many queries joined an in-flight identical
-// computation instead of starting their own.
-func (s *Server) Coalesced() uint64 { return s.coalesced.Value() }
-
 // epoch is the published snapshot's epoch, 0 before the first publish.
 func (s *Server) epoch() uint64 {
 	if snap := s.store.Current(); snap != nil {
@@ -363,9 +355,8 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request, _ string)
 	api.WriteJSON(w, append(body, '\n'))
 }
 
-// StatsBody assembles the /v1/stats response for the current snapshot;
-// shards reuse it so their RPC stats match the single-node body.
-func (s *Server) StatsBody(snap *Snapshot) api.StatsResponse {
+// statsBody assembles the /v1/stats response for snap.
+func (s *Server) statsBody(snap *Snapshot) api.StatsResponse {
 	serving := api.ServeStats{
 		Queries:           s.queries.Value(),
 		TopKCacheHits:     s.cacheHits.Value(),
@@ -422,7 +413,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request, _ string) {
 	if snap == nil {
 		return
 	}
-	body, err := json.Marshal(s.StatsBody(snap))
+	body, err := json.Marshal(s.statsBody(snap))
 	if err != nil {
 		s.fail(w, http.StatusInternalServerError, api.CodeInternal, "%v", err)
 		return

@@ -60,6 +60,3 @@ func (st *Store) Restore(s *Snapshot) *Snapshot {
 // a consistent view for as long as they hold the pointer, even across
 // concurrent swaps.
 func (st *Store) Current() *Snapshot { return st.cur.Load() }
-
-// Epoch returns the number of snapshots published so far.
-func (st *Store) Epoch() uint64 { return st.epoch.Load() }

@@ -7,9 +7,7 @@
 //     also in the true top-k.
 package topk
 
-import (
-	"sort"
-)
+import ()
 
 // Entry pairs a vertex with its score.
 type Entry struct {
@@ -199,15 +197,6 @@ func Merge(lists [][]Entry, k int) []Entry {
 	return out
 }
 
-// Vertices extracts the vertex ids from entries, preserving order.
-func Vertices(entries []Entry) []uint32 {
-	vs := make([]uint32, len(entries))
-	for i, e := range entries {
-		vs[i] = e.Vertex
-	}
-	return vs
-}
-
 // CapturedMass computes µk(est) with respect to the true distribution
 // pi: the pi-mass of the top-k set chosen by est (Definition 2 of the
 // paper). The optimum is CapturedMass(pi, pi, k) = µk(pi).
@@ -255,12 +244,4 @@ func ExactIdentification(pi, est []float64, k int) float64 {
 		}
 	}
 	return float64(hits) / float64(den)
-}
-
-// SortedCopy returns the scores in descending order (for inspecting
-// distribution tails in tests and tools).
-func SortedCopy(scores []float64) []float64 {
-	cp := append([]float64(nil), scores...)
-	sort.Sort(sort.Reverse(sort.Float64Slice(cp)))
-	return cp
 }

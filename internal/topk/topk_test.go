@@ -144,13 +144,6 @@ func TestTopMatchesSortProperty(t *testing.T) {
 	}
 }
 
-func TestVertices(t *testing.T) {
-	vs := Vertices([]Entry{{7, 0.3}, {2, 0.1}})
-	if len(vs) != 2 || vs[0] != 7 || vs[1] != 2 {
-		t.Errorf("Vertices = %v", vs)
-	}
-}
-
 func TestCapturedMassPerfect(t *testing.T) {
 	pi := []float64{0.4, 0.3, 0.2, 0.1}
 	if m := CapturedMass(pi, pi, 2); math.Abs(m-0.7) > 1e-12 {
@@ -217,17 +210,6 @@ func TestExactIdentificationKLargerThanN(t *testing.T) {
 	est := []float64{0.4, 0.6}
 	if e := ExactIdentification(pi, est, 5); e != 1 {
 		t.Errorf("with k>n all vertices are top-k; identification = %v", e)
-	}
-}
-
-func TestSortedCopy(t *testing.T) {
-	in := []float64{0.1, 0.9, 0.5}
-	out := SortedCopy(in)
-	if out[0] != 0.9 || out[1] != 0.5 || out[2] != 0.1 {
-		t.Errorf("sorted = %v", out)
-	}
-	if in[0] != 0.1 {
-		t.Error("input mutated")
 	}
 }
 

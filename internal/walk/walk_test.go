@@ -166,11 +166,13 @@ func TestSourceRestartLaw(t *testing.T) {
 // Home from a dangling vertex.
 func serialVisits(g *graph.Graph, walkers []walk.Walker, restart bool) []int64 {
 	counts := make([]int64, g.NumVertices())
+	adj := g.NewAdjReader()
+	defer adj.Release()
 	for _, w := range walkers {
 		cur, st := w.Cur, w.Stream
 		counts[cur]++
 		for left := w.Left; left > 0; left-- {
-			outs := g.OutNeighbors(cur)
+			outs := adj.OutNeighbors(cur)
 			if len(outs) == 0 {
 				if !restart {
 					break
