@@ -14,7 +14,7 @@ import (
 	"repro/internal/rng"
 )
 
-var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/layout-digests.golden from the current NewLayout")
+var updateGolden = flag.Bool("update-golden", false, "rewrite the testdata/*-digests.golden files from the current code")
 
 // digester hashes a sequence of integer slices, each prefixed by its
 // length so that moving an element across a slice boundary shows.
@@ -111,16 +111,73 @@ func layoutDigestLines(t *testing.T) string {
 	return sb.String()
 }
 
-// TestLayoutGolden holds NewLayout and the four partitioners to the
-// digests the hash-map constructor produced (the file was generated at
-// the commit before the counting-sort rewrite): master choice, presence
-// lists and every machine's local CSR must stay bit-identical, at most
-// 64 machines and beyond. The file also predates the second rewrite,
-// which builds each machine's CSRs from its own edge run and shuffles
-// the greedy partitioners' edge stream in place; it passed unchanged.
-func TestLayoutGolden(t *testing.T) {
-	got := layoutDigestLines(t)
-	path := filepath.Join("testdata", "layout-digests.golden")
+// inGroup is one machine's share of a vertex's in-edges: the machine
+// owning them and their sources.
+type inGroup struct {
+	machine int
+	sources []uint32
+}
+
+// inGroups returns v's in-edge sources grouped by owning machine,
+// machines ascending, empty groups left out.
+func inGroups(lay *Layout, v graph.VertexID) []inGroup {
+	var gs []inGroup
+	for m := 0; m < lay.machines; m++ {
+		view := lay.View(m)
+		li, ok := view.LocalIndex(v)
+		if !ok {
+			continue
+		}
+		if in := view.InNeighborsLocal(li); len(in) > 0 {
+			gs = append(gs, inGroup{m, in})
+		}
+	}
+	return gs
+}
+
+// inIndexDigestLines renders one line per (graph, partitioner,
+// machines, seed) of the layout golden: a digest of every vertex's
+// in-edge sources, grouped by the machine that owns the edge in
+// ascending machine order, each group tagged with its machine.
+func inIndexDigestLines(t *testing.T) string {
+	graphs := []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"powerlaw1500", testGraph(t, 1500, 21)},
+		{"sparse300", sparseGraph()},
+	}
+	var sb strings.Builder
+	var d digester
+	for _, gr := range graphs {
+		for _, p := range []Partitioner{Random{}, Oblivious{}, Grid{}, HDRF{}} {
+			for _, machines := range []int{1, 4, 16, 70} {
+				for _, seed := range []uint64{1, 0xfeedface} {
+					lay, err := NewLayout(gr.g, machines, p, seed)
+					if err != nil {
+						t.Fatalf("%s/%s/%d/%d: %v", gr.name, p.Name(), machines, seed, err)
+					}
+					for v := 0; v < gr.g.NumVertices(); v++ {
+						gs := inGroups(lay, graph.VertexID(v))
+						d.u64(uint64(len(gs)))
+						for _, g := range gs {
+							d.u64(uint64(g.machine))
+							d.u32s(g.sources)
+						}
+					}
+					fmt.Fprintf(&sb, "%s/%s/m%d/s%d in=%s\n", gr.name, p.Name(), machines, seed, d.sum())
+				}
+			}
+		}
+	}
+	return sb.String()
+}
+
+// checkGolden compares got with testdata/name, rewriting the file first
+// under -update-golden, and reports the first line that differs.
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
 	if *updateGolden {
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
@@ -143,8 +200,26 @@ func TestLayoutGolden(t *testing.T) {
 			if i < len(gl) {
 				g = gl[i]
 			}
-			t.Fatalf("layout digest line %d differs\n got %s\nwant %s", i+1, g, wl[i])
+			t.Fatalf("%s line %d differs\n got %s\nwant %s", name, i+1, g, wl[i])
 		}
 	}
-	t.Fatalf("layout digests: %d lines, golden has %d", len(gl), len(wl))
+	t.Fatalf("%s: %d lines, golden has %d", name, len(gl), len(wl))
+}
+
+// TestInIndexGolden holds every vertex's machine-grouped in-edge lists
+// to the digests the per-machine views' in-CSRs gave, generated before
+// the views were replaced by one in-index.
+func TestInIndexGolden(t *testing.T) {
+	checkGolden(t, "in-index-digests.golden", inIndexDigestLines(t))
+}
+
+// TestLayoutGolden holds NewLayout and the four partitioners to the
+// digests the hash-map constructor produced (the file was generated at
+// the commit before the counting-sort rewrite): master choice, presence
+// lists and every machine's local CSR must stay bit-identical, at most
+// 64 machines and beyond. The file also predates the second rewrite,
+// which builds each machine's CSRs from its own edge run and shuffles
+// the greedy partitioners' edge stream in place; it passed unchanged.
+func TestLayoutGolden(t *testing.T) {
+	checkGolden(t, "layout-digests.golden", layoutDigestLines(t))
 }
