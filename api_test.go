@@ -232,20 +232,6 @@ func TestPersonalizedFrogWildThroughFacade(t *testing.T) {
 	}
 }
 
-func TestGossipThroughFacade(t *testing.T) {
-	g, err := repro.TwitterLikeGraph(1000, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := repro.RunGossip(g, repro.GossipConfig{Origin: 0, Rounds: 12, PS: 0.5, Machines: 6, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Informed < 2 {
-		t.Errorf("rumor reached only %d vertices", res.Informed)
-	}
-}
-
 func TestMetricsThroughFacade(t *testing.T) {
 	a := []float64{0.5, 0.3, 0.2}
 	b := []float64{0.2, 0.3, 0.5}

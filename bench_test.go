@@ -316,19 +316,6 @@ func BenchmarkPSSweep(b *testing.B) {
 	}
 }
 
-// BenchmarkGossip measures rumor spreading on the engine.
-func BenchmarkGossip(b *testing.B) {
-	g := benchGraph()
-	lay := benchLayout()
-	for i := 0; i < b.N; i++ {
-		if _, err := repro.RunGossip(g, repro.GossipConfig{
-			Origin: 0, Rounds: 10, PS: 0.7, Layout: lay, Seed: uint64(i),
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkPersonalizedFrogWild measures the PPR extension.
 func BenchmarkPersonalizedFrogWild(b *testing.B) {
 	g := benchGraph()

@@ -182,10 +182,11 @@ func run(ctx context.Context, args []string, stderr io.Writer, onReady func(addr
 		}
 		log.Printf("prserve: graph %d vertices / %d edges ready in %.3fs%s",
 			g.NumVertices(), g.NumEdges(), time.Since(loadStart).Seconds(), cacheNote)
-		srv, refresher, err := newService(ctx, g, o, reqLog)
+		srv, refresher, stop, err := newService(ctx, g, o, reqLog)
 		if err != nil {
 			return fail(err)
 		}
+		defer stop()
 		handler = srv
 		served = func() string {
 			return fmt.Sprintf("%d queries (%d cache hits, %d refreshes, %d persist errors)",
@@ -235,8 +236,8 @@ func newRouter(o *options, reqLog *obs.Logger) *router.Router {
 
 // newService builds single-node mode's handler over g: the initial (or
 // warm-started) snapshot and the background refresher, which runs until
-// ctx is cancelled.
-func newService(ctx context.Context, g *graph.Graph, o *options, reqLog *obs.Logger) (*serve.Server, *serve.Refresher, error) {
+// ctx is cancelled or stop is called; stop returns once it has returned.
+func newService(ctx context.Context, g *graph.Graph, o *options, reqLog *obs.Logger) (srv *serve.Server, refresher *serve.Refresher, stop func(), err error) {
 	o.build.Seed = o.src.Seed
 	cfg := serve.ServiceConfig{
 		Build:           o.build,
@@ -247,9 +248,9 @@ func newService(ctx context.Context, g *graph.Graph, o *options, reqLog *obs.Log
 		PPR:             o.ppr,
 	}
 	start := time.Now()
-	srv, refresher, err := serve.NewService(g, cfg)
+	srv, refresher, err = serve.NewService(g, cfg)
 	if err != nil {
-		return nil, nil, fmt.Errorf("initial snapshot: %w", err)
+		return nil, nil, nil, fmt.Errorf("initial snapshot: %w", err)
 	}
 	snap := srv.Snapshot()
 	if snap.WarmStart {
@@ -263,7 +264,7 @@ func newService(ctx context.Context, g *graph.Graph, o *options, reqLog *obs.Log
 		if o.refresh > 0 {
 			log.Printf("prserve: background refresh every %s", o.refresh)
 		}
-		go refresher.Run(ctx, cfg.OnRefreshError)
+		return srv, refresher, refresher.Start(ctx, cfg.OnRefreshError), nil
 	}
-	return srv, refresher, nil
+	return srv, refresher, func() {}, nil
 }

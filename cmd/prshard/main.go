@@ -131,7 +131,7 @@ func run(ctx context.Context, args []string, stderr io.Writer, onReady, onMetric
 	log.Printf("prshard: snapshot epoch %d (%s, seed %d) ready in %.2fs",
 		snap.Epoch, snap.Engine, snap.Seed, time.Since(buildStart).Seconds())
 	if o.refresh > 0 {
-		go refresher.Run(ctx, func(err error) { log.Printf("prshard: refresh: %v", err) })
+		defer refresher.Start(ctx, func(err error) { log.Printf("prshard: refresh: %v", err) })()
 		log.Printf("prshard: background refresh every %s", o.refresh)
 	}
 

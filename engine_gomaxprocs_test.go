@@ -92,24 +92,6 @@ func TestEngineBitIdenticalAcrossGOMAXPROCS(t *testing.T) {
 			return engineArtifact{Floats: res.Rank,
 				Stats: statsArtifact(res.Stats), Supersteps: res.Stats.Supersteps}, nil
 		}},
-		{"gossip", func() (engineArtifact, error) {
-			res, err := repro.RunGossip(g, repro.GossipConfig{
-				Origin: 0, Rounds: 12, PS: 0.7, Layout: lay, Seed: 42,
-			})
-			if err != nil {
-				return engineArtifact{}, err
-			}
-			rounds := make([]int64, len(res.RoundReached))
-			for v, r := range res.RoundReached {
-				rounds[v] = int64(r)
-			}
-			rounds = append(rounds, int64(res.Informed))
-			for _, c := range res.InformedByRound {
-				rounds = append(rounds, int64(c))
-			}
-			return engineArtifact{Ints: rounds,
-				Stats: statsArtifact(res.Stats), Supersteps: res.Stats.Supersteps}, nil
-		}},
 	}
 	run := func(tc func() (engineArtifact, error), workers int) (engineArtifact, error) {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(equivMachines * workers))

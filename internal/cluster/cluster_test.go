@@ -1,10 +1,12 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/graph"
@@ -58,7 +60,7 @@ func TestLayoutSingleMachine(t *testing.T) {
 	if rf := lay.ReplicationFactor(); rf != 1 {
 		t.Errorf("replication factor on 1 machine = %v, want 1", rf)
 	}
-	if owned := int64(len(lay.View(0).outAdj)); owned != g.NumEdges() {
+	if owned := lay.edges[0]; owned != g.NumEdges() {
 		t.Errorf("single machine owns %d edges, want %d", owned, g.NumEdges())
 	}
 	if len(lay.Masters(0)) != g.NumVertices() {
@@ -151,10 +153,8 @@ func TestLayoutDeterministic(t *testing.T) {
 			t.Fatal("layouts differ for same seed")
 		}
 	}
-	for m := 0; m < 12; m++ {
-		if len(a.View(m).outAdj) != len(b.View(m).outAdj) {
-			t.Fatal("edge placement differs for same seed")
-		}
+	if !slices.Equal(a.placement, b.placement) || !slices.Equal(a.edges, b.edges) {
+		t.Fatal("edge placement differs for same seed")
 	}
 }
 
@@ -164,38 +164,32 @@ func TestLocalViewConsistency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Every local out-edge must exist in the global graph.
+	// Every local out-edge must exist in the global graph, and a
+	// machine's local out-degree counts its local out-edges.
 	adj := g.NewAdjReader()
-	for m := 0; m < 6; m++ {
-		view := lay.View(m)
-		for li, v := range view.Verts() {
-			if got, ok := view.LocalIndex(v); !ok || got != int32(li) {
-				t.Fatalf("local index mismatch on machine %d vertex %d", m, v)
-			}
-			for _, d := range view.OutNeighborsLocal(int32(li)) {
-				found := false
-				for _, gd := range adj.OutNeighbors(v) {
-					if gd == d {
-						found = true
-						break
-					}
-				}
-				if !found {
+	defer adj.Release()
+	deg := make([]int, 6)
+	var nbrs []graph.VertexID
+	for v := 0; v < g.NumVertices(); v++ {
+		lay.LocalOutDegrees(graph.VertexID(v), deg)
+		for _, m := range lay.Presences(graph.VertexID(v)) {
+			nbrs = lay.LocalOutNeighbors(adj, graph.VertexID(v), int(m), nbrs[:0])
+			for _, d := range nbrs {
+				if !slices.Contains(adj.OutNeighbors(graph.VertexID(v)), d) {
 					t.Fatalf("machine %d has phantom edge %d->%d", m, v, d)
 				}
 			}
-			if view.LocalOutDegree(int32(li)) != len(view.OutNeighborsLocal(int32(li))) {
-				t.Fatal("LocalOutDegree mismatch")
+			if deg[m] != len(nbrs) {
+				t.Fatalf("vertex %d on machine %d: local out-degree %d, %d local out-edges", v, m, deg[m], len(nbrs))
 			}
 		}
 	}
 }
 
-// TestInCSRsBuiltOnFirstUse: NewLayout builds no view, in-edges
-// included, and the first readers, racing from several goroutines and
-// starting on different machines, all see the lists a serial build of
-// the same layout gives. Together the lists hold every in-edge of the
-// graph once.
+// TestInCSRsBuiltOnFirstUse: NewLayout builds no in-index, and the
+// first readers, racing from several goroutines, all get the one index
+// a single build made, holding the lists a serial build of the same
+// layout gives.
 func TestInCSRsBuiltOnFirstUse(t *testing.T) {
 	g := testGraph(t, 1500, 16)
 	const machines, readers = 8, 8
@@ -203,15 +197,16 @@ func TestInCSRsBuiltOnFirstUse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lay.viewsBuilt.Load() || lay.views != nil || lay.presLocal != nil {
-		t.Fatal("NewLayout built the per-machine views")
+	if lay.in.Load() != nil {
+		t.Fatal("NewLayout built the in-index")
 	}
 	ref, err := NewLayout(g, machines, Random{}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref.View(0)
+	want := ref.InIndex()
 
+	got := make([]*InIndex, readers)
 	var wg sync.WaitGroup
 	start := make(chan struct{})
 	wg.Add(readers)
@@ -219,31 +214,158 @@ func TestInCSRsBuiltOnFirstUse(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			<-start
-			for k := 0; k < machines; k++ {
-				m := (r + k) % machines
-				view, want := lay.View(m), ref.View(m)
-				for li := int32(0); li < int32(view.NumPresent()); li++ {
-					got := view.InNeighborsLocal(li)
-					if !slices.Equal(got, want.InNeighborsLocal(li)) {
-						t.Errorf("reader %d, machine %d, local vertex %d: in-list %v, serial build %v", r, m, li, got, want.InNeighborsLocal(li))
-						return
-					}
-				}
-			}
+			got[r] = lay.InIndex()
 		}()
 	}
 	close(start)
 	wg.Wait()
+	for r, x := range got {
+		if x != got[0] {
+			t.Fatalf("reader %d got another in-index than reader 0: the index was built more than once", r)
+		}
+	}
+	if !slices.Equal(got[0].off, want.off) || !slices.Equal(got[0].src, want.src) || !slices.Equal(got[0].machine, want.machine) {
+		t.Fatal("the in-index built under concurrent first use differs from a serial build")
+	}
+}
 
+// checkInIndex holds lay's in-index to its definition, built here the
+// slow way: every in-edge of the graph appears exactly once, tagged
+// with the machine the placement gave it, each vertex's entries grouped
+// by machine in ascending order and each group in CSR sweep order.
+func checkInIndex(lay *Layout) error {
+	g := lay.g
+	type entry struct {
+		src     graph.VertexID
+		machine uint16
+	}
+	want := make([][]entry, g.NumVertices())
+	r := g.NewAdjReader()
+	defer r.Release()
+	i := 0
 	for v := 0; v < g.NumVertices(); v++ {
-		sum := 0
-		for _, m := range lay.Presences(graph.VertexID(v)) {
-			li, _ := lay.View(int(m)).LocalIndex(graph.VertexID(v))
-			sum += len(lay.View(int(m)).InNeighborsLocal(li))
+		for _, d := range r.OutNeighbors(graph.VertexID(v)) {
+			want[d] = append(want[d], entry{graph.VertexID(v), lay.placement[i]})
+			i++
 		}
-		if sum != g.InDegree(graph.VertexID(v)) {
-			t.Fatalf("vertex %d: local in-degrees sum to %d, graph in-degree %d", v, sum, g.InDegree(graph.VertexID(v)))
+	}
+	x := lay.InIndex()
+	if len(x.src) != len(x.machine) || int64(len(x.src)) != g.NumEdges() {
+		return fmt.Errorf("in-index holds %d sources and %d tags for %d edges", len(x.src), len(x.machine), g.NumEdges())
+	}
+	for d, es := range want {
+		slices.SortStableFunc(es, func(a, b entry) int { return int(a.machine) - int(b.machine) })
+		src, machine := x.In(graph.VertexID(d))
+		if len(src) != len(es) {
+			return fmt.Errorf("vertex %d: %d in-edges indexed, %d in the graph", d, len(src), len(es))
 		}
+		for k, e := range es {
+			if src[k] != e.src || machine[k] != e.machine {
+				return fmt.Errorf("vertex %d, entry %d: %d on machine %d, want %d on machine %d", d, k, src[k], machine[k], e.src, e.machine)
+			}
+		}
+	}
+	return nil
+}
+
+// TestInIndexHoldsEveryInEdgeOnce checks the in-index against its
+// definition on graphs with and without isolated vertices, self loops
+// and repeated edges, for every partitioner, below and beyond 64
+// machines.
+func TestInIndexHoldsEveryInEdgeOnce(t *testing.T) {
+	graphs := map[string]*graph.Graph{
+		"powerlaw": testGraph(t, 700, 15),
+		"sparse":   sparseGraph(),
+	}
+	for name, g := range graphs {
+		for _, p := range []Partitioner{Random{}, Oblivious{}, Grid{}, HDRF{}} {
+			for _, machines := range []int{1, 3, 16, 65, 130} {
+				lay, err := NewLayout(g, machines, p, 5)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := checkInIndex(lay); err != nil {
+					t.Fatalf("%s/%s/%d machines: %v", name, p.Name(), machines, err)
+				}
+			}
+		}
+	}
+}
+
+// failingPager serves a graph's adjacency from resident arrays, and the
+// armed cursor read fails the way a failed paged read does: it panics
+// with an error.
+type failingPager struct {
+	out, in []graph.VertexID
+	fail    atomic.Bool
+}
+
+var errReadFault = errors.New("injected read fault")
+
+func (p *failingPager) NewCursor() graph.AdjCursor  { return failingCursor{p} }
+func (p *failingPager) Stats() graph.PageCacheStats { return graph.PageCacheStats{} }
+func (p *failingPager) Close() error                { return nil }
+
+type failingCursor struct{ p *failingPager }
+
+func (c failingCursor) read(lo int64) {
+	if lo > 0 && c.p.fail.Load() {
+		panic(errReadFault)
+	}
+}
+func (c failingCursor) Out(i int64) graph.VertexID            { c.read(i); return c.p.out[i] }
+func (c failingCursor) TryOut(i int64) (graph.VertexID, bool) { return c.p.out[i], true }
+func (c failingCursor) OutRange(lo, hi int64, dst []graph.VertexID) []graph.VertexID {
+	c.read(lo)
+	return append(dst, c.p.out[lo:hi]...)
+}
+func (c failingCursor) InRange(lo, hi int64, dst []graph.VertexID) []graph.VertexID {
+	c.read(lo)
+	return append(dst, c.p.in[lo:hi]...)
+}
+func (failingCursor) OutPage(i int64) int64 { return i / 1024 }
+func (failingCursor) PageSwitches() uint64  { return 0 }
+func (failingCursor) Release()              {}
+
+// TestInIndexFailedBuildStartsOver: a build that a failed graph read
+// aborts panics with the read's error, leaves no index behind, and the
+// next call, with the storage healthy again, builds the index a layout
+// over resident storage builds.
+func TestInIndexFailedBuildStartsOver(t *testing.T) {
+	g := testGraph(t, 800, 17)
+	csr := g.CSRView()
+	pager := &failingPager{out: csr.OutAdj, in: csr.InAdj}
+	pg, err := graph.FromPagedCSR(graph.PagedCSR{
+		NumVertices: csr.NumVertices, NumEdges: csr.NumEdges(),
+		OutOff: csr.OutOff, InOff: csr.InOff, Pager: pager,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lay, err := NewLayout(pg, 6, Random{}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pager.fail.Store(true)
+	func() {
+		defer func() {
+			if p := recover(); p != errReadFault {
+				t.Fatalf("in-index build over failing storage panicked with %v, want %v", p, errReadFault)
+			}
+		}()
+		lay.InIndex()
+	}()
+	if lay.in.Load() != nil {
+		t.Fatal("an aborted build left an in-index behind")
+	}
+	pager.fail.Store(false)
+	ref, err := NewLayout(g, 6, Random{}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, want := lay.InIndex(), ref.InIndex()
+	if !slices.Equal(got.off, want.off) || !slices.Equal(got.src, want.src) || !slices.Equal(got.machine, want.machine) {
+		t.Fatal("the build after an aborted one differs from a build over resident storage")
 	}
 }
 
@@ -273,14 +395,17 @@ func TestEdgeOwnershipPartition(t *testing.T) {
 			globalSum += uint64(e.Src)<<32 ^ uint64(e.Dst)*0x9e37
 			return true
 		})
-		for mm := 0; mm < machines; mm++ {
-			view := lay.View(mm)
-			for li, v := range view.Verts() {
-				for _, d := range view.OutNeighborsLocal(int32(li)) {
+		adj := g.NewAdjReader()
+		var nbrs []graph.VertexID
+		for v := 0; v < n; v++ {
+			for _, m := range lay.Presences(graph.VertexID(v)) {
+				nbrs = lay.LocalOutNeighbors(adj, graph.VertexID(v), int(m), nbrs[:0])
+				for _, d := range nbrs {
 					localSum += uint64(v)<<32 ^ uint64(d)*0x9e37
 				}
 			}
 		}
+		adj.Release()
 		if globalSum != localSum {
 			t.Fatal("edge multisets differ between graph and layout")
 		}
@@ -402,9 +527,9 @@ func BenchmarkLayoutHDRF(b *testing.B) { benchLayout(b, 4, HDRF{}) }
 // this graph; the per-machine build allocates 5 675 756. A layout that
 // also built its in-CSRs up front allocated 5 675 699 B; one that left
 // them to the first in-edge read allocated 3 832 512. A layout that
-// holds only the ingress, its views built on first View, allocates
-// 1 200 192. Bytes per op are fixed for a fixed graph, so the bound
-// sits between the last two figures.
+// holds only the ingress, per-machine views built on first use,
+// allocated 1 200 192. Bytes per op are fixed for a fixed graph, so the
+// bound sits between the last two figures.
 func TestLayoutAllocBound(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a benchmark")
@@ -525,43 +650,6 @@ func TestOutOfRangePlacementIsAnError(t *testing.T) {
 	}
 }
 
-// TestLocalIndexMatchesVertsSearch is the property LocalIndex rests on
-// now that no map backs it: on every machine, for every vertex of the
-// graph — hosted there or not, isolated or not — it answers exactly
-// what a search of the machine's ascending Verts() answers, with one
-// presence word per vertex (<= 64 machines) and beyond.
-func TestLocalIndexMatchesVertsSearch(t *testing.T) {
-	graphs := map[string]*graph.Graph{
-		"powerlaw": testGraph(t, 700, 15),
-		"sparse":   sparseGraph(),
-	}
-	for name, g := range graphs {
-		for _, p := range []Partitioner{Random{}, Grid{}, HDRF{}} {
-			for _, machines := range []int{1, 3, 64, 65, 130} {
-				lay, err := NewLayout(g, machines, p, 5)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for m := 0; m < machines; m++ {
-					view := lay.View(m)
-					at := map[uint32]int32{} // the brute-force inverse of Verts()
-					for li, v := range view.Verts() {
-						at[v] = int32(li)
-					}
-					for v := 0; v < g.NumVertices(); v++ {
-						want, wantOK := at[uint32(v)]
-						got, ok := view.LocalIndex(uint32(v))
-						if ok != wantOK || (ok && got != want) {
-							t.Fatalf("%s/%s/%d machines: LocalIndex(%d) on machine %d = %d,%v; Verts() says %d,%v",
-								name, p.Name(), machines, v, m, got, ok, want, wantOK)
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
 func TestMachineCountBounds(t *testing.T) {
 	g := testGraph(t, 50, 13)
 	if _, err := NewLayout(g, 0, Random{}, 1); err == nil {
@@ -572,18 +660,18 @@ func TestMachineCountBounds(t *testing.T) {
 	}
 }
 
-// TestPlacementReadsMatchViews holds the reads a program without views
-// makes to the views a gathering program reads: on both graphs the
-// layout golden is made of, for all four partitioners at 1, 4, 16 and
-// 70 machines, v's out-edges filtered by the placement for machine m,
-// and the counting pass's degree, equal View(m)'s local out-list and
-// out-degree for every (v, m) — empty for a machine that does not host
-// v. None of those reads builds a view.
-func TestPlacementReadsMatchViews(t *testing.T) {
+// TestPlacementReadsMatchInIndex holds the two reads of a machine's
+// edges to each other: on both graphs the layout golden is made of,
+// for all four partitioners at 1, 4, 16 and 70 machines, the out-edges
+// the placement gives machine m (LocalOutNeighbors, counted by
+// LocalOutDegrees) are, edge for edge, the in-index entries tagged m.
+// No placement read builds the in-index.
+func TestPlacementReadsMatchInIndex(t *testing.T) {
 	graphs := map[string]*graph.Graph{
 		"powerlaw1500": testGraph(t, 1500, 21),
 		"sparse300":    sparseGraph(),
 	}
+	type edge struct{ src, dst graph.VertexID }
 	for name, g := range graphs {
 		for _, p := range []Partitioner{Random{}, Oblivious{}, Grid{}, HDRF{}} {
 			for _, machines := range []int{1, 4, 16, 70} {
@@ -593,32 +681,44 @@ func TestPlacementReadsMatchViews(t *testing.T) {
 				}
 				r := g.NewAdjReader()
 				n := g.NumVertices()
-				deg := make([][]int, n) // deg[v][m], machines not hosting v at -1
-				nbrs := make([][][]graph.VertexID, n)
-				for v := range nbrs {
-					deg[v] = slices.Repeat([]int{-1}, machines)
-					lay.LocalOutDegrees(graph.VertexID(v), deg[v])
-					nbrs[v] = make([][]graph.VertexID, machines)
-					for m := range nbrs[v] {
-						nbrs[v][m] = lay.LocalOutNeighbors(r, graph.VertexID(v), m, nil)
+				out := make([][]edge, machines)
+				deg := make([]int, machines)
+				var nbrs []graph.VertexID
+				for v := 0; v < n; v++ {
+					lay.LocalOutDegrees(graph.VertexID(v), deg)
+					for _, m := range lay.Presences(graph.VertexID(v)) {
+						nbrs = lay.LocalOutNeighbors(r, graph.VertexID(v), int(m), nbrs[:0])
+						if len(nbrs) != deg[m] {
+							t.Fatalf("%s/%s/%d: vertex %d on machine %d: %d local out-edges, degree %d", name, p.Name(), machines, v, m, len(nbrs), deg[m])
+						}
+						for _, d := range nbrs {
+							out[m] = append(out[m], edge{graph.VertexID(v), d})
+						}
 					}
 				}
 				r.Release()
-				if lay.viewsBuilt.Load() {
-					t.Fatalf("%s/%s/%d: a placement read built the views", name, p.Name(), machines)
+				if lay.in.Load() != nil {
+					t.Fatalf("%s/%s/%d: a placement read built the in-index", name, p.Name(), machines)
 				}
-				for v := 0; v < n; v++ {
-					for m := 0; m < machines; m++ {
-						view := lay.View(m)
-						var want []graph.VertexID
-						wantDeg := -1
-						if li, ok := view.LocalIndex(graph.VertexID(v)); ok {
-							want, wantDeg = view.OutNeighborsLocal(li), view.LocalOutDegree(li)
-						}
-						if !slices.Equal(nbrs[v][m], want) || deg[v][m] != wantDeg {
-							t.Fatalf("%s/%s/%d: vertex %d on machine %d: placement reads %v (degree %d), view holds %v (degree %d)",
-								name, p.Name(), machines, v, m, nbrs[v][m], deg[v][m], want, wantDeg)
-						}
+				in := make([][]edge, machines)
+				for d := 0; d < n; d++ {
+					src, machine := lay.InIndex().In(graph.VertexID(d))
+					for k, s := range src {
+						in[machine[k]] = append(in[machine[k]], edge{s, graph.VertexID(d)})
+					}
+				}
+				cmp := func(a, b edge) int {
+					if a.src != b.src {
+						return int(a.src) - int(b.src)
+					}
+					return int(a.dst) - int(b.dst)
+				}
+				for m := 0; m < machines; m++ {
+					slices.SortFunc(out[m], cmp)
+					slices.SortFunc(in[m], cmp)
+					if !slices.Equal(out[m], in[m]) {
+						t.Fatalf("%s/%s/%d: machine %d owns %d out-edges by the placement, %d in-edges by the in-index, or other ones",
+							name, p.Name(), machines, m, len(out[m]), len(in[m]))
 					}
 				}
 				if err := lay.Validate(); err != nil {

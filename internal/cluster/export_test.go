@@ -1,4 +1,4 @@
 package cluster
 
-// ViewsBuilt reports whether l has built its per-machine views.
-func ViewsBuilt(l *Layout) bool { return l.viewsBuilt.Load() }
+// InIndexBuilt reports whether l has built its in-index.
+func InIndexBuilt(l *Layout) bool { return l.in.Load() != nil }

@@ -11,22 +11,21 @@ import (
 )
 
 // Layout is the realized placement of a graph on a cluster. It is
-// immutable once built, apart from the one build of its views, and
+// immutable once built, apart from the one build of its in-index, and
 // shared by all engine runs.
 //
 // NewLayout builds the ingress and nothing more: the machine owning
 // every edge (placement), the per-vertex replica (presence) sets, the
 // master replica of every vertex, each machine's master list, and each
-// machine's edge and replica counts. That is everything a program
-// without a gather phase (FrogWild, gossip) reads: a replica finds its
-// local out-edges by filtering the graph's own CSR through the placement
-// (LocalOutNeighbors, LocalOutDegrees).
+// machine's edge and replica counts. A replica finds its local
+// out-edges by filtering the graph's own CSR through the placement
+// (LocalOutNeighbors, LocalOutDegrees); no program needs more to
+// scatter.
 //
-// The per-machine views — each machine's vertex list, the replicas'
-// local indices, and the local out- and in-CSRs — are built once, by
-// the first View call from any goroutine. Only a gathering program
-// (GraphLab PR) asks for them, so a layout that serves FrogWild alone
-// never holds a copy of the graph.
+// The in-index (InIndex), every vertex's in-edges tagged with the
+// machine owning each, is built once, by the first InIndex call from
+// any goroutine. Only a gathering program (GraphLab PR) asks for it, so
+// a layout that serves FrogWild alone never holds a copy of the graph.
 type Layout struct {
 	g           *graph.Graph
 	machines    int
@@ -45,42 +44,34 @@ type Layout struct {
 	presOff  []int64
 	presList []uint16
 
-	// presWord[v] is v's host set as one bitmask, kept for clusters of
-	// at most 64 machines (nil beyond): the rank of a machine's bit in
-	// it locates that machine's entry in v's presence list.
-	presWord []uint64
-
 	masters [][]uint32 // per machine, the vertices it masters, ascending
 	edges   []int64    // per machine, the edges it owns
 	present []int      // per machine, the vertices it hosts
 
-	// The views and presLocal, aligned with presList (presLocal[j] is
-	// v's dense local index on machine presList[j]), are nil until
-	// buildViews. viewsBuilt is set once they are complete; viewsMu
-	// serializes the build, so a build a failed graph read aborts leaves
-	// nothing behind and the next View starts over.
-	viewsBuilt atomic.Bool
-	viewsMu    sync.Mutex
-	views      []MachineView
-	presLocal  []int32
+	// in is nil until the first InIndex call builds it. inMu
+	// serializes the build, so a build a failed graph read aborts
+	// leaves nothing behind and the next call starts over.
+	inMu sync.Mutex
+	in   atomic.Pointer[InIndex]
 }
 
-// MachineView is one machine's local slice of the graph: the vertices
-// present on the machine and the locally-owned edges, in local CSR
-// form, out and in. A view exists only once Layout.View has built them
-// all; it is read-only afterwards, and engine goroutines read views
-// concurrently.
-type MachineView struct {
-	id  int
-	lay *Layout // LocalIndex answers from its presence lists
+// InIndex lists every vertex's in-edges for a gathering program: the
+// sources of v's in-edges, grouped by the machine owning the edge in
+// ascending machine order, each group in the order a sweep of the CSR
+// meets its edges (sources ascending, a repeated edge as often as the
+// CSR lists it), and beside each source the machine owning its edge.
+// It is read-only once built.
+type InIndex struct {
+	off     []int64
+	src     []graph.VertexID
+	machine []uint16
+}
 
-	// verts lists present vertices in ascending order.
-	verts []uint32
-
-	outOff []int64
-	outAdj []uint32
-	inOff  []int64
-	inAdj  []uint32
+// In returns the sources of v's in-edges and, aligned with them, the
+// machine owning each edge. Both slices alias internal storage.
+func (x *InIndex) In(v graph.VertexID) ([]graph.VertexID, []uint16) {
+	lo, hi := x.off[v], x.off[v+1]
+	return x.src[lo:hi], x.machine[lo:hi]
 }
 
 // NewLayout partitions g across the given number of machines using the
@@ -90,8 +81,8 @@ type MachineView struct {
 // Vertex ids are dense, so every step is a counting pass (count,
 // prefix-sum, fill) rather than a hash-map build. Beyond the
 // partitioner's own pass, the global CSR is read once, for presence and
-// the per-vertex edge offsets. No per-machine view is built here (see
-// View).
+// the per-vertex edge offsets. The in-index is not built here (see
+// InIndex).
 func NewLayout(g *graph.Graph, machines int, p Partitioner, seed uint64) (*Layout, error) {
 	if machines < 1 || machines > MaxMachines {
 		return nil, fmt.Errorf("cluster: machine count %d out of range", machines)
@@ -143,7 +134,6 @@ func NewLayout(g *graph.Graph, machines int, p Partitioner, seed uint64) (*Layou
 	// with no edges at all — possible only when dangling vertices are
 	// allowed — is hosted nowhere: its presence list stays empty and no
 	// master is chosen for it (see MasterOf).
-	lay.presWord = pres.small
 	lay.presOff = make([]int64, n+1)
 	for v := 0; v < n; v++ {
 		lay.presOff[v+1] = lay.presOff[v] + int64(pres.count(graph.VertexID(v)))
@@ -171,115 +161,100 @@ func NewLayout(g *graph.Graph, machines int, p Partitioner, seed uint64) (*Layou
 	return lay, nil
 }
 
-// View returns machine m's local view. The first call from any
-// goroutine builds every machine's view (buildViews); later calls cost
-// one atomic load.
-func (l *Layout) View(m int) *MachineView {
-	if !l.viewsBuilt.Load() {
-		l.buildViews()
+// InIndex returns the layout's in-index. The first call from any
+// goroutine builds it (buildInIndex); later calls cost one atomic load.
+func (l *Layout) InIndex() *InIndex {
+	if x := l.in.Load(); x != nil {
+		return x
 	}
-	return &l.views[m]
+	l.inMu.Lock()
+	defer l.inMu.Unlock()
+	if x := l.in.Load(); x != nil {
+		return x
+	}
+	x := l.buildInIndex()
+	l.in.Store(x)
+	return x
 }
 
-// buildViews builds every machine's view from the ingress: local
-// indices, vertex lists, out-CSRs and in-CSRs, in that order.
-//
-// Local indices: v's index on machine m is the number of lower-numbered
-// vertices m hosts, so one ascending sweep of the presence lists assigns
-// them and writes every view's verts.
-//
-// Out-CSRs: a machine's edges taken in CSR order are its local out-CSR
-// already (sources ascend with their global ids), so one sweep of the
-// global CSR appends each edge's destination to its machine's outAdj and
-// counts the edge against its source's local index there, which srcLocal
-// holds, refilled from the source's presence entries.
-//
-// In-CSRs: each machine's comes from its own out-CSR, with toLocal
-// (refilled from the machine's verts) as the global→local map.
-// In-degrees are counted into inOff[ld+1]; after the prefix sum
-// inOff[ld] is ld's write cursor, and walking local sources in ascending
-// order fills each in-list in the order the CSR lists its sources.
-func (l *Layout) buildViews() {
-	l.viewsMu.Lock()
-	defer l.viewsMu.Unlock()
-	if l.viewsBuilt.Load() {
-		return
-	}
+// buildInIndex builds the in-index in counting passes. The graph's
+// in-degrees size every vertex's range; after the prefix sum off[d] is
+// d's write cursor, and one sweep of the CSR and the placement writes
+// each edge's source and machine at its destination's cursor, so every
+// range holds its in-edges in sweep order. A stable counting pass per
+// vertex, over the machines hosting it in ascending order, then groups
+// a range by machine; a range already grouped (every range, on one
+// machine) is left as it is.
+func (l *Layout) buildInIndex() *InIndex {
 	n := l.g.NumVertices()
-	views := make([]MachineView, l.machines)
-	for m := range views {
-		views[m] = MachineView{
-			id:     m,
-			lay:    l,
-			verts:  make([]uint32, l.present[m]),
-			outOff: make([]int64, l.present[m]+1),
-			outAdj: make([]uint32, 0, l.edges[m]),
-		}
+	x := &InIndex{
+		off:     make([]int64, n+1),
+		src:     make([]graph.VertexID, l.g.NumEdges()),
+		machine: make([]uint16, l.g.NumEdges()),
 	}
-	presLocal := make([]int32, len(l.presList))
-	next := make([]int32, l.machines)
 	for v := 0; v < n; v++ {
-		for j := l.presOff[v]; j < l.presOff[v+1]; j++ {
-			m := l.presList[j]
-			presLocal[j] = next[m]
-			views[m].verts[next[m]] = uint32(v)
-			next[m]++
-		}
+		x.off[v+1] = x.off[v] + int64(l.g.InDegree(graph.VertexID(v)))
 	}
-
 	r := l.g.NewAdjReader()
 	defer r.Release()
-	srcLocal := make([]int32, l.machines)
+	i := 0
 	for v := 0; v < n; v++ {
-		for j := l.presOff[v]; j < l.presOff[v+1]; j++ {
-			srcLocal[l.presList[j]] = presLocal[j]
-		}
-		place := l.placement[l.edgeOff[v]:l.edgeOff[v+1]]
-		for k, d := range r.OutNeighbors(graph.VertexID(v)) {
-			m := place[k]
-			view := &views[m]
-			view.outAdj = append(view.outAdj, d)
-			view.outOff[srcLocal[m]+1]++
+		for _, d := range r.OutNeighbors(graph.VertexID(v)) {
+			at := x.off[d]
+			x.src[at] = graph.VertexID(v)
+			x.machine[at] = l.placement[i]
+			x.off[d]++
+			i++
 		}
 	}
+	// Every cursor now holds its vertex's end, i.e. the next vertex's
+	// start: shift them back into place.
+	copy(x.off[1:], x.off)
+	x.off[0] = 0
 
-	toLocal := make([]int32, n)
-	for m := range views {
-		view := &views[m]
-		for li := range view.verts {
-			view.outOff[li+1] += view.outOff[li]
+	start := make([]int64, l.machines)
+	var hosts []uint16
+	var src []graph.VertexID
+	var machine []uint16
+	for v := 0; v < n; v++ {
+		vs, vm := x.In(graph.VertexID(v))
+		if slices.IsSorted(vm) {
+			continue
 		}
-		view.inOff = make([]int64, len(view.verts)+1)
-		for li, v := range view.verts {
-			toLocal[v] = int32(li)
+		// The master leads the presence list and the mirrors ascend
+		// behind it: put it back among them.
+		hosts = append(hosts[:0], l.Presences(graph.VertexID(v))...)
+		k := 1
+		for k < len(hosts) && hosts[k] < hosts[0] {
+			k++
 		}
-		for _, d := range view.outAdj {
-			view.inOff[toLocal[d]+1]++
+		mst := hosts[0]
+		copy(hosts, hosts[1:k])
+		hosts[k-1] = mst
+
+		for _, m := range hosts {
+			start[m] = 0
 		}
-		for li := range view.verts {
-			view.inOff[li+1] += view.inOff[li]
+		for _, m := range vm {
+			start[m]++
 		}
-		view.inAdj = make([]uint32, len(view.outAdj))
-		for li, s := range view.verts {
-			for _, d := range view.outAdj[view.outOff[li]:view.outOff[li+1]] {
-				ld := toLocal[d]
-				view.inAdj[view.inOff[ld]] = s
-				view.inOff[ld]++
-			}
+		var at int64
+		for _, m := range hosts {
+			at, start[m] = at+start[m], at
 		}
-		// Every cursor now holds its vertex's end, i.e. the next
-		// vertex's start: shift them back into place.
-		copy(view.inOff[1:], view.inOff)
-		view.inOff[0] = 0
+		src = append(src[:0], vs...)
+		machine = append(machine[:0], vm...)
+		for j, m := range machine {
+			vs[start[m]], vm[start[m]] = src[j], m
+			start[m]++
+		}
 	}
-	l.views, l.presLocal = views, presLocal
-	l.viewsBuilt.Store(true)
+	return x
 }
 
 // LocalOutNeighbors appends to dst the destinations of v's out-edges
 // that machine m owns, read through r and filtered by the placement, and
-// returns the grown slice. It holds what View(m).OutNeighborsLocal holds
-// for v, in the same order, without building any view.
+// returns the grown slice, in the order the CSR lists them.
 func (l *Layout) LocalOutNeighbors(r *graph.AdjReader, v graph.VertexID, m int, dst []graph.VertexID) []graph.VertexID {
 	place := l.placement[l.edgeOff[v]:l.edgeOff[v+1]]
 	for k, d := range r.OutNeighbors(v) {
@@ -291,8 +266,8 @@ func (l *Layout) LocalOutNeighbors(r *graph.AdjReader, v graph.VertexID, m int, 
 }
 
 // LocalOutDegrees sets deg[m], for every machine m hosting v, to the
-// number of v's out-edges m owns (View(m).LocalOutDegree of v), from one
-// counting pass over v's placement; it reads no edge and builds no view.
+// number of v's out-edges m owns, from one counting pass over v's
+// placement; it reads no edge.
 // deg is indexed by machine; the entries of machines not hosting v are
 // left as they were.
 func (l *Layout) LocalOutDegrees(v graph.VertexID, deg []int) {
@@ -488,72 +463,69 @@ func (l *Layout) Stats() CutStats {
 }
 
 // Validate checks layout invariants: every edge is owned by exactly one
-// machine, presence sets match edge ownership, every hosted vertex's
-// master is in its presence set, the views agree with the global graph
-// and with the ingress counts, and the placement reads
-// (LocalOutNeighbors, LocalOutDegrees) answer what the views hold. It
-// builds the views, and is used by property tests.
+// machine of the cluster, the per-machine edge and replica counts match
+// the placement, every vertex's presence list is exactly the set of
+// machines owning one of its edges, every hosted vertex's master leads
+// that list, and the hosts' local out-degrees (LocalOutDegrees and
+// LocalOutNeighbors) sum to the global out-degree. It is used by
+// property tests.
 func (l *Layout) Validate() error {
 	n := l.g.NumVertices()
-	var localEdges int64
-	for m := 0; m < l.machines; m++ {
-		v := l.View(m)
-		localEdges += int64(len(v.outAdj))
-		if len(v.outAdj) != len(v.inAdj) {
-			return fmt.Errorf("cluster: machine %d out/in edge mismatch", m)
+	if int64(len(l.placement)) != l.g.NumEdges() {
+		return fmt.Errorf("cluster: %d placements for %d edges", len(l.placement), l.g.NumEdges())
+	}
+	owners := newPresenceSet(n, l.machines)
+	edges := make([]int64, l.machines)
+	r := l.g.NewAdjReader()
+	defer r.Release()
+	for v := 0; v < n; v++ {
+		place := l.placement[l.edgeOff[v]:l.edgeOff[v+1]]
+		out := r.OutNeighbors(graph.VertexID(v))
+		if len(place) != len(out) {
+			return fmt.Errorf("cluster: vertex %d has %d out-edges, %d placements", v, len(out), len(place))
 		}
-		if int64(len(v.outAdj)) != l.edges[m] || len(v.verts) != l.present[m] {
-			return fmt.Errorf("cluster: machine %d view holds %d edges and %d vertices, ingress counted %d and %d",
-				m, len(v.outAdj), len(v.verts), l.edges[m], l.present[m])
-		}
-		for li, vert := range v.verts {
-			if got, ok := v.LocalIndex(vert); !ok || got != int32(li) {
-				return fmt.Errorf("cluster: machine %d local index broken at %d", m, vert)
+		for k, d := range out {
+			m := int(place[k])
+			if m >= l.machines {
+				return fmt.Errorf("cluster: edge %d->%d on machine %d of %d", v, d, m, l.machines)
 			}
+			owners.set(graph.VertexID(v), m)
+			owners.set(d, m)
+			edges[m]++
 		}
 	}
-	if localEdges != l.g.NumEdges() {
-		return fmt.Errorf("cluster: %d local edges != %d graph edges", localEdges, l.g.NumEdges())
-	}
-	seen := newPresenceSet(n, l.machines)
+	present := make([]int, l.machines)
+	deg := make([]int, l.machines)
+	var nbrs []graph.VertexID
 	for v := 0; v < n; v++ {
 		pres := l.Presences(graph.VertexID(v))
+		if len(pres) != owners.count(graph.VertexID(v)) {
+			return fmt.Errorf("cluster: vertex %d listed on %d machines, owners of its edges are %d", v, len(pres), owners.count(graph.VertexID(v)))
+		}
 		if len(pres) == 0 {
-			if l.g.OutDegree(graph.VertexID(v)) > 0 || l.g.InDegree(graph.VertexID(v)) > 0 {
-				return fmt.Errorf("cluster: vertex %d has edges but no presence", v)
-			}
 			continue
 		}
 		if pres[0] != l.master[v] {
 			return fmt.Errorf("cluster: vertex %d master %d not first in presence list", v, l.master[v])
 		}
-		for _, m := range pres {
-			if seen.has(graph.VertexID(v), int(m)) {
-				return fmt.Errorf("cluster: vertex %d duplicated presence on %d", v, m)
-			}
-			seen.set(graph.VertexID(v), int(m))
-			verts := l.views[m].verts
-			if li, ok := l.views[m].LocalIndex(graph.VertexID(v)); !ok || int(li) >= len(verts) || verts[li] != uint32(v) {
-				return fmt.Errorf("cluster: vertex %d listed on machine %d but absent from view", v, m)
+		for k := 2; k < len(pres); k++ {
+			if pres[k] <= pres[k-1] {
+				return fmt.Errorf("cluster: vertex %d mirrors %v not strictly ascending", v, pres[1:])
 			}
 		}
-	}
-	// Each host's placement-filtered out-edges are its view's, and the
-	// hosts' local out-degrees sum to the global out-degree.
-	r := l.g.NewAdjReader()
-	defer r.Release()
-	deg := make([]int, l.machines)
-	var nbrs []graph.VertexID
-	for v := 0; v < n; v++ {
+		if slices.Contains(pres[1:], pres[0]) {
+			return fmt.Errorf("cluster: vertex %d master %d also listed as a mirror", v, pres[0])
+		}
 		l.LocalOutDegrees(graph.VertexID(v), deg)
 		sum := 0
-		for _, m := range l.Presences(graph.VertexID(v)) {
-			view := &l.views[m]
-			li, _ := view.LocalIndex(graph.VertexID(v))
+		for _, m := range pres {
+			if !owners.has(graph.VertexID(v), int(m)) {
+				return fmt.Errorf("cluster: vertex %d listed on machine %d, which owns none of its edges", v, m)
+			}
+			present[m]++
 			nbrs = l.LocalOutNeighbors(r, graph.VertexID(v), int(m), nbrs[:0])
-			if deg[m] != view.LocalOutDegree(li) || !slices.Equal(nbrs, view.OutNeighborsLocal(li)) {
-				return fmt.Errorf("cluster: vertex %d on machine %d: placement reads %d out-edges %v, view holds %v",
-					v, m, deg[m], nbrs, view.OutNeighborsLocal(li))
+			if len(nbrs) != deg[m] {
+				return fmt.Errorf("cluster: vertex %d on machine %d: %d local out-edges, degree %d", v, m, len(nbrs), deg[m])
 			}
 			sum += deg[m]
 		}
@@ -562,66 +534,9 @@ func (l *Layout) Validate() error {
 				v, sum, l.g.OutDegree(graph.VertexID(v)))
 		}
 	}
+	if !slices.Equal(edges, l.edges) || !slices.Equal(present, l.present) {
+		return fmt.Errorf("cluster: placement gives %v edges and %v replicas per machine, ingress counted %v and %v",
+			edges, present, l.edges, l.present)
+	}
 	return nil
 }
-
-// Verts returns the present vertices in ascending order. The slice
-// aliases internal storage.
-func (mv *MachineView) Verts() []uint32 { return mv.verts }
-
-// LocalIndex returns the machine-local dense index of v and whether v
-// is present on this machine, read off v's presence entry: the master
-// sits first, and a mirror's slot is its rank among v's hosts (a
-// popcount of the presence word up to 64 machines, a binary search of
-// the ascending mirror list beyond).
-func (mv *MachineView) LocalIndex(v graph.VertexID) (int32, bool) {
-	l, m := mv.lay, mv.id
-	lo, hi := l.presOff[v], l.presOff[v+1]
-	if lo == hi {
-		return 0, false
-	}
-	mst := int(l.presList[lo])
-	if m == mst {
-		return l.presLocal[lo], true
-	}
-	if l.presWord != nil {
-		bit := uint64(1) << uint(m)
-		w := l.presWord[v]
-		if w&bit == 0 {
-			return 0, false
-		}
-		// Hosts below m, the master among them or not; the master's
-		// own slot is taken out of the ascending order.
-		j := lo + int64(popcount(w&(bit-1)))
-		if mst > m {
-			j++
-		}
-		return l.presLocal[j], true
-	}
-	k, ok := slices.BinarySearch(l.presList[lo+1:hi], uint16(m))
-	if !ok {
-		return 0, false
-	}
-	return l.presLocal[lo+1+int64(k)], true
-}
-
-// OutNeighborsLocal returns the destinations of the machine's local
-// out-edges of the vertex at local index li.
-func (mv *MachineView) OutNeighborsLocal(li int32) []uint32 {
-	return mv.outAdj[mv.outOff[li]:mv.outOff[li+1]]
-}
-
-// InNeighborsLocal returns the sources of the machine's local in-edges
-// of the vertex at local index li.
-func (mv *MachineView) InNeighborsLocal(li int32) []uint32 {
-	return mv.inAdj[mv.inOff[li]:mv.inOff[li+1]]
-}
-
-// LocalOutDegree returns the local out-degree of the vertex at local
-// index li.
-func (mv *MachineView) LocalOutDegree(li int32) int {
-	return int(mv.outOff[li+1] - mv.outOff[li])
-}
-
-// NumPresent returns the number of vertices present on this machine.
-func (mv *MachineView) NumPresent() int { return len(mv.verts) }

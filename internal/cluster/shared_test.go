@@ -38,31 +38,31 @@ func glprConfig(lay *cluster.Layout) glpr.Config {
 	return glpr.Config{Iterations: 3, Seed: 11, Layout: lay}
 }
 
-// TestFrogWildNeverBuildsViews: FrogWild reads its replicas' local
-// edges through the placement, so a layout that has served only
-// FrogWild holds no per-machine view; the first gathering run builds
-// them.
-func TestFrogWildNeverBuildsViews(t *testing.T) {
+// TestFrogWildNeverBuildsInIndex: FrogWild reads its replicas' local
+// edges through the placement and gathers nothing, so a layout that has
+// served only FrogWild holds no in-index; the first gathering run
+// builds it.
+func TestFrogWildNeverBuildsInIndex(t *testing.T) {
 	g := sharedGraph(t)
 	lay := newLayout(t, g)
 	if _, err := frogwild.Run(g, frogConfig(lay)); err != nil {
 		t.Fatal(err)
 	}
-	if cluster.ViewsBuilt(lay) {
-		t.Fatal("a FrogWild run built the per-machine views")
+	if cluster.InIndexBuilt(lay) {
+		t.Fatal("a FrogWild run built the in-index")
 	}
 	if _, err := glpr.Run(g, glprConfig(lay)); err != nil {
 		t.Fatal(err)
 	}
-	if !cluster.ViewsBuilt(lay) {
-		t.Fatal("a GraphLab-PR run left the views unbuilt")
+	if !cluster.InIndexBuilt(lay) {
+		t.Fatal("a GraphLab-PR run left the in-index unbuilt")
 	}
 }
 
 // TestFrogWildAndGLPRShareOneLayout runs FrogWild and GraphLab-PR at
 // once on one fresh layout, the way the harness and the examples share
-// layouts: GLPR's engine builds the views while FrogWild reads only the
-// placement. Both answer exactly what each answers alone on a layout of
+// layouts: GLPR's engine builds the in-index while FrogWild reads only
+// the placement. Both answer exactly what each answers alone on a layout of
 // its own.
 func TestFrogWildAndGLPRShareOneLayout(t *testing.T) {
 	g := sharedGraph(t)

@@ -100,17 +100,12 @@ type Engine[V, M any] struct {
 	splitter  Splitter[V]
 	finalizer Finalizer[V, M]
 
-	// view holds every machine's view of the layout for a Gatherer. It
-	// is nil for every other program: its replicas read their local
-	// out-edges from the graph's CSR through the layout's placement,
-	// and the views are never built.
-	view []*cluster.MachineView
+	// in is the layout's in-index, for a Gatherer; nil for every other
+	// program, which never makes the layout build it.
+	in *cluster.InIndex
 
 	// Master state per vertex; written only by the master's machine.
 	state []V
-	// Replica states per machine, indexed by machine-local index. Nil
-	// unless the program is a Gatherer: only gathers read replicas.
-	replica [][]V
 
 	active     []bool
 	nextActive []bool
@@ -126,12 +121,13 @@ type Engine[V, M any] struct {
 	// scan per superstep.
 	pending int64
 
-	// Per-machine gather partials for the current superstep, indexed by
-	// machine-local vertex index (dense, so gather chunks write disjoint
-	// ranges with no locking). hasPart marks which entries are live this
-	// superstep; both are fully overwritten by every gather phase.
-	partials [][]float64
-	hasPart  [][]bool
+	// gathered[v] is v's summed accumulator for this superstep's apply,
+	// written by the gather phase at v's master. Nil unless the program
+	// is a Gatherer.
+	gathered []float64
+	// gatherCharges[m] is the gather work done on machine m this
+	// superstep, charged from any master's goroutine.
+	gatherCharges []gatherCharge
 
 	// syncOut[master][target] collects sync/share deliveries produced
 	// in apply, consumed by the target machine in scatter.
@@ -146,13 +142,23 @@ type Engine[V, M any] struct {
 
 	aggregates []float64
 
-	// Fixed per-machine chunkings of the phase loops: boundaries are a
-	// function of view sizes only, never of the worker count — the
+	// Fixed per-machine chunkings of the master lists: boundaries are a
+	// function of list lengths only, never of the worker count — the
 	// invariant that keeps runs bit-identical for any GOMAXPROCS.
-	gatherChunks [][]parallel.Range
-	applyChunks  [][]parallel.Range
+	masterChunks [][]parallel.Range
 
 	scratch []machineScratch[V, M]
+}
+
+// gatherCharge counts one machine's gather work in a superstep: the
+// in-edges it read and the partials it sent to masters on other
+// machines. Masters on any machine charge it concurrently; integer sums
+// do not depend on the order they are taken in. The padding keeps every
+// machine's counters on a cache line of their own.
+type gatherCharge struct {
+	edgeOps atomic.Int64
+	sent    atomic.Int64
+	_       [48]byte
 }
 
 type syncEntry[V any] struct {
@@ -188,8 +194,8 @@ type machineScratch[V, M any] struct {
 	out     []map[graph.VertexID]M
 	work    []scatterItem[V]
 	// readers and nbrs are each pool worker's graph reader and local
-	// out-edge buffer, for the scatter of a program without views. They
-	// hold no result, so they are per worker, not per chunk.
+	// out-edge buffer, for the scatter. They hold no result, so they are
+	// per worker, not per chunk.
 	readers []*graph.AdjReader
 	nbrs    [][]graph.VertexID
 	// newPending is the machine's newly activated vertex count from the
@@ -240,6 +246,9 @@ func New[V, M any](lay *cluster.Layout, prog Program[V, M], opts Options) (*Engi
 	if opts.PS < 0 || opts.PS > 1 {
 		return nil, fmt.Errorf("gas: ps %v out of [0,1]", opts.PS)
 	}
+	if _, ok := prog.(Gatherer[V]); ok && opts.PS != 1 {
+		return nil, fmt.Errorf("gas: a Gatherer reads master state, which needs every mirror synchronized: ps %v, want 1", opts.PS)
+	}
 	if opts.MaxSupersteps <= 0 {
 		return nil, fmt.Errorf("gas: MaxSupersteps must be positive, got %d", opts.MaxSupersteps)
 	}
@@ -280,24 +289,14 @@ func New[V, M any](lay *cluster.Layout, prog Program[V, M], opts Options) (*Engi
 	e.runMeters = make([]cluster.MachineMeter, e.machines)
 	e.aggregates = make([]float64, e.machines)
 	e.scratch = make([]machineScratch[V, M], e.machines)
-	e.applyChunks = make([][]parallel.Range, e.machines)
+	e.masterChunks = make([][]parallel.Range, e.machines)
 	for m := 0; m < e.machines; m++ {
-		e.applyChunks[m] = parallel.Chunks(len(lay.Masters(m)))
+		e.masterChunks[m] = parallel.Chunks(len(lay.Masters(m)))
 	}
 	if e.gatherer != nil {
-		e.view = make([]*cluster.MachineView, e.machines)
-		e.replica = make([][]V, e.machines)
-		e.partials = make([][]float64, e.machines)
-		e.hasPart = make([][]bool, e.machines)
-		e.gatherChunks = make([][]parallel.Range, e.machines)
-		for m := 0; m < e.machines; m++ {
-			e.view[m] = lay.View(m)
-			present := e.view[m].NumPresent()
-			e.replica[m] = make([]V, present)
-			e.partials[m] = make([]float64, present)
-			e.hasPart[m] = make([]bool, present)
-			e.gatherChunks[m] = parallel.Chunks(present)
-		}
+		e.in = lay.InIndex()
+		e.gathered = make([]float64, e.n)
+		e.gatherCharges = make([]gatherCharge, e.machines)
 	}
 
 	// Initial states and activation. The pending counter needs no
@@ -307,13 +306,6 @@ func New[V, M any](lay *cluster.Layout, prog Program[V, M], opts Options) (*Engi
 		st, act := prog.InitState(graph.VertexID(v))
 		e.state[v] = st
 		e.active[v] = act
-	}
-	if e.replica != nil {
-		for m := 0; m < e.machines; m++ {
-			for li, v := range e.view[m].Verts() {
-				e.replica[m][li] = e.state[v]
-			}
-		}
 	}
 	return e, nil
 }
@@ -405,7 +397,7 @@ func (e *Engine[V, M]) Run() (*RunStats, error) {
 	if e.finalizer != nil {
 		e.parallel(func(m int) {
 			masters := e.lay.Masters(m)
-			chunks := e.applyChunks[m]
+			chunks := e.masterChunks[m]
 			e.scratch[m].pool.Run(len(chunks), func(c, _ int) {
 				for i := chunks[c].Lo; i < chunks[c].Hi; i++ {
 					v := masters[i]
@@ -444,49 +436,59 @@ func (e *Engine[V, M]) superstep(step int) int64 {
 		e.aggregates[m] = 0
 	}
 
-	// Phase 1 — gather partials over local in-edges on every machine,
-	// sharded over fixed chunks of the machine's local-index space.
-	// Chunks write disjoint dense ranges of partials/hasPart, so no
-	// merge is needed; chunk meters are reduced in chunk order.
+	// Phase 1 — gather at the masters, sharded over the master chunks.
+	// Each active master v sums one partial per machine owning in-edges
+	// of v, in ascending machine order, each read from master states
+	// (every mirror is synchronized, ps = 1). The machine owning the
+	// edges is charged the edge reads and, unless it is v's master, one
+	// partial sent; the master receives it.
 	if e.gatherer != nil {
+		partial := int64(e.sizes.Acc) + perEntryHeaderBytes
 		e.parallel(func(m int) {
-			view := e.view[m]
 			sc := &e.scratch[m]
-			chunks := e.gatherChunks[m]
+			masters := e.lay.Masters(m)
+			chunks := e.masterChunks[m]
 			sc.ensure(len(chunks))
-			verts := view.Verts()
-			part := e.partials[m]
-			hasPart := e.hasPart[m]
-			read := func(u graph.VertexID) V {
-				li, _ := view.LocalIndex(u)
-				return e.replica[m][li]
-			}
+			read := func(u graph.VertexID) V { return e.state[u] }
 			sc.pool.Run(len(chunks), func(c, _ int) {
 				meter := &sc.meters[c]
 				meter.Reset()
-				ctx := &Context{Superstep: step, NumVertices: e.n, NumMachines: e.machines, Machine: m}
-				for li := chunks[c].Lo; li < chunks[c].Hi; li++ {
-					v := graph.VertexID(verts[li])
-					hasPart[li] = false
+				ctx := &Context{Superstep: step, NumVertices: e.n, NumMachines: e.machines}
+				for i := chunks[c].Lo; i < chunks[c].Hi; i++ {
+					v := graph.VertexID(masters[i])
 					if !e.isActive(v) {
 						continue
 					}
-					neighbors := view.InNeighborsLocal(int32(li))
-					if len(neighbors) == 0 {
-						continue
+					src, machine := e.in.In(v)
+					acc := 0.0
+					for lo := 0; lo < len(src); {
+						mm := machine[lo]
+						hi := lo + 1
+						for hi < len(src) && machine[hi] == mm {
+							hi++
+						}
+						ctx.Machine = int(mm)
+						acc += e.gatherer.GatherLocal(v, src[lo:hi], read, ctx)
+						charge := &e.gatherCharges[mm]
+						charge.edgeOps.Add(int64(hi - lo))
+						if int(mm) != m {
+							charge.sent.Add(1)
+							meter.Recv(cluster.TrafficGather, partial)
+						}
+						lo = hi
 					}
-					part[li] = e.gatherer.GatherLocal(v, neighbors, read, ctx)
-					hasPart[li] = true
-					meter.EdgeOps += int64(len(neighbors))
-					if int(e.lay.MasterOf(v)) != m {
-						meter.Send(cluster.TrafficGather, int64(e.sizes.Acc)+perEntryHeaderBytes)
-					}
+					e.gathered[v] = acc
 				}
 			})
 			for c := range chunks {
 				e.stepMeters[m].Add(&sc.meters[c])
 			}
 		})
+		for m := range e.gatherCharges {
+			charge := &e.gatherCharges[m]
+			e.stepMeters[m].EdgeOps += charge.edgeOps.Swap(0)
+			e.stepMeters[m].Send(cluster.TrafficGather, partial*charge.sent.Swap(0))
+		}
 	}
 
 	// Phase 2 — apply at masters, sharded over fixed chunks of the
@@ -498,7 +500,7 @@ func (e *Engine[V, M]) superstep(step int) int64 {
 	e.parallel(func(m int) {
 		sc := &e.scratch[m]
 		masters := e.lay.Masters(m)
-		chunks := e.applyChunks[m]
+		chunks := e.masterChunks[m]
 		sc.ensure(len(chunks))
 		sc.pool.Run(len(chunks), func(c, _ int) {
 			meter := &sc.meters[c]
@@ -517,16 +519,7 @@ func (e *Engine[V, M]) superstep(step int) int64 {
 				sc.applied[c]++
 				acc := 0.0
 				if e.gatherer != nil {
-					for mm := 0; mm < e.machines; mm++ {
-						li, ok := e.view[mm].LocalIndex(v)
-						if !ok || !e.hasPart[mm][li] {
-							continue
-						}
-						acc += e.partials[mm][li]
-						if mm != m {
-							meter.Recv(cluster.TrafficGather, int64(e.sizes.Acc)+perEntryHeaderBytes)
-						}
-					}
+					acc = e.gathered[v]
 				}
 				stream = rng.DeriveValue(e.opts.Seed, rngDomainApply, uint64(step), uint64(v))
 				ctx.aggregate = 0
@@ -534,11 +527,6 @@ func (e *Engine[V, M]) superstep(step int) int64 {
 				e.state[v] = newState
 				sc.aggs[c] += ctx.aggregate
 				meter.VertexOps++
-				if e.replica != nil {
-					if li, ok := e.view[m].LocalIndex(v); ok {
-						e.replica[m][li] = newState
-					}
-				}
 				if doScatter {
 					buf = e.planSync(m, v, newState, &stream, meter, plan, buf)
 				}
@@ -555,7 +543,7 @@ func (e *Engine[V, M]) superstep(step int) int64 {
 	})
 	var applied int64
 	for m := range e.scratch {
-		for c := range e.applyChunks[m] {
+		for c := range e.masterChunks[m] {
 			applied += e.scratch[m].applied[c]
 		}
 	}
@@ -565,9 +553,8 @@ func (e *Engine[V, M]) superstep(step int) int64 {
 	// append order — both deterministic) into a work list, chunks it,
 	// and gives every chunk its own derived rng stream; per-chunk
 	// outboxes merge in chunk order via CombineMsg. A replica's local
-	// out-edges come from its machine's view when the engine has views,
-	// and otherwise from the graph's CSR filtered by the placement into
-	// the worker's buffer: the same slice, in the same order.
+	// out-edges come from the graph's CSR filtered by the placement into
+	// the worker's buffer.
 	e.parallel(func(m int) {
 		sc := &e.scratch[m]
 		work := sc.work[:0]
@@ -579,7 +566,7 @@ func (e *Engine[V, M]) superstep(step int) int64 {
 		sc.work = work
 		chunks := parallel.Chunks(len(work))
 		sc.ensure(len(chunks))
-		if e.view == nil && sc.readers == nil {
+		if sc.readers == nil {
 			sc.readers = make([]*graph.AdjReader, sc.pool.NumWorkers())
 			sc.nbrs = make([][]graph.VertexID, sc.pool.NumWorkers())
 			for w := range sc.readers {
@@ -616,20 +603,8 @@ func (e *Engine[V, M]) superstep(step int) int64 {
 				if int(work[i].src) != m {
 					meter.Recv(cluster.TrafficSync, int64(e.sizes.State)+perEntryHeaderBytes)
 				}
-				var neighbors []graph.VertexID
-				if e.view != nil {
-					li, ok := e.view[m].LocalIndex(entry.v)
-					if !ok {
-						continue
-					}
-					if e.splitter == nil {
-						e.replica[m][li] = entry.state
-					}
-					neighbors = e.view[m].OutNeighborsLocal(li)
-				} else {
-					neighbors = e.lay.LocalOutNeighbors(sc.readers[w], entry.v, m, sc.nbrs[w][:0])
-					sc.nbrs[w] = neighbors
-				}
+				neighbors := e.lay.LocalOutNeighbors(sc.readers[w], entry.v, m, sc.nbrs[w][:0])
+				sc.nbrs[w] = neighbors
 				if len(neighbors) == 0 {
 					continue
 				}

@@ -10,11 +10,16 @@
 // A superstep proceeds in phases, matching PowerGraph's synchronous
 // engine:
 //
-//  1. Gather (Gatherer programs only): every machine computes a
-//     partial accumulator for each active vertex it hosts from its
-//     locally-owned in-edges; partials flow mirror→master.
-//  2. Apply: the master combines partials and the vertex's combined
-//     inbound message and runs Apply, producing the new state.
+//  1. Gather (Gatherer programs only, at ps = 1): for each active
+//     vertex, every machine owning in-edges of it computes a partial
+//     accumulator over them; partials flow mirror→master. The engine
+//     runs each partial at the master, from the layout's in-index,
+//     reading master states — which every mirror holds when all of
+//     them are synchronized — and charges the edge reads and the send
+//     to the machine owning the edges.
+//  2. Apply: the master sums the partials in ascending machine order,
+//     combines them with the vertex's combined inbound message and runs
+//     Apply, producing the new state.
 //  3. Sync: the master synchronizes each mirror with probability ps
 //     (the master's own machine is always current). Programs that
 //     implement Splitter divide their state across the synchronized
@@ -27,12 +32,14 @@
 //
 // Execution is parallel at two levels: one goroutine per simulated
 // machine, and within each machine a worker pool (GOMAXPROCS split
-// across machines) that shards the gather, apply and scatter
-// loops over fixed chunks of the machine's local vertex view. Chunk
-// boundaries depend only on view sizes, per-chunk partials (meters,
-// float aggregates, sync deliveries, combined messages) are reduced in
-// chunk-index order, and scatter randomness is one derived stream per
-// chunk — so runs are bit-identical for any worker count.
+// across machines) that shards the gather and apply loops over fixed
+// chunks of the machine's master list, and the scatter loop over fixed
+// chunks of the syncs the machine received. Chunk boundaries depend only
+// on those lengths, per-chunk partials (meters, float aggregates, sync
+// deliveries, combined messages) are reduced in chunk-index order, a
+// vertex's gather partials are summed in machine order within its
+// chunk, and scatter randomness is one derived stream per chunk — so
+// runs are bit-identical for any worker count.
 //
 // All randomness derives deterministically from the run seed, the
 // superstep and the vertex, chunk or machine, so runs are reproducible
@@ -112,11 +119,13 @@ type Program[V, M any] interface {
 }
 
 // Gatherer is an optional Program extension that adds the gather
-// phase. GatherLocal computes a machine's partial accumulator for vertex
-// v: neighbors holds the sources of the machine's locally-owned
-// in-edges of v, and read returns the machine-local replica state of
-// any vertex present on the machine. Only a Gatherer makes the engine
-// build the layout's per-machine views and keep replica states.
+// phase. GatherLocal computes one machine's partial accumulator for
+// vertex v: neighbors holds the sources of v's in-edges that machine
+// ctx.Machine owns, and read returns a vertex's state as its master
+// holds it after the previous superstep. That is what every replica
+// holds in PowerGraph's synchronous engine, whose mirrors are all
+// synchronized every superstep, so New accepts a Gatherer only at
+// ps = 1. Only a Gatherer makes the engine build the layout's in-index.
 type Gatherer[V any] interface {
 	GatherLocal(v graph.VertexID, neighbors []graph.VertexID, read func(graph.VertexID) V, ctx *Context) float64
 }

@@ -9,10 +9,9 @@ import (
 	"repro/internal/graph/gen"
 )
 
-// gatherProgram is a Gatherer that sums neighbor values over in-edges
-// so replica staleness is observable: each vertex's state counts how
-// much its in-neighbors' replicas claimed at gather time. Its scatter
-// emits nothing.
+// gatherProgram is a Gatherer that sums neighbor values over in-edges,
+// so what a gather reads is observable: each vertex's state counts how
+// much its in-neighbors held at gather time. Its scatter emits nothing.
 type gatherProgram struct{}
 
 type gatherState struct {
@@ -32,7 +31,7 @@ func (gatherProgram) GatherLocal(v graph.VertexID, neighbors []graph.VertexID, r
 }
 func (gatherProgram) Apply(v graph.VertexID, st gatherState, acc float64, _ int64, _ bool, ctx *Context) (gatherState, bool) {
 	st.Seen = acc
-	st.Value = st.Value * 2 // changes every superstep; mirrors see it only on sync
+	st.Value = st.Value * 2 // changes every superstep
 	return st, true
 }
 func (gatherProgram) ScatterLocal(graph.VertexID, gatherState, []graph.VertexID, func(graph.VertexID, int64), *Context) {
@@ -42,7 +41,8 @@ func (gatherProgram) Sizes() Sizes                { return Sizes{State: 16, Msg:
 
 // TestGatherFullSyncSeesFreshValues: with ps=1 every replica is synced
 // every superstep, so at superstep s each gather sees the values
-// doubled s times: Seen = inDegree * 2^s.
+// doubled s times: Seen = inDegree * 2^s, whichever machine owns the
+// edge.
 func TestGatherFullSyncSeesFreshValues(t *testing.T) {
 	g := gen.Cycle(12)
 	lay, err := cluster.NewLayout(g, 4, cluster.Random{}, 3)
@@ -68,36 +68,22 @@ func TestGatherFullSyncSeesFreshValues(t *testing.T) {
 	}
 }
 
-// TestGatherZeroSyncSeesStaleValues: with ps=0 mirrors never sync, so
-// gathers over edges hosted away from the neighbor's master machine
-// keep reading the initial value 1. On a multi-machine layout at least
-// one vertex must observe staleness.
-func TestGatherZeroSyncSeesStaleValues(t *testing.T) {
-	g := gen.Cycle(12)
-	lay, err := cluster.NewLayout(g, 4, cluster.Random{}, 3)
+// TestGatherRefusesPartialSync: a Gatherer reads master states, which
+// is what its replicas hold only when every mirror is synchronized, so
+// New refuses one at any ps below 1. A program without a gather phase
+// runs at any ps.
+func TestGatherRefusesPartialSync(t *testing.T) {
+	lay, err := cluster.NewLayout(gen.Cycle(12), 4, cluster.Random{}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := New[gatherState, int64](lay, gatherProgram{}, Options{
-		PS: 0, Seed: 1, MaxSupersteps: 3, AlwaysActive: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	stale := 0
-	for _, st := range eng.MasterStates() {
-		if st.Seen < 4 {
-			stale++
+	for _, ps := range []float64{0, 0.5, 0.999} {
+		if _, err := New[gatherState, int64](lay, gatherProgram{}, Options{PS: ps, Seed: 1, MaxSupersteps: 3, AlwaysActive: true}); err == nil {
+			t.Errorf("a Gatherer at ps %v was accepted", ps)
 		}
-	}
-	// The master's own machine replica stays fresh (master co-located),
-	// so only edges on foreign machines go stale; with 4 machines and
-	// hashed placement most edges are foreign.
-	if stale == 0 {
-		t.Fatal("ps=0 should leave some gathers reading stale replicas")
+		if _, err := New[tokState, int64](lay, tokenProgram{}, Options{PS: ps, Seed: 1, MaxSupersteps: 3}); err != nil {
+			t.Errorf("a program without a gather phase at ps %v was refused: %v", ps, err)
+		}
 	}
 }
 

@@ -1,9 +1,13 @@
 // Package glpr implements the baseline the paper compares against:
 // "GraphLab PR", synchronous power-iteration PageRank as a GAS vertex
 // program on the vertex-cut engine. Every superstep gathers
-// rank/out-degree over in-edges, applies the PageRank update at the
-// master, synchronizes mirrors (full sync, ps = 1, as stock PowerGraph
-// does) and executes scatter over out-edges.
+// rank/out-degree over in-edges, one partial per machine owning some of
+// them, applies the PageRank update at the master, synchronizes every
+// mirror (ps = 1, as stock PowerGraph does) and executes scatter over
+// out-edges. Partial synchronization is the paper's change to FrogWild
+// only: the engine gathers from the states the masters hold, which is
+// what fully synchronized mirrors hold, and refuses a gathering program
+// at any other ps.
 //
 // Two modes reproduce the paper's baselines:
 //
@@ -145,7 +149,7 @@ func Run(g *graph.Graph, cfg Config) (*Result, error) {
 	prog := &program{g: g, n: g.NumVertices(), teleport: teleport}
 
 	opts := gas.Options{
-		PS:           1, // stock PowerGraph: full synchronization
+		PS:           1, // stock PowerGraph: full synchronization, which gathering needs
 		Seed:         cfg.Seed,
 		AlwaysActive: true,
 		Cost:         cfg.Cost,

@@ -165,9 +165,8 @@ func TestLayoutReuse(t *testing.T) {
 
 // TestLazyInCSRAfterFrogWild is the harness's shared-layout pattern: a
 // FrogWild run, which never reads in-edges, uses the layout first, and
-// GraphLab-PR's first gather then builds the in-CSRs inside the engine.
-// Ranks and every network count must equal a run on a fresh layout bit
-// for bit.
+// GraphLab-PR's engine then builds the in-index. Ranks and every
+// network count must equal a run on a fresh layout bit for bit.
 func TestLazyInCSRAfterFrogWild(t *testing.T) {
 	g, err := gen.PowerLaw(gen.PowerLawConfig{N: 1500, MeanOutDeg: 6, DegExponent: 2.1, PrefExponent: 1, Seed: 8})
 	if err != nil {

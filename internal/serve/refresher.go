@@ -202,3 +202,20 @@ func (r *Refresher) Run(ctx context.Context, onError func(error)) error {
 		}
 	}
 }
+
+// Start runs Run on a goroutine of its own and returns the function
+// that stops it: stop cancels Run's context and returns once Run has
+// returned, so a refresh in flight when stop is called finishes, its
+// snapshot saved, before stop returns.
+func (r *Refresher) Start(ctx context.Context, onError func(error)) (stop func()) {
+	ctx, cancel := context.WithCancel(ctx)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		r.Run(ctx, onError)
+	}()
+	return func() {
+		cancel()
+		<-done
+	}
+}

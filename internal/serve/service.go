@@ -47,6 +47,8 @@ type ServiceConfig struct {
 // warm-started from disk (so a restored estimate is re-derived
 // promptly), and serves the query API on addr until ctx is cancelled,
 // shutting down gracefully. The service is never up without an answer.
+// It returns only after the refresher has stopped: a refresh in flight
+// at shutdown finishes first.
 func ListenAndServe(ctx context.Context, addr string, g *graph.Graph, cfg ServiceConfig) error {
 	srv, refresher, err := NewService(g, cfg)
 	if err != nil {
@@ -54,9 +56,7 @@ func ListenAndServe(ctx context.Context, addr string, g *graph.Graph, cfg Servic
 	}
 	cur := srv.Snapshot()
 	if cfg.RefreshInterval > 0 || (cur != nil && cur.WarmStart) {
-		rctx, cancel := context.WithCancel(ctx)
-		defer cancel()
-		go refresher.Run(rctx, cfg.OnRefreshError)
+		defer refresher.Start(ctx, cfg.OnRefreshError)()
 	}
 	return srv.Serve(ctx, addr)
 }

@@ -46,7 +46,6 @@ import (
 	"repro/internal/frogwild"
 	"repro/internal/gas"
 	"repro/internal/glpr"
-	"repro/internal/gossip"
 	"repro/internal/graph"
 	"repro/internal/graph/gen"
 	"repro/internal/graph/gio"
@@ -357,20 +356,6 @@ const (
 	// ErasureIndependent may strand frogs at low ps (Example 9).
 	ErasureIndependent = frogwild.ErasureIndependent
 )
-
-// GossipConfig configures push-protocol rumor spreading, a second
-// vertex program demonstrating that any "send to a random neighbor"
-// algorithm benefits from the ps knob (paper Section 3.3).
-type GossipConfig = gossip.Config
-
-// GossipResult reports a rumor-spreading run.
-type GossipResult = gossip.Result
-
-// RunGossip spreads a rumor from Origin with one push per informed
-// vertex per round on the simulated cluster.
-func RunGossip(g *Graph, cfg GossipConfig) (*GossipResult, error) {
-	return gossip.Run(g, cfg)
-}
 
 // L1Distance returns Σ|a_i−b_i| (twice the total-variation distance
 // for distributions).
