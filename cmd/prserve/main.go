@@ -44,14 +44,21 @@
 // replaces the restored estimate). SIGINT/SIGTERM shut the server
 // down gracefully.
 //
-// Router mode: -shards fronts a cluster of prshard workers instead of
-// serving a local snapshot. The router holds no graph; it sends a rank
-// query to the vertex's owner (shard v mod the shard count), fans a
-// top-k out to the shard RPC addresses and merges the partial lists
+// A sharded cluster has one builder: a single-node prserve with
+// -snapshot-dir DIR, whose persisted snapshots every prshard started
+// with the same -snapshot-dir serves (and re-reads when the builder
+// publishes a newer epoch). Only the builder takes the graph and
+// engine flags.
+//
+// Router mode: -shards fronts that cluster of prshard workers instead
+// of serving a local snapshot. The router holds no graph; it sends a
+// rank query to the vertex's owner (shard v mod the shard count), fans
+// a top-k out to the shard RPC addresses and merges the partial lists
 // exactly, and degrades gracefully when a shard dies or lags a
 // refresh. The list is positional: the address at position i must be
 // the prshard started with -shard i.
 //
+//	prserve -addr :8081 -gen twitterlike -n 50000 -snapshot-dir /var/lib/fw
 //	prserve -addr :8080 -shards 127.0.0.1:9001,127.0.0.1:9002
 //
 // In router mode the graph and engine flags are unused; /v1/compare
@@ -97,8 +104,8 @@ func main() {
 	os.Exit(run(ctx, os.Args[1:], os.Stderr, nil))
 }
 
-// options are prserve's flags. The graph and engine flags it shares
-// with prshard are declared by src and build.
+// options are prserve's flags. The graph and engine flags are declared
+// by src and build.
 type options struct {
 	src   gio.Source
 	build serve.BuildConfig
@@ -260,11 +267,8 @@ func newService(ctx context.Context, g *graph.Graph, o *options, reqLog *obs.Log
 		log.Printf("prserve: snapshot epoch %d ready in %.2fs (top index k<=%d)",
 			snap.Epoch, time.Since(start).Seconds(), cfg.Build.MaxK)
 	}
-	if o.refresh > 0 || snap.WarmStart {
-		if o.refresh > 0 {
-			log.Printf("prserve: background refresh every %s", o.refresh)
-		}
-		return srv, refresher, refresher.Start(ctx, cfg.OnRefreshError), nil
+	if o.refresh > 0 {
+		log.Printf("prserve: background refresh every %s", o.refresh)
 	}
-	return srv, refresher, func() {}, nil
+	return srv, refresher, refresher.Start(ctx, cfg.OnRefreshError), nil
 }

@@ -173,33 +173,25 @@ func TestSingleNode(t *testing.T) {
 }
 
 // TestRouterModeMatchesSingleNode fronts two shard workers with prserve
-// -shards and checks it answers /v1/topk with the bytes single-node
-// prserve gives for the same graph and engine flags. The workers are
-// assembled as cmd/prshard assembles them (a main package cannot be
-// imported), from the flag values prserve itself parsed.
+// -shards and checks it answers /v1/topk with the bytes of the
+// single-node prserve whose -snapshot-dir the workers serve. The
+// workers are assembled as cmd/prshard assembles them (a main package
+// cannot be imported): from the persisted snapshot, with no graph.
 func TestRouterModeMatchesSingleNode(t *testing.T) {
-	fs, o := newFlags(io.Discard)
-	if err := fs.Parse(tinyGraph); err != nil {
-		t.Fatal(err)
-	}
-	o.build.Seed = o.src.Seed
+	dir := t.TempDir()
+	single := startPrserve(t, append([]string{"-snapshot-dir", dir}, tinyGraph...)...)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	const shards = 2
 	addrs := make([]string, shards)
 	for id := range addrs {
-		g, err := o.src.Open()
-		if err != nil {
-			t.Fatal(err)
-		}
-		owned, err := router.OwnedVertices(g, shards, id, o.src.Seed)
+		snap, err := serve.LoadSnapshot(serve.SnapshotPath(dir), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		store := serve.NewStore()
-		if _, err := serve.NewRefresher(store, serve.EngineBuilder(g, o.build), 0).Refresh(); err != nil {
-			t.Fatal(err)
-		}
+		store.Restore(snap)
+		owned := router.Stride(len(snap.Ranks), shards, id)
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
@@ -208,7 +200,6 @@ func TestRouterModeMatchesSingleNode(t *testing.T) {
 		addrs[id] = ln.Addr().String()
 	}
 
-	single := startPrserve(t, tinyGraph...)
 	routed := startPrserve(t, "-shards", strings.Join(addrs, " , "))
 	for _, path := range []string{"/v1/topk?k=5", "/v1/topk?k=100", "/v1/topk"} {
 		sc, sb := single.get(t, path)

@@ -3,31 +3,38 @@
 // top-k/rank queries over a small length-prefixed RPC protocol, to be
 // fronted by a prserve router (-shards).
 //
-// Every shard of a cluster runs with the same -graph/-gen, -shards,
-// -engine and -seed flags and a distinct -shard id. Each shard builds
-// the same graph and the same deterministic estimate and serves only
-// the vertices its id owns by that arithmetic — so the ownership sets
-// partition the vertex space with no coordination and no pass over the
-// edges, and the router's merged top-k is exactly the single-node
-// answer. The router finds a vertex's owner by the same arithmetic, so
-// the address at position i of its -shards list must be the process
-// started with -shard i; /healthz reports a shard at the wrong position.
+// A shard builds nothing: it opens no graph and runs no engine. It
+// serves DIR/snapshot.fws, which one builder, prserve -snapshot-dir DIR,
+// persists at every publish, at the epoch the builder gave it; so the
+// builder and every shard agree on epoch, engine, seed and top index
+// size by construction, and the router's merged top-k is exactly the
+// builder's answer. The router finds a vertex's owner by the same
+// arithmetic as the shards, so the address at position i of its -shards
+// list must be the process started with -shard i; /healthz reports a
+// shard at the wrong position.
 //
 // Usage:
 //
-//	prshard -addr 127.0.0.1:9001 -shard 0 -shards 4 -gen twitterlike -n 50000
-//	prshard -addr 127.0.0.1:9002 -shard 1 -shards 4 -gen twitterlike -n 50000
-//	prserve -addr :8080 -shards 127.0.0.1:9001,127.0.0.1:9002,...
+//	prserve -addr 127.0.0.1:8081 -gen twitterlike -n 50000 -refresh 1m -snapshot-dir /var/lib/fw
+//	prshard -addr 127.0.0.1:9001 -shard 0 -shards 2 -snapshot-dir /var/lib/fw
+//	prshard -addr 127.0.0.1:9002 -shard 1 -shards 2 -snapshot-dir /var/lib/fw
+//	prserve -addr :8080 -shards 127.0.0.1:9001,127.0.0.1:9002
 //
-// The shard keeps its previous snapshot alongside the current one, so
-// a router can re-ask at the older epoch while a refresh rolls across
-// the cluster. SIGINT/SIGTERM shut the shard down.
+// The shard looks at the file once a second. It adopts a replaced file
+// whose epoch is newer than the one it serves and whose vertex count is
+// unchanged; any other file (an older or equal epoch, another vertex
+// count, a corrupt or a missing file) is logged and ignored, and the
+// current snapshot keeps serving. The shard keeps its previous snapshot
+// alongside the current one, so a router can re-ask at the older epoch
+// while the shards pick up a new file at slightly different times. A
+// file that is missing or invalid at startup exits 1. SIGINT/SIGTERM
+// shut the shard down.
 //
 // Observability: -metrics-addr serves the Prometheus exposition
-// (shard ops, frame bytes, snapshot epoch/age, refresher stages) on an
-// HTTP side listener, -log-requests writes one JSON line per RPC to
-// stderr carrying the router-propagated request id, and -pprof-addr
-// serves net/http/pprof.
+// (shard ops, frame bytes, snapshot epoch/age) on an HTTP side
+// listener, -log-requests writes one JSON line per RPC to stderr
+// carrying the router-propagated request id, and -pprof-addr serves
+// net/http/pprof.
 package main
 
 import (
@@ -44,7 +51,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/graph/gio"
 	"repro/internal/obs"
 	"repro/internal/router"
 	"repro/internal/serve"
@@ -56,85 +62,77 @@ func main() {
 	os.Exit(run(ctx, os.Args[1:], os.Stderr, nil, nil))
 }
 
-// options are prshard's flags. The graph and engine flags it shares
-// with prserve are declared by src and build.
-type options struct {
-	src   gio.Source
-	build serve.BuildConfig
+// pollInterval is how often a shard looks for a replaced snapshot file.
+const pollInterval = time.Second
 
-	addr, metrics, pprof string
-	shard, shards        int
-	refresh              time.Duration
-	logRequests          bool
+// options are prshard's flags.
+type options struct {
+	addr, snapDir, metrics, pprof string
+	shard, shards                 int
+	logRequests                   bool
 }
 
 // newFlags declares prshard's flag set, writing usage to stderr.
 func newFlags(stderr io.Writer) (*flag.FlagSet, *options) {
-	o := &options{src: gio.Source{N: 50000, Seed: 1}}
+	o := &options{}
 	fs := flag.NewFlagSet("prshard", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	o.src.RegisterFlags(fs)
-	o.build.RegisterFlags(fs)
 	fs.StringVar(&o.addr, "addr", "127.0.0.1:9001", "RPC listen address")
 	fs.IntVar(&o.shard, "shard", 0, "this shard's id, 0-based")
 	fs.IntVar(&o.shards, "shards", 1, "total shard count in the cluster")
-	fs.DurationVar(&o.refresh, "refresh", 0, "background recompute cadence (0 = serve the initial snapshot forever)")
+	fs.StringVar(&o.snapDir, "snapshot-dir", "", "serve the snapshot a builder prserve -snapshot-dir persists in this directory, and every newer epoch of it")
 	fs.StringVar(&o.metrics, "metrics-addr", "", "serve the Prometheus exposition on this HTTP side address (e.g. 127.0.0.1:9101)")
 	fs.BoolVar(&o.logRequests, "log-requests", false, "write one JSON line per shard RPC to stderr (rid, op, status, duration)")
 	fs.StringVar(&o.pprof, "pprof-addr", "", "serve net/http/pprof on this side address (e.g. 127.0.0.1:6061)")
 	return fs, o
 }
 
-// run is the testable CLI body. onReady, when non-nil, receives the
-// bound RPC listen address once the shard is serving; onMetrics
-// likewise receives the bound -metrics-addr address.
+// run is the testable CLI body: 0 after a graceful shutdown, 1 when
+// the snapshot cannot be served, 2 on usage errors. Log lines go to
+// stderr. onReady, when non-nil, receives the bound RPC listen address
+// once the shard is serving; onMetrics likewise receives the bound
+// -metrics-addr address.
 func run(ctx context.Context, args []string, stderr io.Writer, onReady, onMetrics func(addr string)) int {
 	fs, o := newFlags(stderr)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if o.shards < 1 || o.shard < 0 || o.shard >= o.shards {
-		fmt.Fprintf(stderr, "prshard: -shard %d out of range for -shards %d\n", o.shard, o.shards)
+	usage := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "prshard: "+format+"\n", a...)
 		fs.Usage()
 		return 2
 	}
+	if o.shards < 1 || o.shard < 0 || o.shard >= o.shards {
+		return usage("-shard %d out of range for -shards %d", o.shard, o.shards)
+	}
+	if o.snapDir == "" {
+		return usage("-snapshot-dir is required: the directory a builder prserve -snapshot-dir persists to")
+	}
+	lg := log.New(stderr, "prshard: ", log.LstdFlags|log.Lmsgprefix)
 
-	loadStart := time.Now()
-	g, err := o.src.Open()
+	store := serve.NewStore()
+	f := &follower{path: serve.SnapshotPath(o.snapDir), store: store}
+	snap, err := f.poll()
 	if err != nil {
 		fmt.Fprintf(stderr, "prshard: %v\n", err)
 		return 1
 	}
-	defer g.Close()
-	loadSeconds := time.Since(loadStart).Seconds()
+	owned := router.Stride(len(snap.Ranks), o.shards, o.shard)
+	lg.Printf("shard %d/%d owns %d of %d vertices; serving %s epoch %d (%s, seed %d)",
+		o.shard, o.shards, len(owned), len(snap.Ranks), f.path, snap.Epoch, snap.Engine, snap.Seed)
 
-	partStart := time.Now()
-	owned, err := router.OwnedVertices(g, o.shards, o.shard, 0) // the seed is ignored
-	if err != nil {
-		fmt.Fprintf(stderr, "prshard: %v\n", err)
-		return 1
-	}
-	log.Printf("prshard: shard %d/%d owns %d of %d vertices (graph ready in %.3fs, partition in %.3fs)",
-		o.shard, o.shards, len(owned), g.NumVertices(), loadSeconds, time.Since(partStart).Seconds())
+	ctx, cancel := context.WithCancel(ctx)
+	polling := make(chan struct{})
+	go func() {
+		defer close(polling)
+		f.follow(ctx, lg)
+	}()
+	defer func() {
+		cancel()
+		<-polling
+	}()
 
 	reg := obs.NewRegistry()
-	store := serve.NewStore()
-	o.build.Seed = o.src.Seed
-	refresher := serve.NewRefresher(store, serve.EngineBuilder(g, o.build), o.refresh)
-	refresher.Instrument(reg)
-	buildStart := time.Now()
-	if _, err := refresher.Refresh(); err != nil {
-		fmt.Fprintf(stderr, "prshard: initial snapshot: %v\n", err)
-		return 1
-	}
-	snap := store.Current()
-	log.Printf("prshard: snapshot epoch %d (%s, seed %d) ready in %.2fs",
-		snap.Epoch, snap.Engine, snap.Seed, time.Since(buildStart).Seconds())
-	if o.refresh > 0 {
-		defer refresher.Start(ctx, func(err error) { log.Printf("prshard: refresh: %v", err) })()
-		log.Printf("prshard: background refresh every %s", o.refresh)
-	}
-
 	srv := router.NewShardServer(o.shard, o.shards, owned, store)
 	srv.Instrument(reg)
 	if o.logRequests {
@@ -148,23 +146,23 @@ func run(ctx context.Context, args []string, stderr io.Writer, onReady, onMetric
 		}
 		mmux := http.NewServeMux()
 		mmux.Handle("/metrics", reg.Handler())
-		log.Printf("prshard: serving /metrics on %s", mln.Addr())
+		lg.Printf("serving /metrics on %s", mln.Addr())
 		if onMetrics != nil {
 			onMetrics(mln.Addr().String())
 		}
 		go func() {
 			if err := obs.ServeListener(ctx, mln, mmux); err != nil {
-				log.Printf("prshard: metrics listener: %v", err)
+				lg.Printf("metrics listener: %v", err)
 			}
 		}()
 	}
 	if o.pprof != "" {
-		log.Printf("prshard: serving pprof on %s", o.pprof)
+		lg.Printf("serving pprof on %s", o.pprof)
 		go func() {
 			// nil handler would also work: the pprof import registers
 			// itself on http.DefaultServeMux.
 			if err := obs.ListenAndServe(ctx, o.pprof, http.DefaultServeMux); err != nil {
-				log.Printf("prshard: pprof listener: %v", err)
+				lg.Printf("pprof listener: %v", err)
 			}
 		}()
 	}
@@ -173,7 +171,7 @@ func run(ctx context.Context, args []string, stderr io.Writer, onReady, onMetric
 		fmt.Fprintf(stderr, "prshard: %v\n", err)
 		return 1
 	}
-	log.Printf("prshard: serving shard RPC on %s", ln.Addr())
+	lg.Printf("serving shard RPC on %s", ln.Addr())
 	if onReady != nil {
 		onReady(ln.Addr().String())
 	}
@@ -181,6 +179,77 @@ func run(ctx context.Context, args []string, stderr io.Writer, onReady, onMetric
 		fmt.Fprintf(stderr, "prshard: %v\n", err)
 		return 1
 	}
-	log.Printf("prshard: graceful shutdown after %d queries", srv.Queries())
+	lg.Printf("graceful shutdown after %d queries", srv.Queries())
 	return 0
+}
+
+// follower publishes the snapshot file a builder persists to its store:
+// the first file it reads, then every replacement with a newer epoch
+// and the same vertex count.
+type follower struct {
+	path  string
+	store *serve.Store
+	last  os.FileInfo // the file read last, adopted or not
+}
+
+// poll reads the file unless it is the one read last, and publishes it
+// with the epoch it carries. It returns the adopted snapshot, nil when
+// the file is unchanged, or why the file was not adopted.
+func (f *follower) poll() (*serve.Snapshot, error) {
+	file, err := os.Open(f.path)
+	if err != nil {
+		return nil, err
+	}
+	defer file.Close()
+	fi, err := file.Stat()
+	if err != nil {
+		return nil, err
+	}
+	// SaveSnapshot renames a new file into place; the time and size
+	// also catch a reused inode or a file rewritten in place.
+	if l := f.last; l != nil && os.SameFile(fi, l) && fi.ModTime().Equal(l.ModTime()) && fi.Size() == l.Size() {
+		return nil, nil
+	}
+	f.last = fi
+	snap, err := serve.ReadSnapshot(file, nil)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", f.path, err)
+	}
+	if cur := f.store.Current(); cur != nil {
+		switch {
+		case snap.Epoch <= cur.Epoch:
+			return nil, fmt.Errorf("%s: epoch %d is not newer than the served epoch %d", f.path, snap.Epoch, cur.Epoch)
+		case len(snap.Ranks) != len(cur.Ranks):
+			return nil, fmt.Errorf("%s: epoch %d has %d vertices, the served epoch %d has %d",
+				f.path, snap.Epoch, len(snap.Ranks), cur.Epoch, len(cur.Ranks))
+		}
+	}
+	return f.store.Restore(snap), nil
+}
+
+// follow polls every pollInterval until ctx is done, logging each
+// adopted epoch and each distinct reason a file was not adopted.
+func (f *follower) follow(ctx context.Context, lg *log.Logger) {
+	tick := time.NewTicker(pollInterval)
+	defer tick.Stop()
+	lastErr := ""
+	for {
+		select {
+		case <-ctx.Done():
+			return
+		case <-tick.C:
+		}
+		snap, err := f.poll()
+		if err != nil {
+			if msg := err.Error(); msg != lastErr {
+				lg.Printf("ignoring snapshot, still serving epoch %d: %s", f.store.Current().Epoch, msg)
+				lastErr = msg
+			}
+			continue
+		}
+		lastErr = ""
+		if snap != nil {
+			lg.Printf("adopted epoch %d (%s, seed %d)", snap.Epoch, snap.Engine, snap.Seed)
+		}
+	}
 }

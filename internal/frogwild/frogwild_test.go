@@ -319,10 +319,7 @@ func TestConfigValidation(t *testing.T) {
 }
 
 func TestDanglingRejected(t *testing.T) {
-	g, err := graph.NewBuilder(2).AddEdge(0, 1).AllowDangling().Build()
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := graph.FromEdges(2, []graph.Edge{{Src: 0, Dst: 1}})
 	if _, err := Run(g, Config{Walkers: 10, Iterations: 2}); err == nil {
 		t.Error("dangling graph must be rejected")
 	}

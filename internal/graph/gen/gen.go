@@ -151,7 +151,7 @@ func ErdosRenyi(n int, m int64, seed uint64) (*graph.Graph, error) {
 		return nil, fmt.Errorf("gen: ErdosRenyi needs n > 1")
 	}
 	r := rng.Derive(seed, 0xE12)
-	b := graph.NewBuilder(n).Dangling(graph.DanglingSelfLoop)
+	b := graph.NewBuilder(n)
 	for i := int64(0); i < m; i++ {
 		s := uint32(r.Intn(n))
 		d := uint32(r.Intn(n))
@@ -191,7 +191,7 @@ func RMAT(cfg RMATConfig) (*graph.Graph, error) {
 	n := 1 << cfg.Scale
 	m := int64(cfg.EdgeFactor) * int64(n)
 	r := rng.Derive(cfg.Seed, 0x12A7)
-	b := graph.NewBuilder(n).Dangling(graph.DanglingSelfLoop).NoSelfLoops()
+	b := graph.NewBuilder(n).NoSelfLoops()
 	if !cfg.NoDedup {
 		b.Dedup()
 	}

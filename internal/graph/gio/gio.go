@@ -127,7 +127,7 @@ func ReadEdgeList(r io.Reader) (*graph.Graph, error) {
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	b := graph.NewBuilder(len(idmap)).Dangling(graph.DanglingSelfLoop)
+	b := graph.NewBuilder(len(idmap))
 	b.AddEdges(edges)
 	return b.Build()
 }

@@ -13,9 +13,9 @@ import (
 	"repro/internal/secfile"
 )
 
-// Source says where a serving binary's graph comes from. Its fields are
-// the seven flags prserve and prshard share (RegisterFlags), and
-// Open is the one implementation of the protocol behind them.
+// Source says where prserve's graph comes from. Its fields are its
+// seven graph flags (RegisterFlags), and Open is the one implementation
+// of the protocol behind them.
 type Source struct {
 	Path    string // -graph: a file in any format Load detects
 	Gen     string // -gen: twitterlike or livejournallike, used when Path is empty
@@ -23,13 +23,13 @@ type Source struct {
 	Cache   string // -graph-cache: gstore file, built on a miss and opened from then on
 	Mem     int64  // -graph-mem: page adjacency from the gstore file under this many bytes (0 = resident)
 	Relabel bool   // -graph-relabel: degree-order rows when the cache is built
-	Seed    uint64 // -seed: the generator's seed (the binaries also seed their engine from it)
+	Seed    uint64 // -seed: the generator's seed (prserve also seeds its engine from it)
 }
 
 // RegisterFlags declares the seven flags on fs, each defaulting to the
 // field's current value. -gen and -graph-mem are checked while parsing,
 // so a misspelt generator or byte size is a usage error raised before
-// any graph work, with the same text from every binary.
+// any graph work.
 func (s *Source) RegisterFlags(fs *flag.FlagSet) {
 	fs.StringVar(&s.Path, "graph", s.Path, "graph file (gstore CSR or edge list; auto-detected)")
 	fs.Func("gen", "generate instead of load: twitterlike|livejournallike", func(v string) error {
@@ -50,7 +50,7 @@ func (s *Source) RegisterFlags(fs *flag.FlagSet) {
 		return err
 	})
 	fs.BoolVar(&s.Relabel, "graph-relabel", s.Relabel, "degree-order vertex rows when building the graph cache, clustering hot vertices onto hot pages (external ids unchanged)")
-	fs.Uint64Var(&s.Seed, "seed", s.Seed, "base seed of the generated graph and the estimate (each refresh derives its own); must match across a cluster")
+	fs.Uint64Var(&s.Seed, "seed", s.Seed, "base seed of the generated graph and the estimate (each refresh derives its own)")
 }
 
 // generator returns the configuration of a named synthetic stand-in

@@ -91,27 +91,16 @@ func (g *Graph) Edges(fn func(e Edge) bool) {
 	}
 }
 
-// DanglingPolicy selects how the Builder repairs vertices with
-// out-degree zero, which the FrogWild process cannot handle (a frog on a
-// dangling vertex would have nowhere to jump).
-type DanglingPolicy int
-
-const (
-	// DanglingKeep leaves dangling vertices untouched; Build returns an
-	// error if any exist unless the caller opts in with AllowDangling.
-	DanglingKeep DanglingPolicy = iota
-	// DanglingSelfLoop adds a self-loop to each dangling vertex.
-	DanglingSelfLoop
-)
-
-// Builder accumulates edges and produces an immutable Graph.
+// Builder accumulates edges and produces an immutable Graph in which
+// every vertex has an out-edge: Build gives each vertex of out-degree
+// zero a self-loop, because the FrogWild process cannot handle a
+// dangling vertex (a frog there would have nowhere to jump). Use
+// FromEdges for a graph that keeps its dangling vertices.
 type Builder struct {
-	n        int
-	edges    []Edge
-	dedup    bool
-	noLoops  bool
-	dangling DanglingPolicy
-	allowD   bool
+	n       int
+	edges   []Edge
+	dedup   bool
+	noLoops bool
 }
 
 // NewBuilder returns a Builder for a graph with n vertices.
@@ -125,17 +114,9 @@ func NewBuilder(n int) *Builder {
 // Dedup makes Build remove duplicate edges.
 func (b *Builder) Dedup() *Builder { b.dedup = true; return b }
 
-// NoSelfLoops makes Build drop self-loop edges (except ones added by a
-// dangling policy).
+// NoSelfLoops makes Build drop self-loop edges (except the ones it adds
+// to dangling vertices).
 func (b *Builder) NoSelfLoops() *Builder { b.noLoops = true; return b }
-
-// Dangling sets the dangling-vertex repair policy.
-func (b *Builder) Dangling(p DanglingPolicy) *Builder { b.dangling = p; return b }
-
-// AllowDangling permits Build to succeed with dangling vertices under
-// DanglingKeep. The exact PageRank solver handles dangling mass; the
-// distributed random-walk engine does not.
-func (b *Builder) AllowDangling() *Builder { b.allowD = true; return b }
 
 // AddEdge appends a directed edge. It panics if an endpoint is out of
 // range.
@@ -154,10 +135,6 @@ func (b *Builder) AddEdges(es []Edge) *Builder {
 	}
 	return b
 }
-
-// ErrDangling is returned by Build when dangling vertices exist under
-// DanglingKeep without AllowDangling.
-var ErrDangling = errors.New("graph: dangling vertices present (out-degree zero)")
 
 // Build produces the immutable Graph. The Builder must not be reused
 // afterwards.
@@ -190,25 +167,13 @@ func (b *Builder) Build() (*Graph, error) {
 		edges = kept
 	}
 
-	// Dangling repair needs degrees; compute out-degree first.
-	outDeg := make([]int64, b.n)
+	hasOut := make([]bool, b.n)
 	for _, e := range edges {
-		outDeg[e.Src]++
+		hasOut[e.Src] = true
 	}
-	switch b.dangling {
-	case DanglingKeep:
-		if !b.allowD {
-			for v := 0; v < b.n; v++ {
-				if outDeg[v] == 0 {
-					return nil, fmt.Errorf("%w: e.g. vertex %d", ErrDangling, v)
-				}
-			}
-		}
-	case DanglingSelfLoop:
-		for v := 0; v < b.n; v++ {
-			if outDeg[v] == 0 {
-				edges = append(edges, Edge{VertexID(v), VertexID(v)})
-			}
+	for v, ok := range hasOut {
+		if !ok {
+			edges = append(edges, Edge{VertexID(v), VertexID(v)})
 		}
 	}
 

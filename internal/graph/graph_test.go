@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"errors"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -68,25 +67,8 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-func TestDanglingError(t *testing.T) {
-	_, err := NewBuilder(3).AddEdge(0, 1).AddEdge(0, 2).Build()
-	if !errors.Is(err, ErrDangling) {
-		t.Fatalf("want ErrDangling, got %v", err)
-	}
-}
-
-func TestAllowDangling(t *testing.T) {
-	g, err := NewBuilder(3).AddEdge(0, 1).AllowDangling().Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.OutDegree(1) != 0 || g.OutDegree(2) != 0 {
-		t.Error("dangling vertices should remain dangling")
-	}
-}
-
 func TestDanglingSelfLoop(t *testing.T) {
-	g, err := NewBuilder(3).AddEdge(0, 1).Dangling(DanglingSelfLoop).Build()
+	g, err := NewBuilder(3).AddEdge(0, 1).Build()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +174,7 @@ func TestGiniRegularVsSkewed(t *testing.T) {
 		t.Errorf("ring Gini = %v, want ~0", gRing)
 	}
 	// Star with hub self-loops elsewhere: very skewed.
-	b2 := NewBuilder(100).Dangling(DanglingSelfLoop)
+	b2 := NewBuilder(100)
 	for v := 1; v < 100; v++ {
 		b2.AddEdge(0, VertexID(v))
 	}

@@ -103,10 +103,7 @@ func TestFixedPointProperty(t *testing.T) {
 
 func TestDanglingHandled(t *testing.T) {
 	// 0->1, 1 dangling. Mass must still sum to 1.
-	g, err := graph.NewBuilder(2).AddEdge(0, 1).AllowDangling().Build()
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := graph.FromEdges(2, []graph.Edge{{Src: 0, Dst: 1}})
 	r, err := Exact(g, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -226,11 +223,7 @@ func TestExactParallelBitIdentical(t *testing.T) {
 	} else {
 		t.Fatal(err)
 	}
-	if g, err := graph.NewBuilder(40).AddEdge(0, 1).AddEdge(1, 2).AddEdge(2, 0).AddEdge(3, 0).AllowDangling().Build(); err == nil {
-		graphs["dangling"] = g // vertices 4..39 are dangling
-	} else {
-		t.Fatal(err)
-	}
+	graphs["dangling"] = graph.FromEdges(40, []graph.Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 2}, {Src: 2, Dst: 0}, {Src: 3, Dst: 0}}) // vertices 4..39 are dangling
 	exact := func(g *graph.Graph, procs int) (*Result, error) {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		return Exact(g, Options{Tolerance: 1e-13})

@@ -32,7 +32,7 @@ func Partition(g *graph.Graph, shards int) ([][]uint32, error) {
 	}
 	owned := make([][]uint32, shards)
 	for id := range owned {
-		owned[id] = stride(g.NumVertices(), shards, id)
+		owned[id] = Stride(g.NumVertices(), shards, id)
 	}
 	return owned, nil
 }
@@ -43,11 +43,13 @@ func OwnedVertices(g *graph.Graph, shards, id int, seed uint64) ([]uint32, error
 	if id < 0 || id >= shards {
 		return nil, errors.New("router: shard id out of range")
 	}
-	return stride(g.NumVertices(), shards, id), nil
+	return Stride(g.NumVertices(), shards, id), nil
 }
 
-// stride lists id, id+shards, id+2*shards, … below n.
-func stride(n, shards, id int) []uint32 {
+// Stride lists id, id+shards, id+2*shards, … below n: the vertices
+// shard id of shards owns in an n-vertex graph, for a process that
+// knows n but holds no graph.
+func Stride(n, shards, id int) []uint32 {
 	owned := make([]uint32, 0, (n-id+shards-1)/shards)
 	for v := id; v < n; v += shards {
 		owned = append(owned, uint32(v))

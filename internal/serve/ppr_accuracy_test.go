@@ -32,18 +32,14 @@ var raceEnabled bool
 func danglingPowerLaw(t *testing.T, n int) *graph.Graph {
 	t.Helper()
 	g := powerLaw(t, gen.PowerLawConfig{N: n, MeanOutDeg: 8, DegExponent: 2.1, Seed: 5})
-	b := graph.NewBuilder(n).AllowDangling()
+	var kept []graph.Edge
 	g.Edges(func(e graph.Edge) bool {
 		if e.Src%7 != 3 {
-			b.AddEdge(e.Src, e.Dst)
+			kept = append(kept, e)
 		}
 		return true
 	})
-	dg, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return dg
+	return graph.FromEdges(n, kept)
 }
 
 // TestPPRTallyUnbiased: the mean of the full served tally (every visited

@@ -43,21 +43,18 @@ type ServiceConfig struct {
 }
 
 // ListenAndServe builds or restores an initial snapshot of g, starts
-// the background refresher when an interval is set or the snapshot was
-// warm-started from disk (so a restored estimate is re-derived
-// promptly), and serves the query API on addr until ctx is cancelled,
-// shutting down gracefully. The service is never up without an answer.
-// It returns only after the refresher has stopped: a refresh in flight
-// at shutdown finishes first.
+// the background refresher (which re-derives a warm-started estimate
+// promptly and recomputes on the interval, if one is set), and serves
+// the query API on addr until ctx is cancelled, shutting down
+// gracefully. The service is never up without an answer. It returns
+// only after the refresher has stopped: a refresh in flight at
+// shutdown finishes first.
 func ListenAndServe(ctx context.Context, addr string, g *graph.Graph, cfg ServiceConfig) error {
 	srv, refresher, err := NewService(g, cfg)
 	if err != nil {
 		return err
 	}
-	cur := srv.Snapshot()
-	if cfg.RefreshInterval > 0 || (cur != nil && cur.WarmStart) {
-		defer refresher.Start(ctx, cfg.OnRefreshError)()
-	}
+	defer refresher.Start(ctx, cfg.OnRefreshError)()
 	return srv.Serve(ctx, addr)
 }
 

@@ -68,7 +68,8 @@ const DefaultMaxK = 100
 
 // BuildConfig says how to compute a Snapshot's estimate. The zero
 // value selects FrogWild with the paper's defaults (n/6 walkers, 4
-// iterations, ps=0.7, 16 machines).
+// iterations, ps=0.7, 16 machines). Every engine teleports with
+// pagerank.DefaultTeleport, the probability /v1/ppr walks with too.
 type BuildConfig struct {
 	// Engine selects the estimate producer; zero value is FrogWild.
 	Engine Engine
@@ -80,8 +81,6 @@ type BuildConfig struct {
 	Iterations int
 	// PS is the mirror-synchronization probability; 0 selects 0.7.
 	PS float64
-	// Teleport is pT; 0 selects the conventional 0.15.
-	Teleport float64
 	// Machines is the simulated cluster size; 0 selects 16.
 	Machines int
 	// Seed drives the run; the Refresher derives a fresh seed from it
@@ -91,8 +90,8 @@ type BuildConfig struct {
 	MaxK int
 }
 
-// RegisterFlags declares on fs the engine flags prserve and prshard
-// share: -engine, -machines and -maxk. A field that is zero
+// RegisterFlags declares on fs prserve's engine flags -engine,
+// -machines and -maxk. A field that is zero
 // defaults to what withDefaults resolves it to. -engine is checked
 // while parsing, so an unknown engine is a usage error.
 func (c *BuildConfig) RegisterFlags(fs *flag.FlagSet) {
@@ -274,7 +273,6 @@ func computeRanks(g *graph.Graph, cfg BuildConfig) ([]float64, error) {
 			Walkers:    cfg.Walkers,
 			Iterations: cfg.Iterations,
 			PS:         cfg.PS,
-			Teleport:   cfg.Teleport,
 			Machines:   cfg.Machines,
 			Seed:       cfg.Seed,
 		})
@@ -285,7 +283,6 @@ func computeRanks(g *graph.Graph, cfg BuildConfig) ([]float64, error) {
 	case EngineGLPR:
 		res, err := glpr.Run(g, glpr.Config{
 			Machines:   cfg.Machines,
-			Teleport:   cfg.Teleport,
 			Iterations: cfg.Iterations,
 			Seed:       cfg.Seed,
 		})
@@ -294,7 +291,7 @@ func computeRanks(g *graph.Graph, cfg BuildConfig) ([]float64, error) {
 		}
 		return res.Rank, nil
 	case EngineExact:
-		res, err := pagerank.Exact(g, pagerank.Options{Teleport: cfg.Teleport})
+		res, err := pagerank.Exact(g, pagerank.Options{})
 		if err != nil {
 			return nil, err
 		}

@@ -29,18 +29,14 @@ func danglingGraph(t testing.TB, n int) *graph.Graph {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := graph.NewBuilder(n).AllowDangling()
+	var kept []graph.Edge
 	g.Edges(func(e graph.Edge) bool {
 		if e.Src%7 != 3 {
-			b.AddEdge(e.Src, e.Dst)
+			kept = append(kept, e)
 		}
 		return true
 	})
-	dg, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return dg
+	return graph.FromEdges(n, kept)
 }
 
 // chiSquare is Pearson's statistic of counts against total·want, with
