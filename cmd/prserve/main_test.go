@@ -40,6 +40,16 @@ func TestUsageErrors(t *testing.T) {
 		{[]string{"-shards", " , "}, "-shards"},
 		{[]string{"-gen", "foo"}, `unknown generator "foo"`},
 		{[]string{"-gen", "foo", "-graph-cache", cache}, `unknown generator "foo"`},
+		// Zero used to fall back to the default (0.7, 16, 100); the
+		// others failed with exit 1 once the graph had loaded.
+		{[]string{"-gen", "twitterlike", "-ps", "0"}, `"0" for flag -ps`},
+		{[]string{"-gen", "twitterlike", "-ps", "1.5"}, `"1.5" for flag -ps`},
+		{[]string{"-gen", "twitterlike", "-ps", "NaN"}, `"NaN" for flag -ps`},
+		{[]string{"-gen", "twitterlike", "-machines", "0"}, `"0" for flag -machines`},
+		{[]string{"-gen", "twitterlike", "-machines", "-1"}, `"-1" for flag -machines`},
+		{[]string{"-gen", "twitterlike", "-machines", "4097"}, `"4097" for flag -machines`},
+		{[]string{"-gen", "twitterlike", "-maxk", "0"}, `"0" for flag -maxk`},
+		{[]string{"-gen", "twitterlike", "-maxk", "ten"}, `"ten" for flag -maxk`},
 	} {
 		var stderr bytes.Buffer
 		if code := run(context.Background(), tc.args, &stderr, nil); code != 2 {

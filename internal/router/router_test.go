@@ -2,6 +2,7 @@ package router
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -567,6 +568,91 @@ func TestMisplacedShardsFailLoudly(t *testing.T) {
 
 	miscounted := cluster([]*ShardServer{servers[0], servers[1], NewShardServer(2, 4, servers[2].owned, store)})
 	wantRows(miscounted, 2)
+}
+
+// TestMixedVersionsNameBothVersions pins how peers of another wire
+// version fail: with version_mismatch naming both versions, never as a
+// frame decode error. A shard that still speaks version 2 refuses the
+// router's version, and that refusal is its row in /healthz and
+// /v1/stats. A router of a later version may send a member this shard
+// does not read; the shard still answers version_mismatch and keeps the
+// connection.
+func TestMixedVersionsNameBothVersions(t *testing.T) {
+	const old = 2
+	g := testGraph(t)
+	store := serve.NewStore()
+	publishRanks(t, store, g, tieRanks(g.NumVertices(), 5))
+	current := NewShardServer(0, 2, Stride(g.NumVertices(), 2, 0), store)
+	oldDial := func() (net.Conn, error) {
+		c1, c2 := net.Pipe()
+		go jsonShard(t, c2, func(req jsonRequest) jsonResponse {
+			return jsonResponse{V: old, Shard: 1, Code: api.CodeVersionMismatch,
+				Err: fmt.Sprintf("shard speaks wire version %d, router sent %d", old, req.V)}
+		})
+		return c1, nil
+	}
+	rt := New([]*ShardClient{
+		NewShardClient(0, "pipe-0", PipeDialer(current), time.Second),
+		NewShardClient(1, "old-shard", oldDial, time.Second),
+	}, Options{})
+
+	code, body := get(t, rt, "/healthz")
+	var h api.HealthResponse
+	if err := json.Unmarshal([]byte(body), &h); err != nil || code != http.StatusServiceUnavailable || h.Status != "degraded" {
+		t.Fatalf("healthz: status %d body %s, want 503 degraded", code, body)
+	}
+	_, body = get(t, rt, "/v1/stats")
+	var stats api.RouterStatsResponse
+	if err := json.Unmarshal([]byte(body), &stats); err != nil {
+		t.Fatal(err)
+	}
+	for _, rows := range [][]api.ShardStatus{h.Shards, stats.Shards} {
+		if len(rows) != 2 || !rows[0].OK || rows[1].OK {
+			t.Fatalf("rows %+v, want shard 0 OK and shard 1 not", rows)
+		}
+		msg := rows[1].Error
+		for _, want := range []string{api.CodeVersionMismatch, fmt.Sprintf("version %d", old), fmt.Sprintf("sent %d", api.Version)} {
+			if !strings.Contains(msg, want) {
+				t.Fatalf("old shard's row error %q does not name %q", msg, want)
+			}
+		}
+		if strings.Contains(msg, "frame decode") {
+			t.Fatalf("old shard's row error %q is a decode error", msg)
+		}
+	}
+
+	conn, err := PipeDialer(current)()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	var frame frameBuf
+	for _, payload := range []string{
+		fmt.Sprintf(`{"v":%d,"op":"topk","k":5,"deadline":250}`, api.Version+1),
+		fmt.Sprintf(`{"v":%d,"op":"status"}`, api.Version+1),
+	} {
+		wire := append(binary.BigEndian.AppendUint32(nil, uint32(len(payload))), payload...)
+		if _, err := conn.Write(wire); err != nil {
+			t.Fatal(err)
+		}
+		var resp response
+		if _, err := frame.readResponse(conn, &resp); err != nil {
+			t.Fatalf("%s: %v", payload, err)
+		}
+		want := fmt.Sprintf("shard speaks wire version %d, router sent %d", api.Version, api.Version+1)
+		if resp.Code != api.CodeVersionMismatch || resp.Err != want {
+			t.Fatalf("%s: answered %+v, want %s", payload, resp, want)
+		}
+	}
+	// A malformed frame of this version still ends the connection.
+	payload := fmt.Sprintf(`{"v":%d,"op":"topk","k":5,"deadline":250}`, api.Version)
+	if _, err := conn.Write(append(binary.BigEndian.AppendUint32(nil, uint32(len(payload))), payload...)); err != nil {
+		t.Fatal(err)
+	}
+	var resp response
+	if _, err := frame.readResponse(conn, &resp); err == nil {
+		t.Fatalf("malformed frame of this version answered %+v", resp)
+	}
 }
 
 // TestRouterErrorEnvelopes pins the router's status-code/envelope

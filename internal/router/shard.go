@@ -274,7 +274,7 @@ func (s *ShardServer) answer(req *request) response {
 		idx, _ := s.track()
 		resp := response{
 			V: api.Version, Shard: s.id,
-			OwnedCount: len(s.owned), Shards: s.shards, Queries: s.queries.Value(),
+			OwnedCount: len(s.owned), Shards: s.shards,
 		}
 		if cur := idx.snap; cur != nil {
 			resp.Epoch, resp.Engine, resp.Seed = cur.Epoch, cur.Engine, cur.Seed
@@ -288,7 +288,10 @@ func (s *ShardServer) answer(req *request) response {
 // ServeConn answers frames on one connection until it closes. The
 // caller owns the connection's lifetime; a decode failure terminates
 // the connection (the peer will redial) rather than risking a
-// desynchronized frame stream.
+// desynchronized frame stream. The one exception is a frame that
+// starts with another wire version: a router of another version may
+// write members this decoder does not read, so it is answered
+// version_mismatch, as any frame of another version is.
 func (s *ShardServer) ServeConn(conn net.Conn) error {
 	br := bufio.NewReader(conn)
 	var frame frameBuf
@@ -296,10 +299,11 @@ func (s *ShardServer) ServeConn(conn net.Conn) error {
 	for {
 		n, err := frame.readRequest(br, &req)
 		s.bytesRead.Add(uint64(n))
-		if err != nil {
-			if errors.Is(err, io.EOF) {
-				return nil
-			}
+		switch {
+		case errors.Is(err, io.EOF):
+			return nil
+		case errors.Is(err, errMalformed) && req.V != 0 && req.V != api.Version:
+		case err != nil:
 			return err
 		}
 		resp := s.handle(&req)

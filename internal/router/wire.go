@@ -19,12 +19,11 @@ package router
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"slices"
 	"strconv"
-	"unicode"
-	"unicode/utf16"
 	"unicode/utf8"
 
 	"repro/internal/serve/api"
@@ -50,16 +49,13 @@ const maxFrame = 1 << 26
 // connection for the life of the process.
 const maxRetainedBuf = 64 << 10
 
-// maxSkipDepth bounds the nesting the decoder follows inside a field it
-// does not know, so a hostile frame cannot exhaust the stack.
-const maxSkipDepth = 32
-
 // A frame is a 4-byte big-endian payload length followed by the payload:
 // one JSON object, byte for byte what encoding/json produces for these
 // structs with the member names given below (every member but v, op and
-// shard is omitted when zero). Mixed-version clusters and the
-// benchmark's span tracer read those bytes, so the codec below is
-// hand-written for speed only; the tests hold it to encoding/json.
+// shard is omitted when zero). The decoder accepts those bytes and
+// nothing else, so a member added or removed is a new api.Version. The
+// benchmark's span tracer and encoding/json peers read the same bytes;
+// the tests hold both directions of the codec to encoding/json.
 
 // request is one RPC query. V carries the shared wire version
 // (api.Version); a shard refuses mismatched requests, so a
@@ -77,7 +73,7 @@ type request struct {
 	Epoch uint64 // "epoch"
 	// Rid is the propagated request id: the router forwards the HTTP
 	// request's X-Request-Id here so shard-side request logs carry the
-	// same id as the router's (additive, so no version bump).
+	// same id as the router's.
 	Rid string // "rid"
 }
 
@@ -101,14 +97,13 @@ type response struct {
 	// owns the vertex, which is in the graph (exactly one shard does).
 	Owned bool    // "owned"
 	Rank  float64 // "rank"
-	// OwnedCount, Shards, Queries and SnapshotAge answer opStatus.
+	// OwnedCount, Shards and SnapshotAge answer opStatus.
 	// Shards is the shard count the shard was started with, so the
 	// router can check it against its own list. SnapshotAge is seconds
 	// since the shard's current snapshot was built, so the router can
 	// tell a lagging shard from a freshly booted one.
 	OwnedCount  int     // "ownedCount"
 	Shards      int     // "shards"
-	Queries     uint64  // "queries"
 	SnapshotAge float64 // "snapshotAge"
 }
 
@@ -286,10 +281,6 @@ func appendResponse(b []byte, resp *response) ([]byte, error) {
 		b = append(b, `,"shards":`...)
 		b = strconv.AppendInt(b, int64(resp.Shards), 10)
 	}
-	if resp.Queries != 0 {
-		b = append(b, `,"queries":`...)
-		b = strconv.AppendUint(b, resp.Queries, 10)
-	}
 	if resp.SnapshotAge != 0 {
 		b = append(b, `,"snapshotAge":`...)
 		if b, err = api.AppendFloat(b, resp.SnapshotAge); err != nil {
@@ -352,449 +343,282 @@ func appendString(b []byte, s string) []byte {
 	return append(b, '"')
 }
 
-// The decoder accepts a subset of what encoding/json accepts, and
-// decodes every frame in that subset to the same struct: member names
-// match as encoding/json matches them (exactly, else under Unicode case
-// folding), unknown members are skipped after checking their syntax, a
-// known member given twice or as null is refused.
+// The decoder reads exactly what appendRequest and appendResponse
+// write: members in the encoder's order, no whitespace, names matched
+// byte for byte, v, op and shard required and every other member
+// present or absent; strings as appendString writes them (the escapes
+// \" \\ \b \f \n \r \t and any non-surrogate \uXXXX, otherwise raw valid
+// UTF-8); numbers by the JSON grammar. It reads front to back in one
+// pass without recursion, and encoding/json decodes every frame it
+// accepts to the same struct.
 
-var (
-	requestMembers  = [][]byte{[]byte("v"), []byte("op"), []byte("k"), []byte("vertex"), []byte("epoch"), []byte("rid")}
-	responseMembers = [][]byte{[]byte("v"), []byte("shard"), []byte("code"), []byte("error"), []byte("epoch"),
-		[]byte("engine"), []byte("seed"), []byte("entries"), []byte("owned"), []byte("rank"),
-		[]byte("ownedCount"), []byte("shards"), []byte("queries"), []byte("snapshotAge")}
-	entryMembers = [][]byte{[]byte("vertex"), []byte("score")}
-	openBrace    = []byte{'{'}
-)
+// rowOpen starts every entry, so counting it bounds an entries slice.
+var rowOpen = []byte(`{"vertex":`)
+
+// errMalformed is a decode failure. The frame was read whole, so the
+// stream is still in step after it.
+var errMalformed = errors.New("router: frame decode: malformed frame")
 
 // decodeRequest decodes one request payload.
 func decodeRequest(payload []byte, req *request) error {
 	*req = request{}
-	s := scanner{b: payload}
-	s.expect('{')
-	var seen uint
-	for n := 0; ; n++ {
-		name, ok := s.member(n)
-		if !ok {
-			break
-		}
-		switch s.known(requestMembers, name, &seen) {
-		case 0:
-			req.V = s.int()
-		case 1:
-			req.Op = string(s.str())
-		case 2:
-			req.K = s.int()
-		case 3:
-			req.Vertex = uint32(s.uint(32))
-		case 4:
-			req.Epoch = s.uint(64)
-		case 5:
-			req.Rid = string(s.str())
-		default:
-			s.skip(0)
-		}
+	d := decoder{b: payload}
+	d.expect(`{"v":`)
+	req.V = d.int()
+	d.expect(`,"op":`)
+	req.Op = string(d.str())
+	if d.member(`,"k":`) {
+		req.K = d.int()
 	}
-	return s.finish()
+	if d.member(`,"vertex":`) {
+		req.Vertex = uint32(d.uint(32))
+	}
+	if d.member(`,"epoch":`) {
+		req.Epoch = d.uint(64)
+	}
+	if d.member(`,"rid":`) {
+		req.Rid = string(d.str())
+	}
+	return d.finish()
 }
 
 // decodeResponse decodes one response payload.
 func decodeResponse(payload []byte, resp *response) error {
 	*resp = response{}
-	s := scanner{b: payload}
-	s.expect('{')
-	var seen uint
-	for n := 0; ; n++ {
-		name, ok := s.member(n)
-		if !ok {
-			break
-		}
-		switch s.known(responseMembers, name, &seen) {
-		case 0:
-			resp.V = s.int()
-		case 1:
-			resp.Shard = s.int()
-		case 2:
-			resp.Code = string(s.str())
-		case 3:
-			resp.Err = string(s.str())
-		case 4:
-			resp.Epoch = s.uint(64)
-		case 5:
-			resp.Engine = api.Engine(s.str())
-		case 6:
-			resp.Seed = s.uint(64)
-		case 7:
-			resp.Entries = s.entries()
-		case 8:
-			resp.Owned = s.bool()
-		case 9:
-			resp.Rank = s.float()
-		case 10:
-			resp.OwnedCount = s.int()
-		case 11:
-			resp.Shards = s.int()
-		case 12:
-			resp.Queries = s.uint(64)
-		case 13:
-			resp.SnapshotAge = s.float()
-		default:
-			s.skip(0)
-		}
+	d := decoder{b: payload}
+	d.expect(`{"v":`)
+	resp.V = d.int()
+	d.expect(`,"shard":`)
+	resp.Shard = d.int()
+	if d.member(`,"code":`) {
+		resp.Code = string(d.str())
 	}
-	return s.finish()
+	if d.member(`,"error":`) {
+		resp.Err = string(d.str())
+	}
+	if d.member(`,"epoch":`) {
+		resp.Epoch = d.uint(64)
+	}
+	if d.member(`,"engine":`) {
+		resp.Engine = api.Engine(d.str())
+	}
+	if d.member(`,"seed":`) {
+		resp.Seed = d.uint(64)
+	}
+	if d.member(`,"entries":[`) {
+		resp.Entries = d.entries()
+	}
+	resp.Owned = d.member(`,"owned":true`)
+	if d.member(`,"rank":`) {
+		resp.Rank = d.float()
+	}
+	if d.member(`,"ownedCount":`) {
+		resp.OwnedCount = d.int()
+	}
+	if d.member(`,"shards":`) {
+		resp.Shards = d.int()
+	}
+	if d.member(`,"snapshotAge":`) {
+		resp.SnapshotAge = d.float()
+	}
+	return d.finish()
 }
 
-// scanner reads JSON values off a payload. The first malformed byte
-// sets err and moves the cursor to the end; every method is then a
-// no-op returning zero, so callers check once, in finish.
-type scanner struct {
+// decoder is the cursor of one decode. The first byte out of place sets
+// err and moves the cursor to the end; every method is then a no-op
+// returning zero, so callers check once, in finish.
+type decoder struct {
 	b   []byte
 	i   int
 	err error
 }
 
-func (s *scanner) fail() {
-	if s.err == nil {
-		s.err = fmt.Errorf("router: frame decode: malformed JSON at offset %d", s.i)
-		s.i = len(s.b)
+func (d *decoder) fail() {
+	if d.err == nil {
+		d.err = fmt.Errorf("%w at offset %d", errMalformed, d.i)
+		d.i = len(d.b)
 	}
 }
 
-// finish reports the first error, or trailing bytes after the value.
-func (s *scanner) finish() error {
-	if s.space(); s.i < len(s.b) {
-		s.fail()
-	}
-	return s.err
-}
-
-// space skips whitespace and reports the byte at the cursor (0 at end).
-func (s *scanner) space() byte {
-	for ; s.i < len(s.b); s.i++ {
-		switch c := s.b[s.i]; c {
-		case ' ', '\t', '\r', '\n':
-		default:
-			return c
-		}
-	}
-	return 0
-}
-
-// accept consumes c if it is the next non-space byte.
-func (s *scanner) accept(c byte) bool {
-	if s.space() != c {
+// member consumes lit if the payload continues with it.
+func (d *decoder) member(lit string) bool {
+	if len(d.b)-d.i < len(lit) || string(d.b[d.i:d.i+len(lit)]) != lit {
 		return false
 	}
-	s.i++
+	d.i += len(lit)
 	return true
 }
 
-func (s *scanner) expect(c byte) {
-	if !s.accept(c) {
-		s.fail()
+// expect consumes lit, which must come next.
+func (d *decoder) expect(lit string) {
+	if !d.member(lit) {
+		d.fail()
 	}
 }
 
-// member steps to member n of the object whose opening brace has been
-// consumed and returns its unescaped name, the cursor on its value;
-// ok is false once the closing brace is consumed.
-func (s *scanner) member(n int) (name []byte, ok bool) {
-	if !s.element(n, '}') {
-		return nil, false
+// finish closes the object and reports the first error, or bytes after
+// the object.
+func (d *decoder) finish() error {
+	if d.expect("}"); d.i < len(d.b) {
+		d.fail()
 	}
-	name = s.str()
-	s.expect(':')
-	return name, s.err == nil
+	return d.err
 }
 
-// element steps to element n of an array (or member n of an object)
-// closed by the given byte; false once that byte is consumed.
-func (s *scanner) element(n int, closing byte) bool {
-	if s.err != nil || s.accept(closing) {
-		return false
-	}
-	if n > 0 {
-		s.expect(',')
-	}
-	return s.err == nil
-}
-
-// known returns the index of name in members (-1 if absent), refusing a
-// member already seen. No two member names of a frame are equal under
-// folding, so one folding comparison finds what encoding/json's exact
-// match followed by its folded match finds.
-func (s *scanner) known(members [][]byte, name []byte, seen *uint) int {
-	for i, want := range members {
-		if bytes.EqualFold(name, want) {
-			if *seen&(1<<i) != 0 {
-				s.fail()
-				return -1
+// str reads a string and returns its bytes: a slice of the payload
+// when it holds no escape.
+func (d *decoder) str() []byte {
+	d.expect(`"`)
+	var out []byte // non-nil from the first escape on
+	for start := d.i; d.i < len(d.b); {
+		switch c := d.b[d.i]; {
+		case c == '"':
+			d.i++
+			if out == nil {
+				return d.b[start : d.i-1]
 			}
-			*seen |= 1 << i
-			return i
+			return append(out, d.b[start:d.i-1]...)
+		case c == '\\':
+			out = append(out, d.b[start:d.i]...)
+			if out = d.escape(out); d.err != nil {
+				return nil
+			}
+			start = d.i
+		case c < ' ':
+			d.fail()
+			return nil
+		case c < utf8.RuneSelf:
+			d.i++
+		default:
+			r, size := utf8.DecodeRune(d.b[d.i:])
+			if r == utf8.RuneError && size == 1 {
+				d.fail()
+				return nil
+			}
+			d.i += size
 		}
 	}
-	return -1
+	d.fail()
+	return nil
 }
 
-// str reads a string and returns its unescaped bytes: a slice of the
-// payload when it has no escape and no byte outside ASCII.
-func (s *scanner) str() []byte {
-	if !s.accept('"') {
-		s.fail()
+// escape resolves the escape at the cursor, appending it to out.
+func (d *decoder) escape(out []byte) []byte {
+	if d.i+2 > len(d.b) {
+		d.fail()
 		return nil
 	}
-	for start := s.i; s.i < len(s.b); s.i++ {
-		switch c := s.b[s.i]; {
-		case c == '"':
-			s.i++
-			return s.b[start : s.i-1]
-		case c == '\\' || c >= utf8.RuneSelf:
-			return s.unescape(append([]byte(nil), s.b[start:s.i]...))
-		case c < ' ':
-			s.fail()
-			return nil
-		}
-	}
-	s.fail()
-	return nil
-}
-
-// unescape finishes str on the slow path, appending to out: escapes are
-// resolved, an unpaired surrogate and each invalid UTF-8 byte become
-// U+FFFD, as in encoding/json.
-func (s *scanner) unescape(out []byte) []byte {
-	for s.i < len(s.b) {
-		c := s.b[s.i]
-		switch {
-		case c == '"':
-			s.i++
-			return out
-		case c < ' ':
-			s.fail()
-			return nil
-		case c == '\\':
-			s.i += 2
-			if s.i > len(s.b) {
-				s.fail()
-				return nil
+	e := d.b[d.i+1]
+	d.i += 2
+	switch e {
+	case '"', '\\':
+		return append(out, e)
+	case 'b':
+		return append(out, '\b')
+	case 'f':
+		return append(out, '\f')
+	case 'n':
+		return append(out, '\n')
+	case 'r':
+		return append(out, '\r')
+	case 't':
+		return append(out, '\t')
+	case 'u':
+		if d.i+4 <= len(d.b) {
+			r, err := strconv.ParseUint(string(d.b[d.i:d.i+4]), 16, 16)
+			if err == nil && (r < 0xD800 || r > 0xDFFF) {
+				d.i += 4
+				return utf8.AppendRune(out, rune(r))
 			}
-			switch e := s.b[s.i-1]; e {
-			case '"', '\\', '/':
-				out = append(out, e)
-			case 'b':
-				out = append(out, '\b')
-			case 'f':
-				out = append(out, '\f')
-			case 'n':
-				out = append(out, '\n')
-			case 'r':
-				out = append(out, '\r')
-			case 't':
-				out = append(out, '\t')
-			case 'u':
-				r := s.hex4(s.i)
-				if r < 0 {
-					s.fail()
-					return nil
-				}
-				s.i += 4
-				if utf16.IsSurrogate(r) {
-					low := rune(-1)
-					if s.i+2 <= len(s.b) && s.b[s.i] == '\\' && s.b[s.i+1] == 'u' {
-						low = s.hex4(s.i + 2)
-					}
-					if r = utf16.DecodeRune(r, low); r != unicode.ReplacementChar {
-						s.i += 6
-					}
-				}
-				out = utf8.AppendRune(out, r)
-			default:
-				s.fail()
-				return nil
-			}
-		case c < utf8.RuneSelf:
-			out = append(out, c)
-			s.i++
-		default:
-			r, size := utf8.DecodeRune(s.b[s.i:])
-			out = utf8.AppendRune(out, r)
-			s.i += size
 		}
 	}
-	s.fail()
+	d.fail()
 	return nil
-}
-
-// hex4 reads four hex digits at offset i, -1 if they are not there.
-func (s *scanner) hex4(i int) rune {
-	if i+4 > len(s.b) {
-		return -1
-	}
-	var r rune
-	for _, c := range s.b[i : i+4] {
-		switch {
-		case '0' <= c && c <= '9':
-			c -= '0'
-		case 'a' <= c && c <= 'f':
-			c -= 'a' - 10
-		case 'A' <= c && c <= 'F':
-			c -= 'A' - 10
-		default:
-			return -1
-		}
-		r = r<<4 | rune(c)
-	}
-	return r
 }
 
 // number reads a number literal by the JSON grammar.
-func (s *scanner) number() []byte {
-	s.space()
-	start := s.i
-	s.take('-')
-	if !s.take('0') && !s.digits() {
-		s.fail()
-		return nil
+func (d *decoder) number() []byte {
+	start := d.i
+	d.member("-")
+	if !d.member("0") && !d.digits() {
+		d.fail()
 	}
-	if s.take('.') && !s.digits() {
-		s.fail()
-		return nil
+	if d.member(".") && !d.digits() {
+		d.fail()
 	}
-	if s.take('e') || s.take('E') {
-		if !s.take('+') {
-			s.take('-')
+	if d.member("e") || d.member("E") {
+		if !d.member("+") {
+			d.member("-")
 		}
-		if !s.digits() {
-			s.fail()
-			return nil
+		if !d.digits() {
+			d.fail()
 		}
 	}
-	return s.b[start:s.i]
-}
-
-// take consumes c if it is the byte at the cursor.
-func (s *scanner) take(c byte) bool {
-	if s.i < len(s.b) && s.b[s.i] == c {
-		s.i++
-		return true
+	if d.err != nil {
+		return nil
 	}
-	return false
+	return d.b[start:d.i]
 }
 
 // digits consumes a run of decimal digits and reports whether there
 // was one.
-func (s *scanner) digits() bool {
-	start := s.i
-	for s.i < len(s.b) && '0' <= s.b[s.i] && s.b[s.i] <= '9' {
-		s.i++
+func (d *decoder) digits() bool {
+	start := d.i
+	for d.i < len(d.b) && '0' <= d.b[d.i] && d.b[d.i] <= '9' {
+		d.i++
 	}
-	return s.i > start
+	return d.i > start
 }
 
-func (s *scanner) int() int {
-	v, err := strconv.ParseInt(string(s.number()), 10, strconv.IntSize)
+func (d *decoder) int() int {
+	v, err := strconv.ParseInt(string(d.number()), 10, strconv.IntSize)
 	if err != nil {
-		s.fail()
+		d.fail()
+		return 0
 	}
 	return int(v)
 }
 
-func (s *scanner) uint(bits int) uint64 {
-	v, err := strconv.ParseUint(string(s.number()), 10, bits)
+func (d *decoder) uint(bits int) uint64 {
+	v, err := strconv.ParseUint(string(d.number()), 10, bits)
 	if err != nil {
-		s.fail()
+		d.fail()
+		return 0
 	}
 	return v
 }
 
-func (s *scanner) float() float64 {
-	v, err := strconv.ParseFloat(string(s.number()), 64)
+func (d *decoder) float() float64 {
+	v, err := strconv.ParseFloat(string(d.number()), 64)
 	if err != nil {
-		s.fail()
+		d.fail()
+		return 0
 	}
 	return v
 }
 
-func (s *scanner) bool() bool {
-	if s.space() == 't' {
-		s.literal("true")
-		return s.err == nil
-	}
-	s.literal("false")
-	return false
-}
-
-func (s *scanner) literal(word string) {
-	if !bytes.HasPrefix(s.b[s.i:], []byte(word)) {
-		s.fail()
-		return
-	}
-	s.i += len(word)
-}
-
-// entries reads an array of {"vertex":…,"score":…} objects. The
-// allocation is bounded by the payload: one entry per opening brace
-// left in it at most.
-func (s *scanner) entries() []topk.Entry {
-	s.expect('[')
-	out := make([]topk.Entry, 0, bytes.Count(s.b[s.i:], openBrace))
-	for n := 0; s.element(n, ']'); n++ {
+// entries reads the rows of an entries array whose bracket is open,
+// then its closing bracket: {"vertex":…,"score":…} each, as
+// api.AppendTopKRows writes them, comma-separated, at least one. The
+// allocation is bounded by the payload: one entry per row opening left
+// in it at most.
+func (d *decoder) entries() []topk.Entry {
+	out := make([]topk.Entry, 0, bytes.Count(d.b[d.i:], rowOpen))
+	for {
 		var e topk.Entry
-		var seen uint
-		s.expect('{')
-		for m := 0; ; m++ {
-			name, ok := s.member(m)
-			if !ok {
-				break
-			}
-			switch s.known(entryMembers, name, &seen) {
-			case 0:
-				e.Vertex = uint32(s.uint(32))
-			case 1:
-				e.Score = s.float()
-			default:
-				s.skip(1)
-			}
+		d.expect(`{"vertex":`)
+		e.Vertex = uint32(d.uint(32))
+		d.expect(`,"score":`)
+		e.Score = d.float()
+		d.expect("}")
+		if d.err != nil {
+			return nil
 		}
 		out = append(out, e)
+		if !d.member(",") {
+			break
+		}
 	}
-	if s.err != nil {
-		return nil
-	}
+	d.expect("]")
 	return out
-}
-
-// skip checks the syntax of one value of any type and steps past it.
-func (s *scanner) skip(depth int) {
-	if depth > maxSkipDepth {
-		s.fail()
-		return
-	}
-	switch s.space() {
-	case '{':
-		s.i++
-		for n := 0; ; n++ {
-			if _, ok := s.member(n); !ok {
-				break
-			}
-			s.skip(depth + 1)
-		}
-	case '[':
-		s.i++
-		for n := 0; s.element(n, ']'); n++ {
-			s.skip(depth + 1)
-		}
-	case '"':
-		s.str()
-	case 't':
-		s.literal("true")
-	case 'f':
-		s.literal("false")
-	case 'n':
-		s.literal("null")
-	default:
-		s.number()
-	}
 }

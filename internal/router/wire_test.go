@@ -43,7 +43,6 @@ type jsonResponse struct {
 	Rank        float64         `json:"rank,omitempty"`
 	OwnedCount  int             `json:"ownedCount,omitempty"`
 	Shards      int             `json:"shards,omitempty"`
-	Queries     uint64          `json:"queries,omitempty"`
 	SnapshotAge float64         `json:"snapshotAge,omitempty"`
 }
 
@@ -52,7 +51,7 @@ func oracleRequest(r request) jsonRequest { return jsonRequest(r) }
 func oracleResponse(r response) jsonResponse {
 	j := jsonResponse{
 		V: r.V, Shard: r.Shard, Code: r.Code, Err: r.Err, Epoch: r.Epoch, Engine: r.Engine, Seed: r.Seed,
-		Owned: r.Owned, Rank: r.Rank, OwnedCount: r.OwnedCount, Shards: r.Shards, Queries: r.Queries, SnapshotAge: r.SnapshotAge,
+		Owned: r.Owned, Rank: r.Rank, OwnedCount: r.OwnedCount, Shards: r.Shards, SnapshotAge: r.SnapshotAge,
 	}
 	if r.Entries != nil {
 		j.Entries = make([]api.TopKEntry, len(r.Entries))
@@ -192,7 +191,7 @@ func FuzzFrame(f *testing.F) {
 		req := request{V: int(u % 3), Op: text, K: int(int32(u >> 8)), Vertex: uint32(u >> 16), Epoch: u, Rid: text}
 		resp := response{
 			V: int(u % 3), Shard: int(u % 7), Code: text, Err: text, Epoch: u >> 1, Engine: api.Engine(text), Seed: u,
-			Owned: u&1 == 1, Rank: num, OwnedCount: int(u >> 32), Queries: u >> 3, SnapshotAge: -num,
+			Owned: u&1 == 1, Rank: num, OwnedCount: int(u >> 32), Shards: int(u >> 3), SnapshotAge: -num,
 		}
 		if u%5 != 0 {
 			resp.Entries = []topk.Entry{{Vertex: uint32(u), Score: num}, {Vertex: uint32(u >> 7), Score: num * 1e-7}, {Score: num * 1e21}}
@@ -204,8 +203,10 @@ func FuzzFrame(f *testing.F) {
 	})
 }
 
-// TestDecodeFrames pins what the typed decoder accepts and refuses;
-// every accepted payload is also held to encoding/json by checkDecode.
+// TestDecodeFrames is the accept/refuse table of the frame language:
+// what appendRequest and appendResponse write, and nothing else. Every
+// refused case differs from an accepted frame in one place; every
+// accepted one is also held to encoding/json by checkDecode.
 func TestDecodeFrames(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -213,48 +214,79 @@ func TestDecodeFrames(t *testing.T) {
 		req     bool // the request decoder accepts
 		resp    bool // the response decoder accepts
 	}{
-		{"empty object", `{}`, true, true},
-		{"unknown members skipped", `{"v":1,"op":"topk","deadline":12.5,"tags":["a",{"b":[true,false,null]}],"k":5}`, true, true},
-		{"members of the other frame type are unknown", `{"v":1,"shard":3,"entries":[{"vertex":1,"score":2}]}`, true, true},
-		{"names fold like encoding/json", `{"V":1,"Op":"rank","\u212a":7,"VERTEX":9}`, true, true},
-		{"escaped name", `{"\u0076":1,"op":"status"}`, true, true},
-		{"whitespace", " {\n\"v\":1 , \"op\":\"topk\"\t}\r\n", true, true},
-		{"negative zero int", `{"v":-0,"op":"x"}`, true, true},
-		{"duplicate member", `{"v":1,"v":1}`, false, false},
-		{"duplicate under folding", `{"k":1,"K":2}`, false, true},
-		{"null for a known member", `{"v":null}`, false, false},
-		{"null for an unknown member", `{"w":null}`, true, true},
-		{"fraction for an int", `{"v":1.5}`, false, false},
-		{"exponent for an int", `{"k":1e2}`, false, true},
-		{"negative unsigned", `{"epoch":-1}`, false, false},
-		{"vertex past uint32", `{"vertex":4294967296}`, false, true},
-		{"string for a number", `{"v":"1"}`, false, false},
-		{"number for a string", `{"op":1}`, false, true},
-		{"leading zero", `{"v":01}`, false, false},
-		{"bare minus", `{"v":-}`, false, false},
-		{"plus sign", `{"v":+1}`, false, false},
-		{"float out of range", `{"rank":1e999}`, true, false},
-		{"entry not an object", `{"entries":[1]}`, true, false},
-		{"entry null", `{"entries":[null]}`, true, false},
-		{"entries trailing comma", `{"entries":[{"vertex":1,"score":1},]}`, false, false},
-		{"object trailing comma", `{"v":1,}`, false, false},
-		{"missing colon", `{"v" 1}`, false, false},
-		{"missing comma", `{"v":1 "op":"x"}`, false, false},
-		{"control byte in string", "{\"op\":\"a\nb\"}", false, false},
-		{"bad escape", `{"op":"\x"}`, false, false},
-		{"single-quote escape", `{"op":"\'"}`, false, false},
-		{"short unicode escape", `{"op":"\u12"}`, false, false},
-		{"unterminated string", `{"op":"abc`, false, false},
-		{"unterminated object", `{"v":1`, false, false},
-		{"trailing bytes", `{"v":1}x`, false, false},
-		{"two values", `{"v":1}{"v":1}`, false, false},
+		{"request, required members", `{"v":3,"op":"status"}`, true, false},
+		{"request, every member", `{"v":3,"op":"topk","k":5,"vertex":7,"epoch":9,"rid":"a\"b"}`, true, false},
+		{"response, required members", `{"v":3,"shard":0}`, false, true},
+		{"response, every member", `{"v":3,"shard":1,"code":"c","error":"e","epoch":2,"engine":"frogwild","seed":7,` +
+			`"entries":[{"vertex":4,"score":0.25},{"vertex":0,"score":1e-7}],"owned":true,"rank":5e-324,"ownedCount":12,"shards":4,"snapshotAge":1.5}`, false, true},
+		{"members of the other frame type are unknown", `{"v":3,"shard":3,"entries":[{"vertex":1,"score":2}]}`, false, true},
+		{"escapes appendString writes", `{"v":3,"op":"\"\\\b\f\n\r\t\u0000\u001b\u003c\u0026\u2028\u2029\ufffd"}`, true, false},
+		{"upper-case hex escape", `{"v":3,"op":"\u00E9"}`, true, false},
+		{"raw UTF-8", "{\"v\":3,\"op\":\"é 日本 🐸 \x7f\u2028\"}", true, false},
+		{"negative zero int", `{"v":-0,"op":"x"}`, true, false},
+		{"number grammar", `{"v":3,"shard":-0,"rank":-0.5E+2,"snapshotAge":1e-2}`, false, true},
+		{"zero in an omitempty member", `{"v":3,"op":"topk","k":0}`, true, false},
+
+		{"empty object", `{}`, false, false},
+		{"v missing", `{"op":"topk"}`, false, false},
+		{"op missing", `{"v":3,"k":5}`, false, false},
+		{"shard missing", `{"v":3,"code":"x"}`, false, false},
+		{"members out of order", `{"v":3,"op":"topk","epoch":9,"k":5}`, false, false},
+		{"required members out of order", `{"op":"topk","v":3}`, false, false},
+		{"duplicate member", `{"v":3,"op":"topk","k":1,"k":2}`, false, false},
+		{"duplicate under folding", `{"v":3,"op":"topk","k":1,"K":2}`, false, false},
+		{"unknown members", `{"v":3,"op":"topk","deadline":12.5,"tags":["a",{"b":[true,false,null]}],"k":5}`, false, false},
+		{"removed queries member", `{"v":3,"shard":0,"queries":42}`, false, false},
+		{"names do not fold", `{"V":3,"Op":"rank"}`, false, false},
+		{"escaped name", `{"\u0076":3,"op":"status"}`, false, false},
+		{"whitespace", `{"v":3, "op":"topk"}`, false, false},
+		{"whitespace around the object", " {\"v\":3,\"op\":\"topk\"}\n", false, false},
+		{"owned false", `{"v":3,"shard":0,"owned":false}`, false, false},
+		{"null for a known member", `{"v":3,"op":null}`, false, false},
+		{"null for an unknown member", `{"v":3,"op":"topk","w":null}`, false, false},
+		{"fraction for an int", `{"v":3,"op":"topk","k":1.5}`, false, false},
+		{"exponent for an int", `{"v":3,"op":"topk","k":1e2}`, false, false},
+		{"negative unsigned", `{"v":3,"op":"topk","epoch":-1}`, false, false},
+		{"vertex past uint32", `{"v":3,"op":"rank","vertex":4294967296}`, false, false},
+		{"string for a number", `{"v":"3","op":"topk"}`, false, false},
+		{"number for a string", `{"v":3,"op":1}`, false, false},
+		{"leading zero", `{"v":03,"op":"topk"}`, false, false},
+		{"bare minus", `{"v":-,"op":"topk"}`, false, false},
+		{"plus sign", `{"v":+3,"op":"topk"}`, false, false},
+		{"bare fraction point", `{"v":3,"shard":0,"rank":1.}`, false, false},
+		{"bare exponent", `{"v":3,"shard":0,"rank":1e}`, false, false},
+		{"float out of range", `{"v":3,"shard":0,"rank":1e999}`, false, false},
+		{"empty entries", `{"v":3,"shard":0,"entries":[]}`, false, false},
+		{"entry not an object", `{"v":3,"shard":0,"entries":[1]}`, false, false},
+		{"entry null", `{"v":3,"shard":0,"entries":[null]}`, false, false},
+		{"entry members swapped", `{"v":3,"shard":0,"entries":[{"score":1,"vertex":1}]}`, false, false},
+		{"entry member missing", `{"v":3,"shard":0,"entries":[{"vertex":1}]}`, false, false},
+		{"entry with an extra member", `{"v":3,"shard":0,"entries":[{"vertex":1,"score":1,"x":2}]}`, false, false},
+		{"entries trailing comma", `{"v":3,"shard":0,"entries":[{"vertex":1,"score":1},]}`, false, false},
+		{"entries unterminated", `{"v":3,"shard":0,"entries":[{"vertex":1,"score":1}`, false, false},
+		{"object trailing comma", `{"v":3,"op":"topk",}`, false, false},
+		{"missing colon", `{"v":3,"op" "topk"}`, false, false},
+		{"missing comma", `{"v":3 "op":"topk"}`, false, false},
+		{"control byte in string", "{\"v\":3,\"op\":\"a\nb\"}", false, false},
+		{"invalid UTF-8 in string", "{\"v\":3,\"op\":\"a\xffb\"}", false, false},
+		{"bad escape", `{"v":3,"op":"\x"}`, false, false},
+		{"single-quote escape", `{"v":3,"op":"\'"}`, false, false},
+		{"solidus escape", `{"v":3,"op":"\/"}`, false, false},
+		{"surrogate escape", `{"v":3,"op":"\ud83d\udc38"}`, false, false},
+		{"short unicode escape", `{"v":3,"op":"\u12"}`, false, false},
+		{"signed unicode escape", `{"v":3,"op":"\u+123"}`, false, false},
+		{"escape at the end", `{"v":3,"op":"\`, false, false},
+		{"unterminated string", `{"v":3,"op":"abc`, false, false},
+		{"unterminated object", `{"v":3,"op":"topk"`, false, false},
+		{"trailing bytes", `{"v":3,"op":"topk"}x`, false, false},
+		{"two values", `{"v":3,"op":"topk"}{"v":3,"op":"topk"}`, false, false},
 		{"top-level array", `[]`, false, false},
 		{"top-level null", `null`, false, false},
 		{"empty payload", ``, false, false},
 		{"garbage", "\x00\xff\x13garbage", false, false},
-		{"bad syntax inside an unknown member", `{"w":[1,2,}`, false, false},
-		{"bad literal inside an unknown member", `{"w":tru}`, false, false},
-		{"unknown member nested past the limit", `{"w":` + strings.Repeat("[", maxSkipDepth+2) + strings.Repeat("]", maxSkipDepth+2) + `}`, false, false},
+		{"bad syntax inside an unknown member", `{"v":3,"op":"topk","w":[1,2,}`, false, false},
+		{"bad literal inside an unknown member", `{"v":3,"op":"topk","w":tru}`, false, false},
+		{"unknown member nested deep", `{"v":3,"op":"topk","w":` + strings.Repeat("[", 64) + strings.Repeat("]", 64) + `}`, false, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -266,10 +298,10 @@ func TestDecodeFrames(t *testing.T) {
 	}
 
 	var req request
-	if err := decodeRequest([]byte(`{"future":[1,{"a":"b"}],"v":1,"op":"topk","k":5,"epoch":9,"rid":"a\"b"}`), &req); err != nil {
+	if err := decodeRequest([]byte(`{"v":3,"op":"topk","k":5,"epoch":9,"rid":"a\"b\u00e9"}`), &req); err != nil {
 		t.Fatal(err)
 	}
-	if want := (request{V: 1, Op: opTopK, K: 5, Epoch: 9, Rid: `a"b`}); req != want {
+	if want := (request{V: 3, Op: opTopK, K: 5, Epoch: 9, Rid: `a"bé`}); req != want {
 		t.Fatalf("decoded %+v, want %+v", req, want)
 	}
 }
@@ -432,7 +464,7 @@ func TestInteropWithReflectionCodec(t *testing.T) {
 	if bad := jsonCall(t, conn, jsonRequest{V: api.Version + 1, Op: opTopK, K: 1}); bad.Code != api.CodeVersionMismatch || bad.Err == "" {
 		t.Fatalf("version mismatch answered %+v", bad)
 	}
-	if status := jsonCall(t, conn, jsonRequest{V: api.Version, Op: opStatus}); status.OwnedCount != g.NumVertices() || status.Queries == 0 {
+	if status := jsonCall(t, conn, jsonRequest{V: api.Version, Op: opStatus}); status.OwnedCount != g.NumVertices() || status.Shards != 1 {
 		t.Fatalf("old router decoded status %+v", status)
 	}
 

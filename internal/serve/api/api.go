@@ -19,12 +19,15 @@ import (
 	"time"
 )
 
-// Version is the wire-protocol generation. Bump it when a change to the
-// types below is not backward compatible (removed field, changed
-// meaning); additions with `omitempty` are compatible and do not bump.
+// Version is the wire-protocol generation of the shard RPC frame. The
+// frame decoder accepts only the members its encoder writes, in that
+// order, so any frame member added, removed or changed in meaning is a
+// new version. The HTTP bodies below are read by encoding/json and may
+// still gain fields with `omitempty` without one.
 // Version 2: a shard's "owned" answers v % shards == id, no longer an
 // HDRF placement's masters, and the router asks the owner alone.
-const Version = 2
+// Version 3: the status frame has no "queries" member.
+const Version = 3
 
 // Engine names an estimate producer a snapshot can be built from. The
 // serving layer aliases this type, so the engine names on the wire and

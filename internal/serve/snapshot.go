@@ -25,8 +25,10 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"strconv"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/frogwild"
 	"repro/internal/glpr"
 	"repro/internal/graph"
@@ -91,12 +93,13 @@ type BuildConfig struct {
 }
 
 // RegisterFlags declares on fs prserve's engine flags -engine,
-// -machines and -maxk. A field that is zero
-// defaults to what withDefaults resolves it to. -engine is checked
-// while parsing, so an unknown engine is a usage error.
+// -machines, -maxk and -ps. A field that is zero defaults to what
+// withDefaults resolves it to. Each is checked while parsing, so an
+// unknown engine, or a value that withDefaults would take for unset or
+// the engine would refuse after the graph loads, is a usage error.
 func (c *BuildConfig) RegisterFlags(fs *flag.FlagSet) {
 	d := c.withDefaults(0)
-	c.Engine = d.Engine
+	c.Engine, c.Machines, c.MaxK, c.PS = d.Engine, d.Machines, d.MaxK, d.PS
 	fs.Func("engine", "estimate engine: frogwild|glpr|exact", func(v string) error {
 		e, err := ParseEngine(v)
 		if err == nil {
@@ -104,9 +107,39 @@ func (c *BuildConfig) RegisterFlags(fs *flag.FlagSet) {
 		}
 		return err
 	})
-	fs.Lookup("engine").DefValue = string(d.Engine) // a Func flag has no default of its own to show in usage
-	fs.IntVar(&c.Machines, "machines", d.Machines, "simulated cluster size for the estimate engine")
-	fs.IntVar(&c.MaxK, "maxk", d.MaxK, "precomputed top index size (queries up to this k are O(k))")
+	intFlag(fs, &c.Machines, "machines", "simulated cluster size for the estimate engine",
+		fmt.Sprintf("1 to %d", cluster.MaxMachines), func(n int) bool { return n >= 1 && n <= cluster.MaxMachines })
+	intFlag(fs, &c.MaxK, "maxk", "precomputed top index size (queries up to this k are O(k))",
+		"at least 1", func(n int) bool { return n >= 1 })
+	fs.Func("ps", "mirror synchronization probability, in (0, 1]", func(v string) error {
+		p, err := strconv.ParseFloat(v, 64)
+		if err == nil && !(p > 0 && p <= 1) {
+			err = errors.New("want a probability in (0, 1]")
+		}
+		if err == nil {
+			c.PS = p
+		}
+		return err
+	})
+	// A Func flag has no default of its own to show in usage.
+	fs.Lookup("engine").DefValue = string(d.Engine)
+	fs.Lookup("ps").DefValue = strconv.FormatFloat(d.PS, 'g', -1, 64)
+}
+
+// intFlag declares an int flag on fs that refuses, while parsing, a
+// value for which ok is false, naming want.
+func intFlag(fs *flag.FlagSet, dst *int, name, usage, want string, ok func(int) bool) {
+	fs.Func(name, usage, func(v string) error {
+		n, err := strconv.ParseInt(v, 0, strconv.IntSize)
+		if err == nil && !ok(int(n)) {
+			err = fmt.Errorf("want %s", want)
+		}
+		if err == nil {
+			*dst = int(n)
+		}
+		return err
+	})
+	fs.Lookup(name).DefValue = strconv.Itoa(*dst)
 }
 
 // withDefaults resolves the zero values.
