@@ -22,8 +22,12 @@ import (
 	"os"
 	"runtime"
 
-	"repro"
+	"repro/internal/cluster"
+	"repro/internal/frogwild"
+	"repro/internal/graph"
 	"repro/internal/graph/gio"
+	"repro/internal/pagerank"
+	"repro/internal/topk"
 )
 
 func main() {
@@ -44,27 +48,27 @@ func main() {
 		refMode  = flag.Bool("reference", false, "run the single-machine reference walk instead of the simulated cluster")
 	)
 	flag.Parse()
-	p, err := repro.PartitionerByName(*part)
+	p, err := cluster.ByName(*part)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "frogwild: %v\n", err)
 		os.Exit(2)
 	}
-	var scatter repro.ScatterMode
+	var scatter frogwild.ScatterMode
 	switch *mode {
 	case "split":
-		scatter = repro.ScatterSplit
+		scatter = frogwild.ScatterSplit
 	case "binomial":
-		scatter = repro.ScatterBinomial
+		scatter = frogwild.ScatterBinomial
 	default:
 		fmt.Fprintf(os.Stderr, "frogwild: unknown -mode %q\n", *mode)
 		os.Exit(2)
 	}
-	var erasureModel repro.Erasure
+	var erasureModel frogwild.Erasure
 	switch *erasure {
 	case "at-least-one":
-		erasureModel = repro.ErasureAtLeastOne
+		erasureModel = frogwild.ErasureAtLeastOne
 	case "independent":
-		erasureModel = repro.ErasureIndependent
+		erasureModel = frogwild.ErasureIndependent
 	default:
 		fmt.Fprintf(os.Stderr, "frogwild: unknown -erasure %q\n", *erasure)
 		os.Exit(2)
@@ -83,7 +87,7 @@ func main() {
 		}
 	}
 	if *refMode {
-		counts, err := repro.SerialFrogWalk(g, nWalkers, *iters, repro.DefaultTeleport, *seed)
+		counts, err := frogwild.SerialWalk(g, nWalkers, *iters, pagerank.DefaultTeleport, *seed)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "frogwild: %v\n", err)
 			os.Exit(1)
@@ -100,7 +104,7 @@ func main() {
 			g.NumVertices(), g.NumEdges())
 		fmt.Printf("frogwild: %d walkers, %d iterations, %d workers\n", nWalkers, *iters, runtime.GOMAXPROCS(0))
 		fmt.Printf("\n%-8s %-10s %-12s %s\n", "rank", "vertex", "estimate", "frogs")
-		for i, e := range repro.TopK(est, *k) {
+		for i, e := range topk.Top(est, *k) {
 			fmt.Printf("%-8d %-10d %.6e %d\n", i+1, e.Vertex, e.Score, counts[e.Vertex])
 		}
 		if *compare {
@@ -109,7 +113,7 @@ func main() {
 		return
 	}
 
-	res, err := repro.RunFrogWild(g, repro.FrogWildConfig{
+	res, err := frogwild.Run(g, frogwild.Config{
 		Walkers:      nWalkers,
 		Iterations:   *iters,
 		PS:           *ps,
@@ -137,7 +141,7 @@ func main() {
 	fmt.Printf("wall clock: %.3fs\n", res.Stats.WallSeconds)
 
 	fmt.Printf("\n%-8s %-10s %-12s %s\n", "rank", "vertex", "estimate", "frogs")
-	for i, e := range repro.TopK(res.Estimate, *k) {
+	for i, e := range topk.Top(res.Estimate, *k) {
 		fmt.Printf("%-8d %-10d %.6e %d\n", i+1, e.Vertex, e.Score, res.Counts[e.Vertex])
 	}
 
@@ -148,8 +152,8 @@ func main() {
 
 // reportAccuracy computes exact PageRank and prints the paper's two
 // accuracy metrics for the given estimate.
-func reportAccuracy(g *repro.Graph, estimate []float64, k int) {
-	exact, err := repro.ExactPageRank(g, repro.PageRankOptions{})
+func reportAccuracy(g *graph.Graph, estimate []float64, k int) {
+	exact, err := pagerank.Exact(g, pagerank.Options{})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "frogwild: exact pagerank: %v\n", err)
 		os.Exit(1)
@@ -161,7 +165,7 @@ func reportAccuracy(g *repro.Graph, estimate []float64, k int) {
 		}
 		fmt.Printf("  k=%-5d mass captured %.4f   exact identification %.4f\n",
 			kk,
-			repro.NormalizedCapturedMass(exact.Rank, estimate, kk),
-			repro.ExactIdentification(exact.Rank, estimate, kk))
+			topk.NormalizedCapturedMass(exact.Rank, estimate, kk),
+			topk.ExactIdentification(exact.Rank, estimate, kk))
 	}
 }

@@ -27,7 +27,11 @@ import (
 	"os"
 	"strings"
 
-	"repro"
+	"repro/internal/graph"
+	"repro/internal/graph/gen"
+	"repro/internal/graph/gio"
+	"repro/internal/graph/gstore"
+	"repro/internal/graph/pcache"
 )
 
 func main() {
@@ -59,7 +63,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	if *target != "" {
-		tb, err := repro.ParseByteSize(*target)
+		tb, err := pcache.ParseBytes(*target)
 		if err != nil {
 			fmt.Fprintf(stderr, "gengraph: -target-bytes: %v\n", err)
 			fs.Usage()
@@ -80,17 +84,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	// Resolve the writer up front so a bad -format is rejected before
 	// minutes of generation work.
-	var save func(string, *repro.Graph) error
+	var save func(string, *graph.Graph) error
 	name := strings.TrimSuffix(*out, ".gz")
 	switch {
 	case *format == "csr", *format == "auto" && strings.HasSuffix(name, ".csr"):
-		save = repro.SaveGraphCSR
+		save = gio.SaveCSR
 	case *format == "auto" && strings.HasSuffix(name, ".bin"):
 		fmt.Fprintf(stderr, "gengraph: %s: the .bin binary edge list is no longer written; use -format csr (or a .csr name)\n", *out)
 		fs.Usage()
 		return 2
 	case *format == "auto", *format == "edgelist":
-		save = repro.SaveGraph
+		save = gio.SaveEdgeList
 	default:
 		fmt.Fprintf(stderr, "gengraph: unknown -format %q (want auto|edgelist|csr)\n", *format)
 		fs.Usage()
@@ -98,26 +102,26 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	var (
-		g   *repro.Graph
+		g   *graph.Graph
 		err error
 	)
 	switch *typ {
 	case "twitterlike":
-		g, err = repro.TwitterLikeGraph(*n, *seed)
+		g, err = gen.PowerLaw(gen.TwitterLike(*n, *seed))
 	case "livejournallike":
-		g, err = repro.LiveJournalLikeGraph(*n, *seed)
+		g, err = gen.PowerLaw(gen.LiveJournalLike(*n, *seed))
 	case "powerlaw":
-		g, err = repro.PowerLawGraph(repro.PowerLawConfig{
+		g, err = gen.PowerLaw(gen.PowerLawConfig{
 			N: *n, MeanOutDeg: *mean, DegExponent: *degExp, PrefExponent: *prefExp, Seed: *seed,
 		})
 	case "rmat":
-		g, err = repro.RMATGraph(*scale, *edgeFactor, *seed)
+		g, err = gen.RMAT(gen.DefaultRMAT(*scale, *edgeFactor, *seed))
 	case "er":
 		edges := *m
 		if edges == 0 {
 			edges = int64(*n) * 10
 		}
-		g, err = repro.ErdosRenyiGraph(*n, edges, *seed)
+		g, err = gen.ErdosRenyi(*n, edges, *seed)
 	default:
 		fmt.Fprintf(stderr, "gengraph: unknown -type %q\n", *typ)
 		fs.Usage()
@@ -128,7 +132,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	if *relabel {
-		rg, err := repro.RelabelGraph(g)
+		rg, err := gstore.Relabel(g)
 		if err != nil {
 			fmt.Fprintf(stderr, "gengraph: relabeling: %v\n", err)
 			return 1
@@ -142,7 +146,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	if *stats {
-		s := repro.ComputeGraphStats(g)
+		s := graph.ComputeStats(g)
 		fmt.Fprintf(stdout, "wrote %s: %d vertices, %d edges, mean deg %.2f, max out %d, max in %d, gini %.3f\n",
 			*out, s.NumVertices, s.NumEdges, s.MeanDeg, s.MaxOutDeg, s.MaxInDeg, s.GiniOut)
 	}

@@ -9,7 +9,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro"
+	"repro/internal/graph/gio"
 	"repro/internal/graph/gstore"
 )
 
@@ -87,7 +87,7 @@ func TestFormats(t *testing.T) {
 			if got := startsWithGstoreMagic(t, path); got != tc.csr {
 				t.Fatalf("wrote gstore CSR = %v, want %v", got, tc.csr)
 			}
-			g, err := repro.LoadGraph(path)
+			g, err := gio.Load(path, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -143,7 +143,7 @@ func TestTargetBytes(t *testing.T) {
 	if fi.Size() < 128<<10 || fi.Size() > 512<<10 {
 		t.Fatalf("file size %d not within 2x of the 256KiB target", fi.Size())
 	}
-	g, err := repro.LoadGraph(path)
+	g, err := gio.Load(path, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,14 +17,17 @@ import (
 	"fmt"
 	"os"
 
-	"repro"
+	"repro/internal/glpr"
+	"repro/internal/graph/gio"
+	"repro/internal/pagerank"
+	"repro/internal/topk"
 )
 
 func main() {
 	var (
 		path     = flag.String("graph", "", "graph file (gstore CSR or edge list; required)")
 		k        = flag.Int("k", 20, "how many top vertices to print")
-		teleport = flag.Float64("teleport", repro.DefaultTeleport, "teleportation probability pT")
+		teleport = flag.Float64("teleport", pagerank.DefaultTeleport, "teleportation probability pT")
 		tol      = flag.Float64("tol", 1e-12, "L1 convergence tolerance")
 		engine   = flag.Bool("engine", false, "run GraphLab PR on the simulated cluster instead of the exact solver")
 		machines = flag.Int("machines", 16, "simulated cluster size in -engine mode")
@@ -37,14 +40,14 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	g, err := repro.LoadGraph(*path)
+	g, err := gio.Load(*path, 0)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "pagerank: %v\n", err)
 		os.Exit(1)
 	}
 	fmt.Printf("graph: %d vertices, %d edges\n", g.NumVertices(), g.NumEdges())
 	if *engine {
-		res, err := repro.RunGraphLabPR(g, repro.GraphLabPRConfig{
+		res, err := glpr.Run(g, glpr.Config{
 			Machines:   *machines,
 			Teleport:   *teleport,
 			Iterations: *iters,
@@ -60,7 +63,7 @@ func main() {
 		printTop(res.Rank, *k)
 		return
 	}
-	res, err := repro.ExactPageRank(g, repro.PageRankOptions{Teleport: *teleport, Tolerance: *tol})
+	res, err := pagerank.Exact(g, pagerank.Options{Teleport: *teleport, Tolerance: *tol})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "pagerank: %v\n", err)
 		os.Exit(1)
@@ -72,7 +75,7 @@ func main() {
 // printTop prints the k highest-ranked vertices.
 func printTop(rank []float64, k int) {
 	fmt.Printf("%-8s %-10s %s\n", "rank", "vertex", "pagerank")
-	for i, e := range repro.TopK(rank, k) {
+	for i, e := range topk.Top(rank, k) {
 		fmt.Printf("%-8d %-10d %.6e\n", i+1, e.Vertex, e.Score)
 	}
 }

@@ -79,13 +79,9 @@ func routed(t *testing.T) http.Handler {
 	store := serve.NewStore()
 	store.Publish(snap)
 	const shards = 3
-	owned, err := router.Partition(g, shards)
-	if err != nil {
-		t.Fatal(err)
-	}
 	clients := make([]*router.ShardClient, shards)
 	for i := range clients {
-		srv := router.NewShardServer(i, shards, owned[i], store)
+		srv := router.NewShardServer(i, shards, router.Stride(g.NumVertices(), shards, i), store)
 		clients[i] = router.NewShardClient(i, fmt.Sprintf("pipe-%d", i), router.PipeDialer(srv), time.Second)
 	}
 	return router.New(clients, router.Options{})

@@ -125,8 +125,6 @@ func newFlags(stderr io.Writer) (*flag.FlagSet, *options) {
 	o.build.RegisterFlags(fs)
 	fs.StringVar(&o.addr, "addr", ":8080", "listen address")
 	fs.StringVar(&o.snapDir, "snapshot-dir", "", "persist every published snapshot here and warm-start from the last one")
-	fs.IntVar(&o.build.Walkers, "walkers", 0, "frogwild walker count N (default: vertices/6)")
-	fs.IntVar(&o.build.Iterations, "iters", 0, "iterations: frogwild walk cutoff (default 4) / glpr supersteps (0 = to tolerance)")
 	fs.DurationVar(&o.refresh, "refresh", 0, "background recompute cadence (0 = serve the initial snapshot forever)")
 	fs.StringVar(&o.shards, "shards", "", "router mode: comma-separated prshard RPC addresses, the one started with -shard i at position i")
 	fs.DurationVar(&o.shardTimeout, "shard-timeout", 2*time.Second, "router mode: per-shard RPC timeout (each query retries once on a fresh connection)")

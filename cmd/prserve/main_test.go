@@ -50,6 +50,8 @@ func TestUsageErrors(t *testing.T) {
 		{[]string{"-gen", "twitterlike", "-machines", "4097"}, `"4097" for flag -machines`},
 		{[]string{"-gen", "twitterlike", "-maxk", "0"}, `"0" for flag -maxk`},
 		{[]string{"-gen", "twitterlike", "-maxk", "ten"}, `"ten" for flag -maxk`},
+		{[]string{"-gen", "twitterlike", "-walkers", "-5"}, `"-5" for flag -walkers`},
+		{[]string{"-gen", "twitterlike", "-iters", "-3"}, `"-3" for flag -iters`},
 	} {
 		var stderr bytes.Buffer
 		if code := run(context.Background(), tc.args, &stderr, nil); code != 2 {
@@ -179,6 +181,47 @@ func TestSingleNode(t *testing.T) {
 	}
 	if code := p.stop(); code != 0 {
 		t.Fatalf("exit %d after cancel, want 0", code)
+	}
+}
+
+// TestRunLifecycle: run returns only after the background refresher has
+// stopped, so the snapshot a refresh in flight persists is whole and no
+// later epoch is written; an address that cannot be listened on is a
+// runtime failure, exit 1.
+func TestRunLifecycle(t *testing.T) {
+	dir := t.TempDir()
+	p := startPrserve(t, append([]string{"-snapshot-dir", dir, "-refresh", "5ms"}, tinyGraph...)...)
+	deadline := time.Now().Add(60 * time.Second)
+	for {
+		_, body := p.get(t, "/v1/topk?k=1")
+		if strings.Contains(body, `"epoch":3,`) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no epoch 3 from a 5ms refresh cadence: %s", body)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if code := p.stop(); code != 0 {
+		t.Fatalf("exit %d after cancel, want 0", code)
+	}
+	path := serve.SnapshotPath(dir)
+	last, err := serve.LoadSnapshot(path, nil)
+	if err != nil {
+		t.Fatalf("snapshot persisted at shutdown does not load: %v", err)
+	}
+	time.Sleep(50 * time.Millisecond) // ten refresh intervals
+	again, err := serve.LoadSnapshot(path, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Epoch != last.Epoch {
+		t.Fatalf("a refresh ran after run returned: epoch %d became %d", last.Epoch, again.Epoch)
+	}
+
+	var stderr bytes.Buffer
+	if code := run(context.Background(), append([]string{"-addr", "256.0.0.1:http"}, tinyGraph...), &stderr, nil); code != 1 {
+		t.Fatalf("unlistenable address: exit %d, want 1 (stderr %s)", code, stderr.String())
 	}
 }
 

@@ -16,8 +16,8 @@ import (
 	"testing"
 	"time"
 
-	"repro"
 	"repro/internal/graph"
+	"repro/internal/graph/gen"
 	"repro/internal/obs"
 	"repro/internal/router"
 	"repro/internal/serve"
@@ -40,7 +40,7 @@ type builder struct {
 
 func newBuilder(t *testing.T, n int) *builder {
 	t.Helper()
-	g, err := repro.TwitterLikeGraph(n, testSeed)
+	g, err := gen.PowerLaw(gen.TwitterLike(n, testSeed))
 	if err != nil {
 		t.Fatal(err)
 	}

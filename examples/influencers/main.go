@@ -15,14 +15,19 @@ import (
 	"fmt"
 	"log"
 
-	"repro"
+	"repro/internal/cluster"
+	"repro/internal/frogwild"
+	"repro/internal/glpr"
+	"repro/internal/graph/gen"
+	"repro/internal/pagerank"
+	"repro/internal/topk"
 )
 
 func main() {
 	// A call graph: power-law activity (a few call centers and
 	// socialites, many quiet customers).
 	const customers = 30000
-	g, err := repro.PowerLawGraph(repro.PowerLawConfig{
+	g, err := gen.PowerLaw(gen.PowerLawConfig{
 		N:            customers,
 		MeanOutDeg:   10,
 		DegExponent:  2.2,
@@ -34,14 +39,14 @@ func main() {
 	}
 	fmt.Printf("activity graph: %d customers, %d call edges\n", g.NumVertices(), g.NumEdges())
 
-	exact, err := repro.ExactPageRank(g, repro.PageRankOptions{})
+	exact, err := pagerank.Exact(g, pagerank.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	// One shared cluster layout (ingress is paid once; the operator
 	// re-runs the ranking as the graph evolves).
-	lay, err := repro.NewLayout(g, 20, nil, 2024)
+	lay, err := cluster.NewLayout(g, 20, nil, 2024)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -52,7 +57,7 @@ func main() {
 	fmt.Printf("%-8s %-16s %-14s %-12s %-10s\n", "ps", "network bytes", "sim time (s)", "mass k=50", "ident k=50")
 	var fullNet int64
 	for _, ps := range []float64{1.0, 0.7, 0.4, 0.1} {
-		res, err := repro.RunFrogWild(g, repro.FrogWildConfig{
+		res, err := frogwild.Run(g, frogwild.Config{
 			Walkers:    customers / 6,
 			Iterations: 4,
 			PS:         ps,
@@ -67,12 +72,12 @@ func main() {
 		}
 		fmt.Printf("%-8.1f %-16d %-14.4f %-12.4f %-10.4f\n",
 			ps, res.Stats.Net.TotalBytes, res.Stats.SimSeconds,
-			repro.NormalizedCapturedMass(exact.Rank, res.Estimate, k),
-			repro.ExactIdentification(exact.Rank, res.Estimate, k))
+			topk.NormalizedCapturedMass(exact.Rank, res.Estimate, k),
+			topk.ExactIdentification(exact.Rank, res.Estimate, k))
 	}
 
 	// The baseline the operator would otherwise run.
-	gl, err := repro.RunGraphLabPR(g, repro.GraphLabPRConfig{Layout: lay, Seed: 2024})
+	gl, err := glpr.Run(g, glpr.Config{Layout: lay, Seed: 2024})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -81,14 +86,14 @@ func main() {
 		float64(gl.Stats.Net.TotalBytes)/float64(fullNet), gl.Stats.SimSeconds)
 
 	// Show the campaign list itself.
-	res, err := repro.RunFrogWild(g, repro.FrogWildConfig{
+	res, err := frogwild.Run(g, frogwild.Config{
 		Walkers: customers / 6, Iterations: 4, PS: 0.7, Layout: lay, Seed: 2024,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\ntop-10 influential customers (ps=0.7):\n")
-	for i, e := range repro.TopK(res.Estimate, 10) {
+	for i, e := range topk.Top(res.Estimate, 10) {
 		marker := " "
 		if exactRankOf(exact.Rank, e.Vertex, 10) {
 			marker = "*"
@@ -99,7 +104,7 @@ func main() {
 }
 
 func exactRankOf(rank []float64, v uint32, k int) bool {
-	for _, e := range repro.TopK(rank, k) {
+	for _, e := range topk.Top(rank, k) {
 		if e.Vertex == v {
 			return true
 		}

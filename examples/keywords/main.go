@@ -10,7 +10,10 @@ import (
 	"log"
 	"strings"
 
-	"repro"
+	"repro/internal/frogwild"
+	"repro/internal/graph"
+	"repro/internal/pagerank"
+	"repro/internal/topk"
 )
 
 // document is the abstract and introduction fragments of the FrogWild
@@ -96,7 +99,7 @@ func main() {
 		vocab = append(vocab, w)
 		return v
 	}
-	var edges []repro.Edge
+	var edges []graph.Edge
 	const window = 2
 	for i, w := range words {
 		wi := id(w)
@@ -105,15 +108,15 @@ func main() {
 			if wi == wj {
 				continue
 			}
-			edges = append(edges, repro.Edge{Src: wi, Dst: wj}, repro.Edge{Src: wj, Dst: wi})
+			edges = append(edges, graph.Edge{Src: wi, Dst: wj}, graph.Edge{Src: wj, Dst: wi})
 		}
 	}
-	g := repro.GraphFromEdges(len(vocab), edges)
+	g := graph.FromEdges(len(vocab), edges)
 	fmt.Printf("co-occurrence graph: %d unique words, %d edges\n\n", g.NumVertices(), g.NumEdges())
 
 	// FrogWild top-k keywords. Small graph, so a handful of frogs per
 	// vertex and a few iterations suffice.
-	res, err := repro.RunFrogWild(g, repro.FrogWildConfig{
+	res, err := frogwild.Run(g, frogwild.Config{
 		Walkers:    4 * g.NumVertices(),
 		Iterations: 6,
 		PS:         0.7,
@@ -123,27 +126,27 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	exact, err := repro.ExactPageRank(g, repro.PageRankOptions{})
+	exact, err := pagerank.Exact(g, pagerank.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	const k = 12
 	fmt.Printf("%-5s %-18s %-18s\n", "rank", "frogwild", "exact pagerank")
-	fwTop := repro.TopK(res.Estimate, k)
-	exTop := repro.TopK(exact.Rank, k)
+	fwTop := topk.Top(res.Estimate, k)
+	exTop := topk.Top(exact.Rank, k)
 	for i := 0; i < k; i++ {
 		fmt.Printf("%-5d %-18s %-18s\n", i+1, vocab[fwTop[i].Vertex], vocab[exTop[i].Vertex])
 	}
 
 	overlap := overlapCount(fwTop, exTop)
 	fmt.Printf("\ntop-%d overlap: %d/%d; mass captured %.4f\n",
-		k, overlap, k, repro.NormalizedCapturedMass(exact.Rank, res.Estimate, k))
+		k, overlap, k, topk.NormalizedCapturedMass(exact.Rank, res.Estimate, k))
 	fmt.Printf("(paper §1: keyword extraction is a natural top-k PageRank consumer —\n")
 	fmt.Printf(" the approximation only needs the heavy vertices, not the full ranking)\n")
 }
 
-func overlapCount(a, b []repro.TopEntry) int {
+func overlapCount(a, b []topk.Entry) int {
 	set := map[uint32]bool{}
 	for _, e := range a {
 		set[e.Vertex] = true

@@ -12,51 +12,55 @@ import (
 	"fmt"
 	"log"
 
-	"repro"
+	"repro/internal/frogwild"
+	"repro/internal/graph"
+	"repro/internal/graph/gen"
+	"repro/internal/pagerank"
+	"repro/internal/topk"
 )
 
 func main() {
 	const users = 15000
-	g, err := repro.TwitterLikeGraph(users, 77)
+	g, err := gen.PowerLaw(gen.TwitterLike(users, 77))
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("follower graph: %d users, %d follow edges\n", g.NumVertices(), g.NumEdges())
 
 	// The user we recommend for: someone ordinary (not a celebrity).
-	user := repro.VertexID(4321)
+	user := graph.VertexID(4321)
 	fmt.Printf("recommending for user %d (following %d accounts)\n\n", user, g.OutDegree(user))
 
-	exactPPR, err := repro.ExactPersonalizedPageRank(g, []repro.VertexID{user}, 0)
+	exactPPR, err := frogwild.ExactPPR(g, []graph.VertexID{user}, 0, 0, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := repro.RunPersonalizedFrogWild(g, repro.PPRConfig{
-		Config: repro.FrogWildConfig{
+	res, err := frogwild.RunPPR(g, frogwild.PPRConfig{
+		Config: frogwild.Config{
 			Walkers:    60000,
 			Iterations: 10,
 			PS:         0.7,
 			Machines:   16,
 			Seed:       77,
 		},
-		Sources: []repro.VertexID{user},
+		Sources: []graph.VertexID{user},
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	globalPR, err := repro.ExactPageRank(g, repro.PageRankOptions{})
+	globalPR, err := pagerank.Exact(g, pagerank.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	const k = 10
 	globalTop := map[uint32]bool{}
-	for _, e := range repro.TopK(globalPR.Rank, k) {
+	for _, e := range topk.Top(globalPR.Rank, k) {
 		globalTop[e.Vertex] = true
 	}
 
 	fmt.Printf("%-5s %-10s %-12s %-12s %s\n", "rank", "account", "frogwild", "exact ppr", "in global top-10?")
-	for i, e := range repro.TopK(res.Estimate, k) {
+	for i, e := range topk.Top(res.Estimate, k) {
 		inGlobal := ""
 		if globalTop[e.Vertex] {
 			inGlobal = "yes"
@@ -66,11 +70,11 @@ func main() {
 
 	fmt.Printf("\npersonalized accuracy (k=%d): mass %.4f, identification %.4f, tau %.3f\n",
 		k,
-		repro.NormalizedCapturedMass(exactPPR, res.Estimate, k),
-		repro.ExactIdentification(exactPPR, res.Estimate, k),
-		repro.KendallTauTopK(exactPPR, res.Estimate, k))
+		topk.NormalizedCapturedMass(exactPPR, res.Estimate, k),
+		topk.ExactIdentification(exactPPR, res.Estimate, k),
+		topk.KendallTauTopK(exactPPR, res.Estimate, k))
 	fmt.Printf("overlap of personalized vs global top-%d (exact): %.0f%%\n",
-		k, 100*repro.ExactIdentification(globalPR.Rank, exactPPR, k))
+		k, 100*topk.ExactIdentification(globalPR.Rank, exactPPR, k))
 	fmt.Printf("network bytes: %d (vs exact PPR, which needs full power iteration)\n",
 		res.Stats.Net.TotalBytes)
 }

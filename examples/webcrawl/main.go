@@ -10,26 +10,34 @@ import (
 	"fmt"
 	"log"
 
-	"repro"
+	"repro/internal/cluster"
+	"repro/internal/frogwild"
+	"repro/internal/glpr"
+	"repro/internal/graph"
+	"repro/internal/graph/gen"
+	"repro/internal/montecarlo"
+	"repro/internal/pagerank"
+	"repro/internal/sparsify"
+	"repro/internal/topk"
 )
 
 func main() {
 	// 2^15 = 32768 pages, ~16 links per page.
-	g, err := repro.RMATGraph(15, 16, 99)
+	g, err := gen.RMAT(gen.DefaultRMAT(15, 16, 99))
 	if err != nil {
 		log.Fatal(err)
 	}
-	stats := repro.ComputeGraphStats(g)
+	stats := graph.ComputeStats(g)
 	fmt.Printf("web graph (R-MAT): %d pages, %d links, max in-degree %d\n\n",
 		stats.NumVertices, stats.NumEdges, stats.MaxInDeg)
 
-	exact, err := repro.ExactPageRank(g, repro.PageRankOptions{})
+	exact, err := pagerank.Exact(g, pagerank.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	const machines = 16
-	lay, err := repro.NewLayout(g, machines, nil, 99)
+	lay, err := cluster.NewLayout(g, machines, nil, 99)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -47,17 +55,17 @@ func main() {
 		name  string
 		iters int
 	}{{"GraphLab PR exact", 0}, {"GraphLab PR 2 iters", 2}, {"GraphLab PR 1 iter", 1}} {
-		cfg := repro.GraphLabPRConfig{Layout: lay, Seed: 99}
+		cfg := glpr.Config{Layout: lay, Seed: 99}
 		cfg.Iterations = spec.iters
-		res, err := repro.RunGraphLabPR(g, cfg)
+		res, err := glpr.Run(g, cfg)
 		if err != nil {
 			log.Fatal(err)
 		}
 		rows = append(rows, row{spec.name, res.Stats.SimSeconds, res.Stats.Net.TotalBytes,
-			repro.NormalizedCapturedMass(exact.Rank, res.Rank, 100)})
+			topk.NormalizedCapturedMass(exact.Rank, res.Rank, 100)})
 	}
 	for _, ps := range []float64{1.0, 0.4} {
-		res, err := repro.RunFrogWild(g, repro.FrogWildConfig{
+		res, err := frogwild.Run(g, frogwild.Config{
 			Walkers: walkers, Iterations: 4, PS: ps, Layout: lay, Seed: 99,
 		})
 		if err != nil {
@@ -65,10 +73,10 @@ func main() {
 		}
 		rows = append(rows, row{fmt.Sprintf("FrogWild ps=%.1f", ps),
 			res.Stats.SimSeconds, res.Stats.Net.TotalBytes,
-			repro.NormalizedCapturedMass(exact.Rank, res.Estimate, 100)})
+			topk.NormalizedCapturedMass(exact.Rank, res.Estimate, 100)})
 	}
 	for _, q := range []float64{0.7, 0.4} {
-		res, err := repro.RunSparsifiedPR(g, repro.SparsifyConfig{
+		res, err := sparsify.Run(g, sparsify.Config{
 			Keep: q, Iterations: 2, Machines: machines, Seed: 99,
 		})
 		if err != nil {
@@ -76,14 +84,14 @@ func main() {
 		}
 		rows = append(rows, row{fmt.Sprintf("sparsify q=%.1f + 2 iters", q),
 			res.Stats.SimSeconds, res.Stats.Net.TotalBytes,
-			repro.NormalizedCapturedMass(exact.Rank, res.Rank, 100)})
+			topk.NormalizedCapturedMass(exact.Rank, res.Rank, 100)})
 	}
-	mc, err := repro.RunMonteCarloPR(g, repro.MonteCarloConfig{Seed: 99})
+	mc, err := montecarlo.Run(g, montecarlo.Config{Seed: 99})
 	if err != nil {
 		log.Fatal(err)
 	}
 	rows = append(rows, row{"serial MC (1 walk/vertex)", 0, 0,
-		repro.NormalizedCapturedMass(exact.Rank, mc.Estimate, 100)})
+		topk.NormalizedCapturedMass(exact.Rank, mc.Estimate, 100)})
 
 	fmt.Printf("%-26s %-14s %-16s %s\n", "method", "sim time (s)", "network bytes", "mass captured k=100")
 	for _, r := range rows {

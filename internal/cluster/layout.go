@@ -27,9 +27,8 @@ import (
 // any goroutine. Only a gathering program (GraphLab PR) asks for it, so
 // a layout that serves FrogWild alone never holds a copy of the graph.
 type Layout struct {
-	g           *graph.Graph
-	machines    int
-	partitioner string
+	g        *graph.Graph
+	machines int
 
 	// placement[edgeOff[v]+i] is the machine owning v's i'th out-edge,
 	// in the order the CSR lists them: the partitioner's canonical edge
@@ -101,13 +100,12 @@ func NewLayout(g *graph.Graph, machines int, p Partitioner, seed uint64) (*Layou
 
 	n := g.NumVertices()
 	lay := &Layout{
-		g:           g,
-		machines:    machines,
-		partitioner: p.Name(),
-		placement:   placement,
-		edgeOff:     make([]int64, n+1),
-		edges:       make([]int64, machines),
-		present:     make([]int, machines),
+		g:         g,
+		machines:  machines,
+		placement: placement,
+		edgeOff:   make([]int64, n+1),
+		edges:     make([]int64, machines),
+		present:   make([]int, machines),
 	}
 	pres := newPresenceSet(n, machines)
 	r := g.NewAdjReader()
@@ -389,9 +387,6 @@ func (l *Layout) Graph() *graph.Graph { return l.g }
 
 // NumMachines returns the cluster size.
 func (l *Layout) NumMachines() int { return l.machines }
-
-// PartitionerName reports which ingress strategy built this layout.
-func (l *Layout) PartitionerName() string { return l.partitioner }
 
 // MasterOf returns the master machine of v. An isolated vertex (no
 // edges at all) has no master: no machine hosts it, Presences(v) is

@@ -106,3 +106,29 @@ func TestFrogWildAndGLPRShareOneLayout(t *testing.T) {
 		}
 	}
 }
+
+func TestObliviousLayoutSharedByBothEngines(t *testing.T) {
+	g, err := gen.RMAT(gen.DefaultRMAT(10, 6, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := cluster.ByName("oblivious")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lay, err := cluster.NewLayout(g, 8, p, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := frogwild.Run(g, frogwild.Config{Walkers: 500, Iterations: 3, Layout: lay, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := glpr.Run(g, glpr.Config{Layout: lay, Iterations: 2, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Layout != lay || b.Layout != lay {
+		t.Error("layout sharing broken")
+	}
+}

@@ -500,3 +500,51 @@ func TestEstimatorString(t *testing.T) {
 		t.Error("estimator strings wrong")
 	}
 }
+
+func TestScatterModesRun(t *testing.T) {
+	g, err := gen.PowerLaw(gen.TwitterLike(1000, 9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []ScatterMode{ScatterSplit, ScatterBinomial} {
+		if _, err := Run(g, Config{
+			Walkers: 2000, Iterations: 3, PS: 0.5, Machines: 4, Seed: 3, Mode: mode,
+		}); err != nil {
+			t.Fatalf("mode %v: %v", mode, err)
+		}
+	}
+}
+
+func TestIndependentErasureAccounting(t *testing.T) {
+	g, err := gen.PowerLaw(gen.TwitterLike(800, 13))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(g, Config{
+		Walkers: 5000, Iterations: 4, PS: 0.1, Machines: 16, Seed: 4,
+		ErasureModel: ErasureIndependent,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.TotalFrogs+res.LostFrogs != 5000 {
+		t.Errorf("%d settled + %d lost frogs, want 5000", res.TotalFrogs, res.LostFrogs)
+	}
+}
+
+func TestVisitsTallyCoversFrogs(t *testing.T) {
+	g, err := gen.PowerLaw(gen.TwitterLike(800, 15))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(g, Config{
+		Walkers: 500, Iterations: 4, PS: 1, Machines: 4, Seed: 1,
+		Estimator: EstimatorVisits,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.TotalFrogs < 500 {
+		t.Errorf("visit tally %d below frog count", res.TotalFrogs)
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/graph/gen"
 	"repro/internal/pagerank"
 	"repro/internal/topk"
 )
@@ -174,4 +175,26 @@ func exactGlobal(g *graph.Graph) ([]float64, error) {
 		return nil, err
 	}
 	return r.Rank, nil
+}
+
+func TestRunPPRCapturesMass(t *testing.T) {
+	g, err := gen.PowerLaw(gen.LiveJournalLike(1500, 11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sources := []graph.VertexID{3, 14}
+	exact, err := ExactPPR(g, sources, 0, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := RunPPR(g, PPRConfig{
+		Config:  Config{Walkers: 20000, Iterations: 8, PS: 0.7, Machines: 8, Seed: 2},
+		Sources: sources,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if acc := topk.NormalizedCapturedMass(exact, res.Estimate, 20); acc < 0.75 {
+		t.Errorf("PPR captured mass %.3f, want >= 0.75", acc)
+	}
 }

@@ -87,13 +87,15 @@ func PowerLaw(cfg PowerLawConfig) (*graph.Graph, error) {
 	}
 	table := rng.NewAliasTable(permuted)
 
+	// stamp[d] == v+1 marks d as already drawn for source v, so the
+	// duplicate check costs nothing to reset between sources.
 	edges := make([]graph.Edge, 0, m)
-	seen := make(map[uint32]struct{}, 64)
+	stamp := make([]uint32, cfg.N)
 	for v := 0; v < cfg.N; v++ {
-		clear(seen)
+		mark := uint32(v + 1)
 		want := degs[v]
 		attempts := 0
-		for len(seen) < want {
+		for have := 0; have < want; {
 			d := uint32(table.Sample(r))
 			attempts++
 			if attempts > 20*want+100 {
@@ -104,10 +106,11 @@ func PowerLaw(cfg PowerLawConfig) (*graph.Graph, error) {
 			if int(d) == v {
 				continue
 			}
-			if _, dup := seen[d]; dup {
+			if stamp[d] == mark {
 				continue
 			}
-			seen[d] = struct{}{}
+			stamp[d] = mark
+			have++
 			edges = append(edges, graph.Edge{Src: uint32(v), Dst: d})
 		}
 	}

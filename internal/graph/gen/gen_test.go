@@ -250,3 +250,14 @@ func TestPowerLawDegreeTail(t *testing.T) {
 		t.Errorf("tail not decaying: ratio = %v", ratio)
 	}
 }
+
+func TestTwitterLikeStats(t *testing.T) {
+	g, err := PowerLaw(TwitterLike(2000, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := graph.ComputeStats(g)
+	if s.NumVertices != 2000 || s.Dangling != 0 {
+		t.Errorf("stats: %+v", s)
+	}
+}

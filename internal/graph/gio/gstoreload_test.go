@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/graph"
 	"repro/internal/graph/gen"
@@ -121,5 +122,128 @@ func TestOpenCachedBuildOnMiss(t *testing.T) {
 	}
 	if builds != 1 {
 		t.Fatalf("corrupt cache triggered rebuild (builds = %d)", builds)
+	}
+}
+
+func TestGraphRoundTripTextAndCSRGz(t *testing.T) {
+	g, err := gen.ErdosRenyi(500, 2500, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	txt := filepath.Join(dir, "g.txt")
+	if err := SaveEdgeList(txt, g); err != nil {
+		t.Fatal(err)
+	}
+	g2, err := Load(txt, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g2.NumEdges() != g.NumEdges() {
+		t.Error("text round trip changed edge count")
+	}
+	csr := filepath.Join(dir, "g.csr.gz")
+	if err := SaveCSR(csr, g); err != nil {
+		t.Fatal(err)
+	}
+	g3, err := Load(csr, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g3.NumEdges() != g.NumEdges() {
+		t.Error("csr.gz round trip changed edge count")
+	}
+}
+
+// TestGStoreRoundTripBitIdentical: mmap-opening a gstore file yields a
+// Graph bit-identical — raw CSR arrays, degrees, stats — to the
+// builder-constructed one.
+func TestGStoreRoundTripBitIdentical(t *testing.T) {
+	g, err := gen.PowerLaw(gen.TwitterLike(5000, 42))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "g.csr")
+	if err := SaveCSR(path, g); err != nil {
+		t.Fatal(err)
+	}
+	got, err := gstore.Open(path, gstore.OpenOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer got.Close()
+
+	a, b := g.CSRView(), got.CSRView()
+	if a.NumVertices != b.NumVertices ||
+		!reflect.DeepEqual(a.OutOff, b.OutOff) || !reflect.DeepEqual(a.OutAdj, b.OutAdj) ||
+		!reflect.DeepEqual(a.InOff, b.InOff) || !reflect.DeepEqual(a.InAdj, b.InAdj) {
+		t.Fatal("mmap-opened CSR arrays differ from builder-constructed graph")
+	}
+	for v := 0; v < g.NumVertices(); v += 97 {
+		id := graph.VertexID(v)
+		if g.OutDegree(id) != got.OutDegree(id) || g.InDegree(id) != got.InDegree(id) {
+			t.Fatalf("degree mismatch at vertex %d", v)
+		}
+	}
+	if s1, s2 := graph.ComputeStats(g), graph.ComputeStats(got); s1 != s2 {
+		t.Fatalf("stats diverge:\nbuilder: %+v\nmmap:    %+v", s1, s2)
+	}
+}
+
+// TestMmapOpenBeatsEdgeListRebuild: on the benchmark-scale graph one
+// mmap open (checksums verified) must be >= 10x faster than rebuilding
+// from the edge-list file. The observed gap is orders of magnitude (text parsing and the
+// counting sort are O(E); the mmap open touches the file once to
+// checksum it), so 10x leaves plenty of CI noise headroom.
+func TestMmapOpenBeatsEdgeListRebuild(t *testing.T) {
+	if testing.Short() {
+		t.Skip("50k-vertex graph build in -short mode")
+	}
+	g, err := gen.PowerLaw(gen.TwitterLike(50000, 7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	edgePath := filepath.Join(dir, "g.txt")
+	csrPath := filepath.Join(dir, "g.csr")
+	if err := SaveEdgeList(edgePath, g); err != nil {
+		t.Fatal(err)
+	}
+	if err := SaveCSR(csrPath, g); err != nil {
+		t.Fatal(err)
+	}
+
+	start := time.Now()
+	rebuilt, err := Load(edgePath, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rebuildDur := time.Since(start)
+	if rebuilt.NumEdges() != g.NumEdges() {
+		t.Fatalf("edge-list rebuild lost edges: %d vs %d", rebuilt.NumEdges(), g.NumEdges())
+	}
+
+	// Best of three mmap opens: the first may pay cold page-cache
+	// costs the rebuild path already amortized by writing the file.
+	mmapDur := time.Duration(1<<62 - 1)
+	for i := 0; i < 3; i++ {
+		start = time.Now()
+		opened, err := gstore.Open(csrPath, gstore.OpenOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := time.Since(start); d < mmapDur {
+			mmapDur = d
+		}
+		if opened.NumEdges() != g.NumEdges() {
+			t.Fatal("mmap open lost edges")
+		}
+		opened.Close()
+	}
+
+	t.Logf("edge-list rebuild: %v, mmap open: %v (%.0fx)",
+		rebuildDur, mmapDur, float64(rebuildDur)/float64(mmapDur))
+	if rebuildDur < 10*mmapDur {
+		t.Fatalf("mmap open %v not >= 10x faster than edge-list rebuild %v", mmapDur, rebuildDur)
 	}
 }

@@ -1,5 +1,5 @@
 // Benchmarks regenerating each figure of the FrogWild paper's
-// evaluation (Section 3), as indexed in DESIGN.md. Each BenchmarkFigN*
+// evaluation (Section 3), as indexed in README.md. Each BenchmarkFigN*
 // target runs the corresponding experiment at the tiny scale and
 // reports the figure's key quantity as a custom metric, so
 // `go test -bench=Fig -benchmem` both times the reproduction and
@@ -7,15 +7,21 @@
 // (`-bench Parallel -cpu 1,2,4` reads their scaling) and the ablations;
 // per-operation and serving costs are measured by the repository
 // benchmark (bench/, `bash bench/run.sh`).
-package repro_test
+package harness_test
 
 import (
 	"fmt"
 	"sync"
 	"testing"
 
-	"repro"
+	"repro/internal/cluster"
+	"repro/internal/frogwild"
+	"repro/internal/gas"
+	"repro/internal/graph"
+	"repro/internal/graph/gen"
 	"repro/internal/harness"
+	"repro/internal/montecarlo"
+	"repro/internal/pagerank"
 )
 
 // benchEnv caches one tiny-scale experiment environment across
@@ -124,16 +130,16 @@ func BenchmarkFig8NetworkVsWalkers(b *testing.B) {
 
 // --- Speedup and ablation benchmarks ---
 
-var benchGraph = sync.OnceValue(func() *repro.Graph {
-	g, err := repro.TwitterLikeGraph(10000, 7)
+var benchGraph = sync.OnceValue(func() *graph.Graph {
+	g, err := gen.PowerLaw(gen.TwitterLike(10000, 7))
 	if err != nil {
 		panic(err)
 	}
 	return g
 })
 
-var benchLayout = sync.OnceValue(func() *repro.Layout {
-	lay, err := repro.NewLayout(benchGraph(), 16, nil, 7)
+var benchLayout = sync.OnceValue(func() *cluster.Layout {
+	lay, err := cluster.NewLayout(benchGraph(), 16, nil, 7)
 	if err != nil {
 		panic(err)
 	}
@@ -144,7 +150,7 @@ var benchLayout = sync.OnceValue(func() *repro.Layout {
 // throughput (vertex/s, from the vertex ops summed over every timed
 // iteration — runs seeded differently do different work) and the
 // simulated-over-wall time ratio of the final run.
-func reportEngineMetrics(b *testing.B, vertexOps int64, last *repro.RunStats) {
+func reportEngineMetrics(b *testing.B, vertexOps int64, last *gas.RunStats) {
 	b.Helper()
 	if sec := b.Elapsed().Seconds(); sec > 0 {
 		b.ReportMetric(float64(vertexOps)/sec, "vertex/s")
@@ -157,8 +163,8 @@ func reportEngineMetrics(b *testing.B, vertexOps int64, last *repro.RunStats) {
 // benchGraph50k is the graph for the multicore benchmarks: big enough
 // (~1.5M edges) that per-iteration work, not scheduling overhead,
 // dominates.
-var benchGraph50k = sync.OnceValue(func() *repro.Graph {
-	g, err := repro.TwitterLikeGraph(50000, 7)
+var benchGraph50k = sync.OnceValue(func() *graph.Graph {
+	g, err := gen.PowerLaw(gen.TwitterLike(50000, 7))
 	if err != nil {
 		panic(err)
 	}
@@ -168,13 +174,13 @@ var benchGraph50k = sync.OnceValue(func() *repro.Graph {
 // BenchmarkExactPageRankParallel measures the multicore solver on the
 // 50k-vertex twitter-like graph. Its pool is sized from GOMAXPROCS and
 // results are bit-identical for any worker count, so
-// `go test -bench Parallel -cpu 1,2,4 .` reads the speedup off the
-// -cpu rows.
+// `go test -bench Parallel -cpu 1,2,4 ./internal/harness/` reads the
+// speedup off the -cpu rows.
 func BenchmarkExactPageRankParallel(b *testing.B) {
 	g := benchGraph50k()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := repro.ExactPageRank(g, repro.PageRankOptions{Tolerance: 1e-9}); err != nil {
+		if _, err := pagerank.Exact(g, pagerank.Options{Tolerance: 1e-9}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -187,7 +193,7 @@ func BenchmarkReferenceFrogWalkParallel(b *testing.B) {
 	walkers := g.NumVertices() / 6
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := repro.SerialFrogWalk(g, walkers, 4, repro.DefaultTeleport, 1); err != nil {
+		if _, err := frogwild.SerialWalk(g, walkers, 4, pagerank.DefaultTeleport, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -198,11 +204,11 @@ func BenchmarkReferenceFrogWalkParallel(b *testing.B) {
 // throughput as vertex/s (one walk starts at every vertex).
 func BenchmarkMonteCarloParallel(b *testing.B) {
 	g := benchGraph50k()
-	par := repro.MonteCarloConfig{Seed: 1}
+	par := montecarlo.Config{Seed: 1}
 	var walks int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := repro.RunMonteCarloPR(g, par)
+		res, err := montecarlo.Run(g, par)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -216,8 +222,8 @@ func BenchmarkMonteCarloParallel(b *testing.B) {
 // benchLayout50k4 partitions the 50k graph over 4 machines — few enough
 // that multi-core runners have cores left over for per-machine
 // workers, which is what BenchmarkFrogWildEngineParallel measures.
-var benchLayout50k4 = sync.OnceValue(func() *repro.Layout {
-	lay, err := repro.NewLayout(benchGraph50k(), 4, nil, 7)
+var benchLayout50k4 = sync.OnceValue(func() *cluster.Layout {
+	lay, err := cluster.NewLayout(benchGraph50k(), 4, nil, 7)
 	if err != nil {
 		panic(err)
 	}
@@ -232,11 +238,11 @@ var benchLayout50k4 = sync.OnceValue(func() *repro.Layout {
 func BenchmarkFrogWildEngineParallel(b *testing.B) {
 	g := benchGraph50k()
 	lay := benchLayout50k4()
-	var last *repro.FrogWildResult
+	var last *frogwild.Result
 	var vertexOps int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := repro.RunFrogWild(g, repro.FrogWildConfig{
+		res, err := frogwild.Run(g, frogwild.Config{
 			Walkers: g.NumVertices(), Iterations: 4, PS: 0.7, Layout: lay, Seed: 1,
 		})
 		if err != nil {
@@ -254,13 +260,13 @@ func BenchmarkAblationIngress(b *testing.B) {
 	g := benchGraph()
 	for _, name := range []string{"random", "oblivious", "grid", "hdrf"} {
 		b.Run(name, func(b *testing.B) {
-			p, err := repro.PartitionerByName(name)
+			p, err := cluster.ByName(name)
 			if err != nil {
 				b.Fatal(err)
 			}
 			var repl float64
 			for i := 0; i < b.N; i++ {
-				lay, err := repro.NewLayout(g, 16, p, uint64(i))
+				lay, err := cluster.NewLayout(g, 16, p, uint64(i))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -276,11 +282,11 @@ func BenchmarkAblationIngress(b *testing.B) {
 func BenchmarkAblationScatterMode(b *testing.B) {
 	g := benchGraph()
 	lay := benchLayout()
-	for _, mode := range []repro.ScatterMode{repro.ScatterSplit, repro.ScatterBinomial} {
+	for _, mode := range []frogwild.ScatterMode{frogwild.ScatterSplit, frogwild.ScatterBinomial} {
 		b.Run(mode.String(), func(b *testing.B) {
 			var realized float64
 			for i := 0; i < b.N; i++ {
-				res, err := repro.RunFrogWild(g, repro.FrogWildConfig{
+				res, err := frogwild.Run(g, frogwild.Config{
 					Walkers: g.NumVertices() / 6, Iterations: 4, PS: 0.4,
 					Layout: lay, Seed: uint64(i), Mode: mode,
 				})
@@ -302,7 +308,7 @@ func BenchmarkPSSweep(b *testing.B) {
 		b.Run(fmt.Sprintf("ps=%.1f", ps), func(b *testing.B) {
 			var bytes float64
 			for i := 0; i < b.N; i++ {
-				res, err := repro.RunFrogWild(g, repro.FrogWildConfig{
+				res, err := frogwild.Run(g, frogwild.Config{
 					Walkers: g.NumVertices() / 6, Iterations: 4, PS: ps,
 					Layout: lay, Seed: uint64(i),
 				})
@@ -321,9 +327,9 @@ func BenchmarkPersonalizedFrogWild(b *testing.B) {
 	g := benchGraph()
 	lay := benchLayout()
 	for i := 0; i < b.N; i++ {
-		if _, err := repro.RunPersonalizedFrogWild(g, repro.PPRConfig{
-			Config:  repro.FrogWildConfig{Walkers: 5000, Iterations: 8, PS: 0.7, Layout: lay, Seed: uint64(i)},
-			Sources: []repro.VertexID{1, 2, 3},
+		if _, err := frogwild.RunPPR(g, frogwild.PPRConfig{
+			Config:  frogwild.Config{Walkers: 5000, Iterations: 8, PS: 0.7, Layout: lay, Seed: uint64(i)},
+			Sources: []graph.VertexID{1, 2, 3},
 		}); err != nil {
 			b.Fatal(err)
 		}

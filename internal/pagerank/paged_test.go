@@ -1,4 +1,4 @@
-package repro
+package pagerank_test
 
 import (
 	"path/filepath"

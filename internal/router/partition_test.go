@@ -14,22 +14,17 @@ import (
 // owns exactly the vertices v with v % shards == id, ascending, so the
 // sets are disjoint and cover the vertex space — for the shard counts
 // the byte-identity suite uses and a vertex count none of them divides.
+// OwnedVertices, which bench/ still calls, must list the same set.
 func TestPartitionIsStride(t *testing.T) {
 	const n = 1201
 	g := graph.FromEdges(n, []graph.Edge{{Src: 0, Dst: 1}, {Src: 1200, Dst: 3}})
 	for _, shards := range []int{1, 2, 4, 7} {
-		got, err := Partition(g, shards)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != shards {
-			t.Fatalf("shards=%d: Partition returned %d sets", shards, len(got))
-		}
 		owner := make([]int, n)
 		for v := range owner {
 			owner[v] = -1
 		}
-		for id, set := range got {
+		for id := 0; id < shards; id++ {
+			set := Stride(n, shards, id)
 			if !slices.IsSorted(set) {
 				t.Fatalf("shards=%d: set %d is not ascending", shards, id)
 			}
@@ -42,12 +37,12 @@ func TestPartitionIsStride(t *testing.T) {
 				}
 				owner[v] = id
 			}
-			one, err := OwnedVertices(g, shards, id, uint64(id)+99)
+			one, err := OwnedVertices(g, shards, id, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !slices.Equal(one, set) {
-				t.Fatalf("shards=%d: OwnedVertices(%d) differs from Partition[%d]", shards, id, id)
+				t.Fatalf("shards=%d: OwnedVertices(%d) differs from Stride", shards, id)
 			}
 		}
 		for v, id := range owner {
@@ -59,7 +54,7 @@ func TestPartitionIsStride(t *testing.T) {
 }
 
 // TestPartitionReadsNoEdge opens a graph paged under a one-byte budget
-// and checks the partition touches none of its pages: ownership is
+// and checks OwnedVertices touches none of its pages: ownership is
 // computed from the vertex count alone.
 func TestPartitionReadsNoEdge(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "g.csr")
@@ -75,11 +70,10 @@ func TestPartitionReadsNoEdge(t *testing.T) {
 	if !paged {
 		t.Fatal("open with a memory budget did not page")
 	}
-	if _, err := Partition(g, 4); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OwnedVertices(g, 4, 3, 1); err != nil {
-		t.Fatal(err)
+	for id := 0; id < 4; id++ {
+		if _, err := OwnedVertices(g, 4, id, 0); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if after, _ := g.PageCacheStats(); after != before {
 		t.Fatalf("partition read the graph: page cache %+v, was %+v", after, before)
@@ -88,15 +82,12 @@ func TestPartitionReadsNoEdge(t *testing.T) {
 
 func TestPartitionRejectsBadArguments(t *testing.T) {
 	g := testGraph(t)
-	if _, err := Partition(g, 0); err == nil {
-		t.Error("0 shards should error")
-	}
 	for _, id := range []int{-1, 4} {
-		if _, err := OwnedVertices(g, 4, id, 1); err == nil {
+		if _, err := OwnedVertices(g, 4, id, 0); err == nil {
 			t.Errorf("shard id %d of 4 should error", id)
 		}
 	}
-	if _, err := OwnedVertices(g, 0, 0, 1); err == nil {
+	if _, err := OwnedVertices(g, 0, 0, 0); err == nil {
 		t.Error("0 shards should error")
 	}
 }

@@ -63,10 +63,7 @@ func newShards(t testing.TB, g *graph.Graph, stores []*serve.Store) []*ShardServ
 	servers := make([]*ShardServer, shards)
 	seen := make([]bool, g.NumVertices())
 	for i := 0; i < shards; i++ {
-		owned, err := OwnedVertices(g, shards, i, 7)
-		if err != nil {
-			t.Fatal(err)
-		}
+		owned := Stride(g.NumVertices(), shards, i)
 		for _, v := range owned {
 			if seen[v] {
 				t.Fatalf("vertex %d owned by two shards", v)
@@ -327,10 +324,7 @@ func deadCluster(t *testing.T) (*Router, *flakyDial, *serve.Store, *graph.Graph)
 func TestShardDeathDegradesInsteadOfFailing(t *testing.T) {
 	rt, flaky, _, g := deadCluster(t)
 	clock := freeze(rt)
-	owned, err := OwnedVertices(g, 3, 2, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
+	owned := Stride(g.NumVertices(), 3, 2)
 	rankURL := fmt.Sprintf("/v1/rank?vertex=%d", owned[0]) // the dying shard's
 
 	codeOK, healthy := get(t, rt, "/v1/topk?k=10")

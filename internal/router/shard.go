@@ -18,27 +18,9 @@ import (
 	"repro/internal/topk"
 )
 
-// Partition computes the vertex partition of a cluster of the given
-// number of shards: element id is the ascending list of the vertices v
-// with v % shards == id. Ownership is a pure function of the vertex id,
-// so every process of a cluster agrees on it without coordination and
-// without reading an edge, the sets are disjoint and cover the whole
-// vertex space — the property that makes the merged partial top-k exact
-// — and the router finds a vertex's owner by the same arithmetic. The
-// shard at position i of the router's list must be the one serving id i.
-func Partition(g *graph.Graph, shards int) ([][]uint32, error) {
-	if shards < 1 {
-		return nil, errors.New("router: shard count must be >= 1")
-	}
-	owned := make([][]uint32, shards)
-	for id := range owned {
-		owned[id] = Stride(g.NumVertices(), shards, id)
-	}
-	return owned, nil
-}
-
-// OwnedVertices is Partition(g, shards)[id], for a process that serves
-// one shard. seed is ignored; it stays for callers that still pass one.
+// OwnedVertices is Stride(g.NumVertices(), shards, id), for a caller
+// that holds the graph; seed is ignored, and it stays for callers that
+// still pass one.
 func OwnedVertices(g *graph.Graph, shards, id int, seed uint64) ([]uint32, error) {
 	if id < 0 || id >= shards {
 		return nil, errors.New("router: shard id out of range")
@@ -47,8 +29,13 @@ func OwnedVertices(g *graph.Graph, shards, id int, seed uint64) ([]uint32, error
 }
 
 // Stride lists id, id+shards, id+2*shards, … below n: the vertices
-// shard id of shards owns in an n-vertex graph, for a process that
-// knows n but holds no graph.
+// shard id of shards owns in an n-vertex graph. Ownership is a pure
+// function of the vertex id, so every process of a cluster agrees on it
+// without coordination and without reading an edge, the sets of the
+// shards are disjoint and cover the whole vertex space — the property
+// that makes the merged partial top-k exact — and the router finds a
+// vertex's owner by the same arithmetic. The shard at position i of the
+// router's list must be the one serving id i.
 func Stride(n, shards, id int) []uint32 {
 	owned := make([]uint32, 0, (n-id+shards-1)/shards)
 	for v := id; v < n; v += shards {
@@ -99,8 +86,7 @@ type ShardServer struct {
 }
 
 // NewShardServer builds a shard over its owned vertex set (as computed
-// by OwnedVertices, sorted ascending) and the store publishing its
-// snapshots.
+// by Stride, ascending) and the store publishing its snapshots.
 func NewShardServer(id, shards int, owned []uint32, store *serve.Store) *ShardServer {
 	return &ShardServer{id: id, shards: shards, owned: owned, store: store}
 }

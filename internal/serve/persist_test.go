@@ -429,3 +429,43 @@ func TestNewServiceCreatesSnapshotDir(t *testing.T) {
 		t.Fatal("uncreatable snapshot dir accepted")
 	}
 }
+
+// TestSaveLoadSnapshotFile: a snapshot saved at SnapshotPath loads
+// against the same graph with its provenance and answers intact, and
+// against another graph not at all.
+func TestSaveLoadSnapshotFile(t *testing.T) {
+	g, err := gen.PowerLaw(gen.TwitterLike(2000, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := Build(g, BuildConfig{
+		Engine: EngineFrogWild, Machines: 4, Seed: 11, MaxK: 30,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap.Epoch = 5
+	path := SnapshotPath(t.TempDir())
+	if err := SaveSnapshot(path, snap); err != nil {
+		t.Fatal(err)
+	}
+	got, err := LoadSnapshot(path, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Epoch != 5 || got.Engine != snap.Engine || got.Seed != snap.Seed || !got.WarmStart {
+		t.Fatalf("provenance lost: %+v", got)
+	}
+	if !reflect.DeepEqual(got.TopK(30), snap.TopK(30)) {
+		t.Fatal("served answers diverge after persistence round trip")
+	}
+
+	// A different graph must be refused.
+	other, err := gen.PowerLaw(gen.TwitterLike(1999, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadSnapshot(path, other); err == nil {
+		t.Fatal("snapshot accepted against a different graph")
+	}
+}

@@ -63,9 +63,13 @@ func TestStorePublishEpochs(t *testing.T) {
 }
 
 func TestSnapshotTopKMatchesTopkTop(t *testing.T) {
-	snap, err := Build(testGraph(t), testBuildConfig(EngineFrogWild))
+	g := testGraph(t)
+	snap, err := Build(g, testBuildConfig(EngineFrogWild))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if snap.Engine != EngineFrogWild || snap.Stats.NumVertices != g.NumVertices() {
+		t.Errorf("snapshot provenance: engine %s, %d vertices", snap.Engine, snap.Stats.NumVertices)
 	}
 	n := len(snap.Ranks)
 	for _, k := range []int{1, 5, 20, 50, 51, 100, n, n + 10} {
@@ -509,38 +513,6 @@ func TestServeGracefulShutdown(t *testing.T) {
 	}
 }
 
-func TestListenAndServeLifecycle(t *testing.T) {
-	g := testGraph(t)
-	cfg := ServiceConfig{
-		Build:           testBuildConfig(EngineFrogWild),
-		RefreshInterval: 5 * time.Millisecond,
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() { done <- ListenAndServe(ctx, "127.0.0.1:0", g, cfg) }()
-	time.Sleep(150 * time.Millisecond)
-	cancel()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("clean shutdown should return nil, got %v", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("ListenAndServe did not stop")
-	}
-
-	// A failing initial build surfaces immediately.
-	if err := ListenAndServe(ctx, "127.0.0.1:0", g, ServiceConfig{
-		Build: BuildConfig{Engine: "bogus"},
-	}); err == nil {
-		t.Error("bad engine should fail the initial build")
-	}
-	// A bad address surfaces as a listen error.
-	if err := ListenAndServe(context.Background(), "256.0.0.1:http", g, cfg); err == nil {
-		t.Error("unlistenable address should error")
-	}
-}
-
 func TestNewServiceInitialSnapshot(t *testing.T) {
 	g := testGraph(t)
 	srv, refresher, err := NewService(g, ServiceConfig{Build: testBuildConfig(EngineFrogWild)})
@@ -555,5 +527,10 @@ func TestNewServiceInitialSnapshot(t *testing.T) {
 	var got api.TopKResponse
 	if code := getJSON(t, ts.URL+"/v1/topk?k=5", &got); code != http.StatusOK || got.Epoch != 1 {
 		t.Errorf("service topk: code %d, %+v", code, got)
+	}
+
+	// A failing initial build surfaces immediately.
+	if _, _, err := NewService(g, ServiceConfig{Build: BuildConfig{Engine: "bogus"}}); err == nil {
+		t.Error("bad engine should fail the initial build")
 	}
 }

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -42,28 +41,12 @@ type ServiceConfig struct {
 	PPR PPROptions
 }
 
-// ListenAndServe builds or restores an initial snapshot of g, starts
-// the background refresher (which re-derives a warm-started estimate
-// promptly and recomputes on the interval, if one is set), and serves
-// the query API on addr until ctx is cancelled, shutting down
-// gracefully. The service is never up without an answer. It returns
-// only after the refresher has stopped: a refresh in flight at
-// shutdown finishes first.
-func ListenAndServe(ctx context.Context, addr string, g *graph.Graph, cfg ServiceConfig) error {
-	srv, refresher, err := NewService(g, cfg)
-	if err != nil {
-		return err
-	}
-	defer refresher.Start(ctx, cfg.OnRefreshError)()
-	return srv.Serve(ctx, addr)
-}
-
 // NewService assembles the store/refresher/server stack. With a
 // SnapshotDir holding a snapshot that matches g, the service
 // warm-starts: the persisted estimate is restored (keeping its epoch
 // and provenance) instead of computing one, which takes milliseconds
-// instead of a full engine run — callers then run refresher.Run to
-// re-derive a fresh estimate in the background (ListenAndServe does).
+// instead of a full engine run — callers then run refresher.Start to
+// re-derive a fresh estimate in the background (prserve does).
 // Otherwise the initial snapshot is built synchronously so the service
 // is never up without an answer. A corrupt or mismatched persisted
 // snapshot is reported through OnRefreshError and falls back to the

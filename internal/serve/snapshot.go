@@ -93,10 +93,12 @@ type BuildConfig struct {
 }
 
 // RegisterFlags declares on fs prserve's engine flags -engine,
-// -machines, -maxk and -ps. A field that is zero defaults to what
-// withDefaults resolves it to. Each is checked while parsing, so an
-// unknown engine, or a value that withDefaults would take for unset or
-// the engine would refuse after the graph loads, is a usage error.
+// -machines, -maxk, -ps, -walkers and -iters. A field that is zero
+// defaults to what withDefaults resolves it to, except -walkers and
+// -iters, whose default 0 leaves the choice to the graph size and the
+// engine. Each is checked while parsing, so an unknown engine, or a
+// value that withDefaults would take for unset or the engine would
+// refuse after the graph loads, is a usage error.
 func (c *BuildConfig) RegisterFlags(fs *flag.FlagSet) {
 	d := c.withDefaults(0)
 	c.Engine, c.Machines, c.MaxK, c.PS = d.Engine, d.Machines, d.MaxK, d.PS
@@ -111,6 +113,10 @@ func (c *BuildConfig) RegisterFlags(fs *flag.FlagSet) {
 		fmt.Sprintf("1 to %d", cluster.MaxMachines), func(n int) bool { return n >= 1 && n <= cluster.MaxMachines })
 	intFlag(fs, &c.MaxK, "maxk", "precomputed top index size (queries up to this k are O(k))",
 		"at least 1", func(n int) bool { return n >= 1 })
+	intFlag(fs, &c.Walkers, "walkers", "frogwild walker count N (default: vertices/6)",
+		"at least 1", func(n int) bool { return n >= 1 })
+	intFlag(fs, &c.Iterations, "iters", "iterations: frogwild walk cutoff (default 4) / glpr supersteps (0 = to tolerance)",
+		"at least 0", func(n int) bool { return n >= 0 })
 	fs.Func("ps", "mirror synchronization probability, in (0, 1]", func(v string) error {
 		p, err := strconv.ParseFloat(v, 64)
 		if err == nil && !(p > 0 && p <= 1) {

@@ -270,3 +270,16 @@ func TestFitPowerLawValidation(t *testing.T) {
 		t.Error("bad quantile should error")
 	}
 }
+
+func TestEpsilonPositive(t *testing.T) {
+	eps, err := Epsilon(BoundParams{
+		PT: 0.15, T: 5, K: 100, Delta: 0.1, N: 100000, PS: 0.7,
+		Intersect: IntersectBound(1000000, 5, 1e-3, 0.15),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if eps <= 0 || math.IsNaN(eps) {
+		t.Errorf("epsilon = %v", eps)
+	}
+}

@@ -117,3 +117,20 @@ func TestPrecisionAtK(t *testing.T) {
 		t.Errorf("k=0 precision = %v", got)
 	}
 }
+
+func TestMetricsOnSmallVectors(t *testing.T) {
+	a := []float64{0.5, 0.3, 0.2}
+	b := []float64{0.2, 0.3, 0.5}
+	if L1Distance(a, b) != 0.6 {
+		t.Error("L1 wrong")
+	}
+	if ChiSquaredContrast(a, a) != 0 {
+		t.Error("chi2 self should be 0")
+	}
+	if KendallTauTopK(a, a, 3) != 1 {
+		t.Error("tau self should be 1")
+	}
+	if PrecisionAtK(a, a, 2) != 1 {
+		t.Error("precision self should be 1")
+	}
+}
