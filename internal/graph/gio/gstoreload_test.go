@@ -22,8 +22,8 @@ func powerLawGraph(t testing.TB, n int, seed uint64) *graph.Graph {
 	return g
 }
 
-// TestSaveCSRLoadAutoDetect pins the contract the facade and CLIs rely
-// on: SaveCSR output round-trips bit-identically (raw CSR arrays, not
+// TestSaveCSRLoadAutoDetect pins the contract the CLIs rely on:
+// SaveCSR output round-trips bit-identically (raw CSR arrays, not
 // just the edge multiset) through the auto-detecting Load path, plain
 // and gzipped.
 func TestSaveCSRLoadAutoDetect(t *testing.T) {

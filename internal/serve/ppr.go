@@ -549,8 +549,8 @@ func (s *Server) handlePPR(w http.ResponseWriter, r *http.Request, _ string) {
 
 // PPRTopK estimates the top-k personalized PageRank of the source set
 // over snap with the same bounded-budget walk estimator /v1/ppr
-// serves — the embedding hook (repro.PersonalizedTopK) for callers
-// that hold a snapshot and want answers without HTTP. Sources are
+// serves — the embedding hook for callers that hold a snapshot and
+// want answers without HTTP. Sources are
 // canonicalized (sorted, deduplicated); the boolean reports budget
 // truncation. The entries are bit-identical to the served response's
 // for the same snapshot, sources, k and options.
