@@ -63,13 +63,9 @@ func TestStorePublishEpochs(t *testing.T) {
 }
 
 func TestSnapshotTopKMatchesTopkTop(t *testing.T) {
-	g := testGraph(t)
-	snap, err := Build(g, testBuildConfig(EngineFrogWild))
+	snap, err := Build(testGraph(t), testBuildConfig(EngineFrogWild))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if snap.Engine != EngineFrogWild || snap.Stats.NumVertices != g.NumVertices() {
-		t.Errorf("snapshot provenance: engine %s, %d vertices", snap.Engine, snap.Stats.NumVertices)
 	}
 	n := len(snap.Ranks)
 	for _, k := range []int{1, 5, 20, 50, 51, 100, n, n + 10} {
@@ -510,6 +506,68 @@ func TestServeGracefulShutdown(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("shutdown timed out")
+	}
+}
+
+// TestServiceServesTopKAndShutsDown runs a service end to end with the
+// default top index: its snapshot's answer is bit-identical to topk.Top
+// over its own scores, the bound server returns that answer over HTTP,
+// and Serve shuts down cleanly on cancel.
+func TestServiceServesTopKAndShutsDown(t *testing.T) {
+	g, err := gen.PowerLaw(gen.TwitterLike(2000, 9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, _, err := NewService(g, ServiceConfig{
+		Build: BuildConfig{Engine: EngineFrogWild, Machines: 4, Seed: 9},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := srv.Snapshot()
+	for _, k := range []int{1, 20, 150} {
+		if !reflect.DeepEqual(snap.TopK(k), topk.Top(snap.Ranks, k)) {
+			t.Fatalf("snapshot TopK(%d) differs from topk.Top", k)
+		}
+	}
+	if snap.Engine != EngineFrogWild || snap.Stats.NumVertices != g.NumVertices() {
+		t.Errorf("snapshot provenance: engine %s, %d vertices", snap.Engine, snap.Stats.NumVertices)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() { done <- srv.Serve(ctx, "127.0.0.1:0") }()
+	deadline := time.Now().Add(5 * time.Second)
+	for srv.Addr() == "" && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if srv.Addr() == "" {
+		t.Fatal("server never bound")
+	}
+	var got api.TopKResponse
+	if code := getJSON(t, "http://"+srv.Addr()+"/v1/topk?k=20", &got); code != http.StatusOK {
+		t.Fatalf("topk status %d", code)
+	}
+	want := snap.TopK(20)
+	if got.Epoch != snap.Epoch || len(got.Entries) != len(want) {
+		t.Fatalf("served topk: epoch %d, %d entries; want epoch %d, %d entries",
+			got.Epoch, len(got.Entries), snap.Epoch, len(want))
+	}
+	for i, e := range got.Entries {
+		if e.Vertex != want[i].Vertex || e.Score != want[i].Score {
+			t.Fatalf("served entry %d = %+v, want %+v", i, e, want[i])
+		}
+	}
+
+	cancel()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("Serve should shut down cleanly, got %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Serve did not shut down")
 	}
 }
 
