@@ -391,8 +391,8 @@ func (l *Layout) NumMachines() int { return l.machines }
 // MasterOf returns the master machine of v. An isolated vertex (no
 // edges at all) has no master: no machine hosts it, Presences(v) is
 // empty and MasterOf reports the zero value, so callers that may see
-// such vertices test Presences first. router.Partition's round-robin is
-// the one place that gives them an owner.
+// such vertices test Presences first. router.Stride's v mod S ownership
+// is the one place that gives them an owner.
 func (l *Layout) MasterOf(v graph.VertexID) uint16 { return l.master[v] }
 
 // Presences returns the machines hosting v, master first, mirrors in

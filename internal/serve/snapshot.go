@@ -135,17 +135,34 @@ func (c *BuildConfig) RegisterFlags(fs *flag.FlagSet) {
 // intFlag declares an int flag on fs that refuses, while parsing, a
 // value for which ok is false, naming want.
 func intFlag(fs *flag.FlagSet, dst *int, name, usage, want string, ok func(int) bool) {
-	fs.Func(name, usage, func(v string) error {
-		n, err := strconv.ParseInt(v, 0, strconv.IntSize)
-		if err == nil && !ok(int(n)) {
-			err = fmt.Errorf("want %s", want)
-		}
-		if err == nil {
-			*dst = int(n)
-		}
-		return err
-	})
-	fs.Lookup(name).DefValue = strconv.Itoa(*dst)
+	fs.Var(&checkedInt{dst, want, ok}, name, usage)
+}
+
+// checkedInt is intFlag's flag.Value. Its zero value prints as 0, so
+// usage adds no "(default 0)" to a flag whose zero leaves the choice to
+// the graph or the engine, as a flag.Func's empty zero value would.
+type checkedInt struct {
+	dst  *int
+	want string
+	ok   func(int) bool
+}
+
+func (c *checkedInt) String() string {
+	if c.dst == nil {
+		return "0"
+	}
+	return strconv.Itoa(*c.dst)
+}
+
+func (c *checkedInt) Set(v string) error {
+	n, err := strconv.ParseInt(v, 0, strconv.IntSize)
+	if err == nil && !c.ok(int(n)) {
+		err = fmt.Errorf("want %s", c.want)
+	}
+	if err == nil {
+		*c.dst = int(n)
+	}
+	return err
 }
 
 // withDefaults resolves the zero values.
