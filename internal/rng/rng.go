@@ -183,11 +183,13 @@ func (r *Stream) Binomial(n int, p float64) int {
 	}
 	// Count successes by jumping between them with geometric gaps:
 	// the index of the next success after position i is
-	// i + 1 + Geometric(p). Expected work is O(n·p + 1).
+	// i + 1 + Geometric(p). Expected work is O(n·p + 1). Each gap is
+	// Geometric's own draw and inversion, with its log1p taken once.
+	logq := math.Log1p(-p)
 	count := 0
 	i := -1
 	for {
-		gap := r.Geometric(p)
+		gap := geometricAt(r.Uint64()>>11, logq)
 		// Guard against overflow of i + 1 + gap.
 		if gap >= n-i {
 			break
