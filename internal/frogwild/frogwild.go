@@ -215,11 +215,11 @@ func (p *program) ScatterLocal(v graph.VertexID, st state, neighbors []graph.Ver
 		emit(neighbors[0], st.K)
 		return
 	}
-	counts := make([]int, len(neighbors))
+	counts := make([]int64, len(neighbors))
 	ctx.Rng.MultinomialSplit(int(st.K), counts)
 	for i, c := range counts {
 		if c > 0 {
-			emit(neighbors[i], int64(c))
+			emit(neighbors[i], c)
 		}
 	}
 }
@@ -299,11 +299,7 @@ type Result struct {
 func Run(g *graph.Graph, cfg Config) (*Result, error) {
 	return runWithPlacement(g, cfg, func(n, walkers int, r *rng.Stream) []int64 {
 		init := make([]int64, n)
-		buckets := make([]int, n)
-		r.MultinomialSplit(walkers, buckets)
-		for v, b := range buckets {
-			init[v] = int64(b)
-		}
+		r.MultinomialSplit(walkers, init)
 		return init
 	})
 }

@@ -44,10 +44,10 @@ func RunPPR(g *graph.Graph, cfg PPRConfig) (*Result, error) {
 	}
 	placer := func(n, walkers int, r *rng.Stream) []int64 {
 		init := make([]int64, n)
-		buckets := make([]int, len(cfg.Sources))
+		buckets := make([]int64, len(cfg.Sources))
 		r.MultinomialSplit(walkers, buckets)
 		for i, b := range buckets {
-			init[cfg.Sources[i]] += int64(b)
+			init[cfg.Sources[i]] += b
 		}
 		return init
 	}

@@ -354,11 +354,11 @@ func (splitterProgram) ScatterLocal(v graph.VertexID, st tokState, neighbors []g
 	if st.Hold <= 0 {
 		return
 	}
-	counts := make([]int, len(neighbors))
+	counts := make([]int64, len(neighbors))
 	ctx.Rng.MultinomialSplit(int(st.Hold), counts)
 	for i, c := range counts {
 		if c > 0 {
-			emit(neighbors[i], int64(c))
+			emit(neighbors[i], c)
 		}
 	}
 }

@@ -43,7 +43,7 @@ func drawDigestLines() string {
 	for _, total := range []int{0, 1, 37, 3333, 1 << 18} {
 		for _, k := range []int{1, 2, 16, 1000} {
 			cases = append(cases, drawCase{fmt.Sprintf("multinomial/total%d/k%d", total, k), func(r *Stream, put func(uint64)) {
-				out := make([]int, k)
+				out := make([]int64, k)
 				for i := 0; i < 4; i++ {
 					r.MultinomialSplit(total, out)
 					for _, x := range out {

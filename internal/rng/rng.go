@@ -223,10 +223,11 @@ func Shuffle[T any](r *Stream, xs []T) {
 
 // MultinomialSplit distributes total items across len(out) buckets
 // uniformly at random (each item independently picks a bucket), writing
-// the per-bucket counts into out. It conserves the total exactly. The
-// expected cost is O(len(out)) via sequential conditional binomials
-// rather than O(total).
-func (r *Stream) MultinomialSplit(total int, out []int) {
+// the per-bucket counts into out (frog counts, which every caller keeps
+// as int64). It conserves the total exactly. The expected cost is
+// O(len(out)) via sequential conditional binomials rather than
+// O(total).
+func (r *Stream) MultinomialSplit(total int, out []int64) {
 	k := len(out)
 	if k == 0 {
 		if total != 0 {
@@ -243,10 +244,10 @@ func (r *Stream) MultinomialSplit(total int, out []int) {
 		// Conditional distribution of bucket i given the remainder is
 		// Binomial(remaining, 1/(k-i)).
 		x := r.Binomial(remaining, 1/float64(k-i))
-		out[i] = x
+		out[i] = int64(x)
 		remaining -= x
 	}
-	out[k-1] = remaining
+	out[k-1] = int64(remaining)
 }
 
 // Shards returns k independent Streams, one per work shard, derived

@@ -216,16 +216,16 @@ func TestMultinomialSplitConserves(t *testing.T) {
 	f := func(totalRaw uint16, kRaw uint8) bool {
 		total := int(totalRaw % 5000)
 		k := int(kRaw%20) + 1
-		out := make([]int, k)
+		out := make([]int64, k)
 		r.MultinomialSplit(total, out)
-		sum := 0
+		var sum int64
 		for _, v := range out {
 			if v < 0 {
 				return false
 			}
 			sum += v
 		}
-		return sum == total
+		return sum == int64(total)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Fatal(err)
@@ -236,7 +236,7 @@ func TestMultinomialSplitUniform(t *testing.T) {
 	r := New(55)
 	const k, total, trials = 4, 100, 20000
 	sums := make([]float64, k)
-	out := make([]int, k)
+	out := make([]int64, k)
 	for i := 0; i < trials; i++ {
 		r.MultinomialSplit(total, out)
 		for j, v := range out {
