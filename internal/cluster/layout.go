@@ -78,10 +78,15 @@ func (x *InIndex) In(v graph.VertexID) ([]graph.VertexID, []uint16) {
 // partitioner and the master-selection hash.
 //
 // Vertex ids are dense, so every step is a counting pass (count,
-// prefix-sum, fill) rather than a hash-map build. Beyond the
-// partitioner's own pass, the global CSR is read once, for presence and
-// the per-vertex edge offsets. The in-index is not built here (see
-// InIndex).
+// prefix-sum, fill) rather than a hash-map build, and every pass runs
+// over fixed chunks of the vertex ids on a GOMAXPROCS pool (sweep), so
+// the layout is the same for any worker count. Beyond the
+// partitioner's own pass, the global CSR is read once: each chunk
+// checks its vertices' placements, records the machines hosting both
+// ends of each out-edge in the presence bitset and writes its
+// vertices' edge offsets. A second pass over the vertex ids, which
+// reads no edge, turns each vertex's bits into its presence list and
+// picks its master. The in-index is not built here (see InIndex).
 func NewLayout(g *graph.Graph, machines int, p Partitioner, seed uint64) (*Layout, error) {
 	if machines < 1 || machines > MaxMachines {
 		return nil, fmt.Errorf("cluster: machine count %d out of range", machines)
@@ -110,20 +115,22 @@ func NewLayout(g *graph.Graph, machines int, p Partitioner, seed uint64) (*Layou
 	pres := newPresenceSet(n, machines)
 	r := g.NewAdjReader()
 	defer r.Release()
-	i := 0
+	var at int64
 	for v := 0; v < n; v++ {
-		for _, d := range r.OutNeighbors(graph.VertexID(v)) {
-			m := int(placement[i])
+		dsts := r.OutNeighbors(graph.VertexID(v))
+		place := placement[at : at+int64(len(dsts))]
+		for k, d := range dsts {
+			m := int(place[k])
 			if m >= machines {
 				return nil, fmt.Errorf("cluster: partitioner %s placed edge %d on machine %d of %d",
-					p.Name(), i, m, machines)
+					p.Name(), at+int64(k), m, machines)
 			}
 			pres.set(graph.VertexID(v), m)
 			pres.set(d, m)
 			lay.edges[m]++
-			i++
 		}
-		lay.edgeOff[v+1] = int64(i)
+		at += int64(len(dsts))
+		lay.edgeOff[v+1] = at
 	}
 
 	// Presence lists and master selection. The master is a hash-chosen
@@ -131,29 +138,56 @@ func NewLayout(g *graph.Graph, machines int, p Partitioner, seed uint64) (*Layou
 	// always co-located with at least one edge of the vertex). A vertex
 	// with no edges at all — possible only when dangling vertices are
 	// allowed — is hosted nowhere: its presence list stays empty and no
-	// master is chosen for it (see MasterOf).
-	lay.presOff = make([]int64, n+1)
-	for v := 0; v < n; v++ {
-		lay.presOff[v+1] = lay.presOff[v] + int64(pres.count(graph.VertexID(v)))
-	}
-	lay.presList = make([]uint16, lay.presOff[n])
-	lay.master = make([]uint16, n)
-	for v := 0; v < n; v++ {
-		span := lay.presList[lay.presOff[v]:lay.presOff[v+1]]
-		if len(span) == 0 {
-			continue
+	// master is chosen for it (see MasterOf). Each chunk counts its
+	// vertices' hosts, a prefix sum over the chunk totals places every
+	// chunk's lists, and each chunk then fills its own.
+	s := newSweep(g)
+	defer s.close()
+	lists := make([]int64, len(s.chunks))
+	s.run(func(c, _ int) {
+		var k int64
+		for v := s.chunks[c].Lo; v < s.chunks[c].Hi; v++ {
+			k += int64(pres.count(graph.VertexID(v)))
 		}
-		pres.collect(graph.VertexID(v), span)
-		// collect wrote the hosts ascending; rotating the master to
-		// the front leaves the mirrors ascending behind it.
-		pick := int(hash64(uint64(v)^(seed*0x2545f4914f6cdd1d)) % uint64(len(span)))
-		mst := span[pick]
-		copy(span[1:pick+1], span[:pick])
-		span[0] = mst
-		lay.master[v] = mst
+		lists[c] = k
+	})
+	var total int64
+	for c, k := range lists {
+		lists[c], total = total, total+k
 	}
-	for _, m := range lay.presList {
-		lay.present[m]++
+	lay.presOff = make([]int64, n+1)
+	lay.presList = make([]uint16, total)
+	lay.master = make([]uint16, n)
+	// Replica counts are kept per worker (integer sums, so the order
+	// they are added in does not matter) and summed after the pass.
+	tally := make([]int, s.pool.NumWorkers()*machines)
+	s.run(func(c, w int) {
+		present := tally[w*machines : (w+1)*machines]
+		at := lists[c]
+		for v := s.chunks[c].Lo; v < s.chunks[c].Hi; v++ {
+			span := lay.presList[at : at+int64(pres.count(graph.VertexID(v)))]
+			at += int64(len(span))
+			lay.presOff[v+1] = at
+			if len(span) == 0 {
+				continue
+			}
+			pres.collect(graph.VertexID(v), span)
+			for _, m := range span {
+				present[m]++
+			}
+			// collect wrote the hosts ascending; rotating the master to
+			// the front leaves the mirrors ascending behind it.
+			pick := int(hash64(uint64(v)^(seed*0x2545f4914f6cdd1d)) % uint64(len(span)))
+			mst := span[pick]
+			copy(span[1:pick+1], span[:pick])
+			span[0] = mst
+			lay.master[v] = mst
+		}
+	})
+	for w := 0; w < s.pool.NumWorkers(); w++ {
+		for m, k := range tally[w*machines : (w+1)*machines] {
+			lay.present[m] += k
+		}
 	}
 	lay.masters = lay.masterLists()
 	return lay, nil
@@ -298,56 +332,33 @@ func (l *Layout) masterLists() [][]uint32 {
 	return masters
 }
 
-// presenceSet tracks which machines host each vertex, with a fast
-// single-word path for clusters of at most 64 machines. It is the one
-// bitset of the package: NewLayout, the greedy partitioners and
-// Validate all use it.
+// presenceSet tracks which machines host each vertex: one bit per
+// (vertex, machine), the vertex's words side by side (one word up to 64
+// machines). It is the one bitset of the package: NewLayout, the greedy
+// partitioners and Validate all use it.
 type presenceSet struct {
-	machines int
-	words    int
-	small    []uint64   // machines <= 64
-	big      [][]uint64 // otherwise, lazily allocated per vertex
+	words int
+	bits  []uint64
 }
 
 func newPresenceSet(n, machines int) *presenceSet {
-	p := &presenceSet{machines: machines, words: (machines + 63) / 64}
-	if machines <= 64 {
-		p.small = make([]uint64, n)
-	} else {
-		p.big = make([][]uint64, n)
-	}
-	return p
+	words := (machines + 63) / 64
+	return &presenceSet{words: words, bits: make([]uint64, n*words)}
 }
 
+// set records that machine m hosts v.
 func (p *presenceSet) set(v graph.VertexID, m int) {
-	if p.small != nil {
-		p.small[v] |= 1 << uint(m)
-		return
-	}
-	if p.big[v] == nil {
-		p.big[v] = make([]uint64, p.words)
-	}
-	p.big[v][m/64] |= 1 << uint(m%64)
+	p.bits[int(v)*p.words+m>>6] |= 1 << (m & 63)
 }
 
 func (p *presenceSet) has(v graph.VertexID, m int) bool {
-	if p.small != nil {
-		return p.small[v]&(1<<uint(m)) != 0
-	}
-	b := p.big[v]
-	return b != nil && b[m/64]&(1<<uint(m%64)) != 0
+	return p.bits[int(v)*p.words+m>>6]&(1<<(m&63)) != 0
 }
 
 func (p *presenceSet) count(v graph.VertexID) int {
-	if p.small != nil {
-		return popcount(p.small[v])
-	}
-	if p.big[v] == nil {
-		return 0
-	}
 	c := 0
-	for _, w := range p.big[v] {
-		c += popcount(w)
+	for _, w := range p.row(v) {
+		c += bits.OnesCount64(w)
 	}
 	return c
 }
@@ -356,31 +367,20 @@ func (p *presenceSet) count(v graph.VertexID) int {
 // ascending order.
 func (p *presenceSet) collect(v graph.VertexID, dst []uint16) {
 	i := 0
-	if p.small != nil {
-		w := p.small[v]
+	for wi, w := range p.row(v) {
 		for w != 0 {
-			m := trailingZeros(w)
-			dst[i] = uint16(m)
-			i++
-			w &= w - 1
-		}
-		return
-	}
-	if p.big[v] == nil {
-		return
-	}
-	for wi, w := range p.big[v] {
-		for w != 0 {
-			m := wi*64 + trailingZeros(w)
-			dst[i] = uint16(m)
+			dst[i] = uint16(wi*64 + bits.TrailingZeros64(w))
 			i++
 			w &= w - 1
 		}
 	}
 }
 
-func popcount(x uint64) int      { return bits.OnesCount64(x) }
-func trailingZeros(x uint64) int { return bits.TrailingZeros64(x) }
+// row returns v's words.
+func (p *presenceSet) row(v graph.VertexID) []uint64 {
+	at := int(v) * p.words
+	return p.bits[at : at+p.words]
+}
 
 // Graph returns the underlying graph.
 func (l *Layout) Graph() *graph.Graph { return l.g }

@@ -50,15 +50,13 @@ func (Random) Name() string { return "random" }
 // Place implements Partitioner.
 func (Random) Place(g *graph.Graph, machines int, seed uint64) []uint16 {
 	checkMachines(machines)
-	out := make([]uint16, g.NumEdges())
-	i := 0
-	g.Edges(func(e graph.Edge) bool {
-		h := hash64(uint64(e.Src)<<32 | uint64(e.Dst)*0x9e3779b97f4a7c15 ^ seed)
-		out[i] = uint16(h % uint64(machines))
-		i++
-		return true
+	mod := uint64(machines)
+	return placeEdges(g, func(v graph.VertexID, dsts []graph.VertexID, out []uint16) {
+		src := uint64(v) << 32
+		for k, d := range dsts {
+			out[k] = uint16(hash64(src|uint64(d)*0x9e3779b97f4a7c15^seed) % mod)
+		}
 	})
-	return out
 }
 
 // Oblivious implements PowerGraph's greedy heuristic: each edge is
@@ -168,17 +166,13 @@ func (Grid) Place(g *graph.Graph, machines int, seed uint64) []uint16 {
 		rows = 1
 	}
 	cols := (machines + rows - 1) / rows
-	out := make([]uint16, g.NumEdges())
-	i := 0
-	g.Edges(func(e graph.Edge) bool {
-		row := int(hash64(uint64(e.Src)^seed) % uint64(rows))
-		col := int(hash64(uint64(e.Dst)^(seed+0x51ed)) % uint64(cols))
-		cell := row*cols + col
-		out[i] = uint16(cell % machines)
-		i++
-		return true
+	return placeEdges(g, func(v graph.VertexID, dsts []graph.VertexID, out []uint16) {
+		row := int(hash64(uint64(v)^seed) % uint64(rows))
+		for k, d := range dsts {
+			col := int(hash64(uint64(d)^(seed+0x51ed)) % uint64(cols))
+			out[k] = uint16((row*cols + col) % machines)
+		}
 	})
-	return out
 }
 
 func checkMachines(machines int) {
