@@ -167,11 +167,13 @@ func (p *program) Apply(v graph.VertexID, st state, _ float64, msg int64, hasMsg
 // Split implements gas.Splitter: divide the K survivors across the
 // synchronized replicas proportionally to their local out-degrees. In
 // binomial mode every replica instead receives the full count and draws
-// independent binomials per edge.
-func (p *program) Split(v graph.VertexID, st state, weights []int, r *rng.Stream, shares []state) {
+// independent binomials per edge. A share is filled when it holds a
+// frog: a replica with none has nothing to scatter.
+func (p *program) Split(v graph.VertexID, st state, weights []int, r *rng.Stream, shares []state, filled []bool) {
 	if p.mode == ScatterBinomial {
 		for i := range shares {
 			shares[i] = state{K: st.K}
+			filled[i] = st.K > 0
 		}
 		return
 	}
@@ -186,10 +188,12 @@ func (p *program) Split(v graph.VertexID, st state, weights []int, r *rng.Stream
 		}
 		x := int64(r.Binomial(int(remaining), float64(weights[i])/float64(total)))
 		shares[i].K = x
+		filled[i] = x > 0
 		remaining -= x
 		total -= weights[i]
 	}
 	shares[len(weights)-1].K = remaining
+	filled[len(weights)-1] = remaining > 0
 }
 
 // ScatterLocal implements gas.Program: route this replica's share of

@@ -129,12 +129,22 @@ type Engine[V, M any] struct {
 	// superstep, charged from any master's goroutine.
 	gatherCharges []gatherCharge
 
-	// syncOut[master][target] collects sync/share deliveries produced
-	// in apply, consumed by the target machine in scatter.
+	// syncOut[master][target] collects the live sync/share deliveries
+	// produced in apply, consumed by the target machine in scatter: every
+	// delivery but a Splitter share that Split left empty. Each entry's
+	// pos is its index among all the deliveries master sent target this
+	// superstep, idle ones included.
 	syncOut [][][]syncEntry[V]
+	// sent[master*machines+target] counts those deliveries, live and
+	// idle, and idleOps[master*machines+target] sums the local out-edges
+	// of the idle ones: the target is charged for them without reading
+	// them.
+	sent    []int
+	idleOps []int64
 
-	// outbox[machine] collects locally-combined scatter messages.
-	outbox []map[graph.VertexID]M
+	// outbox[machine][master] collects the locally-combined scatter
+	// messages machine sends to vertices mastered on master.
+	outbox [][]map[graph.VertexID]M
 
 	// Meters: per-machine this superstep, plus run totals.
 	stepMeters []cluster.MachineMeter
@@ -161,23 +171,21 @@ type gatherCharge struct {
 	_       [48]byte
 }
 
+// syncEntry is one delivery of v's state (or share) to a replica; pos
+// places it among all the deliveries its master machine sent the
+// replica's machine this superstep (see Engine.syncOut).
 type syncEntry[V any] struct {
 	v     graph.VertexID
+	pos   uint32
 	state V
 }
 
 // targetedSync is a sync delivery staged in a per-chunk apply buffer
-// before the chunk-order merge into syncOut.
+// before the chunk-order merge into syncOut; until then entry.pos counts
+// only the chunk's own deliveries to target.
 type targetedSync[V any] struct {
 	target uint16
 	entry  syncEntry[V]
-}
-
-// scatterItem is one sync delivery on the scatter work list, annotated
-// with its source machine for receive metering.
-type scatterItem[V any] struct {
-	src   uint16
-	entry syncEntry[V]
 }
 
 // machineScratch holds one machine's worker pool and reusable per-chunk
@@ -190,50 +198,53 @@ type machineScratch[V, M any] struct {
 	aggs    []float64
 	applied []int64
 	sync    [][]targetedSync[V]
-	plans   []planScratch[V]
 	out     []map[graph.VertexID]M
-	work    []scatterItem[V]
-	// readers and nbrs are each pool worker's graph reader and local
-	// out-edge buffer, for the scatter. They hold no result, so they are
-	// per worker, not per chunk.
-	readers []*graph.AdjReader
-	nbrs    [][]graph.VertexID
+	// sent[c*machines+t] and idleOps[c*machines+t] count apply chunk c's
+	// deliveries to target t and the local out-edges of its idle ones
+	// (see Engine.sent).
+	sent    []int
+	idleOps []int64
+	workers []workerScratch[V]
+	// first[src] is the index of src's first delivery in the scatter's
+	// list of every delivery this machine received, live and idle.
+	first []int
 	// newPending is the machine's newly activated vertex count from the
 	// routing phase, summed into Engine.pending.
 	newPending int64
 }
 
-// planScratch holds one apply chunk's planSync buffers, reused for
-// every vertex the chunk applies. deg is indexed by machine.
-type planScratch[V any] struct {
+// workerScratch is one pool worker's graph reader, local out-edge
+// buffer, Context, stream and planSync working lists (deg is indexed by
+// machine). They hold no result, so they are per worker, not per chunk,
+// and a chunk sets them up afresh.
+type workerScratch[V any] struct {
+	reader *graph.AdjReader
+	nbrs   []graph.VertexID
+	ctx    Context
+	stream rng.Stream
+
 	synced  []uint16
 	targets []uint16
 	weights []int
 	shares  []V
+	filled  []bool
 	deg     []int
 }
 
-// ensure grows the per-chunk buffers to hold at least n chunks,
-// preserving already-allocated capacity.
-func (sc *machineScratch[V, M]) ensure(n int) {
-	for len(sc.meters) < n {
-		sc.meters = append(sc.meters, cluster.MachineMeter{})
+// ensure grows the per-chunk buffers to hold at least n chunks of a
+// cluster of the given size, preserving already-allocated capacity.
+func (sc *machineScratch[V, M]) ensure(n, machines int) {
+	grow := n - len(sc.meters)
+	if grow <= 0 {
+		return
 	}
-	for len(sc.aggs) < n {
-		sc.aggs = append(sc.aggs, 0)
-	}
-	for len(sc.applied) < n {
-		sc.applied = append(sc.applied, 0)
-	}
-	for len(sc.sync) < n {
-		sc.sync = append(sc.sync, nil)
-	}
-	for len(sc.plans) < n {
-		sc.plans = append(sc.plans, planScratch[V]{})
-	}
-	for len(sc.out) < n {
-		sc.out = append(sc.out, nil)
-	}
+	sc.meters = append(sc.meters, make([]cluster.MachineMeter, grow)...)
+	sc.aggs = append(sc.aggs, make([]float64, grow)...)
+	sc.applied = append(sc.applied, make([]int64, grow)...)
+	sc.sync = append(sc.sync, make([][]targetedSync[V], grow)...)
+	sc.out = append(sc.out, make([]map[graph.VertexID]M, grow)...)
+	sc.sent = append(sc.sent, make([]int, grow*machines)...)
+	sc.idleOps = append(sc.idleOps, make([]int64, grow*machines)...)
 }
 
 // New validates the configuration and builds an engine. The layout may
@@ -279,12 +290,17 @@ func New[V, M any](lay *cluster.Layout, prog Program[V, M], opts Options) (*Engi
 	e.hasMsg = make([]bool, e.n)
 	e.nextInbox = make([]M, e.n)
 	e.nextHasMsg = make([]bool, e.n)
-	e.outbox = make([]map[graph.VertexID]M, e.machines)
+	e.outbox = make([][]map[graph.VertexID]M, e.machines)
 	e.syncOut = make([][][]syncEntry[V], e.machines)
 	for m := 0; m < e.machines; m++ {
-		e.outbox[m] = make(map[graph.VertexID]M)
+		e.outbox[m] = make([]map[graph.VertexID]M, e.machines)
+		for t := range e.outbox[m] {
+			e.outbox[m][t] = make(map[graph.VertexID]M)
+		}
 		e.syncOut[m] = make([][]syncEntry[V], e.machines)
 	}
+	e.sent = make([]int, e.machines*e.machines)
+	e.idleOps = make([]int64, e.machines*e.machines)
 	e.stepMeters = make([]cluster.MachineMeter, e.machines)
 	e.runMeters = make([]cluster.MachineMeter, e.machines)
 	e.aggregates = make([]float64, e.machines)
@@ -359,7 +375,13 @@ func (e *Engine[V, M]) Run() (*RunStats, error) {
 	// among them.
 	workers := max(1, runtime.GOMAXPROCS(0)/e.machines)
 	for m := range e.scratch {
-		e.scratch[m].pool = parallel.NewPool(workers)
+		sc := &e.scratch[m]
+		sc.pool = parallel.NewPool(workers)
+		sc.workers = make([]workerScratch[V], workers)
+		for w := range sc.workers {
+			sc.workers[w].ctx.Rng = &sc.workers[w].stream
+		}
+		sc.first = make([]int, e.machines)
 	}
 	defer func() {
 		for m := range e.scratch {
@@ -448,7 +470,7 @@ func (e *Engine[V, M]) superstep(step int) int64 {
 			sc := &e.scratch[m]
 			masters := e.lay.Masters(m)
 			chunks := e.masterChunks[m]
-			sc.ensure(len(chunks))
+			sc.ensure(len(chunks), e.machines)
 			read := func(u graph.VertexID) V { return e.state[u] }
 			sc.pool.Run(len(chunks), func(c, _ int) {
 				meter := &sc.meters[c]
@@ -495,22 +517,29 @@ func (e *Engine[V, M]) superstep(step int) int64 {
 	// master list; plan sync and scatter shares into per-chunk buffers.
 	// Aggregates, meters and sync deliveries are reduced in chunk-index
 	// order, keeping floating-point sums and syncOut ordering identical
-	// for any worker count. A chunk holds one Context and one stream,
-	// re-derived for every vertex it applies.
+	// for any worker count. A chunk runs on its worker's Context and
+	// stream, the stream re-derived for every vertex it applies. The
+	// merge turns each live delivery's place among its chunk's
+	// deliveries to the target into its place among all of this
+	// machine's, and sums the chunks' delivery counts and idle edges.
 	e.parallel(func(m int) {
 		sc := &e.scratch[m]
 		masters := e.lay.Masters(m)
 		chunks := e.masterChunks[m]
-		sc.ensure(len(chunks))
-		sc.pool.Run(len(chunks), func(c, _ int) {
+		sc.ensure(len(chunks), e.machines)
+		sc.pool.Run(len(chunks), func(c, w int) {
 			meter := &sc.meters[c]
 			meter.Reset()
 			sc.aggs[c] = 0
 			sc.applied[c] = 0
 			buf := sc.sync[c][:0]
-			plan := &sc.plans[c]
-			var stream rng.Stream
-			ctx := &Context{Superstep: step, NumVertices: e.n, NumMachines: e.machines, Machine: m, Rng: &stream}
+			sent := sc.sent[c*e.machines : (c+1)*e.machines]
+			idleOps := sc.idleOps[c*e.machines : (c+1)*e.machines]
+			clear(sent)
+			clear(idleOps)
+			ws := &sc.workers[w]
+			ctx := &ws.ctx
+			ctx.Superstep, ctx.NumVertices, ctx.NumMachines, ctx.Machine = step, e.n, e.machines, m
 			for i := chunks[c].Lo; i < chunks[c].Hi; i++ {
 				v := graph.VertexID(masters[i])
 				if !e.isActive(v) && !e.hasMsg[v] {
@@ -521,23 +550,30 @@ func (e *Engine[V, M]) superstep(step int) int64 {
 				if e.gatherer != nil {
 					acc = e.gathered[v]
 				}
-				stream = rng.DeriveValue(e.opts.Seed, rngDomainApply, uint64(step), uint64(v))
+				ws.stream = rng.DeriveValue(e.opts.Seed, rngDomainApply, uint64(step), uint64(v))
 				ctx.aggregate = 0
 				newState, doScatter := e.prog.Apply(v, e.state[v], acc, e.inbox[v], e.hasMsg[v], ctx)
 				e.state[v] = newState
 				sc.aggs[c] += ctx.aggregate
 				meter.VertexOps++
 				if doScatter {
-					buf = e.planSync(m, v, newState, &stream, meter, plan, buf)
+					buf = e.planSync(m, v, newState, ws, meter, sent, idleOps, buf)
 				}
 			}
 			sc.sync[c] = buf
 		})
+		sent := e.sent[m*e.machines : (m+1)*e.machines]
+		idleOps := e.idleOps[m*e.machines : (m+1)*e.machines]
 		for c := range chunks {
 			e.stepMeters[m].Add(&sc.meters[c])
 			e.aggregates[m] += sc.aggs[c]
 			for _, ts := range sc.sync[c] {
+				ts.entry.pos += uint32(sent[ts.target])
 				e.syncOut[m][ts.target] = append(e.syncOut[m][ts.target], ts.entry)
+			}
+			for t := range sent {
+				sent[t] += sc.sent[c*e.machines+t]
+				idleOps[t] += sc.idleOps[c*e.machines+t]
 			}
 		}
 	})
@@ -549,96 +585,114 @@ func (e *Engine[V, M]) superstep(step int) int64 {
 	}
 
 	// Phase 3 — deliver syncs, then scatter on synchronized replicas.
-	// Each machine flattens its incoming deliveries (source order, then
-	// append order — both deterministic) into a work list, chunks it,
-	// and gives every chunk its own derived rng stream; per-chunk
-	// outboxes merge in chunk order via CombineMsg. A replica's local
-	// out-edges come from the graph's CSR filtered by the placement into
-	// the worker's buffer.
+	// Every delivery a machine received has a place in one list: source
+	// machines ascending, each source's in the order it sent them (both
+	// deterministic). The list is chunked by its full length, and every
+	// chunk gets its own derived rng stream; per-chunk outboxes merge in
+	// chunk order via CombineMsg. Idle deliveries were never stored: the
+	// machine is charged their sync bytes and local out-edges in bulk,
+	// and a chunk scatters only the live deliveries whose places fall in
+	// its range, so chunk boundaries and streams are those of the full
+	// list. A replica's local out-edges come from the graph's CSR
+	// filtered by the placement into the worker's buffer.
 	e.parallel(func(m int) {
 		sc := &e.scratch[m]
-		work := sc.work[:0]
+		total, recv := 0, 0
+		var idleOps int64
 		for src := 0; src < e.machines; src++ {
-			for _, entry := range e.syncOut[src][m] {
-				work = append(work, scatterItem[V]{src: uint16(src), entry: entry})
+			k := e.sent[src*e.machines+m]
+			sc.first[src] = total
+			total += k
+			if src != m {
+				recv += k
 			}
+			idleOps += e.idleOps[src*e.machines+m]
 		}
-		sc.work = work
-		chunks := parallel.Chunks(len(work))
-		sc.ensure(len(chunks))
-		if sc.readers == nil {
-			sc.readers = make([]*graph.AdjReader, sc.pool.NumWorkers())
-			sc.nbrs = make([][]graph.VertexID, sc.pool.NumWorkers())
-			for w := range sc.readers {
-				sc.readers[w] = e.lay.Graph().NewAdjReader()
-			}
-		}
+		e.stepMeters[m].Recv(cluster.TrafficSync, int64(recv)*(int64(e.sizes.State)+perEntryHeaderBytes))
+		e.stepMeters[m].EdgeOps += idleOps
+		chunks := parallel.Chunks(total)
+		sc.ensure(len(chunks), e.machines)
 		defer func() {
-			for _, r := range sc.readers {
-				r.Release()
+			for w := range sc.workers {
+				if r := sc.workers[w].reader; r != nil {
+					r.Release()
+				}
 			}
 		}()
-		streams := rng.Shards(e.opts.Seed, scatterPurpose(step, m), len(chunks))
+		purpose := scatterPurpose(step, m)
 		// With a single chunk the merge is the identity, so the chunk
 		// can combine straight into the machine outbox.
 		direct := len(chunks) == 1
 		sc.pool.Run(len(chunks), func(c, w int) {
 			meter := &sc.meters[c]
 			meter.Reset()
-			out := e.outbox[m]
-			if !direct {
+			lo, hi := chunks[c].Lo, chunks[c].Hi
+			ws := &sc.workers[w]
+			if ws.reader == nil {
+				ws.reader = e.lay.Graph().NewAdjReader()
+			}
+			ctx := &ws.ctx
+			ctx.Superstep, ctx.NumVertices, ctx.NumMachines, ctx.Machine = step, e.n, e.machines, m
+			ws.stream = rng.DeriveValue(e.opts.Seed, purpose, uint64(c))
+			var emit func(dst graph.VertexID, msg M)
+			if direct {
+				emit = func(dst graph.VertexID, msg M) { e.route(m, dst, msg) }
+			} else {
 				if sc.out[c] == nil {
 					sc.out[c] = make(map[graph.VertexID]M)
 				} else {
 					clear(sc.out[c])
 				}
-				out = sc.out[c]
+				out := sc.out[c]
+				emit = func(dst graph.VertexID, msg M) { e.combineInto(out, dst, msg) }
 			}
-			emit := func(dst graph.VertexID, msg M) {
-				e.combineInto(out, dst, msg)
-			}
-			ctx := &Context{Superstep: step, NumVertices: e.n, NumMachines: e.machines, Machine: m, Rng: streams[c]}
-			for i := chunks[c].Lo; i < chunks[c].Hi; i++ {
-				entry := work[i].entry
-				if int(work[i].src) != m {
-					meter.Recv(cluster.TrafficSync, int64(e.sizes.State)+perEntryHeaderBytes)
+			for src := 0; src < e.machines; src++ {
+				first := sc.first[src]
+				if first >= hi {
+					break
 				}
-				neighbors := e.lay.LocalOutNeighbors(sc.readers[w], entry.v, m, sc.nbrs[w][:0])
-				sc.nbrs[w] = neighbors
-				if len(neighbors) == 0 {
-					continue
+				list := e.syncOut[src][m]
+				// The live deliveries from src in this chunk's range.
+				at, _ := slices.BinarySearchFunc(list, lo-first, func(x syncEntry[V], pos int) int {
+					return int(x.pos) - pos
+				})
+				for ; at < len(list) && first+int(list[at].pos) < hi; at++ {
+					entry := &list[at]
+					neighbors := e.lay.LocalOutNeighbors(ws.reader, entry.v, m, ws.nbrs[:0])
+					ws.nbrs = neighbors
+					if len(neighbors) == 0 {
+						continue
+					}
+					e.prog.ScatterLocal(entry.v, entry.state, neighbors, emit, ctx)
+					meter.EdgeOps += int64(len(neighbors))
 				}
-				e.prog.ScatterLocal(entry.v, entry.state, neighbors, emit, ctx)
-				meter.EdgeOps += int64(len(neighbors))
 			}
 		})
-		out := e.outbox[m]
 		for c := range chunks {
 			e.stepMeters[m].Add(&sc.meters[c])
 			if direct {
 				continue
 			}
 			for dst, msg := range sc.out[c] {
-				e.combineInto(out, dst, msg)
+				e.route(m, dst, msg)
 			}
 		}
 	})
 
 	// Phase 4 — route combined messages to destination masters. Each
-	// destination machine drains every outbox for its own vertices, so
+	// destination machine drains its own bucket of every outbox, so
 	// writes to nextInbox are disjoint across goroutines; each machine
 	// counts its newly activated vertices for the pending counter.
+	msgBytes := int64(e.sizes.Msg) + perEntryHeaderBytes
 	e.parallel(func(m int) {
 		meter := &e.stepMeters[m]
 		var fresh int64
 		for src := 0; src < e.machines; src++ {
-			for dst, msg := range e.outbox[src] {
-				if int(e.lay.MasterOf(dst)) != m {
-					continue
-				}
-				if src != m {
-					meter.Recv(cluster.TrafficSignal, int64(e.sizes.Msg)+perEntryHeaderBytes)
-				}
+			bucket := e.outbox[src][m]
+			if src != m {
+				meter.Recv(cluster.TrafficSignal, int64(len(bucket))*msgBytes)
+			}
+			for dst, msg := range bucket {
 				if e.nextHasMsg[dst] {
 					e.nextInbox[dst] = e.prog.CombineMsg(e.nextInbox[dst], msg)
 				} else {
@@ -659,9 +713,9 @@ func (e *Engine[V, M]) superstep(step int) int64 {
 	// control message per machine pair for the barrier.
 	for src := 0; src < e.machines; src++ {
 		meter := &e.stepMeters[src]
-		for dst := range e.outbox[src] {
-			if int(e.lay.MasterOf(dst)) != src {
-				meter.Send(cluster.TrafficSignal, int64(e.sizes.Msg)+perEntryHeaderBytes)
+		for dst, bucket := range e.outbox[src] {
+			if dst != src {
+				meter.Send(cluster.TrafficSignal, int64(len(bucket))*msgBytes)
 			}
 		}
 		meter.Send(cluster.TrafficControl, int64(8*(e.machines-1)))
@@ -675,12 +729,20 @@ func (e *Engine[V, M]) superstep(step int) int64 {
 	clear(e.nextHasMsg)
 	clear(e.nextInbox) // drop consumed messages; stale values must never leak
 	for m := 0; m < e.machines; m++ {
-		clear(e.outbox[m])
 		for t := 0; t < e.machines; t++ {
+			clear(e.outbox[m][t])
 			e.syncOut[m][t] = e.syncOut[m][t][:0]
 		}
 	}
+	clear(e.sent)
+	clear(e.idleOps)
 	return applied
+}
+
+// route combines msg for dst into machine m's outbox, in the bucket of
+// dst's master.
+func (e *Engine[V, M]) route(m int, dst graph.VertexID, msg M) {
+	e.combineInto(e.outbox[m][e.lay.MasterOf(dst)], dst, msg)
 }
 
 // combineInto upserts msg for dst into an outbox map, merging with any
@@ -701,12 +763,16 @@ func (e *Engine[V, M]) isActive(v graph.VertexID) bool {
 // planSync decides which replicas of v synchronize this superstep,
 // meters the sync traffic, and appends per-target sync entries (with
 // split shares for Splitter programs) to the caller's chunk buffer,
-// returning the grown buffer. It runs at v's master machine m; r is the
-// vertex's apply-phase stream, so the mirror coin flips are
-// deterministic per (seed, superstep, vertex) regardless of chunking.
-// Its working lists live in the chunk's ps, and every buffer it grows
-// is stored back there before it returns.
-func (e *Engine[V, M]) planSync(m int, v graph.VertexID, state V, r *rng.Stream, meter *cluster.MachineMeter, ps *planScratch[V], sink []targetedSync[V]) []targetedSync[V] {
+// returning the grown buffer. It runs at v's master machine m, on the
+// worker scratch ps whose stream is the vertex's apply-phase stream, so
+// the mirror coin flips are deterministic per (seed, superstep, vertex)
+// regardless of chunking. Its working lists live in ps, and every
+// buffer it grows is stored back there before it returns. Every
+// delivery takes the next place among the chunk's deliveries to its
+// target (sent[target]); a share Split left empty is idle: it gets no
+// entry, and its local out-edges are added to idleOps[target].
+func (e *Engine[V, M]) planSync(m int, v graph.VertexID, state V, ps *workerScratch[V], meter *cluster.MachineMeter, sent []int, idleOps []int64, sink []targetedSync[V]) []targetedSync[V] {
+	r := &ps.stream
 	presences := e.lay.Presences(v)
 	if len(presences) == 0 {
 		return sink
@@ -723,7 +789,8 @@ func (e *Engine[V, M]) planSync(m int, v graph.VertexID, state V, r *rng.Stream,
 
 	if e.splitter == nil {
 		for _, target := range synced {
-			sink = append(sink, targetedSync[V]{target: target, entry: syncEntry[V]{v: v, state: state}})
+			sink = append(sink, targetedSync[V]{target: target, entry: syncEntry[V]{v: v, pos: uint32(sent[target]), state: state}})
+			sent[target]++
 		}
 		return sink
 	}
@@ -772,9 +839,17 @@ func (e *Engine[V, M]) planSync(m int, v graph.VertexID, state V, r *rng.Stream,
 	shares := slices.Grow(ps.shares[:0], len(weights))[:len(weights)]
 	clear(shares)
 	ps.shares = shares
-	e.splitter.Split(v, state, weights, r, shares)
+	filled := slices.Grow(ps.filled[:0], len(weights))[:len(weights)]
+	clear(filled)
+	ps.filled = filled
+	e.splitter.Split(v, state, weights, r, shares, filled)
 	for i, target := range targets {
-		sink = append(sink, targetedSync[V]{target: target, entry: syncEntry[V]{v: v, state: shares[i]}})
+		if filled[i] {
+			sink = append(sink, targetedSync[V]{target: target, entry: syncEntry[V]{v: v, pos: uint32(sent[target]), state: shares[i]}})
+		} else {
+			idleOps[target] += int64(weights[i])
+		}
+		sent[target]++
 	}
 	return sink
 }

@@ -335,7 +335,7 @@ func TestSimTimePositive(t *testing.T) {
 // must be conserved across shares.
 type splitterProgram struct{ tokenProgram }
 
-func (splitterProgram) Split(v graph.VertexID, st tokState, weights []int, r *rng.Stream, shares []tokState) {
+func (splitterProgram) Split(v graph.VertexID, st tokState, weights []int, r *rng.Stream, shares []tokState, filled []bool) {
 	total := 0
 	for _, w := range weights {
 		total += w
@@ -344,10 +344,12 @@ func (splitterProgram) Split(v graph.VertexID, st tokState, weights []int, r *rn
 	for i := 0; i < len(weights)-1; i++ {
 		x := int64(r.Binomial(int(remaining), float64(weights[i])/float64(total)))
 		shares[i].Hold = x
+		filled[i] = x > 0
 		remaining -= x
 		total -= weights[i]
 	}
 	shares[len(weights)-1].Hold = remaining
+	filled[len(weights)-1] = remaining > 0
 }
 
 func (splitterProgram) ScatterLocal(v graph.VertexID, st tokState, neighbors []graph.VertexID, emit func(graph.VertexID, int64), ctx *Context) {

@@ -105,7 +105,8 @@ type Program[V, M any] interface {
 	Apply(v graph.VertexID, state V, acc float64, msg M, hasMsg bool, ctx *Context) (V, bool)
 
 	// ScatterLocal runs on each synchronized replica of v that owns
-	// local out-edges of v. neighbors holds their destinations, in an
+	// local out-edges of v (for a Splitter, each whose share Split
+	// filled). neighbors holds their destinations, in an
 	// engine buffer valid only during the call; emit sends a message to
 	// a vertex, activating it next superstep. state is the replica's
 	// state — for Splitter programs, this replica's share.
@@ -134,10 +135,14 @@ type Gatherer[V any] interface {
 // master state to every synchronized replica, the engine asks the
 // program to divide the state into one share per synchronized replica
 // that has local out-edges. weights holds each such replica's local
-// out-degree. shares arrives zeroed and sized to len(weights), shares[i]
-// for the replica of weights[i]; Split writes only the shares it
-// assigns, and a share it leaves alone is the zero V. Both slices are
-// the engine's and are reused after Split returns.
+// out-degree. shares and filled arrive zeroed and sized to
+// len(weights), shares[i] and filled[i] for the replica of weights[i].
+// Split writes the shares it assigns, and a share it leaves alone is
+// the zero V; it sets filled[i] for every share that gives the replica
+// something to scatter. A replica whose share is not filled is still
+// sent it and charged its local out-edges, but it reads none of them
+// and ScatterLocal does not run for it. The slices are the engine's and
+// are reused after Split returns.
 //
 // FrogWild uses this to route each of K frogs through exactly one
 // (enabled) out-edge: shares are multinomial with probabilities
@@ -145,7 +150,7 @@ type Gatherer[V any] interface {
 // over all enabled out-edges — the paper's edge-erasure model
 // (Appendix A) at machine granularity.
 type Splitter[V any] interface {
-	Split(v graph.VertexID, state V, weights []int, r *rng.Stream, shares []V)
+	Split(v graph.VertexID, state V, weights []int, r *rng.Stream, shares []V, filled []bool)
 }
 
 // Finalizer is an optional Program extension invoked once per vertex
