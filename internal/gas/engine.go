@@ -180,12 +180,24 @@ type syncEntry[V any] struct {
 	state V
 }
 
-// targetedSync is a sync delivery staged in a per-chunk apply buffer
+// targetedSync is a sync delivery staged in a worker's apply buffer
 // before the chunk-order merge into syncOut; until then entry.pos counts
-// only the chunk's own deliveries to target.
+// only its chunk's own deliveries to target.
 type targetedSync[V any] struct {
 	target uint16
 	entry  syncEntry[V]
+}
+
+// message is a scatter message staged in a worker's buffer before the
+// chunk-order merge into the outbox.
+type message[M any] struct {
+	dst graph.VertexID
+	msg M
+}
+
+// span locates one chunk's staged entries: worker w's buffer [lo, hi).
+type span struct {
+	w, lo, hi int
 }
 
 // machineScratch holds one machine's worker pool and reusable per-chunk
@@ -197,14 +209,15 @@ type machineScratch[V, M any] struct {
 	meters  []cluster.MachineMeter
 	aggs    []float64
 	applied []int64
-	sync    [][]targetedSync[V]
-	out     []map[graph.VertexID]M
+	// staged[c] locates chunk c's sync deliveries (apply) or messages
+	// (scatter) in its worker's buffer.
+	staged []span
 	// sent[c*machines+t] and idleOps[c*machines+t] count apply chunk c's
 	// deliveries to target t and the local out-edges of its idle ones
 	// (see Engine.sent).
 	sent    []int
 	idleOps []int64
-	workers []workerScratch[V]
+	workers []workerScratch[V, M]
 	// first[src] is the index of src's first delivery in the scatter's
 	// list of every delivery this machine received, live and idle.
 	first []int
@@ -215,13 +228,18 @@ type machineScratch[V, M any] struct {
 
 // workerScratch is one pool worker's graph reader, local out-edge
 // buffer, Context, stream and planSync working lists (deg is indexed by
-// machine). They hold no result, so they are per worker, not per chunk,
-// and a chunk sets them up afresh.
-type workerScratch[V any] struct {
+// machine), which a chunk sets up afresh, and the buffers its chunks
+// stage their sync deliveries and messages in, in the order they run;
+// the chunks' spans (machineScratch.staged) put them back in chunk
+// order. emit appends to msgs.
+type workerScratch[V, M any] struct {
 	reader *graph.AdjReader
 	nbrs   []graph.VertexID
 	ctx    Context
 	stream rng.Stream
+	sync   []targetedSync[V]
+	msgs   []message[M]
+	emit   func(dst graph.VertexID, msg M)
 
 	synced  []uint16
 	targets []uint16
@@ -241,8 +259,7 @@ func (sc *machineScratch[V, M]) ensure(n, machines int) {
 	sc.meters = append(sc.meters, make([]cluster.MachineMeter, grow)...)
 	sc.aggs = append(sc.aggs, make([]float64, grow)...)
 	sc.applied = append(sc.applied, make([]int64, grow)...)
-	sc.sync = append(sc.sync, make([][]targetedSync[V], grow)...)
-	sc.out = append(sc.out, make([]map[graph.VertexID]M, grow)...)
+	sc.staged = append(sc.staged, make([]span, grow)...)
 	sc.sent = append(sc.sent, make([]int, grow*machines)...)
 	sc.idleOps = append(sc.idleOps, make([]int64, grow*machines)...)
 }
@@ -377,9 +394,13 @@ func (e *Engine[V, M]) Run() (*RunStats, error) {
 	for m := range e.scratch {
 		sc := &e.scratch[m]
 		sc.pool = parallel.NewPool(workers)
-		sc.workers = make([]workerScratch[V], workers)
+		sc.workers = make([]workerScratch[V, M], workers)
 		for w := range sc.workers {
-			sc.workers[w].ctx.Rng = &sc.workers[w].stream
+			ws := &sc.workers[w]
+			ws.ctx.Rng = &ws.stream
+			ws.emit = func(dst graph.VertexID, msg M) {
+				ws.msgs = append(ws.msgs, message[M]{dst, msg})
+			}
 		}
 		sc.first = make([]int, e.machines)
 	}
@@ -514,25 +535,28 @@ func (e *Engine[V, M]) superstep(step int) int64 {
 	}
 
 	// Phase 2 — apply at masters, sharded over fixed chunks of the
-	// master list; plan sync and scatter shares into per-chunk buffers.
-	// Aggregates, meters and sync deliveries are reduced in chunk-index
-	// order, keeping floating-point sums and syncOut ordering identical
-	// for any worker count. A chunk runs on its worker's Context and
-	// stream, the stream re-derived for every vertex it applies. The
-	// merge turns each live delivery's place among its chunk's
-	// deliveries to the target into its place among all of this
-	// machine's, and sums the chunks' delivery counts and idle edges.
+	// master list; plan sync and scatter shares, staged in the worker's
+	// buffer. Aggregates, meters and sync deliveries are reduced in
+	// chunk-index order, keeping floating-point sums and syncOut
+	// ordering identical for any worker count. A chunk runs on its
+	// worker's Context and stream, the stream re-derived for every
+	// vertex it applies. The merge turns each live delivery's place
+	// among its chunk's deliveries to the target into its place among
+	// all of this machine's, and sums the chunks' delivery counts and
+	// idle edges.
 	e.parallel(func(m int) {
 		sc := &e.scratch[m]
 		masters := e.lay.Masters(m)
 		chunks := e.masterChunks[m]
 		sc.ensure(len(chunks), e.machines)
+		for w := range sc.workers {
+			sc.workers[w].sync = sc.workers[w].sync[:0]
+		}
 		sc.pool.Run(len(chunks), func(c, w int) {
 			meter := &sc.meters[c]
 			meter.Reset()
 			sc.aggs[c] = 0
 			sc.applied[c] = 0
-			buf := sc.sync[c][:0]
 			sent := sc.sent[c*e.machines : (c+1)*e.machines]
 			idleOps := sc.idleOps[c*e.machines : (c+1)*e.machines]
 			clear(sent)
@@ -540,6 +564,7 @@ func (e *Engine[V, M]) superstep(step int) int64 {
 			ws := &sc.workers[w]
 			ctx := &ws.ctx
 			ctx.Superstep, ctx.NumVertices, ctx.NumMachines, ctx.Machine = step, e.n, e.machines, m
+			staged := span{w: w, lo: len(ws.sync)}
 			for i := chunks[c].Lo; i < chunks[c].Hi; i++ {
 				v := graph.VertexID(masters[i])
 				if !e.isActive(v) && !e.hasMsg[v] {
@@ -557,17 +582,19 @@ func (e *Engine[V, M]) superstep(step int) int64 {
 				sc.aggs[c] += ctx.aggregate
 				meter.VertexOps++
 				if doScatter {
-					buf = e.planSync(m, v, newState, ws, meter, sent, idleOps, buf)
+					ws.sync = e.planSync(m, v, newState, ws, meter, sent, idleOps, ws.sync)
 				}
 			}
-			sc.sync[c] = buf
+			staged.hi = len(ws.sync)
+			sc.staged[c] = staged
 		})
 		sent := e.sent[m*e.machines : (m+1)*e.machines]
 		idleOps := e.idleOps[m*e.machines : (m+1)*e.machines]
 		for c := range chunks {
 			e.stepMeters[m].Add(&sc.meters[c])
 			e.aggregates[m] += sc.aggs[c]
-			for _, ts := range sc.sync[c] {
+			st := sc.staged[c]
+			for _, ts := range sc.workers[st.w].sync[st.lo:st.hi] {
 				ts.entry.pos += uint32(sent[ts.target])
 				e.syncOut[m][ts.target] = append(e.syncOut[m][ts.target], ts.entry)
 			}
@@ -588,13 +615,15 @@ func (e *Engine[V, M]) superstep(step int) int64 {
 	// Every delivery a machine received has a place in one list: source
 	// machines ascending, each source's in the order it sent them (both
 	// deterministic). The list is chunked by its full length, and every
-	// chunk gets its own derived rng stream; per-chunk outboxes merge in
-	// chunk order via CombineMsg. Idle deliveries were never stored: the
-	// machine is charged their sync bytes and local out-edges in bulk,
-	// and a chunk scatters only the live deliveries whose places fall in
-	// its range, so chunk boundaries and streams are those of the full
-	// list. A replica's local out-edges come from the graph's CSR
-	// filtered by the placement into the worker's buffer.
+	// chunk gets its own derived rng stream. Idle deliveries were never
+	// stored: the machine is charged their sync bytes and local
+	// out-edges in bulk, and a chunk scatters only the live deliveries
+	// whose places fall in its range, so chunk boundaries and streams
+	// are those of the full list. A replica's local out-edges come from
+	// the graph's CSR filtered by the placement into the worker's
+	// buffer. Chunks stage their messages in emission order, and the
+	// machine combines them into its outbox in chunk order, each into
+	// the bucket of its destination's master.
 	e.parallel(func(m int) {
 		sc := &e.scratch[m]
 		total, recv := 0, 0
@@ -620,9 +649,9 @@ func (e *Engine[V, M]) superstep(step int) int64 {
 			}
 		}()
 		purpose := scatterPurpose(step, m)
-		// With a single chunk the merge is the identity, so the chunk
-		// can combine straight into the machine outbox.
-		direct := len(chunks) == 1
+		for w := range sc.workers {
+			sc.workers[w].msgs = sc.workers[w].msgs[:0]
+		}
 		sc.pool.Run(len(chunks), func(c, w int) {
 			meter := &sc.meters[c]
 			meter.Reset()
@@ -634,18 +663,7 @@ func (e *Engine[V, M]) superstep(step int) int64 {
 			ctx := &ws.ctx
 			ctx.Superstep, ctx.NumVertices, ctx.NumMachines, ctx.Machine = step, e.n, e.machines, m
 			ws.stream = rng.DeriveValue(e.opts.Seed, purpose, uint64(c))
-			var emit func(dst graph.VertexID, msg M)
-			if direct {
-				emit = func(dst graph.VertexID, msg M) { e.route(m, dst, msg) }
-			} else {
-				if sc.out[c] == nil {
-					sc.out[c] = make(map[graph.VertexID]M)
-				} else {
-					clear(sc.out[c])
-				}
-				out := sc.out[c]
-				emit = func(dst graph.VertexID, msg M) { e.combineInto(out, dst, msg) }
-			}
+			staged := span{w: w, lo: len(ws.msgs)}
 			for src := 0; src < e.machines; src++ {
 				first := sc.first[src]
 				if first >= hi {
@@ -663,18 +681,19 @@ func (e *Engine[V, M]) superstep(step int) int64 {
 					if len(neighbors) == 0 {
 						continue
 					}
-					e.prog.ScatterLocal(entry.v, entry.state, neighbors, emit, ctx)
+					e.prog.ScatterLocal(entry.v, entry.state, neighbors, ws.emit, ctx)
 					meter.EdgeOps += int64(len(neighbors))
 				}
 			}
+			staged.hi = len(ws.msgs)
+			sc.staged[c] = staged
 		})
+		out := e.outbox[m]
 		for c := range chunks {
 			e.stepMeters[m].Add(&sc.meters[c])
-			if direct {
-				continue
-			}
-			for dst, msg := range sc.out[c] {
-				e.route(m, dst, msg)
+			st := sc.staged[c]
+			for _, x := range sc.workers[st.w].msgs[st.lo:st.hi] {
+				e.combineInto(out[e.lay.MasterOf(x.dst)], x.dst, x.msg)
 			}
 		}
 	})
@@ -739,12 +758,6 @@ func (e *Engine[V, M]) superstep(step int) int64 {
 	return applied
 }
 
-// route combines msg for dst into machine m's outbox, in the bucket of
-// dst's master.
-func (e *Engine[V, M]) route(m int, dst graph.VertexID, msg M) {
-	e.combineInto(e.outbox[m][e.lay.MasterOf(dst)], dst, msg)
-}
-
 // combineInto upserts msg for dst into an outbox map, merging with any
 // earlier message via the program's combiner.
 func (e *Engine[V, M]) combineInto(out map[graph.VertexID]M, dst graph.VertexID, msg M) {
@@ -771,7 +784,7 @@ func (e *Engine[V, M]) isActive(v graph.VertexID) bool {
 // delivery takes the next place among the chunk's deliveries to its
 // target (sent[target]); a share Split left empty is idle: it gets no
 // entry, and its local out-edges are added to idleOps[target].
-func (e *Engine[V, M]) planSync(m int, v graph.VertexID, state V, ps *workerScratch[V], meter *cluster.MachineMeter, sent []int, idleOps []int64, sink []targetedSync[V]) []targetedSync[V] {
+func (e *Engine[V, M]) planSync(m int, v graph.VertexID, state V, ps *workerScratch[V, M], meter *cluster.MachineMeter, sent []int, idleOps []int64, sink []targetedSync[V]) []targetedSync[V] {
 	r := &ps.stream
 	presences := e.lay.Presences(v)
 	if len(presences) == 0 {

@@ -26,20 +26,25 @@
 //     replicas instead of copying it — this is how FrogWild's frogs
 //     fan out while each frog still traverses exactly one edge.
 //  4. Scatter: every synchronized replica runs ScatterLocal over its
-//     local out-edges and may emit messages; messages are combined
-//     per destination and delivered to the destination's master at
-//     the start of the next superstep, activating it.
+//     local out-edges and may emit messages. A replica whose Splitter
+//     share Split left unfilled (in FrogWild, one sent no frogs) does
+//     not: it is charged the sync it received and its local out-edges,
+//     as a replica that scattered nothing, but never reads them, so the
+//     work follows the frogs. Messages are combined per destination,
+//     kept in one bucket per destination master, and delivered to the
+//     destination's master at the start of the next superstep,
+//     activating it.
 //
 // Execution is parallel at two levels: one goroutine per simulated
 // machine, and within each machine a worker pool (GOMAXPROCS split
 // across machines) that shards the gather and apply loops over fixed
 // chunks of the machine's master list, and the scatter loop over fixed
-// chunks of the syncs the machine received. Chunk boundaries depend only
-// on those lengths, per-chunk partials (meters, float aggregates, sync
-// deliveries, combined messages) are reduced in chunk-index order, a
-// vertex's gather partials are summed in machine order within its
-// chunk, and scatter randomness is one derived stream per chunk — so
-// runs are bit-identical for any worker count.
+// chunks of all the syncs the machine received, idle ones included.
+// Chunk boundaries depend only on those lengths, per-chunk partials
+// (meters, float aggregates, sync deliveries, messages) are reduced in
+// chunk-index order, a vertex's gather partials are summed in machine
+// order within its chunk, and scatter randomness is one derived stream
+// per chunk — so runs are bit-identical for any worker count.
 //
 // All randomness derives deterministically from the run seed, the
 // superstep and the vertex, chunk or machine, so runs are reproducible
