@@ -78,15 +78,18 @@ func (x *InIndex) In(v graph.VertexID) ([]graph.VertexID, []uint16) {
 // partitioner and the master-selection hash.
 //
 // Vertex ids are dense, so every step is a counting pass (count,
-// prefix-sum, fill) rather than a hash-map build, and every pass runs
-// over fixed chunks of the vertex ids on a GOMAXPROCS pool (sweep), so
-// the layout is the same for any worker count. Beyond the
-// partitioner's own pass, the global CSR is read once: each chunk
-// checks its vertices' placements, records the machines hosting both
-// ends of each out-edge in the presence bitset and writes its
-// vertices' edge offsets. A second pass over the vertex ids, which
-// reads no edge, turns each vertex's bits into its presence list and
-// picks its master. The in-index is not built here (see InIndex).
+// prefix-sum, fill) rather than a hash-map build, with no callback per
+// edge. Beyond the partitioner's own pass (Random and Grid fill theirs
+// over vertex chunks on a pool, see placeEdges), the global CSR is read
+// once, beside the placement: one tight loop checks every placement,
+// sets the presence bits of both ends of each out-edge, counts each
+// machine's edges and writes the per-vertex edge offsets. It is the
+// one serial pass: a chunk of sources sets bits of destinations every
+// other chunk sets too. The presence-list/master pass reads no edge
+// and runs over fixed chunks of the vertex ids on a GOMAXPROCS pool
+// (sweep), each chunk writing only its own vertices' lists and masters,
+// so the layout is the same for any worker count. The in-index is not
+// built here (see InIndex).
 func NewLayout(g *graph.Graph, machines int, p Partitioner, seed uint64) (*Layout, error) {
 	if machines < 1 || machines > MaxMachines {
 		return nil, fmt.Errorf("cluster: machine count %d out of range", machines)
