@@ -22,8 +22,8 @@ const (
 )
 
 // scatterPurpose packs the scatter domain, superstep and machine into
-// the single purpose label rng.Shards accepts, so each machine's
-// scatter phase draws one independent stream per work chunk. Supersteps
+// one label, so each machine's scatter phase draws one independent
+// stream per work chunk, derived from (seed, purpose, chunk). Supersteps
 // fit 24 bits and machines 16 (cluster.MaxMachines is far below that),
 // so the packing is injective for every realizable run.
 func scatterPurpose(step, machine int) uint64 {

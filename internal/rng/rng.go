@@ -249,17 +249,3 @@ func (r *Stream) MultinomialSplit(total int, out []int64) {
 	}
 	out[k-1] = int64(remaining)
 }
-
-// Shards returns k independent Streams, one per work shard, derived
-// from (seed, purpose, shard index). This is the canonical construction
-// for the shared-memory parallel paths: shard boundaries are fixed by
-// the problem size (see package parallel), each shard consumes only its
-// own stream, and therefore the combined result is bit-identical no
-// matter how many workers execute the shards or in what order.
-func Shards(seed, purpose uint64, k int) []*Stream {
-	streams := make([]*Stream, k)
-	for i := range streams {
-		streams[i] = Derive(seed, purpose, uint64(i))
-	}
-	return streams
-}

@@ -384,35 +384,6 @@ func TestPowerLawWeights(t *testing.T) {
 	}
 }
 
-func TestShardsIndependentAndDeterministic(t *testing.T) {
-	a := Shards(42, 0x3C4, 8)
-	b := Shards(42, 0x3C4, 8)
-	if len(a) != 8 {
-		t.Fatalf("got %d shards", len(a))
-	}
-	for i := range a {
-		// Same (seed, purpose, shard) → identical sequence.
-		for j := 0; j < 16; j++ {
-			if x, y := a[i].Uint64(), b[i].Uint64(); x != y {
-				t.Fatalf("shard %d draw %d: %x vs %x", i, j, x, y)
-			}
-		}
-	}
-	// Distinct shards (and a distinct purpose) must not produce the
-	// same first draw — a cheap non-correlation sanity check.
-	seen := map[uint64]int{}
-	for i, s := range Shards(42, 0x3C4, 64) {
-		x := s.Uint64()
-		if prev, dup := seen[x]; dup {
-			t.Fatalf("shards %d and %d share first draw %x", prev, i, x)
-		}
-		seen[x] = i
-	}
-	if Shards(42, 0x3C4, 1)[0].Uint64() == Shards(42, 0x5E4, 1)[0].Uint64() {
-		t.Error("different purposes produced identical first draw")
-	}
-}
-
 func BenchmarkUint64(b *testing.B) {
 	r := New(1)
 	for i := 0; i < b.N; i++ {
