@@ -79,17 +79,14 @@ func (x *InIndex) In(v graph.VertexID) ([]graph.VertexID, []uint16) {
 //
 // Vertex ids are dense, so every step is a counting pass (count,
 // prefix-sum, fill) rather than a hash-map build, with no callback per
-// edge. Beyond the partitioner's own pass (Random and Grid fill theirs
-// over vertex chunks on a pool, see placeEdges), the global CSR is read
-// once, beside the placement: one tight loop checks every placement,
-// sets the presence bits of both ends of each out-edge, counts each
-// machine's edges and writes the per-vertex edge offsets. It is the
-// one serial pass: a chunk of sources sets bits of destinations every
-// other chunk sets too. The presence-list/master pass reads no edge
-// and runs over fixed chunks of the vertex ids on a GOMAXPROCS pool
-// (sweep), each chunk writing only its own vertices' lists and masters,
-// so the layout is the same for any worker count. The in-index is not
-// built here (see InIndex).
+// edge, and every pass is serial. Beyond the partitioner's own pass
+// (Random and Grid fill theirs one source vertex at a time, see
+// placeEdges), the global CSR is read once, beside the placement: one
+// tight loop checks every placement, sets the presence bits of both
+// ends of each out-edge, counts each machine's edges and writes the
+// per-vertex edge offsets. The presence-list/master pass then reads no
+// edge, only the presence bits. The in-index is not built here (see
+// InIndex).
 func NewLayout(g *graph.Graph, machines int, p Partitioner, seed uint64) (*Layout, error) {
 	if machines < 1 || machines > MaxMachines {
 		return nil, fmt.Errorf("cluster: machine count %d out of range", machines)
@@ -141,56 +138,29 @@ func NewLayout(g *graph.Graph, machines int, p Partitioner, seed uint64) (*Layou
 	// always co-located with at least one edge of the vertex). A vertex
 	// with no edges at all — possible only when dangling vertices are
 	// allowed — is hosted nowhere: its presence list stays empty and no
-	// master is chosen for it (see MasterOf). Each chunk counts its
-	// vertices' hosts, a prefix sum over the chunk totals places every
-	// chunk's lists, and each chunk then fills its own.
-	s := newSweep(g)
-	defer s.close()
-	lists := make([]int64, len(s.chunks))
-	s.run(func(c, _ int) {
-		var k int64
-		for v := s.chunks[c].Lo; v < s.chunks[c].Hi; v++ {
-			k += int64(pres.count(graph.VertexID(v)))
-		}
-		lists[c] = k
-	})
-	var total int64
-	for c, k := range lists {
-		lists[c], total = total, total+k
-	}
+	// master is chosen for it (see MasterOf).
 	lay.presOff = make([]int64, n+1)
-	lay.presList = make([]uint16, total)
+	for v := 0; v < n; v++ {
+		lay.presOff[v+1] = lay.presOff[v] + int64(pres.count(graph.VertexID(v)))
+	}
+	lay.presList = make([]uint16, lay.presOff[n])
 	lay.master = make([]uint16, n)
-	// Replica counts are kept per worker (integer sums, so the order
-	// they are added in does not matter) and summed after the pass.
-	tally := make([]int, s.pool.NumWorkers()*machines)
-	s.run(func(c, w int) {
-		present := tally[w*machines : (w+1)*machines]
-		at := lists[c]
-		for v := s.chunks[c].Lo; v < s.chunks[c].Hi; v++ {
-			span := lay.presList[at : at+int64(pres.count(graph.VertexID(v)))]
-			at += int64(len(span))
-			lay.presOff[v+1] = at
-			if len(span) == 0 {
-				continue
-			}
-			pres.collect(graph.VertexID(v), span)
-			for _, m := range span {
-				present[m]++
-			}
-			// collect wrote the hosts ascending; rotating the master to
-			// the front leaves the mirrors ascending behind it.
-			pick := int(hash64(uint64(v)^(seed*0x2545f4914f6cdd1d)) % uint64(len(span)))
-			mst := span[pick]
-			copy(span[1:pick+1], span[:pick])
-			span[0] = mst
-			lay.master[v] = mst
+	for v := 0; v < n; v++ {
+		span := lay.presList[lay.presOff[v]:lay.presOff[v+1]]
+		if len(span) == 0 {
+			continue
 		}
-	})
-	for w := 0; w < s.pool.NumWorkers(); w++ {
-		for m, k := range tally[w*machines : (w+1)*machines] {
-			lay.present[m] += k
-		}
+		pres.collect(graph.VertexID(v), span)
+		// collect wrote the hosts ascending; rotating the master to
+		// the front leaves the mirrors ascending behind it.
+		pick := int(hash64(uint64(v)^(seed*0x2545f4914f6cdd1d)) % uint64(len(span)))
+		mst := span[pick]
+		copy(span[1:pick+1], span[:pick])
+		span[0] = mst
+		lay.master[v] = mst
+	}
+	for _, m := range lay.presList {
+		lay.present[m]++
 	}
 	lay.masters = lay.masterLists()
 	return lay, nil

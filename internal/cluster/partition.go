@@ -175,6 +175,25 @@ func (Grid) Place(g *graph.Graph, machines int, seed uint64) []uint16 {
 	})
 }
 
+// placeEdges returns a placement filled one source vertex at a time, in
+// one serial pass over the CSR: fill(v, dsts, out) writes the machine of
+// each of v's out-edges, out[k] for the edge to dsts[k], in the
+// canonical edge order. The loop over v's edges is the partitioner's
+// own, so no call is made per edge.
+func placeEdges(g *graph.Graph, fill func(v graph.VertexID, dsts []graph.VertexID, out []uint16)) []uint16 {
+	out := make([]uint16, g.NumEdges())
+	r := g.NewAdjReader()
+	defer r.Release()
+	var at int64
+	for v := 0; v < g.NumVertices(); v++ {
+		dsts := r.OutNeighbors(graph.VertexID(v))
+		end := at + int64(len(dsts))
+		fill(graph.VertexID(v), dsts, out[at:end])
+		at = end
+	}
+	return out
+}
+
 func checkMachines(machines int) {
 	if machines < 1 || machines > MaxMachines {
 		panic(fmt.Sprintf("cluster: machine count %d out of [1,%d]", machines, MaxMachines))

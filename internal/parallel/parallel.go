@@ -23,7 +23,6 @@ package parallel
 
 import (
 	"runtime"
-	"runtime/debug"
 	"sync"
 	"sync/atomic"
 )
@@ -113,14 +112,12 @@ func (p *Pool) NumWorkers() int { return p.workers }
 // is NOT deterministic, so anything order- or assignment-sensitive
 // must be keyed by task (chunk), not by worker.
 //
-// A task that panics (the repo's storage layer panics with the I/O
-// error of a failed paged read) stops the job, and Run panics with that
-// value on the caller's goroutine once every worker has stopped — so
-// the caller can recover it whichever worker ran the task, and its
-// deferred cleanup never runs beside a task still running. A runtime
-// error is a bug: it arrives as a runtime.Error that carries the stack
-// of the goroutine it was raised on (taskBug), so a crash still shows
-// where it happened.
+// A task that panics with anything but a runtime error (the repo's
+// storage layer panics with the I/O error of a failed paged read) stops
+// the job, and Run panics with that value on the caller's goroutine
+// once every worker has stopped — so the caller can recover it whichever
+// worker ran the task. A runtime error is a bug and crashes where it
+// happened, with its own stack.
 func (p *Pool) Run(n int, fn func(task, worker int)) {
 	if n <= 0 {
 		return
@@ -166,8 +163,8 @@ func (j *job) drain(worker int) {
 		if v == nil {
 			return
 		}
-		if bug, ok := v.(runtime.Error); ok {
-			v = &taskBug{err: bug, stack: debug.Stack()}
+		if _, bug := v.(runtime.Error); bug {
+			panic(v)
 		}
 		first := v // escapes; v itself stays off the heap on the no-panic path
 		j.panicked.CompareAndSwap(nil, &first)
@@ -181,19 +178,3 @@ func (j *job) drain(worker int) {
 		j.fn(t, worker)
 	}
 }
-
-// taskBug is a runtime error a task raised, with the stack of the
-// goroutine that raised it. It is itself a runtime.Error, so a caller
-// that tells bugs from storage faults tells this one the same way.
-type taskBug struct {
-	err   runtime.Error
-	stack []byte
-}
-
-func (b *taskBug) RuntimeError() {}
-
-func (b *taskBug) Error() string {
-	return b.err.Error() + "\n\nraised by a pool task on:\n" + string(b.stack)
-}
-
-func (b *taskBug) Unwrap() error { return b.err }

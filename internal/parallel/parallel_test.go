@@ -2,8 +2,6 @@ package parallel
 
 import (
 	"errors"
-	"runtime"
-	"strings"
 	"sync/atomic"
 	"testing"
 )
@@ -139,42 +137,6 @@ func TestRunForwardsTaskPanic(t *testing.T) {
 		pool.Run(100, func(int, int) { ran.Add(1) })
 		if ran.Load() != 100 {
 			t.Errorf("workers=%d: the pool ran %d of 100 tasks after a panic", workers, ran.Load())
-		}
-		pool.Close()
-	}
-}
-
-// TestRunForwardsTaskBug: a runtime error in a task — on whichever
-// worker — also surfaces on the caller's goroutine after every worker
-// has stopped, as a runtime.Error that names the original error and,
-// when the pool has workers of its own, the stack of the task that
-// raised it (a one-worker pool runs tasks on the caller's goroutine).
-func TestRunForwardsTaskBug(t *testing.T) {
-	for _, workers := range []int{1, 2, 4} {
-		pool := NewPool(workers)
-		var running atomic.Int32
-		got := func() (v any) {
-			defer func() { v = recover() }()
-			pool.Run(500, func(task, _ int) {
-				running.Add(1)
-				defer running.Add(-1)
-				if task == 137 {
-					var xs []int
-					_ = xs[task]
-				}
-			})
-			return nil
-		}()
-		bug, ok := got.(runtime.Error)
-		if !ok {
-			t.Fatalf("workers=%d: Run panicked with %v, want a runtime error", workers, got)
-		}
-		msg := bug.Error()
-		if !strings.Contains(msg, "index out of range") || workers > 1 && !strings.Contains(msg, "TestRunForwardsTaskBug") {
-			t.Errorf("workers=%d: the runtime error does not name its cause and the task that raised it: %s", workers, msg)
-		}
-		if n := running.Load(); n != 0 {
-			t.Errorf("workers=%d: %d tasks still running after Run returned", workers, n)
 		}
 		pool.Close()
 	}
