@@ -348,9 +348,8 @@ func New[V, M any](lay *cluster.Layout, prog Program[V, M], opts Options) (*Engi
 // paged read of the graph, which scatter reads) does not kill the
 // process: once every machine has returned, parallel panics with the
 // first such value on the caller's goroutine, where Run's caller can
-// recover it, as parallel.Pool.Run does for its workers. A runtime
-// error is a bug and crashes on the machine's goroutine (one a pool
-// task raised arrives there with the task's stack).
+// recover it — the policy parallel.Pool.Run applies to its workers. A
+// runtime error is a bug and crashes where it happened.
 func (e *Engine[V, M]) parallel(fn func(m int)) {
 	if e.machines == 1 {
 		fn(0)
