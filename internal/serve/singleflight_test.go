@@ -83,3 +83,45 @@ func TestFlightGroupPropagatesError(t *testing.T) {
 		t.Errorf("err = %v", err)
 	}
 }
+
+// TestFlightGroupReleasesPanickedCall: a fn that panics frees its key
+// and hands its waiters errFlightPanicked, and the panic still reaches
+// the caller that ran fn. Before, the waiters and every later call on
+// the key waited forever.
+func TestFlightGroupReleasesPanickedCall(t *testing.T) {
+	var g flightGroup[string, int]
+	started := make(chan struct{})
+	release := make(chan struct{})
+	recovered := make(chan any, 1)
+	go func() {
+		defer func() { recovered <- recover() }()
+		g.Do("k", func() (int, error) {
+			close(started)
+			<-release
+			panic("bug")
+		})
+	}()
+	<-started
+	joined := make(chan error, 1)
+	go func() {
+		_, err, _ := g.Do("k", func() (int, error) { return 5, nil })
+		joined <- err
+	}()
+	time.Sleep(50 * time.Millisecond) // let the joiner reach Do
+	close(release)
+	if v := <-recovered; v != "bug" {
+		t.Fatalf("the caller that ran fn recovered %v, want its panic", v)
+	}
+	select {
+	case err := <-joined:
+		// A joiner scheduled late leads a fresh call and gets nil.
+		if err != nil && err != errFlightPanicked {
+			t.Errorf("joiner err = %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the joiner still waits on the panicked call")
+	}
+	if v, err, shared := g.Do("k", func() (int, error) { return 6, nil }); v != 6 || err != nil || shared {
+		t.Errorf("fresh call after the panic: v=%d err=%v shared=%v", v, err, shared)
+	}
+}
