@@ -9,8 +9,9 @@
 //	frogwild -gen twitterlike -n 50000 -walkers 8000 -ps 0.4
 //	frogwild -gen twitterlike -n 50000 -reference
 //
-// Every simulated machine shards its gather/apply/scatter loops across
-// its share of GOMAXPROCS; tallies are bit-identical for any GOMAXPROCS.
+// The simulated machines run each gather/apply/scatter phase in
+// parallel, on up to GOMAXPROCS cores and never more than one per
+// machine; tallies are bit-identical for any GOMAXPROCS.
 // With -reference the simulated cluster is skipped entirely and the
 // single-machine frog-walk process runs instead, sharded across
 // GOMAXPROCS cores (likewise bit-identical).

@@ -1,9 +1,9 @@
-// Equivalence tests for the engine's per-machine worker pools: a
-// FrogWild run must produce byte-identical results — tallies, estimates
-// and network meters — no matter how many workers shard each simulated
-// machine's phases. The pools are sized from GOMAXPROCS, so the tests
-// vary that. This mirrors the GOMAXPROCS tests of the serial paths
-// (TestSerialWalkParallelBitIdentical) and GraphLab PR's own
+// Equivalence tests for the engine's machine pool: a FrogWild run must
+// produce byte-identical results — tallies, estimates and network
+// meters — no matter how many workers run the simulated machines'
+// phases. The pool is sized min(GOMAXPROCS, machines), so the tests
+// vary GOMAXPROCS. This mirrors the GOMAXPROCS tests of the serial
+// paths (TestSerialWalkParallelBitIdentical) and GraphLab PR's own
 // (internal/glpr).
 package frogwild
 
@@ -19,13 +19,13 @@ import (
 	"repro/internal/graph/gen"
 )
 
-// equivMachines simulated machines split GOMAXPROCS evenly, so
-// equivWorkerCounts workers per machine is GOMAXPROCS equivMachines×
-// that. The counts deliberately include an odd prime that does not
-// divide any chunk count evenly.
+// equivMachines simulated machines run on a pool of
+// min(GOMAXPROCS, equivMachines) workers, so equivProcs gives pools of
+// 1 (inline, the serial reference), 2, 3 (which does not divide the
+// machine count) and one worker per machine.
 const equivMachines = 8
 
-var equivWorkerCounts = []int{1, 2, 4, 7}
+var equivProcs = []int{1, 2, 3, 8}
 
 var equivSetup = sync.OnceValues(func() (*graph.Graph, *cluster.Layout) {
 	g, err := gen.PowerLaw(gen.PowerLawConfig{
@@ -87,33 +87,33 @@ func TestEngineBitIdenticalAcrossGOMAXPROCS(t *testing.T) {
 				Stats: statsArtifact(res.Stats), Supersteps: res.Stats.Supersteps}, nil
 		}},
 	}
-	run := func(tc func() (engineArtifact, error), workers int) (engineArtifact, error) {
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(equivMachines * workers))
+	run := func(tc func() (engineArtifact, error), procs int) (engineArtifact, error) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		return tc()
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			ref, err := run(tc.run, 1)
+			ref, err := run(tc.run, equivProcs[0])
 			if err != nil {
-				t.Fatalf("workers=1: %v", err)
+				t.Fatalf("GOMAXPROCS=1: %v", err)
 			}
-			for _, workers := range equivWorkerCounts[1:] {
-				got, err := run(tc.run, workers)
+			for _, procs := range equivProcs[1:] {
+				got, err := run(tc.run, procs)
 				if err != nil {
-					t.Fatalf("workers=%d: %v", workers, err)
+					t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
 				}
 				if !reflect.DeepEqual(got.Ints, ref.Ints) {
-					t.Errorf("workers=%d: integer tallies diverge from workers=1", workers)
+					t.Errorf("GOMAXPROCS=%d: integer tallies diverge from GOMAXPROCS=1", procs)
 				}
 				if !reflect.DeepEqual(got.Floats, ref.Floats) {
-					t.Errorf("workers=%d: estimates diverge from workers=1", workers)
+					t.Errorf("GOMAXPROCS=%d: estimates diverge from GOMAXPROCS=1", procs)
 				}
 				if !reflect.DeepEqual(got.Stats, ref.Stats) {
-					t.Errorf("workers=%d: run stats (net meters/series) diverge from workers=1\n got %+v\nwant %+v",
-						workers, got.Stats, ref.Stats)
+					t.Errorf("GOMAXPROCS=%d: run stats (net meters/series) diverge from GOMAXPROCS=1\n got %+v\nwant %+v",
+						procs, got.Stats, ref.Stats)
 				}
 				if got.Supersteps != ref.Supersteps {
-					t.Errorf("workers=%d: %d supersteps, want %d", workers, got.Supersteps, ref.Supersteps)
+					t.Errorf("GOMAXPROCS=%d: %d supersteps, want %d", procs, got.Supersteps, ref.Supersteps)
 				}
 			}
 		})

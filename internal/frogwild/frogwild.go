@@ -25,6 +25,7 @@ package frogwild
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/cluster"
 	"repro/internal/gas"
@@ -130,6 +131,9 @@ type program struct {
 	ps        float64
 	mode      ScatterMode
 	estimator Estimator
+	// counts[m] is machine m's split buffer for ScatterLocal, reused
+	// across its calls: a machine's calls never overlap.
+	counts [][]int64
 }
 
 // InitState implements gas.Program: initial frogs arrive as state.K at
@@ -219,7 +223,8 @@ func (p *program) ScatterLocal(v graph.VertexID, st state, neighbors []graph.Ver
 		emit(neighbors[0], st.K)
 		return
 	}
-	counts := make([]int64, len(neighbors))
+	counts := slices.Grow(p.counts[ctx.Machine][:0], len(neighbors))[:len(neighbors)]
+	p.counts[ctx.Machine] = counts
 	ctx.Rng.MultinomialSplit(int(st.K), counts)
 	for i, c := range counts {
 		if c > 0 {
@@ -358,7 +363,8 @@ func runWithPlacement(g *graph.Graph, cfg Config, placer func(n, walkers int, r 
 	// personalized PageRank).
 	init := placer(n, cfg.Walkers, rng.Derive(cfg.Seed, 0xF06))
 
-	prog := &program{g: g, init: init, pT: pT, ps: ps, mode: cfg.Mode, estimator: cfg.Estimator}
+	prog := &program{g: g, init: init, pT: pT, ps: ps, mode: cfg.Mode, estimator: cfg.Estimator,
+		counts: make([][]int64, lay.NumMachines())}
 	eng, err := gas.New[state, int64](lay, prog, gas.Options{
 		PS:                  ps,
 		Seed:                cfg.Seed,

@@ -487,12 +487,14 @@ func BenchmarkRunSharedLayout(b *testing.B) {
 // One that stores no delivery for a replica with no frogs, keeps the
 // Context, stream and planSync's lists per pool worker and stages
 // deliveries and messages in per-worker buffers makes 6 233 (6 641 at
-// GOMAXPROCS 64, with four workers per machine).
+// GOMAXPROCS 64, with four workers per machine). One that runs each
+// machine's phase serially, staging nothing, with FrogWild's split
+// buffer kept per machine, makes 2 676 (2 692 at GOMAXPROCS 2).
 func TestEngineAllocBound(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a benchmark")
 	}
-	const bound = 8_000
+	const bound = 3_500
 	res := testing.Benchmark(runSharedLayout(t))
 	t.Logf("%d allocs/op, %d B/op (bound %d allocs)", res.AllocsPerOp(), res.AllocedBytesPerOp(), bound)
 	if got := res.AllocsPerOp(); got >= bound {

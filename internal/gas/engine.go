@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -126,7 +125,7 @@ type Engine[V, M any] struct {
 	// is a Gatherer.
 	gathered []float64
 	// gatherCharges[m] is the gather work done on machine m this
-	// superstep, charged from any master's goroutine.
+	// superstep, charged from any master's machine.
 	gatherCharges []gatherCharge
 
 	// syncOut[master][target] collects the live sync/share deliveries
@@ -152,11 +151,13 @@ type Engine[V, M any] struct {
 
 	aggregates []float64
 
-	// Fixed per-machine chunkings of the master lists: boundaries are a
-	// function of list lengths only, never of the worker count — the
-	// invariant that keeps runs bit-identical for any GOMAXPROCS.
+	// Fixed per-machine chunkings of the master lists. Apply sums its
+	// float aggregate per chunk, then the chunks in order; the GLPR
+	// golden pins the residuals this order yields, bit for bit.
 	masterChunks [][]parallel.Range
 
+	// pool runs every phase, one task per machine.
+	pool    *parallel.Pool
 	scratch []machineScratch[V, M]
 }
 
@@ -180,65 +181,16 @@ type syncEntry[V any] struct {
 	state V
 }
 
-// targetedSync is a sync delivery staged in a worker's apply buffer
-// before the chunk-order merge into syncOut; until then entry.pos counts
-// only its chunk's own deliveries to target.
-type targetedSync[V any] struct {
-	target uint16
-	entry  syncEntry[V]
-}
-
-// message is a scatter message staged in a worker's buffer before the
-// chunk-order merge into the outbox.
-type message[M any] struct {
-	dst graph.VertexID
-	msg M
-}
-
-// span locates one chunk's staged entries: worker w's buffer [lo, hi).
-type span struct {
-	w, lo, hi int
-}
-
-// machineScratch holds one machine's worker pool and reusable per-chunk
-// buffers. Every per-chunk partial (meter, float aggregate, sync and
-// message buffers) lands here and is reduced in chunk-index order on
-// the machine's own goroutine after the pool drains.
+// machineScratch is one machine's reusable working set: its graph
+// reader, local out-edge buffer, Context and stream, the emit function
+// that combines its scatter messages into its outbox, planSync's
+// working lists (deg is indexed by machine) and its phase tallies. Only
+// the machine's own task touches it.
 type machineScratch[V, M any] struct {
-	pool    *parallel.Pool
-	meters  []cluster.MachineMeter
-	aggs    []float64
-	applied []int64
-	// staged[c] locates chunk c's sync deliveries (apply) or messages
-	// (scatter) in its worker's buffer.
-	staged []span
-	// sent[c*machines+t] and idleOps[c*machines+t] count apply chunk c's
-	// deliveries to target t and the local out-edges of its idle ones
-	// (see Engine.sent).
-	sent    []int
-	idleOps []int64
-	workers []workerScratch[V, M]
-	// first[src] is the index of src's first delivery in the scatter's
-	// list of every delivery this machine received, live and idle.
-	first []int
-	// newPending is the machine's newly activated vertex count from the
-	// routing phase, summed into Engine.pending.
-	newPending int64
-}
-
-// workerScratch is one pool worker's graph reader, local out-edge
-// buffer, Context, stream and planSync working lists (deg is indexed by
-// machine), which a chunk sets up afresh, and the buffers its chunks
-// stage their sync deliveries and messages in, in the order they run;
-// the chunks' spans (machineScratch.staged) put them back in chunk
-// order. emit appends to msgs.
-type workerScratch[V, M any] struct {
 	reader *graph.AdjReader
 	nbrs   []graph.VertexID
 	ctx    Context
 	stream rng.Stream
-	sync   []targetedSync[V]
-	msgs   []message[M]
 	emit   func(dst graph.VertexID, msg M)
 
 	synced  []uint16
@@ -247,21 +199,11 @@ type workerScratch[V, M any] struct {
 	shares  []V
 	filled  []bool
 	deg     []int
-}
 
-// ensure grows the per-chunk buffers to hold at least n chunks of a
-// cluster of the given size, preserving already-allocated capacity.
-func (sc *machineScratch[V, M]) ensure(n, machines int) {
-	grow := n - len(sc.meters)
-	if grow <= 0 {
-		return
-	}
-	sc.meters = append(sc.meters, make([]cluster.MachineMeter, grow)...)
-	sc.aggs = append(sc.aggs, make([]float64, grow)...)
-	sc.applied = append(sc.applied, make([]int64, grow)...)
-	sc.staged = append(sc.staged, make([]span, grow)...)
-	sc.sent = append(sc.sent, make([]int, grow*machines)...)
-	sc.idleOps = append(sc.idleOps, make([]int64, grow*machines)...)
+	// applied counts the vertices the machine applied this superstep,
+	// and newPending its newly activated vertices from the routing
+	// phase, summed into Engine.pending.
+	applied, newPending int64
 }
 
 // New validates the configuration and builds an engine. The layout may
@@ -309,23 +251,27 @@ func New[V, M any](lay *cluster.Layout, prog Program[V, M], opts Options) (*Engi
 	e.nextHasMsg = make([]bool, e.n)
 	e.outbox = make([][]map[graph.VertexID]M, e.machines)
 	e.syncOut = make([][][]syncEntry[V], e.machines)
+	e.scratch = make([]machineScratch[V, M], e.machines)
+	e.masterChunks = make([][]parallel.Range, e.machines)
 	for m := 0; m < e.machines; m++ {
-		e.outbox[m] = make([]map[graph.VertexID]M, e.machines)
-		for t := range e.outbox[m] {
-			e.outbox[m][t] = make(map[graph.VertexID]M)
+		out := make([]map[graph.VertexID]M, e.machines)
+		for t := range out {
+			out[t] = make(map[graph.VertexID]M)
 		}
+		e.outbox[m] = out
 		e.syncOut[m] = make([][]syncEntry[V], e.machines)
+		e.masterChunks[m] = parallel.Chunks(len(lay.Masters(m)))
+		sc := &e.scratch[m]
+		sc.ctx.Rng = &sc.stream
+		sc.emit = func(dst graph.VertexID, msg M) {
+			e.combineInto(out[e.lay.MasterOf(dst)], dst, msg)
+		}
 	}
 	e.sent = make([]int, e.machines*e.machines)
 	e.idleOps = make([]int64, e.machines*e.machines)
 	e.stepMeters = make([]cluster.MachineMeter, e.machines)
 	e.runMeters = make([]cluster.MachineMeter, e.machines)
 	e.aggregates = make([]float64, e.machines)
-	e.scratch = make([]machineScratch[V, M], e.machines)
-	e.masterChunks = make([][]parallel.Range, e.machines)
-	for m := 0; m < e.machines; m++ {
-		e.masterChunks[m] = parallel.Chunks(len(lay.Masters(m)))
-	}
 	if e.gatherer != nil {
 		e.in = lay.InIndex()
 		e.gathered = make([]float64, e.n)
@@ -343,72 +289,16 @@ func New[V, M any](lay *cluster.Layout, prog Program[V, M], opts Options) (*Engi
 	return e, nil
 }
 
-// parallel runs fn(machine) concurrently for every machine and waits.
-// A machine that panics with anything but a runtime error (a failed
-// paged read of the graph, which scatter reads) does not kill the
-// process: once every machine has returned, parallel panics with the
-// first such value on the caller's goroutine, where Run's caller can
-// recover it — the policy parallel.Pool.Run applies to its workers. A
-// runtime error is a bug and crashes where it happened.
-func (e *Engine[V, M]) parallel(fn func(m int)) {
-	if e.machines == 1 {
-		fn(0)
-		return
-	}
-	var (
-		wg       sync.WaitGroup
-		panicked atomic.Pointer[any]
-	)
-	wg.Add(e.machines)
-	for m := 0; m < e.machines; m++ {
-		go func(m int) {
-			defer wg.Done()
-			defer func() {
-				v := recover()
-				if v == nil {
-					return
-				}
-				if _, bug := v.(runtime.Error); bug {
-					panic(v)
-				}
-				first := v // escapes; v itself stays off the heap on the no-panic path
-				panicked.CompareAndSwap(nil, &first)
-			}()
-			fn(m)
-		}(m)
-	}
-	wg.Wait()
-	if v := panicked.Load(); v != nil {
-		panic(*v)
-	}
-}
-
 // Run executes supersteps until MaxSupersteps, quiescence (no active
 // vertices and no pending messages) or StopWhen fires, then runs the
-// finalizer and returns statistics.
+// finalizer and returns statistics. Every phase is one pool run over
+// the machines, each machine's task running the phase serially, so a
+// machine's phase is what runs on one core. A panic in a machine's task
+// surfaces from Run under parallel.Pool.Run's rule.
 func (e *Engine[V, M]) Run() (*RunStats, error) {
 	start := time.Now()
-	// Machines already fan out one goroutine each; split the cores
-	// among them.
-	workers := max(1, runtime.GOMAXPROCS(0)/e.machines)
-	for m := range e.scratch {
-		sc := &e.scratch[m]
-		sc.pool = parallel.NewPool(workers)
-		sc.workers = make([]workerScratch[V, M], workers)
-		for w := range sc.workers {
-			ws := &sc.workers[w]
-			ws.ctx.Rng = &ws.stream
-			ws.emit = func(dst graph.VertexID, msg M) {
-				ws.msgs = append(ws.msgs, message[M]{dst, msg})
-			}
-		}
-		sc.first = make([]int, e.machines)
-	}
-	defer func() {
-		for m := range e.scratch {
-			e.scratch[m].pool.Close()
-		}
-	}()
+	e.pool = parallel.NewPool(min(runtime.GOMAXPROCS(0), e.machines))
+	defer e.pool.Close()
 	stats := &RunStats{ReplicationFactor: e.lay.ReplicationFactor()}
 	for step := 0; step < e.opts.MaxSupersteps; step++ {
 		applied := e.superstep(step)
@@ -438,15 +328,10 @@ func (e *Engine[V, M]) Run() (*RunStats, error) {
 	}
 	// Deliver still-pending messages to the finalizer.
 	if e.finalizer != nil {
-		e.parallel(func(m int) {
-			masters := e.lay.Masters(m)
-			chunks := e.masterChunks[m]
-			e.scratch[m].pool.Run(len(chunks), func(c, _ int) {
-				for i := chunks[c].Lo; i < chunks[c].Hi; i++ {
-					v := masters[i]
-					e.state[v] = e.finalizer.Finalize(v, e.state[v], e.inbox[v], e.hasMsg[v])
-				}
-			})
+		e.pool.Run(e.machines, func(m, _ int) {
+			for _, v := range e.lay.Masters(m) {
+				e.state[v] = e.finalizer.Finalize(v, e.state[v], e.inbox[v], e.hasMsg[v])
+			}
 		})
 	}
 	for m := 0; m < e.machines; m++ {
@@ -479,52 +364,41 @@ func (e *Engine[V, M]) superstep(step int) int64 {
 		e.aggregates[m] = 0
 	}
 
-	// Phase 1 — gather at the masters, sharded over the master chunks.
-	// Each active master v sums one partial per machine owning in-edges
-	// of v, in ascending machine order, each read from master states
-	// (every mirror is synchronized, ps = 1). The machine owning the
-	// edges is charged the edge reads and, unless it is v's master, one
-	// partial sent; the master receives it.
+	// Phase 1 — gather at the masters. Each active master v sums one
+	// partial per machine owning in-edges of v, in ascending machine
+	// order, each read from master states (every mirror is
+	// synchronized, ps = 1). The machine owning the edges is charged the
+	// edge reads and, unless it is v's master, one partial sent; the
+	// master receives it.
 	if e.gatherer != nil {
 		partial := int64(e.sizes.Acc) + perEntryHeaderBytes
-		e.parallel(func(m int) {
-			sc := &e.scratch[m]
-			masters := e.lay.Masters(m)
-			chunks := e.masterChunks[m]
-			sc.ensure(len(chunks), e.machines)
-			read := func(u graph.VertexID) V { return e.state[u] }
-			sc.pool.Run(len(chunks), func(c, _ int) {
-				meter := &sc.meters[c]
-				meter.Reset()
-				ctx := &Context{Superstep: step, NumVertices: e.n, NumMachines: e.machines}
-				for i := chunks[c].Lo; i < chunks[c].Hi; i++ {
-					v := graph.VertexID(masters[i])
-					if !e.isActive(v) {
-						continue
-					}
-					src, machine := e.in.In(v)
-					acc := 0.0
-					for lo := 0; lo < len(src); {
-						mm := machine[lo]
-						hi := lo + 1
-						for hi < len(src) && machine[hi] == mm {
-							hi++
-						}
-						ctx.Machine = int(mm)
-						acc += e.gatherer.GatherLocal(v, src[lo:hi], read, ctx)
-						charge := &e.gatherCharges[mm]
-						charge.edgeOps.Add(int64(hi - lo))
-						if int(mm) != m {
-							charge.sent.Add(1)
-							meter.Recv(cluster.TrafficGather, partial)
-						}
-						lo = hi
-					}
-					e.gathered[v] = acc
+		read := func(u graph.VertexID) V { return e.state[u] }
+		e.pool.Run(e.machines, func(m, _ int) {
+			meter := &e.stepMeters[m]
+			ctx := &Context{Superstep: step, NumVertices: e.n, NumMachines: e.machines}
+			for _, v := range e.lay.Masters(m) {
+				if !e.isActive(v) {
+					continue
 				}
-			})
-			for c := range chunks {
-				e.stepMeters[m].Add(&sc.meters[c])
+				src, machine := e.in.In(v)
+				acc := 0.0
+				for lo := 0; lo < len(src); {
+					mm := machine[lo]
+					hi := lo + 1
+					for hi < len(src) && machine[hi] == mm {
+						hi++
+					}
+					ctx.Machine = int(mm)
+					acc += e.gatherer.GatherLocal(v, src[lo:hi], read, ctx)
+					charge := &e.gatherCharges[mm]
+					charge.edgeOps.Add(int64(hi - lo))
+					if int(mm) != m {
+						charge.sent.Add(1)
+						meter.Recv(cluster.TrafficGather, partial)
+					}
+					lo = hi
+				}
+				e.gathered[v] = acc
 			}
 		})
 		for m := range e.gatherCharges {
@@ -534,176 +408,110 @@ func (e *Engine[V, M]) superstep(step int) int64 {
 		}
 	}
 
-	// Phase 2 — apply at masters, sharded over fixed chunks of the
-	// master list; plan sync and scatter shares, staged in the worker's
-	// buffer. Aggregates, meters and sync deliveries are reduced in
-	// chunk-index order, keeping floating-point sums and syncOut
-	// ordering identical for any worker count. A chunk runs on its
-	// worker's Context and stream, the stream re-derived for every
-	// vertex it applies. The merge turns each live delivery's place
-	// among its chunk's deliveries to the target into its place among
-	// all of this machine's, and sums the chunks' delivery counts and
-	// idle edges.
-	e.parallel(func(m int) {
+	// Phase 2 — apply at the masters and plan their syncs and scatter
+	// shares into syncOut. A vertex's stream is re-derived for it, and
+	// the float aggregate is summed per master chunk, then the chunks
+	// in order.
+	e.pool.Run(e.machines, func(m, _ int) {
 		sc := &e.scratch[m]
 		masters := e.lay.Masters(m)
-		chunks := e.masterChunks[m]
-		sc.ensure(len(chunks), e.machines)
-		for w := range sc.workers {
-			sc.workers[w].sync = sc.workers[w].sync[:0]
-		}
-		sc.pool.Run(len(chunks), func(c, w int) {
-			meter := &sc.meters[c]
-			meter.Reset()
-			sc.aggs[c] = 0
-			sc.applied[c] = 0
-			sent := sc.sent[c*e.machines : (c+1)*e.machines]
-			idleOps := sc.idleOps[c*e.machines : (c+1)*e.machines]
-			clear(sent)
-			clear(idleOps)
-			ws := &sc.workers[w]
-			ctx := &ws.ctx
-			ctx.Superstep, ctx.NumVertices, ctx.NumMachines, ctx.Machine = step, e.n, e.machines, m
-			staged := span{w: w, lo: len(ws.sync)}
-			for i := chunks[c].Lo; i < chunks[c].Hi; i++ {
-				v := graph.VertexID(masters[i])
+		ctx := &sc.ctx
+		ctx.Superstep, ctx.NumVertices, ctx.NumMachines, ctx.Machine = step, e.n, e.machines, m
+		sc.applied = 0
+		for _, r := range e.masterChunks[m] {
+			agg := 0.0
+			for _, v := range masters[r.Lo:r.Hi] {
 				if !e.isActive(v) && !e.hasMsg[v] {
 					continue
 				}
-				sc.applied[c]++
+				sc.applied++
 				acc := 0.0
 				if e.gatherer != nil {
 					acc = e.gathered[v]
 				}
-				ws.stream = rng.DeriveValue(e.opts.Seed, rngDomainApply, uint64(step), uint64(v))
+				sc.stream = rng.DeriveValue(e.opts.Seed, rngDomainApply, uint64(step), uint64(v))
 				ctx.aggregate = 0
 				newState, doScatter := e.prog.Apply(v, e.state[v], acc, e.inbox[v], e.hasMsg[v], ctx)
 				e.state[v] = newState
-				sc.aggs[c] += ctx.aggregate
-				meter.VertexOps++
+				agg += ctx.aggregate
+				e.stepMeters[m].VertexOps++
 				if doScatter {
-					ws.sync = e.planSync(m, v, newState, ws, meter, sent, idleOps, ws.sync)
+					e.planSync(m, v, newState, sc)
 				}
 			}
-			staged.hi = len(ws.sync)
-			sc.staged[c] = staged
-		})
-		sent := e.sent[m*e.machines : (m+1)*e.machines]
-		idleOps := e.idleOps[m*e.machines : (m+1)*e.machines]
-		for c := range chunks {
-			e.stepMeters[m].Add(&sc.meters[c])
-			e.aggregates[m] += sc.aggs[c]
-			st := sc.staged[c]
-			for _, ts := range sc.workers[st.w].sync[st.lo:st.hi] {
-				ts.entry.pos += uint32(sent[ts.target])
-				e.syncOut[m][ts.target] = append(e.syncOut[m][ts.target], ts.entry)
-			}
-			for t := range sent {
-				sent[t] += sc.sent[c*e.machines+t]
-				idleOps[t] += sc.idleOps[c*e.machines+t]
-			}
+			e.aggregates[m] += agg
 		}
 	})
 	var applied int64
 	for m := range e.scratch {
-		for c := range e.masterChunks[m] {
-			applied += e.scratch[m].applied[c]
-		}
+		applied += e.scratch[m].applied
 	}
 
 	// Phase 3 — deliver syncs, then scatter on synchronized replicas.
 	// Every delivery a machine received has a place in one list: source
 	// machines ascending, each source's in the order it sent them (both
-	// deterministic). The list is chunked by its full length, and every
-	// chunk gets its own derived rng stream. Idle deliveries were never
-	// stored: the machine is charged their sync bytes and local
-	// out-edges in bulk, and a chunk scatters only the live deliveries
-	// whose places fall in its range, so chunk boundaries and streams
-	// are those of the full list. A replica's local out-edges come from
-	// the graph's CSR filtered by the placement into the worker's
-	// buffer. Chunks stage their messages in emission order, and the
-	// machine combines them into its outbox in chunk order, each into
-	// the bucket of its destination's master.
-	e.parallel(func(m int) {
+	// deterministic). The list is chunked by its full length, and the
+	// scatter stream is derived afresh for every chunk. Idle deliveries
+	// were never stored: the machine is charged their sync bytes and
+	// local out-edges in bulk, and scatters the live ones, so chunk
+	// boundaries and streams are those of the full list. A replica's
+	// local out-edges come from the graph's CSR filtered by the
+	// placement, and its messages are combined into the machine's
+	// outbox as they are emitted, each into the bucket of its
+	// destination's master.
+	e.pool.Run(e.machines, func(m, _ int) {
 		sc := &e.scratch[m]
+		meter := &e.stepMeters[m]
 		total, recv := 0, 0
 		var idleOps int64
 		for src := 0; src < e.machines; src++ {
 			k := e.sent[src*e.machines+m]
-			sc.first[src] = total
 			total += k
 			if src != m {
 				recv += k
 			}
 			idleOps += e.idleOps[src*e.machines+m]
 		}
-		e.stepMeters[m].Recv(cluster.TrafficSync, int64(recv)*(int64(e.sizes.State)+perEntryHeaderBytes))
-		e.stepMeters[m].EdgeOps += idleOps
-		chunks := parallel.Chunks(total)
-		sc.ensure(len(chunks), e.machines)
-		defer func() {
-			for w := range sc.workers {
-				if r := sc.workers[w].reader; r != nil {
-					r.Release()
-				}
-			}
-		}()
-		purpose := scatterPurpose(step, m)
-		for w := range sc.workers {
-			sc.workers[w].msgs = sc.workers[w].msgs[:0]
+		meter.Recv(cluster.TrafficSync, int64(recv)*(int64(e.sizes.State)+perEntryHeaderBytes))
+		meter.EdgeOps += idleOps
+		if sc.reader == nil {
+			sc.reader = e.lay.Graph().NewAdjReader()
 		}
-		sc.pool.Run(len(chunks), func(c, w int) {
-			meter := &sc.meters[c]
-			meter.Reset()
-			lo, hi := chunks[c].Lo, chunks[c].Hi
-			ws := &sc.workers[w]
-			if ws.reader == nil {
-				ws.reader = e.lay.Graph().NewAdjReader()
-			}
-			ctx := &ws.ctx
-			ctx.Superstep, ctx.NumVertices, ctx.NumMachines, ctx.Machine = step, e.n, e.machines, m
-			ws.stream = rng.DeriveValue(e.opts.Seed, purpose, uint64(c))
-			staged := span{w: w, lo: len(ws.msgs)}
-			for src := 0; src < e.machines; src++ {
-				first := sc.first[src]
-				if first >= hi {
-					break
-				}
-				list := e.syncOut[src][m]
-				// The live deliveries from src in this chunk's range.
-				at, _ := slices.BinarySearchFunc(list, lo-first, func(x syncEntry[V], pos int) int {
-					return int(x.pos) - pos
-				})
-				for ; at < len(list) && first+int(list[at].pos) < hi; at++ {
-					entry := &list[at]
-					neighbors := e.lay.LocalOutNeighbors(ws.reader, entry.v, m, ws.nbrs[:0])
-					ws.nbrs = neighbors
-					if len(neighbors) == 0 {
-						continue
+		defer sc.reader.Release()
+		ctx := &sc.ctx
+		ctx.Superstep, ctx.NumVertices, ctx.NumMachines, ctx.Machine = step, e.n, e.machines, m
+		chunks := parallel.Chunks(total)
+		purpose := scatterPurpose(step, m)
+		// c is the chunk sc.stream was derived for (-1: none yet), and
+		// first the place of src's first delivery in the list.
+		c, first := -1, 0
+		for src := 0; src < e.machines; src++ {
+			for i := range e.syncOut[src][m] {
+				entry := &e.syncOut[src][m][i]
+				if at := first + int(entry.pos); c < 0 || at >= chunks[c].Hi {
+					for c < 0 || at >= chunks[c].Hi {
+						c++
 					}
-					e.prog.ScatterLocal(entry.v, entry.state, neighbors, ws.emit, ctx)
-					meter.EdgeOps += int64(len(neighbors))
+					sc.stream = rng.DeriveValue(e.opts.Seed, purpose, uint64(c))
 				}
+				neighbors := e.lay.LocalOutNeighbors(sc.reader, entry.v, m, sc.nbrs[:0])
+				sc.nbrs = neighbors
+				if len(neighbors) == 0 {
+					continue
+				}
+				e.prog.ScatterLocal(entry.v, entry.state, neighbors, sc.emit, ctx)
+				meter.EdgeOps += int64(len(neighbors))
 			}
-			staged.hi = len(ws.msgs)
-			sc.staged[c] = staged
-		})
-		out := e.outbox[m]
-		for c := range chunks {
-			e.stepMeters[m].Add(&sc.meters[c])
-			st := sc.staged[c]
-			for _, x := range sc.workers[st.w].msgs[st.lo:st.hi] {
-				e.combineInto(out[e.lay.MasterOf(x.dst)], x.dst, x.msg)
-			}
+			first += e.sent[src*e.machines+m]
 		}
 	})
 
 	// Phase 4 — route combined messages to destination masters. Each
 	// destination machine drains its own bucket of every outbox, so
-	// writes to nextInbox are disjoint across goroutines; each machine
+	// writes to nextInbox are disjoint across machines; each machine
 	// counts its newly activated vertices for the pending counter.
 	msgBytes := int64(e.sizes.Msg) + perEntryHeaderBytes
-	e.parallel(func(m int) {
+	e.pool.Run(e.machines, func(m, _ int) {
 		meter := &e.stepMeters[m]
 		var fresh int64
 		for src := 0; src < e.machines; src++ {
@@ -775,49 +583,51 @@ func (e *Engine[V, M]) isActive(v graph.VertexID) bool {
 
 // planSync decides which replicas of v synchronize this superstep,
 // meters the sync traffic, and appends per-target sync entries (with
-// split shares for Splitter programs) to the caller's chunk buffer,
-// returning the grown buffer. It runs at v's master machine m, on the
-// worker scratch ps whose stream is the vertex's apply-phase stream, so
-// the mirror coin flips are deterministic per (seed, superstep, vertex)
-// regardless of chunking. Its working lists live in ps, and every
+// split shares for Splitter programs) to syncOut. It runs at v's master
+// machine m, on m's scratch sc, whose stream is the vertex's
+// apply-phase stream, so the mirror coin flips are deterministic per
+// (seed, superstep, vertex). Its working lists live in sc, and every
 // buffer it grows is stored back there before it returns. Every
-// delivery takes the next place among the chunk's deliveries to its
-// target (sent[target]); a share Split left empty is idle: it gets no
-// entry, and its local out-edges are added to idleOps[target].
-func (e *Engine[V, M]) planSync(m int, v graph.VertexID, state V, ps *workerScratch[V, M], meter *cluster.MachineMeter, sent []int, idleOps []int64, sink []targetedSync[V]) []targetedSync[V] {
-	r := &ps.stream
+// delivery takes the next place among m's deliveries to its target
+// (sent[target]); a share Split left empty is idle: it gets no entry,
+// and its local out-edges are added to idleOps[target].
+func (e *Engine[V, M]) planSync(m int, v graph.VertexID, state V, sc *machineScratch[V, M]) {
+	r := &sc.stream
+	meter := &e.stepMeters[m]
+	sent := e.sent[m*e.machines : (m+1)*e.machines]
+	out := e.syncOut[m]
 	presences := e.lay.Presences(v)
 	if len(presences) == 0 {
-		return sink
+		return
 	}
 	// presences[0] is the master's machine: always synchronized.
-	synced := append(ps.synced[:0], presences[0])
+	synced := append(sc.synced[:0], presences[0])
 	for _, mirror := range presences[1:] {
 		if r.Bernoulli(e.opts.PS) {
 			synced = append(synced, mirror)
 			meter.Send(cluster.TrafficSync, int64(e.sizes.State)+perEntryHeaderBytes)
 		}
 	}
-	ps.synced = synced
+	sc.synced = synced
 
 	if e.splitter == nil {
 		for _, target := range synced {
-			sink = append(sink, targetedSync[V]{target: target, entry: syncEntry[V]{v: v, pos: uint32(sent[target]), state: state}})
+			out[target] = append(out[target], syncEntry[V]{v: v, pos: uint32(sent[target]), state: state})
 			sent[target]++
 		}
-		return sink
+		return
 	}
 
 	// Splitter path: shares go only to synchronized replicas that own
 	// local out-edges of v. If none qualifies, force-enable one replica
 	// that has local edges — the paper's "At Least One Out-Edge Per
 	// Node" erasure model (Example 10).
-	if ps.deg == nil {
-		ps.deg = make([]int, e.machines)
+	if sc.deg == nil {
+		sc.deg = make([]int, e.machines)
 	}
-	deg := ps.deg
+	deg := sc.deg
 	e.lay.LocalOutDegrees(v, deg)
-	targets, weights := ps.targets[:0], ps.weights[:0]
+	targets, weights := sc.targets[:0], sc.weights[:0]
 	for _, t := range synced {
 		if d := deg[t]; d > 0 {
 			targets = append(targets, t)
@@ -825,10 +635,10 @@ func (e *Engine[V, M]) planSync(m int, v graph.VertexID, state V, ps *workerScra
 		}
 	}
 	if len(targets) == 0 {
-		// Nothing was appended, so nothing grew: these returns leave ps
+		// Nothing was appended, so nothing grew: these returns leave sc
 		// as it was.
 		if e.opts.IndependentErasures {
-			return sink // Example 9: the state strands this superstep
+			return // Example 9: the state strands this superstep
 		}
 		// Collect all replicas with local edges and force one (rare, so
 		// its list is not pooled).
@@ -839,7 +649,7 @@ func (e *Engine[V, M]) planSync(m int, v graph.VertexID, state V, ps *workerScra
 			}
 		}
 		if len(candidates) == 0 {
-			return sink // vertex has no out-edges anywhere
+			return // vertex has no out-edges anywhere
 		}
 		forced := candidates[r.Intn(len(candidates))]
 		targets = append(targets, forced)
@@ -848,23 +658,23 @@ func (e *Engine[V, M]) planSync(m int, v graph.VertexID, state V, ps *workerScra
 			meter.Send(cluster.TrafficSync, int64(e.sizes.State)+perEntryHeaderBytes)
 		}
 	}
-	ps.targets, ps.weights = targets, weights
-	shares := slices.Grow(ps.shares[:0], len(weights))[:len(weights)]
+	sc.targets, sc.weights = targets, weights
+	shares := slices.Grow(sc.shares[:0], len(weights))[:len(weights)]
 	clear(shares)
-	ps.shares = shares
-	filled := slices.Grow(ps.filled[:0], len(weights))[:len(weights)]
+	sc.shares = shares
+	filled := slices.Grow(sc.filled[:0], len(weights))[:len(weights)]
 	clear(filled)
-	ps.filled = filled
+	sc.filled = filled
 	e.splitter.Split(v, state, weights, r, shares, filled)
+	idleOps := e.idleOps[m*e.machines : (m+1)*e.machines]
 	for i, target := range targets {
 		if filled[i] {
-			sink = append(sink, targetedSync[V]{target: target, entry: syncEntry[V]{v: v, pos: uint32(sent[target]), state: shares[i]}})
+			out[target] = append(out[target], syncEntry[V]{v: v, pos: uint32(sent[target]), state: shares[i]})
 		} else {
 			idleOps[target] += int64(weights[i])
 		}
 		sent[target]++
 	}
-	return sink
 }
 
 // MasterStates returns the final master state of every vertex, indexed

@@ -35,16 +35,19 @@
 //     destination's master at the start of the next superstep,
 //     activating it.
 //
-// Execution is parallel at two levels: one goroutine per simulated
-// machine, and within each machine a worker pool (GOMAXPROCS split
-// across machines) that shards the gather and apply loops over fixed
-// chunks of the machine's master list, and the scatter loop over fixed
-// chunks of all the syncs the machine received, idle ones included.
-// Chunk boundaries depend only on those lengths, per-chunk partials
-// (meters, float aggregates, sync deliveries, messages) are reduced in
-// chunk-index order, a vertex's gather partials are summed in machine
-// order within its chunk, and scatter randomness is one derived stream
-// per chunk — so runs are bit-identical for any worker count.
+// A simulated machine is the unit of parallelism: every phase is one
+// run of a pool of min(GOMAXPROCS, machines) workers over the
+// machines, and each machine runs its phase serially, planning its syncs
+// straight into the deliveries, combining its messages straight into its
+// outbox and metering its own work. A run with fewer machines than
+// cores therefore uses only as many cores as it has machines. Two
+// chunkings survive, because they fix a result: apply sums its float
+// aggregate per fixed chunk of the machine's master list, then the
+// chunks in order, and scatter derives a fresh stream at each fixed
+// chunk boundary of all the syncs the machine received, idle ones
+// included. Both chunkings depend only on those lengths, and a vertex's
+// gather partials are summed in machine order — so runs are
+// bit-identical for any GOMAXPROCS.
 //
 // All randomness derives deterministically from the run seed, the
 // superstep and the vertex, chunk or machine, so runs are reproducible
@@ -114,7 +117,9 @@ type Program[V, M any] interface {
 	// filled). neighbors holds their destinations, in an
 	// engine buffer valid only during the call; emit sends a message to
 	// a vertex, activating it next superstep. state is the replica's
-	// state — for Splitter programs, this replica's share.
+	// state — for Splitter programs, this replica's share. Calls for one
+	// machine (ctx.Machine) never overlap, so a program may keep scratch
+	// per machine.
 	ScatterLocal(v graph.VertexID, state V, neighbors []graph.VertexID, emit func(dst graph.VertexID, m M), ctx *Context)
 
 	// CombineMsg merges two messages destined for the same vertex.

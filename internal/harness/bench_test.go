@@ -219,9 +219,8 @@ func BenchmarkMonteCarloParallel(b *testing.B) {
 	}
 }
 
-// benchLayout50k4 partitions the 50k graph over 4 machines — few enough
-// that multi-core runners have cores left over for per-machine
-// workers, which is what BenchmarkFrogWildEngineParallel measures.
+// benchLayout50k4 partitions the 50k graph over 4 machines, the
+// layout BenchmarkFrogWildEngineParallel runs on.
 var benchLayout50k4 = sync.OnceValue(func() *cluster.Layout {
 	lay, err := cluster.NewLayout(benchGraph50k(), 4, nil, 7)
 	if err != nil {
@@ -230,11 +229,11 @@ var benchLayout50k4 = sync.OnceValue(func() *cluster.Layout {
 	return lay
 })
 
-// BenchmarkFrogWildEngineParallel measures the engine's intra-machine
-// sharding on the 50k twitter-like graph: a full walker-per-vertex load
-// so apply/scatter dominate engine overhead. Each machine's pool is its
-// share of GOMAXPROCS, so -cpu 4,8,16 gives 1, 2 and 4 workers per
-// machine, with bit-identical results.
+// BenchmarkFrogWildEngineParallel measures the engine's machine-level
+// parallelism on the 50k twitter-like graph: a full walker-per-vertex
+// load so apply/scatter dominate engine overhead. The engine runs its 4
+// machines on a pool of min(GOMAXPROCS, 4) workers, so -cpu 1,2,4 gives
+// 1, 2 and 4 workers, with bit-identical results; more procs add none.
 func BenchmarkFrogWildEngineParallel(b *testing.B) {
 	g := benchGraph50k()
 	lay := benchLayout50k4()
