@@ -279,6 +279,7 @@ func serverEntries(series map[string]float64) []loadgen.BenchEntry {
 			"topkIndexHits":   sum("router_topk_index_hits_total"),
 			"topkRefetches":   sum("router_topk_refetches_total"),
 			"rankRouted":      sum("router_rank_routed_total"),
+			"rankIndexHits":   sum("router_rank_index_hits_total"),
 			"degradedServes":  sum("router_degraded_total"),
 			"rpcRetries":      sum("router_shard_rpc_retries_total"),
 			"pprQueries":      pprReqs,

@@ -136,7 +136,8 @@ func TestRouterStatsAgreeWithMetrics(t *testing.T) {
 	freeze(rt)
 
 	// Two fan-outs (k=9, then the uncovered k=11) and five index hits;
-	// three owner-routed ranks.
+	// three ranks of one vertex: the first owner-routed, the other two
+	// answered from its last rank at the fresh index's epoch.
 	for _, k := range []int{9, 5, 11, 6, 7, 11, 1} {
 		if code, body := get(t, rt, fmt.Sprintf("/v1/topk?k=%d", k)); code != http.StatusOK {
 			t.Fatalf("topk status %d: %s", code, body)
@@ -177,6 +178,7 @@ func TestRouterStatsAgreeWithMetrics(t *testing.T) {
 		{"router_topk_index_hits_total", float64(stats.Serving.TopKIndexHits)},
 		{"router_topk_refetches_total", float64(stats.Serving.TopKRefetches)},
 		{"router_rank_routed_total", float64(stats.Serving.RankRouted)},
+		{"router_rank_index_hits_total", float64(stats.Serving.RankIndexHits)},
 		{"router_shard_rpc_retries_total", float64(stats.Serving.Retries)},
 		{"router_shard_bytes_sent_total", float64(stats.Network.BytesSent)},
 		{"router_shard_bytes_recv_total", float64(stats.Network.BytesRecv)},
@@ -190,8 +192,9 @@ func TestRouterStatsAgreeWithMetrics(t *testing.T) {
 	if stats.Serving.Queries != 11 {
 		t.Errorf("queries = %d, want 11 (7 topk + 3 rank + the stats request)", stats.Serving.Queries)
 	}
-	if s := stats.Serving; s.TopKIndexHits != 5 || s.TopKRefetches != 2 || s.RankRouted != 3 {
-		t.Errorf("index hits/refetches/rank routed = %d/%d/%d, want 5/2/3", s.TopKIndexHits, s.TopKRefetches, s.RankRouted)
+	if s := stats.Serving; s.TopKIndexHits != 5 || s.TopKRefetches != 2 || s.RankRouted != 1 || s.RankIndexHits != 2 {
+		t.Errorf("index hits/refetches/rank routed/rank index hits = %d/%d/%d/%d, want 5/2/1/2",
+			s.TopKIndexHits, s.TopKRefetches, s.RankRouted, s.RankIndexHits)
 	}
 	if got := obs.FamilySum(series, "router_shard_rpc_total"); got <= 0 {
 		t.Errorf("router_shard_rpc_total = %v, want > 0", got)

@@ -13,11 +13,12 @@ import (
 	"repro/internal/serve/api"
 )
 
-// TestRouterFanoutUnderSnapshotSwaps hammers the router from many
-// goroutines while every shard's store keeps publishing new snapshots
-// mid-query. Run under -race. Every response must be either a healthy
-// exact answer at some single epoch or an explicit degraded/unavailable
-// one — never a malformed body or a cross-epoch merge.
+// TestRouterFanoutUnderSnapshotSwaps hammers the router's top-k, rank
+// and stats from many goroutines while every shard's store keeps
+// publishing new snapshots mid-query. Run under -race. Every response
+// must be either a healthy exact answer at some single epoch or an
+// explicit degraded/unavailable one — never a malformed body or a
+// cross-epoch merge.
 func TestRouterFanoutUnderSnapshotSwaps(t *testing.T) {
 	g := testGraph(t)
 	n := g.NumVertices()
@@ -61,8 +62,11 @@ func TestRouterFanoutUnderSnapshotSwaps(t *testing.T) {
 			defer queriers.Done()
 			for i := 0; i < 40; i++ {
 				url := fmt.Sprintf("/v1/topk?k=%d", 5+(i%3)*10)
-				if i%4 == 3 {
+				switch {
+				case i%4 == 3:
 					url = fmt.Sprintf("/v1/rank?vertex=%d", (w*97+i)%n)
+				case i%8 == 1:
+					url = "/v1/stats"
 				}
 				rec := httptest.NewRecorder()
 				rt.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, url, nil))

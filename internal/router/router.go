@@ -24,11 +24,13 @@ const (
 	maxCachedRank = 1 << 16
 )
 
-// topIndexTTL is how long after the fan-out that confirmed it the top
-// index answers without asking the shards again. It is well under one
-// snapshot build, so the staleness it admits is less than the refresh
-// skew between shards that rule 2 already serves.
-const topIndexTTL = 100 * time.Millisecond
+// freshWindow is how long the router's partial copy answers without
+// asking the shards again: the top index after the fan-out that
+// confirmed it, a vertex's last rank at that index's epoch, and the last
+// status probe. It is well under one snapshot build, so the staleness it
+// admits is less than the refresh skew between shards that rule 2
+// already serves.
+const freshWindow = 100 * time.Millisecond
 
 // topIndex is the router's copy of the cluster's merged top list at one
 // epoch: the complete consistentTopK answer for the largest k asked so
@@ -47,6 +49,12 @@ type topIndex struct {
 	confirmed time.Time
 }
 
+// fresh reports whether every shard confirmed the index at most
+// freshWindow before now, with no contrary reply seen since.
+func (x topIndex) fresh(now time.Time) bool {
+	return !x.confirmed.IsZero() && now.Sub(x.confirmed) <= freshWindow
+}
+
 // covers reports whether the top-k at the index's epoch is a prefix of it.
 func (x topIndex) covers(k int) bool {
 	return x.k > 0 && (k <= x.k || x.bodies.Len() < x.k)
@@ -60,6 +68,29 @@ func (x topIndex) bounded() topIndex {
 		x.bodies = x.bodies.Prefix(maxCachedK)
 	}
 	return x
+}
+
+// clusterView is one status probe's reading of the cluster, shared by
+// stats and healthz: per-shard rows, the oldest epoch among live shards
+// (the consistent serving floor), the engine and seed they serve, and
+// whether every shard is live and at the freshest epoch.
+type clusterView struct {
+	rows     []api.ShardStatus
+	minEpoch uint64
+	engine   api.Engine
+	seed     uint64
+	healthy  bool
+	// at is the start of the probe and contrary the router's count of
+	// contrary replies just before it.
+	at       time.Time
+	contrary uint64
+}
+
+// fresh reports whether stats may answer from the view: it is at most
+// freshWindow old and no shard reply has contradicted anything since the
+// probe began, the probe's own replies included.
+func (c clusterView) fresh(now time.Time, contrary uint64) bool {
+	return !c.at.IsZero() && c.contrary == contrary && now.Sub(c.at) <= freshWindow
 }
 
 // Options tunes a Router.
@@ -82,20 +113,24 @@ type Options struct {
 // is byte-identical to the single-node body for the same snapshot epoch
 // — and holds no graph. It is partially synchronized with its shards:
 // what a shard says is immutable per epoch, so the router keeps the
-// merged top list of the epoch it last confirmed (topIndex) and answers
-// /v1/topk from it without an RPC. Ownership is arithmetic — the client
-// at position v % len(clients) owns vertex v — so /v1/rank asks that
-// shard alone, and clients must be in shard-id order. Nothing runs in
-// the background: the index is revalidated on the request path when it
-// has expired.
+// merged top list of the epoch it last confirmed (topIndex), each
+// vertex's last exact rank and the last status probe (clusterView), and
+// while they are fresh answers /v1/topk, /v1/rank at the index's epoch
+// and /v1/stats from them without an RPC. Ownership is arithmetic — the
+// client at position v % len(clients) owns vertex v — so a rank the copy
+// cannot answer asks that shard alone, and clients must be in shard-id
+// order. /healthz always asks every shard. Nothing runs in the
+// background: the copy is revalidated on the request path when it has
+// expired.
 //
 // Failure semantics, in order of preference:
 //
 //  1. Exact at an epoch every shard confirmed at most 100 ms ago, and
 //     never older than an epoch the router has since seen in any shard
 //     reply: a failed RPC or a reply at another epoch on any path (an
-//     owner-routed rank, stats, healthz, a refetch) ends the index's
-//     freshness at once, and the next top-k fans out.
+//     owner-routed rank, stats, healthz, a refetch) ends the freshness
+//     of the index, of the ranks at its epoch and of the stats view at
+//     once, and the next top-k, rank or stats asks the shards.
 //  2. Shards straddle a refresh: the fan-out re-runs pinned to the
 //     oldest current epoch (every shard retains its previous snapshot,
 //     so the laggard's epoch is still answerable cluster-wide). The
@@ -104,9 +139,10 @@ type Options struct {
 //  3. A shard is unreachable (after its timeout and retry) or the
 //     pinned epoch is gone: the index answers every k up to the largest
 //     asked so far, and the last exact rank of the vertex answers
-//     /v1/rank, marked "degraded": true at their (stale) epoch. Top-k
-//     notices a dead shard when the window ends or at the next rank,
-//     stats or healthz that touches it, whichever is first.
+//     /v1/rank, marked "degraded": true at their (stale) epoch. Top-k,
+//     rank and stats notice a dead shard when the window ends, at the
+//     next healthz, or at the next rank the copy does not answer,
+//     whichever is first.
 //  4. Nothing kept covers the query: 503 with the shared error
 //     envelope, code "unavailable".
 type Router struct {
@@ -126,6 +162,7 @@ type Router struct {
 	indexHits      obs.Counter
 	refetches      obs.Counter
 	rankRouted     obs.Counter
+	rankIndexHits  obs.Counter
 	reg            *obs.Registry
 
 	// now is time.Now outside tests, which drive the freshness window
@@ -133,14 +170,17 @@ type Router struct {
 	now func() time.Time
 
 	// mu guards the partial copy of shard state. contrary counts the
-	// shard replies that contradicted top, so a refetch that overlapped
-	// one does not store its result as fresh. lastRank holds each
-	// vertex's last exact /v1/rank answer, the degraded fallback while
-	// its owner is unreachable; it is bounded by maxCachedRank.
+	// shard replies that contradicted top, so a refetch or probe that
+	// overlapped one does not store its result as fresh. lastRank holds
+	// each vertex's last exact /v1/rank answer: the answer while top is
+	// fresh at its epoch, the degraded fallback while its owner is
+	// unreachable; it is bounded by maxCachedRank. status is the last
+	// probe.
 	mu       sync.Mutex
 	top      topIndex
 	contrary uint64
 	lastRank map[uint32]api.RankResponse
+	status   clusterView
 }
 
 // New builds a router over the given shard clients.
@@ -173,6 +213,8 @@ func New(clients []*ShardClient, opts Options) *Router {
 		"Top-k fan-outs to every shard because the index was missing, too short, expired or contradicted.", nil, &rt.refetches)
 	rt.reg.RegisterCounter("router_rank_routed_total",
 		"Rank queries answered by one RPC to the vertex's owner alone.", nil, &rt.rankRouted)
+	rt.reg.RegisterCounter("router_rank_index_hits_total",
+		"Rank queries answered exact from the vertex's last rank at the fresh top index's epoch, with no shard RPC.", nil, &rt.rankIndexHits)
 	rt.reg.GaugeFunc("router_shards",
 		"Number of shards this router fans out to.", nil, func() float64 {
 			return float64(len(clients))
@@ -371,15 +413,6 @@ func (rt *Router) saw(ok bool, epoch uint64) {
 	}
 }
 
-// observe is saw over the replies of one fan-out.
-func (rt *Router) observe(results []shardResult) {
-	rt.mu.Lock()
-	for _, r := range results {
-		rt.saw(r.ok(), r.resp.Epoch)
-	}
-	rt.mu.Unlock()
-}
-
 func (rt *Router) handleTopK(w http.ResponseWriter, r *http.Request, rid string) {
 	k, err := api.ParsePositiveInt(r.URL.Query().Get("k"), 20)
 	if err != nil {
@@ -390,7 +423,7 @@ func (rt *Router) handleTopK(w http.ResponseWriter, r *http.Request, rid string)
 	rt.mu.Lock()
 	idx, contrary := rt.top, rt.contrary
 	rt.mu.Unlock()
-	if idx.covers(k) && now.Sub(idx.confirmed) <= topIndexTTL {
+	if idx.covers(k) && idx.fresh(now) {
 		rt.indexHits.Inc()
 		idx.bodies.WriteBody(w, k, false)
 		return
@@ -438,16 +471,28 @@ func (rt *Router) handleRank(w http.ResponseWriter, r *http.Request, rid string)
 		return
 	}
 	v := uint32(v64)
+	// Ranks are immutable per epoch, so the vertex's last exact answer at
+	// the fresh index's epoch is what its owner would say.
+	now := rt.now()
+	rt.mu.Lock()
+	last, known := rt.lastRank[v]
+	cached := known && last.Epoch == rt.top.epoch && rt.top.fresh(now)
+	rt.mu.Unlock()
+	if cached {
+		rt.rankIndexHits.Inc()
+		rt.reply(w, last)
+		return
+	}
 	owner := int(v % uint32(len(rt.clients)))
 	var res shardResult
 	res.resp, res.err = rt.clients[owner].call(&request{V: api.Version, Op: opRank, Vertex: v, Rid: rid})
-	rt.observe([]shardResult{res})
+	rt.mu.Lock()
+	rt.saw(res.ok(), res.resp.Epoch)
+	last, known = rt.lastRank[v]
+	rt.mu.Unlock()
 	switch {
 	case !res.ok():
 		// Degraded fallback: the vertex's last exact answer, if any.
-		rt.mu.Lock()
-		last, known := rt.lastRank[v]
-		rt.mu.Unlock()
 		if !known {
 			api.WriteError(w, http.StatusServiceUnavailable, api.CodeUnavailable, 0,
 				"shard %d unavailable and no cached rank for vertex %d: %v", owner, v, res.failure())
@@ -500,28 +545,30 @@ func (rt *Router) handleCompare(w http.ResponseWriter, r *http.Request, rid stri
 		"compare is not available on the router: it holds no graph; run it against a single-node server")
 }
 
-// probe fans the status op out and derives the cluster view shared by
-// stats and health: per-shard rows, the freshest epoch anywhere, and
-// the oldest epoch among live shards (the consistent serving floor).
-// Ownership is v % shards, so a shard that answers at the wrong
-// position of the list, or counts a different number of shards, is as
-// bad as a dead one: its row is not OK.
-func (rt *Router) probe(rid string) (rows []api.ShardStatus, maxEpoch, minEpoch uint64, engine api.Engine, seed uint64, healthy bool) {
+// probe fans the status op out, derives the cluster view from the
+// replies and keeps it as the router's last. Ownership is v % shards,
+// so a shard that answers at the wrong position of the list, or counts
+// a different number of shards, is as bad as a dead one: its row is not
+// OK.
+func (rt *Router) probe(rid string) clusterView {
+	now := rt.now()
+	rt.mu.Lock()
+	view := clusterView{at: now, contrary: rt.contrary, healthy: true}
+	rt.mu.Unlock()
 	results := rt.fanout(&request{V: api.Version, Op: opStatus, Rid: rid})
-	rt.observe(results)
-	rows = make([]api.ShardStatus, len(results))
-	healthy = true
+	view.rows = make([]api.ShardStatus, len(results))
+	var maxEpoch uint64
 	first := true
 	for i, r := range results {
 		row := api.ShardStatus{ID: rt.clients[i].ID(), Addr: rt.clients[i].Addr()}
 		switch {
 		case !r.ok():
 			row.Error = r.failure().Error()
-			healthy = false
+			view.healthy = false
 		case r.resp.Shard != i || r.resp.Shards != len(rt.clients):
 			row.Error = fmt.Sprintf("position %d of %d answers as shard %d of %d: start the process at position i with -shard i and -shards %d",
 				i, len(rt.clients), r.resp.Shard, r.resp.Shards, len(rt.clients))
-			healthy = false
+			view.healthy = false
 		default:
 			row.OK = true
 			row.Epoch = r.resp.Epoch
@@ -530,33 +577,47 @@ func (rt *Router) probe(rid string) (rows []api.ShardStatus, maxEpoch, minEpoch 
 			if r.resp.Epoch > maxEpoch {
 				maxEpoch = r.resp.Epoch
 			}
-			if first || r.resp.Epoch < minEpoch {
-				minEpoch = r.resp.Epoch
+			if first || r.resp.Epoch < view.minEpoch {
+				view.minEpoch = r.resp.Epoch
 				first = false
 			}
-			if engine == "" {
-				engine, seed = r.resp.Engine, r.resp.Seed
+			if view.engine == "" {
+				view.engine, view.seed = r.resp.Engine, r.resp.Seed
 			}
 		}
-		rows[i] = row
+		view.rows[i] = row
 	}
 	// A shard lagging the freshest epoch is degraded: answers are
 	// consistent but stale until its refresh lands.
-	for _, row := range rows {
+	for _, row := range view.rows {
 		if row.OK && row.Epoch < maxEpoch {
-			healthy = false
+			view.healthy = false
 		}
 	}
-	return rows, maxEpoch, minEpoch, engine, seed, healthy
+	rt.mu.Lock()
+	for _, r := range results {
+		rt.saw(r.ok(), r.resp.Epoch)
+	}
+	rt.status = view
+	rt.mu.Unlock()
+	return view
 }
 
+// handleStats answers from the last probe while it is fresh; the
+// serving counters and the network traffic are always read live.
 func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request, rid string) {
-	rows, _, minEpoch, engine, seed, _ := rt.probe(rid)
+	now := rt.now()
+	rt.mu.Lock()
+	view, fresh := rt.status, rt.status.fresh(now, rt.contrary)
+	rt.mu.Unlock()
+	if !fresh {
+		view = rt.probe(rid)
+	}
 	rt.reply(w, api.RouterStatsResponse{
-		Epoch:  minEpoch,
-		Engine: engine,
-		Seed:   seed,
-		Shards: rows,
+		Epoch:  view.minEpoch,
+		Engine: view.engine,
+		Seed:   view.seed,
+		Shards: view.rows,
 		Serving: api.RouterStats{
 			Queries:        rt.queries.Value(),
 			Degraded:       rt.degraded.Value(),
@@ -566,6 +627,7 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request, rid string
 			TopKIndexHits:  rt.indexHits.Value(),
 			TopKRefetches:  rt.refetches.Value(),
 			RankRouted:     rt.rankRouted.Value(),
+			RankIndexHits:  rt.rankIndexHits.Value(),
 		},
 		Network: rt.NetworkStats(),
 	})
@@ -580,14 +642,14 @@ func (rt *Router) sumRetries() uint64 {
 }
 
 func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request, rid string) {
-	rows, _, minEpoch, _, _, healthy := rt.probe(rid)
+	view := rt.probe(rid)
 	status := "ok"
 	code := http.StatusOK
-	if !healthy {
+	if !view.healthy {
 		status = "degraded"
 		code = http.StatusServiceUnavailable
 	}
-	body, err := json.Marshal(api.HealthResponse{Status: status, Epoch: minEpoch, Shards: rows})
+	body, err := json.Marshal(api.HealthResponse{Status: status, Epoch: view.minEpoch, Shards: view.rows})
 	if err != nil {
 		api.WriteError(w, http.StatusInternalServerError, api.CodeInternal, 0, "%v", err)
 		return

@@ -232,7 +232,7 @@ func TestEpochStraddleFallsBackToCommonEpoch(t *testing.T) {
 			}
 
 			// Inside the window, up to its last instant: the index answers.
-			clock.advance(topIndexTTL)
+			clock.advance(freshWindow)
 			asked := shardQueries(servers)
 			code, body := get(t, rt, "/v1/topk?k=25")
 			if code != http.StatusOK || body != want {
@@ -352,7 +352,7 @@ func TestShardDeathDegradesInsteadOfFailing(t *testing.T) {
 		t.Fatalf("degraded = %d inside the window", rt.Degraded())
 	}
 
-	clock.advance(topIndexTTL + time.Nanosecond)
+	clock.advance(freshWindow + time.Nanosecond)
 	want := topKBody(t, healthy)
 	for _, k := range []int{10, 4, 1} {
 		code, body := get(t, rt, fmt.Sprintf("/v1/topk?k=%d", k))

@@ -82,7 +82,7 @@ func TestRouterIndexNeverShrinks(t *testing.T) {
 	}
 
 	publishRanks(t, store, g, tieRanks(n, 32))
-	clock.advance(topIndexTTL + time.Nanosecond)
+	clock.advance(freshWindow + time.Nanosecond)
 	_, want := get(t, single, "/v1/topk?k=3")
 	if _, body := get(t, rt, "/v1/topk?k=3"); body != want {
 		t.Fatalf("k=3 after the epoch change:\n got %s\nwant %s", body, want)
@@ -164,19 +164,33 @@ func perShard(servers []*ShardServer) []uint64 {
 	return out
 }
 
-// TestRankRoutesToOwner pins owner routing: every /v1/rank of a vertex,
-// the first included, makes exactly one RPC, to shard v % shards; a
-// vertex beyond the graph is a 404 on its owner's word alone; a dead
-// owner degrades to the vertex's last exact body; and what an
-// owner-routed reply says about the cluster — a new epoch, a failure —
-// ends the top index's freshness at once.
+// oneRPC checks that only shard to answered, exactly once, since before.
+func oneRPC(t *testing.T, servers []*ShardServer, what string, before []uint64, to int) {
+	t.Helper()
+	for i, got := range perShard(servers) {
+		wantN := before[i]
+		if i == to {
+			wantN++
+		}
+		if got != wantN {
+			t.Fatalf("%s: shard %d answered %d RPCs, want only shard %d asked once", what, i, got-before[i], to)
+		}
+	}
+}
+
+// TestRankRoutesToOwner pins owner routing: every /v1/rank of a vertex
+// the router's copy does not answer, the first included, makes exactly
+// one RPC, to shard v % shards; a vertex beyond the graph is a 404 on
+// its owner's word alone; a dead owner degrades to the vertex's last
+// exact body; and what an owner-routed reply says about the cluster — a
+// new epoch, a failure — ends the top index's freshness at once.
 func TestRankRoutesToOwner(t *testing.T) {
 	const shards = 4
 	rt, servers, dials, store := flakyCluster(t, shards, 51)
 	g := store.Current().Graph
 	n := g.NumVertices()
 	single := serve.NewServer(store, serve.ServerOptions{})
-	freeze(rt) // never advanced: only shard replies end the window here
+	clock := freeze(rt)
 
 	const v = 17
 	const owner = v % shards
@@ -186,26 +200,12 @@ func TestRankRoutesToOwner(t *testing.T) {
 	url := fmt.Sprintf("/v1/rank?vertex=%d", v)
 	_, want := get(t, single, url)
 
-	// oneRPC checks that only shard to answered, exactly once, since
-	// before.
-	oneRPC := func(what string, before []uint64, to int) {
-		t.Helper()
-		for i, got := range perShard(servers) {
-			wantN := before[i]
-			if i == to {
-				wantN++
-			}
-			if got != wantN {
-				t.Fatalf("%s: shard %d answered %d RPCs, want only shard %d asked once", what, i, got-before[i], to)
-			}
-		}
-	}
 	for i, what := range []string{"first rank", "second rank"} {
 		before := perShard(servers)
 		if code, body := get(t, rt, url); code != http.StatusOK || body != want {
 			t.Fatalf("%s: status %d body %s, want %s", what, code, body, want)
 		}
-		oneRPC(what, before, owner)
+		oneRPC(t, servers, what, before, owner)
 		if got := rt.rankRouted.Value(); got != uint64(i+1) {
 			t.Fatalf("%s: rank routed = %d, want %d", what, got, i+1)
 		}
@@ -219,14 +219,15 @@ func TestRankRoutesToOwner(t *testing.T) {
 		if err := json.Unmarshal([]byte(body), &env); err != nil || code != http.StatusNotFound || env.Code != api.CodeNotFound {
 			t.Fatalf("unknown vertex %d: status %d body %s", unknown, code, body)
 		}
-		oneRPC(fmt.Sprintf("unknown vertex %d", unknown), before, unknown%shards)
+		oneRPC(t, servers, fmt.Sprintf("unknown vertex %d", unknown), before, unknown%shards)
 	}
 	if rt.rankRouted.Value() != 2 {
 		t.Fatalf("a 404 counted as routed: %d", rt.rankRouted.Value())
 	}
 
-	// An owner-routed reply at a new epoch ends the index's freshness:
-	// the clock has not moved, yet the next top-k fans out and serves it.
+	// Inside the window with no contrary reply, top-k stays at the
+	// index's epoch 1, and so would the rank, answered from the copy: the
+	// rank reaches its owner, which says epoch 2, once the window ends.
 	if code, _ := get(t, rt, "/v1/topk?k=10"); code != http.StatusOK {
 		t.Fatal("building the index failed")
 	}
@@ -234,6 +235,7 @@ func TestRankRoutesToOwner(t *testing.T) {
 	if resp := topKBody(t, second(get(t, rt, "/v1/topk?k=10"))); resp.Epoch != 1 {
 		t.Fatalf("inside the window with no contrary reply: epoch %d, want the index's 1", resp.Epoch)
 	}
+	clock.advance(freshWindow + time.Nanosecond)
 	_, want = get(t, single, url)
 	if _, body := get(t, rt, url); body != want {
 		t.Fatalf("routed rank at epoch 2: %s, want %s", body, want)
@@ -250,9 +252,9 @@ func TestRankRoutesToOwner(t *testing.T) {
 		t.Fatalf("top-k after a contrary rank reply made %d RPCs, want a fan-out of %d", got, shards)
 	}
 
-	// Dead owner: the vertex's last exact body, degraded — and that one
-	// failed call sends the very next top-k to the shards, where it
-	// finds the cluster incomplete and degrades too.
+	// Dead owner: once the window ends, the vertex's last exact body,
+	// degraded — and the next top-k goes to the shards, where it finds
+	// the cluster incomplete and degrades too.
 	dials[owner].dead.Store(true)
 	for _, c := range rt.clients {
 		c.Close()
@@ -260,6 +262,7 @@ func TestRankRoutesToOwner(t *testing.T) {
 	if resp := topKBody(t, second(get(t, rt, "/v1/topk?k=10"))); resp.Degraded {
 		t.Fatal("inside the window with no failed call seen, top-k must not be degraded")
 	}
+	clock.advance(freshWindow + time.Nanosecond)
 	code, body := get(t, rt, url)
 	var rank api.RankResponse
 	if err := json.Unmarshal([]byte(body), &rank); err != nil || code != http.StatusOK {

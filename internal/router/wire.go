@@ -4,8 +4,9 @@
 // HTTP front that asks a vertex's owner alone for its rank, fans a
 // top-k out to every shard, merges the partial top-k lists exactly
 // through internal/topk's total order, keeps the merged list of the
-// epoch it last confirmed so that most queries need no fan-out at all,
-// and degrades gracefully — per-shard timeout and retry, a consistent
+// epoch it last confirmed, the ranks it last saw at that epoch and the
+// last status probe so that most queries need no RPC at all, and
+// degrades gracefully — per-shard timeout and retry, a consistent
 // older epoch when shards straddle a refresh, and that kept list when a
 // shard is down — instead of failing queries.
 //

@@ -225,10 +225,13 @@ type RouterStats struct {
 	// TopKIndexHits counts top-k queries answered from the router's
 	// fresh top index with no shard RPC; TopKRefetches counts the
 	// fan-outs that (re)built it. RankRouted counts rank queries
-	// answered by one RPC to the vertex's owner alone.
+	// answered by one RPC to the vertex's owner alone, RankIndexHits
+	// those answered from the vertex's last rank at the fresh index's
+	// epoch with no RPC.
 	TopKIndexHits uint64 `json:"topkIndexHits"`
 	TopKRefetches uint64 `json:"topkRefetches"`
 	RankRouted    uint64 `json:"rankRouted"`
+	RankIndexHits uint64 `json:"rankIndexHits"`
 }
 
 // RouterStatsResponse is the router's /v1/stats body.
