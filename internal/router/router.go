@@ -10,7 +10,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/obs"
 	"repro/internal/serve/api"
 	"repro/internal/topk"
@@ -281,19 +280,6 @@ func (rt *Router) NetworkStats() api.NetworkStats {
 	return ns
 }
 
-// Meter renders the measured traffic as an internal/cluster machine
-// meter — the same instrument the simulated engine uses, now fed by
-// real wire bytes: query fan-out is scatter-style signal traffic,
-// partial results coming back are gather traffic.
-func (rt *Router) Meter() cluster.MachineMeter {
-	var m cluster.MachineMeter
-	for _, c := range rt.clients {
-		m.Send(cluster.TrafficSignal, c.BytesSent())
-		m.Recv(cluster.TrafficGather, c.BytesRecv())
-	}
-	return m
-}
-
 // reply writes a marshaled JSON body.
 func (rt *Router) reply(w http.ResponseWriter, v any) {
 	body, err := json.Marshal(v)
@@ -404,10 +390,16 @@ func (rt *Router) consistentTopK(k int, rid string) (x topIndex, agreed bool, er
 }
 
 // saw records what a shard reply just told the router: a failure, or an
-// epoch other than the top index's, ends the index's freshness at once.
-// Callers hold mu.
+// epoch other than the one its copy holds, ends the copy's freshness at
+// once. The copy's epoch is the top index's or, while there is no
+// index, the one every shard agreed on in the last probe. Callers hold
+// mu.
 func (rt *Router) saw(ok bool, epoch uint64) {
-	if !ok || epoch != rt.top.epoch {
+	held := rt.top.epoch
+	if rt.top.bodies == nil && rt.status.healthy {
+		held = rt.status.minEpoch
+	}
+	if !ok || epoch != held {
 		rt.contrary++
 		rt.top.confirmed = time.Time{}
 	}
@@ -594,11 +586,13 @@ func (rt *Router) probe(rid string) clusterView {
 			view.healthy = false
 		}
 	}
+	// Kept before its replies are weighed, so that with no top index a
+	// probe in which every shard agrees stands on its own.
 	rt.mu.Lock()
+	rt.status = view
 	for _, r := range results {
 		rt.saw(r.ok(), r.resp.Epoch)
 	}
-	rt.status = view
 	rt.mu.Unlock()
 	return view
 }

@@ -123,6 +123,78 @@ func TestStatsViewEndsOnContraryReply(t *testing.T) {
 	}
 }
 
+// TestStatsOnlyTrafficFansOutOnce: with no top index, a probe in which
+// every shard agrees stands on its own, so stats-only traffic inside
+// the window costs one fan-out, and an owner reply at the probe's epoch
+// does not end it; an owner reply at a newer epoch, or a failed one,
+// still does.
+func TestStatsOnlyTrafficFansOutOnce(t *testing.T) {
+	const shards = 4
+	for _, contrary := range []string{"failed", "epoch"} {
+		t.Run(contrary, func(t *testing.T) {
+			rt, servers, dials, store := flakyCluster(t, shards, 77)
+			g := store.Current().Graph
+			clock := freeze(rt)
+			// statsFromView asks for stats n times across the window and
+			// checks that no shard was asked.
+			statsFromView := func(what string, n int) {
+				t.Helper()
+				asked := shardQueries(servers)
+				for range n {
+					clock.advance(freshWindow / time.Duration(n))
+					getStats(t, rt)
+				}
+				if got := shardQueries(servers) - asked; got != 0 {
+					t.Fatalf("%s: %d stats inside the window made %d shard RPCs, want none", what, n, got)
+				}
+			}
+
+			before := perShard(servers)
+			if stats := getStats(t, rt); stats.Epoch != 1 {
+				t.Fatalf("first stats: epoch %d, want 1", stats.Epoch)
+			}
+			fannedOut(t, servers, "first stats", before)
+			statsFromView("stats-only traffic", 5)
+
+			clock.advance(time.Nanosecond)
+			before = perShard(servers)
+			getStats(t, rt)
+			fannedOut(t, servers, "stats past the window", before)
+			const v, u = 17, 22
+			if code, body := get(t, rt, fmt.Sprintf("/v1/rank?vertex=%d", v)); code != http.StatusOK {
+				t.Fatalf("rank status %d: %s", code, body)
+			}
+			statsFromView("stats after an owner reply at the probe's epoch", 1)
+
+			clock.advance(time.Nanosecond)
+			before = perShard(servers)
+			getStats(t, rt)
+			fannedOut(t, servers, "stats past the window", before)
+			url := fmt.Sprintf("/v1/rank?vertex=%d", u)
+			if contrary == "failed" {
+				dials[u%shards].dead.Store(true)
+				rt.clients[u%shards].Close()
+				if code, body := get(t, rt, url); code != http.StatusServiceUnavailable {
+					t.Fatalf("rank at a dead owner: status %d body %s, want 503", code, body)
+				}
+				dials[u%shards].dead.Store(false)
+			} else {
+				publishRanks(t, store, g, tieRanks(g.NumVertices(), 78))
+				if code, body := get(t, rt, url); code != http.StatusOK {
+					t.Fatalf("rank status %d: %s", code, body)
+				}
+			}
+			before = perShard(servers)
+			stats := getStats(t, rt)
+			fannedOut(t, servers, "stats after a "+contrary+" owner reply", before)
+			if want := map[string]uint64{"failed": 1, "epoch": 2}[contrary]; stats.Epoch != want {
+				t.Fatalf("stats after a %s owner reply: epoch %d, want %d", contrary, stats.Epoch, want)
+			}
+			statsFromView("stats-only traffic after the view ended", 3)
+		})
+	}
+}
+
 // TestHealthzAlwaysFansOut pins /healthz as the live view orchestrators
 // read: every call asks every shard, inside the window and right after a
 // stats call that the kept view answered.

@@ -13,13 +13,13 @@
 // The transport is pluggable (any net.Conn): tests drive shards over
 // net.Pipe for determinism, deployments over TCP. Every byte crossing
 // a shard connection is counted, so the paper's inter-machine traffic
-// claims are measured on a real wire (Router.Meter exposes the counts
-// as an internal/cluster machine meter).
+// claims are measured on a real wire.
 package router
 
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -51,61 +51,60 @@ const maxFrame = 1 << 26
 const maxRetainedBuf = 64 << 10
 
 // A frame is a 4-byte big-endian payload length followed by the payload:
-// one JSON object, byte for byte what encoding/json produces for these
-// structs with the member names given below (every member but v, op and
-// shard is omitted when zero). The decoder accepts those bytes and
-// nothing else, so a member added or removed is a new api.Version. The
-// benchmark's span tracer and encoding/json peers read the same bytes;
-// the tests hold both directions of the codec to encoding/json.
+// one JSON object, what encoding/json writes for request or response
+// (every member but v, op and shard is omitted when zero). The decoder
+// accepts those bytes and nothing else, so a member added or removed is
+// a new api.Version. The benchmark's span tracer and encoding/json
+// peers read the same bytes; the tests hold the decoder to
+// encoding/json and the written frames to testdata/frames.golden.
 
 // request is one RPC query. V carries the shared wire version
 // (api.Version); a shard refuses mismatched requests, so a
 // mixed-version cluster fails loudly at the first query.
 type request struct {
-	V  int    // "v"
-	Op string // "op"
+	V  int    `json:"v"`
+	Op string `json:"op"`
 	// K is the partial top-k size (opTopK).
-	K int // "k"
+	K int `json:"k,omitempty"`
 	// Vertex is the rank query target (opRank).
-	Vertex uint32 // "vertex"
+	Vertex uint32 `json:"vertex,omitempty"`
 	// Epoch pins the snapshot to answer from; 0 means the shard's
 	// current. The router sets it when re-issuing a query at an older
 	// epoch because the shards straddle a refresh.
-	Epoch uint64 // "epoch"
+	Epoch uint64 `json:"epoch,omitempty"`
 	// Rid is the propagated request id: the router forwards the HTTP
 	// request's X-Request-Id here so shard-side request logs carry the
 	// same id as the router's.
-	Rid string // "rid"
+	Rid string `json:"rid,omitempty"`
 }
 
 // response is one RPC answer. Code/Err report shard-side failure using
 // the shared api error vocabulary; all other fields are op-specific.
 type response struct {
-	V     int    // "v"
-	Shard int    // "shard"
-	Code  string // "code"
-	Err   string // "error"
+	V     int    `json:"v"`
+	Shard int    `json:"shard"`
+	Code  string `json:"code,omitempty"`
+	Err   string `json:"error,omitempty"`
 	// Epoch is the snapshot epoch the answer was computed from.
-	Epoch  uint64     // "epoch"
-	Engine api.Engine // "engine"
-	Seed   uint64     // "seed"
+	Epoch  uint64     `json:"epoch,omitempty"`
+	Engine api.Engine `json:"engine,omitempty"`
+	Seed   uint64     `json:"seed,omitempty"`
 	// Entries is the shard's partial top-k over its owned vertices
-	// (opTopK), sorted in topk's total order; each is
-	// {"vertex":…,"score":…}. A shard answers with a prefix of its
-	// per-epoch index, so the slice is read-only.
-	Entries []topk.Entry // "entries"
+	// (opTopK), sorted in topk's total order. A shard answers with a
+	// prefix of its per-epoch index, so the slice is read-only.
+	Entries []topk.Entry `json:"entries,omitempty"`
 	// Owned and Rank answer opRank: Owned says whether this shard
 	// owns the vertex, which is in the graph (exactly one shard does).
-	Owned bool    // "owned"
-	Rank  float64 // "rank"
+	Owned bool    `json:"owned,omitempty"`
+	Rank  float64 `json:"rank,omitempty"`
 	// OwnedCount, Shards and SnapshotAge answer opStatus.
 	// Shards is the shard count the shard was started with, so the
 	// router can check it against its own list. SnapshotAge is seconds
 	// since the shard's current snapshot was built, so the router can
 	// tell a lagging shard from a freshly booted one.
-	OwnedCount  int     // "ownedCount"
-	Shards      int     // "shards"
-	SnapshotAge float64 // "snapshotAge"
+	OwnedCount  int     `json:"ownedCount,omitempty"`
+	Shards      int     `json:"shards,omitempty"`
+	SnapshotAge float64 `json:"snapshotAge,omitempty"`
 }
 
 // errResponse builds a shard-side failure answer.
@@ -135,28 +134,26 @@ func (f *frameBuf) trim() {
 // in a single Write, returning the bytes put on the wire (prefix
 // included): the number the traffic meters record.
 func (f *frameBuf) writeRequest(w io.Writer, req *request) (int, error) {
-	f.buf = appendRequest(append(f.buf[:0], 0, 0, 0, 0), req)
-	return f.send(w)
+	return f.write(w, req)
 }
 
-// writeResponse is writeRequest for a response.
+// writeResponse is writeRequest for a response. Like encoding/json it
+// refuses a NaN or infinite number.
 func (f *frameBuf) writeResponse(w io.Writer, resp *response) (int, error) {
-	var err error
-	if f.buf, err = appendResponse(append(f.buf[:0], 0, 0, 0, 0), resp); err != nil {
+	return f.write(w, resp)
+}
+
+// write marshals v behind its length prefix in buf and writes the frame.
+func (f *frameBuf) write(w io.Writer, v any) (int, error) {
+	defer f.trim()
+	payload, err := json.Marshal(v)
+	if err != nil {
 		return 0, err
 	}
-	return f.send(w)
-}
-
-// send fills in the length prefix of the frame built in buf and writes
-// it.
-func (f *frameBuf) send(w io.Writer) (int, error) {
-	defer f.trim()
-	payload := len(f.buf) - 4
-	if payload > maxFrame {
-		return 0, fmt.Errorf("router: frame %d bytes exceeds limit %d", payload, maxFrame)
+	if len(payload) > maxFrame {
+		return 0, fmt.Errorf("router: frame %d bytes exceeds limit %d", len(payload), maxFrame)
 	}
-	binary.BigEndian.PutUint32(f.buf, uint32(payload))
+	f.buf = append(binary.BigEndian.AppendUint32(f.buf[:0], uint32(len(payload))), payload...)
 	return w.Write(f.buf)
 }
 
@@ -205,153 +202,13 @@ func (f *frameBuf) recv(r io.Reader) (payload []byte, n int, err error) {
 	return payload, len(prefix) + int(size), nil
 }
 
-// appendRequest appends req as encoding/json would marshal it.
-func appendRequest(b []byte, req *request) []byte {
-	b = append(b, `{"v":`...)
-	b = strconv.AppendInt(b, int64(req.V), 10)
-	b = append(b, `,"op":`...)
-	b = appendString(b, req.Op)
-	if req.K != 0 {
-		b = append(b, `,"k":`...)
-		b = strconv.AppendInt(b, int64(req.K), 10)
-	}
-	if req.Vertex != 0 {
-		b = append(b, `,"vertex":`...)
-		b = strconv.AppendUint(b, uint64(req.Vertex), 10)
-	}
-	if req.Epoch != 0 {
-		b = append(b, `,"epoch":`...)
-		b = strconv.AppendUint(b, req.Epoch, 10)
-	}
-	if req.Rid != "" {
-		b = append(b, `,"rid":`...)
-		b = appendString(b, req.Rid)
-	}
-	return append(b, '}')
-}
-
-// appendResponse appends resp as encoding/json would marshal it; like
-// encoding/json it refuses a NaN or infinite number.
-func appendResponse(b []byte, resp *response) ([]byte, error) {
-	var err error
-	b = append(b, `{"v":`...)
-	b = strconv.AppendInt(b, int64(resp.V), 10)
-	b = append(b, `,"shard":`...)
-	b = strconv.AppendInt(b, int64(resp.Shard), 10)
-	if resp.Code != "" {
-		b = append(b, `,"code":`...)
-		b = appendString(b, resp.Code)
-	}
-	if resp.Err != "" {
-		b = append(b, `,"error":`...)
-		b = appendString(b, resp.Err)
-	}
-	if resp.Epoch != 0 {
-		b = append(b, `,"epoch":`...)
-		b = strconv.AppendUint(b, resp.Epoch, 10)
-	}
-	if resp.Engine != "" {
-		b = append(b, `,"engine":`...)
-		b = appendString(b, string(resp.Engine))
-	}
-	if resp.Seed != 0 {
-		b = append(b, `,"seed":`...)
-		b = strconv.AppendUint(b, resp.Seed, 10)
-	}
-	if len(resp.Entries) != 0 {
-		b = append(b, `,"entries":[`...)
-		if b, err = api.AppendTopKRows(b, resp.Entries); err != nil {
-			return b, err
-		}
-		b = append(b, ']')
-	}
-	if resp.Owned {
-		b = append(b, `,"owned":true`...)
-	}
-	if resp.Rank != 0 {
-		b = append(b, `,"rank":`...)
-		if b, err = api.AppendFloat(b, resp.Rank); err != nil {
-			return b, err
-		}
-	}
-	if resp.OwnedCount != 0 {
-		b = append(b, `,"ownedCount":`...)
-		b = strconv.AppendInt(b, int64(resp.OwnedCount), 10)
-	}
-	if resp.Shards != 0 {
-		b = append(b, `,"shards":`...)
-		b = strconv.AppendInt(b, int64(resp.Shards), 10)
-	}
-	if resp.SnapshotAge != 0 {
-		b = append(b, `,"snapshotAge":`...)
-		if b, err = api.AppendFloat(b, resp.SnapshotAge); err != nil {
-			return b, err
-		}
-	}
-	return append(b, '}'), nil
-}
-
-const hexDigits = "0123456789abcdef"
-
-// appendString appends s as a JSON string with encoding/json's
-// escaping: quote, backslash, control characters, the HTML characters
-// <, > and &, U+2028, U+2029, and U+FFFD for each invalid UTF-8 byte.
-func appendString(b []byte, s string) []byte {
-	b = append(b, '"')
-	start := 0
-	for i := 0; i < len(s); {
-		c := s[i]
-		if c < utf8.RuneSelf {
-			if c >= ' ' && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
-				i++
-				continue
-			}
-			b = append(b, s[start:i]...)
-			switch c {
-			case '\\', '"':
-				b = append(b, '\\', c)
-			case '\b':
-				b = append(b, '\\', 'b')
-			case '\f':
-				b = append(b, '\\', 'f')
-			case '\n':
-				b = append(b, '\\', 'n')
-			case '\r':
-				b = append(b, '\\', 'r')
-			case '\t':
-				b = append(b, '\\', 't')
-			default:
-				b = append(b, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xF])
-			}
-			i++
-			start = i
-			continue
-		}
-		r, size := utf8.DecodeRuneInString(s[i:])
-		switch {
-		case r == utf8.RuneError && size == 1:
-			b = append(b, s[start:i]...)
-			b = append(b, `\ufffd`...)
-			start = i + size
-		case r == '\u2028' || r == '\u2029':
-			b = append(b, s[start:i]...)
-			b = append(b, '\\', 'u', '2', '0', '2', hexDigits[r&0xF])
-			start = i + size
-		}
-		i += size
-	}
-	b = append(b, s[start:]...)
-	return append(b, '"')
-}
-
-// The decoder reads exactly what appendRequest and appendResponse
-// write: members in the encoder's order, no whitespace, names matched
-// byte for byte, v, op and shard required and every other member
-// present or absent; strings as appendString writes them (the escapes
-// \" \\ \b \f \n \r \t and any non-surrogate \uXXXX, otherwise raw valid
-// UTF-8); numbers by the JSON grammar. It reads front to back in one
-// pass without recursion, and encoding/json decodes every frame it
-// accepts to the same struct.
+// The decoder reads exactly what encoding/json writes for request and
+// response: members in field order, no whitespace, names matched byte
+// for byte, v, op and shard required and every other member present or
+// absent; strings with encoding/json's escapes (\" \\ \b \f \n \r \t and
+// any non-surrogate \uXXXX, otherwise raw valid UTF-8); numbers by the
+// JSON grammar. It reads front to back in one pass without recursion,
+// and encoding/json decodes every frame it accepts to the same struct.
 
 // rowOpen starts every entry, so counting it bounds an entries slice.
 var rowOpen = []byte(`{"vertex":`)
@@ -600,7 +457,7 @@ func (d *decoder) float() float64 {
 
 // entries reads the rows of an entries array whose bracket is open,
 // then its closing bracket: {"vertex":…,"score":…} each, as
-// api.AppendTopKRows writes them, comma-separated, at least one. The
+// encoding/json writes a topk.Entry, comma-separated, at least one. The
 // allocation is bounded by the payload: one entry per row opening left
 // in it at most.
 func (d *decoder) entries() []topk.Entry {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"net"
@@ -17,10 +18,10 @@ import (
 	"repro/internal/topk"
 )
 
-// jsonRequest and jsonResponse are the frame structs as the reflection
-// codec declared them before the typed one replaced it: encoding/json
-// over these is the oracle every codec test compares against, and the
-// stand-in for a peer still running the old codec.
+// jsonRequest and jsonResponse declare the frame structs apart from the
+// codec: encoding/json over these is the oracle every codec test
+// compares against (a tag changed on request or response fails it), and
+// the stand-in for a peer that speaks encoding/json alone.
 type jsonRequest struct {
 	V      int    `json:"v"`
 	Op     string `json:"op"`
@@ -48,19 +49,7 @@ type jsonResponse struct {
 
 func oracleRequest(r request) jsonRequest { return jsonRequest(r) }
 
-func oracleResponse(r response) jsonResponse {
-	j := jsonResponse{
-		V: r.V, Shard: r.Shard, Code: r.Code, Err: r.Err, Epoch: r.Epoch, Engine: r.Engine, Seed: r.Seed,
-		Owned: r.Owned, Rank: r.Rank, OwnedCount: r.OwnedCount, Shards: r.Shards, SnapshotAge: r.SnapshotAge,
-	}
-	if r.Entries != nil {
-		j.Entries = make([]api.TopKEntry, len(r.Entries))
-		for i, e := range r.Entries {
-			j.Entries[i] = api.TopKEntry{Vertex: e.Vertex, Score: e.Score}
-		}
-	}
-	return j
-}
+func oracleResponse(r response) jsonResponse { return jsonResponse(r) }
 
 // checkDecode holds the typed decoder to encoding/json on one payload:
 // whatever it accepts, json.Unmarshal accepts with an equal struct. It
@@ -92,16 +81,20 @@ func checkDecode(t *testing.T, payload []byte) (reqOK, respOK bool) {
 	return reqOK, respOK
 }
 
-// checkEncode holds the typed encoder to encoding/json on one pair of
-// structs: equal bytes, or both refuse (a NaN or infinite number); and
-// the typed decoder reads back what the encoder wrote.
+// checkEncode holds the frame writer to encoding/json of the oracle
+// structs on one pair of structs: equal bytes behind a length prefix
+// that counts them, or both refuse (a NaN or infinite number); and the
+// typed decoder reads back what the writer wrote.
 func checkEncode(t *testing.T, req request, resp response) {
 	t.Helper()
 	want, err := json.Marshal(oracleRequest(req))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := appendRequest(nil, &req)
+	got, err := written(&req)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !bytes.Equal(got, want) {
 		t.Fatalf("request %+v:\n typed %s\n  json %s", req, got, want)
 	}
@@ -110,7 +103,7 @@ func checkEncode(t *testing.T, req request, resp response) {
 	}
 
 	want, wantErr := json.Marshal(oracleResponse(resp))
-	got, err = appendResponse(nil, &resp)
+	got, err = written(&resp)
 	if (err != nil) != (wantErr != nil) {
 		t.Fatalf("response %+v: typed error %v, json error %v", resp, err, wantErr)
 	}
@@ -123,6 +116,21 @@ func checkEncode(t *testing.T, req request, resp response) {
 	if _, ok := checkDecode(t, got); !ok {
 		t.Fatalf("typed decoder refused the encoder's own response %s", got)
 	}
+}
+
+// written returns the payload of the frame frameBuf writes for v,
+// checking that its length prefix and the metered count agree with it.
+func written(v any) ([]byte, error) {
+	var frame frameBuf
+	var wire bytes.Buffer
+	n, err := frame.write(&wire, v)
+	if err != nil {
+		return nil, err
+	}
+	if n != wire.Len() || n < 4 || int(binary.BigEndian.Uint32(wire.Bytes())) != n-4 {
+		return nil, fmt.Errorf("metered %d bytes, wrote %d, prefix %x", n, wire.Len(), wire.Bytes()[:min(4, wire.Len())])
+	}
+	return wire.Bytes()[4:], nil
 }
 
 // checkStream reads data as a raw frame stream: whatever comes back,
@@ -204,9 +212,9 @@ func FuzzFrame(f *testing.F) {
 }
 
 // TestDecodeFrames is the accept/refuse table of the frame language:
-// what appendRequest and appendResponse write, and nothing else. Every
-// refused case differs from an accepted frame in one place; every
-// accepted one is also held to encoding/json by checkDecode.
+// what encoding/json writes for request and response, and nothing
+// else. Every refused case differs from an accepted frame in one place;
+// every accepted one is also held to encoding/json by checkDecode.
 func TestDecodeFrames(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -378,8 +386,8 @@ func TestFrameBounds(t *testing.T) {
 	}
 }
 
-// jsonShard answers frames with the reflection codec, as a shard built
-// before this change does.
+// jsonShard answers frames with encoding/json alone, as a shard that
+// shares no code with this package would.
 func jsonShard(t *testing.T, conn net.Conn, answer func(jsonRequest) jsonResponse) {
 	defer conn.Close()
 	for {
@@ -409,7 +417,7 @@ func jsonShard(t *testing.T, conn net.Conn, answer func(jsonRequest) jsonRespons
 	}
 }
 
-// jsonCall is one RPC of a router built before this change.
+// jsonCall is one RPC of a router that speaks encoding/json alone.
 func jsonCall(t *testing.T, conn net.Conn, req jsonRequest) jsonResponse {
 	t.Helper()
 	out, err := json.Marshal(req)

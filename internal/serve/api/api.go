@@ -1,9 +1,10 @@
 // Package api is the versioned wire schema of the query service: every
 // JSON body the single-node server, the sharded router, the shard RPC
 // codec and the load generator's decoder exchange is defined here,
-// once, and the top-k row they share has one writer here (topk.go). Producer and consumer alias these types instead of
-// re-declaring inline structs, so the two sides of the wire cannot
-// drift apart silently.
+// once; the top-k row they share is topk.Entry, which the HTTP bodies
+// render through one writer here (topk.go). Producer and consumer alias
+// these types instead of re-declaring inline structs, so the two sides
+// of the wire cannot drift apart silently.
 //
 // Version gates compatibility: the shard RPC handshake carries it and
 // a shard refuses requests from a router speaking a different version,
@@ -17,6 +18,8 @@ import (
 	"net/http"
 	"strconv"
 	"time"
+
+	"repro/internal/topk"
 )
 
 // Version is the wire-protocol generation of the shard RPC frame. The
@@ -34,11 +37,10 @@ const Version = 3
 // in build configuration are one vocabulary.
 type Engine string
 
-// TopKEntry is one result row of a top-k query.
-type TopKEntry struct {
-	Vertex uint32  `json:"vertex"`
-	Score  float64 `json:"score"`
-}
+// TopKEntry is one result row of a top-k query: the entry the
+// selection and the merge produce, so HTTP bodies, shard frames and
+// internal/topk share one row type.
+type TopKEntry = topk.Entry
 
 // TopKResponse is the /v1/topk body. Degraded is set only by the
 // router, when a shard failure forced the answer to be served from the

@@ -34,10 +34,10 @@ func AppendFloat(dst []byte, f float64) ([]byte, error) {
 
 // AppendTopKRows appends rows as encoding/json writes a []TopKEntry
 // between its brackets: {"vertex":…,"score":…} each, comma-separated.
-// It is the one writer of that row format: the /v1/topk bodies of both
-// planes, the /v1/ppr cut and the shard frame codec all call it. Rows
-// come in score order, so ties run long: a score with the bits of the
-// row above is copied, not formatted again.
+// It writes that row format for the /v1/topk bodies of both planes and
+// the /v1/ppr cut (shard frames leave it to encoding/json). Rows come
+// in score order, so ties run long: a score with the bits of the row
+// above is copied, not formatted again.
 func AppendTopKRows(dst []byte, rows []topk.Entry) ([]byte, error) {
 	var scoreAt, scoreEnd int
 	for i, e := range rows {

@@ -9,10 +9,11 @@ package topk
 
 import ()
 
-// Entry pairs a vertex with its score.
+// Entry pairs a vertex with its score. The tags make it the
+// {"vertex":…,"score":…} row of every top-k body and shard frame.
 type Entry struct {
-	Vertex uint32
-	Score  float64
+	Vertex uint32  `json:"vertex"`
+	Score  float64 `json:"score"`
 }
 
 // entryHeap is a typed min-heap over the entryLess total order: the
