@@ -62,15 +62,37 @@ func Derive(seed uint64, labels ...uint64) *Stream {
 // allocation, for callers that derive one stream per walk and keep it
 // in a slab (package walk).
 func DeriveValue(seed uint64, labels ...uint64) Stream {
+	return seeded(DerivePrefix(seed, labels...).acc)
+}
+
+// Prefix is DeriveValue's state after a leading run of labels. Labels
+// fold left to right, so streams that share every label but the last
+// can fold the shared ones once (per source, say, not per walk).
+type Prefix struct{ sm, acc uint64 }
+
+// DerivePrefix folds seed and labels as DeriveValue does and stops
+// before the stream is seeded.
+func DerivePrefix(seed uint64, labels ...uint64) Prefix {
 	// Mix each label through splitmix64 so that adjacent label values
 	// yield uncorrelated states.
-	sm := seed ^ 0x6a09e667f3bcc909
-	acc := splitmix64(&sm)
+	p := Prefix{sm: seed ^ 0x6a09e667f3bcc909}
+	p.acc = splitmix64(&p.sm)
 	for _, l := range labels {
-		sm ^= l * 0x9e3779b97f4a7c15
-		acc ^= splitmix64(&sm)
+		p = p.fold(l)
 	}
-	return seeded(acc)
+	return p
+}
+
+func (p Prefix) fold(l uint64) Prefix {
+	p.sm ^= l * 0x9e3779b97f4a7c15
+	p.acc ^= splitmix64(&p.sm)
+	return p
+}
+
+// Value returns the stream of the prefix's labels followed by last:
+// DerivePrefix(seed, ls...).Value(l) is DeriveValue(seed, ls..., l).
+func (p Prefix) Value(last uint64) Stream {
+	return seeded(p.fold(last).acc)
 }
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }

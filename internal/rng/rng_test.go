@@ -48,6 +48,25 @@ func TestDeriveIndependence(t *testing.T) {
 	}
 }
 
+// TestPrefixValueEqualsDeriveValue: a stream finished from a prefix is
+// the stream DeriveValue derives from all the labels, on random seeds
+// and label tuples of every length up to eight.
+func TestPrefixValueEqualsDeriveValue(t *testing.T) {
+	r := New(47)
+	for i := range 10000 {
+		seed := r.Uint64()
+		labels := make([]uint64, 1+i%8)
+		for j := range labels {
+			labels[j] = r.Uint64() >> (r.Uint64() % 64) // small labels too
+		}
+		head, last := labels[:len(labels)-1], labels[len(labels)-1]
+		got, want := DerivePrefix(seed, head...).Value(last), DeriveValue(seed, labels...)
+		if got != want {
+			t.Fatalf("seed %#x labels %v: prefix value %+v, DeriveValue %+v", seed, labels, got, want)
+		}
+	}
+}
+
 func TestDeriveLabelOrderMatters(t *testing.T) {
 	a := Derive(7, 1, 2)
 	b := Derive(7, 2, 1)
