@@ -1,6 +1,8 @@
 package gen
 
 import (
+	"math"
+	"sort"
 	"testing"
 
 	"repro/internal/graph"
@@ -259,5 +261,73 @@ func TestTwitterLikeStats(t *testing.T) {
 	s := graph.ComputeStats(g)
 	if s.NumVertices != 2000 || s.Dangling != 0 {
 		t.Errorf("stats: %+v", s)
+	}
+}
+
+// sortedStats is graph.ComputeStats as it was written with a sort of
+// every out-degree: the reference the histogram pass must equal, float
+// for float.
+func sortedStats(g *graph.Graph) graph.Stats {
+	s := graph.Stats{NumVertices: g.NumVertices(), NumEdges: g.NumEdges(), MinOutDeg: math.MaxInt}
+	if g.NumVertices() == 0 {
+		s.MinOutDeg = 0
+		return s
+	}
+	degs := make([]int, g.NumVertices())
+	for v := range degs {
+		d := g.OutDegree(graph.VertexID(v))
+		degs[v] = d
+		s.MinOutDeg = min(s.MinOutDeg, d)
+		s.MaxOutDeg = max(s.MaxOutDeg, d)
+		if d == 0 {
+			s.Dangling++
+		}
+		s.MaxInDeg = max(s.MaxInDeg, g.InDegree(graph.VertexID(v)))
+	}
+	s.MeanDeg = float64(g.NumEdges()) / float64(g.NumVertices())
+	sort.Ints(degs)
+	var cum, weighted float64
+	for i, d := range degs {
+		cum += float64(d)
+		weighted += float64(d) * float64(i+1)
+	}
+	if cum > 0 {
+		n := float64(g.NumVertices())
+		s.GiniOut = (2*weighted)/(n*cum) - (n+1)/n
+	}
+	return s
+}
+
+// TestComputeStatsEqualsSortedReference: the Stats of every generated
+// shape, skewed, uniform, regular and degenerate, equal the sort-based
+// reference's exactly (GiniOut's float sums run in the same order).
+func TestComputeStatsEqualsSortedReference(t *testing.T) {
+	twitter, err := PowerLaw(TwitterLike(50000, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lj, err := PowerLaw(LiveJournalLike(3000, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	er, err := ErdosRenyi(2000, 9000, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rmat, err := RMAT(DefaultRMAT(11, 8, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	empty, err := graph.NewBuilder(0).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, g := range map[string]*graph.Graph{
+		"twitterlike": twitter, "livejournallike": lj, "erdosrenyi": er, "rmat": rmat,
+		"cycle": Cycle(100), "star": Star(100), "complete": Complete(30), "empty": empty,
+	} {
+		if got, want := graph.ComputeStats(g), sortedStats(g); got != want {
+			t.Errorf("%s: ComputeStats %+v, sorted reference %+v", name, got, want)
+		}
 	}
 }

@@ -246,10 +246,13 @@ func ComputeStats(g *Graph) Stats {
 		s.MinOutDeg = 0
 		return s
 	}
-	degs := make([]int, g.n)
+	var hist []int // hist[d] is the number of vertices of out-degree d
 	for v := 0; v < g.n; v++ {
 		d := g.OutDegree(VertexID(v))
-		degs[v] = d
+		for len(hist) <= d {
+			hist = append(hist, 0)
+		}
+		hist[d]++
 		if d < s.MinOutDeg {
 			s.MinOutDeg = d
 		}
@@ -264,12 +267,16 @@ func ComputeStats(g *Graph) Stats {
 		}
 	}
 	s.MeanDeg = float64(g.NumEdges()) / float64(g.n)
-	// Gini coefficient over the sorted degree sequence.
-	sort.Ints(degs)
+	// Gini coefficient over the ascending degree sequence, which the
+	// histogram lists in order: no sort.
 	var cum, weighted float64
-	for i, d := range degs {
-		cum += float64(d)
-		weighted += float64(d) * float64(i+1)
+	i := 0
+	for d, c := range hist {
+		for range c {
+			i++
+			cum += float64(d)
+			weighted += float64(d) * float64(i)
+		}
 	}
 	if cum > 0 {
 		n := float64(g.n)
