@@ -12,11 +12,11 @@ import (
 	"repro/internal/topk"
 )
 
-// AppendFloat appends f as encoding/json writes a float64: the shortest
+// appendFloat appends f as encoding/json writes a float64: the shortest
 // decimal that round-trips, in exponent form below 1e-6 and from 1e21
 // on, with a one-digit exponent unpadded (1e-07 becomes 1e-7). Like
 // encoding/json it refuses NaN and ±Inf.
-func AppendFloat(dst []byte, f float64) ([]byte, error) {
+func appendFloat(dst []byte, f float64) ([]byte, error) {
 	if math.IsInf(f, 0) || math.IsNaN(f) {
 		return dst, fmt.Errorf("api: unsupported number %v", f)
 	}
@@ -52,7 +52,7 @@ func AppendTopKRows(dst []byte, rows []topk.Entry) ([]byte, error) {
 		} else {
 			var err error
 			scoreAt = len(dst)
-			if dst, err = AppendFloat(dst, e.Score); err != nil {
+			if dst, err = appendFloat(dst, e.Score); err != nil {
 				return dst, err
 			}
 			scoreEnd = len(dst)

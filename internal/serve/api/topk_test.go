@@ -31,12 +31,12 @@ func TestAppendFloat(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, err := AppendFloat(nil, f); err != nil || string(got) != string(want) {
+		if got, err := appendFloat(nil, f); err != nil || string(got) != string(want) {
 			t.Fatalf("%b: got %s (%v), encoding/json writes %s", f, got, err, want)
 		}
 	}
 	for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		if got, err := AppendFloat([]byte("x"), f); err == nil || string(got) != "x" {
+		if got, err := appendFloat([]byte("x"), f); err == nil || string(got) != "x" {
 			t.Errorf("%v: got %q, %v; want x and an error", f, got, err)
 		}
 	}
