@@ -10,32 +10,39 @@ package serve
 //
 // Determinism is the contract, like everywhere else in the repo: each
 // walk draws from its own stream derived from (snapshot seed, epoch,
-// source, walk) — see pprWalk — so identical requests in an epoch
+// source, walk) — see walkSource — so identical requests in an epoch
 // are bit-identical, regardless of cache state, paging, or how requests
 // interleave.
 //
-// Two layers amortize the work under hot traffic, both keyed by
-// (epoch, source set) and neither by k:
+// It also makes the estimator linear in the source set (the PPR
+// linearity of Jeh & Widom, WWW 2003): a set's PPR is the uniform
+// mixture of its sources', and since every source runs the same walk
+// count on streams of its own, a set's tally is exactly the sum of its
+// sources' tallies. So the unit of work and of caching is one source:
 //
-//   - An LRU of cuts: a source set's top-MaxK entries (pprCut). topk's
-//     order is total, so the top-k is a prefix of the top-MaxK and every
-//     k ≤ MaxK is served from the one cut; Zipf-skewed source popularity
-//     then makes a repeated source cheap whatever k it is asked with.
-//   - A singleflight per (epoch, source set): concurrent requests for one
-//     source set share one execution, whatever their k.
+//   - An LRU of tallies keyed by (epoch, walks per source, sources). A
+//     source's entry is its whole complete-path tally (pprTally, packed
+//     in cut order); a multi-source set's is its top-MaxK cut, so that a
+//     repeated set is a hit too. topk's order is total, so the top-k is a
+//     prefix of either and every k ≤ MaxK is served from the one entry.
+//   - A singleflight per (epoch, walks per source, source): concurrent
+//     requests that need one source share one walk of it, whatever their
+//     k and whatever other sources they name. A flight walks one source
+//     and waits on nothing but the slot gate.
 //
-// A request that misses both costs what its steps cost. It draws each
-// walk's length from a table built once (pprLengths) — equal, draw for
-// draw, to the logarithm it replaces (rng.TruncGeometric) —
-// runs its whole plan in one walk-kernel call, counts every position the
-// walks stand on in the open-addressing table pooled with the walker slab
+// A request that misses looks its sources up and walks only the missing
+// ones, each in one walk-kernel call that draws its walks' lengths from a
+// table built once (pprLengths) — equal, draw for draw, to the logarithm
+// it replaces (rng.TruncGeometric) — and counts every position the walks
+// stand on in the open-addressing table pooled with the walker slab
 // (sized by the walks, cleared through the slots it took: nothing per
-// request is sized by the graph or hashed by the runtime) and cuts them
-// to MaxK on a bounded heap over that one slice (topk.Select); every
-// request for the source set, this one included, renders the first k
-// entries of that cut.
+// request is sized by the graph or hashed by the runtime). It then sums
+// its sources' counts in that table and cuts them to MaxK on a bounded
+// heap (topk.Select). A score is a count times 1/(walks + steps) over the
+// same integers however they were summed, so the bytes do not depend on
+// which sources were cached.
 //
-// The kernel call runs on the request's own goroutine, behind the slot
+// A kernel call runs on the request's own goroutine, behind the slot
 // gate (pprEngine.slots): at most GOMAXPROCS kernel calls run at once.
 // The gate is there for the page cache, not for the CPU: eight
 // concurrent clients over HTTP on a 2-core, 4 MiB -graph-mem server (64
@@ -60,6 +67,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/graph"
@@ -95,9 +103,10 @@ type PPROptions struct {
 	MaxK int
 	// MaxSources bounds the source set size (default 16).
 	MaxSources int
-	// CacheSize is the hot-source LRU capacity in source sets, one top-MaxK
-	// cut each — 16 bytes a row, so ≈ 2 MB full at the defaults (default
-	// 1024; negative disables caching).
+	// CacheSize is the PPR cache's capacity in entries (default 1024;
+	// negative disables caching). An entry is one source's whole tally,
+	// ≈ 1 KB on the benchmark's 50 k-vertex graph at the defaults, or a
+	// repeated multi-source set's top-MaxK cut, smaller.
 	CacheSize int
 }
 
@@ -127,7 +136,8 @@ type pprEngine struct {
 	opts PPROptions
 
 	cache   *pprCache
-	flights flightGroup[string, *pprCut]
+	flights flightGroup[string, *pprTally]
+	heads   atomic.Pointer[pprHead]
 	// slots holds one token per walk-kernel call in flight; a request
 	// waits here, and nowhere else, for other requests.
 	slots chan struct{}
@@ -154,13 +164,13 @@ func newPPREngine(opts PPROptions, reg *obs.Registry) *pprEngine {
 	reg.RegisterCounter("ppr_requests_total",
 		"Personalized PageRank queries (method-allowed GETs on /v1/ppr).", nil, &e.queries)
 	reg.RegisterCounter("ppr_cache_hits_total",
-		"PPR queries answered from the hot-source LRU.", nil, &e.cacheHits)
+		"PPR queries answered from the cache alone: they walked nothing and joined no walk.", nil, &e.cacheHits)
 	reg.RegisterCounter("ppr_walks_total",
 		"Random walks executed for PPR queries (cache hits execute none).", nil, &e.walks)
 	reg.RegisterCounter("ppr_truncated_total",
 		"PPR responses truncated by the per-request walk budget.", nil, &e.truncated)
 	reg.RegisterCounter("ppr_cache_evictions_total",
-		"Source sets' cuts evicted from the PPR LRU by capacity pressure.", nil, &e.cache.evictions)
+		"PPR cache entries (a source's tally or a source set's cut) evicted by capacity pressure.", nil, &e.cache.evictions)
 	reg.RegisterCounter("ppr_walk_steps_total",
 		"Individual walk steps executed for PPR queries on any graph (dangling restarts included).", nil, &e.steps)
 	reg.RegisterCounter("ppr_walk_page_local_steps_total",
@@ -174,80 +184,209 @@ func newPPREngine(opts PPROptions, reg *obs.Registry) *pprEngine {
 	e.lat = reg.Latency("ppr_request_seconds",
 		"PPR request handling latency, cache hits included.", nil)
 	e.slotWait = reg.Latency("ppr_slot_wait_seconds",
-		"Time a computed PPR request (no cache hit, not coalesced) waited for a walk-kernel slot.", nil)
+		"Time a computed PPR request (one that walked a source itself) waited for walk-kernel slots, all its sources' waits summed.", nil)
 	e.walkLat = reg.Latency("ppr_walk_seconds",
-		"Time a computed PPR request spent in its walk-kernel call: seeding, stepping, tally and top-k cut.", nil)
+		"Time a computed PPR request spent in its walk-kernel calls, one per source it walked: seeding, stepping and tally.", nil)
 	return e
 }
 
-// --- hot-source LRU -------------------------------------------------
+// --- tallies and the LRU --------------------------------------------
 
-// pprCut is one source set's top-MaxK cut at one epoch. It keeps the
-// entries, 16 bytes a row, and renders the response for a k on each
-// request from the first k of them — topk's order is total, so the top-k
-// is a prefix of every longer cut, and the bytes are those of a cut to k.
-// (Rendered once, a row is ≈ 47 bytes: on a page-cache-sized server a
-// full LRU of rendered cuts cost more memory than its graph's pages.)
-type pprCut struct {
-	// head and mid are the response's fields before and after the value
-	// of "k", as encoding/json writes them; mid ends inside the entries'
-	// '['.
-	head, mid []byte
-	entries   []topk.Entry
+// pprTally is a tally in cut order — count descending, then vertex
+// ascending: topk's total order on the scores, which are the counts times
+// one 1/positions — packed as count groups. A group is a uvarint count, a
+// uvarint row count, and the rows' vertex ids as uvarint gaps, the first
+// from 0 and each after it from the one before. On the benchmark's graph
+// a source's 400 walks stand on ≈ 485 distinct vertices at ≈ 1.85 bytes
+// a row, against 16 for a topk.Entry. (Rows kept unpacked, 8 bytes each,
+// raised ppr_resident's rss_peak_mb from 31.2 to 39.3 MB, past the
+// benchmark's 25 % bound.)
+type pprTally struct {
+	rows      []byte
+	n         int    // rows packed
+	positions uint64 // positions all the walks stood on: walks + steps, the scores' denominator
 }
 
-// newPPRCut keeps a copy of entries, the cut (topk.Select leaves it at
-// the front of the whole tally, which the copy lets go), and renders the
-// rest of resp, the response for them. `,"k":0,` cannot occur inside a
-// JSON string (its quotes would be escaped), and entries is the last
-// field.
-func newPPRCut(resp api.PPRResponse, entries []topk.Entry) (*pprCut, error) {
-	resp.K, resp.Entries = 0, []api.TopKEntry{}
-	b, err := json.Marshal(resp) // {…,"k":0,"walks":…,"entries":[]}
-	if err != nil {
-		return nil, err
+// pack packs rows, in cut order, with the positions of the walks they
+// count, into t's own buffer.
+func (t *pprTally) pack(rows []walk.Visit, positions uint64) {
+	b := t.rows[:0]
+	for i := 0; i < len(rows); {
+		j := i + 1
+		for j < len(rows) && rows[j].Count == rows[i].Count {
+			j++
+		}
+		b = binary.AppendUvarint(b, uint64(rows[i].Count))
+		b = binary.AppendUvarint(b, uint64(j-i))
+		prev := graph.VertexID(0)
+		for _, r := range rows[i:j] {
+			b = binary.AppendUvarint(b, uint64(r.Vertex-prev))
+			prev = r.Vertex
+		}
+		i = j
 	}
-	at := bytes.Index(b, []byte(`,"k":0,`)) + len(`,"k":`)
-	return &pprCut{head: b[:at], mid: b[at+1 : len(b)-2], entries: slices.Clone(entries)}, nil
+	t.rows, t.n, t.positions = b, len(rows), positions
 }
 
-// appendBody appends the response for the top-k of the cut to dst.
-func (c *pprCut) appendBody(dst []byte, k int) ([]byte, error) {
-	rows := c.entries[:min(k, len(c.entries))]
-	dst = append(dst, c.head...)
+// clone returns a copy of t that holds its rows in a buffer of their
+// size, for the cache.
+func (t *pprTally) clone() *pprTally {
+	c := *t
+	c.rows = bytes.Clone(t.rows)
+	return &c
+}
+
+// pprTallies recycles the tallies a request packs before it clones them
+// into the cache, and those PPRTopK composes and drops.
+var pprTallies = sync.Pool{New: func() any { return new(pprTally) }}
+
+// tallyReader unpacks a pprTally's rows in order.
+type tallyReader struct {
+	b     []byte
+	count int32
+	left  uint64 // rows left in the group
+	v     graph.VertexID
+}
+
+func (t *pprTally) reader() tallyReader { return tallyReader{b: t.rows} }
+
+// next returns the next row, or ok false after the last.
+func (r *tallyReader) next() (v graph.VertexID, count int32, ok bool) {
+	if r.left == 0 {
+		if len(r.b) == 0 {
+			return 0, 0, false
+		}
+		c, n := binary.Uvarint(r.b)
+		r.b = r.b[n:]
+		r.left, n = binary.Uvarint(r.b)
+		r.b = r.b[n:]
+		r.count, r.v = int32(c), 0
+	}
+	d, n := binary.Uvarint(r.b)
+	r.b = r.b[n:]
+	r.v += graph.VertexID(d)
+	r.left--
+	return r.v, r.count, true
+}
+
+// appendEntries appends the first k rows with their scores.
+func (t *pprTally) appendEntries(dst []topk.Entry, k int) []topk.Entry {
+	inv := 1 / float64(t.positions)
+	r := t.reader()
+	for range min(k, t.n) {
+		v, c, _ := r.next()
+		dst = append(dst, topk.Entry{Vertex: v, Score: float64(c) * inv})
+	}
+	return dst
+}
+
+// composeCut sums the tallies — a source set's, one per source, all of
+// the same walk count — in a pooled walk.Scratch table and cuts the sum
+// to its top k: entries in cut order whose Score is the count, and the
+// positions the scores divide by. Cutting by count cuts by score: every
+// score is its count times the same 1/positions.
+func composeCut(tallies []*pprTally, k int) ([]topk.Entry, uint64) {
+	s := walk.Get()
+	defer s.Put()
+	var positions uint64
+	distinct := 0
+	for _, t := range tallies {
+		positions += t.positions
+		distinct += t.n
+	}
+	s.StartSum(distinct)
+	for _, t := range tallies {
+		for r := t.reader(); ; {
+			v, c, ok := r.next()
+			if !ok {
+				break
+			}
+			s.AddCount(v, c)
+		}
+	}
+	visits := s.Visits()
+	entries := make([]topk.Entry, len(visits))
+	for i, v := range visits {
+		entries[i] = topk.Entry{Vertex: v.Vertex, Score: float64(v.Count)}
+	}
+	return topk.Select(entries, k), positions
+}
+
+// pprHead is the opening every body at one snapshot shares, as
+// encoding/json writes it: `{"epoch":…,"engine":…,"seed":…,"sources":[`.
+type pprHead struct {
+	epoch, seed uint64
+	engine      api.Engine
+	b           []byte
+}
+
+// head returns the bodies' opening at snap, rendered once per snapshot.
+func (e *pprEngine) head(snap *Snapshot) []byte {
+	if h := e.heads.Load(); h != nil && h.epoch == snap.Epoch && h.seed == snap.Seed && h.engine == snap.Engine {
+		return h.b
+	}
+	b, _ := json.Marshal(api.PPRResponse{Epoch: snap.Epoch, Engine: snap.Engine, Seed: snap.Seed}) // no float: cannot fail
+	b = append(b[:bytes.Index(b, []byte(`"sources":`))], `"sources":[`...)
+	e.heads.Store(&pprHead{epoch: snap.Epoch, seed: snap.Seed, engine: snap.Engine, b: b})
+	return b
+}
+
+// appendPPRBody appends encoding/json's PPRResponse for the plan and rows,
+// then a newline. head is the snapshot's opening (pprEngine.head).
+func appendPPRBody(dst, head []byte, plan pprPlan, rows []topk.Entry) ([]byte, error) {
+	dst = append(dst, head...)
+	for i, src := range plan.sources {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = strconv.AppendUint(dst, uint64(src), 10)
+	}
+	dst = append(dst, `],"k":`...)
 	dst = strconv.AppendInt(dst, int64(len(rows)), 10)
-	dst = append(dst, c.mid...)
+	dst = append(dst, `,"walks":`...)
+	dst = strconv.AppendInt(dst, int64(plan.walks()), 10)
+	if plan.truncated {
+		dst = append(dst, `,"truncated":true`...)
+	}
+	dst = append(dst, `,"entries":[`...)
 	dst, err := api.AppendTopKRows(dst, rows)
 	return append(dst, "]}\n"...), err
 }
 
-// pprBodies recycles the buffers responses are assembled in.
-var pprBodies = sync.Pool{New: func() any { return new([]byte) }}
-
-// replyPPR writes the response for the top-k of c.
-func (s *Server) replyPPR(w http.ResponseWriter, c *pprCut, k int) {
-	buf := pprBodies.Get().(*[]byte)
-	var err error
-	if *buf, err = c.appendBody((*buf)[:0], k); err != nil {
-		s.fail(w, http.StatusInternalServerError, api.CodeInternal, "%v", err)
-	} else {
-		api.WriteJSON(w, *buf)
-	}
-	pprBodies.Put(buf)
+// pprBody is a pooled response: the body and the rows it renders.
+type pprBody struct {
+	b    []byte
+	rows []topk.Entry
 }
 
-// appendPPRKey appends the cache and flight key of a canonical source
-// set at an epoch: the epoch and each source, fixed width, so two sets
-// never share a key.
-func appendPPRKey(dst []byte, epoch uint64, sources []graph.VertexID) []byte {
+var pprBodies = sync.Pool{New: func() any { return new(pprBody) }}
+
+// replyPPR writes the response for the top-k of t, the plan's tally.
+func (s *Server) replyPPR(w http.ResponseWriter, snap *Snapshot, plan pprPlan, t *pprTally, k int) {
+	body := pprBodies.Get().(*pprBody)
+	body.rows = t.appendEntries(body.rows[:0], k)
+	var err error
+	if body.b, err = appendPPRBody(body.b[:0], s.ppr.head(snap), plan, body.rows); err != nil {
+		s.fail(w, http.StatusInternalServerError, api.CodeInternal, "%v", err)
+	} else {
+		api.WriteJSON(w, body.b)
+	}
+	pprBodies.Put(body)
+}
+
+// appendPPRKey appends the cache key of a canonical source set at an
+// epoch and walk count per source: all fixed width, so two keys never
+// collide. A one-source key is also that source's flight key.
+func appendPPRKey(dst []byte, epoch uint64, walksPer int, sources []graph.VertexID) []byte {
 	dst = binary.LittleEndian.AppendUint64(dst, epoch)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(walksPer))
 	for _, s := range sources {
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(s))
 	}
 	return dst
 }
 
-// pprCache is a size-bounded LRU of cuts. Keys carry the epoch, so a
+// pprCache is a size-bounded LRU of tallies. Keys carry the epoch, so a
 // snapshot swap naturally misses and stale entries age out under
 // capacity pressure.
 type pprCache struct {
@@ -259,17 +398,17 @@ type pprCache struct {
 }
 
 type pprCacheEntry struct {
-	key string
-	cut *pprCut
+	key   string
+	tally *pprTally
 }
 
 func newPPRCache(max int) *pprCache {
 	return &pprCache{max: max, ll: list.New(), items: make(map[string]*list.Element)}
 }
 
-// Get returns the cached cut and refreshes its recency. The key is
+// Get returns the cached tally and refreshes its recency. The key is
 // looked up without being copied into a string.
-func (c *pprCache) Get(key []byte) (*pprCut, bool) {
+func (c *pprCache) Get(key []byte) (*pprTally, bool) {
 	if c.max < 0 {
 		return nil, false
 	}
@@ -280,22 +419,22 @@ func (c *pprCache) Get(key []byte) (*pprCut, bool) {
 		return nil, false
 	}
 	c.ll.MoveToFront(el)
-	return el.Value.(*pprCacheEntry).cut, true
+	return el.Value.(*pprCacheEntry).tally, true
 }
 
-// Put inserts a cut, evicting from the cold end past capacity.
-func (c *pprCache) Put(key string, cut *pprCut) {
+// Put inserts a tally, evicting from the cold end past capacity.
+func (c *pprCache) Put(key string, t *pprTally) {
 	if c.max < 0 {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
-		el.Value.(*pprCacheEntry).cut = cut
+		el.Value.(*pprCacheEntry).tally = t
 		c.ll.MoveToFront(el)
 		return
 	}
-	c.items[key] = c.ll.PushFront(&pprCacheEntry{key: key, cut: cut})
+	c.items[key] = c.ll.PushFront(&pprCacheEntry{key: key, tally: t})
 	for c.ll.Len() > c.max {
 		cold := c.ll.Back()
 		c.ll.Remove(cold)
@@ -344,59 +483,97 @@ const pprWalkCutoff = 64
 // pprLengths draws every PPR walk's length: min(Geometric(pT), 64).
 var pprLengths = rng.NewTruncGeometric(pagerank.DefaultTeleport, pprWalkCutoff)
 
-// pprWalk runs every walk of the plan over snap's graph in one call of
-// the walk kernel and returns the complete-path tally, one entry per
-// distinct vertex the walks stood on, scored with its share of all
-// their positions, in no particular order. A geometric-length walk from
-// the source visits each vertex 1/pT times its personalized PageRank in
-// expectation, and stands on 1/pT positions (the start, then one per
-// step: the paper's reference [5], Avrachenkov et al.), so the shares
-// estimate the personalized vector, restart distribution concentrated
-// on the source, and sum to 1; the endpoint alone samples it too (the
+// walkSource runs the walks of one source over snap's graph in one call
+// of the walk kernel and packs their complete-path tally into t. A
+// geometric-length walk from the source visits each vertex 1/pT times
+// its personalized PageRank in expectation, and stands on 1/pT positions
+// (the start, then one per step: the paper's reference [5], Avrachenkov
+// et al.), so each vertex's share of all the positions estimates the
+// personalized vector, restart distribution concentrated on the source,
+// and the shares sum to 1; the endpoint alone samples it too (the
 // paper's Lemma 16) but uses one position of each walk instead of all.
 // A walk stuck on a dangling vertex restarts at its source, a step that
 // counts, matching ExactPPR's dangling-mass treatment.
-// Walk w of a source draws only from its own stream derived from
-// (snapshot seed, epoch, source, w) — length first (pprLengths: the draw
-// stream.Geometric makes, capped at pprWalkCutoff), then one draw per edge
-// move — so the tally is bit-identical whichever walks wait for a page
-// and in whatever order pages are loaded: paging and relabeling can
-// never change a served body. The positions are counted in the Scratch's
-// own table (walk.Scratch.Visits), which is sized by the walks ≤ budget,
-// not by the graph (the NeedleTail-style density argument: a top-k cut
-// never needs a dense n-length vector).
+// Walk w draws only from its own stream derived from (snapshot seed,
+// epoch, source, w) — all but w folded once per source (rng.DerivePrefix),
+// then length first (pprLengths: the draw stream.Geometric makes, capped
+// at pprWalkCutoff), then one draw per edge move — so the tally is
+// bit-identical whichever walks wait for a page and in whatever order
+// pages are loaded: paging and relabeling can never change a served
+// body. The positions are counted in the Scratch's own table, which is
+// sized by the walks, not by the graph (the NeedleTail-style density
+// argument: a top-k cut never needs a dense n-length vector).
 //
 // A read can fail only where the kernel loads a page (its sweep; the
-// free-running probe does no I/O). A fault fails this call, which is
-// this request and no other.
-func pprWalk(snap *Snapshot, plan pprPlan) (entries []topk.Entry, st walk.Stats, err error) {
+// free-running probe does no I/O). A fault fails this call.
+func walkSource(snap *Snapshot, src graph.VertexID, walksPer int, t *pprTally) (st walk.Stats, err error) {
 	s := walk.Get()
 	defer s.Put()
 	r := snap.Graph.NewAdjReader()
 	defer r.Release()
 	defer catchStorageFault("ppr walk", &err)
-	for _, src := range plan.sources {
-		for w := 0; w < plan.walksPer; w++ {
-			stream := rng.DeriveValue(snap.Seed, pprPurpose, snap.Epoch, uint64(src), uint64(w))
-			s.Add(stream, src, pprLengths.Draw(&stream))
-		}
+	prefix := rng.DerivePrefix(snap.Seed, pprPurpose, snap.Epoch, uint64(src))
+	for w := 0; w < walksPer; w++ {
+		stream := prefix.Value(uint64(w))
+		s.Add(stream, src, pprLengths.Draw(&stream))
 	}
 	st = s.Run(r, true, true)
-	return visitEntries(s, st.Steps), st, nil
+	rows := s.Visits()
+	// Sort into cut order as one key a row, ^count above the vertex.
+	keys := pprSortKeys.Get().(*cutKeys)
+	keys.a = keys.a[:0]
+	for _, v := range rows {
+		keys.a = append(keys.a, uint64(^uint32(v.Count))<<32|uint64(v.Vertex))
+	}
+	for i, k := range keys.sort() {
+		rows[i] = walk.Visit{Vertex: graph.VertexID(k), Count: int32(^uint32(k >> 32))}
+	}
+	pprSortKeys.Put(keys)
+	t.pack(rows, uint64(walksPer)+st.Steps)
+	return st, nil
 }
 
-// visitEntries copies the tally of a Run over s's walkers, which took
-// steps steps, out of the Scratch: one entry per distinct vertex, scored
-// with its share of the walkers + steps positions.
-func visitEntries(s *walk.Scratch, steps uint64) []topk.Entry {
-	visits := s.Visits()
-	entries := make([]topk.Entry, len(visits))
-	inv := 1 / float64(uint64(len(s.Walkers))+steps)
-	for i, v := range visits {
-		entries[i] = topk.Entry{Vertex: v.Vertex, Score: float64(v.Count) * inv}
+// cutKeys is a tally's sort keys and the scratch radix sort moves them
+// through.
+type cutKeys struct{ a, b []uint64 }
+
+// sort sorts a ascending and returns the sorted keys, in a or b: least
+// significant byte first, skipping the bytes every key shares. Cut-order
+// keys differ in few of their bytes (on a graph under 65 536 vertices,
+// the vertex's two and the count's lowest one or two), so this is a few
+// counting passes: less than half the time slices.Sort took.
+func (k *cutKeys) sort() []uint64 {
+	a := k.a
+	k.b = slices.Grow(k.b[:0], len(a))[:len(a)]
+	b := k.b
+	or, and := uint64(0), ^uint64(0)
+	for _, x := range a {
+		or, and = or|x, and&x
 	}
-	return entries
+	for shift := 0; shift < 64; shift += 8 {
+		if byte((or^and)>>shift) == 0 {
+			continue
+		}
+		var at [256]int32
+		for _, x := range a {
+			at[byte(x>>shift)]++
+		}
+		sum := int32(0)
+		for i, n := range at {
+			at[i], sum = sum, sum+n
+		}
+		for _, x := range a {
+			d := byte(x >> shift)
+			b[at[d]] = x
+			at[d]++
+		}
+		a, b = b, a
+	}
+	return a
 }
+
+// pprSortKeys recycles walkSource's sort keys.
+var pprSortKeys = sync.Pool{New: func() any { return new(cutKeys) }}
 
 // --- request handling -----------------------------------------------
 
@@ -430,9 +607,9 @@ func parsePPRSources(q url.Values) ([]graph.VertexID, error) {
 // pprPlan is a validated request's walks: the canonical (sorted,
 // deduplicated) source set and the walk budget's split across it — all
 // a cut depends on besides the snapshot, which is why the cache and the
-// flights are keyed by the source set and not by k. The HTTP handler and
-// the PPRTopK facade both plan, walk and cut through it, so they cannot
-// drift.
+// flights are keyed by sources and walks per source and not by k. The
+// HTTP handler and the PPRTopK facade both plan through it and compose
+// the same per-source tallies (composeCut), so they cannot drift.
 type pprPlan struct {
 	sources   []graph.VertexID
 	walksPer  int
@@ -472,24 +649,11 @@ func planPPR(sources []graph.VertexID, k, n int, opts PPROptions) (pprPlan, int,
 // walks is the number of walks the plan runs in total.
 func (p pprPlan) walks() int { return p.walksPer * len(p.sources) }
 
-// run walks the plan over snap and cuts the tally — the source set's
-// PPR is the uniform mixture of the per-source PPR vectors, and every
-// source ran the same walk count — to the top-k entries in the topk
-// package's total order (score descending, vertex ascending on ties), so
-// the result is deterministic, consistent with /v1/topk semantics, and
-// for any k a prefix of the cut to any larger k.
-func (p pprPlan) run(snap *Snapshot, k int) ([]topk.Entry, walk.Stats, error) {
-	entries, st, err := pprWalk(snap, p)
-	if err != nil {
-		return nil, st, err
-	}
-	return topk.Select(entries, k), st, nil
-}
-
 // handlePPR answers GET /v1/ppr?source=u&k= (or sources=a,b,c): the
 // top-k personalized PageRank of the source set, estimated by
 // request-time walks under the configured budget, and served as the
-// first k rows of the source set's top-MaxK cut.
+// first k rows of the set's cached tally: a source's own, or a
+// multi-source set's top-MaxK cut.
 func (s *Server) handlePPR(w http.ResponseWriter, r *http.Request, _ string) {
 	start := time.Now()
 	defer func() { s.ppr.lat.Observe(time.Since(start)) }()
@@ -519,40 +683,31 @@ func (s *Server) handlePPR(w http.ResponseWriter, r *http.Request, _ string) {
 		return
 	}
 
-	var kb [8 + 4*16]byte // the key of a default-sized source set stays on the stack
-	key := appendPPRKey(kb[:0], snap.Epoch, plan.sources)
-	if cut, ok := s.ppr.cache.Get(key); ok {
+	var kb [8 + 4 + 4*16]byte // the key of a default-sized source set stays on the stack
+	key := appendPPRKey(kb[:0], snap.Epoch, plan.walksPer, plan.sources)
+	if t, ok := s.ppr.cache.Get(key); ok {
 		s.ppr.cacheHits.Inc()
-		s.replyPPR(w, cut, k)
+		s.replyPPR(w, snap, plan, t, k)
 		return
 	}
-	flight := string(key)
-	cut, err, shared := s.ppr.flights.Do(flight, func() (*pprCut, error) {
-		cut, err := s.pprCompute(snap, plan)
-		if err == nil {
-			s.ppr.cache.Put(flight, cut)
-		}
-		return cut, err
-	})
-	if shared {
-		s.coalesced.Inc()
-	}
+	t, err := s.pprCompose(snap, plan, key)
 	switch {
 	case errors.Is(err, errStorageFault): // the cause is in the server's log, not the client's body
 		s.fail(w, http.StatusServiceUnavailable, api.CodeUnavailable, "walks aborted by a failed graph read; retry")
 	case err != nil:
 		s.fail(w, http.StatusInternalServerError, api.CodeInternal, "%v", err)
 	default:
-		s.replyPPR(w, cut, k)
+		s.replyPPR(w, snap, plan, t, k)
 	}
 }
 
 // PPRTopK estimates the top-k personalized PageRank of the source set
 // over snap with the same bounded-budget walk estimator /v1/ppr
 // serves — the embedding hook for callers that hold a snapshot and
-// want answers without HTTP. Sources are
-// canonicalized (sorted, deduplicated); the boolean reports budget
-// truncation. The entries are bit-identical to the served response's
+// want answers without HTTP. Sources are canonicalized (sorted,
+// deduplicated); the boolean reports budget truncation. It walks every
+// source and composes their tallies as a served request does, without
+// the cache, so the entries are bit-identical to the served response's
 // for the same snapshot, sources, k and options.
 func PPRTopK(snap *Snapshot, sources []graph.VertexID, k int, opts PPROptions) ([]topk.Entry, bool, error) {
 	opts = opts.withDefaults()
@@ -560,22 +715,114 @@ func PPRTopK(snap *Snapshot, sources []graph.VertexID, k int, opts PPROptions) (
 	if err != nil {
 		return nil, false, fmt.Errorf("serve: %w", err)
 	}
-	entries, _, err := plan.run(snap, k)
-	return entries, plan.truncated, err
+	var held [16]*pprTally // a default-sized source set's tallies stay on the stack
+	tallies := held[:0]
+	defer func() {
+		for _, t := range tallies {
+			pprTallies.Put(t)
+		}
+	}()
+	for _, src := range plan.sources {
+		t := pprTallies.Get().(*pprTally)
+		tallies = append(tallies, t)
+		if _, err := walkSource(snap, src, plan.walksPer, t); err != nil {
+			return nil, plan.truncated, err
+		}
+	}
+	entries, positions := composeCut(tallies, k)
+	inv := 1 / float64(positions)
+	for i := range entries {
+		entries[i].Score *= inv // the count, times the share of one position
+	}
+	return entries, plan.truncated, nil
 }
 
-// walk is plan.run to MaxK for a served request: behind the slot gate,
-// counted and timed — the wait for the slot and the kernel call are the
-// first two stages of a computed request's latency.
-func (e *pprEngine) walk(snap *Snapshot, plan pprPlan) ([]topk.Entry, error) {
+// pprCost is what one request's own kernel calls cost it: the slot
+// waits and walk times of the sources it walked, summed.
+type pprCost struct {
+	calls      int
+	wait, walk time.Duration
+}
+
+// pprCompose answers a plan the cache did not hold whole: it looks each
+// source up, walks the missing ones one flight each, and for more than
+// one source sums the tallies, cuts them to MaxK and caches the cut under
+// key, the set's. A request that walked nothing and joined no walk is a
+// cache hit too; one that joined another's walk is coalesced.
+func (s *Server) pprCompose(snap *Snapshot, plan pprPlan, key []byte) (*pprTally, error) {
+	e := s.ppr
+	var cost pprCost
+	shared := false
+	defer func() {
+		if cost.calls > 0 {
+			e.slotWait.Observe(cost.wait)
+			e.walkLat.Observe(cost.walk)
+			if plan.truncated {
+				e.truncated.Inc()
+			}
+		}
+		switch {
+		case shared:
+			s.coalesced.Inc()
+		case cost.calls == 0:
+			e.cacheHits.Inc()
+		}
+	}()
+	tallies := make([]*pprTally, len(plan.sources))
+	var sk [8 + 4 + 4]byte
+	for i, src := range plan.sources {
+		skey := appendPPRKey(sk[:0], snap.Epoch, plan.walksPer, plan.sources[i:i+1])
+		if len(plan.sources) > 1 { // the set's key, which missed, is this one's otherwise
+			if t, ok := e.cache.Get(skey); ok {
+				tallies[i] = t
+				continue
+			}
+		}
+		flight := string(skey)
+		t, err, joined := e.flights.Do(flight, func() (*pprTally, error) {
+			if t, ok := e.cache.Get(skey); ok { // cached by a flight that ended since the lookup
+				return t, nil
+			}
+			t, err := e.walk(snap, src, plan.walksPer, &cost)
+			if err == nil {
+				e.cache.Put(flight, t)
+			}
+			return t, err
+		})
+		shared = shared || joined
+		if err != nil {
+			return nil, err
+		}
+		tallies[i] = t
+	}
+	if len(tallies) == 1 {
+		return tallies[0], nil
+	}
+	cut, positions := composeCut(tallies, e.opts.MaxK)
+	rows := make([]walk.Visit, len(cut))
+	for i, c := range cut {
+		rows[i] = walk.Visit{Vertex: c.Vertex, Count: int32(c.Score)}
+	}
+	t := new(pprTally)
+	t.pack(rows, positions)
+	e.cache.Put(string(key), t)
+	return t, nil
+}
+
+// walk is walkSource for a served request: behind the slot gate, counted,
+// and its slot wait and kernel time added to the request's cost.
+func (e *pprEngine) walk(snap *Snapshot, src graph.VertexID, walksPer int, cost *pprCost) (*pprTally, error) {
 	queued := time.Now()
 	e.slots <- struct{}{}
 	defer func() { <-e.slots }() // deferred: a panic under the walk must not keep the slot
 	start := time.Now()
-	e.slotWait.Observe(start.Sub(queued))
-	entries, st, err := plan.run(snap, e.opts.MaxK)
-	e.walkLat.Observe(time.Since(start))
-	e.walks.Add(uint64(plan.walks()))
+	packed := pprTallies.Get().(*pprTally)
+	defer pprTallies.Put(packed)
+	st, err := walkSource(snap, src, walksPer, packed)
+	cost.calls++
+	cost.wait += start.Sub(queued)
+	cost.walk += time.Since(start)
+	e.walks.Add(uint64(walksPer))
 	e.steps.Add(st.Steps)
 	if snap.Graph.Paged() {
 		e.local.Add(st.PageLocal) // a resident graph has no pages to be local to
@@ -584,26 +831,7 @@ func (e *pprEngine) walk(snap *Snapshot, plan pprPlan) ([]topk.Entry, error) {
 	e.sweeps.Add(st.Sweeps)
 	if err != nil {
 		e.faults.Inc()
-	}
-	return entries, err
-}
-
-// pprCompute runs the plan's walks and renders their top-MaxK cut.
-// Bit-identical for identical (snapshot, plan).
-func (s *Server) pprCompute(snap *Snapshot, plan pprPlan) (*pprCut, error) {
-	if plan.truncated {
-		s.ppr.truncated.Inc()
-	}
-	entries, err := s.ppr.walk(snap, plan)
-	if err != nil {
 		return nil, err
 	}
-	return newPPRCut(api.PPRResponse{
-		Epoch:     snap.Epoch,
-		Engine:    snap.Engine,
-		Seed:      snap.Seed,
-		Sources:   plan.sources,
-		Walks:     plan.walks(),
-		Truncated: plan.truncated,
-	}, entries)
+	return packed.clone(), nil
 }

@@ -58,7 +58,7 @@ func FuzzPPRQuery(f *testing.F) {
 			again := append(slices.Clone(sources), sources...)
 			slices.Reverse(again)
 			replan, _, _, err := planPPR(again, k, int(n), opts)
-			if err != nil || !slices.Equal(replan.sources, plan.sources) || !bytes.Equal(appendPPRKey(nil, 1, replan.sources), appendPPRKey(nil, 1, plan.sources)) {
+			if err != nil || !slices.Equal(replan.sources, plan.sources) || !bytes.Equal(appendPPRKey(nil, 1, replan.walksPer, replan.sources), appendPPRKey(nil, 1, plan.walksPer, plan.sources)) {
 				t.Fatalf("sources %v reversed and doubled plan as %v (%v), want %v", sources, replan.sources, err, plan.sources)
 			}
 		}

@@ -117,16 +117,23 @@ func (s *Scratch) Visits() []Visit {
 
 // resetTally empties the table and sizes it for the walkers in the slab.
 // Its cost is theirs, never the graph's: a walker stands on at most
-// 1 + Left positions, so the table is the power of two at least twice
-// that bound (at most half full, and a small request after a large one
-// probes only its own prefix of it).
+// 1 + Left positions.
 func (s *Scratch) resetTally() {
-	s.Visits()     // frees what an unread tally left
 	positions := 1 // a spare: an empty slab still gets a table
 	for i := range s.Walkers {
 		positions += 1 + int(s.Walkers[i].Left)
 	}
-	logSize := bits.Len(uint(2*positions - 1))
+	s.StartSum(positions)
+}
+
+// StartSum empties the table and sizes it for at most distinct
+// vertices: the power of two at least twice that bound (at most half
+// full, and a small tally after a large one probes only its own prefix
+// of it). A Run that tallies starts its own; outside one, StartSum,
+// AddCount and Visits add up tallies read out before.
+func (s *Scratch) StartSum(distinct int) {
+	s.Visits() // frees what an unread tally left
+	logSize := bits.Len(uint(2*max(distinct, 1) - 1))
 	if len(s.slots) < 1<<logSize {
 		s.slots = make([]Visit, 1<<logSize)
 	}
@@ -134,7 +141,10 @@ func (s *Scratch) resetTally() {
 }
 
 // count adds one position on v to the tally.
-func (s *Scratch) count(v graph.VertexID) {
+func (s *Scratch) count(v graph.VertexID) { s.AddCount(v, 1) }
+
+// AddCount adds n > 0 positions on v to the tally.
+func (s *Scratch) AddCount(v graph.VertexID, n int32) {
 	slots := s.slots[:s.mask+1]
 	h := v * 0x9e3779b1 >> s.shift // Fibonacci hashing: the top logSize bits
 	for slots[h].Count != 0 && slots[h].Vertex != v {
@@ -144,7 +154,7 @@ func (s *Scratch) count(v graph.VertexID) {
 		slots[h].Vertex = v
 		s.used = append(s.used, int32(h))
 	}
-	slots[h].Count++
+	slots[h].Count += n
 }
 
 // Length draws a walk's step count, min(Geometric(pT), cutoff), the way

@@ -241,6 +241,58 @@ func TestCompletePathCountsEveryVisit(t *testing.T) {
 	}
 }
 
+// TestStartSumAddsRunTallies: the tallies of separate Runs, read out and
+// added up with StartSum and AddCount, are the tally of one Run over all
+// of their walkers — and a sum after a larger one starts empty.
+func TestStartSumAddsRunTallies(t *testing.T) {
+	g := danglingGraph(t, 300)
+	r := g.NewAdjReader()
+	defer r.Release()
+	add := func(s *walk.Scratch, group, walks int) {
+		for w := range walks {
+			st := rng.DeriveValue(5, uint64(group), uint64(w))
+			s.Add(st, graph.VertexID(group*37%g.NumVertices()), min(st.Geometric(pT), 64))
+		}
+	}
+	dense := func(visits []walk.Visit) []int64 {
+		counts := make([]int64, g.NumVertices())
+		for _, v := range visits {
+			counts[v.Vertex] += int64(v.Count)
+		}
+		return counts
+	}
+	sum := walk.Get()
+	defer sum.Put()
+	for _, groups := range []int{5, 2} {
+		whole, part := walk.Get(), walk.Get()
+		var tallies [][]walk.Visit
+		for grp := range groups {
+			add(whole, grp, 200)
+			part.Walkers = part.Walkers[:0]
+			add(part, grp, 200)
+			part.Run(r, true, true)
+			tallies = append(tallies, slices.Clone(part.Visits()))
+		}
+		whole.Run(r, true, true)
+		want := dense(whole.Visits())
+		distinct := 0
+		for _, tl := range tallies {
+			distinct += len(tl)
+		}
+		sum.StartSum(distinct)
+		for _, tl := range tallies {
+			for _, v := range tl {
+				sum.AddCount(v.Vertex, v.Count)
+			}
+		}
+		if got := dense(sum.Visits()); !slices.Equal(got, want) {
+			t.Errorf("%d groups: the summed tallies differ from one Run over all the walkers", groups)
+		}
+		whole.Put()
+		part.Put()
+	}
+}
+
 // TestTallyBitIdenticalAcrossWorkers: GOMAXPROCS, which sizes the
 // pool, sets throughput only.
 func TestTallyBitIdenticalAcrossWorkers(t *testing.T) {
