@@ -140,9 +140,6 @@ func (s *Scratch) StartSum(distinct int) {
 	s.mask, s.shift = uint32(1)<<logSize-1, uint32(32-logSize)
 }
 
-// count adds one position on v to the tally.
-func (s *Scratch) count(v graph.VertexID) { s.AddCount(v, 1) }
-
 // AddCount adds n > 0 positions on v to the tally.
 func (s *Scratch) AddCount(v graph.VertexID, n int32) {
 	slots := s.slots[:s.mask+1]
@@ -196,7 +193,7 @@ func (s *Scratch) Run(r *graph.AdjReader, restart, tally bool) Stats {
 	switches := r.PageSwitches()
 	for i := range s.Walkers {
 		if tally {
-			s.count(s.Walkers[i].Cur)
+			s.AddCount(s.Walkers[i].Cur, 1)
 		}
 		s.advance(int32(i), r, restart, tally, &st)
 	}
@@ -223,7 +220,7 @@ func (s *Scratch) Run(r *graph.AdjReader, restart, tally bool) Stats {
 			st.Steps++
 			st.PageLocal++
 			if tally {
-				s.count(w.Cur)
+				s.AddCount(w.Cur, 1)
 			}
 			s.advance(m.w, r, restart, tally, &st)
 		}
@@ -253,7 +250,7 @@ func (s *Scratch) advance(i int32, r *graph.AdjReader, restart, tally bool, st *
 			left--
 			restarts++
 			if tally {
-				s.count(cur)
+				s.AddCount(cur, 1)
 			}
 			continue
 		}
@@ -268,7 +265,7 @@ func (s *Scratch) advance(i int32, r *graph.AdjReader, restart, tally bool, st *
 		left--
 		reads++
 		if tally {
-			s.count(cur)
+			s.AddCount(cur, 1)
 		}
 	}
 	w.Cur, w.Left, w.Stream = cur, left, stream
