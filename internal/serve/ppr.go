@@ -37,10 +37,10 @@ package serve
 // stand on in the open-addressing table pooled with the walker slab
 // (sized by the walks, cleared through the slots it took: nothing per
 // request is sized by the graph or hashed by the runtime). It then sums
-// its sources' counts in that table and cuts them to MaxK on a bounded
-// heap (topk.Select). A score is a count times 1/(walks + steps) over the
-// same integers however they were summed, so the bytes do not depend on
-// which sources were cached.
+// its sources' counts in that table and cuts them to MaxK with the radix
+// sort that orders every tally (pprTally.cut). A score is a count times
+// 1/(walks + steps) over the same integers however they were summed, so
+// the bytes do not depend on which sources were cached.
 //
 // A kernel call runs on the request's own goroutine, behind the slot
 // gate (pprEngine.slots): at most GOMAXPROCS kernel calls run at once.
@@ -207,25 +207,36 @@ type pprTally struct {
 	positions uint64 // positions all the walks stood on: walks + steps, the scores' denominator
 }
 
-// pack packs rows, in cut order, with the positions of the walks they
-// count, into t's own buffer.
-func (t *pprTally) pack(rows []walk.Visit, positions uint64) {
+// cut sorts rows, given in any order, into cut order and packs the first
+// k of them, with the positions of the walks they count, into t's own
+// buffer; every tally is ordered here. A row's sort key is ^count above
+// the vertex, so ascending keys are cut order and a count group is a run
+// of keys with equal high halves.
+func (t *pprTally) cut(rows []walk.Visit, k int, positions uint64) {
+	keys := pprSortKeys.Get().(*cutKeys)
+	keys.a = keys.a[:0]
+	for _, v := range rows {
+		keys.a = append(keys.a, uint64(^uint32(v.Count))<<32|uint64(v.Vertex))
+	}
+	sorted := keys.sort()
+	sorted = sorted[:min(k, len(sorted))]
 	b := t.rows[:0]
-	for i := 0; i < len(rows); {
+	for i := 0; i < len(sorted); {
 		j := i + 1
-		for j < len(rows) && rows[j].Count == rows[i].Count {
+		for j < len(sorted) && sorted[j]>>32 == sorted[i]>>32 {
 			j++
 		}
-		b = binary.AppendUvarint(b, uint64(rows[i].Count))
+		b = binary.AppendUvarint(b, uint64(^uint32(sorted[i]>>32)))
 		b = binary.AppendUvarint(b, uint64(j-i))
-		prev := graph.VertexID(0)
-		for _, r := range rows[i:j] {
-			b = binary.AppendUvarint(b, uint64(r.Vertex-prev))
-			prev = r.Vertex
+		prev := uint32(0)
+		for _, key := range sorted[i:j] {
+			b = binary.AppendUvarint(b, uint64(uint32(key)-prev))
+			prev = uint32(key)
 		}
 		i = j
 	}
-	t.rows, t.n, t.positions = b, len(rows), positions
+	pprSortKeys.Put(keys)
+	t.rows, t.n, t.positions = b, len(sorted), positions
 }
 
 // clone returns a copy of t that holds its rows in a buffer of their
@@ -282,10 +293,9 @@ func (t *pprTally) appendEntries(dst []topk.Entry, k int) []topk.Entry {
 
 // composeCut sums the tallies — a source set's, one per source, all of
 // the same walk count — in a pooled walk.Scratch table and cuts the sum
-// to its top k: entries in cut order whose Score is the count, and the
-// positions the scores divide by. Cutting by count cuts by score: every
-// score is its count times the same 1/positions.
-func composeCut(tallies []*pprTally, k int) ([]topk.Entry, uint64) {
+// to its top k into dst. Cutting by count cuts by score: every score is
+// its count times the same 1/positions.
+func composeCut(tallies []*pprTally, k int, dst *pprTally) {
 	s := walk.Get()
 	defer s.Put()
 	var positions uint64
@@ -304,12 +314,7 @@ func composeCut(tallies []*pprTally, k int) ([]topk.Entry, uint64) {
 			s.AddCount(v, c)
 		}
 	}
-	visits := s.Visits()
-	entries := make([]topk.Entry, len(visits))
-	for i, v := range visits {
-		entries[i] = topk.Entry{Vertex: v.Vertex, Score: float64(v.Count)}
-	}
-	return topk.Select(entries, k), positions
+	dst.cut(s.Visits(), k, positions)
 }
 
 // pprHead is the opening every body at one snapshot shares, as
@@ -519,17 +524,7 @@ func walkSource(snap *Snapshot, src graph.VertexID, walksPer int, t *pprTally) (
 	}
 	st = s.Run(r, true, true)
 	rows := s.Visits()
-	// Sort into cut order as one key a row, ^count above the vertex.
-	keys := pprSortKeys.Get().(*cutKeys)
-	keys.a = keys.a[:0]
-	for _, v := range rows {
-		keys.a = append(keys.a, uint64(^uint32(v.Count))<<32|uint64(v.Vertex))
-	}
-	for i, k := range keys.sort() {
-		rows[i] = walk.Visit{Vertex: graph.VertexID(k), Count: int32(^uint32(k >> 32))}
-	}
-	pprSortKeys.Put(keys)
-	t.pack(rows, uint64(walksPer)+st.Steps)
+	t.cut(rows, len(rows), uint64(walksPer)+st.Steps)
 	return st, nil
 }
 
@@ -572,7 +567,7 @@ func (k *cutKeys) sort() []uint64 {
 	return a
 }
 
-// pprSortKeys recycles walkSource's sort keys.
+// pprSortKeys recycles the cuts' sort keys.
 var pprSortKeys = sync.Pool{New: func() any { return new(cutKeys) }}
 
 // --- request handling -----------------------------------------------
@@ -608,8 +603,8 @@ func parsePPRSources(q url.Values) ([]graph.VertexID, error) {
 // deduplicated) source set and the walk budget's split across it — all
 // a cut depends on besides the snapshot, which is why the cache and the
 // flights are keyed by sources and walks per source and not by k. The
-// HTTP handler and the PPRTopK facade both plan through it and compose
-// the same per-source tallies (composeCut), so they cannot drift.
+// HTTP handler and the PPRTopK facade both plan through it and cut the
+// same per-source tallies (pprTally.cut), so they cannot drift.
 type pprPlan struct {
 	sources   []graph.VertexID
 	walksPer  int
@@ -706,9 +701,10 @@ func (s *Server) handlePPR(w http.ResponseWriter, r *http.Request, _ string) {
 // serves — the embedding hook for callers that hold a snapshot and
 // want answers without HTTP. Sources are canonicalized (sorted,
 // deduplicated); the boolean reports budget truncation. It walks every
-// source and composes their tallies as a served request does, without
-// the cache, so the entries are bit-identical to the served response's
-// for the same snapshot, sources, k and options.
+// source, composes more than one as a served request does (without the
+// cache) and renders the rows a served body renders, so the entries are
+// bit-identical to the served response's for the same snapshot, sources,
+// k and options.
 func PPRTopK(snap *Snapshot, sources []graph.VertexID, k int, opts PPROptions) ([]topk.Entry, bool, error) {
 	opts = opts.withDefaults()
 	plan, _, _, err := planPPR(sources, k, snap.Graph.NumVertices(), opts)
@@ -729,12 +725,13 @@ func PPRTopK(snap *Snapshot, sources []graph.VertexID, k int, opts PPROptions) (
 			return nil, plan.truncated, err
 		}
 	}
-	entries, positions := composeCut(tallies, k)
-	inv := 1 / float64(positions)
-	for i := range entries {
-		entries[i].Score *= inv // the count, times the share of one position
+	t := tallies[0]
+	if len(tallies) > 1 {
+		t = pprTallies.Get().(*pprTally)
+		defer pprTallies.Put(t)
+		composeCut(tallies, k, t)
 	}
-	return entries, plan.truncated, nil
+	return t.appendEntries(make([]topk.Entry, 0, min(k, t.n)), k), plan.truncated, nil
 }
 
 // pprCost is what one request's own kernel calls cost it: the slot
@@ -798,13 +795,8 @@ func (s *Server) pprCompose(snap *Snapshot, plan pprPlan, key []byte) (*pprTally
 	if len(tallies) == 1 {
 		return tallies[0], nil
 	}
-	cut, positions := composeCut(tallies, e.opts.MaxK)
-	rows := make([]walk.Visit, len(cut))
-	for i, c := range cut {
-		rows[i] = walk.Visit{Vertex: c.Vertex, Count: int32(c.Score)}
-	}
 	t := new(pprTally)
-	t.pack(rows, positions)
+	composeCut(tallies, e.opts.MaxK, t)
 	e.cache.Put(string(key), t)
 	return t, nil
 }

@@ -13,7 +13,7 @@ import (
 )
 
 // mapAndSortCut is the tally and cut /v1/ppr shipped with before the
-// pooled table and topk.Select: a map from vertex to the positions on
+// pooled table and the packed cut: a map from vertex to the positions on
 // it, every distinct vertex scored with its share of all of them, the
 // lot sorted by reflection and truncated. It stays here as the
 // reference the served bytes are checked against.
@@ -57,13 +57,15 @@ func servedPositions(snap *Snapshot, plan pprPlan) []graph.VertexID {
 	return positions
 }
 
-// TestTallyAndCutEqualMapAndSort: the pooled table plus the bounded-heap
-// cut return what the map plus the full sort returned, entry for entry,
-// on visit multisets of every shape a request can produce — and one
-// Scratch keeps doing so as the requests it serves grow and shrink. A
-// synthetic multiset is the starts of walkers that take no step; a
-// served one is the positions of the served walks, from a serial
-// re-walk of their streams.
+// TestTallyAndCutEqualMapAndSort: the pooled table, then the cut's sort
+// and packing, then the rows appendEntries reads back return what the map
+// plus the full sort returned, entry for entry, on visit multisets of
+// every shape a request can produce — and one Scratch keeps doing so as
+// the requests it serves grow and shrink. A synthetic multiset is the
+// starts of walkers that take no step, cut straight from the Scratch; a
+// served one is the positions of the served walks, from a serial re-walk
+// of their streams, against PPRTopK's rows: one source's own tally, or a
+// set's composed cut.
 func TestTallyAndCutEqualMapAndSort(t *testing.T) {
 	r := rng.New(20)
 	draw := func(n int, vertex func(i int) graph.VertexID) []graph.VertexID {
@@ -99,23 +101,25 @@ func TestTallyAndCutEqualMapAndSort(t *testing.T) {
 	defer reader.Release()
 	s := walk.Get() // one Scratch for every case: the table is reused across sizes
 	defer s.Put()
-	check := func(name string, positions []graph.VertexID, tally func() []topk.Entry) {
+	check := func(name string, positions []graph.VertexID, cut func(k int) []topk.Entry) {
 		t.Helper()
 		distinct := len(mapAndSortCut(positions, len(positions)))
 		for _, k := range []int{1, 10, 100, distinct, distinct + 5} {
-			got := topk.Select(tally(), k)
-			if want := mapAndSortCut(positions, k); !reflect.DeepEqual(got, want) {
-				t.Errorf("%s, k=%d: pooled tally + Select differ from map + sort\n got %v\nwant %v", name, k, got, want)
+			if got, want := cut(k), mapAndSortCut(positions, k); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s, k=%d: pooled tally + cut differ from map + sort\n got %v\nwant %v", name, k, got, want)
 			}
 		}
 	}
 	for _, tc := range cases {
-		check(tc.name, tc.positions, func() []topk.Entry {
+		check(tc.name, tc.positions, func(k int) []topk.Entry {
 			s.Walkers = s.Walkers[:0]
 			for _, v := range tc.positions {
 				s.Add(rng.Stream{}, v, 0)
 			}
-			return visitEntries(s, s.Run(reader, true, true).Steps)
+			steps := s.Run(reader, true, true).Steps
+			var tally pprTally
+			tally.cut(s.Visits(), k, uint64(len(s.Walkers))+steps)
+			return tally.appendEntries(nil, k)
 		})
 	}
 	for _, tc := range []struct {
@@ -127,12 +131,13 @@ func TestTallyAndCutEqualMapAndSort(t *testing.T) {
 		{"served, four sources", []graph.VertexID{3, 700, 1999, 12}, 0},
 		{"served, four sources truncated", []graph.VertexID{3, 700, 1999, 12}, 1500},
 	} {
-		plan, _, _, err := planPPR(tc.sources, 1, snap.Graph.NumVertices(), PPROptions{WalkBudget: tc.budget}.withDefaults())
+		opts := PPROptions{WalkBudget: tc.budget}
+		plan, _, _, err := planPPR(tc.sources, 1, snap.Graph.NumVertices(), opts.withDefaults())
 		if err != nil {
 			t.Fatal(err)
 		}
-		check(tc.name, servedPositions(snap, plan), func() []topk.Entry {
-			entries, _, err := pprWalk(snap, plan)
+		check(tc.name, servedPositions(snap, plan), func(k int) []topk.Entry {
+			entries, _, err := PPRTopK(snap, tc.sources, k, opts)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -79,29 +79,6 @@ func Top(scores []float64, k int) []Entry {
 	return h.drain()
 }
 
-// Select cuts entries — any order, typically a sparse tally far shorter
-// than the score vector it samples — to its k strongest, in the same
-// descending total order as Top, without allocating: the first
-// min(k, len) slots of entries become the heap and then the result, and
-// the rest is left unspecified.
-func Select(entries []Entry, k int) []Entry {
-	if k <= 0 {
-		return nil
-	}
-	k = min(k, len(entries))
-	h := entryHeap(entries[:k])
-	for i := k/2 - 1; i >= 0; i-- {
-		h.siftDown(i)
-	}
-	for _, e := range entries[k:] {
-		if entryLess(h[0], e) {
-			h[0] = e
-			h.siftDown(0)
-		}
-	}
-	return h.drain()
-}
-
 // entryLess reports whether a ranks strictly below b (lower score, or
 // equal score and larger vertex id).
 func entryLess(a, b Entry) bool {

