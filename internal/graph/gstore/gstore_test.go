@@ -56,46 +56,28 @@ func TestRoundTripAllPaths(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Open maps the file where it can and reads it otherwise; the
-	// codec's forced modes put both ways of getting the bytes under
-	// the same decode.
-	modes := []struct {
-		name string
-		mode secfile.OpenMode
-	}{{"auto", secfile.ModeAuto}, {"mmap", secfile.ModeMmap}, {"buffered", secfile.ModeBuffered}}
-	for _, m := range modes {
-		if m.mode == secfile.ModeMmap && !secfile.MmapSupported {
-			continue
+	// Open maps the file where it can and reads it otherwise, as it
+	// chooses (secfile's TestOpenModes drives both); the stream decodes
+	// from the heap.
+	t.Run("auto", func(t *testing.T) {
+		got, err := Open(path, OpenOptions{})
+		if err != nil {
+			t.Fatal(err)
 		}
-		t.Run(m.name, func(t *testing.T) {
-			var got *graph.Graph
-			var err error
-			if m.mode == secfile.ModeAuto {
-				got, err = Open(path, OpenOptions{})
-			} else {
-				var f *secfile.File
-				if f, err = schema.Open(path, secfile.OpenOptions{Mode: m.mode}); err == nil {
-					got, err = fromFile(f)
-				}
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer got.Close()
-			if err := got.Validate(); err != nil {
-				t.Fatal(err)
-			}
-			if !csrEqual(g, got) {
-				t.Fatal("loaded graph differs from written graph")
-			}
-			if gs, ws := graph.ComputeStats(got), graph.ComputeStats(g); gs != ws {
-				t.Fatalf("stats diverge: %+v vs %+v", gs, ws)
-			}
-			if err := got.Close(); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
+		defer got.Close()
+		if err := got.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		if !csrEqual(g, got) {
+			t.Fatal("loaded graph differs from written graph")
+		}
+		if gs, ws := graph.ComputeStats(got), graph.ComputeStats(g); gs != ws {
+			t.Fatalf("stats diverge: %+v vs %+v", gs, ws)
+		}
+		if err := got.Close(); err != nil {
+			t.Fatal(err)
+		}
+	})
 
 	t.Run("stream", func(t *testing.T) {
 		got, err := Read(bytes.NewReader(encode(t, g)), OpenOptions{})

@@ -24,6 +24,15 @@ func UseTableCRC() (restore func()) {
 	return func() { useCLMUL = old }
 }
 
+// UseBufferedOpen makes Open read every file into memory, as on a
+// platform without mmap. The returned func restores the mapping; the
+// same caveats as SwapHostEndian hold.
+func UseBufferedOpen() (restore func()) {
+	old := useMmap
+	useMmap = false
+	return func() { useMmap = old }
+}
+
 // HasFoldingKernel reports whether checksums take the folding kernel.
 func HasFoldingKernel() bool { return useCLMUL }
 

@@ -7,8 +7,8 @@ import (
 	"os"
 )
 
-// mmapSupported: no zero-copy open on this platform; Open falls back
-// to the buffered read under ModeAuto and fails under ModeMmap.
+// mmapSupported: no zero-copy open on this platform; Open reads the
+// file into memory.
 const mmapSupported = false
 
 func mmapFile(f *os.File, size int) ([]byte, func() error, error) {

@@ -102,6 +102,11 @@ var hostEndian = NativeEndian
 // platform.
 const MmapSupported = mmapSupported
 
+// useMmap is whether Open tries the mapping. It equals MmapSupported
+// except in tests, which clear it to drive the buffered read (see
+// export_test.go).
+var useMmap = mmapSupported
+
 // Schema defines one on-disk format over the codec: its identity
 // (magic, version), header geometry, and how its scalar header fields
 // determine each section's byte length. A format is a Schema plus the
@@ -343,24 +348,8 @@ func (s *Schema) VerifySectionsReaderAt(r io.ReaderAt, secs []Section) error {
 	return nil
 }
 
-// OpenMode selects how Open gets the file's bytes.
-type OpenMode int
-
-const (
-	// ModeAuto maps the file when the platform supports it and falls
-	// back to a buffered read.
-	ModeAuto OpenMode = iota
-	// ModeMmap requires the zero-copy mapping; Open fails where mmap
-	// is unavailable.
-	ModeMmap
-	// ModeBuffered always reads the file into memory.
-	ModeBuffered
-)
-
 // OpenOptions tunes Open, Read, and Decode.
 type OpenOptions struct {
-	// Mode selects mmap vs buffered read (Open only).
-	Mode OpenMode
 	// NoVerify skips the per-section checksum verification. The
 	// default (verify) reads every page once at open; skipping it
 	// makes open O(offsets) at the cost of deferring corruption
@@ -434,7 +423,7 @@ func (b *mmapBacking) Close() error { return b.unmap() }
 
 // Open opens a section file, zero-copy via mmap when the platform
 // allows (Data aliases the file pages; Close unmaps them), falling
-// back to a buffered read into an 8-aligned buffer under ModeAuto.
+// back to a buffered read into an 8-aligned buffer.
 func (s *Schema) Open(path string, opts OpenOptions) (*File, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -451,19 +440,11 @@ func (s *Schema) Open(path string, opts OpenOptions) (*File, error) {
 		return nil, s.errFormat("%s is %d bytes", path, size)
 	}
 
-	if opts.Mode != ModeBuffered && mmapSupported {
-		data, unmap, merr := mmapFile(f, int(size))
-		if merr == nil {
+	if useMmap {
+		if data, unmap, err := mmapFile(f, int(size)); err == nil {
 			f.Close() // the mapping outlives the descriptor
 			return s.Decode(data, &mmapBacking{unmap: unmap}, opts)
 		}
-		if opts.Mode == ModeMmap {
-			f.Close()
-			return nil, fmt.Errorf("secfile: mmap %s: %w", path, merr)
-		}
-	} else if opts.Mode == ModeMmap {
-		f.Close()
-		return nil, fmt.Errorf("secfile: mmap %s: %w", path, errors.ErrUnsupported)
 	}
 
 	defer f.Close()

@@ -215,28 +215,27 @@ func TestOpenModes(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	modes := []OpenMode{ModeAuto, ModeBuffered}
-	if MmapSupported {
-		modes = append(modes, ModeMmap)
-	}
-	for _, mode := range modes {
-		f, err := s.Open(path, OpenOptions{Mode: mode})
+	// Open maps the file where it can and reads it otherwise; a mapped
+	// File owns its mapping, a read one nothing.
+	for _, buffered := range []bool{false, true} {
+		if buffered {
+			t.Cleanup(UseBufferedOpen())
+		}
+		f, err := s.Open(path, OpenOptions{})
 		if err != nil {
-			t.Fatalf("mode %d: %v", mode, err)
+			t.Fatalf("buffered %v: %v", buffered, err)
+		}
+		if mapped, want := f.backing != nil, MmapSupported && !buffered; mapped != want {
+			t.Fatalf("buffered %v: mapped %v, want %v", buffered, mapped, want)
 		}
 		if !bytes.Equal(f.Section(0), a) || !bytes.Equal(f.Section(1), b) {
-			t.Fatalf("mode %d: sections do not round-trip", mode)
+			t.Fatalf("buffered %v: sections do not round-trip", buffered)
 		}
 		if err := f.Close(); err != nil {
-			t.Fatalf("mode %d close: %v", mode, err)
+			t.Fatalf("buffered %v close: %v", buffered, err)
 		}
 	}
 
-	if !MmapSupported {
-		if _, err := s.Open(path, OpenOptions{Mode: ModeMmap}); err == nil {
-			t.Fatal("ModeMmap succeeded without mmap support")
-		}
-	}
 	if _, err := s.Open(filepath.Join(t.TempDir(), "absent"), OpenOptions{}); err == nil {
 		t.Fatal("opened a missing file")
 	}
