@@ -70,8 +70,9 @@
 // Personalized PageRank is tuned by the -ppr-* flags: -ppr-walks is
 // the per-source walk count, -ppr-budget the hard per-request walk
 // cap (a request over budget runs fewer walks per source and is
-// flagged "truncated": true), -ppr-cache sizes the hot-source LRU (one
-// top-maxk cut per source set, which answers every k), and
+// flagged "truncated": true), -ppr-cache sizes the LRU (an entry is one
+// source's whole tally or a repeated set's top-maxk cut; either answers
+// every k), and
 // -ppr-maxk / -ppr-max-sources bound a query's shape. Identical
 // requests within one epoch return bit-identical bodies.
 package main
@@ -135,7 +136,7 @@ func newFlags(stderr io.Writer) (*flag.FlagSet, *options) {
 	fs.IntVar(&o.ppr.WalkBudget, "ppr-budget", 0, "/v1/ppr hard per-request walk budget; over-budget requests run fewer walks per source and set truncated (0 = 16384)")
 	fs.IntVar(&o.ppr.MaxK, "ppr-maxk", 0, "/v1/ppr k parameter upper bound, and the depth every computed request cuts to (0 = 100)")
 	fs.IntVar(&o.ppr.MaxSources, "ppr-max-sources", 0, "/v1/ppr source set size limit (0 = 16)")
-	fs.IntVar(&o.ppr.CacheSize, "ppr-cache", 0, "/v1/ppr hot-source LRU capacity in source sets, one top-maxk cut each (0 = 1024, negative disables)")
+	fs.IntVar(&o.ppr.CacheSize, "ppr-cache", 0, "/v1/ppr LRU capacity in entries, each one source's whole tally or a repeated source set's top-maxk cut (0 = 1024, negative disables)")
 	return fs, o
 }
 
