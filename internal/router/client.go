@@ -191,19 +191,20 @@ func (c *ShardClient) call(req *request) (response, error) {
 
 // roundTrip runs one request/response exchange on conn under the
 // client deadline, metering both directions. On any error the caller
-// closes conn: a frame that failed to decode may have left bytes
-// unread, so the connection is never pooled again.
+// closes conn and never pools it again: a short or oversized frame
+// leaves bytes unread, and a frame read whole that failed to decode came
+// from a peer not to be trusted with the next one.
 func (c *ShardClient) roundTrip(conn *clientConn, req *request) (response, error) {
 	if err := conn.SetDeadline(time.Now().Add(c.timeout)); err != nil {
 		return response{}, err
 	}
-	n, err := conn.frame.writeRequest(conn, req)
+	n, err := conn.frame.write(conn, req)
 	c.sent.Add(uint64(n))
 	if err != nil {
 		return response{}, err
 	}
 	var resp response
-	n, err = conn.frame.readResponse(conn.br, &resp)
+	n, err = conn.frame.read(conn.br, &resp)
 	c.recv.Add(uint64(n))
 	if err != nil {
 		return response{}, err

@@ -68,9 +68,9 @@ func TestFramesGolden(t *testing.T) {
 		var wire bytes.Buffer
 		var err error
 		if f.req != nil {
-			_, err = frame.writeRequest(&wire, f.req)
+			_, err = frame.write(&wire, f.req)
 		} else {
-			_, err = frame.writeResponse(&wire, f.resp)
+			_, err = frame.write(&wire, f.resp)
 		}
 		if err != nil {
 			t.Fatalf("%s: %v", f.name, err)

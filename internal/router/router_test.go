@@ -630,7 +630,7 @@ func TestMixedVersionsNameBothVersions(t *testing.T) {
 			t.Fatal(err)
 		}
 		var resp response
-		if _, err := frame.readResponse(conn, &resp); err != nil {
+		if _, err := frame.read(conn, &resp); err != nil {
 			t.Fatalf("%s: %v", payload, err)
 		}
 		want := fmt.Sprintf("shard speaks wire version %d, router sent %d", api.Version, api.Version+1)
@@ -639,12 +639,12 @@ func TestMixedVersionsNameBothVersions(t *testing.T) {
 		}
 	}
 	// A malformed frame of this version still ends the connection.
-	payload := fmt.Sprintf(`{"v":%d,"op":"topk","k":5,"deadline":250}`, api.Version)
+	payload := fmt.Sprintf(`{"v":%d,"op":"topk","k":5`, api.Version)
 	if _, err := conn.Write(append(binary.BigEndian.AppendUint32(nil, uint32(len(payload))), payload...)); err != nil {
 		t.Fatal(err)
 	}
 	var resp response
-	if _, err := frame.readResponse(conn, &resp); err == nil {
+	if _, err := frame.read(conn, &resp); err == nil {
 		t.Fatalf("malformed frame of this version answered %+v", resp)
 	}
 }

@@ -274,26 +274,23 @@ func (s *ShardServer) answer(req *request) response {
 // ServeConn answers frames on one connection until it closes. The
 // caller owns the connection's lifetime; a decode failure terminates
 // the connection (the peer will redial) rather than risking a
-// desynchronized frame stream. The one exception is a frame that
-// starts with another wire version: a router of another version may
-// write members this decoder does not read, so it is answered
-// version_mismatch, as any frame of another version is.
+// desynchronized frame stream. A frame of another wire version that
+// decodes is answered version_mismatch by answer, like any other.
 func (s *ShardServer) ServeConn(conn net.Conn) error {
 	br := bufio.NewReader(conn)
 	var frame frameBuf
 	var req request
 	for {
-		n, err := frame.readRequest(br, &req)
+		n, err := frame.read(br, &req)
 		s.bytesRead.Add(uint64(n))
 		switch {
 		case errors.Is(err, io.EOF):
 			return nil
-		case errors.Is(err, errMalformed) && req.V != 0 && req.V != api.Version:
 		case err != nil:
 			return err
 		}
 		resp := s.handle(&req)
-		n, err = frame.writeResponse(conn, &resp)
+		n, err = frame.write(conn, &resp)
 		s.bytesWrite.Add(uint64(n))
 		if err != nil {
 			return err

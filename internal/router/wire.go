@@ -20,12 +20,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"slices"
-	"strconv"
-	"unicode/utf8"
 
 	"repro/internal/serve/api"
 	"repro/internal/topk"
@@ -52,11 +49,13 @@ const maxRetainedBuf = 64 << 10
 
 // A frame is a 4-byte big-endian payload length followed by the payload:
 // one JSON object, what encoding/json writes for request or response
-// (every member but v, op and shard is omitted when zero). The decoder
-// accepts those bytes and nothing else, so a member added or removed is
-// a new api.Version. The benchmark's span tracer and encoding/json
-// peers read the same bytes; the tests hold the decoder to
-// encoding/json and the written frames to testdata/frames.golden.
+// (every member but v, op and shard is omitted when zero), and read back
+// by encoding/json, so a peer may send whitespace, any member order and
+// members this version does not declare, which are ignored. A member
+// added, removed or changed in meaning is still a new api.Version: the
+// v check on both ends refuses the other generation by name. The
+// benchmark's span tracer reads the same bytes; the tests hold the
+// written frames to testdata/frames.golden.
 
 // request is one RPC query. V carries the shared wire version
 // (api.Version); a shard refuses mismatched requests, so a
@@ -130,20 +129,10 @@ func (f *frameBuf) trim() {
 	}
 }
 
-// writeRequest encodes req and writes it as one length-prefixed frame
-// in a single Write, returning the bytes put on the wire (prefix
-// included): the number the traffic meters record.
-func (f *frameBuf) writeRequest(w io.Writer, req *request) (int, error) {
-	return f.write(w, req)
-}
-
-// writeResponse is writeRequest for a response. Like encoding/json it
-// refuses a NaN or infinite number.
-func (f *frameBuf) writeResponse(w io.Writer, resp *response) (int, error) {
-	return f.write(w, resp)
-}
-
-// write marshals v behind its length prefix in buf and writes the frame.
+// write marshals v, a *request or a *response, behind its length prefix
+// and writes the frame in a single Write, returning the bytes put on the
+// wire (prefix included): the number the traffic meters record. Like
+// encoding/json it refuses a NaN or infinite number.
 func (f *frameBuf) write(w io.Writer, v any) (int, error) {
 	defer f.trim()
 	payload, err := json.Marshal(v)
@@ -157,25 +146,55 @@ func (f *frameBuf) write(w io.Writer, v any) (int, error) {
 	return w.Write(f.buf)
 }
 
-// readRequest reads one length-prefixed frame into req, returning the
-// total bytes taken off the wire.
-func (f *frameBuf) readRequest(r io.Reader, req *request) (int, error) {
+// read reads one length-prefixed frame and decodes it into v, a
+// *request or a *response, returning the total bytes taken off the
+// wire. encoding/json keeps what a frame omits, so v is zeroed first. A
+// response's entries are reserved at one row more than the payload's
+// commas, as every row after the first follows one, so decoding never
+// grows them. A payload with more than a comma per 8 bytes, commas in
+// strings not counted, is refused before anything is decoded; a frame
+// this package writes has fewer, as a row spends two in 23 bytes.
+func (f *frameBuf) read(r io.Reader, v any) (int, error) {
 	defer f.trim()
 	payload, n, err := f.recv(r)
 	if err != nil {
 		return n, err
 	}
-	return n, decodeRequest(payload, req)
+	switch v := v.(type) {
+	case *request:
+		*v = request{}
+	case *response:
+		commas := bytes.Count(payload, []byte{','})
+		if commas > len(payload)/8 {
+			commas = commasOutsideStrings(payload) // only a dense payload pays for the scan
+		}
+		if commas > len(payload)/8 {
+			return n, fmt.Errorf("router: frame decode: %d commas in %d bytes", commas, len(payload))
+		}
+		*v = response{Entries: make([]topk.Entry, 0, commas+1)}
+	}
+	if err := json.Unmarshal(payload, v); err != nil {
+		return n, fmt.Errorf("router: frame decode: %w", err)
+	}
+	return n, nil
 }
 
-// readResponse is readRequest for a response.
-func (f *frameBuf) readResponse(r io.Reader, resp *response) (int, error) {
-	defer f.trim()
-	payload, n, err := f.recv(r)
-	if err != nil {
-		return n, err
+// commasOutsideStrings counts the commas of b that separate JSON
+// values. On bytes that are not JSON the count means nothing, and
+// json.Unmarshal refuses them before it decodes anything.
+func commasOutsideStrings(b []byte) int {
+	n, inString := 0, false
+	for i := 0; i < len(b); i++ {
+		switch c := b[i]; {
+		case inString && c == '\\':
+			i++ // the escaped byte cannot end the string
+		case c == '"':
+			inString = !inString
+		case c == ',' && !inString:
+			n++
+		}
 	}
-	return n, decodeResponse(payload, resp)
+	return n
 }
 
 // recv reads one frame's payload into buf. The buffer grows as the
@@ -200,283 +219,4 @@ func (f *frameBuf) recv(r io.Reader) (payload []byte, n int, err error) {
 		}
 	}
 	return payload, len(prefix) + int(size), nil
-}
-
-// The decoder reads exactly what encoding/json writes for request and
-// response: members in field order, no whitespace, names matched byte
-// for byte, v, op and shard required and every other member present or
-// absent; strings with encoding/json's escapes (\" \\ \b \f \n \r \t and
-// any non-surrogate \uXXXX, otherwise raw valid UTF-8); numbers by the
-// JSON grammar. It reads front to back in one pass without recursion,
-// and encoding/json decodes every frame it accepts to the same struct.
-
-// rowOpen starts every entry, so counting it bounds an entries slice.
-var rowOpen = []byte(`{"vertex":`)
-
-// errMalformed is a decode failure. The frame was read whole, so the
-// stream is still in step after it.
-var errMalformed = errors.New("router: frame decode: malformed frame")
-
-// decodeRequest decodes one request payload.
-func decodeRequest(payload []byte, req *request) error {
-	*req = request{}
-	d := decoder{b: payload}
-	d.expect(`{"v":`)
-	req.V = d.int()
-	d.expect(`,"op":`)
-	req.Op = string(d.str())
-	if d.member(`,"k":`) {
-		req.K = d.int()
-	}
-	if d.member(`,"vertex":`) {
-		req.Vertex = uint32(d.uint(32))
-	}
-	if d.member(`,"epoch":`) {
-		req.Epoch = d.uint(64)
-	}
-	if d.member(`,"rid":`) {
-		req.Rid = string(d.str())
-	}
-	return d.finish()
-}
-
-// decodeResponse decodes one response payload.
-func decodeResponse(payload []byte, resp *response) error {
-	*resp = response{}
-	d := decoder{b: payload}
-	d.expect(`{"v":`)
-	resp.V = d.int()
-	d.expect(`,"shard":`)
-	resp.Shard = d.int()
-	if d.member(`,"code":`) {
-		resp.Code = string(d.str())
-	}
-	if d.member(`,"error":`) {
-		resp.Err = string(d.str())
-	}
-	if d.member(`,"epoch":`) {
-		resp.Epoch = d.uint(64)
-	}
-	if d.member(`,"engine":`) {
-		resp.Engine = api.Engine(d.str())
-	}
-	if d.member(`,"seed":`) {
-		resp.Seed = d.uint(64)
-	}
-	if d.member(`,"entries":[`) {
-		resp.Entries = d.entries()
-	}
-	resp.Owned = d.member(`,"owned":true`)
-	if d.member(`,"rank":`) {
-		resp.Rank = d.float()
-	}
-	if d.member(`,"ownedCount":`) {
-		resp.OwnedCount = d.int()
-	}
-	if d.member(`,"shards":`) {
-		resp.Shards = d.int()
-	}
-	if d.member(`,"snapshotAge":`) {
-		resp.SnapshotAge = d.float()
-	}
-	return d.finish()
-}
-
-// decoder is the cursor of one decode. The first byte out of place sets
-// err and moves the cursor to the end; every method is then a no-op
-// returning zero, so callers check once, in finish.
-type decoder struct {
-	b   []byte
-	i   int
-	err error
-}
-
-func (d *decoder) fail() {
-	if d.err == nil {
-		d.err = fmt.Errorf("%w at offset %d", errMalformed, d.i)
-		d.i = len(d.b)
-	}
-}
-
-// member consumes lit if the payload continues with it.
-func (d *decoder) member(lit string) bool {
-	if len(d.b)-d.i < len(lit) || string(d.b[d.i:d.i+len(lit)]) != lit {
-		return false
-	}
-	d.i += len(lit)
-	return true
-}
-
-// expect consumes lit, which must come next.
-func (d *decoder) expect(lit string) {
-	if !d.member(lit) {
-		d.fail()
-	}
-}
-
-// finish closes the object and reports the first error, or bytes after
-// the object.
-func (d *decoder) finish() error {
-	if d.expect("}"); d.i < len(d.b) {
-		d.fail()
-	}
-	return d.err
-}
-
-// str reads a string and returns its bytes: a slice of the payload
-// when it holds no escape.
-func (d *decoder) str() []byte {
-	d.expect(`"`)
-	var out []byte // non-nil from the first escape on
-	for start := d.i; d.i < len(d.b); {
-		switch c := d.b[d.i]; {
-		case c == '"':
-			d.i++
-			if out == nil {
-				return d.b[start : d.i-1]
-			}
-			return append(out, d.b[start:d.i-1]...)
-		case c == '\\':
-			out = append(out, d.b[start:d.i]...)
-			if out = d.escape(out); d.err != nil {
-				return nil
-			}
-			start = d.i
-		case c < ' ':
-			d.fail()
-			return nil
-		case c < utf8.RuneSelf:
-			d.i++
-		default:
-			r, size := utf8.DecodeRune(d.b[d.i:])
-			if r == utf8.RuneError && size == 1 {
-				d.fail()
-				return nil
-			}
-			d.i += size
-		}
-	}
-	d.fail()
-	return nil
-}
-
-// escape resolves the escape at the cursor, appending it to out.
-func (d *decoder) escape(out []byte) []byte {
-	if d.i+2 > len(d.b) {
-		d.fail()
-		return nil
-	}
-	e := d.b[d.i+1]
-	d.i += 2
-	switch e {
-	case '"', '\\':
-		return append(out, e)
-	case 'b':
-		return append(out, '\b')
-	case 'f':
-		return append(out, '\f')
-	case 'n':
-		return append(out, '\n')
-	case 'r':
-		return append(out, '\r')
-	case 't':
-		return append(out, '\t')
-	case 'u':
-		if d.i+4 <= len(d.b) {
-			r, err := strconv.ParseUint(string(d.b[d.i:d.i+4]), 16, 16)
-			if err == nil && (r < 0xD800 || r > 0xDFFF) {
-				d.i += 4
-				return utf8.AppendRune(out, rune(r))
-			}
-		}
-	}
-	d.fail()
-	return nil
-}
-
-// number reads a number literal by the JSON grammar.
-func (d *decoder) number() []byte {
-	start := d.i
-	d.member("-")
-	if !d.member("0") && !d.digits() {
-		d.fail()
-	}
-	if d.member(".") && !d.digits() {
-		d.fail()
-	}
-	if d.member("e") || d.member("E") {
-		if !d.member("+") {
-			d.member("-")
-		}
-		if !d.digits() {
-			d.fail()
-		}
-	}
-	if d.err != nil {
-		return nil
-	}
-	return d.b[start:d.i]
-}
-
-// digits consumes a run of decimal digits and reports whether there
-// was one.
-func (d *decoder) digits() bool {
-	start := d.i
-	for d.i < len(d.b) && '0' <= d.b[d.i] && d.b[d.i] <= '9' {
-		d.i++
-	}
-	return d.i > start
-}
-
-func (d *decoder) int() int {
-	v, err := strconv.ParseInt(string(d.number()), 10, strconv.IntSize)
-	if err != nil {
-		d.fail()
-		return 0
-	}
-	return int(v)
-}
-
-func (d *decoder) uint(bits int) uint64 {
-	v, err := strconv.ParseUint(string(d.number()), 10, bits)
-	if err != nil {
-		d.fail()
-		return 0
-	}
-	return v
-}
-
-func (d *decoder) float() float64 {
-	v, err := strconv.ParseFloat(string(d.number()), 64)
-	if err != nil {
-		d.fail()
-		return 0
-	}
-	return v
-}
-
-// entries reads the rows of an entries array whose bracket is open,
-// then its closing bracket: {"vertex":…,"score":…} each, as
-// encoding/json writes a topk.Entry, comma-separated, at least one. The
-// allocation is bounded by the payload: one entry per row opening left
-// in it at most.
-func (d *decoder) entries() []topk.Entry {
-	out := make([]topk.Entry, 0, bytes.Count(d.b[d.i:], rowOpen))
-	for {
-		var e topk.Entry
-		d.expect(`{"vertex":`)
-		e.Vertex = uint32(d.uint(32))
-		d.expect(`,"score":`)
-		e.Score = d.float()
-		d.expect("}")
-		if d.err != nil {
-			return nil
-		}
-		out = append(out, e)
-		if !d.member(",") {
-			break
-		}
-	}
-	d.expect("]")
-	return out
 }

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/serve"
 	"repro/internal/serve/api"
 	"repro/internal/topk"
@@ -51,31 +52,48 @@ func oracleRequest(r request) jsonRequest { return jsonRequest(r) }
 
 func oracleResponse(r response) jsonResponse { return jsonResponse(r) }
 
-// checkDecode holds the typed decoder to encoding/json on one payload:
-// whatever it accepts, json.Unmarshal accepts with an equal struct. It
-// reports which of the two frame types the typed decoder accepted.
-func checkDecode(t *testing.T, payload []byte) (reqOK, respOK bool) {
+// framed puts payload behind its length prefix.
+func framed(payload []byte) []byte {
+	return append(binary.BigEndian.AppendUint32(nil, uint32(len(payload))), payload...)
+}
+
+// decodeFrame frames payload and reads it as a request and as a
+// response, each into a value an earlier frame filled, and reports which
+// of the two it accepted. What it accepts must equal what encoding/json
+// reads from payload into a zero value (compared as the frames they
+// marshal to, so an absent entries member and an empty one are the
+// same), with a response's entries reserved within a row per 8 payload
+// bytes.
+func decodeFrame(t *testing.T, payload []byte) (reqOK, respOK bool) {
 	t.Helper()
-	var req request
-	if err := decodeRequest(payload, &req); err == nil {
+	wire := framed(payload)
+	var frame frameBuf
+	req := request{V: 9, Op: "stale", K: 9, Vertex: 9, Epoch: 9, Rid: "stale"}
+	if _, err := frame.read(bytes.NewReader(wire), &req); err == nil {
 		reqOK = true
 		var want jsonRequest
 		if err := json.Unmarshal(payload, &want); err != nil {
-			t.Fatalf("request %q: typed decoder accepted, encoding/json refused: %v", payload, err)
+			t.Fatalf("request %q: read accepted, encoding/json refused: %v", payload, err)
 		}
 		if oracleRequest(req) != want {
-			t.Fatalf("request %q:\n typed %+v\n  json %+v", payload, req, want)
+			t.Fatalf("request %q:\n read %+v\n json %+v", payload, req, want)
 		}
 	}
-	var resp response
-	if err := decodeResponse(payload, &resp); err == nil {
+	resp := response{V: 9, Shard: 9, Code: "stale", Err: "stale", Epoch: 9, Engine: "stale", Seed: 9,
+		Entries: []topk.Entry{{Vertex: 9, Score: 9}}, Owned: true, Rank: 9, OwnedCount: 9, Shards: 9, SnapshotAge: 9}
+	if _, err := frame.read(bytes.NewReader(wire), &resp); err == nil {
 		respOK = true
+		if cap(resp.Entries) > len(payload)/8+1 {
+			t.Fatalf("response %q: %d entries reserved for a %d-byte payload", payload, cap(resp.Entries), len(payload))
+		}
 		var want jsonResponse
 		if err := json.Unmarshal(payload, &want); err != nil {
-			t.Fatalf("response %q: typed decoder accepted, encoding/json refused: %v", payload, err)
+			t.Fatalf("response %q: read accepted, encoding/json refused: %v", payload, err)
 		}
-		if !reflect.DeepEqual(oracleResponse(resp), want) {
-			t.Fatalf("response %q:\n typed %+v\n  json %+v", payload, resp, want)
+		got, err1 := json.Marshal(oracleResponse(resp))
+		wantFrame, err2 := json.Marshal(want)
+		if err1 != nil || err2 != nil || !bytes.Equal(got, wantFrame) {
+			t.Fatalf("response %q:\n read %s\n json %s", payload, got, wantFrame)
 		}
 	}
 	return reqOK, respOK
@@ -84,7 +102,7 @@ func checkDecode(t *testing.T, payload []byte) (reqOK, respOK bool) {
 // checkEncode holds the frame writer to encoding/json of the oracle
 // structs on one pair of structs: equal bytes behind a length prefix
 // that counts them, or both refuse (a NaN or infinite number); and the
-// typed decoder reads back what the writer wrote.
+// reader reads back what the writer wrote.
 func checkEncode(t *testing.T, req request, resp response) {
 	t.Helper()
 	want, err := json.Marshal(oracleRequest(req))
@@ -96,25 +114,25 @@ func checkEncode(t *testing.T, req request, resp response) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Fatalf("request %+v:\n typed %s\n  json %s", req, got, want)
+		t.Fatalf("request %+v:\n written %s\n    json %s", req, got, want)
 	}
-	if ok, _ := checkDecode(t, got); !ok {
-		t.Fatalf("typed decoder refused the encoder's own request %s", got)
+	if ok, _ := decodeFrame(t, got); !ok {
+		t.Fatalf("read refused the writer's own request %s", got)
 	}
 
 	want, wantErr := json.Marshal(oracleResponse(resp))
 	got, err = written(&resp)
 	if (err != nil) != (wantErr != nil) {
-		t.Fatalf("response %+v: typed error %v, json error %v", resp, err, wantErr)
+		t.Fatalf("response %+v: written error %v, json error %v", resp, err, wantErr)
 	}
 	if err != nil {
 		return
 	}
 	if !bytes.Equal(got, want) {
-		t.Fatalf("response %+v:\n typed %s\n  json %s", resp, got, want)
+		t.Fatalf("response %+v:\n written %s\n    json %s", resp, got, want)
 	}
-	if _, ok := checkDecode(t, got); !ok {
-		t.Fatalf("typed decoder refused the encoder's own response %s", got)
+	if _, ok := decodeFrame(t, got); !ok {
+		t.Fatalf("read refused the writer's own response %s", got)
 	}
 }
 
@@ -134,13 +152,14 @@ func written(v any) ([]byte, error) {
 }
 
 // checkStream reads data as a raw frame stream: whatever comes back,
-// no panic, nothing read past the stream or past maxFrame, and no
-// buffer kept past maxRetainedBuf.
+// no panic, nothing read past the stream or past maxFrame, no buffer
+// kept past maxRetainedBuf, and an accepted response's entries reserved
+// within a row per 8 payload bytes.
 func checkStream(t *testing.T, data []byte) {
 	t.Helper()
 	var frame frameBuf
 	var req request
-	n, err := frame.readRequest(bytes.NewReader(data), &req)
+	n, err := frame.read(bytes.NewReader(data), &req)
 	if n > len(data) || n > 4+maxFrame {
 		t.Fatalf("metered %d bytes off a %d-byte stream", n, len(data))
 	}
@@ -148,7 +167,9 @@ func checkStream(t *testing.T, data []byte) {
 		t.Fatalf("accepted frame metered %d bytes, prefix says %d", n, binary.BigEndian.Uint32(data))
 	}
 	var resp response
-	frame.readResponse(bytes.NewReader(data), &resp) //nolint:errcheck // only must not panic
+	if n, err := frame.read(bytes.NewReader(data), &resp); err == nil && cap(resp.Entries) > (n-4)/8+1 {
+		t.Fatalf("%d entries reserved for a %d-byte payload", cap(resp.Entries), n-4)
+	}
 	if cap(frame.buf) > maxRetainedBuf {
 		t.Fatalf("retained a %d-byte buffer", cap(frame.buf))
 	}
@@ -186,15 +207,16 @@ var frameSeeds = []struct {
 	{`{"v":1,"shard":0,"x":` + strings.Repeat("[", 64) + strings.Repeat("]", 64) + `}`, "", 1, 1},
 }
 
-// FuzzFrame is the differential fuzz of the frame codec against
-// encoding/json: payload drives the decoder (as a bare payload and as a
-// raw frame stream), the other arguments fill structs for the encoder.
+// FuzzFrame fuzzes the frame codec: payload is read as a bare payload
+// and as a raw frame stream (bounded, and read as encoding/json reads
+// it), the other arguments fill structs whose written bytes must be
+// encoding/json's of the oracle structs, so a changed tag fails.
 func FuzzFrame(f *testing.F) {
 	for _, s := range frameSeeds {
 		f.Add([]byte(s.payload), s.text, s.num, s.u)
 	}
 	f.Fuzz(func(t *testing.T, payload []byte, text string, num float64, u uint64) {
-		checkDecode(t, payload)
+		decodeFrame(t, payload)
 		checkStream(t, payload)
 		req := request{V: int(u % 3), Op: text, K: int(int32(u >> 8)), Vertex: uint32(u >> 16), Epoch: u, Rid: text}
 		resp := response{
@@ -211,76 +233,82 @@ func FuzzFrame(f *testing.F) {
 	})
 }
 
-// TestDecodeFrames is the accept/refuse table of the frame language:
-// what encoding/json writes for request and response, and nothing
-// else. Every refused case differs from an accepted frame in one place;
-// every accepted one is also held to encoding/json by checkDecode.
+// TestDecodeFrames is the accept/refuse table of the frame language,
+// which is what encoding/json reads into request and response: any
+// JSON object of the right member types. The rows named for a stricter
+// language (member order, whitespace, folded or escaped names,
+// duplicates, unknown members, null, escapes, invalid UTF-8, empty
+// entries) pin that such frames are accepted; syntax errors, trailing
+// bytes, wrong types and numbers out of range are refused. Every case
+// is also held to encoding/json by decodeFrame.
 func TestDecodeFrames(t *testing.T) {
 	cases := []struct {
 		name    string
 		payload string
-		req     bool // the request decoder accepts
-		resp    bool // the response decoder accepts
+		req     bool // read accepts it as a request
+		resp    bool // read accepts it as a response
 	}{
-		{"request, required members", `{"v":3,"op":"status"}`, true, false},
-		{"request, every member", `{"v":3,"op":"topk","k":5,"vertex":7,"epoch":9,"rid":"a\"b"}`, true, false},
-		{"response, required members", `{"v":3,"shard":0}`, false, true},
+		{"request, required members", `{"v":3,"op":"status"}`, true, true},
+		{"request, every member", `{"v":3,"op":"topk","k":5,"vertex":7,"epoch":9,"rid":"a\"b"}`, true, true},
+		{"response, required members", `{"v":3,"shard":0}`, true, true},
 		{"response, every member", `{"v":3,"shard":1,"code":"c","error":"e","epoch":2,"engine":"frogwild","seed":7,` +
-			`"entries":[{"vertex":4,"score":0.25},{"vertex":0,"score":1e-7}],"owned":true,"rank":5e-324,"ownedCount":12,"shards":4,"snapshotAge":1.5}`, false, true},
-		{"members of the other frame type are unknown", `{"v":3,"shard":3,"entries":[{"vertex":1,"score":2}]}`, false, true},
-		{"escapes appendString writes", `{"v":3,"op":"\"\\\b\f\n\r\t\u0000\u001b\u003c\u0026\u2028\u2029\ufffd"}`, true, false},
-		{"upper-case hex escape", `{"v":3,"op":"\u00E9"}`, true, false},
-		{"raw UTF-8", "{\"v\":3,\"op\":\"é 日本 🐸 \x7f\u2028\"}", true, false},
-		{"negative zero int", `{"v":-0,"op":"x"}`, true, false},
-		{"number grammar", `{"v":3,"shard":-0,"rank":-0.5E+2,"snapshotAge":1e-2}`, false, true},
-		{"zero in an omitempty member", `{"v":3,"op":"topk","k":0}`, true, false},
+			`"entries":[{"vertex":4,"score":0.25},{"vertex":0,"score":1e-7}],"owned":true,"rank":5e-324,"ownedCount":12,"shards":4,"snapshotAge":1.5}`, true, true},
+		{"members of the other frame type are unknown", `{"v":3,"shard":3,"entries":[{"vertex":1,"score":2}]}`, true, true},
+		{"escapes appendString writes", `{"v":3,"op":"\"\\\b\f\n\r\t\u0000\u001b\u003c\u0026\u2028\u2029\ufffd"}`, true, true},
+		{"upper-case hex escape", `{"v":3,"op":"\u00E9"}`, true, true},
+		{"raw UTF-8", "{\"v\":3,\"op\":\"é 日本 🐸 \x7f\u2028\"}", true, true},
+		{"negative zero int", `{"v":-0,"op":"x"}`, true, true},
+		{"number grammar", `{"v":3,"shard":-0,"rank":-0.5E+2,"snapshotAge":1e-2}`, true, true},
+		{"zero in an omitempty member", `{"v":3,"op":"topk","k":0}`, true, true},
 
-		{"empty object", `{}`, false, false},
-		{"v missing", `{"op":"topk"}`, false, false},
-		{"op missing", `{"v":3,"k":5}`, false, false},
-		{"shard missing", `{"v":3,"code":"x"}`, false, false},
-		{"members out of order", `{"v":3,"op":"topk","epoch":9,"k":5}`, false, false},
-		{"required members out of order", `{"op":"topk","v":3}`, false, false},
-		{"duplicate member", `{"v":3,"op":"topk","k":1,"k":2}`, false, false},
-		{"duplicate under folding", `{"v":3,"op":"topk","k":1,"K":2}`, false, false},
-		{"unknown members", `{"v":3,"op":"topk","deadline":12.5,"tags":["a",{"b":[true,false,null]}],"k":5}`, false, false},
-		{"removed queries member", `{"v":3,"shard":0,"queries":42}`, false, false},
-		{"names do not fold", `{"V":3,"Op":"rank"}`, false, false},
-		{"escaped name", `{"\u0076":3,"op":"status"}`, false, false},
-		{"whitespace", `{"v":3, "op":"topk"}`, false, false},
-		{"whitespace around the object", " {\"v\":3,\"op\":\"topk\"}\n", false, false},
-		{"owned false", `{"v":3,"shard":0,"owned":false}`, false, false},
-		{"null for a known member", `{"v":3,"op":null}`, false, false},
-		{"null for an unknown member", `{"v":3,"op":"topk","w":null}`, false, false},
-		{"fraction for an int", `{"v":3,"op":"topk","k":1.5}`, false, false},
-		{"exponent for an int", `{"v":3,"op":"topk","k":1e2}`, false, false},
+		// Spellings a stricter reader would refuse; encoding/json reads
+		// most of them, and answer refuses a zero v by name.
+		{"empty object", `{}`, true, true},
+		{"v missing", `{"op":"topk"}`, true, true},
+		{"op missing", `{"v":3,"k":5}`, true, true},
+		{"shard missing", `{"v":3,"code":"x"}`, true, true},
+		{"members out of order", `{"v":3,"op":"topk","epoch":9,"k":5}`, true, true},
+		{"required members out of order", `{"op":"topk","v":3}`, true, true},
+		{"duplicate member", `{"v":3,"op":"topk","k":1,"k":2}`, true, true},
+		{"duplicate under folding", `{"v":3,"op":"topk","k":1,"K":2}`, true, true},
+		{"unknown members", `{"v":3,"op":"topk","deadline":12.5,"tags":["a",{"b":[true,false,null]}],"k":5}`, true, true},
+		{"removed queries member", `{"v":3,"shard":0,"queries":42}`, true, true},
+		{"names do not fold", `{"V":3,"Op":"rank"}`, true, true},
+		{"escaped name", `{"\u0076":3,"op":"status"}`, true, true},
+		{"whitespace", `{"v":3, "op":"topk"}`, true, true},
+		{"whitespace around the object", " {\"v\":3,\"op\":\"topk\"}\n", true, true},
+		{"owned false", `{"v":3,"shard":0,"owned":false}`, true, true},
+		{"null for a known member", `{"v":3,"op":null}`, true, true},
+		{"null for an unknown member", `{"v":3,"op":"topk","w":null}`, true, true},
+		{"fraction for an int", `{"v":3,"op":"topk","k":1.5}`, false, true},
+		{"exponent for an int", `{"v":3,"op":"topk","k":1e2}`, false, true},
 		{"negative unsigned", `{"v":3,"op":"topk","epoch":-1}`, false, false},
-		{"vertex past uint32", `{"v":3,"op":"rank","vertex":4294967296}`, false, false},
+		{"vertex past uint32", `{"v":3,"op":"rank","vertex":4294967296}`, false, true},
 		{"string for a number", `{"v":"3","op":"topk"}`, false, false},
-		{"number for a string", `{"v":3,"op":1}`, false, false},
+		{"number for a string", `{"v":3,"op":1}`, false, true},
 		{"leading zero", `{"v":03,"op":"topk"}`, false, false},
 		{"bare minus", `{"v":-,"op":"topk"}`, false, false},
 		{"plus sign", `{"v":+3,"op":"topk"}`, false, false},
 		{"bare fraction point", `{"v":3,"shard":0,"rank":1.}`, false, false},
 		{"bare exponent", `{"v":3,"shard":0,"rank":1e}`, false, false},
-		{"float out of range", `{"v":3,"shard":0,"rank":1e999}`, false, false},
-		{"empty entries", `{"v":3,"shard":0,"entries":[]}`, false, false},
-		{"entry not an object", `{"v":3,"shard":0,"entries":[1]}`, false, false},
-		{"entry null", `{"v":3,"shard":0,"entries":[null]}`, false, false},
-		{"entry members swapped", `{"v":3,"shard":0,"entries":[{"score":1,"vertex":1}]}`, false, false},
-		{"entry member missing", `{"v":3,"shard":0,"entries":[{"vertex":1}]}`, false, false},
-		{"entry with an extra member", `{"v":3,"shard":0,"entries":[{"vertex":1,"score":1,"x":2}]}`, false, false},
+		{"float out of range", `{"v":3,"shard":0,"rank":1e999}`, true, false},
+		{"empty entries", `{"v":3,"shard":0,"entries":[]}`, true, true},
+		{"entry not an object", `{"v":3,"shard":0,"entries":[1]}`, true, false},
+		{"entry null", `{"v":3,"shard":0,"entries":[null]}`, true, true},
+		{"entry members swapped", `{"v":3,"shard":0,"entries":[{"score":1,"vertex":1}]}`, true, true},
+		{"entry member missing", `{"v":3,"shard":0,"entries":[{"vertex":1}]}`, true, true},
+		{"entry with an extra member", `{"v":3,"shard":0,"entries":[{"vertex":1,"score":1,"x":2}]}`, true, true},
 		{"entries trailing comma", `{"v":3,"shard":0,"entries":[{"vertex":1,"score":1},]}`, false, false},
 		{"entries unterminated", `{"v":3,"shard":0,"entries":[{"vertex":1,"score":1}`, false, false},
 		{"object trailing comma", `{"v":3,"op":"topk",}`, false, false},
 		{"missing colon", `{"v":3,"op" "topk"}`, false, false},
 		{"missing comma", `{"v":3 "op":"topk"}`, false, false},
 		{"control byte in string", "{\"v\":3,\"op\":\"a\nb\"}", false, false},
-		{"invalid UTF-8 in string", "{\"v\":3,\"op\":\"a\xffb\"}", false, false},
+		{"invalid UTF-8 in string", "{\"v\":3,\"op\":\"a\xffb\"}", true, true},
 		{"bad escape", `{"v":3,"op":"\x"}`, false, false},
 		{"single-quote escape", `{"v":3,"op":"\'"}`, false, false},
-		{"solidus escape", `{"v":3,"op":"\/"}`, false, false},
-		{"surrogate escape", `{"v":3,"op":"\ud83d\udc38"}`, false, false},
+		{"solidus escape", `{"v":3,"op":"\/"}`, true, true},
+		{"surrogate escape", `{"v":3,"op":"\ud83d\udc38"}`, true, true},
 		{"short unicode escape", `{"v":3,"op":"\u12"}`, false, false},
 		{"signed unicode escape", `{"v":3,"op":"\u+123"}`, false, false},
 		{"escape at the end", `{"v":3,"op":"\`, false, false},
@@ -289,34 +317,41 @@ func TestDecodeFrames(t *testing.T) {
 		{"trailing bytes", `{"v":3,"op":"topk"}x`, false, false},
 		{"two values", `{"v":3,"op":"topk"}{"v":3,"op":"topk"}`, false, false},
 		{"top-level array", `[]`, false, false},
-		{"top-level null", `null`, false, false},
+		{"top-level null", `null`, true, true},
 		{"empty payload", ``, false, false},
 		{"garbage", "\x00\xff\x13garbage", false, false},
 		{"bad syntax inside an unknown member", `{"v":3,"op":"topk","w":[1,2,}`, false, false},
 		{"bad literal inside an unknown member", `{"v":3,"op":"topk","w":tru}`, false, false},
-		{"unknown member nested deep", `{"v":3,"op":"topk","w":` + strings.Repeat("[", 64) + strings.Repeat("]", 64) + `}`, false, false},
+		{"unknown member nested deep", `{"v":3,"op":"topk","w":` + strings.Repeat("[", 64) + strings.Repeat("]", 64) + `}`, true, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			req, resp := checkDecode(t, []byte(tc.payload))
+			req, resp := decodeFrame(t, []byte(tc.payload))
 			if req != tc.req || resp != tc.resp {
 				t.Fatalf("accepted as request %v (want %v), as response %v (want %v)", req, tc.req, resp, tc.resp)
 			}
 		})
 	}
 
-	var req request
-	if err := decodeRequest([]byte(`{"v":3,"op":"topk","k":5,"epoch":9,"rid":"a\"b\u00e9"}`), &req); err != nil {
-		t.Fatal(err)
-	}
-	if want := (request{V: 3, Op: opTopK, K: 5, Epoch: 9, Rid: `a"bé`}); req != want {
-		t.Fatalf("decoded %+v, want %+v", req, want)
+	// Whitespace, member order, folded names, unknown members, escapes
+	// and invalid UTF-8 (read as U+FFFD) spell the same request.
+	want := request{V: 3, Op: opTopK, K: 5, Epoch: 9, Rid: "a\"b\u00e9\ufffd"}
+	for _, payload := range []string{
+		"{\"v\":3,\"op\":\"topk\",\"k\":5,\"epoch\":9,\"rid\":\"a\\\"b\u00e9\\ufffd\"}",
+		"\n{ \"RID\" : \"a\\\"b\\u00e9\xff\", \"Epoch\":9,\"deadline\":[{\"x\":null}],\"\\u006b\":5,\"Op\":\"topk\",\"v\":3}\t",
+	} {
+		var frame frameBuf
+		var req request
+		if _, err := frame.read(bytes.NewReader(framed([]byte(payload))), &req); err != nil || req != want {
+			t.Fatalf("%q decoded %+v, %v; want %+v", payload, req, err, want)
+		}
 	}
 }
 
 // TestFrameBounds pins the framing limits: a truncated frame and an
-// oversized prefix are errors, the meters count what was read, and a
-// buffer grown past maxRetainedBuf is not kept.
+// oversized prefix are errors, the meters count what was read, a
+// buffer grown past maxRetainedBuf is not kept, and a response's
+// entries are reserved within a row per 8 payload bytes.
 func TestFrameBounds(t *testing.T) {
 	var frame frameBuf
 	var sink bytes.Buffer
@@ -324,7 +359,7 @@ func TestFrameBounds(t *testing.T) {
 	for i := range big.Entries {
 		big.Entries[i] = topk.Entry{Vertex: uint32(i), Score: 1 / float64(i+1)}
 	}
-	n, err := frame.writeResponse(&sink, &big)
+	n, err := frame.write(&sink, &big)
 	if err != nil || n != sink.Len() || n <= maxRetainedBuf {
 		t.Fatalf("wrote %d bytes (buffer holds %d), err %v", n, sink.Len(), err)
 	}
@@ -334,7 +369,7 @@ func TestFrameBounds(t *testing.T) {
 	wire := append([]byte(nil), sink.Bytes()...)
 
 	var back response
-	if n, err := frame.readResponse(bytes.NewReader(wire), &back); err != nil || n != len(wire) {
+	if n, err := frame.read(bytes.NewReader(wire), &back); err != nil || n != len(wire) {
 		t.Fatalf("read %d of %d bytes: %v", n, len(wire), err)
 	}
 	if !reflect.DeepEqual(back, big) {
@@ -346,12 +381,12 @@ func TestFrameBounds(t *testing.T) {
 
 	small := request{V: api.Version, Op: opStatus}
 	sink.Reset()
-	if _, err := frame.writeRequest(&sink, &small); err != nil {
+	if _, err := frame.write(&sink, &small); err != nil {
 		t.Fatal(err)
 	}
 	kept := &frame.buf[0]
 	sink.Reset()
-	if _, err := frame.writeRequest(&sink, &small); err != nil {
+	if _, err := frame.write(&sink, &small); err != nil {
 		t.Fatal(err)
 	}
 	if &frame.buf[0] != kept {
@@ -359,7 +394,7 @@ func TestFrameBounds(t *testing.T) {
 	}
 
 	for cut := 0; cut < len(wire); cut += 1 + len(wire)/50 {
-		n, err := frame.readResponse(bytes.NewReader(wire[:cut]), &back)
+		n, err := frame.read(bytes.NewReader(wire[:cut]), &back)
 		if err == nil {
 			t.Fatalf("frame truncated to %d bytes was accepted", cut)
 		}
@@ -375,14 +410,95 @@ func TestFrameBounds(t *testing.T) {
 	// buffer step, not maxFrame.
 	hostile := append(binary.BigEndian.AppendUint32(nil, maxFrame), `{"v":1,"sha`...)
 	frame = frameBuf{}
-	if n, err := frame.readResponse(bytes.NewReader(hostile), &back); err == nil || n != len(hostile) || cap(frame.buf) > 2*maxRetainedBuf {
+	if n, err := frame.read(bytes.NewReader(hostile), &back); err == nil || n != len(hostile) || cap(frame.buf) > 2*maxRetainedBuf {
 		t.Fatalf("hostile prefix: metered %d bytes, allocated %d, err %v", n, cap(frame.buf), err)
 	}
 
 	oversized := binary.BigEndian.AppendUint32(nil, maxFrame+1)
 	frame = frameBuf{}
-	if n, err := frame.readResponse(bytes.NewReader(oversized), &back); err == nil || n != 4 || frame.buf != nil {
+	if n, err := frame.read(bytes.NewReader(oversized), &back); err == nil || n != 4 || frame.buf != nil {
 		t.Fatalf("oversized prefix: metered %d bytes, allocated %d, err %v", n, cap(frame.buf), err)
+	}
+
+	// Rows denser in commas than any this package writes would make
+	// encoding/json reserve many times the payload: they are refused
+	// before anything is decoded into the response.
+	rows := func(row string) []byte {
+		payload := []byte(`{"v":3,"shard":0,"entries":[` + row)
+		for len(payload) < maxRetainedBuf {
+			payload = append(append(payload, ','), row...)
+		}
+		return append(payload, "]}"...)
+	}
+	for _, row := range []string{`{}`, `null`} {
+		wire := framed(rows(row))
+		back = response{Shard: 99}
+		if n, err := frame.read(bytes.NewReader(wire), &back); err == nil || n != len(wire) || back.Shard != 99 || back.Entries != nil {
+			t.Fatalf("%d-byte frame of %s rows: metered %d, err %v, decoded into %+v", len(wire), row, n, err, back)
+		}
+	}
+	// Commas inside a string, behind an escaped quote, separate nothing.
+	commas := response{V: api.Version, Code: api.CodeBadRequest, Err: `"` + strings.Repeat(",", 1000)}
+	sink.Reset()
+	if _, err := frame.write(&sink, &commas); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := frame.read(&sink, &back); err != nil || back.Err != commas.Err {
+		t.Fatalf("error of %d commas read back as %q, %v", len(commas.Err)-1, back.Err, err)
+	}
+	// The smallest real rows, and the densest in commas read accepts.
+	for _, row := range []string{`{"vertex":0,"score":1}`, `{"x":0}`} {
+		payload := rows(row)
+		_, err := frame.read(bytes.NewReader(framed(payload)), &back)
+		if err != nil || len(back.Entries) != bytes.Count(payload, []byte(row)) || cap(back.Entries) > len(payload)/8+1 {
+			t.Fatalf("%d-byte frame of %s rows: %d entries in %d reserved, err %v", len(payload), row, len(back.Entries), cap(back.Entries), err)
+		}
+	}
+}
+
+// TestServeConnZeroesEachRequest sends two request frames on one
+// connection: the first carries epoch, k and rid, the second none of
+// them. encoding/json keeps what a frame omits, so unless every frame is
+// read into a zeroed request the second is answered at the first one's
+// epoch and logged under its rid and k.
+func TestServeConnZeroesEachRequest(t *testing.T) {
+	g := testGraph(t)
+	store := serve.NewStore()
+	old := publishRanks(t, store, g, tieRanks(g.NumVertices(), 3))
+	srv := newShards(t, g, []*serve.Store{store})[0]
+	var log bytes.Buffer
+	srv.SetRequestLog(obs.NewLogger(&log))
+	conn, err := PipeDialer(srv)()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	var frame frameBuf
+	call := func(payload string) response {
+		t.Helper()
+		if _, err := conn.Write(framed([]byte(payload))); err != nil {
+			t.Fatal(err)
+		}
+		var resp response
+		if _, err := frame.read(conn, &resp); err != nil || resp.Code != "" {
+			t.Fatalf("%s: answered %+v, %v", payload, resp, err)
+		}
+		return resp
+	}
+	call(fmt.Sprintf(`{"v":%d,"op":"status"}`, api.Version)) // the shard retains old once it has seen it
+	cur := publishRanks(t, store, g, tieRanks(g.NumVertices(), 4))
+
+	first := call(fmt.Sprintf(`{"v":%d,"op":"topk","k":3,"epoch":%d,"rid":"first"}`, api.Version, old.Epoch))
+	if first.Epoch != old.Epoch || len(first.Entries) != 3 {
+		t.Fatalf("first frame answered at epoch %d with %d entries, want epoch %d and 3", first.Epoch, len(first.Entries), old.Epoch)
+	}
+	second := call(fmt.Sprintf(`{"v":%d,"op":"rank","vertex":2}`, api.Version))
+	if second.Epoch != cur.Epoch || !second.Owned || second.Rank != cur.Ranks[2] {
+		t.Fatalf("second frame answered %+v, want vertex 2's rank at the current epoch %d", second, cur.Epoch)
+	}
+	logged := decodeLog(t, &log)
+	if last := logged[len(logged)-1]; last.Op != opRank || last.RID != "" || last.K != 0 {
+		t.Fatalf("second frame logged %+v, want op rank with no rid and no k", last)
 	}
 }
 
@@ -590,7 +706,7 @@ func BenchmarkFrameCodec(b *testing.B) {
 	var frame frameBuf
 	var wire bytes.Buffer
 	var back response
-	n, err := frame.writeResponse(&wire, &resp)
+	n, err := frame.write(&wire, &resp)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -599,10 +715,10 @@ func BenchmarkFrameCodec(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		wire.Reset()
-		if _, err := frame.writeResponse(&wire, &resp); err != nil {
+		if _, err := frame.write(&wire, &resp); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := frame.readResponse(&wire, &back); err != nil {
+		if _, err := frame.read(&wire, &back); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -22,11 +22,11 @@ import (
 	"repro/internal/topk"
 )
 
-// Version is the wire-protocol generation of the shard RPC frame. The
-// frame decoder accepts only the members its encoder writes, in that
-// order, so any frame member added, removed or changed in meaning is a
-// new version. The HTTP bodies below are read by encoding/json and may
-// still gain fields with `omitempty` without one.
+// Version is the wire-protocol generation of the shard RPC frame. Both
+// ends read frames with encoding/json, which ignores members it does
+// not know, so a frame member added, removed or changed in meaning is a
+// new version, and each end refuses a frame of another version by name.
+// The HTTP bodies below may gain fields with `omitempty` without one.
 // Version 2: a shard's "owned" answers v % shards == id, no longer an
 // HDRF placement's masters, and the router asks the owner alone.
 // Version 3: the status frame has no "queries" member.
@@ -120,8 +120,9 @@ type ServeStats struct {
 	Refreshes        uint64 `json:"refreshes"`
 	BuildErrors      uint64 `json:"buildErrors"`
 	// PPRQueries counts /v1/ppr requests; PPRCacheHits of those were
-	// answered from the hot-source LRU; PPRWalks is the total random
-	// walks executed on their behalf.
+	// answered from the per-source cache alone (every source's tally,
+	// or the set's cut, cached; no walk run or joined); PPRWalks is the
+	// total random walks executed on their behalf.
 	PPRQueries   uint64 `json:"pprQueries,omitempty"`
 	PPRCacheHits uint64 `json:"pprCacheHits,omitempty"`
 	PPRWalks     uint64 `json:"pprWalks,omitempty"`

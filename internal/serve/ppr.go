@@ -243,7 +243,8 @@ func (t *pprTally) cut(rows []walk.Visit, k int, positions uint64) {
 // size, for the cache.
 func (t *pprTally) clone() *pprTally {
 	c := *t
-	c.rows = bytes.Clone(t.rows)
+	c.rows = make([]byte, len(t.rows))
+	copy(c.rows, t.rows)
 	return &c
 }
 
@@ -795,8 +796,10 @@ func (s *Server) pprCompose(snap *Snapshot, plan pprPlan, key []byte) (*pprTally
 	if len(tallies) == 1 {
 		return tallies[0], nil
 	}
-	t := new(pprTally)
-	composeCut(tallies, e.opts.MaxK, t)
+	packed := pprTallies.Get().(*pprTally)
+	defer pprTallies.Put(packed)
+	composeCut(tallies, e.opts.MaxK, packed)
+	t := packed.clone()
 	e.cache.Put(string(key), t)
 	return t, nil
 }

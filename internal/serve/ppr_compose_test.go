@@ -209,3 +209,23 @@ func TestPPRFaultInOneSourceOfFour(t *testing.T) {
 		t.Fatalf("GET %s after the fault: status %d, body differs from a healthy server's: %s", url, code, b)
 	}
 }
+
+// TestPPRCachedCutsHeldAtTheirSize: the cache keeps each entry's rows in
+// a buffer of their size, a source set's cut as well as a source's
+// tally, not in the buffer they were packed in.
+func TestPPRCachedCutsHeldAtTheirSize(t *testing.T) {
+	opts := PPROptions{WalksPerSource: 300}
+	srv, snap := pprServer(t, opts)
+	if code, b := getPPR(t, srv, "/v1/ppr?sources=12,7,3,9&k=10"); code != http.StatusOK {
+		t.Fatalf("status %d: %s", code, b)
+	}
+	for _, sources := range [][]graph.VertexID{{3, 7, 9, 12}, {3}, {7}, {9}, {12}} {
+		c, ok := srv.ppr.cache.Get(appendPPRKey(nil, snap.Epoch, 300, sources))
+		if !ok {
+			t.Fatalf("%v not cached", sources)
+		}
+		if len(c.rows) != cap(c.rows) {
+			t.Fatalf("%v: cached %d bytes of rows in a %d-byte buffer", sources, len(c.rows), cap(c.rows))
+		}
+	}
+}

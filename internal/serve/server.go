@@ -83,8 +83,9 @@ type Server struct {
 	coalesced   obs.Counter
 	reg         *obs.Registry
 
-	// ppr owns the /v1/ppr hot-source LRU, slot gate and instruments
-	// (see ppr.go).
+	// ppr owns the /v1/ppr per-source cache (a source's tally, or a
+	// repeated set's cut, per entry), slot gate and instruments (see
+	// ppr.go).
 	ppr *pprEngine
 }
 

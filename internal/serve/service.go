@@ -36,7 +36,7 @@ type ServiceConfig struct {
 	Metrics *obs.Registry
 	// RequestLog, when non-nil, receives one JSON line per request.
 	RequestLog *obs.Logger
-	// PPR tunes the /v1/ppr endpoint (walk budget, hot-source cache);
+	// PPR tunes the /v1/ppr endpoint (walk budget, per-source cache);
 	// the zero value serves with defaults.
 	PPR PPROptions
 }
