@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -646,6 +647,21 @@ func TestMixedVersionsNameBothVersions(t *testing.T) {
 	var resp response
 	if _, err := frame.read(conn, &resp); err == nil {
 		t.Fatalf("malformed frame of this version answered %+v", resp)
+	}
+	// A frame of another version whose member changed its JSON type does
+	// not decode either: it ends the connection, unnamed, not answered
+	// version_mismatch.
+	conn, err = PipeDialer(current)()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	payload = fmt.Sprintf(`{"v":%d,"op":"topk","k":"5"}`, api.Version+1)
+	if _, err := conn.Write(append(binary.BigEndian.AppendUint32(nil, uint32(len(payload))), payload...)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := frame.read(conn, &resp); !errors.Is(err, io.EOF) {
+		t.Fatalf("%s: read %+v, %v; want the connection closed", payload, resp, err)
 	}
 }
 

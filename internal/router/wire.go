@@ -53,7 +53,9 @@ const maxRetainedBuf = 64 << 10
 // by encoding/json, so a peer may send whitespace, any member order and
 // members this version does not declare, which are ignored. A member
 // added, removed or changed in meaning is still a new api.Version: the
-// v check on both ends refuses the other generation by name. The
+// v check on both ends refuses the other generation by name, but a
+// member whose JSON type changed fails to decode first, and the reader
+// drops the connection as for any malformed frame. The
 // benchmark's span tracer reads the same bytes; the tests hold the
 // written frames to testdata/frames.golden.
 
@@ -148,12 +150,14 @@ func (f *frameBuf) write(w io.Writer, v any) (int, error) {
 
 // read reads one length-prefixed frame and decodes it into v, a
 // *request or a *response, returning the total bytes taken off the
-// wire. encoding/json keeps what a frame omits, so v is zeroed first. A
-// response's entries are reserved at one row more than the payload's
-// commas, as every row after the first follows one, so decoding never
-// grows them. A payload with more than a comma per 8 bytes, commas in
-// strings not counted, is refused before anything is decoded; a frame
-// this package writes has fewer, as a row spends two in 23 bytes.
+// wire. encoding/json keeps what a frame omits, so v is zeroed first.
+// Only an array can make encoding/json reserve many times a payload's
+// bytes. A response payload that holds one is refused before anything
+// is decoded if it has more than a comma per 8 bytes, commas in strings
+// not counted; a frame this package writes has fewer, as a row spends
+// two in 23 bytes. Otherwise its entries are reserved at one row more
+// than its commas, as every row after the first follows one, so
+// decoding never grows them.
 func (f *frameBuf) read(r io.Reader, v any) (int, error) {
 	defer f.trim()
 	payload, n, err := f.recv(r)
@@ -164,14 +168,15 @@ func (f *frameBuf) read(r io.Reader, v any) (int, error) {
 	case *request:
 		*v = request{}
 	case *response:
-		commas := bytes.Count(payload, []byte{','})
-		if commas > len(payload)/8 {
-			commas = commasOutsideStrings(payload) // only a dense payload pays for the scan
+		var entries []topk.Entry
+		if bytes.IndexByte(payload, '[') >= 0 {
+			commas := commasOutsideStrings(payload)
+			if commas > len(payload)/8 {
+				return n, fmt.Errorf("router: frame decode: %d commas in %d bytes", commas, len(payload))
+			}
+			entries = make([]topk.Entry, 0, commas+1)
 		}
-		if commas > len(payload)/8 {
-			return n, fmt.Errorf("router: frame decode: %d commas in %d bytes", commas, len(payload))
-		}
-		*v = response{Entries: make([]topk.Entry, 0, commas+1)}
+		*v = response{Entries: entries}
 	}
 	if err := json.Unmarshal(payload, v); err != nil {
 		return n, fmt.Errorf("router: frame decode: %w", err)

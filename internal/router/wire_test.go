@@ -438,13 +438,22 @@ func TestFrameBounds(t *testing.T) {
 		}
 	}
 	// Commas inside a string, behind an escaped quote, separate nothing.
-	commas := response{V: api.Version, Code: api.CodeBadRequest, Err: `"` + strings.Repeat(",", 1000)}
+	commas := response{V: api.Version, Code: api.CodeBadRequest, Err: `"[` + strings.Repeat(",", 1000)}
 	sink.Reset()
 	if _, err := frame.write(&sink, &commas); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := frame.read(&sink, &back); err != nil || back.Err != commas.Err {
-		t.Fatalf("error of %d commas read back as %q, %v", len(commas.Err)-1, back.Err, err)
+		t.Fatalf("error of %d commas read back as %q, %v", len(commas.Err)-2, back.Err, err)
+	}
+	// An answer without an array reserves no entries.
+	rank := response{V: api.Version, Shard: 1, Epoch: 4, Owned: true, Rank: 0.25}
+	sink.Reset()
+	if _, err := frame.write(&sink, &rank); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := frame.read(&sink, &back); err != nil || !reflect.DeepEqual(back, rank) {
+		t.Fatalf("rank answer read back as %+v (%d entries reserved), %v", back, cap(back.Entries), err)
 	}
 	// The smallest real rows, and the densest in commas read accepts.
 	for _, row := range []string{`{"vertex":0,"score":1}`, `{"x":0}`} {

@@ -25,7 +25,9 @@ import (
 // Version is the wire-protocol generation of the shard RPC frame. Both
 // ends read frames with encoding/json, which ignores members it does
 // not know, so a frame member added, removed or changed in meaning is a
-// new version, and each end refuses a frame of another version by name.
+// new version. Each end refuses a decodable frame of another version by
+// name; one whose member changed its JSON type does not decode, so its
+// peer sees a decode error and a closed connection, not the versions.
 // The HTTP bodies below may gain fields with `omitempty` without one.
 // Version 2: a shard's "owned" answers v % shards == id, no longer an
 // HDRF placement's masters, and the router asks the owner alone.

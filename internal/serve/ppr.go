@@ -243,8 +243,7 @@ func (t *pprTally) cut(rows []walk.Visit, k int, positions uint64) {
 // size, for the cache.
 func (t *pprTally) clone() *pprTally {
 	c := *t
-	c.rows = make([]byte, len(t.rows))
-	copy(c.rows, t.rows)
+	c.rows = bytes.Clone(t.rows)
 	return &c
 }
 
