@@ -9,7 +9,6 @@
 //
 //	prserve -gen twitterlike -n 50000 -addr :8080 -refresh 30s
 //	prserve -graph tw.csr.gz -engine frogwild -walkers 100000 -ps 0.7
-//	prserve -gen livejournallike -n 20000 -engine glpr -iters 5
 //	prserve -gen twitterlike -n 50000 -graph-cache tw.csr -snapshot-dir /var/lib/prserve
 //
 // API:
@@ -19,7 +18,7 @@
 //	GET /v1/ppr?source=7&k=20          top-k personalized PageRank of a
 //	                                   source set (sources=a,b,c),
 //	                                   request-time walks, bounded budget
-//	GET /v1/compare?engine=exact&k=20  served accuracy vs another engine
+//	GET /v1/compare?k=20               served accuracy vs exact PageRank
 //	GET /v1/stats                      provenance, graph + serving stats
 //	GET /metrics                       Prometheus text exposition
 //	GET /healthz                       200 once a snapshot is published

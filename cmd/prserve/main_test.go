@@ -35,6 +35,7 @@ func TestUsageErrors(t *testing.T) {
 	}{
 		{[]string{"-bogus"}, "-bogus"},
 		{[]string{"-gen", "twitterlike", "-engine", "bogus"}, `"bogus"`},
+		{[]string{"-gen", "twitterlike", "-engine", "glpr"}, "frogwild|exact"},       // removed: glpr is the reproduction's baseline, not served
 		{[]string{"-gen", "twitterlike", "-engine-workers", "2"}, "-engine-workers"}, // removed: GOMAXPROCS sizes the pools
 		{[]string{"-gen", "twitterlike", "-workers", "2"}, "-workers"},
 		{[]string{"-gen", "twitterlike", "-graph-mem", "12parsecs"}, `"12parsecs"`},

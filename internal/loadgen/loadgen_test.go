@@ -374,7 +374,7 @@ func TestRunAgainstServeHandler404(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv, _, err := serve.NewService(g, serve.ServiceConfig{
-		Build: serve.BuildConfig{Engine: serve.EngineGLPR, Iterations: 2, Machines: 2, Seed: 3},
+		Build: serve.BuildConfig{Engine: serve.EngineExact, Machines: 2, Seed: 3},
 	})
 	if err != nil {
 		t.Fatal(err)

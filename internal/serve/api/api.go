@@ -85,8 +85,8 @@ type RankResponse struct {
 }
 
 // CompareResponse is the /v1/compare body: the served estimate's
-// accuracy metrics against another engine run on the same graph, with
-// the comparison engine treated as the reference.
+// accuracy metrics against exact PageRank of the same graph, the
+// reference Against names.
 type CompareResponse struct {
 	Epoch               uint64  `json:"epoch"`
 	Engine              Engine  `json:"engine"`

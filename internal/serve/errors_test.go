@@ -41,6 +41,8 @@ func TestErrorEnvelopeTable(t *testing.T) {
 		{"bad vertex", srv, "GET", "/v1/rank?vertex=x", http.StatusBadRequest, api.CodeBadRequest, 1},
 		{"vertex out of range", srv, "GET", "/v1/rank?vertex=99999", http.StatusNotFound, api.CodeNotFound, 1},
 		{"unknown engine", srv, "GET", "/v1/compare?engine=quantum", http.StatusBadRequest, api.CodeBadRequest, 1},
+		{"compare against glpr", srv, "GET", "/v1/compare?engine=glpr", http.StatusBadRequest, api.CodeBadRequest, 1},
+		{"compare against frogwild", srv, "GET", "/v1/compare?engine=frogwild", http.StatusBadRequest, api.CodeBadRequest, 1},
 		{"post rejected", srv, "POST", "/v1/topk", http.StatusMethodNotAllowed, api.CodeMethodNotAllowed, 1},
 		{"no snapshot topk", empty, "GET", "/v1/topk", http.StatusServiceUnavailable, api.CodeNoSnapshot, 0},
 		{"no snapshot stats", empty, "GET", "/v1/stats", http.StatusServiceUnavailable, api.CodeNoSnapshot, 0},

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -169,6 +170,38 @@ func TestSaveSnapshotAtomic(t *testing.T) {
 	}
 	if len(ents) != 1 {
 		t.Fatalf("temp files left: %v", ents)
+	}
+}
+
+// TestGLPRSnapshotStillServes: serving no longer builds glpr, but an
+// FWSNAP01 file whose header names it, persisted before, still loads
+// and serves with that provenance.
+func TestGLPRSnapshotStillServes(t *testing.T) {
+	g := persistTestGraph(t)
+	ranks := make([]float64, g.NumVertices())
+	for v := range ranks {
+		ranks[v] = float64(1+v%7) / float64(4*len(ranks))
+	}
+	saved, err := FromRanks(g, Engine("glpr"), 5, ranks, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved.Epoch = 9
+	path := SnapshotPath(t.TempDir())
+	if err := SaveSnapshot(path, saved); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadSnapshot(path, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := NewStore()
+	st.Restore(loaded)
+	srv := NewServer(st, ServerOptions{})
+	for _, url := range []string{"/v1/topk?k=5", "/v1/stats"} {
+		if got := body(t, srv, url); !strings.Contains(got, `"engine":"glpr"`) {
+			t.Errorf("GET %s over a glpr snapshot: %s", url, got)
+		}
 	}
 }
 

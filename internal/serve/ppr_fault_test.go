@@ -281,9 +281,7 @@ func TestCompareFaultAnswersUnavailable(t *testing.T) {
 		faulty, pager := faultySnapshot(t, snap)
 		store := NewStore()
 		store.Publish(faulty)
-		cmp := BuildConfig{Engine: EngineExact}
-		srv := NewServer(store, ServerOptions{Compare: cmp})
-		healthy.opts.Compare = cmp
+		srv := NewServer(store, ServerOptions{})
 
 		const url = "/v1/compare?engine=exact&k=10"
 		pager.Arm(200)

@@ -23,7 +23,7 @@ func FuzzQuery(f *testing.F) {
 	st := NewStore()
 	snap := buildSnap(f, st, EngineFrogWild)
 	n := len(snap.Ranks)
-	h := NewServer(st, ServerOptions{Compare: testBuildConfig(EngineFrogWild)})
+	h := NewServer(st, ServerOptions{})
 	paths := []string{"/v1/topk", "/v1/rank", "/v1/compare"}
 
 	f.Fuzz(func(t *testing.T, endpoint uint8, rawQuery string) {
@@ -69,7 +69,7 @@ func FuzzQuery(f *testing.F) {
 		case "/v1/compare":
 			var resp api.CompareResponse
 			decode(&resp)
-			if _, err := ParseEngine(string(resp.Against)); err != nil || kErr != nil || resp.K != k {
+			if resp.Against != EngineExact || kErr != nil || resp.K != k {
 				t.Fatalf("compare?%s accepted: k=%d (%v), body k=%d against %q", rawQuery, k, kErr, resp.K, resp.Against)
 			}
 		}

@@ -6,12 +6,15 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/graph"
 	"repro/internal/graph/gen"
+	"repro/internal/pagerank"
 	"repro/internal/serve/api"
 	"repro/internal/topk"
 )
@@ -157,4 +160,97 @@ func TestTopKConsistentDuringSwap(t *testing.T) {
 	}
 	t.Logf("served %d queries across %d epochs (%d cache hits, %d coalesced)",
 		srv.Queries(), st.epoch.Load(), srv.CacheHits(), srv.coalesced.Value())
+}
+
+// TestCompareDuringSwap hammers /v1/compare from several clients while
+// a refresher publishes snapshots over two graphs in turn, and asserts
+// every answer is its epoch's graph's: the one cached (graph, ranks)
+// pair never answers for the other graph, however the swaps and
+// flights interleave. Run under -race this covers the pair and the
+// flight keyed by the graph.
+func TestCompareDuringSwap(t *testing.T) {
+	const (
+		clients   = 4
+		perClient = 40
+		k         = 20
+	)
+	graphs := [2]*graph.Graph{testGraph(t), powerLaw(t, gen.TwitterLike(2000, 8))}
+	var refs [2][]float64
+	for i, g := range graphs {
+		res, err := pagerank.Exact(g, pagerank.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		refs[i] = res.Rank
+	}
+	// Generation g serves the other graph's exact ranks on graph g%2,
+	// so the two graphs' answers differ; epoch e is generation e-1.
+	build := func(generation uint64) (*Snapshot, error) {
+		i := generation % 2
+		return FromRanks(graphs[i], EngineFrogWild, generation, slices.Clone(refs[1-i]), 50)
+	}
+	want := func(epoch uint64) api.CompareResponse {
+		i := (epoch - 1) % 2
+		ref, est := refs[i], refs[1-i]
+		return api.CompareResponse{
+			Epoch: epoch, Engine: EngineFrogWild, Against: EngineExact, K: k,
+			CapturedMass:        topk.CapturedMass(ref, est, k),
+			NormalizedMass:      topk.NormalizedCapturedMass(ref, est, k),
+			ExactIdentification: topk.ExactIdentification(ref, est, k),
+			L1Distance:          topk.L1Distance(ref, est),
+		}
+	}
+
+	st := NewStore()
+	refresher := NewRefresher(st, build, 0)
+	if _, err := refresher.Refresh(); err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(st, ServerOptions{})
+
+	var stop atomic.Bool
+	swapDone := make(chan error, 1)
+	go func() {
+		for !stop.Load() {
+			if _, err := refresher.Refresh(); err != nil {
+				swapDone <- err
+				return
+			}
+		}
+		swapDone <- nil
+	}()
+
+	var wg sync.WaitGroup
+	errs := make(chan string, clients)
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perClient; i++ {
+				rec := httptest.NewRecorder()
+				srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/compare?k=20", nil))
+				var got api.CompareResponse
+				if err := json.Unmarshal(rec.Body.Bytes(), &got); rec.Code != http.StatusOK || err != nil {
+					errs <- fmt.Sprintf("status %d: %s", rec.Code, rec.Body)
+					return
+				}
+				if got != want(got.Epoch) {
+					errs <- fmt.Sprintf("epoch %d answered %+v, want %+v", got.Epoch, got, want(got.Epoch))
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	stop.Store(true)
+	if err := <-swapDone; err != nil {
+		t.Fatalf("refresher: %v", err)
+	}
+	close(errs)
+	for msg := range errs {
+		t.Error(msg)
+	}
+	if st.epoch.Load() < 3 {
+		t.Fatalf("test never swapped graphs (epoch %d)", st.epoch.Load())
+	}
 }

@@ -9,11 +9,13 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/graph"
 	"repro/internal/graph/gen"
+	"repro/internal/obs"
 	"repro/internal/pagerank"
 	"repro/internal/serve/api"
 	"repro/internal/topk"
@@ -111,7 +113,7 @@ func TestFromRanksValidation(t *testing.T) {
 
 func TestBuildEngines(t *testing.T) {
 	g := testGraph(t)
-	for _, engine := range []Engine{EngineFrogWild, EngineGLPR, EngineExact} {
+	for _, engine := range []Engine{EngineFrogWild, EngineExact} {
 		snap, err := Build(g, testBuildConfig(engine))
 		if err != nil {
 			t.Fatalf("%s: %v", engine, err)
@@ -151,13 +153,15 @@ func TestBuildEngines(t *testing.T) {
 }
 
 func TestParseEngine(t *testing.T) {
-	for _, name := range []string{"frogwild", "glpr", "exact"} {
+	for _, name := range []string{"frogwild", "exact"} {
 		if e, err := ParseEngine(name); err != nil || string(e) != name {
 			t.Errorf("ParseEngine(%q) = %v, %v", name, e, err)
 		}
 	}
-	if _, err := ParseEngine("pagerank"); err == nil {
-		t.Error("unknown engine should error")
+	for _, name := range []string{"pagerank", "glpr"} {
+		if _, err := ParseEngine(name); err == nil {
+			t.Errorf("ParseEngine(%q) should error", name)
+		}
 	}
 }
 
@@ -257,7 +261,7 @@ func newTestServer(t testing.TB) (*Server, *Store, *httptest.Server) {
 	t.Helper()
 	st := NewStore()
 	buildSnap(t, st, EngineFrogWild)
-	srv := NewServer(st, ServerOptions{Compare: testBuildConfig(EngineFrogWild)})
+	srv := NewServer(st, ServerOptions{})
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 	return srv, st, ts
@@ -345,10 +349,10 @@ func TestServerTopKCacheAndInvalidation(t *testing.T) {
 		t.Error("repeated response differs")
 	}
 
-	buildSnap(t, st, EngineGLPR) // swap epochs
+	buildSnap(t, st, EngineExact) // swap epochs
 	var third api.TopKResponse
 	getJSON(t, ts.URL+"/v1/topk?k=7", &third)
-	if third.Epoch != 2 || third.Engine != EngineGLPR {
+	if third.Epoch != 2 || third.Engine != EngineExact {
 		t.Errorf("after swap the new epoch must be served, got %+v", third)
 	}
 }
@@ -414,6 +418,88 @@ func TestServerCompare(t *testing.T) {
 	}
 	if code := getJSON(t, ts.URL+"/v1/compare?engine=quantum", nil); code != http.StatusBadRequest {
 		t.Errorf("unknown engine: status %d", code)
+	}
+	// exact is the one reference: no engine means it, any other is refused by name.
+	if a, b := body(t, srv, "/v1/compare?k=20"), body(t, srv, "/v1/compare?engine=exact&k=20"); a != b {
+		t.Errorf("compare without an engine answered %s, with engine=exact %s", a, b)
+	}
+	var refused api.Error
+	if code := getJSON(t, ts.URL+"/v1/compare?engine=glpr", &refused); code != http.StatusBadRequest || !strings.Contains(refused.Message, "exact") {
+		t.Errorf("engine=glpr: status %d, %+v; want a 400 naming exact", code, refused)
+	}
+}
+
+// TestCompareReferenceOutlivesRefresh: exact PageRank depends on the
+// graph alone, so /v1/compare's reference outlives a refresh over the
+// same graph. The next epoch's compare counts a cache hit on
+// serve_compare_cache_hits_total and reads no adjacency (with the next
+// read armed to fail, a rerun of pagerank.Exact would answer 503); a
+// snapshot over another *graph.Graph misses and replaces the pair.
+func TestCompareReferenceOutlivesRefresh(t *testing.T) {
+	_, exact := pprServer(t, PPROptions{})
+	first, pager := faultySnapshot(t, exact)
+	g := first.Graph
+	st := NewStore()
+	srv := NewServer(st, ServerOptions{})
+	hits := func() float64 {
+		series, err := obs.ParseText([]byte(body(t, srv, "/metrics")))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return obs.FamilySum(series, "serve_compare_cache_hits_total")
+	}
+	compare := func() api.CompareResponse {
+		t.Helper()
+		var got api.CompareResponse
+		if err := json.Unmarshal([]byte(body(t, srv, "/v1/compare?k=20")), &got); err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+
+	st.Publish(first)
+	compare()
+	if hits() != 0 {
+		t.Fatal("the first compare over a graph must compute, not hit")
+	}
+	next, err := Build(g, testBuildConfig(EngineFrogWild))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Publish(next)
+	pager.Arm(1)
+	got := compare()
+	pager.Arm(0)
+	if hits() != 1 {
+		t.Errorf("compare after a refresh over the same graph: %v cache hits, want 1", hits())
+	}
+	want := topk.NormalizedCapturedMass(exact.Ranks, next.Ranks, 20)
+	if got.Epoch != 2 || got.Engine != EngineFrogWild || got.Against != EngineExact || got.NormalizedMass != want {
+		t.Errorf("compare at epoch 2 = %+v, want normalized mass %v against exact", got, want)
+	}
+
+	other := buildSnap(t, st, EngineFrogWild)
+	if other.Graph == g {
+		t.Fatal("buildSnap reused the graph")
+	}
+	if got := compare(); got.Epoch != 3 || hits() != 1 {
+		t.Errorf("compare over another graph: epoch %d, %v cache hits; want epoch 3 and a miss", got.Epoch, hits())
+	}
+	if srv.compareGraph != other.Graph {
+		t.Error("a compare over another graph must replace the cached pair")
+	}
+
+	// A graphless snapshot (a shard decodes one) must never match the
+	// empty cache; the exact run it starts instead cannot succeed.
+	empty := NewServer(NewStore(), ServerOptions{})
+	func() {
+		defer func() { _ = recover() }()
+		if ranks, err := empty.referenceRanks(nil); err == nil {
+			t.Errorf("a nil graph's reference = %d ranks, want an error", len(ranks))
+		}
+	}()
+	if empty.compareHits.Value() != 0 {
+		t.Error("a nil graph matched the empty compare cache")
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 	"strconv"
 	"sync"
@@ -12,17 +11,13 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/obs"
+	"repro/internal/pagerank"
 	"repro/internal/serve/api"
 	"repro/internal/topk"
 )
 
 // ServerOptions tunes a Server beyond its Store.
 type ServerOptions struct {
-	// Compare is the BuildConfig template for /v1/compare runs; the
-	// query's engine overrides its Engine and the current snapshot's
-	// seed replaces its Seed (so a comparison is deterministic per
-	// epoch). Zero value means engine defaults.
-	Compare BuildConfig
 	// Refresher, when set, contributes refresh counters to /v1/stats.
 	Refresher *Refresher
 	// Metrics is the registry /metrics renders from; nil creates a
@@ -48,10 +43,10 @@ type ServerOptions struct {
 //	                         set (sources=a,b,c for multi-source),
 //	                         estimated by request-time walks under a
 //	                         bounded budget (see ppr.go)
-//	/v1/compare?engine=exact&k=20
-//	                         accuracy of the served estimate vs another
-//	                         engine run on the same graph (computed on
-//	                         demand, cached per epoch)
+//	/v1/compare?k=20         accuracy of the served estimate vs exact
+//	                         PageRank of its graph (engine=exact is the
+//	                         one engine it accepts; computed on demand,
+//	                         once per graph)
 //	/v1/stats                snapshot provenance, graph stats, serving
 //	                         counters
 //	/healthz                 200 once a snapshot is published
@@ -67,12 +62,13 @@ type Server struct {
 	// listener lifecycle, shared with the router (obs.Plane).
 	plane *obs.Plane
 
-	// compare runs are the expensive queries: they get a cache (per
-	// epoch+engine) and a flight group.
+	// /v1/compare's reference is exact PageRank, which depends on the
+	// graph alone: one (graph, ranks) pair outlives refreshes over the
+	// same graph, and one flight per graph computes it.
 	compareMu      sync.Mutex
-	compareEpoch   uint64
-	compareCache   map[Engine][]float64
-	compareFlights flightGroup[string, []float64]
+	compareGraph   *graph.Graph
+	compareRanks   []float64
+	compareFlights flightGroup[*graph.Graph, []float64]
 
 	// Serving counters are obs instruments registered on reg, so
 	// /v1/stats (which reads them directly) and /metrics (which renders
@@ -261,37 +257,26 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request, _ string) {
 	api.WriteJSON(w, append(body, '\n'))
 }
 
-// referenceRanks computes (or fetches the cached) comparison vector for
-// the snapshot's graph and epoch.
-func (s *Server) referenceRanks(snap *Snapshot, engine Engine) ([]float64, error) {
+// referenceRanks returns exact PageRank of g, computed on the first
+// compare over g and cached until a compare over another graph. A run
+// aborted by a storage fault caches nothing.
+func (s *Server) referenceRanks(g *graph.Graph) ([]float64, error) {
 	s.compareMu.Lock()
-	if s.compareEpoch == snap.Epoch {
-		if ranks, ok := s.compareCache[engine]; ok {
-			s.compareMu.Unlock()
-			s.compareHits.Inc()
-			return ranks, nil
-		}
-	}
+	hit, ranks := g != nil && g == s.compareGraph, s.compareRanks
 	s.compareMu.Unlock()
-
-	key := fmt.Sprintf("%d/%s", snap.Epoch, engine)
-	ranks, err, shared := s.compareFlights.Do(key, func() (ranks []float64, err error) {
+	if hit {
+		s.compareHits.Inc()
+		return ranks, nil
+	}
+	ranks, err, shared := s.compareFlights.Do(g, func() (ranks []float64, err error) {
 		// A failed read of a paged graph is an error every waiter of the
 		// flight shares, not a panic inside it.
 		defer catchStorageFault("compare run", &err)
-		cfg := s.opts.Compare
-		if engine != cfg.Engine {
-			// The template's tuning knobs belong to the serving
-			// engine; a different reference engine runs with its own
-			// defaults (e.g. glpr to tolerance, not the serving
-			// engine's truncated iteration budget). Infrastructure
-			// knobs (machines, workers, teleport) stay shared.
-			cfg.Walkers, cfg.Iterations, cfg.PS = 0, 0, 0
+		res, err := pagerank.Exact(g, pagerank.Options{})
+		if err != nil {
+			return nil, err
 		}
-		cfg.Engine = engine
-		cfg.Seed = snap.Seed
-		cfg = cfg.withDefaults(snap.Graph.NumVertices())
-		return computeRanks(snap.Graph, cfg)
+		return res.Rank, nil
 	})
 	if shared {
 		s.coalesced.Inc()
@@ -300,17 +285,7 @@ func (s *Server) referenceRanks(snap *Snapshot, engine Engine) ([]float64, error
 		return nil, err
 	}
 	s.compareMu.Lock()
-	if s.compareEpoch != snap.Epoch {
-		if snap.Epoch > s.compareEpoch {
-			s.compareEpoch = snap.Epoch
-			s.compareCache = map[Engine][]float64{engine: ranks}
-		}
-	} else {
-		if s.compareCache == nil {
-			s.compareCache = make(map[Engine][]float64)
-		}
-		s.compareCache[engine] = ranks
-	}
+	s.compareGraph, s.compareRanks = g, ranks
 	s.compareMu.Unlock()
 	return ranks, nil
 }
@@ -320,9 +295,8 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request, _ string)
 	if snap == nil {
 		return
 	}
-	engine, err := ParseEngine(valueOr(r.URL.Query().Get("engine"), string(EngineExact)))
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, api.CodeBadRequest, "%v", err)
+	if e := r.URL.Query().Get("engine"); e != "" && Engine(e) != EngineExact {
+		s.fail(w, http.StatusBadRequest, api.CodeBadRequest, "compare engine %q: want %s", e, EngineExact)
 		return
 	}
 	k, err := api.ParsePositiveInt(r.URL.Query().Get("k"), 20)
@@ -330,7 +304,7 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request, _ string)
 		s.fail(w, http.StatusBadRequest, api.CodeBadRequest, "bad k: %v", err)
 		return
 	}
-	ref, err := s.referenceRanks(snap, engine)
+	ref, err := s.referenceRanks(snap.Graph)
 	if errors.Is(err, errStorageFault) { // the cause is in the server's log, not the client's body
 		s.fail(w, http.StatusServiceUnavailable, api.CodeUnavailable, "compare run aborted by a failed graph read; retry")
 		return
@@ -342,7 +316,7 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request, _ string)
 	body, err := json.Marshal(api.CompareResponse{
 		Epoch:               snap.Epoch,
 		Engine:              snap.Engine,
-		Against:             engine,
+		Against:             EngineExact,
 		K:                   k,
 		CapturedMass:        topk.CapturedMass(ref, snap.Ranks, k),
 		NormalizedMass:      topk.NormalizedCapturedMass(ref, snap.Ranks, k),
@@ -440,11 +414,3 @@ func (s *Server) Serve(ctx context.Context, addr string) error { return s.plane.
 // Addr returns the listening address once Serve has bound it ("" before
 // that) — handy when addr was ":0".
 func (s *Server) Addr() string { return s.plane.Addr() }
-
-// valueOr returns raw unless it is empty.
-func valueOr(raw, def string) string {
-	if raw == "" {
-		return def
-	}
-	return raw
-}

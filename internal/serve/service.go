@@ -84,7 +84,6 @@ func NewService(g *graph.Graph, cfg ServiceConfig) (*Server, *Refresher, error) 
 		}
 	}
 	srv := NewServer(store, ServerOptions{
-		Compare:    cfg.Build,
 		Refresher:  refresher,
 		Metrics:    reg,
 		RequestLog: cfg.RequestLog,

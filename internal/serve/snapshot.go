@@ -30,7 +30,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/frogwild"
-	"repro/internal/glpr"
 	"repro/internal/graph"
 	"repro/internal/pagerank"
 	"repro/internal/serve/api"
@@ -47,9 +46,6 @@ const (
 	// EngineFrogWild runs the paper's fast approximation on the
 	// simulated cluster (the intended serving configuration).
 	EngineFrogWild Engine = "frogwild"
-	// EngineGLPR runs synchronous power iteration on the same engine
-	// (the paper's principal baseline).
-	EngineGLPR Engine = "glpr"
 	// EngineExact runs serial-reference power iteration to
 	// convergence (ground truth; slowest).
 	EngineExact Engine = "exact"
@@ -58,10 +54,10 @@ const (
 // ParseEngine converts a name into an Engine.
 func ParseEngine(name string) (Engine, error) {
 	switch Engine(name) {
-	case EngineFrogWild, EngineGLPR, EngineExact:
+	case EngineFrogWild, EngineExact:
 		return Engine(name), nil
 	}
-	return "", fmt.Errorf("serve: unknown engine %q (want frogwild|glpr|exact)", name)
+	return "", fmt.Errorf("serve: unknown engine %q (want frogwild|exact)", name)
 }
 
 // DefaultMaxK is the top index size when BuildConfig.MaxK is zero:
@@ -77,9 +73,7 @@ type BuildConfig struct {
 	Engine Engine
 	// Walkers is FrogWild's frog count N; 0 selects n/6 (min 100).
 	Walkers int
-	// Iterations is the superstep budget for frogwild (walk cutoff,
-	// default 4) and glpr (reduced iterations; 0 runs glpr to
-	// tolerance).
+	// Iterations is FrogWild's walk cutoff; 0 selects 4.
 	Iterations int
 	// PS is the mirror-synchronization probability; 0 selects 0.7.
 	PS float64
@@ -94,15 +88,15 @@ type BuildConfig struct {
 
 // RegisterFlags declares on fs prserve's engine flags -engine,
 // -machines, -maxk, -ps, -walkers and -iters. A field that is zero
-// defaults to what withDefaults resolves it to, except -walkers and
-// -iters, whose default 0 leaves the choice to the graph size and the
-// engine. Each is checked while parsing, so an unknown engine, or a
-// value that withDefaults would take for unset or the engine would
-// refuse after the graph loads, is a usage error.
+// defaults to what withDefaults resolves it to, except -walkers, whose
+// default 0 leaves the choice to the graph size, and -iters, whose
+// default 0 selects 4. Each is checked while parsing, so an unknown
+// engine, or a value that withDefaults would take for unset or the
+// engine would refuse after the graph loads, is a usage error.
 func (c *BuildConfig) RegisterFlags(fs *flag.FlagSet) {
 	d := c.withDefaults(0)
 	c.Engine, c.Machines, c.MaxK, c.PS = d.Engine, d.Machines, d.MaxK, d.PS
-	fs.Func("engine", "estimate engine: frogwild|glpr|exact", func(v string) error {
+	fs.Func("engine", "estimate engine: frogwild|exact", func(v string) error {
 		e, err := ParseEngine(v)
 		if err == nil {
 			c.Engine = e
@@ -115,7 +109,7 @@ func (c *BuildConfig) RegisterFlags(fs *flag.FlagSet) {
 		"at least 1", func(n int) bool { return n >= 1 })
 	intFlag(fs, &c.Walkers, "walkers", "frogwild walker count N (default: vertices/6)",
 		"at least 1", func(n int) bool { return n >= 1 })
-	intFlag(fs, &c.Iterations, "iters", "iterations: frogwild walk cutoff (default 4) / glpr supersteps (0 = to tolerance)",
+	intFlag(fs, &c.Iterations, "iters", "frogwild walk cutoff (default 4)",
 		"at least 0", func(n int) bool { return n >= 0 })
 	fs.Func("ps", "mirror synchronization probability, in (0, 1]", func(v string) error {
 		p, err := strconv.ParseFloat(v, 64)
@@ -173,7 +167,7 @@ func (c BuildConfig) withDefaults(n int) BuildConfig {
 	if c.Walkers == 0 {
 		c.Walkers = max(n/6, 100)
 	}
-	if c.Iterations == 0 && c.Engine == EngineFrogWild {
+	if c.Iterations == 0 {
 		c.Iterations = 4
 	}
 	if c.PS == 0 {
@@ -209,8 +203,9 @@ type Snapshot struct {
 	// (warm starts, FromRanks). Never persisted.
 	EstimateSeconds float64
 	IndexSeconds    float64
-	// Graph is the graph the estimate was computed on, retained for
-	// on-demand comparison runs.
+	// Graph is the graph the estimate was computed on. /v1/ppr walks
+	// it, and /v1/compare's exact reference is computed on it once per
+	// graph, not once per snapshot.
 	Graph *graph.Graph
 	// Stats summarizes the graph's degree structure.
 	Stats graph.Stats
@@ -336,16 +331,6 @@ func computeRanks(g *graph.Graph, cfg BuildConfig) ([]float64, error) {
 			return nil, err
 		}
 		return res.Estimate, nil
-	case EngineGLPR:
-		res, err := glpr.Run(g, glpr.Config{
-			Machines:   cfg.Machines,
-			Iterations: cfg.Iterations,
-			Seed:       cfg.Seed,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return res.Rank, nil
 	case EngineExact:
 		res, err := pagerank.Exact(g, pagerank.Options{})
 		if err != nil {

@@ -29,7 +29,7 @@ func TestTopKEveryKIsAPrefixOfTheIndex(t *testing.T) {
 		return snap
 	}
 	fromRanks := func(ranks []float64, maxK int) *Snapshot {
-		snap, err := FromRanks(g, EngineGLPR, 5, ranks, maxK)
+		snap, err := FromRanks(g, Engine("glpr"), 5, ranks, maxK)
 		if err != nil {
 			t.Fatal(err)
 		}
