@@ -19,8 +19,8 @@
 //	                                   source set (sources=a,b,c),
 //	                                   request-time walks, bounded budget
 //	GET /v1/compare?k=20               served accuracy vs exact PageRank
-//	GET /v1/stats                      provenance, graph + serving stats
-//	GET /metrics                       Prometheus text exposition
+//	GET /v1/stats                      snapshot provenance, graph stats
+//	GET /metrics                       every counter (Prometheus text)
 //	GET /healthz                       200 once a snapshot is published
 //
 // Observability: /metrics serves the Prometheus exposition in both
@@ -63,8 +63,8 @@
 // In router mode the graph and engine flags are unused; /v1/compare
 // and /v1/ppr are not served (the router has no graph to compare
 // against or walk over — /v1/ppr answers an explicit 501 with code
-// "unsupported") and /v1/stats aggregates per-shard health plus
-// measured wire bytes per query.
+// "unsupported"), /v1/stats lists per-shard health and /metrics the
+// measured wire bytes.
 //
 // Personalized PageRank is tuned by the -ppr-* flags: -ppr-walks is
 // the per-source walk count, -ppr-budget the hard per-request walk

@@ -14,9 +14,9 @@
 //     recording a latency is one short mutex hold over an integer-only
 //     bucket increment. All rendering cost is paid at scrape time.
 //   - One source of truth: instruments are free-standing values created
-//     by their owners and *registered* into a Registry afterwards, so
-//     JSON stats bodies and /metrics render the very same instrument —
-//     the two surfaces cannot drift.
+//     by their owners and *registered* into a Registry afterwards, and
+//     /metrics is the one surface that renders them: no JSON body
+//     carries a second copy of a counter.
 //
 // Instruments are safe for concurrent use. A Registry is safe to
 // register into and scrape concurrently.

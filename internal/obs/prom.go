@@ -127,8 +127,9 @@ func (r *Registry) Handler() http.Handler {
 // ParseText parses a text exposition body into a map from rendered
 // series reference (name plus label set, exactly as written) to value.
 // It is the consumer half of WritePrometheus — prload's scrape
-// embedding and the stats-agreement tests are built on it. Comment and
-// blank lines are skipped; a malformed sample line is an error.
+// embedding and the serving planes' counter tests are built on it.
+// Comment and blank lines are skipped; a malformed sample line is an
+// error.
 func ParseText(data []byte) (map[string]float64, error) {
 	out := make(map[string]float64)
 	sc := bufio.NewScanner(bytes.NewReader(data))

@@ -62,8 +62,7 @@ type ShardClient struct {
 	idle chan *clientConn
 
 	// Free-standing obs instruments; Router.New registers them on its
-	// registry via Instrument, so the stats body (which reads the same
-	// counters) and /metrics agree by construction.
+	// registry via Instrument, and Router.NetworkStats sums them.
 	sent    obs.Counter
 	recv    obs.Counter
 	calls   obs.Counter

@@ -124,11 +124,24 @@ func (l *lockedWriter) Write(p []byte) (int, error) {
 	return l.w.Write(p)
 }
 
-// TestRouterStatsAgreeWithMetrics pins the no-drift guarantee on the
-// router: /v1/stats and /metrics render the same underlying
-// instruments, so their values must match exactly for every counter
-// the stats body exposes.
-func TestRouterStatsAgreeWithMetrics(t *testing.T) {
+// scrape renders rt's /metrics and parses it. A scrape is not a query.
+func scrape(t *testing.T, rt *Router) map[string]float64 {
+	t.Helper()
+	code, body := get(t, rt, "/metrics")
+	if code != http.StatusOK {
+		t.Fatalf("metrics status %d", code)
+	}
+	series, err := obs.ParseText([]byte(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return series
+}
+
+// TestRouterCountersOnMetrics pins what the router counts and where:
+// every counter is a family on /metrics, and the measured wire bytes
+// there are the ones NetworkStats sums.
+func TestRouterCountersOnMetrics(t *testing.T) {
 	g := testGraph(t)
 	store := serve.NewStore()
 	publishRanks(t, store, g, tieRanks(g.NumVertices(), 9))
@@ -148,53 +161,37 @@ func TestRouterStatsAgreeWithMetrics(t *testing.T) {
 			t.Fatalf("rank status %d: %s", code, body)
 		}
 	}
-	// The stats request increments the query counter before building
-	// its body, so the body already includes itself; /metrics is not a
-	// query and scrapes the identical values afterwards.
-	code, statsBody := get(t, rt, "/v1/stats")
-	if code != http.StatusOK {
-		t.Fatalf("stats status %d", code)
-	}
-	var stats api.RouterStatsResponse
-	if err := json.Unmarshal([]byte(statsBody), &stats); err != nil {
-		t.Fatal(err)
-	}
-	code, metricsBody := get(t, rt, "/metrics")
-	if code != http.StatusOK {
-		t.Fatalf("metrics status %d", code)
-	}
-	series, err := obs.ParseText([]byte(metricsBody))
-	if err != nil {
-		t.Fatal(err)
+	if code, body := get(t, rt, "/v1/stats"); code != http.StatusOK {
+		t.Fatalf("stats status %d: %s", code, body)
 	}
 
-	checks := []struct {
+	// The stats request is a query; the /metrics scrape is not.
+	series := scrape(t, rt)
+	net := rt.NetworkStats()
+	for _, c := range []struct {
 		family string
 		want   float64
+		why    string
 	}{
-		{"router_requests_total", float64(stats.Serving.Queries)},
-		{"router_degraded_total", float64(stats.Serving.Degraded)},
-		{"router_epoch_fallbacks_total", float64(stats.Serving.EpochFallbacks)},
-		{"router_topk_index_hits_total", float64(stats.Serving.TopKIndexHits)},
-		{"router_topk_refetches_total", float64(stats.Serving.TopKRefetches)},
-		{"router_rank_routed_total", float64(stats.Serving.RankRouted)},
-		{"router_rank_index_hits_total", float64(stats.Serving.RankIndexHits)},
-		{"router_shard_rpc_retries_total", float64(stats.Serving.Retries)},
-		{"router_shard_bytes_sent_total", float64(stats.Network.BytesSent)},
-		{"router_shard_bytes_recv_total", float64(stats.Network.BytesRecv)},
-		{"router_shards", 3},
-	}
-	for _, c := range checks {
+		{"router_requests_total", 11, "7 topk + 3 rank + the stats request"},
+		{"router_degraded_total", 0, "every shard answered"},
+		{"router_epoch_fallbacks_total", 0, "one epoch throughout"},
+		{"router_ppr_unsupported_total", 0, "no ppr was asked"},
+		{"router_topk_index_hits_total", 5, "k 5, 6, 7, 11, 1 within the index"},
+		{"router_topk_refetches_total", 2, "k 9, then the uncovered 11"},
+		{"router_rank_routed_total", 1, "the first sight of vertex 7"},
+		{"router_rank_index_hits_total", 2, "vertex 7 again, at the index's epoch"},
+		{"router_shard_rpc_retries_total", 0, "no transport error"},
+		{"router_shard_bytes_sent_total", float64(net.BytesSent), "NetworkStats"},
+		{"router_shard_bytes_recv_total", float64(net.BytesRecv), "NetworkStats"},
+		{"router_shards", 3, "the fan-out width"},
+	} {
 		if got := obs.FamilySum(series, c.family); got != c.want {
-			t.Errorf("%s = %v in /metrics, %v in /v1/stats", c.family, got, c.want)
+			t.Errorf("%s = %v, want %v (%s)", c.family, got, c.want, c.why)
 		}
 	}
-	if stats.Serving.Queries != 11 {
-		t.Errorf("queries = %d, want 11 (7 topk + 3 rank + the stats request)", stats.Serving.Queries)
-	}
-	if s := stats.Serving; s.TopKIndexHits != 5 || s.TopKRefetches != 2 || s.RankRouted != 1 || s.RankIndexHits != 2 {
-		t.Errorf("index hits/refetches/rank routed/rank index hits = %d/%d/%d/%d, want 5/2/1/2",
-			s.TopKIndexHits, s.TopKRefetches, s.RankRouted, s.RankIndexHits)
+	if net.BytesSent == 0 || net.BytesRecv == 0 || net.Queries != 11 {
+		t.Errorf("network stats %+v: want bytes both ways over 11 queries", net)
 	}
 	if got := obs.FamilySum(series, "router_shard_rpc_total"); got <= 0 {
 		t.Errorf("router_shard_rpc_total = %v, want > 0", got)

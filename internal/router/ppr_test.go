@@ -3,9 +3,9 @@ package router
 import (
 	"encoding/json"
 	"net/http"
-	"strings"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/serve"
 	"repro/internal/serve/api"
 )
@@ -38,29 +38,20 @@ func TestRouterPPRUnsupported(t *testing.T) {
 	}
 
 	// The refusals are tracked apart from generic totals: the dedicated
-	// counter holds exactly the /v1/ppr hits, and the stats body and
-	// exposition agree on it.
+	// counter holds exactly the /v1/ppr hits.
 	if got := rt.pprUnsupported.Value(); got != 3 {
 		t.Fatalf("pprUnsupported = %d, want 3", got)
 	}
-	code, body := get(t, rt, "/v1/stats")
-	if code != http.StatusOK {
+	if code, body := get(t, rt, "/v1/stats"); code != http.StatusOK {
 		t.Fatalf("GET /v1/stats status = %d (body %s)", code, body)
 	}
-	var stats api.RouterStatsResponse
-	if err := json.Unmarshal([]byte(body), &stats); err != nil {
-		t.Fatal(err)
-	}
-	if stats.Serving.PPRUnsupported != 3 {
-		t.Fatalf("stats pprUnsupported = %d, want 3", stats.Serving.PPRUnsupported)
+	series := scrape(t, rt)
+	if got := obs.FamilySum(series, "router_ppr_unsupported_total"); got != 3 {
+		t.Fatalf("router_ppr_unsupported_total = %v, want 3", got)
 	}
 	// 3 ppr + 1 stats: refusals still count as routed queries, they are
 	// just additionally attributed.
-	if stats.Serving.Queries != 4 {
-		t.Fatalf("stats queries = %d, want 4", stats.Serving.Queries)
-	}
-	_, metrics := get(t, rt, "/metrics")
-	if !strings.Contains(metrics, "router_ppr_unsupported_total 3") {
-		t.Fatalf("/metrics missing router_ppr_unsupported_total 3:\n%s", metrics)
+	if got := obs.FamilySum(series, "router_requests_total"); got != 4 {
+		t.Fatalf("router_requests_total = %v, want 4", got)
 	}
 }

@@ -99,5 +99,5 @@ func TestRouterFanoutUnderSnapshotSwaps(t *testing.T) {
 	// Sanity: with snapshots swapping constantly, at least one query
 	// should have crossed an epoch boundary and taken the fallback.
 	t.Logf("queries=%d epochFallbacks=%d degraded=%d retries=%d",
-		rt.Queries(), rt.EpochFallbacks(), rt.Degraded(), rt.sumRetries())
+		rt.Queries(), rt.EpochFallbacks(), rt.Degraded(), rt.Retries())
 }

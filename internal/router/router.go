@@ -151,9 +151,8 @@ type Router struct {
 	// listener lifecycle, shared with the single-node server.
 	plane *obs.Plane
 
-	// Counters are obs instruments registered on reg, so the stats
-	// body (which reads them directly) and /metrics render the same
-	// values.
+	// Counters are obs instruments registered on reg, which /metrics
+	// renders; no response body repeats them.
 	queries        obs.Counter
 	degraded       obs.Counter
 	epochFallbacks obs.Counter
@@ -263,12 +262,32 @@ func (rt *Router) EpochFallbacks() uint64 { return rt.epochFallbacks.Value() }
 
 // Retries returns the total per-shard RPC retries after transport
 // errors, summed across all clients.
-func (rt *Router) Retries() uint64 { return rt.sumRetries() }
+func (rt *Router) Retries() uint64 {
+	var total uint64
+	for _, c := range rt.clients {
+		total += c.Retries()
+	}
+	return total
+}
+
+// NetworkStats is the router's measured wire traffic, the quantity
+// the paper's inter-machine claims are about: real bytes on a real
+// wire, per query.
+type NetworkStats struct {
+	// Queries is the number of routed queries the bytes are averaged
+	// over.
+	Queries uint64
+	// BytesSent / BytesRecv are totals across all shard connections
+	// (requests out, partial results back).
+	BytesSent, BytesRecv int64
+	// BytesPerQuery is (BytesSent+BytesRecv)/Queries.
+	BytesPerQuery float64
+}
 
 // NetworkStats reports measured wire traffic across all shard
 // connections, averaged per routed query.
-func (rt *Router) NetworkStats() api.NetworkStats {
-	var ns api.NetworkStats
+func (rt *Router) NetworkStats() NetworkStats {
+	var ns NetworkStats
 	ns.Queries = rt.queries.Value()
 	for _, c := range rt.clients {
 		ns.BytesSent += c.BytesSent()
@@ -522,7 +541,7 @@ func (rt *Router) handleRank(w http.ResponseWriter, r *http.Request, rid string)
 // shard RPC protocol has no walk op yet. The refusal is a deliberate
 // 501 with code "unsupported" — not a 404, not folded into generic
 // errors — and counted on its own instrument so a client mis-targeting
-// PPR at a router shows up in /v1/stats and /metrics.
+// PPR at a router shows up on /metrics.
 func (rt *Router) handlePPR(w http.ResponseWriter, r *http.Request, rid string) {
 	rt.pprUnsupported.Inc()
 	api.WriteError(w, http.StatusNotImplemented, api.CodeUnsupported, 0,
@@ -597,8 +616,8 @@ func (rt *Router) probe(rid string) clusterView {
 	return view
 }
 
-// handleStats answers from the last probe while it is fresh; the
-// serving counters and the network traffic are always read live.
+// handleStats answers from the last probe while it is fresh: the
+// epoch, engine and seed the shards serve and a row per shard.
 func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request, rid string) {
 	now := rt.now()
 	rt.mu.Lock()
@@ -612,27 +631,7 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request, rid string
 		Engine: view.engine,
 		Seed:   view.seed,
 		Shards: view.rows,
-		Serving: api.RouterStats{
-			Queries:        rt.queries.Value(),
-			Degraded:       rt.degraded.Value(),
-			Retries:        rt.sumRetries(),
-			EpochFallbacks: rt.epochFallbacks.Value(),
-			PPRUnsupported: rt.pprUnsupported.Value(),
-			TopKIndexHits:  rt.indexHits.Value(),
-			TopKRefetches:  rt.refetches.Value(),
-			RankRouted:     rt.rankRouted.Value(),
-			RankIndexHits:  rt.rankIndexHits.Value(),
-		},
-		Network: rt.NetworkStats(),
 	})
-}
-
-func (rt *Router) sumRetries() uint64 {
-	var total uint64
-	for _, c := range rt.clients {
-		total += c.Retries()
-	}
-	return total
 }
 
 func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request, rid string) {

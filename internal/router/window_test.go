@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/serve"
 	"repro/internal/serve/api"
 )
@@ -36,7 +37,7 @@ func fannedOut(t *testing.T, servers []*ShardServer, what string, before []uint6
 
 // TestStatsServedFromProbeWithinWindow pins the stats view: up to the
 // last instant of the window after a probe, /v1/stats asks no shard and
-// repeats the probe's rows, while its serving counters stay live; one
+// repeats the probe's body, and /metrics still counts it; one
 // nanosecond later it fans out again.
 func TestStatsServedFromProbeWithinWindow(t *testing.T) {
 	rt, servers, _, _ := flakyCluster(t, 4, 71)
@@ -54,16 +55,16 @@ func TestStatsServedFromProbeWithinWindow(t *testing.T) {
 
 	clock.advance(freshWindow)
 	asked := shardQueries(servers)
+	queries := obs.FamilySum(scrape(t, rt), "router_requests_total")
 	again := getStats(t, rt)
 	if got := shardQueries(servers) - asked; got != 0 {
 		t.Fatalf("stats inside the window made %d shard RPCs", got)
 	}
-	if !reflect.DeepEqual(again.Shards, first.Shards) || again.Epoch != first.Epoch ||
-		again.Engine != first.Engine || again.Seed != first.Seed {
+	if !reflect.DeepEqual(again, first) {
 		t.Fatalf("stats inside the window is not the probe's view:\n got %+v\nwant %+v", again, first)
 	}
-	if again.Serving.Queries != first.Serving.Queries+1 {
-		t.Fatalf("serving counters not read live: queries %d, then %d", first.Serving.Queries, again.Serving.Queries)
+	if got := obs.FamilySum(scrape(t, rt), "router_requests_total"); got != queries+1 {
+		t.Fatalf("router_requests_total went %v -> %v over one stats request", queries, got)
 	}
 
 	clock.advance(time.Nanosecond)

@@ -4,7 +4,9 @@
 // once; the top-k row they share is topk.Entry, which the HTTP bodies
 // render through one writer here (topk.go). Producer and consumer alias
 // these types instead of re-declaring inline structs, so the two sides
-// of the wire cannot drift apart silently.
+// of the wire cannot drift apart silently. No body carries a counter:
+// /v1/stats says what is served, and every counter is read from the
+// Prometheus families on /metrics (internal/obs).
 //
 // Version gates compatibility: the shard RPC handshake carries it and
 // a shard refuses requests from a router speaking a different version,
@@ -109,51 +111,8 @@ type GraphStats struct {
 	GiniOut   float64 `json:"giniOut"`
 }
 
-// ServeStats counts one server's query-path activity. The PPR fields
-// are additive (omitempty) and absent from deployments that predate
-// the endpoint, so no Version bump.
-type ServeStats struct {
-	Queries uint64 `json:"queries"`
-	// TopKCacheHits counts top-k queries answered from the snapshot's
-	// top index, rendered once at publish (k ≤ maxk).
-	TopKCacheHits    uint64 `json:"topkCacheHits"`
-	CompareCacheHits uint64 `json:"compareCacheHits"`
-	Coalesced        uint64 `json:"coalesced"`
-	Refreshes        uint64 `json:"refreshes"`
-	BuildErrors      uint64 `json:"buildErrors"`
-	// PPRQueries counts /v1/ppr requests; PPRCacheHits of those were
-	// answered from the per-source cache alone (every source's tally,
-	// or the set's cut, cached; no walk run or joined); PPRWalks is the
-	// total random walks executed on their behalf.
-	PPRQueries   uint64 `json:"pprQueries,omitempty"`
-	PPRCacheHits uint64 `json:"pprCacheHits,omitempty"`
-	PPRWalks     uint64 `json:"pprWalks,omitempty"`
-	// PPRWalkSteps counts individual walk steps, on any graph. Of
-	// those, on a paged graph, PPRPageLocalSteps read the page the
-	// walker's reader already held and PPRWalkWaits had to wait for a
-	// page that was not in the cache — the only steps that pay for I/O
-	// (both zero, and absent, on fully resident graphs).
-	PPRWalkSteps      uint64 `json:"pprWalkSteps,omitempty"`
-	PPRPageLocalSteps uint64 `json:"pprPageLocalSteps,omitempty"`
-	PPRWalkWaits      uint64 `json:"pprWalkWaits,omitempty"`
-}
-
-// PageCacheStats describes the graph page cache of a server running
-// under a -graph-mem budget. Absent (nil) when the graph is fully
-// resident.
-type PageCacheStats struct {
-	PageSize      int64  `json:"pageSize"`
-	BudgetBytes   int64  `json:"budgetBytes"`
-	BudgetPages   int64  `json:"budgetPages"`
-	ResidentPages int64  `json:"residentPages"`
-	PinnedPages   int64  `json:"pinnedPages"`
-	Hits          uint64 `json:"hits"`
-	Misses        uint64 `json:"misses"`
-	Evictions     uint64 `json:"evictions"`
-	ReadBytes     uint64 `json:"readBytes"`
-}
-
-// StatsResponse is the single-node /v1/stats body.
+// StatsResponse is the single-node /v1/stats body: which snapshot is
+// served, from what, over which graph. Counters are on /metrics.
 type StatsResponse struct {
 	Epoch        uint64     `json:"epoch"`
 	Engine       Engine     `json:"engine"`
@@ -162,10 +121,6 @@ type StatsResponse struct {
 	BuildSeconds float64    `json:"buildSeconds"`
 	MaxK         int        `json:"maxK"`
 	Graph        GraphStats `json:"graph"`
-	Serving      ServeStats `json:"serving"`
-	// PageCache is set only when the graph is served under a memory
-	// budget (additive, so no Version bump).
-	PageCache *PageCacheStats `json:"pageCache,omitempty"`
 }
 
 // ShardStatus is one shard's row in router health and stats bodies.
@@ -195,58 +150,14 @@ type HealthResponse struct {
 	Shards []ShardStatus `json:"shards,omitempty"`
 }
 
-// NetworkStats reports the router's measured wire traffic, the
-// quantity the paper's inter-machine claims are about: real bytes on a
-// real wire, per query.
-type NetworkStats struct {
-	// Queries is the number of routed queries the bytes are averaged
-	// over.
-	Queries uint64 `json:"queries"`
-	// BytesSent / BytesRecv are totals across all shard connections
-	// (requests out, partial results back).
-	BytesSent int64 `json:"bytesSent"`
-	BytesRecv int64 `json:"bytesRecv"`
-	// BytesPerQuery is (BytesSent+BytesRecv)/Queries.
-	BytesPerQuery float64 `json:"bytesPerQuery"`
-}
-
-// RouterStats counts the router's own query-path activity.
-type RouterStats struct {
-	Queries uint64 `json:"queries"`
-	// Degraded counts responses served stale, from the router's top
-	// index or a vertex's last exact rank, because a shard was
-	// unreachable or lacked a consistent epoch.
-	Degraded uint64 `json:"degraded"`
-	// Retries counts per-shard RPC retries after a transport error.
-	Retries uint64 `json:"retries"`
-	// EpochFallbacks counts queries re-issued at an older epoch because
-	// the shards disagreed on the current one.
-	EpochFallbacks uint64 `json:"epochFallbacks"`
-	// PPRUnsupported counts /v1/ppr requests refused with 501
-	// unsupported — the router holds no graph to walk. Tracked apart
-	// from generic totals so a client mis-targeting PPR at a router is
-	// visible in stats, not folded into request noise.
-	PPRUnsupported uint64 `json:"pprUnsupported,omitempty"`
-	// TopKIndexHits counts top-k queries answered from the router's
-	// fresh top index with no shard RPC; TopKRefetches counts the
-	// fan-outs that (re)built it. RankRouted counts rank queries
-	// answered by one RPC to the vertex's owner alone, RankIndexHits
-	// those answered from the vertex's last rank at the fresh index's
-	// epoch with no RPC.
-	TopKIndexHits uint64 `json:"topkIndexHits"`
-	TopKRefetches uint64 `json:"topkRefetches"`
-	RankRouted    uint64 `json:"rankRouted"`
-	RankIndexHits uint64 `json:"rankIndexHits"`
-}
-
-// RouterStatsResponse is the router's /v1/stats body.
+// RouterStatsResponse is the router's /v1/stats body: the epoch,
+// engine and seed the shards serve, and a row per shard. Counters are
+// on /metrics.
 type RouterStatsResponse struct {
-	Epoch   uint64        `json:"epoch"`
-	Engine  Engine        `json:"engine"`
-	Seed    uint64        `json:"seed"`
-	Shards  []ShardStatus `json:"shards"`
-	Serving RouterStats   `json:"serving"`
-	Network NetworkStats  `json:"network"`
+	Epoch  uint64        `json:"epoch"`
+	Engine Engine        `json:"engine"`
+	Seed   uint64        `json:"seed"`
+	Shards []ShardStatus `json:"shards"`
 }
 
 // Error is the JSON error envelope every non-2xx response carries.

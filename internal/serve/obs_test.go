@@ -12,16 +12,26 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/graph/gen"
+	"repro/internal/graph/pcache"
 	"repro/internal/obs"
 	"repro/internal/serve/api"
 )
 
-// TestStatsAgreeWithMetrics pins the no-drift guarantee on the
-// single-node server: /v1/stats and /metrics read the same registered
-// instruments, so every serving counter the JSON body exposes must
-// equal its Prometheus family exactly — including the refresher's
-// counters, which NewService registers on the same registry.
-func TestStatsAgreeWithMetrics(t *testing.T) {
+// scrape renders srv's /metrics and parses it. A scrape is not a query.
+func scrape(t *testing.T, srv *Server) map[string]float64 {
+	t.Helper()
+	series, err := obs.ParseText([]byte(body(t, srv, "/metrics")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return series
+}
+
+// TestServingCountersOnMetrics pins what the single-node server counts
+// and where: every serving counter is a family on /metrics, including
+// the refresher's, which NewService registers on the same registry,
+// and the graph_page_cache_* gauges, which read the paged graph's pool.
+func TestServingCountersOnMetrics(t *testing.T) {
 	srv, refresher, err := NewService(testGraph(t), ServiceConfig{
 		Build: testBuildConfig(EngineFrogWild),
 	})
@@ -32,63 +42,34 @@ func TestStatsAgreeWithMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	get := func(url string) (int, string) {
-		rec := httptest.NewRecorder()
-		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, url, nil))
-		return rec.Code, rec.Body.String()
-	}
 	// Every k within maxk is answered from the index; the rank query is not.
 	for i := 0; i < 5; i++ {
-		if code, body := get("/v1/topk?k=10"); code != http.StatusOK {
-			t.Fatalf("topk status %d: %s", code, body)
-		}
+		body(t, srv, "/v1/topk?k=10")
 	}
-	if code, _ := get("/v1/rank?vertex=3"); code != http.StatusOK {
-		t.Fatal("rank failed")
-	}
-
-	// The stats request increments the query counter before its body
-	// is built, so the body includes itself; the /metrics scrape is
-	// not a query and renders the identical values afterwards.
-	code, statsBody := get("/v1/stats")
-	if code != http.StatusOK {
-		t.Fatalf("stats status %d", code)
-	}
+	body(t, srv, "/v1/rank?vertex=3")
 	var stats api.StatsResponse
-	if err := json.Unmarshal([]byte(statsBody), &stats); err != nil {
-		t.Fatal(err)
-	}
-	code, metricsBody := get("/metrics")
-	if code != http.StatusOK {
-		t.Fatalf("metrics status %d", code)
-	}
-	series, err := obs.ParseText([]byte(metricsBody))
-	if err != nil {
+	if err := json.Unmarshal([]byte(body(t, srv, "/v1/stats")), &stats); err != nil {
 		t.Fatal(err)
 	}
 
-	checks := []struct {
+	// The stats request is a query; the /metrics scrape is not.
+	series := scrape(t, srv)
+	for _, c := range []struct {
 		family string
 		want   float64
+		why    string
 	}{
-		{"serve_requests_total", float64(stats.Serving.Queries)},
-		{"serve_topk_cache_hits_total", float64(stats.Serving.TopKCacheHits)},
-		{"serve_compare_cache_hits_total", float64(stats.Serving.CompareCacheHits)},
-		{"serve_coalesced_total", float64(stats.Serving.Coalesced)},
-		{"refresh_builds_total", float64(stats.Serving.Refreshes)},
-		{"refresh_build_errors_total", float64(stats.Serving.BuildErrors)},
-		{"serve_snapshot_epoch", float64(stats.Epoch)},
-	}
-	for _, c := range checks {
+		{"serve_requests_total", 7, "5 topk + rank + the stats request"},
+		{"serve_topk_cache_hits_total", 5, "every k within maxk is a prefix of the index"},
+		{"serve_compare_cache_hits_total", 0, "no compare was asked"},
+		{"serve_coalesced_total", 0, "nothing ran concurrently"},
+		{"refresh_builds_total", 2, "the cold build and the refresh"},
+		{"refresh_build_errors_total", 0, "both builds succeeded"},
+		{"serve_snapshot_epoch", float64(stats.Epoch), "the epoch /v1/stats names"},
+	} {
 		if got := obs.FamilySum(series, c.family); got != c.want {
-			t.Errorf("%s = %v in /metrics, %v in /v1/stats", c.family, got, c.want)
+			t.Errorf("%s = %v, want %v (%s)", c.family, got, c.want, c.why)
 		}
-	}
-	if stats.Serving.Queries != 7 {
-		t.Errorf("queries = %d, want 7 (5 topk + rank + the stats request)", stats.Serving.Queries)
-	}
-	if stats.Serving.TopKCacheHits != 5 {
-		t.Errorf("topk cache hits = %d, want 5 (every k within maxk is a prefix of the index)", stats.Serving.TopKCacheHits)
 	}
 	if got := series[`serve_request_seconds_count{endpoint="topk"}`]; got != 5 {
 		t.Errorf(`serve_request_seconds_count{endpoint="topk"} = %v, want 5`, got)
@@ -97,24 +78,24 @@ func TestStatsAgreeWithMetrics(t *testing.T) {
 		t.Errorf("refresh_publish_to_visible_seconds = %v, want >= 0", got)
 	}
 
-	// On a paged graph the pageCache block and the graph_page_cache_*
-	// families read the same pool.
+	// On a paged graph the graph_page_cache_* families read the pool.
 	graphs, base := pagedLayouts(t, powerLaw(t, gen.PowerLawConfig{N: 5000, MeanOutDeg: 8, DegExponent: 2.1, Seed: 5}),
 		BuildConfig{Engine: EngineExact, Seed: 11, MaxK: 50}, map[string]float64{"paged": 0})
 	paged := serveVariants(map[string]*graph.Graph{"paged": graphs["paged"]}, base, PPROptions{CacheSize: -1})["paged"]
 	body(t, paged, "/v1/ppr?source=3&source=700&k=10")
-	if err := json.Unmarshal([]byte(body(t, paged, "/v1/stats")), &stats); err != nil {
-		t.Fatal(err)
+	series = scrape(t, paged)
+	pc, ok := graphs["paged"].PageCacheStats()
+	if !ok {
+		t.Fatal("the paged graph has no page cache")
 	}
-	if series, err = obs.ParseText([]byte(body(t, paged, "/metrics"))); err != nil {
-		t.Fatal(err)
+	misses := obs.FamilySum(series, "graph_page_cache_misses_total")
+	evictions := obs.FamilySum(series, "graph_page_cache_evictions_total")
+	readBytes := obs.FamilySum(series, "graph_page_cache_read_bytes_total")
+	if misses == 0 || evictions == 0 {
+		t.Fatalf("page cache misses %v, evictions %v: want both", misses, evictions)
 	}
-	pc := stats.PageCache
-	if pc == nil || pc.Misses == 0 || pc.Evictions == 0 {
-		t.Fatalf("pageCache = %+v, want misses and evictions", pc)
-	}
-	if pc.ReadBytes > pc.Misses*uint64(pc.PageSize) || pc.ReadBytes <= (pc.Misses-1)*uint64(pc.PageSize) {
-		t.Errorf("readBytes %d for %d misses of %d-byte pages", pc.ReadBytes, pc.Misses, pc.PageSize)
+	if readBytes > misses*pcache.PageSize || readBytes <= (misses-1)*pcache.PageSize {
+		t.Errorf("read_bytes %v for %v misses of %d-byte pages", readBytes, misses, pcache.PageSize)
 	}
 	for family, want := range map[string]float64{
 		"graph_page_cache_hits_total":       float64(pc.Hits),
@@ -126,7 +107,7 @@ func TestStatsAgreeWithMetrics(t *testing.T) {
 		"graph_page_cache_budget_pages":     float64(pc.BudgetPages),
 	} {
 		if got := obs.FamilySum(series, family); got != want {
-			t.Errorf("%s = %v in /metrics, %v in /v1/stats", family, got, want)
+			t.Errorf("%s = %v on /metrics, the pool reads %v", family, got, want)
 		}
 	}
 }

@@ -262,7 +262,7 @@ func TestWarmStartServesBeforeRecompute(t *testing.T) {
 		t.Fatal(err)
 	}
 	store.Restore(snap)
-	srv2 := NewServer(store, ServerOptions{Refresher: refresher})
+	srv2 := NewServer(store, ServerOptions{})
 
 	if buildCalls != 0 {
 		t.Fatal("warm start ran an engine build")

@@ -653,7 +653,7 @@ func (s *Server) handlePPR(w http.ResponseWriter, r *http.Request, _ string) {
 	start := time.Now()
 	defer func() { s.ppr.lat.Observe(time.Since(start)) }()
 	s.ppr.queries.Inc()
-	snap := s.current(w)
+	snap := s.walkable(w)
 	if snap == nil {
 		return
 	}

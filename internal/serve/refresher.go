@@ -45,8 +45,7 @@ type Refresher struct {
 	generation uint64
 
 	// Free-standing obs instruments: they count from construction and
-	// are optionally exposed on a /metrics registry via Instrument —
-	// /v1/stats and the exposition read the very same values.
+	// are optionally exposed on a /metrics registry via Instrument.
 	refreshes    obs.Counter
 	errs         obs.Counter
 	persistErrs  obs.Counter
@@ -83,8 +82,7 @@ func (r *Refresher) PersistErrors() uint64 { return r.persistErrs.Value() }
 
 // Instrument registers the refresher's instruments on reg under the
 // refresh_* names. The instruments are live either way — Instrument
-// only exposes them — so /v1/stats (which reads the same counters) and
-// /metrics can never disagree. Call at most once per registry.
+// only exposes them. Call at most once per registry.
 func (r *Refresher) Instrument(reg *obs.Registry) {
 	reg.RegisterCounter("refresh_builds_total",
 		"Snapshots built and published by the background refresher.", nil, &r.refreshes)

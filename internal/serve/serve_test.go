@@ -4,10 +4,12 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"maps"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -403,10 +405,8 @@ func TestServerCompare(t *testing.T) {
 		t.Errorf("normalized mass %v, want %v", got.NormalizedMass, want)
 	}
 
-	compareHits := func() uint64 {
-		var stats api.StatsResponse
-		getJSON(t, ts.URL+"/v1/stats", &stats)
-		return stats.Serving.CompareCacheHits
+	compareHits := func() float64 {
+		return obs.FamilySum(scrape(t, srv), "serve_compare_cache_hits_total")
 	}
 	hits := compareHits()
 	getJSON(t, ts.URL+"/v1/compare?engine=exact&k=50", nil)
@@ -441,13 +441,7 @@ func TestCompareReferenceOutlivesRefresh(t *testing.T) {
 	g := first.Graph
 	st := NewStore()
 	srv := NewServer(st, ServerOptions{})
-	hits := func() float64 {
-		series, err := obs.ParseText([]byte(body(t, srv, "/metrics")))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return obs.FamilySum(series, "serve_compare_cache_hits_total")
-	}
+	hits := func() float64 { return obs.FamilySum(scrape(t, srv), "serve_compare_cache_hits_total") }
 	compare := func() api.CompareResponse {
 		t.Helper()
 		var got api.CompareResponse
@@ -489,17 +483,45 @@ func TestCompareReferenceOutlivesRefresh(t *testing.T) {
 		t.Error("a compare over another graph must replace the cached pair")
 	}
 
-	// A graphless snapshot (a shard decodes one) must never match the
-	// empty cache; the exact run it starts instead cannot succeed.
-	empty := NewServer(NewStore(), ServerOptions{})
-	func() {
-		defer func() { _ = recover() }()
-		if ranks, err := empty.referenceRanks(nil); err == nil {
-			t.Errorf("a nil graph's reference = %d ranks, want an error", len(ranks))
+	// A graphless snapshot (what a shard decodes) is served: its
+	// provenance and its top-k answer, the page-cache gauges read 0,
+	// and the queries that read adjacency answer 503 without touching
+	// the empty compare cache.
+	var file strings.Builder
+	if err := WriteSnapshot(&file, next); err != nil {
+		t.Fatal(err)
+	}
+	graphless, err := ReadSnapshot(strings.NewReader(file.String()), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	empty := NewStore()
+	empty.Restore(graphless)
+	bare := NewServer(empty, ServerOptions{})
+	body(t, bare, "/v1/stats")
+	body(t, bare, "/v1/topk?k=5")
+	for _, url := range []string{"/v1/compare?k=20", "/v1/ppr?source=3&k=5"} {
+		rec := httptest.NewRecorder()
+		bare.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, url, nil))
+		var env api.Error
+		if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || rec.Code != http.StatusServiceUnavailable || env.Code != api.CodeUnavailable {
+			t.Errorf("%s over a graphless snapshot: status %d body %s, want 503 unavailable", url, rec.Code, rec.Body)
 		}
-	}()
-	if empty.compareHits.Value() != 0 {
-		t.Error("a nil graph matched the empty compare cache")
+	}
+	series, gauges := scrape(t, bare), 0
+	for name, v := range series {
+		if strings.HasPrefix(name, "graph_page_cache_") {
+			gauges++
+			if v != 0 {
+				t.Errorf("%s = %v over a graphless snapshot, want 0", name, v)
+			}
+		}
+	}
+	if gauges != 7 {
+		t.Errorf("%d graph_page_cache_* series, want 7", gauges)
+	}
+	if got := obs.FamilySum(series, "serve_compare_cache_hits_total"); got != 0 || bare.compareGraph != nil {
+		t.Errorf("a graphless compare: %v cache hits, cached graph %p; want neither", got, bare.compareGraph)
 	}
 }
 
@@ -522,18 +544,30 @@ func TestServerStatsAndHealthz(t *testing.T) {
 	}
 
 	snap := buildSnap(t, st, EngineFrogWild)
-	var got api.StatsResponse
-	if code := getJSON(t, ts.URL+"/v1/stats", &got); code != http.StatusOK {
-		t.Fatalf("stats status %d", code)
+	// The body says what is served and nothing else: it has exactly
+	// the provenance members, and every one decodes into its type.
+	raw := body(t, srv, "/v1/stats")
+	var members map[string]json.RawMessage
+	if err := json.Unmarshal([]byte(raw), &members); err != nil {
+		t.Fatal(err)
 	}
-	if got.Epoch != snap.Epoch || got.Engine != EngineFrogWild || got.MaxK != snap.MaxK {
+	if got, want := slices.Sorted(maps.Keys(members)), []string{"buildSeconds", "builtAt", "engine", "epoch", "graph", "maxK", "seed"}; !slices.Equal(got, want) {
+		t.Errorf("stats members %q, want %q", got, want)
+	}
+	var got api.StatsResponse
+	dec := json.NewDecoder(strings.NewReader(raw))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&got); err != nil {
+		t.Fatalf("stats body: %v", err)
+	}
+	if got.Epoch != snap.Epoch || got.Engine != EngineFrogWild || got.Seed != snap.Seed || got.MaxK != snap.MaxK {
 		t.Errorf("stats %+v", got)
 	}
 	if got.Graph.Vertices != snap.Stats.NumVertices || got.Graph.Edges != snap.Stats.NumEdges {
 		t.Errorf("graph stats %+v", got.Graph)
 	}
-	if got.Serving.Queries == 0 {
-		t.Error("queries counter should count this request")
+	if got := obs.FamilySum(scrape(t, srv), "serve_requests_total"); got != 2 {
+		t.Errorf("serve_requests_total = %v, want 2 (both stats requests)", got)
 	}
 	resp, err = http.Get(ts.URL + "/healthz")
 	if err != nil {

@@ -18,8 +18,6 @@ import (
 
 // ServerOptions tunes a Server beyond its Store.
 type ServerOptions struct {
-	// Refresher, when set, contributes refresh counters to /v1/stats.
-	Refresher *Refresher
 	// Metrics is the registry /metrics renders from; nil creates a
 	// private one (so /metrics always works). NewService shares one
 	// registry between server and refresher.
@@ -47,8 +45,8 @@ type ServerOptions struct {
 //	                         PageRank of its graph (engine=exact is the
 //	                         one engine it accepts; computed on demand,
 //	                         once per graph)
-//	/v1/stats                snapshot provenance, graph stats, serving
-//	                         counters
+//	/v1/stats                snapshot provenance and graph stats
+//	/metrics                 every serving counter (Prometheus text)
 //	/healthz                 200 once a snapshot is published
 //
 // A /v1/topk with k up to the snapshot's MaxK writes a prefix of the
@@ -57,7 +55,6 @@ type ServerOptions struct {
 // queries are coalesced (singleflight).
 type Server struct {
 	store *Store
-	opts  ServerOptions
 	// plane is the HTTP front: routing table, request middleware and
 	// listener lifecycle, shared with the router (obs.Plane).
 	plane *obs.Plane
@@ -70,9 +67,8 @@ type Server struct {
 	compareRanks   []float64
 	compareFlights flightGroup[*graph.Graph, []float64]
 
-	// Serving counters are obs instruments registered on reg, so
-	// /v1/stats (which reads them directly) and /metrics (which renders
-	// the registry) are two views over the same values by construction.
+	// Serving counters are obs instruments registered on reg, which
+	// /metrics renders; no response body repeats them.
 	queries     obs.Counter
 	cacheHits   obs.Counter
 	compareHits obs.Counter
@@ -87,7 +83,7 @@ type Server struct {
 
 // NewServer builds a server over store.
 func NewServer(store *Store, opts ServerOptions) *Server {
-	s := &Server{store: store, opts: opts, reg: opts.Metrics}
+	s := &Server{store: store, reg: opts.Metrics}
 	if s.reg == nil {
 		s.reg = obs.NewRegistry()
 	}
@@ -112,7 +108,7 @@ func NewServer(store *Store, opts ServerOptions) *Server {
 		})
 	pageCacheGauge := func(name, help string, pick func(graph.PageCacheStats) float64) {
 		s.reg.GaugeFunc(name, help, nil, func() float64 {
-			if snap := store.Current(); snap != nil {
+			if snap := store.Current(); snap != nil && snap.Graph != nil {
 				if st, ok := snap.Graph.PageCacheStats(); ok {
 					return pick(st)
 				}
@@ -207,6 +203,18 @@ func (s *Server) current(w http.ResponseWriter) *Snapshot {
 	return snap
 }
 
+// walkable returns the published snapshot if it carries its graph, or
+// writes a 503: a graphless snapshot (what ReadSnapshot(r, nil)
+// decodes) answers every query but those that read adjacency.
+func (s *Server) walkable(w http.ResponseWriter) *Snapshot {
+	snap := s.current(w)
+	if snap != nil && snap.Graph == nil {
+		s.fail(w, http.StatusServiceUnavailable, api.CodeUnavailable, "the snapshot at epoch %d carries no graph", snap.Epoch)
+		return nil
+	}
+	return snap
+}
+
 func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request, _ string) {
 	snap := s.current(w)
 	if snap == nil {
@@ -259,10 +267,11 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request, _ string) {
 
 // referenceRanks returns exact PageRank of g, computed on the first
 // compare over g and cached until a compare over another graph. A run
-// aborted by a storage fault caches nothing.
+// aborted by a storage fault caches nothing. g must not be nil (the
+// empty cache would match it): handleCompare reads it via walkable.
 func (s *Server) referenceRanks(g *graph.Graph) ([]float64, error) {
 	s.compareMu.Lock()
-	hit, ranks := g != nil && g == s.compareGraph, s.compareRanks
+	hit, ranks := g == s.compareGraph, s.compareRanks
 	s.compareMu.Unlock()
 	if hit {
 		s.compareHits.Inc()
@@ -291,7 +300,7 @@ func (s *Server) referenceRanks(g *graph.Graph) ([]float64, error) {
 }
 
 func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request, _ string) {
-	snap := s.current(w)
+	snap := s.walkable(w)
 	if snap == nil {
 		return
 	}
@@ -330,39 +339,14 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request, _ string)
 	api.WriteJSON(w, append(body, '\n'))
 }
 
-// statsBody assembles the /v1/stats response for snap.
-func (s *Server) statsBody(snap *Snapshot) api.StatsResponse {
-	serving := api.ServeStats{
-		Queries:           s.queries.Value(),
-		TopKCacheHits:     s.cacheHits.Value(),
-		CompareCacheHits:  s.compareHits.Value(),
-		Coalesced:         s.coalesced.Value(),
-		PPRQueries:        s.ppr.queries.Value(),
-		PPRCacheHits:      s.ppr.cacheHits.Value(),
-		PPRWalks:          s.ppr.walks.Value(),
-		PPRWalkSteps:      s.ppr.steps.Value(),
-		PPRPageLocalSteps: s.ppr.local.Value(),
-		PPRWalkWaits:      s.ppr.waits.Value(),
+// handleStats answers what is served: the snapshot's provenance and
+// its graph's stats.
+func (s *Server) handleStats(w http.ResponseWriter, r *http.Request, _ string) {
+	snap := s.current(w)
+	if snap == nil {
+		return
 	}
-	if ref := s.opts.Refresher; ref != nil {
-		serving.Refreshes = ref.Refreshes()
-		serving.BuildErrors = ref.Errors()
-	}
-	var pc *api.PageCacheStats
-	if st, ok := snap.Graph.PageCacheStats(); ok {
-		pc = &api.PageCacheStats{
-			PageSize:      int64(st.PageSize),
-			BudgetBytes:   st.BudgetBytes,
-			BudgetPages:   int64(st.BudgetPages),
-			ResidentPages: int64(st.ResidentPages),
-			PinnedPages:   int64(st.PinnedPages),
-			Hits:          st.Hits,
-			Misses:        st.Misses,
-			Evictions:     st.Evictions,
-			ReadBytes:     st.ReadBytes,
-		}
-	}
-	return api.StatsResponse{
+	body, err := json.Marshal(api.StatsResponse{
 		Epoch:        snap.Epoch,
 		Engine:       snap.Engine,
 		Seed:         snap.Seed,
@@ -378,17 +362,7 @@ func (s *Server) statsBody(snap *Snapshot) api.StatsResponse {
 			MeanDeg:   snap.Stats.MeanDeg,
 			GiniOut:   snap.Stats.GiniOut,
 		},
-		Serving:   serving,
-		PageCache: pc,
-	}
-}
-
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request, _ string) {
-	snap := s.current(w)
-	if snap == nil {
-		return
-	}
-	body, err := json.Marshal(s.statsBody(snap))
+	})
 	if err != nil {
 		s.fail(w, http.StatusInternalServerError, api.CodeInternal, "%v", err)
 		return

@@ -84,7 +84,6 @@ func NewService(g *graph.Graph, cfg ServiceConfig) (*Server, *Refresher, error) 
 		}
 	}
 	srv := NewServer(store, ServerOptions{
-		Refresher:  refresher,
 		Metrics:    reg,
 		RequestLog: cfg.RequestLog,
 		PPR:        cfg.PPR,
